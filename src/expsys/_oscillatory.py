@@ -1,10 +1,18 @@
-"""Shared engine for batched oscillatory moments  integral of
-w(x) e^{sign 2 pi i lambda . phi(x)} dmu(x)  over many frequencies lambda.
+"""Shared engine for batched oscillatory moments
 
-Frequencies sharing a composite-Gauss panel signature are evaluated on a
-common node set, so the phase map runs once per group and each frequency
-costs one matmul column.  Monte-Carlo and digit-enumeration schemes share one
-node set across all frequencies by construction.
+    integral of w_j(y) e^{sign 2 pi i lambda . phi(y)} dmu(y)
+
+over m frequencies lambda and a stack of k weights w_j at once.
+
+Each scheme builds its node set once, evaluates the phase on it once, builds
+an (n, k) weight matrix once and contracts every exp chunk with every column.
+Frequencies sharing a composite-Gauss panel signature share one node set;
+under tensor-gauss a weight with its own support box gets its own sub-box
+rule, so node sets are keyed by (support box, panel signature).
+Monte-Carlo and digit-enumeration schemes share one node set across all
+frequencies and weights by construction.  Adaptive and disc integrals stay
+one integral per (frequency, weight).  A pushforward psi_*mu is integrated
+over mu with the phase and the weights evaluated at y = psi(x).
 """
 
 from __future__ import annotations
@@ -31,42 +39,53 @@ from .seeding import spawn_rng
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 
 
-def _chunk_size(n_nodes):
-    # keep complex temporaries around 64 MB
-    return max(2, min(_CHUNK, int(4_000_000 // max(n_nodes, 1)) or 2))
+def _chunk_size(n_nodes, n_weights=1):
+    # keep the complex exp chunk plus the real (n, k) weight matrix around 64 MB
+    cols = 8_000_000 // max(n_nodes, 1) - n_weights
+    return max(1, min(_CHUNK, cols // 2))
+
+
+def _unwrap(mu):
+    """(base measure, pushforward map chain or None) of mu."""
+    psi = None
+    while isinstance(mu, PushforwardMeasure):
+        psi = mu.map if psi is None else phases.compose(psi, mu.map)
+        mu = mu.base
+    return mu, psi
 
 
 def effective_pair(mu, phi):
     """Collapse pushforward layers: Gram over psi_*mu == Gram of phi o psi over mu."""
-    while isinstance(mu, PushforwardMeasure):
-        phi = phases.compose(phi, mu.map)
-        mu = mu.base
-    return mu, phi
+    base, psi = _unwrap(mu)
+    return base, phi if psi is None else phases.compose(phi, psi)
 
 
 def oscillation_cycles(phi, mu, lambdas, n_probe=64):
     """Estimated oscillation cycles per input dimension for each frequency.
 
     Bounds |d(lambda . phi)/dx_i| by sampled Jacobian row maxima times the
-    support width.  Returns (m, in_dim) cycles, or None when the phase has no
-    usable Jacobian (digit maps).
+    support width.  Returns (m, in_dim) cycles; raises QuadratureError when
+    the phase has no usable Jacobian (digit maps) at a nonzero frequency.
     """
     lam = np.atleast_2d(lambdas)
     lo, hi = mu.support_box()
     width = hi - lo
     if isinstance(phi, phases.Identity):
         return np.abs(lam) * width[None, :]
+    if not np.any(lam):
+        return np.zeros((lam.shape[0], mu.dim))
     try:
-        pts = measures.sample(mu, n_probe, seed=0xC3C1E5)
-        J = phi.jacobian_batch(pts)
+        J = phi.jacobian_batch(measures.sample(mu, n_probe, seed=0xC3C1E5))
     except Exception:
-        return None
+        J = np.array(np.nan)
     if not np.all(np.isfinite(J)):
-        return None
+        raise QuadratureError(
+            "tensor-gauss needs a differentiable phase for oscillation "
+            "control; use monte-carlo or self-similar-digit"
+        )
     rowmax = np.max(np.abs(J), axis=0)  # (out_dim, in_dim)
     # cycles_i = sum_j |lambda_j| max|dphi_j/dx_i| * width_i
-    cycles = (np.abs(lam) @ rowmax) * width[None, :]
-    return cycles
+    return (np.abs(lam) @ rowmax) * width[None, :]
 
 
 def exp_moments(
@@ -75,111 +94,97 @@ def exp_moments(
     lambdas,
     quad: QuadratureSpec,
     sign=1,
-    weight=None,
-    support_box=None,
+    weights=(None,),
     threads=1,
     strict=True,
 ):
-    """(values, errors) of the weighted exponential moments at each frequency.
+    """(values, errors), each (m, k): moments at m frequencies for k weights.
 
-    `support_box` restricts the integral to a sub-box of a LebesgueBox
-    measure (used for indicator test functions); for other measures it masks
-    nodes/samples outside the box.
+    `weights` is a sequence whose entries are (fn, support_box) pairs or None,
+    the unit weight.  `fn` maps (n, dim) points of mu to (n,) values (None is
+    the constant 1); `support_box` (lo, hi) restricts the weight to a box.
+    Under tensor-gauss the box must be a sub-box of a LebesgueBox measure and
+    gets its own rule; other schemes mask nodes or samples outside it.
     """
-    mu, phi = effective_pair(mu, phi)
+    base, psi = _unwrap(mu)
+    weights = [(None, None) if w is None else tuple(w) for w in weights]
     lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
-    m = lam.shape[0]
     if lam.shape[1] != phi.out_dim:
         raise ValueError(
             f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}"
         )
 
     if quad.scheme == "monte-carlo":
-        return _mc_moments(mu, phi, lam, quad, sign, weight, support_box)
+        return _mc_moments(base, psi, phi, lam, quad, sign, weights)
     if quad.scheme == "self-similar-digit":
-        if not isinstance(mu, SelfSimilar):
+        if not isinstance(base, SelfSimilar):
             raise SchemeMismatchError(
                 "self-similar-digit is only valid for SelfSimilar measures"
             )
-        return _digit_moments(mu, phi, lam, quad, sign, weight, support_box)
+        return _digit_moments(base, psi, phi, lam, quad, sign, weights)
     if quad.scheme == "tensor-gauss":
-        base = mu
-        if support_box is not None:
-            if not isinstance(mu, LebesgueBox):
-                raise SchemeMismatchError(
-                    "support_box with tensor-gauss requires a box measure"
-                )
-            base = LebesgueBox(support_box[0], support_box[1])
-        cycles = oscillation_cycles(phi, base, lam)
-        if cycles is None:
-            raise QuadratureError(
-                "tensor-gauss needs a differentiable phase for oscillation "
-                "control; use monte-carlo or self-similar-digit"
-            )
-        return _gauss_moments(
-            base, phi, lam, quad, sign, weight, cycles, threads, strict
-        )
-    # adaptive: one integral per frequency
-    return _adaptive_moments(mu, phi, lam, quad, sign, weight, support_box, threads)
+        return _gauss_moments(base, psi, phi, lam, quad, sign, weights, threads, strict)
+    # adaptive: one integral per (frequency, weight)
+    return _per_integral(base, psi, phi, lam, quad, sign, weights, threads)
 
 
-def _integrand_factory(phi, lam_row, sign, weight, support_box):
-    two_pi_i = sign * 2j * np.pi
-
-    def f(pts):
-        vals = np.exp(two_pi_i * (phi(pts) @ lam_row))
-        if weight is not None:
-            vals = vals * weight(pts)
-        if support_box is not None:
-            lo, hi = support_box
-            inside = np.all((pts >= lo) & (pts < hi), axis=1)
-            vals = np.where(inside, vals, 0.0)
-        return vals
-
-    return f
+def _inside(y, box):
+    lo, hi = box
+    return np.all((y >= lo) & (y < hi), axis=1)
 
 
-def _mc_moments(mu, phi, lam, quad, sign, weight, support_box):
+def _weight_matrix(weights, y, node_weights=None):
+    """(n, k) weight values at y, zero outside each support box, times node weights."""
+    W = np.empty((y.shape[0], len(weights)))
+    for j, (fn, box) in enumerate(weights):
+        col = 1.0 if fn is None else np.asarray(fn(y))
+        if np.iscomplexobj(col) and not np.iscomplexobj(W):
+            W = W.astype(complex)
+        W[:, j] = col
+        if box is not None:
+            W[~_inside(y, box), j] = 0.0
+    if node_weights is not None:
+        W *= node_weights[:, None]
+    return W
+
+
+def _contract(img, lam, sign, W):
+    """(m, k) sums over nodes of W[:, j] e^{sign 2 pi i lambda . img}."""
+    n, k = W.shape
+    out = np.empty((lam.shape[0], k), dtype=complex)
+    step = _chunk_size(n, k)
+    for start in range(0, lam.shape[0], step):
+        rows = slice(start, start + step)
+        Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
+        Z.imag = img @ lam[rows].T
+        Z.imag *= sign * 2 * np.pi
+        np.exp(Z, out=Z)
+        if np.iscomplexobj(W):
+            out[rows] = (W.T @ Z).T
+        else:  # one real matmul over the interleaved (re, im) columns
+            out[rows] = (W.T @ Z.view(float)).view(complex).T
+    return out
+
+
+def _mc_moments(mu, psi, phi, lam, quad, sign, weights):
     rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
     pts = mu._sample(quad.n_samples, rng, quad.depth)
-    w_vals = None if weight is None else np.asarray(weight(pts))
-    if support_box is not None:
-        lo, hi = support_box
-        inside = np.all((pts >= lo) & (pts < hi), axis=1)
-        mask = inside.astype(float)
-        w_vals = mask if w_vals is None else w_vals * mask
-    img = phi(pts)
+    y = pts if psi is None else psi(pts)
+    W = _weight_matrix(weights, y)
     n = pts.shape[0]
-    vals = np.empty(lam.shape[0], dtype=complex)
-    errs = np.empty(lam.shape[0])
-    step = _chunk_size(n)
-    for start in range(0, lam.shape[0], step):
-        block = lam[start : start + step]
-        Z = np.exp(sign * 2j * np.pi * (img @ block.T))
-        if w_vals is not None:
-            Z *= w_vals[:, None]
-        mean = Z.mean(axis=0)
-        var = Z.real.var(axis=0, ddof=1) + Z.imag.var(axis=0, ddof=1)
-        vals[start : start + step] = mu.total_mass * mean
-        errs[start : start + step] = mu.total_mass * np.sqrt(var / n)
-    return vals, errs
+    mean = _contract(phi(y), lam, sign, W) / n
+    # per-column sample variance of w e^{i theta}; |e^{i theta}| == 1, so
+    # sum |w z - mean|^2 == sum |w|^2 - n |mean|^2
+    sq = np.sum(np.abs(W) ** 2, axis=0)
+    var = np.maximum(sq[None, :] - n * np.abs(mean) ** 2, 0.0) / (n - 1)
+    return mu.total_mass * mean, mu.total_mass * np.sqrt(var / n)
 
 
-def _digit_moments(mu, phi, lam, quad, sign, weight, support_box):
+def _digit_moments(mu, psi, phi, lam, quad, sign, weights):
     pts, w, tail_width = digit_nodes(mu, quad.depth)
-    if support_box is not None:
-        lo, hi = support_box
-        inside = np.all((pts >= lo) & (pts < hi), axis=1)
-        w = np.where(inside, w, 0.0)
-    img = phi(pts)
-    if weight is not None:
-        w = w * np.asarray(weight(pts))
-    vals = np.empty(lam.shape[0], dtype=complex)
-    step = _chunk_size(img.shape[0])
-    for start in range(0, lam.shape[0], step):
-        block = lam[start : start + step]
-        Z = np.exp(sign * 2j * np.pi * (img @ block.T))
-        vals[start : start + step] = w @ Z
+    y = pts if psi is None else psi(pts)
+    img = phi(y)
+    vals = _contract(img, lam, sign, _weight_matrix(weights, y, w))
     # Lipschitz tail bound through the phase: the dropped tail moves a node by
     # at most tail_width, whose image movement is read off adjacent
     # finest-scale enumeration nodes (enumeration order is ascending).
@@ -194,76 +199,85 @@ def _digit_moments(mu, phi, lam, quad, sign, weight, support_box):
     else:
         fine_span = 0.0
     errs = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
-    return vals, errs
+    return vals, np.repeat(errs[:, None], len(weights), axis=1)
 
 
-def _gauss_moments(mu, phi, lam, quad, sign, weight, cycles, threads, strict=True):
+def _map_pool(fn, items, threads):
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(it) for it in items]
+
+
+def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
+    boxes: dict = {}  # support box (lo + hi flattened) -> weight columns
+    for j, (_, box) in enumerate(weights):
+        key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
+        boxes.setdefault(key, []).append(j)
+    if (psi is not None or not isinstance(mu, LebesgueBox)) and set(boxes) != {None}:
+        raise SchemeMismatchError("support_box with tensor-gauss requires a box measure")
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
         raise SchemeMismatchError(
             f"tensor-gauss is not valid for measure kind {mu.kind!r}"
         )
+    eff_phi = phi if psi is None else phases.compose(phi, psi)
     if isinstance(mu, LebesgueDisc):
         # polar transform; quadrant panels keep the rule off the axes
-        return _gauss_moments_disc(mu, phi, lam, quad, sign, weight, cycles)
-    panels = panels_from_cycles(cycles, quad.order)  # (m, d)
-    vals = np.empty(lam.shape[0], dtype=complex)
-    errs = np.empty(lam.shape[0])
-    groups: dict = {}
-    for i in range(lam.shape[0]):
-        groups.setdefault(tuple(panels[i]), []).append(i)
+        cycles = oscillation_cycles(eff_phi, mu, lam)
+        return _per_integral(mu, psi, phi, lam, quad, sign, weights, threads, cycles)
+
+    items = []  # (box measure, panel signature, frequency rows, weight columns)
+    for key, cols in boxes.items():
+        sub = mu if key is None else LebesgueBox(*np.reshape(key, (2, -1)))
+        groups: dict = {}
+        cycles = oscillation_cycles(eff_phi, sub, lam)
+        for i, sig in enumerate(panels_from_cycles(cycles, quad.order)):
+            groups.setdefault(tuple(sig), []).append(i)
+        items += [(sub, sig, np.asarray(idx), cols) for sig, idx in groups.items()]
 
     def run_group(item):
-        sig, idx = item
-        idx = np.asarray(idx)
-        block_vals = np.empty((2, idx.size), dtype=complex)
-        for pass_no, order in enumerate((quad.order, quad.order + 8)):
-            pts, w = box_gauss_nodes(mu.lo, mu.hi, order, np.asarray(sig))
-            img = phi(pts)
-            wloc = w if weight is None else w * np.asarray(weight(pts))
-            step = _chunk_size(pts.shape[0])
-            for start in range(0, idx.size, step):
-                sel = idx[start : start + step]
-                Z = np.exp(sign * 2j * np.pi * (img @ lam[sel].T))
-                block_vals[pass_no, start : start + step] = wloc @ Z
-        return idx, block_vals
+        sub, sig, idx, cols = item
+        fns = [(weights[j][0], None) for j in cols]  # the sub-box rule is the support
+        passes = []
+        for order in (quad.order, quad.order + 8):
+            pts, w = box_gauss_nodes(sub.lo, sub.hi, order, np.asarray(sig))
+            y = pts if psi is None else psi(pts)
+            passes.append(_contract(phi(y), lam[idx], sign, _weight_matrix(fns, y, w)))
+        return passes
 
-    items = list(groups.items())
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_group, items))
-    else:
-        results = [run_group(it) for it in items]
-    for idx, block_vals in results:
-        vals[idx] = block_vals[1]
-        errs[idx] = np.abs(block_vals[1] - block_vals[0])
-    if strict and not np.all(np.isfinite(vals.view(float))):
+    vals = np.empty((lam.shape[0], len(weights)), dtype=complex)
+    errs = np.empty(vals.shape)
+    for (_, _, idx, cols), (lo_pass, hi_pass) in zip(
+        items, _map_pool(run_group, items, threads)
+    ):
+        vals[np.ix_(idx, cols)] = hi_pass
+        errs[np.ix_(idx, cols)] = np.abs(hi_pass - lo_pass)
+    if strict and not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite value in batched Gauss moments")
     return vals, errs
 
 
-def _gauss_moments_disc(mu, phi, lam, quad, sign, weight, cycles):
-    vals = np.empty(lam.shape[0], dtype=complex)
-    errs = np.empty(lam.shape[0])
-    for i in range(lam.shape[0]):
-        f = _integrand_factory(phi, lam[i], sign, weight, None)
-        hint = cycles[i] if cycles is not None else None
-        v, e = integrate(f, mu, quad, osc_hint=hint)
-        vals[i] = v
-        errs[i] = e
-    return vals, errs
+def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads, cycles=None):
+    """One `integrate` call per (frequency, weight) pair."""
+    k = len(weights)
 
+    def one(pair):
+        i, j = divmod(pair, k)
+        fn, box = weights[j]
+        lam_row = lam[i]
 
-def _adaptive_moments(mu, phi, lam, quad, sign, weight, support_box, threads):
-    def one(i):
-        f = _integrand_factory(phi, lam[i], sign, weight, support_box)
-        return integrate(f, mu, quad)
+        def f(pts):
+            y = pts if psi is None else psi(pts)
+            vals = np.exp(sign * 2j * np.pi * (phi(y) @ lam_row))
+            if fn is not None:
+                vals = vals * fn(y)
+            if box is not None:
+                vals = np.where(_inside(y, box), vals, 0.0)
+            return vals
 
-    indices = range(lam.shape[0])
-    if threads > 1 and lam.shape[0] > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, indices))
-    else:
-        results = [one(i) for i in indices]
-    vals = np.array([r[0] for r in results], dtype=complex)
-    errs = np.array([r[1] for r in results])
+        return integrate(f, mu, quad, osc_hint=None if cycles is None else cycles[i])
+
+    results = _map_pool(one, range(lam.shape[0] * k), threads)
+    vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)
+    errs = np.array([r[1] for r in results], dtype=float).reshape(-1, k)
     return vals, errs

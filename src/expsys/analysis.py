@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from . import measures, phases
-from ._oscillatory import effective_pair, exp_moments
+from ._oscillatory import _inside, effective_pair, exp_moments
 from .errors import QuadratureError
 from .measures import QuadratureSpec, integrate, monte_carlo
 from .spectra import SpectrumSet, lattice
@@ -110,6 +111,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
         path = "product-formula"
     else:
         vals, errs = exp_moments(eff_mu, eff_phi, uniq, quad, sign=1, threads=threads)
+        vals, errs = vals[:, 0], errs[:, 0]
         path = "quadrature"
 
     G = vals[inverse]
@@ -269,8 +271,6 @@ def verify_onb(
     orthogonality yield INCONCLUSIVE, since spectrum truncation alone can
     explain them.  No finite battery certifies completeness.
     """
-    from .reconstruct import coefficients
-
     report = gram(mu, phi, spectrum, quad, threads=threads)
     orthogonal = report.max_offdiag <= tol_orth and report.diag_dev <= tol_orth
 
@@ -278,42 +278,38 @@ def verify_onb(
     if not battery:
         raise ValueError("test_functions must be nonempty")
     cquad = _coefficient_quad(mu, phi, quad)
-    ratios = {}
-    bessel = False
-    mass = mu.total_mass
-    for tf in battery:
-        coeff = coefficients(
-            tf.fn,
+    coeffs, _ = exp_moments(
+        mu,
+        phi,
+        spectrum.points,
+        cquad,
+        sign=-1,
+        weights=[(tf.fn, tf.support_box) for tf in battery],
+        threads=threads,
+        strict=False,
+    )
+    # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports
+    norm_sq = [tf.norm_sq for tf in battery]
+    unknown = [j for j, tf in enumerate(battery) if tf.norm_sq is None]
+    if unknown:
+        norms, _ = exp_moments(
             mu,
-            phi,
-            spectrum,
-            cquad,
-            support_box=tf.support_box,
+            phases.Identity(mu.dim),
+            np.zeros((1, mu.dim)),
+            _norm_quad(mu, cquad),
+            weights=[
+                (lambda x, fn=battery[j].fn: np.abs(fn(x)) ** 2, battery[j].support_box)
+                for j in unknown
+            ],
             threads=threads,
         )
-        if tf.norm_sq is not None:
-            norm_sq = tf.norm_sq
-        else:
-            if tf.support_box is not None and isinstance(mu, measures.LebesgueBox):
-                f2 = lambda x, fn=tf.fn: np.abs(fn(x)) ** 2
-                sub = measures.LebesgueBox(tf.support_box[0], tf.support_box[1])
-                norm_sq, _ = integrate(f2, sub, _norm_quad(sub, cquad))
-            else:
-                box = tf.support_box
-
-                def f2(x, fn=tf.fn, box=box):
-                    v = np.abs(fn(x)) ** 2
-                    if box is not None:
-                        inside = np.all((x >= box[0]) & (x < box[1]), axis=1)
-                        v = np.where(inside, v, 0.0)
-                    return v
-
-                norm_sq, _ = integrate(f2, mu, _norm_quad(mu, cquad))
-            norm_sq = float(np.real(norm_sq))
-        ratio = float(np.sum(np.abs(coeff.values) ** 2) / (mass * norm_sq))
-        ratios[tf.name] = ratio
-        if ratio > 1.0 + tol_complete:
-            bessel = True
+        for j, value in zip(unknown, np.real(norms[0])):
+            norm_sq[j] = float(value)
+    ratios = {
+        tf.name: float(np.sum(np.abs(coeffs[:, j]) ** 2) / (mu.total_mass * norm_sq[j]))
+        for j, tf in enumerate(battery)
+    }
+    bessel = any(r > 1.0 + tol_complete for r in ratios.values())
 
     if not orthogonal or bessel:
         verdict = FAIL
@@ -334,11 +330,7 @@ def verify_onb(
 
 def _norm_quad(mu, quad):
     """Quadrature for non-oscillatory norm integrals: favor exact-ish rules."""
-    eff = mu
-    chain = phases.Identity(mu.dim)
-    while isinstance(eff, measures.PushforwardMeasure):
-        chain = phases.compose(chain, eff.map)
-        eff = eff.base
+    eff, chain = effective_pair(mu, phases.Identity(mu.dim))
     if isinstance(eff, measures.SelfSimilar):
         return measures.digit(depth=30)
     if _contains_digit_map(chain):
@@ -460,20 +452,15 @@ def frame_bounds(
                 f"test basis is not orthonormal: residual {resid:.3e} > 1e-10"
             )
     lam = spectrum.points
-    cols = []
-    for tf in test_basis.functions:
-        vals, _ = exp_moments(
-            mu,
-            phi,
-            lam,
-            quad,
-            sign=-1,
-            weight=tf.fn,
-            support_box=tf.support_box,
-            threads=threads,
-        )
-        cols.append(vals)
-    T = np.stack(cols, axis=1)  # (|Lambda|, M)
+    T, _ = exp_moments(  # (|Lambda|, M)
+        mu,
+        phi,
+        lam,
+        quad,
+        sign=-1,
+        weights=[(tf.fn, tf.support_box) for tf in test_basis.functions],
+        threads=threads,
+    )
     from scipy.linalg import svd
 
     try:
@@ -492,26 +479,17 @@ def frame_bounds(
 
 
 def _basis_orthonormality_residual(mu, test_basis, quad):
+    def masked(tf, x):
+        v = np.asarray(tf.fn(x))
+        return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
+
     fns = test_basis.functions
-    M = len(fns)
-    Gpsi = np.zeros((M, M), dtype=complex)
-    for i in range(M):
-        for j in range(i, M):
-            fi, fj = fns[i], fns[j]
-
-            def prod(x, fi=fi, fj=fj):
-                v = np.asarray(fi.fn(x)) * np.conj(np.asarray(fj.fn(x)))
-                for tf in (fi, fj):
-                    if tf.support_box is not None:
-                        lo, hi = tf.support_box
-                        inside = np.all((x >= lo) & (x < hi), axis=1)
-                        v = np.where(inside, v, 0.0)
-                return v
-
-            val, _ = integrate(prod, mu, _norm_quad(mu, quad))
-            Gpsi[i, j] = val
-            Gpsi[j, i] = np.conj(val)
-    return float(np.max(np.abs(Gpsi - np.eye(M))))
+    Gpsi = np.zeros((len(fns), len(fns)), dtype=complex)
+    for i, j in combinations_with_replacement(range(len(fns)), 2):
+        prod = lambda x, a=fns[i], b=fns[j]: masked(a, x) * np.conj(masked(b, x))
+        val, _ = integrate(prod, mu, _norm_quad(mu, quad))
+        Gpsi[i, j], Gpsi[j, i] = val, np.conj(val)
+    return float(np.max(np.abs(Gpsi - np.eye(len(fns)))))
 
 
 # ---------------------------------------------------------------------------
@@ -539,4 +517,4 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     conj_phase = phases.compose(phases.Affine(M), phi)
     g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, sign=1, threads=threads)
     g_base, _ = exp_moments(mu, phi, uniq @ M, quad, sign=1, threads=threads)
-    return float(np.max(np.abs(g_conj - g_base)))
+    return float(np.max(np.abs(g_conj[:, 0] - g_base[:, 0])))

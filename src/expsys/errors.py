@@ -14,7 +14,7 @@ class QuadratureError(ExpSysError, RuntimeError):
 
 
 class DomainError(ExpSysError, ValueError):
-    """Point outside the domain of a phase map or measure."""
+    """Point outside the domain of a phase map or measure, or a bad measure bound."""
 
 
 class ProductFormulaError(ExpSysError, RuntimeError):

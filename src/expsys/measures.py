@@ -124,16 +124,26 @@ class Measure:
         raise NotImplementedError
 
 
+def _finite(values, what):
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be numeric") from None
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
 class LebesgueBox(Measure):
     kind = "lebesgue_box"
 
     def __init__(self, lo, hi):
-        lo = np.atleast_1d(np.asarray(lo, dtype=float))
-        hi = np.atleast_1d(np.asarray(hi, dtype=float))
+        lo = np.atleast_1d(_finite(lo, "box lo"))
+        hi = np.atleast_1d(_finite(hi, "box hi"))
         if lo.shape != hi.shape or lo.ndim != 1:
-            raise ValueError("lo/hi must be 1-d vectors of equal length")
+            raise DomainError("lo/hi must be 1-d vectors of equal length")
         if np.any(hi <= lo):
-            raise ValueError("box must have positive side lengths")
+            raise DomainError("box must have positive side lengths")
         self.lo = lo
         self.hi = hi
         self.dim = lo.size
@@ -157,11 +167,12 @@ class LebesgueDisc(Measure):
     kind = "lebesgue_disc"
 
     def __init__(self, center=(0.0, 0.0), radius=1.0):
-        center = np.asarray(center, dtype=float)
-        if center.shape != (2,):
-            raise ValueError("disc center must be a 2-vector")
+        center = _finite(center, "disc center")
+        radius = _finite(radius, "disc radius")
+        if center.shape != (2,) or radius.shape != ():
+            raise DomainError("disc center must be a 2-vector and radius a number")
         if radius <= 0:
-            raise ValueError("disc radius must be positive")
+            raise DomainError("disc radius must be positive")
         self.center = center
         self.radius = float(radius)
         self.dim = 2
@@ -388,8 +399,9 @@ def _polar_wrap(f, center):
     return g
 
 
-def _adaptive_cells(f, cells, abs_tol, max_subdivisions, order):
-    """Global adaptive refinement over a list of boxes (lo, hi)."""
+def _adaptive_cells(f, cells, quad):
+    """Global adaptive refinement over a list of boxes (lo, hi): (value, err)."""
+    abs_tol, max_subdivisions, order = quad.abs_tol, quad.max_subdivisions, quad.order
     order_lo = max(2, order // 2)
     counter = 0
     heap = []
@@ -432,7 +444,12 @@ def _adaptive_cells(f, cells, abs_tol, max_subdivisions, order):
 
     value = sum(item[4] for item in heap)
     err = sum(item[5] for item in heap)
-    return value, err, subdivisions
+    if err > 10 * abs_tol:
+        raise QuadratureError(
+            f"adaptive quadrature error {err:.3e} above tolerance "
+            f"{abs_tol:.3e} after {max_subdivisions} subdivisions"
+        )
+    return value, err
 
 
 # ---------------------------------------------------------------------------
@@ -521,15 +538,7 @@ def integrate(f, mu: Measure, quad: QuadratureSpec, osc_hint=None):
                 else np.ones(mu.dim, dtype=int)
             )
             return _gauss_box_integral(f, mu.lo, mu.hi, quad.order, panels)
-        value, err, _ = _adaptive_cells(
-            f, [(mu.lo, mu.hi)], quad.abs_tol, quad.max_subdivisions, quad.order
-        )
-        if err > 10 * quad.abs_tol:
-            raise QuadratureError(
-                f"adaptive quadrature error {err:.3e} above tolerance "
-                f"{quad.abs_tol:.3e} after {quad.max_subdivisions} subdivisions"
-            )
-        return value, err
+        return _adaptive_cells(f, [(mu.lo, mu.hi)], quad)
 
     if isinstance(mu, LebesgueDisc):
         if scheme == "monte-carlo":
@@ -549,15 +558,7 @@ def integrate(f, mu: Measure, quad: QuadratureSpec, osc_hint=None):
                 total += v
                 toterr += e
             return total, toterr
-        value, err, _ = _adaptive_cells(
-            g, quadrants, quad.abs_tol, quad.max_subdivisions, quad.order
-        )
-        if err > 10 * quad.abs_tol:
-            raise QuadratureError(
-                f"adaptive quadrature error {err:.3e} above tolerance "
-                f"{quad.abs_tol:.3e} after {quad.max_subdivisions} subdivisions"
-            )
-        return value, err
+        return _adaptive_cells(g, quadrants, quad)
 
     raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")
 
@@ -710,7 +711,7 @@ def fourier_transform(mu: Measure, xi, trunc: int = 40):
             from ._oscillatory import exp_moments  # oscillation-aware panels
 
             vals, _ = exp_moments(mu, Identity(mu.dim), xi[None, :], quad)
-            return complex(vals[0])
+            return complex(vals[0, 0])
         except QuadratureError:
             value, _ = integrate(
                 lambda x: np.exp(2j * np.pi * (x @ xi)),

@@ -31,23 +31,15 @@ class CoefficientSet:
 
 
 def coefficients(
-    f, mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec,
-    support_box=None, threads=1,
+    f, mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1
 ) -> CoefficientSet:
     """c_lambda = integral of f(x) e^{-2 pi i lambda . phi(x)} dmu(x) per lambda."""
     vals, errs = exp_moments(
-        mu,
-        phi,
-        spectrum.points,
-        quad,
-        sign=-1,
-        weight=f,
-        support_box=support_box,
-        threads=threads,
-        strict=False,
+        mu, phi, spectrum.points, quad, sign=-1, weights=[(f, None)],
+        threads=threads, strict=False,
     )
-    failed = ~np.isfinite(vals.view(float)).reshape(vals.shape[0], 2).all(axis=1)
-    return CoefficientSet(spectrum=spectrum, values=vals, errors=errs, failed=failed)
+    vals, errs = vals[:, 0], errs[:, 0]
+    return CoefficientSet(spectrum, vals, errs, failed=~np.isfinite(vals))
 
 
 def synthesize(values, phi, spectrum: SpectrumSet):

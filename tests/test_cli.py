@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from expsys.cli import run, serialize_report
 from expsys.presets import PRESETS
@@ -115,6 +120,35 @@ class TestStrictSchema:
 
     def test_missing_config_file(self):
         assert run(["density", "--config", "/no/such/file.json"]) == 3
+
+    @pytest.mark.parametrize(
+        "preset, measure",
+        [
+            ("identity-1d", {"kind": "lebesgue_box", "lo": [1.0], "hi": [0.0]}),
+            ("identity-1d", {"kind": "lebesgue_box", "lo": [0.0], "hi": [float("nan")]}),
+            ("holhos-disc", {"kind": "lebesgue_disc", "center": [0.0, 0.0], "radius": -1.0}),
+            ("holhos-disc", {"kind": "lebesgue_disc", "center": [float("inf"), 0.0], "radius": 1.0}),
+        ],
+    )
+    def test_bad_measure_bounds_exit_three(self, tmp_path, preset, measure):
+        cfg = json.loads(json.dumps(PRESETS[preset]["config"]))
+        cfg["measure"] = measure
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert run(["verify-onb", "--config", str(path)]) == 3
+
+
+def test_python_dash_m_lists_presets():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "expsys", "list-presets"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]
+    assert sorted(listed) == sorted(PRESETS) and len(listed) == 18
 
 
 class TestDeterminism:

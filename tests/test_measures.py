@@ -236,6 +236,22 @@ class TestFourierTransform:
 
 
 class TestConstruction:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: es.LebesgueBox([0.0], [np.nan]),
+            lambda: es.LebesgueBox([-np.inf], [1.0]),
+            lambda: es.LebesgueBox([1.0], [0.0]),
+            lambda: es.LebesgueBox([0.0, 0.0], [1.0]),
+            lambda: es.LebesgueDisc([np.inf, 0.0], 1.0),
+            lambda: es.LebesgueDisc([0.0, 0.0], np.nan),
+            lambda: es.LebesgueDisc([0.0, 0.0], 0.0),
+        ],
+    )
+    def test_bad_bounds_are_domain_errors(self, build):
+        with pytest.raises(es.DomainError):
+            build()
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             es.SelfSimilar(4, ((0.0, 0.5), (2.0, 0.6)))
