@@ -2,17 +2,19 @@
 
     integral of w_j(y) e^{sign 2 pi i lambda . phi(y)} dmu(y)
 
-over m frequencies lambda and a stack of k weights w_j at once.
+over m frequencies lambda and a stack of k weights w_j at once, and the one
+place that picks the integration rule for a (measure, phase, scheme).
 
 Each scheme builds its node set once, evaluates the phase on it once, builds
 an (n, k) weight matrix once and contracts every exp chunk with every column.
 Frequencies sharing a composite-Gauss panel signature share one node set;
 under tensor-gauss a weight with its own support box gets its own sub-box
-rule, so node sets are keyed by (support box, panel signature).
+rule, so node sets are keyed by (support box, panel signature), and a disc
+is four polar-quadrant node sets whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
-frequencies and weights by construction.  Adaptive and disc integrals stay
-one integral per (frequency, weight).  A pushforward psi_*mu is integrated
-over mu with the phase and the weights evaluated at y = psi(x).
+frequencies and weights by construction.  Adaptive integrals stay one
+integral per (frequency, weight).  A pushforward psi_*mu is integrated over
+mu with the phase and the weights evaluated at y = psi(x).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import measures, phases
-from .errors import QuadratureError, SchemeMismatchError
+from .errors import DomainError, QuadratureError, SchemeMismatchError
 from .measures import (
     LebesgueBox,
     LebesgueDisc,
@@ -33,6 +35,7 @@ from .measures import (
     digit_nodes,
     integrate,
     panels_from_cycles,
+    polar_xy,
 )
 from .seeding import spawn_rng
 
@@ -58,6 +61,43 @@ def effective_pair(mu, phi):
     """Collapse pushforward layers: Gram over psi_*mu == Gram of phi o psi over mu."""
     base, psi = _unwrap(mu)
     return base, phi if psi is None else phases.compose(phi, psi)
+
+
+def rule_for(mu, phi, quad: QuadratureSpec) -> QuadratureSpec:
+    """The rule for moments of arbitrary weights against phi over mu.
+
+    `quad` itself when exp_moments can run it; otherwise digit enumeration on
+    a self-similar base, else 400k samples seeded with quad.seed.  The Gram
+    may ride the product formula where quad cannot run (a digit map on a box).
+    """
+    base, eff_phi = effective_pair(mu, phi)
+    if quad.scheme == "monte-carlo":
+        return quad
+    if isinstance(base, SelfSimilar):
+        if quad.scheme == "self-similar-digit":
+            return quad
+        return measures.digit(depth=quad.depth)
+    if quad.scheme != "self-similar-digit" and eff_phi.differentiable:
+        return quad
+    return measures.monte_carlo(n_samples=400_000, seed=quad.seed)
+
+
+def measure_rule(mu, quad: QuadratureSpec) -> QuadratureSpec:
+    """The rule for non-oscillatory integrals over mu alone.
+
+    Used for norms, basis-orthonormality residuals and pushforward Fourier
+    transforms: Gauss of order >= 48 on boxes, tight adaptive on discs, digit
+    enumeration on self-similar bases; digit-map chains go through `rule_for`.
+    """
+    identity = phases.Identity(mu.dim)
+    base, chain = effective_pair(mu, identity)
+    if isinstance(base, SelfSimilar):
+        return measures.digit(depth=30)
+    if not chain.differentiable:
+        return rule_for(mu, identity, quad)
+    if isinstance(base, LebesgueBox):
+        return measures.gauss(order=max(48, quad.order))
+    return measures.adaptive(abs_tol=1e-10, max_subdivisions=4000)
 
 
 def oscillation_cycles(phi, mu, lambdas, n_probe=64):
@@ -110,7 +150,7 @@ def exp_moments(
     weights = [(None, None) if w is None else tuple(w) for w in weights]
     lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
     if lam.shape[1] != phi.out_dim:
-        raise ValueError(
+        raise DomainError(
             f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}"
         )
 
@@ -124,7 +164,6 @@ def exp_moments(
         return _digit_moments(base, psi, phi, lam, quad, sign, weights)
     if quad.scheme == "tensor-gauss":
         return _gauss_moments(base, psi, phi, lam, quad, sign, weights, threads, strict)
-    # adaptive: one integral per (frequency, weight)
     return _per_integral(base, psi, phi, lam, quad, sign, weights, threads)
 
 
@@ -221,44 +260,50 @@ def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
             f"tensor-gauss is not valid for measure kind {mu.kind!r}"
         )
     eff_phi = phi if psi is None else phases.compose(phi, psi)
-    if isinstance(mu, LebesgueDisc):
-        # polar transform; quadrant panels keep the rule off the axes
-        cycles = oscillation_cycles(eff_phi, mu, lam)
-        return _per_integral(mu, psi, phi, lam, quad, sign, weights, threads, cycles)
+    polar = isinstance(mu, LebesgueDisc)
 
-    items = []  # (box measure, panel signature, frequency rows, weight columns)
+    items = []  # (cells, panel signature, frequency rows, weight columns)
     for key, cols in boxes.items():
         sub = mu if key is None else LebesgueBox(*np.reshape(key, (2, -1)))
-        groups: dict = {}
         cycles = oscillation_cycles(eff_phi, sub, lam)
+        if polar:  # quadrant cells put the axes, where maps may kink, on cell edges
+            cells = measures.disc_quadrants(mu)
+            cycles = np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
+        else:
+            cells = [(sub.lo, sub.hi)]
+        groups: dict = {}
         for i, sig in enumerate(panels_from_cycles(cycles, quad.order)):
             groups.setdefault(tuple(sig), []).append(i)
-        items += [(sub, sig, np.asarray(idx), cols) for sig, idx in groups.items()]
+        items += [(cells, sig, np.asarray(idx), cols) for sig, idx in groups.items()]
 
     def run_group(item):
-        sub, sig, idx, cols = item
+        cells, sig, idx, cols = item
         fns = [(weights[j][0], None) for j in cols]  # the sub-box rule is the support
-        passes = []
-        for order in (quad.order, quad.order + 8):
-            pts, w = box_gauss_nodes(sub.lo, sub.hi, order, np.asarray(sig))
-            y = pts if psi is None else psi(pts)
-            passes.append(_contract(phi(y), lam[idx], sign, _weight_matrix(fns, y, w)))
-        return passes
+        total = err = 0.0
+        for lo, hi in cells:
+            passes = []
+            for order in (quad.order, quad.order + 8):
+                pts, w = box_gauss_nodes(lo, hi, order, np.asarray(sig))
+                if polar:
+                    pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
+                y = pts if psi is None else psi(pts)
+                passes.append(_contract(phi(y), lam[idx], sign, _weight_matrix(fns, y, w)))
+            total = total + passes[1]
+            err = err + np.abs(passes[1] - passes[0])
+        return total, err
 
     vals = np.empty((lam.shape[0], len(weights)), dtype=complex)
     errs = np.empty(vals.shape)
-    for (_, _, idx, cols), (lo_pass, hi_pass) in zip(
-        items, _map_pool(run_group, items, threads)
-    ):
-        vals[np.ix_(idx, cols)] = hi_pass
-        errs[np.ix_(idx, cols)] = np.abs(hi_pass - lo_pass)
+    for (_, _, idx, cols), (total, err) in zip(items, _map_pool(run_group, items, threads)):
+        vals[np.ix_(idx, cols)] = total
+        errs[np.ix_(idx, cols)] = err
     if strict and not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite value in batched Gauss moments")
     return vals, errs
 
 
-def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads, cycles=None):
-    """One `integrate` call per (frequency, weight) pair."""
+def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads):
+    """One adaptive `integrate` call per (frequency, weight) pair."""
     k = len(weights)
 
     def one(pair):
@@ -275,7 +320,7 @@ def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads, cycles=None):
                 vals = np.where(_inside(y, box), vals, 0.0)
             return vals
 
-        return integrate(f, mu, quad, osc_hint=None if cycles is None else cycles[i])
+        return integrate(f, mu, quad)
 
     results = _map_pool(one, range(lam.shape[0] * k), threads)
     vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)

@@ -17,9 +17,9 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import measures, phases
-from ._oscillatory import _inside, effective_pair, exp_moments
-from .errors import QuadratureError
-from .measures import QuadratureSpec, integrate, monte_carlo
+from ._oscillatory import _inside, effective_pair, exp_moments, measure_rule, rule_for
+from .errors import DomainError, QuadratureError
+from .measures import QuadratureSpec, integrate
 from .spectra import SpectrumSet, lattice
 
 PASS = "PASS"
@@ -31,10 +31,9 @@ def unique_differences(points):
     """(unique_diffs, inverse) with inverse indexing the (m, m) difference grid."""
     m = points.shape[0]
     diffs = points[:, None, :] - points[None, :, :]
-    flat = diffs.reshape(m * m, -1)
-    keys = np.round(flat, 12)
+    keys = np.round(diffs.reshape(m * m, -1), 12)
     uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(m, m), flat
+    return uniq, inverse.reshape(m, m)
 
 
 @dataclass
@@ -85,8 +84,8 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     pts = spectrum.points
     m = pts.shape[0]
     if m > 4096:
-        raise ValueError("spectrum truncation above the 4096-entry cap")
-    uniq, inverse, _ = unique_differences(pts)
+        raise DomainError("spectrum truncation above the 4096-entry cap")
+    uniq, inverse = unique_differences(pts)
 
     eff_mu, eff_phi = effective_pair(mu, phi)
     reduced = None
@@ -95,19 +94,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
 
     if reduced is not None:
         trunc = max(quad.depth, 40) if quad.scheme == "self-similar-digit" else 40
-        measures.validate_product_formula(reduced, trunc=trunc)
-        vals = measures._selfsimilar_product(reduced, uniq[:, 0], trunc)
-        # truncation tail of the one-level-symbol product:
-        # |m(xi) - 1| <= 2 pi max|d| |xi|, summed over the dropped levels
-        max_d = max(abs(d) for d, _ in reduced.digits)
-        errs = (
-            2.0
-            * np.pi
-            * max_d
-            * np.abs(uniq[:, 0])
-            * reduced.ratio ** (-float(trunc))
-            / (reduced.ratio - 1)
-        )
+        vals, errs = measures.selfsimilar_moments(reduced, uniq[:, 0], trunc)
         path = "product-formula"
     else:
         vals, errs = exp_moments(eff_mu, eff_phi, uniq, quad, sign=1, threads=threads)
@@ -117,7 +104,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     G = vals[inverse]
     E = errs[inverse]
     mass = mu.total_mass
-    off = np.abs(G.copy())
+    off = np.abs(G)
     np.fill_diagonal(off, 0.0)
     return GramReport(
         spectrum=spectrum,
@@ -225,33 +212,6 @@ class OnbReport:
         }
 
 
-def _contains_digit_map(phi):
-    if isinstance(phi, phases.DigitMap):
-        return True
-    if isinstance(phi, phases.ComposedPhase):
-        return _contains_digit_map(phi.outer) or _contains_digit_map(phi.inner)
-    return False
-
-
-def _coefficient_quad(mu, phi, quad):
-    """Quadrature usable for coefficient integrals of arbitrary test functions.
-
-    The Gram may ride the product-formula path even when the base measure is
-    a box and the phase is a digit map; coefficient integrands mix x-space
-    functions with the phase, so they fall back to sampling in that case.
-    """
-    eff_mu, eff_phi = effective_pair(mu, phi)
-    if quad.scheme == "self-similar-digit" and not isinstance(
-        eff_mu, measures.SelfSimilar
-    ):
-        return monte_carlo(n_samples=400_000, seed=quad.seed)
-    if quad.scheme in ("tensor-gauss", "adaptive") and _contains_digit_map(eff_phi):
-        if isinstance(eff_mu, measures.SelfSimilar):
-            return measures.digit(depth=quad.depth)
-        return monte_carlo(n_samples=400_000, seed=quad.seed)
-    return quad
-
-
 def verify_onb(
     mu,
     phi,
@@ -269,15 +229,16 @@ def verify_onb(
     Ratios above 1 + tol signal quadrature trouble (Bessel violation,
     reported distinctly as FAIL); ratios below 1 - tol with clean
     orthogonality yield INCONCLUSIVE, since spectrum truncation alone can
-    explain them.  No finite battery certifies completeness.
+    explain them.  No finite battery certifies completeness.  A non-finite
+    ratio raises QuadratureError.
     """
     report = gram(mu, phi, spectrum, quad, threads=threads)
     orthogonal = report.max_offdiag <= tol_orth and report.diag_dev <= tol_orth
 
     battery = test_functions if test_functions is not None else default_test_battery(mu)
     if not battery:
-        raise ValueError("test_functions must be nonempty")
-    cquad = _coefficient_quad(mu, phi, quad)
+        raise DomainError("test_functions must be nonempty")
+    cquad = rule_for(mu, phi, quad)
     coeffs, _ = exp_moments(
         mu,
         phi,
@@ -286,7 +247,6 @@ def verify_onb(
         sign=-1,
         weights=[(tf.fn, tf.support_box) for tf in battery],
         threads=threads,
-        strict=False,
     )
     # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports
     norm_sq = [tf.norm_sq for tf in battery]
@@ -296,7 +256,7 @@ def verify_onb(
             mu,
             phases.Identity(mu.dim),
             np.zeros((1, mu.dim)),
-            _norm_quad(mu, cquad),
+            measure_rule(mu, cquad),
             weights=[
                 (lambda x, fn=battery[j].fn: np.abs(fn(x)) ** 2, battery[j].support_box)
                 for j in unknown
@@ -309,6 +269,9 @@ def verify_onb(
         tf.name: float(np.sum(np.abs(coeffs[:, j]) ** 2) / (mu.total_mass * norm_sq[j]))
         for j, tf in enumerate(battery)
     }
+    bad = {name: r for name, r in ratios.items() if not np.isfinite(r)}
+    if bad:
+        raise QuadratureError(f"non-finite Parseval ratio(s) {bad}")
     bessel = any(r > 1.0 + tol_complete for r in ratios.values())
 
     if not orthogonal or bessel:
@@ -326,20 +289,6 @@ def verify_onb(
         tol_orth=tol_orth,
         tol_complete=tol_complete,
     )
-
-
-def _norm_quad(mu, quad):
-    """Quadrature for non-oscillatory norm integrals: favor exact-ish rules."""
-    eff, chain = effective_pair(mu, phases.Identity(mu.dim))
-    if isinstance(eff, measures.SelfSimilar):
-        return measures.digit(depth=30)
-    if _contains_digit_map(chain):
-        return monte_carlo(n_samples=400_000, seed=quad.seed)
-    if isinstance(eff, measures.LebesgueBox):
-        return measures.gauss(order=max(48, quad.order))
-    if isinstance(eff, measures.LebesgueDisc):
-        return measures.adaptive(abs_tol=1e-10, max_subdivisions=4000)
-    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +311,11 @@ def dyadic_indicator_basis(mu, m) -> TestBasis:
     perfect d-th power and cells form the tensor partition.
     """
     if not isinstance(mu, measures.LebesgueBox):
-        raise ValueError("the dyadic indicator basis requires a box measure")
+        raise DomainError("the dyadic indicator basis requires a box measure")
     d = mu.dim
-    per_dim = round(m ** (1.0 / d))
-    if per_dim**d != m:
-        raise ValueError(f"m={m} is not a {d}-th power")
+    per_dim = round(max(m, 0) ** (1.0 / d))
+    if m < 1 or per_dim**d != m:
+        raise DomainError(f"m={m} is not a positive {d}-th power")
     lo, hi = mu.support_box()
     edges = [np.linspace(lo[i], hi[i], per_dim + 1) for i in range(d)]
     cell_vol = mu.total_mass / m
@@ -392,7 +341,7 @@ def dyadic_indicator_basis(mu, m) -> TestBasis:
 def legendre_basis(mu, m) -> TestBasis:
     """Normalized Legendre polynomials on a 1-d box (smooth alternative)."""
     if not isinstance(mu, measures.LebesgueBox) or mu.dim != 1:
-        raise ValueError("the Legendre basis is implemented for 1-d boxes")
+        raise DomainError("the Legendre basis is implemented for 1-d boxes")
     lo, hi = float(mu.lo[0]), float(mu.hi[0])
     width = hi - lo
     functions = []
@@ -448,7 +397,7 @@ def frame_bounds(
     if not test_basis.exactly_orthonormal:
         resid = _basis_orthonormality_residual(mu, test_basis, quad)
         if resid > 1e-10:
-            raise ValueError(
+            raise DomainError(
                 f"test basis is not orthonormal: residual {resid:.3e} > 1e-10"
             )
     lam = spectrum.points
@@ -487,7 +436,7 @@ def _basis_orthonormality_residual(mu, test_basis, quad):
     Gpsi = np.zeros((len(fns), len(fns)), dtype=complex)
     for i, j in combinations_with_replacement(range(len(fns)), 2):
         prod = lambda x, a=fns[i], b=fns[j]: masked(a, x) * np.conj(masked(b, x))
-        val, _ = integrate(prod, mu, _norm_quad(mu, quad))
+        val, _ = integrate(prod, mu, measure_rule(mu, quad))
         Gpsi[i, j], Gpsi[j, i] = val, np.conj(val)
     return float(np.max(np.abs(Gpsi - np.eye(len(fns)))))
 
@@ -506,14 +455,14 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.allclose(M, np.round(M), atol=1e-12):
-        raise ValueError("M must have integer entries")
+        raise DomainError("M must have integer entries")
     if abs(abs(np.linalg.det(M)) - 1.0) > 1e-12:
-        raise ValueError("M must be unimodular (|det| == 1)")
+        raise DomainError("M must be unimodular (|det| == 1)")
     d = M.shape[0]
     lam = lattice(np.eye(d), radius)
     if lam.size < 2:
-        raise ValueError("truncation too small to compare any pair")
-    uniq, _, _ = unique_differences(lam.points)
+        raise DomainError("truncation too small to compare any pair")
+    uniq, _ = unique_differences(lam.points)
     conj_phase = phases.compose(phases.Affine(M), phi)
     g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, sign=1, threads=threads)
     g_base, _ = exp_moments(mu, phi, uniq @ M, quad, sign=1, threads=threads)

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import analysis, measures, phases, reconstruct, repdisc, spectra, tiling
 from .config import (
+    as_scalar,
     build_measure,
     build_phase,
     build_quad,
@@ -89,6 +90,10 @@ def _quad_with_seed(cfg_quad, seed):
     return quad
 
 
+def _seed(cfg):
+    return as_scalar(cfg.get("seed", 0), int, "seed")
+
+
 def _battery(name, mu):
     if name == "default":
         return analysis.default_test_battery(mu)
@@ -109,7 +114,7 @@ def _run_verify_onb(cfg, threads):
         ["seed", "out", "csv", "tol_orth", "tol_complete", "battery"],
         "verify-onb config",
     )
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
     spectrum = build_spectrum(cfg["spectrum"])
@@ -120,8 +125,8 @@ def _run_verify_onb(cfg, threads):
         phi,
         spectrum,
         quad,
-        tol_orth=float(cfg.get("tol_orth", 1e-8)),
-        tol_complete=float(cfg.get("tol_complete", 0.02)),
+        tol_orth=as_scalar(cfg.get("tol_orth", 1e-8), float, "tol_orth"),
+        tol_complete=as_scalar(cfg.get("tol_complete", 0.02), float, "tol_complete"),
         test_functions=battery,
         threads=threads,
     )
@@ -138,21 +143,22 @@ def _run_frame_bounds(cfg, threads):
         ["seed", "out", "basis", "min_ratio"],
         "frame-bounds config",
     )
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
     spectrum = build_spectrum(cfg["spectrum"])
     quad = _quad_with_seed(cfg["quad"], seed)
     basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
     check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
+    m = as_scalar(basis_cfg["m"], int, "basis.m")
     if basis_cfg["kind"] == "dyadic":
-        basis = analysis.dyadic_indicator_basis(mu, int(basis_cfg["m"]))
+        basis = analysis.dyadic_indicator_basis(mu, m)
     elif basis_cfg["kind"] == "legendre":
-        basis = analysis.legendre_basis(mu, int(basis_cfg["m"]))
+        basis = analysis.legendre_basis(mu, m)
     else:
         raise ConfigError(f"unknown basis kind {basis_cfg['kind']!r}")
     report = analysis.frame_bounds(mu, phi, spectrum, basis, quad, threads=threads)
-    min_ratio = float(cfg.get("min_ratio", 0.01))
+    min_ratio = as_scalar(cfg.get("min_ratio", 0.01), float, "min_ratio")
     # report-level verdict only: a_est/b_est below min_ratio at this
     # truncation is called FAIL; no infinite-spectrum claim either way
     ok = np.isfinite(report.b_est) and report.a_est >= min_ratio * report.b_est
@@ -178,10 +184,10 @@ def _run_tiling_check(cfg, threads):
         phi,
         box,
         A,
-        n=int(cfg.get("n", 100_000)),
-        bins=int(cfg.get("bins", 16)),
-        radius=int(cfg.get("radius", 2)),
-        seed=int(cfg.get("seed", 0)),
+        n=as_scalar(cfg.get("n", 100_000), int, "n"),
+        bins=as_scalar(cfg.get("bins", 16), int, "bins"),
+        radius=as_scalar(cfg.get("radius", 2), int, "radius"),
+        seed=_seed(cfg),
     )
     csvs = {}
     if cfg.get("csv"):
@@ -201,12 +207,14 @@ def _run_density(cfg, threads):
     if "centers_box" in cfg:
         check_keys(cfg["centers_box"], ["lo", "hi"], [], "density centers_box")
         centers_box = (cfg["centers_box"]["lo"], cfg["centers_box"]["hi"])
+    if not isinstance(cfg["windows"], list):
+        raise ConfigError("windows must be a list of numbers")
     report = spectra.beurling_density(
         spectrum,
-        [float(r) for r in cfg["windows"]],
+        [as_scalar(r, float, "window") for r in cfg["windows"]],
         centers_box=centers_box,
-        n_centers=int(cfg.get("n_centers", 1000)),
-        seed=int(cfg.get("seed", 0)),
+        n_centers=as_scalar(cfg.get("n_centers", 1000), int, "n_centers"),
+        seed=_seed(cfg),
     )
     return report.to_json_dict(), _EXIT_OK, {}
 
@@ -218,7 +226,7 @@ def _run_reconstruct(cfg, threads):
         ["seed", "out", "csv"],
         "reconstruct config",
     )
-    seed = int(cfg.get("seed", 0))
+    seed = _seed(cfg)
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
     spectrum = build_spectrum(cfg["spectrum"])
@@ -279,15 +287,15 @@ def _run_repdisc(cfg, threads):
     )
     check_keys(cfg["window"], ["lo", "hi"], [], "repdisc window")
     quad = _quad_with_seed(
-        cfg.get("quad", {"scheme": "tensor-gauss", "order": 48}), int(cfg.get("seed", 0))
+        cfg.get("quad", {"scheme": "tensor-gauss", "order": 48}), _seed(cfg)
     )
     report = repdisc.verify_system_on_window(
         ws,
         (cfg["window"]["lo"], cfg["window"]["hi"]),
         mode=cfg["mode"],
         quad=quad,
-        tol=float(cfg.get("tol", 1e-10)),
-        basis_size=int(cfg.get("basis_size", 32)),
+        tol=as_scalar(cfg.get("tol", 1e-10), float, "tol"),
+        basis_size=as_scalar(cfg.get("basis_size", 32), int, "basis_size"),
         threads=threads,
         exploratory=bool(cfg.get("exploratory", False)),
     )
@@ -303,13 +311,17 @@ def _run_probe(cfg, threads):
     )
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
+    delta = {
+        key: as_scalar(cfg[key], float, key)
+        for key in ("delta_x", "delta_y")
+        if cfg.get(key) is not None
+    }
     report = phases.essential_injectivity_probe(
         phi,
         mu,
-        n=int(cfg.get("n", 10_000)),
-        delta_x=cfg.get("delta_x"),
-        delta_y=cfg.get("delta_y"),
-        seed=int(cfg.get("seed", 0)),
+        n=as_scalar(cfg.get("n", 10_000), int, "n"),
+        seed=_seed(cfg),
+        **delta,
     )
     result = report.to_json_dict()
     # collisions refute essential injectivity at the probe scales; none found

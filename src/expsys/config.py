@@ -26,6 +26,15 @@ def check_keys(cfg: dict, required, optional, where):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
+def as_scalar(value, kind, what):
+    """kind(value) for kind int or float; ConfigError when it does not convert."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+
+
 def _expr_fn_of(text, allowed_vars, where):
     expr = parse_expression(text)
     bad = sorted(expr.variables - set(allowed_vars))
@@ -45,7 +54,9 @@ def build_measure(cfg) -> measures.Measure:
         return measures.LebesgueDisc(cfg["center"], cfg["radius"])
     if kind == "self_similar":
         check_keys(cfg, ["kind", "ratio", "digits"], [], "measure.self_similar")
-        return measures.SelfSimilar(cfg["ratio"], [tuple(d) for d in cfg["digits"]])
+        return measures.SelfSimilar(
+            as_scalar(cfg["ratio"], int, "measure.ratio"), [tuple(d) for d in cfg["digits"]]
+        )
     if kind == "pushforward":
         check_keys(cfg, ["kind", "base", "map"], [], "measure.pushforward")
         return measures.pushforward(build_measure(cfg["base"]), build_phase(cfg["map"]))
@@ -58,7 +69,7 @@ def build_phase(cfg) -> phases.PhaseMap:
     kind = cfg["kind"]
     if kind == "identity":
         check_keys(cfg, ["kind"], ["dim"], "phase.identity")
-        return phases.Identity(cfg.get("dim", 1))
+        return phases.Identity(as_scalar(cfg.get("dim", 1), int, "phase.dim"))
     if kind == "affine":
         check_keys(cfg, ["kind", "M"], ["b"], "phase.affine")
         return phases.Affine(cfg["M"], cfg.get("b"))
@@ -70,11 +81,11 @@ def build_phase(cfg) -> phases.PhaseMap:
             "phase.digit_map",
         )
         return phases.DigitMap(
-            cfg["in_base"],
+            as_scalar(cfg["in_base"], int, "phase.in_base"),
             cfg["in_digits"],
-            cfg["out_base"],
-            {int(k): v for k, v in cfg["digit_map"].items()},
-            depth=cfg.get("depth", 30),
+            as_scalar(cfg["out_base"], int, "phase.out_base"),
+            {as_scalar(k, int, "digit_map key"): v for k, v in cfg["digit_map"].items()},
+            depth=as_scalar(cfg.get("depth", 30), int, "phase.depth"),
         )
     if kind == "holhos":
         check_keys(cfg, ["kind"], [], "phase.holhos")
@@ -110,12 +121,14 @@ def build_phase(cfg) -> phases.PhaseMap:
             return np.broadcast_to(np.asarray(e.evaluate({"x2": t}), dtype=float), t.shape).copy()
 
         return phases.Triangular2D(
-            z, f, K=float(cfg.get("K", 0.0)), exprs={"z": cfg["z"], "f": f_text}
+            z, f, K=as_scalar(cfg.get("K", 0.0), float, "phase.K"),
+            exprs={"z": cfg["z"], "f": f_text},
         )
     if kind == "custom":
         check_keys(cfg, ["kind", "expr", "in_dim"], [], "phase.custom")
+        in_dim = as_scalar(cfg["in_dim"], int, "phase.in_dim")
         comp_exprs = [
-            _expr_fn_of(t, {f"x{j}" for j in range(1, cfg["in_dim"] + 1)}, "custom expr")
+            _expr_fn_of(t, {f"x{j}" for j in range(1, in_dim + 1)}, "custom expr")
             for t in cfg["expr"]
         ]
 
@@ -129,9 +142,9 @@ def build_phase(cfg) -> phases.PhaseMap:
 
         return phases.CustomPhase(
             fn,
-            in_dim=cfg["in_dim"],
+            in_dim=in_dim,
             out_dim=len(comp_exprs),
-            descriptor={"expr": list(cfg["expr"]), "in_dim": cfg["in_dim"]},
+            descriptor={"expr": list(cfg["expr"]), "in_dim": in_dim},
         )
     if kind == "group_exp":
         check_keys(cfg, ["kind", "A", "ell"], [], "phase.group_exp")
@@ -149,10 +162,10 @@ def build_spectrum(cfg) -> spectra.SpectrumSet:
     kind = cfg["kind"]
     if kind == "lattice":
         check_keys(cfg, ["kind", "A", "radius"], [], "spectrum.lattice")
-        return spectra.lattice(cfg["A"], cfg["radius"])
+        return spectra.lattice(cfg["A"], as_scalar(cfg["radius"], float, "spectrum.radius"))
     if kind == "lambda4":
         check_keys(cfg, ["kind", "n"], [], "spectrum.lambda4")
-        return spectra.lambda4(cfg["n"])
+        return spectra.lambda4(as_scalar(cfg["n"], int, "spectrum.n"))
     if kind == "explicit":
         check_keys(cfg, ["kind", "points"], [], "spectrum.explicit")
         return spectra.explicit(cfg["points"])
@@ -165,22 +178,25 @@ def build_quad(cfg) -> measures.QuadratureSpec:
     scheme = cfg["scheme"]
     if scheme == "tensor-gauss":
         check_keys(cfg, ["scheme"], ["order"], "quad.tensor-gauss")
-        return measures.gauss(order=cfg.get("order", 32))
+        return measures.gauss(order=as_scalar(cfg.get("order", 32), int, "quad.order"))
     if scheme == "monte-carlo":
         check_keys(cfg, ["scheme"], ["n_samples", "seed"], "quad.monte-carlo")
         return measures.monte_carlo(
-            n_samples=cfg.get("n_samples", 100_000), seed=cfg.get("seed", 0)
+            n_samples=as_scalar(cfg.get("n_samples", 100_000), int, "quad.n_samples"),
+            seed=as_scalar(cfg.get("seed", 0), int, "quad.seed"),
         )
     if scheme == "self-similar-digit":
         check_keys(cfg, ["scheme"], ["depth"], "quad.self-similar-digit")
-        return measures.digit(depth=cfg.get("depth", 30))
+        return measures.digit(depth=as_scalar(cfg.get("depth", 30), int, "quad.depth"))
     if scheme == "adaptive":
         check_keys(
             cfg, ["scheme"], ["abs_tol", "max_subdivisions", "order"], "quad.adaptive"
         )
         return measures.adaptive(
-            abs_tol=cfg.get("abs_tol", 1e-9),
-            max_subdivisions=cfg.get("max_subdivisions", 2000),
-            order=cfg.get("order", 16),
+            abs_tol=as_scalar(cfg.get("abs_tol", 1e-9), float, "quad.abs_tol"),
+            max_subdivisions=as_scalar(
+                cfg.get("max_subdivisions", 2000), int, "quad.max_subdivisions"
+            ),
+            order=as_scalar(cfg.get("order", 16), int, "quad.order"),
         )
     raise ConfigError(f"unknown quadrature scheme {scheme!r}")

@@ -14,7 +14,8 @@ class QuadratureError(ExpSysError, RuntimeError):
 
 
 class DomainError(ExpSysError, ValueError):
-    """Point outside the domain of a phase map or measure, or a bad measure bound."""
+    """Argument outside its domain: a point off a phase map's domain, a bad
+    measure bound, or an invalid size, level, mode or parameter at construction."""
 
 
 class ProductFormulaError(ExpSysError, RuntimeError):

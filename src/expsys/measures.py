@@ -8,19 +8,19 @@ safe to share across threads.
 Quadrature schemes
 ------------------
 tensor-gauss        composite tensor-product Gauss-Legendre; the error estimate
-                    is the difference of two orders.  Callers integrating
-                    oscillatory exponentials can pass `osc_hint` (estimated
-                    cycles per dimension) and panels are chosen as
-                    ceil(5*cycles/order), which keeps the rule in its
-                    superexponential-convergence regime.
+                    is the difference of two orders.  `integrate` uses one
+                    panel per dimension; the batched moment engine
+                    (`_oscillatory.exp_moments`) panelizes oscillatory
+                    exponentials as ceil(5*cycles/order), which keeps the rule
+                    in its superexponential-convergence regime.  The disc is
+                    handled in polar coordinates over four quadrant cells.
 monte-carlo         i.i.d. sampling from the measure; error is one standard
                     error (acceptance-style checks should use 3-sigma bands).
 self-similar-digit  exact enumeration of digit strings to the effective depth
                     min(depth, cap) with a tail-mean anchor added to every
                     node; the reported error is a Lipschitz-style tail bound.
 adaptive            global adaptive subdivision with per-cell two-order Gauss
-                    error estimates; the disc is handled in polar coordinates
-                    starting from quadrant cells.
+                    error estimates; the disc starts from the quadrant cells.
 """
 
 from __future__ import annotations
@@ -64,11 +64,11 @@ class QuadratureSpec:
         if self.scheme not in _SCHEMES:
             raise SchemeMismatchError(f"unknown quadrature scheme {self.scheme!r}")
         if self.order < 2:
-            raise ValueError("order must be >= 2")
+            raise DomainError("order must be >= 2")
         if self.depth < 1:
-            raise ValueError("depth must be >= 1")
+            raise DomainError("depth must be >= 1")
         if self.abs_tol <= 0:
-            raise ValueError("abs tol must be > 0")
+            raise DomainError("abs tol must be > 0")
 
     def to_json_dict(self):
         out = {"scheme": self.scheme}
@@ -217,15 +217,15 @@ class SelfSimilar(Measure):
     def __init__(self, ratio, digits):
         ratio = int(ratio)
         if ratio < 2:
-            raise ValueError("ratio must be an integer >= 2")
+            raise DomainError("ratio must be an integer >= 2")
         digits = tuple((float(d), float(w)) for d, w in digits)
         if not digits:
-            raise ValueError("at least one digit is required")
+            raise DomainError("at least one digit is required")
         wsum = sum(w for _, w in digits)
         if abs(wsum - 1.0) > 1e-12:
-            raise ValueError(f"digit weights must sum to 1 (got {wsum!r})")
+            raise DomainError(f"digit weights must sum to 1 (got {wsum!r})")
         if any(w < 0 for _, w in digits):
-            raise ValueError("digit weights must be nonnegative")
+            raise DomainError("digit weights must be nonnegative")
         self.ratio = ratio
         self.digits = digits
         self.dim = 1
@@ -314,7 +314,7 @@ def pushforward(mu: Measure, phi) -> PushforwardMeasure:
 def sample(mu: Measure, n: int, seed: int = 0, depth: int = 30) -> np.ndarray:
     """n i.i.d. draws from mu as an (n, dim) array, deterministic in seed."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise DomainError("n must be >= 1")
     rng = spawn_rng(seed, "sample", mu.kind)
     return mu._sample(n, rng, depth)
 
@@ -387,16 +387,18 @@ def _gauss_box_integral(f, lo, hi, order, panels):
     return hi_val, abs(hi_val - lo_val)
 
 
-def _polar_wrap(f, center):
-    def g(rt):
-        r = rt[:, 0]
-        th = rt[:, 1]
-        xy = np.stack(
-            [center[0] + r * np.cos(th), center[1] + r * np.sin(th)], axis=-1
-        )
-        return np.asarray(f(xy)) * r
+def disc_quadrants(mu: LebesgueDisc):
+    """The four polar (r, theta) quadrant cells of a disc, as (lo, hi) boxes."""
+    return [
+        (np.array([0.0, t0]), np.array([mu.radius, t0 + math.pi / 2]))
+        for t0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    ]
 
-    return g
+
+def polar_xy(center, rt):
+    """Cartesian points of (r, theta) rows around `center`."""
+    r, th = rt[:, 0], rt[:, 1]
+    return np.stack([center[0] + r * np.cos(th), center[1] + r * np.sin(th)], axis=-1)
 
 
 def _adaptive_cells(f, cells, quad):
@@ -502,18 +504,17 @@ def _digit_integral(f, ss, depth):
 # ---------------------------------------------------------------------------
 
 
-def integrate(f, mu: Measure, quad: QuadratureSpec, osc_hint=None):
+def integrate(f, mu: Measure, quad: QuadratureSpec):
     """Approximate integral of f over mu: returns (value, err_estimate).
 
     f must be vectorized: it receives an (n, dim) array and returns (n,)
-    values (real or complex).  `osc_hint` is an optional per-dimension cycle
-    count used to panelize tensor-gauss rules for oscillatory integrands.
+    values (real or complex).
     """
     scheme = quad.scheme
 
     if isinstance(mu, PushforwardMeasure):
         phi = mu.map
-        return integrate(lambda x: f(phi(x)), mu.base, quad, osc_hint=None)
+        return integrate(lambda x: f(phi(x)), mu.base, quad)
 
     if isinstance(mu, SelfSimilar):
         if scheme == "self-similar-digit":
@@ -532,33 +533,22 @@ def integrate(f, mu: Measure, quad: QuadratureSpec, osc_hint=None):
         if scheme == "monte-carlo":
             return _mc_integral(f, mu, quad)
         if scheme == "tensor-gauss":
-            panels = (
-                panels_from_cycles(osc_hint, quad.order)
-                if osc_hint is not None
-                else np.ones(mu.dim, dtype=int)
+            return _gauss_box_integral(
+                f, mu.lo, mu.hi, quad.order, np.ones(mu.dim, dtype=int)
             )
-            return _gauss_box_integral(f, mu.lo, mu.hi, quad.order, panels)
         return _adaptive_cells(f, [(mu.lo, mu.hi)], quad)
 
     if isinstance(mu, LebesgueDisc):
         if scheme == "monte-carlo":
             return _mc_integral(f, mu, quad)
-        g = _polar_wrap(f, mu.center)
-        quadrants = [
-            (np.array([0.0, t0]), np.array([mu.radius, t0 + math.pi / 2]))
-            for t0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-        ]
+        g = lambda rt: np.asarray(f(polar_xy(mu.center, rt))) * rt[:, 0]
         if scheme == "tensor-gauss":
-            cyc = float(np.max(osc_hint)) if osc_hint is not None else 0.0
-            panels = panels_from_cycles([cyc, cyc], quad.order)
-            total = 0.0 + 0.0j
-            toterr = 0.0
-            for lo, hi in quadrants:
-                v, e = _gauss_box_integral(g, lo, hi, quad.order, panels)
-                total += v
-                toterr += e
-            return total, toterr
-        return _adaptive_cells(g, quadrants, quad)
+            parts = [
+                _gauss_box_integral(g, lo, hi, quad.order, np.ones(2, dtype=int))
+                for lo, hi in disc_quadrants(mu)
+            ]
+            return sum(v for v, _ in parts), sum(e for _, e in parts)
+        return _adaptive_cells(g, disc_quadrants(mu), quad)
 
     raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")
 
@@ -608,6 +598,25 @@ def _selfsimilar_product(ss: SelfSimilar, xi, trunc):
         scale /= ss.ratio
         out *= _mask_value(ss, xi * scale)
     return out
+
+
+def selfsimilar_moments(ss: SelfSimilar, xi, trunc):
+    """(values, errors) of the Fourier transform of ss at the 1-d frequencies xi.
+
+    Values are the `trunc`-level one-level-symbol product, gated behind
+    `validate_product_formula`.  Errors bound the dropped levels:
+    |m(xi) - 1| <= 2 pi max|d| |xi|, summed over every level past `trunc`.
+    """
+    if trunc < 1:
+        raise DomainError("trunc must be >= 1 for self-similar measures")
+    validate_product_formula(ss, trunc=max(trunc, 40))
+    xi = np.asarray(xi, dtype=float)
+    values = _selfsimilar_product(ss, xi, trunc)
+    max_d = max(abs(d) for d, _ in ss.digits)
+    errors = (
+        2.0 * np.pi * max_d * np.abs(xi) * ss.ratio ** (-float(trunc)) / (ss.ratio - 1)
+    )
+    return values, errors
 
 
 def validate_product_formula(ss: SelfSimilar, trunc: int = 40) -> float:
@@ -679,20 +688,16 @@ def _disc_ft(mu: LebesgueDisc, xi):
 def fourier_transform(mu: Measure, xi, trunc: int = 40):
     """mu-hat(xi) = integral of e^{2 pi i xi.x} dmu(x).
 
-    SelfSimilar uses the truncated one-level-symbol product, gated behind
-    `validate_product_formula`.  Boxes and discs use closed forms.
+    SelfSimilar uses `selfsimilar_moments`.  Boxes and discs use closed forms.
     Pushforwards reduce to a recognized self-similar image when possible and
-    otherwise delegate to `integrate` with a scheme fit for the base.
+    otherwise integrate under `_oscillatory.measure_rule`.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (mu.dim,):
         raise DomainError(f"xi must have shape ({mu.dim},), got {xi.shape}")
 
     if isinstance(mu, SelfSimilar):
-        if trunc < 1:
-            raise ValueError("trunc must be >= 1 for self-similar measures")
-        validate_product_formula(mu, trunc=max(trunc, 40))
-        return complex(_selfsimilar_product(mu, np.array([xi[0]]), trunc)[0])
+        return complex(selfsimilar_moments(mu, xi[:1], trunc)[0][0])
 
     if isinstance(mu, LebesgueBox):
         return complex(_box_ft(mu, xi))
@@ -701,40 +706,16 @@ def fourier_transform(mu: Measure, xi, trunc: int = 40):
         return complex(_disc_ft(mu, xi))
 
     if isinstance(mu, PushforwardMeasure):
-        from .phases import Identity, as_selfsimilar  # lazy: avoids import cycle
+        # lazy: both modules import this one
+        from ._oscillatory import exp_moments, measure_rule
+        from .phases import Identity, as_selfsimilar
 
         reduced = as_selfsimilar(mu.base, mu.map)
         if reduced is not None:
             return fourier_transform(reduced, xi, trunc=trunc)
-        quad = _default_quad_for(mu.base, trunc)
-        try:
-            from ._oscillatory import exp_moments  # oscillation-aware panels
+        # gauss(64) sets the box order; discs and digit bases get their own rules
+        quad = measure_rule(mu, gauss(order=64))
+        vals, _ = exp_moments(mu, Identity(mu.dim), xi[None, :], quad)
+        return complex(vals[0, 0])
 
-            vals, _ = exp_moments(mu, Identity(mu.dim), xi[None, :], quad)
-            return complex(vals[0, 0])
-        except QuadratureError:
-            value, _ = integrate(
-                lambda x: np.exp(2j * np.pi * (x @ xi)),
-                mu,
-                monte_carlo_spec_for_ft(trunc),
-            )
-            return complex(value)
-
-    raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")
-
-
-def monte_carlo_spec_for_ft(trunc):
-    # sampling fallback for non-differentiable, non-reducible pushforwards
-    return monte_carlo(n_samples=1_000_000, seed=0x0F0F0F0F)
-
-
-def _default_quad_for(mu: Measure, trunc):
-    if isinstance(mu, SelfSimilar):
-        return digit(depth=trunc)
-    if isinstance(mu, LebesgueBox):
-        return gauss(order=64)
-    if isinstance(mu, LebesgueDisc):
-        return adaptive(abs_tol=1e-9, max_subdivisions=4000)
-    if isinstance(mu, PushforwardMeasure):
-        return _default_quad_for(mu.base, trunc)
     raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")

@@ -21,6 +21,7 @@ class PhaseMap:
     in_dim: int
     out_dim: int
     has_analytic_jacobian = False
+    differentiable = True  # False: no Jacobian, so no oscillation-aware quadrature
 
     def _eval(self, pts):
         raise NotImplementedError
@@ -91,7 +92,7 @@ class Affine(PhaseMap):
         self.out_dim, self.in_dim = M.shape
         self.b = np.zeros(self.out_dim) if b is None else np.asarray(b, dtype=float)
         if self.b.shape != (self.out_dim,):
-            raise ValueError("b must match the output dimension")
+            raise DomainError("b must match the output dimension")
 
     def _eval(self, pts):
         return pts @ self.M.T + self.b
@@ -122,6 +123,7 @@ class DigitMap(PhaseMap):
     """
 
     kind = "digit_map"
+    differentiable = False
 
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
         self.in_base = int(in_base)
@@ -130,12 +132,12 @@ class DigitMap(PhaseMap):
         self.digit_map = {int(k): float(v) for k, v in dict(digit_map).items()}
         self.depth = int(depth)
         if self.in_base < 2 or self.out_base < 2:
-            raise ValueError("bases must be >= 2")
+            raise DomainError("bases must be >= 2")
         if set(self.digit_map) != set(self.in_digits):
-            raise ValueError("digit_map must cover exactly the input digit set")
+            raise DomainError("digit_map must cover exactly the input digit set")
         out_vals = list(self.digit_map.values())
         if len(set(out_vals)) != len(out_vals):
-            raise ValueError("digit_map must be injective on the input digit set")
+            raise DomainError("digit_map must be injective on the input digit set")
         self.in_dim = self.out_dim = 1
         self._allowed = np.array(sorted(self.in_digits), dtype=float)
         self._out_for = np.array(
@@ -238,7 +240,7 @@ class Unipotent(PhaseMap):
         self.shifts = tuple(shifts)
         self.in_dim = self.out_dim = int(dim)
         if len(self.shifts) != self.in_dim - 1:
-            raise ValueError("need d-1 shift functions for dimension d")
+            raise DomainError("need d-1 shift functions for dimension d")
         self.grads = tuple(grads) if grads is not None else None
         self.exprs = exprs
         self.has_analytic_jacobian = grads is not None
@@ -539,6 +541,7 @@ class ComposedPhase(PhaseMap):
         self.has_analytic_jacobian = (
             outer.has_analytic_jacobian and inner.has_analytic_jacobian
         )
+        self.differentiable = outer.differentiable and inner.differentiable
 
     def _eval(self, pts):
         return self.outer._eval(self.inner._eval(pts))
@@ -702,15 +705,17 @@ def essential_injectivity_probe(
     """Sampled falsification probe for injectivity off a null set.
 
     Searches n draws from mu for pairs that are far in x (> delta_x) but
-    close in phi(x) (< delta_y), via a spatial hash on the image values.
+    close in phi(x) (< delta_y), via a k-d tree on the image values.
     collision_fraction is the fraction of samples involved in at least one
-    such pair.  A zero fraction is "no counterexample found", never a
-    certificate; a large fraction refutes essential injectivity at the probe
-    scales.  Caller is responsible for delta_x > delta_y * L when a
-    Lipschitz bound L is known.
+    such pair; the first pairs in (i, j) order are stored.  A zero fraction
+    is "no counterexample found", never a certificate; a large fraction
+    refutes essential injectivity at the probe scales.  Caller is
+    responsible for delta_x > delta_y * L when a Lipschitz bound L is known.
     """
+    from scipy.spatial import cKDTree
+
     if n < 100:
-        raise ValueError("n must be >= 100 to populate the hash grid")
+        raise DomainError("n must be >= 100")
     pts = measures.sample(mu, n, seed=seed)
     img = phi(pts)
     if delta_x is None:
@@ -722,40 +727,17 @@ def essential_injectivity_probe(
     if delta_y <= 0:
         delta_y = 1e-12
 
-    cells = np.floor(img / delta_y).astype(np.int64)
-    buckets: dict = {}
-    for i, key in enumerate(map(tuple, cells)):
-        buckets.setdefault(key, []).append(i)
-
-    d = img.shape[1]
-    offsets = np.stack(
-        np.meshgrid(*([np.arange(-1, 2)] * d), indexing="ij"), axis=-1
-    ).reshape(-1, d)
+    i, j = cKDTree(img).query_pairs(delta_y, output_type="ndarray").T
+    hit = (np.linalg.norm(img[i] - img[j], axis=1) < delta_y) & (
+        np.linalg.norm(pts[i] - pts[j], axis=1) > delta_x
+    )
+    i, j = i[hit], j[hit]
     involved = np.zeros(n, dtype=bool)
-    stored = []
-    for key, members in buckets.items():
-        cand = []
-        for off in offsets:
-            neigh = tuple(np.asarray(key) + off)
-            if neigh in buckets:
-                cand.extend(buckets[neigh])
-        cand = np.asarray(sorted(set(cand)))
-        members = np.asarray(members)
-        if cand.size == 0:
-            continue
-        dx = np.linalg.norm(pts[members][:, None, :] - pts[cand][None, :, :], axis=2)
-        dy = np.linalg.norm(img[members][:, None, :] - img[cand][None, :, :], axis=2)
-        hit = (dx > delta_x) & (dy < delta_y) & (members[:, None] < cand[None, :])
-        mi, ci = np.nonzero(hit)
-        if mi.size:
-            involved[members[mi]] = True
-            involved[cand[ci]] = True
-            for a, b in zip(members[mi], cand[ci]):
-                if len(stored) < _MAX_STORED_PAIRS:
-                    stored.append((pts[a].tolist(), pts[b].tolist()))
+    involved[i] = involved[j] = True
+    first = np.lexsort((j, i))[:_MAX_STORED_PAIRS]
     return CollisionReport(
         n_samples=n,
-        collisions=stored,
+        collisions=[(pts[a].tolist(), pts[b].tolist()) for a, b in zip(i[first], j[first])],
         collision_fraction=float(involved.mean()),
         delta_x=float(delta_x),
         delta_y=float(delta_y),

@@ -37,19 +37,19 @@ class GroupData:
     def __post_init__(self):
         mats = np.asarray(self.matrices, dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("matrices must be a stack of square matrices")
+            raise DomainError("matrices must be a stack of square matrices")
         worst = 0.0
         for i in range(mats.shape[0]):
             for j in range(i + 1, mats.shape[0]):
                 comm = mats[i] @ mats[j] - mats[j] @ mats[i]
                 worst = max(worst, float(np.max(np.abs(comm))))
         if worst > 1e-12:
-            raise ValueError(
+            raise DomainError(
                 f"generator matrices must pairwise commute (residual {worst:.3e})"
             )
         ell = np.asarray(self.ell, dtype=float)
         if ell.shape != (mats.shape[1],):
-            raise ValueError("ell must match the matrix dimension")
+            raise DomainError("ell must match the matrix dimension")
         object.__setattr__(
             self, "matrices", tuple(tuple(map(tuple, m)) for m in mats.tolist())
         )
@@ -152,16 +152,16 @@ class WindowSystem:
         self.omega_hi = np.atleast_1d(np.asarray(self.omega_hi, dtype=float))
         self.gamma_set = np.atleast_2d(np.asarray(self.gamma_set, dtype=float))
         if self.gamma_set.shape[1] != self.omega_lo.size:
-            raise ValueError("gamma translations must match the window dimension")
+            raise DomainError("gamma translations must match the window dimension")
         if self.phase.in_dim != self.omega_lo.size:
-            raise ValueError("phase domain must match the window dimension")
+            raise DomainError("phase domain must match the window dimension")
         width = self.omega_hi - self.omega_lo
         k = self.gamma_set.shape[0]
         for i in range(k):
             for j in range(i + 1, k):
                 gap = np.abs(self.gamma_set[i] - self.gamma_set[j])
                 if np.all(gap < width - 1e-12):
-                    raise ValueError(
+                    raise DomainError(
                         "window translates overlap beyond a common boundary"
                     )
 
@@ -315,4 +315,4 @@ def verify_system_on_window(
             exploratory=exploratory,
             notes=notes,
         )
-    raise ValueError(f"unknown mode {mode!r}")
+    raise DomainError(f"unknown mode {mode!r}")

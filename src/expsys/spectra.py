@@ -20,14 +20,14 @@ class SpectrumSet:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         if pts.shape[1] == 0:
-            raise ValueError("spectrum points must be d-vectors")
+            raise DomainError("spectrum points must be d-vectors")
         rounded = np.round(pts, 12)
         if np.unique(rounded, axis=0).shape[0] != pts.shape[0]:
-            raise ValueError("spectrum points must be pairwise distinct")
+            raise DomainError("spectrum points must be pairwise distinct")
         kind = self.generator.get("kind")
         if kind in ("lattice", "lambda4"):
             if not np.any(np.all(np.abs(pts) < 1e-12, axis=1)):
-                raise ValueError(f"{kind} spectra must contain 0")
+                raise DomainError(f"{kind} spectra must contain 0")
         object.__setattr__(self, "points", pts)
 
     @property
@@ -58,7 +58,7 @@ def lattice(A, radius) -> SpectrumSet:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     d = A.shape[0]
     if A.shape != (d, d):
-        raise ValueError("A must be square")
+        raise DomainError("A must be square")
     det = np.linalg.det(A)
     if abs(det) < 1e-14:
         raise DomainError("lattice generator matrix is singular")
@@ -92,7 +92,7 @@ def dual_lattice(A) -> np.ndarray:
 def lambda4(n: int) -> SpectrumSet:
     """Level-n four-adic binary spectrum {sum_{i<n} 4^i a_i : a_i in {0,1}}."""
     if not 1 <= n <= 16:
-        raise ValueError("level must satisfy 1 <= n <= 16")
+        raise DomainError("level must satisfy 1 <= n <= 16")
     vals = np.zeros(1, dtype=np.int64)
     for i in range(n):
         vals = np.concatenate([vals, vals + 4**i])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InversionError
+from .errors import DomainError, InversionError
 from .measures import LebesgueBox
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
@@ -74,7 +74,7 @@ def frac_histogram_test(
     d = lo.size
     cells = bins**d
     if n < 10 * cells:
-        raise ValueError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
+        raise DomainError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
     A = np.atleast_2d(np.asarray(lattice_A, dtype=float))
     rng = spawn_rng(seed, "frac-histogram")
     pts = lo + rng.random((n, d)) * (hi - lo)

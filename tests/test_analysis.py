@@ -204,6 +204,25 @@ class TestVerifyOnb:
             for ratio in rep.parseval_ratios.values():
                 assert ratio <= bound
 
+    def test_nan_ratio_on_half_interval_raises(self):
+        # nan compares false both ways, so a NaN ratio must not reach the verdict
+        half_nan = TFn(
+            "half_nan", lambda p: np.where(p[:, 0] < 0.5, np.nan, 1.0), norm_sq=0.5
+        )
+        with pytest.raises(es.QuadratureError):
+            es.verify_onb(
+                unit_box(), es.Identity(1), es.integer_lattice(1, 4), es.gauss(32),
+                test_functions=[half_nan],
+            )
+
+    def test_nan_ratio_on_cantor_digit_raises(self):
+        nan = TFn("nan", lambda p: np.full(p.shape[0], np.nan))
+        with pytest.raises(es.QuadratureError):
+            es.verify_onb(
+                es.middle_fourth_cantor(), es.Identity(1), es.lambda4(3), es.digit(40),
+                test_functions=[nan],
+            )
+
 
 class TestFrameBounds:
     def test_parseval_on_unit_interval(self):

@@ -138,6 +138,58 @@ class TestStrictSchema:
         assert run(["verify-onb", "--config", str(path)]) == 3
 
 
+def _set(path, value):
+    def mutate(cfg):
+        *parents, key = path
+        for p in parents:
+            cfg = cfg[p]
+        cfg[key] = value
+
+    return mutate
+
+
+NON_COMMUTING = {"A": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "ell": [1.0, 0.0]}
+
+
+MALFORMED = {
+    "radius-not-a-number": ("identity-1d", _set(["spectrum", "radius"], "x")),
+    "negative-order": ("identity-1d", _set(["quad", "order"], -3)),
+    "order-not-a-number": ("identity-1d", _set(["quad", "order"], "x")),
+    "spectrum-above-cap": ("identity-1d", _set(["spectrum", "radius"], 5000)),  # 10001 points
+    "tol-orth-not-a-number": ("identity-1d", _set(["tol_orth"], "x")),
+    "seed-not-a-number": ("identity-1d", _set(["seed"], "x")),
+    "identity-dim-not-a-number": ("identity-1d", _set(["phase", "dim"], "x")),
+    "lambda4-level-99": ("cantor4", _set(["spectrum", "n"], 99)),
+    "self-similar-ratio-1": ("cantor3", _set(["measure", "ratio"], 1)),
+    "duplicate-explicit-points": (
+        "identity-1d",
+        _set(["spectrum"], {"kind": "explicit", "points": [[0.0], [1.0], [1.0]]}),
+    ),
+    "affine-b-wrong-length": (
+        "identity-1d", _set(["phase"], {"kind": "affine", "M": [[1.0]], "b": [0.0, 1.0]})
+    ),
+    "digit-map-base-1": ("cantor4", _set(["phase", "in_base"], 1)),
+    "tiling-n-10": ("unipotent-tiling", _set(["n"], 10)),
+    "density-windows-string": ("density-z2", _set(["windows"], "ab")),
+    "probe-n-5": ("probe-x2", _set(["n"], 5)),
+    "repdisc-unknown-mode": ("heisenberg", _set(["mode"], "zzz")),
+    "non-commuting-group": ("heisenberg", _set(["group"], NON_COMMUTING)),
+    "dyadic-basis-m-0": ("halfbox-frame", _set(["basis", "m"], 0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_config_exits_three(tmp_path, capsys, case):
+    preset, mutate = MALFORMED[case]
+    cfg = json.loads(json.dumps(PRESETS[preset]["config"]))
+    mutate(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([PRESETS[preset]["command"], "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_python_dash_m_lists_presets():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

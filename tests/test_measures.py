@@ -216,6 +216,13 @@ class TestFourierTransform:
         quad_val, _ = es.integrate(f, box, es.gauss(48))
         assert abs(closed - quad_val) <= 1e-12
 
+    def test_non_reducible_pushforward_transform(self):
+        # the shear (x1 + sin 2 pi x2, x2) keeps an integer x1-frequency, so
+        # the transform at (1, 2) vanishes
+        shear = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
+        pf = es.pushforward(es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), shear)
+        assert abs(es.fourier_transform(pf, [1.0, 2.0])) <= 1e-12
+
     def test_gate_refuses_corrupted_product(self, monkeypatch):
         import expsys.measures as m
 

@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys._oscillatory import exp_moments
+from expsys._oscillatory import exp_moments, measure_rule, rule_for
 from expsys.errors import SchemeMismatchError
+from expsys.measures import disc_quadrants, polar_xy
 from expsys.reconstruct import coefficients
 
 
@@ -89,3 +90,89 @@ def test_pushforward_weights_use_image_coordinates(scheme):
     else:
         v, e = exp_moments(pf, es.Identity(1), [[0.0]], quad, weights=box)
         assert abs(v[0, 0] - 0.5) <= 5 * e[0, 0] + 1e-12
+
+
+B2Q = es.binary_to_quaternary(depth=30)
+T2Q = es.ternary_to_quaternary(depth=30)
+MC400K = es.monte_carlo(400_000, seed=0)
+
+# (mu, phi, quad) -> (coefficient rule, norm rule); the norm rule is taken
+# from the coefficient rule, as verify_onb does
+RULE_CASES = {
+    "cantor4": (es.LebesgueBox([0.0], [1.0]), B2Q, es.digit(40), MC400K, es.gauss(48)),
+    "cantor3": (es.middle_third_cantor(), T2Q, es.digit(40), es.digit(40), es.digit(30)),
+    "holhos-disc": (
+        es.LebesgueDisc([0.0, 0.0], 1.0),
+        es.Holhos(),
+        es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16),
+        es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16),
+        es.adaptive(abs_tol=1e-10, max_subdivisions=4000),
+    ),
+    "box-gauss": (
+        es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), es.Identity(2), es.gauss(64),
+        es.gauss(64), es.gauss(64),
+    ),
+    "box-gauss-low-order": (
+        es.LebesgueBox([0.0], [0.5]), es.Identity(1), es.gauss(24), es.gauss(24), es.gauss(48),
+    ),
+    "user-monte-carlo": (
+        es.LebesgueBox([0.0], [1.0]), es.Identity(1), es.monte_carlo(50_000, seed=7),
+        es.monte_carlo(50_000, seed=7), es.gauss(48),
+    ),
+    "digit-map-pushforward": (
+        es.pushforward(es.LebesgueBox([0.0], [1.0]), B2Q), es.Identity(1), es.gauss(64),
+        MC400K, MC400K,
+    ),
+    "gauss-on-cantor": (
+        es.middle_fourth_cantor(), es.Identity(1), es.gauss(32), es.digit(30), es.digit(30),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RULE_CASES))
+def test_rule_table(case):
+    mu, phi, quad, coefficient_rule, norm_rule = RULE_CASES[case]
+    assert rule_for(mu, phi, quad) == coefficient_rule
+    assert measure_rule(mu, coefficient_rule) == norm_rule
+
+
+def test_pushforward_transform_rule_samples_digit_maps():
+    pf = es.pushforward(es.LebesgueBox([0.0], [1.0]), B2Q)
+    assert measure_rule(pf, es.gauss(64)) == MC400K
+    scaled = es.pushforward(es.LebesgueBox([0.0], [1.0]), es.Affine([[2.0]]))
+    assert measure_rule(scaled, es.gauss(64)) == es.gauss(64)
+
+
+def test_tensor_gauss_disc_matches_per_quadrant_integrate():
+    # frequencies low enough for one panel per quadrant, so each quadrant is
+    # one plain tensor-Gauss `integrate` call in polar coordinates
+    disc = es.LebesgueDisc([0.2, -0.1], 1.5)
+    lam = np.array([[0.0, 0.0], [1.0, -0.5], [-1.5, 1.25]])
+    weights = [None, (lambda y: y[:, 0] ** 2 + y[:, 1], None)]
+    quad = es.gauss(32)
+    vals, errs = exp_moments(disc, es.Identity(2), lam, quad, weights=weights)
+    for i, row in enumerate(lam):
+        for j, w in enumerate(weights):
+            fn = (lambda y: np.ones(y.shape[0])) if w is None else w[0]
+
+            def f(rt, row=row, fn=fn):
+                y = polar_xy(disc.center, rt)
+                return np.exp(2j * np.pi * (y @ row)) * fn(y) * rt[:, 0]
+
+            parts = [
+                es.integrate(f, es.LebesgueBox(lo, hi), quad)
+                for lo, hi in disc_quadrants(disc)
+            ]
+            value = sum(v for v, _ in parts)
+            scale = abs(value)
+            assert abs(vals[i, j] - value) <= 1e-12 * scale
+            assert abs(errs[i, j] - sum(e for _, e in parts)) <= 1e-12 * scale
+
+
+def test_tensor_gauss_disc_panels_match_closed_form():
+    disc = es.LebesgueDisc([0.2, -0.1], 1.5)
+    for row in ([7.0, -3.0], [0.0, 12.5]):
+        vals, errs = exp_moments(disc, es.Identity(2), [row], es.gauss(32))
+        exact = es.fourier_transform(disc, row)
+        assert abs(vals[0, 0] - exact) <= 1e-10
+        assert errs[0, 0] <= 1e-8
