@@ -20,7 +20,7 @@ from . import measures, phases
 from ._oscillatory import _inside, effective_pair, exp_moments, measure_rule, rule_for
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec, integrate
-from .spectra import SpectrumSet, lattice
+from .spectra import SpectrumSet, lattice, unique_rows
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -31,8 +31,7 @@ def unique_differences(points):
     """(unique_diffs, inverse) with inverse indexing the (m, m) difference grid."""
     m = points.shape[0]
     diffs = points[:, None, :] - points[None, :, :]
-    keys = np.round(diffs.reshape(m * m, -1), 12)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    uniq, inverse = unique_rows(diffs.reshape(m * m, -1))
     return uniq, inverse.reshape(m, m)
 
 

@@ -8,7 +8,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
+from .measures import _finite
 from .seeding import spawn_rng
+
+# lattice() refuses coordinate boxes with more integer points than this
+MAX_LATTICE_BOX = 1 << 20
+
+
+def unique_rows(rows):
+    """(uniq, inverse) of the rows of a finite (n, d) array, rounded to 12
+    digits in place; uniq is sorted lexicographically as by np.unique(axis=0)
+    and -0.0 is folded into 0.0."""
+    np.round(rows, 12, out=rows)
+    rows += 0.0
+    order = np.lexsort(rows.T[::-1])
+    new = np.zeros(rows.shape[0], dtype=bool)
+    new[:1] = True
+    for col in rows.T:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    inverse = np.empty(rows.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return rows[order[new]], inverse
 
 
 @dataclass(frozen=True)
@@ -18,11 +39,10 @@ class SpectrumSet:
     truncation: float | None = None
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.shape[1] == 0:
-            raise DomainError("spectrum points must be d-vectors")
-        rounded = np.round(pts, 12)
-        if np.unique(rounded, axis=0).shape[0] != pts.shape[0]:
+        pts = np.atleast_2d(_finite(self.points, "spectrum points"))
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise DomainError("spectrum points must be a non-empty list of d-vectors")
+        if unique_rows(pts.copy())[0].shape[0] != pts.shape[0]:
             raise DomainError("spectrum points must be pairwise distinct")
         kind = self.generator.get("kind")
         if kind in ("lattice", "lambda4"):
@@ -46,25 +66,32 @@ class SpectrumSet:
 
 
 def explicit(points) -> SpectrumSet:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] >= 1 and pts.shape[1] > pts.shape[0] and pts.shape[0] == 1:
-        # a flat list of scalars is a 1-d spectrum
+    pts = _finite(points, "spectrum points")
+    if pts.ndim < 2:
+        # a scalar or a flat list of scalars is a 1-d spectrum
         pts = pts.reshape(-1, 1)
     return SpectrumSet(pts, generator={"kind": "explicit"})
 
 
 def lattice(A, radius) -> SpectrumSet:
     """All points of A Z^d with sup-norm <= radius, sorted lexicographically."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = np.atleast_2d(_finite(A, "lattice A"))
     d = A.shape[0]
     if A.shape != (d, d):
         raise DomainError("A must be square")
+    radius = _finite(radius, "lattice radius")
+    if radius.shape != ():
+        raise DomainError("lattice radius must be a number")
     det = np.linalg.det(A)
     if abs(det) < 1e-14:
         raise DomainError("lattice generator matrix is singular")
     Ainv = np.linalg.inv(A)
     # |k|_inf <= ||A^-1||_inf * radius on the preimage of the sup-ball
-    bound = int(np.ceil(np.max(np.sum(np.abs(Ainv), axis=1)) * radius + 1e-9))
+    bound = np.ceil(np.max(np.sum(np.abs(Ainv), axis=1)) * radius + 1e-9)
+    # "not <=" also refuses an infinite bound before int() sees it
+    if not bound <= MAX_LATTICE_BOX or (2 * int(bound) + 1) ** d > MAX_LATTICE_BOX:
+        raise DomainError(f"lattice coordinate box above {MAX_LATTICE_BOX} points")
+    bound = int(bound)
     ranges = [np.arange(-bound, bound + 1)] * d
     K = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
     pts = K @ A.T

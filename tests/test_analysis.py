@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expsys as es
-from expsys.analysis import FAIL, INCONCLUSIVE, PASS
+from expsys.analysis import FAIL, INCONCLUSIVE, PASS, unique_differences
 from expsys.analysis import TestFunction as TFn
 
 # Frozen oracle values (scripts: high-order Gauss-Legendre, 400 nodes; the
@@ -117,6 +119,56 @@ class TestGram:
         big = es.SpectrumSet(np.arange(5000, dtype=float)[:, None])
         with pytest.raises(ValueError):
             es.gram(unit_box(), es.Identity(1), big, es.gauss(16))
+
+
+def reference_unique_differences(points):
+    """The np.unique(axis=0) form of unique_differences.  -0.0 is folded into
+    0.0 first: np.unique keeps whichever sign its unstable sort puts first."""
+    m = points.shape[0]
+    keys = np.round((points[:, None, :] - points[None, :, :]).reshape(m * m, -1), 12)
+    uniq, inverse = np.unique(keys + 0.0, axis=0, return_inverse=True)
+    return uniq, inverse.reshape(m, m)
+
+
+# coordinates on a coarse grid, nudged to within 1e-12 of the grid value (and
+# of 0), so that rounding to 12 digits merges or splits nearby differences
+NUDGES = [0.0, 2e-13, -2e-13, 4.9e-13, -4.9e-13, 5.1e-13, -5.1e-13, 1e-12, -1e-12]
+coords = st.builds(
+    lambda k, e: k / 4 + e, st.integers(-6, 6), st.sampled_from(NUDGES)
+)
+
+
+@st.composite
+def explicit_points(draw):
+    d = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(coords, min_size=d, max_size=d), min_size=1, max_size=30))
+    rows = np.array(rows)
+    # keep one row per rounded key, as SpectrumSet requires (explicit() would
+    # read a single d-row as d 1-d points)
+    _, first = np.unique(np.round(rows, 12) + 0.0, axis=0, return_index=True)
+    return es.SpectrumSet(rows[np.sort(first)], {"kind": "explicit"}).points
+
+
+structured_points = st.one_of(
+    st.integers(0, 12).map(lambda r: es.integer_lattice(1, r).points),
+    st.integers(0, 5).map(lambda r: es.integer_lattice(2, r).points),
+    st.integers(0, 2).map(lambda r: es.integer_lattice(3, r).points),
+    st.tuples(st.floats(-1.0, 1.0), st.floats(0.5, 1.5), st.floats(0.5, 3.0)).map(
+        lambda t: es.lattice([[1.0, t[0]], [0.0, t[1]]], t[2]).points
+    ),
+    st.integers(1, 6).map(lambda n: es.lambda4(n).points),
+)
+
+
+class TestUniqueDifferences:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(explicit_points(), structured_points))
+    def test_matches_np_unique(self, points):
+        uniq, inverse = unique_differences(points.copy())
+        ref_uniq, ref_inverse = reference_unique_differences(points)
+        assert np.array_equal(uniq, ref_uniq)
+        assert np.array_equal(np.signbit(uniq), np.signbit(ref_uniq))
+        assert np.array_equal(inverse, ref_inverse)
 
 
 class TestVerifyOnb:

@@ -175,6 +175,20 @@ MALFORMED = {
     "repdisc-unknown-mode": ("heisenberg", _set(["mode"], "zzz")),
     "non-commuting-group": ("heisenberg", _set(["group"], NON_COMMUTING)),
     "dyadic-basis-m-0": ("halfbox-frame", _set(["basis", "m"], 0)),
+    "explicit-points-string": (
+        "identity-1d", _set(["spectrum"], {"kind": "explicit", "points": "abc"})
+    ),
+    "explicit-points-ragged": (
+        "identity-1d", _set(["spectrum"], {"kind": "explicit", "points": [[1, 2], [3]]})
+    ),
+    "explicit-points-nan": (
+        "identity-1d",
+        _set(["spectrum"], {"kind": "explicit", "points": [[0.0], [float("nan")]]}),
+    ),
+    "lattice-A-string": ("identity-1d", _set(["spectrum", "A"], "x")),
+    "lattice-A-nan": ("identity-1d", _set(["spectrum", "A"], [[float("nan")]])),
+    "lattice-radius-infinite": ("identity-1d", _set(["spectrum", "radius"], float("inf"))),
+    "lattice-box-1e9": ("identity-1d", _set(["spectrum", "radius"], 1e9)),
 }
 
 

@@ -37,6 +37,22 @@ class TestLattice:
         with pytest.raises(DomainError):
             es.lattice([[1.0, 1.0], [1.0, 1.0]], 2)
 
+    @pytest.mark.parametrize(
+        "A, radius",
+        [("x", 2), ([[np.nan]], 2), ([[1.0, 2.0], [3.0]], 2), ([[1.0]], np.inf), ([[1.0]], [1, 2])],
+    )
+    def test_bad_input_rejected(self, A, radius):
+        with pytest.raises(DomainError):
+            es.lattice(A, radius)
+
+    def test_oversized_box_refused_before_allocation(self):
+        with pytest.raises(DomainError, match="coordinate box"):
+            es.lattice([[1.0]], 1e9)
+        # 1025^2 = 1,050,625 coordinates: just above the limit
+        with pytest.raises(DomainError, match="coordinate box"):
+            es.lattice(np.eye(2), 512)
+        assert es.lattice(np.eye(2), 64).size == 129**2  # the density-z2 preset
+
 
 class TestDualLattice:
     def test_identity(self):
@@ -130,6 +146,22 @@ class TestSpectrumSet:
     def test_duplicate_points_rejected(self):
         with pytest.raises(ValueError):
             es.explicit([[0.0], [0.0]])
+
+    def test_explicit_shapes(self):
+        assert es.explicit([1.0, 2.0, 3.0]).points.shape == (3, 1)
+        assert es.explicit(2.0).points.shape == (1, 1)
+        # a single d-row is one d-dimensional point, not d scalars
+        assert es.explicit([[1.0, 2.0]]).points.tolist() == [[1.0, 2.0]]
+        assert es.explicit([[0.0, 0.0]]).dim == 2
+
+    @pytest.mark.parametrize(
+        "points", ["abc", [[1, 2], [3]], [[0.0], [np.nan]], [[np.inf, 0.0]], [], [[]]]
+    )
+    def test_non_finite_or_ill_typed_points_rejected(self, points):
+        with pytest.raises(DomainError):
+            es.explicit(points)
+        with pytest.raises(DomainError):
+            es.SpectrumSet(points)
 
     def test_lattice_contains_zero(self):
         assert np.any(np.all(es.lattice(np.eye(2), 3).points == 0.0, axis=1))
