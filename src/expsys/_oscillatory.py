@@ -1,9 +1,11 @@
-"""Shared engine for batched oscillatory moments
+"""The integration engine: batched oscillatory moments
 
     integral of w_j(y) e^{sign 2 pi i lambda . phi(y)} dmu(y)
 
 over m frequencies lambda and a stack of k weights w_j at once, and the one
-place that picks the integration rule for a (measure, phase, scheme).
+place that picks the integration rule for a (measure, phase, scheme).  It is
+the only engine: Gram entries, coefficients, norms, frame matrices and plain
+`measures.integrate` calls (lambda = 0, one weight) all run through it.
 
 Each scheme builds its node set once, evaluates the phase on it once, builds
 an (n, k) weight matrix once and contracts every exp chunk with every column.
@@ -12,8 +14,9 @@ under tensor-gauss a weight with its own support box gets its own sub-box
 rule, so node sets are keyed by (support box, panel signature), and a disc
 is four polar-quadrant node sets whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
-frequencies and weights by construction.  Adaptive integrals stay one
-integral per (frequency, weight).  A pushforward psi_*mu is integrated over
+frequencies and weights by construction; the digit error adds the
+weight's finest-scale slope to the phase term.  Adaptive integrals stay one
+refinement per (frequency, weight).  A pushforward psi_*mu is integrated over
 mu with the phase and the weights evaluated at y = psi(x).
 """
 
@@ -33,7 +36,6 @@ from .measures import (
     SelfSimilar,
     box_gauss_nodes,
     digit_nodes,
-    integrate,
     panels_from_cycles,
     polar_xy,
 )
@@ -223,22 +225,29 @@ def _digit_moments(mu, psi, phi, lam, quad, sign, weights):
     pts, w, tail_width = digit_nodes(mu, quad.depth)
     y = pts if psi is None else psi(pts)
     img = phi(y)
-    vals = _contract(img, lam, sign, _weight_matrix(weights, y, w))
-    # Lipschitz tail bound through the phase: the dropped tail moves a node by
-    # at most tail_width, whose image movement is read off adjacent
-    # finest-scale enumeration nodes (enumeration order is ascending).
-    if img.shape[0] > 1:
-        dx = np.diff(pts[:, 0])
+    W = _weight_matrix(weights, y)
+    # Lipschitz tail bound: the dropped tail moves a node by at most
+    # tail_width, and |d(w e^{i theta})| <= |dw| + |w| |d e^{i theta}|; the
+    # weight's slope and the image span are read off adjacent finest-scale
+    # enumeration nodes (ascending order); column by column, so no (n, k)
+    # temporaries are made.
+    peaks = np.array([np.max(np.abs(col)) for col in W.T])
+    slopes = np.zeros(len(weights))
+    fine_span = 0.0
+    dx = np.diff(pts[:, 0])
+    if dx.size:
+        gap = np.maximum(dx, tail_width)
+        slopes = np.array([np.max(np.abs(np.diff(col)) / gap) for col in W.T])
         fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
         if np.any(fine):
             dimg = np.linalg.norm(np.diff(img, axis=0), axis=1)
             fine_span = float(np.max(dimg[fine]))
         else:
             fine_span = float(tail_width)
-    else:
-        fine_span = 0.0
-    errs = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
-    return vals, np.repeat(errs[:, None], len(weights), axis=1)
+    phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
+    errs = slopes * tail_width + peaks * phase[:, None]
+    W *= w[:, None]
+    return _contract(img, lam, sign, W), errs
 
 
 def _map_pool(fn, items, threads):
@@ -303,7 +312,18 @@ def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
 
 
 def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads):
-    """One adaptive `integrate` call per (frequency, weight) pair."""
+    """One adaptive refinement per (frequency, weight) pair.
+
+    A box starts from one cell; a disc from its four polar quadrant cells,
+    with the integrand carrying the r Jacobian.
+    """
+    polar = isinstance(mu, LebesgueDisc)
+    if polar:
+        cells = measures.disc_quadrants(mu)
+    elif isinstance(mu, LebesgueBox):
+        cells = [(mu.lo, mu.hi)]
+    else:
+        raise SchemeMismatchError(f"adaptive is not valid for measure kind {mu.kind!r}")
     k = len(weights)
 
     def one(pair):
@@ -320,7 +340,11 @@ def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads):
                 vals = np.where(_inside(y, box), vals, 0.0)
             return vals
 
-        return integrate(f, mu, quad)
+        if polar:
+            return measures._adaptive_cells(
+                lambda rt: f(polar_xy(mu.center, rt)) * rt[:, 0], cells, quad
+            )
+        return measures._adaptive_cells(f, cells, quad)
 
     results = _map_pool(one, range(lam.shape[0] * k), threads)
     vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)

@@ -272,10 +272,7 @@ def _run_repdisc(cfg, threads):
         group = _GROUP_PRESETS[group_cfg]()
     else:
         check_keys(group_cfg, ["A", "ell"], [], "repdisc group")
-        group = repdisc.GroupData(
-            matrices=tuple(tuple(map(tuple, m)) for m in group_cfg["A"]),
-            ell=tuple(group_cfg["ell"]),
-        )
+        group = repdisc.GroupData(matrices=group_cfg["A"], ell=group_cfg["ell"])
     phase = repdisc.phase_from_group(group)
     check_keys(cfg["omega"], ["lo", "hi"], [], "repdisc omega")
     ws = repdisc.WindowSystem(

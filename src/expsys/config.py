@@ -55,7 +55,7 @@ def build_measure(cfg) -> measures.Measure:
     if kind == "self_similar":
         check_keys(cfg, ["kind", "ratio", "digits"], [], "measure.self_similar")
         return measures.SelfSimilar(
-            as_scalar(cfg["ratio"], int, "measure.ratio"), [tuple(d) for d in cfg["digits"]]
+            as_scalar(cfg["ratio"], int, "measure.ratio"), cfg["digits"]
         )
     if kind == "pushforward":
         check_keys(cfg, ["kind", "base", "map"], [], "measure.pushforward")
@@ -80,11 +80,16 @@ def build_phase(cfg) -> phases.PhaseMap:
             ["depth"],
             "phase.digit_map",
         )
+        if not isinstance(cfg["digit_map"], dict):
+            raise ConfigError("phase.digit_map must be an object")
         return phases.DigitMap(
             as_scalar(cfg["in_base"], int, "phase.in_base"),
             cfg["in_digits"],
             as_scalar(cfg["out_base"], int, "phase.out_base"),
-            {as_scalar(k, int, "digit_map key"): v for k, v in cfg["digit_map"].items()},
+            {
+                as_scalar(k, int, "digit_map key"): as_scalar(v, float, "digit_map value")
+                for k, v in cfg["digit_map"].items()
+            },
             depth=as_scalar(cfg.get("depth", 30), int, "phase.depth"),
         )
     if kind == "holhos":
@@ -148,10 +153,7 @@ def build_phase(cfg) -> phases.PhaseMap:
         )
     if kind == "group_exp":
         check_keys(cfg, ["kind", "A", "ell"], [], "phase.group_exp")
-        group = repdisc.GroupData(
-            matrices=tuple(tuple(map(tuple, m)) for m in cfg["A"]),
-            ell=tuple(cfg["ell"]),
-        )
+        group = repdisc.GroupData(matrices=cfg["A"], ell=cfg["ell"])
         return repdisc.phase_from_group(group)
     raise ConfigError(f"unknown phase kind {kind!r}")
 

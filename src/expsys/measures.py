@@ -7,12 +7,15 @@ safe to share across threads.
 
 Quadrature schemes
 ------------------
+This module builds the nodes, weights and cells of each scheme; the batched
+moment engine (`_oscillatory.exp_moments`) runs them.  `integrate` is the
+engine's single-weight moment at lambda = 0.
+
 tensor-gauss        composite tensor-product Gauss-Legendre; the error estimate
-                    is the difference of two orders.  `integrate` uses one
-                    panel per dimension; the batched moment engine
-                    (`_oscillatory.exp_moments`) panelizes oscillatory
-                    exponentials as ceil(5*cycles/order), which keeps the rule
-                    in its superexponential-convergence regime.  The disc is
+                    is the difference of two orders.  Oscillatory
+                    exponentials get ceil(5*cycles/order) panels per dimension
+                    (one at lambda = 0), which keeps the rule in its
+                    superexponential-convergence regime.  The disc is
                     handled in polar coordinates over four quadrant cells.
 monte-carlo         i.i.d. sampling from the measure; error is one standard
                     error (acceptance-style checks should use 3-sigma bands).
@@ -218,9 +221,10 @@ class SelfSimilar(Measure):
         ratio = int(ratio)
         if ratio < 2:
             raise DomainError("ratio must be an integer >= 2")
-        digits = tuple((float(d), float(w)) for d, w in digits)
-        if not digits:
-            raise DomainError("at least one digit is required")
+        pairs = _finite(digits, "self-similar digits")
+        if pairs.ndim != 2 or pairs.shape[1:] != (2,) or pairs.shape[0] == 0:
+            raise DomainError("digits must be a non-empty list of (offset, weight) pairs")
+        digits = tuple((float(d), float(w)) for d, w in pairs)
         wsum = sum(w for _, w in digits)
         if abs(wsum - 1.0) > 1e-12:
             raise DomainError(f"digit weights must sum to 1 (got {wsum!r})")
@@ -364,27 +368,15 @@ def panels_from_cycles(cycles, order):
     return np.maximum(1, np.ceil(_PANEL_FACTOR * cycles / order).astype(int))
 
 
-def _check_finite(vals, where):
-    if not np.all(np.isfinite(vals.view(float) if np.iscomplexobj(vals) else vals)):
-        raise QuadratureError(f"non-finite integrand value during {where}")
-
-
 def _apply(f, pts):
     vals = np.asarray(f(pts))
     if vals.shape != (pts.shape[0],):
         raise QuadratureError(
             f"integrand returned shape {vals.shape}, expected ({pts.shape[0]},)"
         )
-    _check_finite(vals, "quadrature")
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("non-finite integrand value during quadrature")
     return vals
-
-
-def _gauss_box_integral(f, lo, hi, order, panels):
-    pts, w = box_gauss_nodes(lo, hi, order, panels)
-    lo_val = w @ _apply(f, pts)
-    pts2, w2 = box_gauss_nodes(lo, hi, order + 8, panels)
-    hi_val = w2 @ _apply(f, pts2)
-    return hi_val, abs(hi_val - lo_val)
 
 
 def disc_quadrants(mu: LebesgueDisc):
@@ -484,21 +476,6 @@ def digit_nodes(ss: SelfSimilar, depth: int):
     return pts[:, None], weights, tail_width
 
 
-def _digit_integral(f, ss, depth):
-    pts, w, tail_width = digit_nodes(ss, depth)
-    vals = _apply(f, pts)
-    value = w @ vals
-    # Lipschitz-style tail bound: finest-scale variation of the integrand
-    # times the width of the dropped tail.
-    if pts.shape[0] > 1:
-        dx = np.diff(pts[:, 0])
-        df = np.abs(np.diff(vals))
-        slope = np.max(df / np.maximum(dx, tail_width)) if dx.size else 0.0
-    else:
-        slope = 0.0
-    return value, float(slope * tail_width)
-
-
 # ---------------------------------------------------------------------------
 # integrate
 # ---------------------------------------------------------------------------
@@ -508,63 +485,26 @@ def integrate(f, mu: Measure, quad: QuadratureSpec):
     """Approximate integral of f over mu: returns (value, err_estimate).
 
     f must be vectorized: it receives an (n, dim) array and returns (n,)
-    values (real or complex).
+    values (real or complex); a real f gives a real value.  This is the
+    lambda = 0, single-weight moment of `_oscillatory.exp_moments`, so every
+    scheme and measure kind runs through the one engine.
     """
-    scheme = quad.scheme
+    # lazy: _oscillatory imports this module
+    from ._oscillatory import exp_moments
+    from .phases import Identity
 
-    if isinstance(mu, PushforwardMeasure):
-        phi = mu.map
-        return integrate(lambda x: f(phi(x)), mu.base, quad)
+    seen_complex = []
 
-    if isinstance(mu, SelfSimilar):
-        if scheme == "self-similar-digit":
-            return _digit_integral(f, mu, quad.depth)
-        if scheme == "monte-carlo":
-            return _mc_integral(f, mu, quad)
-        raise SchemeMismatchError(
-            f"{scheme} is not valid for self-similar measures; "
-            "use self-similar-digit or monte-carlo"
-        )
+    def checked(pts):
+        vals = _apply(f, pts)
+        seen_complex.append(np.iscomplexobj(vals))
+        return vals
 
-    if scheme == "self-similar-digit":
-        raise SchemeMismatchError("self-similar-digit is only valid for SelfSimilar")
-
-    if isinstance(mu, LebesgueBox):
-        if scheme == "monte-carlo":
-            return _mc_integral(f, mu, quad)
-        if scheme == "tensor-gauss":
-            return _gauss_box_integral(
-                f, mu.lo, mu.hi, quad.order, np.ones(mu.dim, dtype=int)
-            )
-        return _adaptive_cells(f, [(mu.lo, mu.hi)], quad)
-
-    if isinstance(mu, LebesgueDisc):
-        if scheme == "monte-carlo":
-            return _mc_integral(f, mu, quad)
-        g = lambda rt: np.asarray(f(polar_xy(mu.center, rt))) * rt[:, 0]
-        if scheme == "tensor-gauss":
-            parts = [
-                _gauss_box_integral(g, lo, hi, quad.order, np.ones(2, dtype=int))
-                for lo, hi in disc_quadrants(mu)
-            ]
-            return sum(v for v, _ in parts), sum(e for _, e in parts)
-        return _adaptive_cells(g, disc_quadrants(mu), quad)
-
-    raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")
-
-
-def _mc_integral(f, mu, quad):
-    rng = spawn_rng(quad.seed, "mc-integrate", mu.kind)
-    pts = mu._sample(quad.n_samples, rng, quad.depth)
-    vals = _apply(f, pts)
-    mean = vals.mean()
-    n = vals.shape[0]
-    if np.iscomplexobj(vals):
-        var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-    else:
-        var = vals.var(ddof=1)
-    se = math.sqrt(var / n)
-    return mu.total_mass * mean, mu.total_mass * se
+    vals, errs = exp_moments(
+        mu, Identity(mu.dim), np.zeros((1, mu.dim)), quad, weights=[(checked, None)]
+    )
+    value = vals[0, 0] if any(seen_complex) else vals[0, 0].real
+    return value, errs[0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +574,13 @@ def validate_product_formula(ss: SelfSimilar, trunc: int = 40) -> float:
     xi = np.array(_GATE_XI)
     prod = _selfsimilar_product(ss, xi, trunc)
 
+    # one depth-30 node set, all three frequencies in one product
+    nodes, w, _ = digit_nodes(ss, 30)
+    Z = 2j * np.pi * xi * nodes
+    enum = w @ np.exp(Z, out=Z)
+    del nodes, w, Z  # free the 2^20-node arrays before the 6M-sample oracle
     worst = 0.0
-    for x, p in zip(xi, prod):
-        enum_val, _ = _digit_integral(
-            lambda pts: np.exp(2j * np.pi * x * pts[:, 0]), ss, 30
-        )
+    for x, p, enum_val in zip(xi, prod, enum):
         resid = abs(p - enum_val)
         worst = max(worst, resid)
         if resid > _GATE_ENUM_TOL:

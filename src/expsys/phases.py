@@ -128,7 +128,10 @@ class DigitMap(PhaseMap):
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
         self.in_base = int(in_base)
         self.out_base = int(out_base)
-        self.in_digits = tuple(int(d) for d in in_digits)
+        digits = measures._finite(in_digits, "digit map in_digits")
+        if digits.ndim != 1 or np.any(digits != np.round(digits)):
+            raise DomainError("in_digits must be a list of integers")
+        self.in_digits = tuple(int(d) for d in digits)
         self.digit_map = {int(k): float(v) for k, v in dict(digit_map).items()}
         self.depth = int(depth)
         if self.in_base < 2 or self.out_base < 2:

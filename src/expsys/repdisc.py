@@ -22,7 +22,7 @@ import scipy.linalg
 
 from . import analysis
 from .errors import DomainError
-from .measures import LebesgueBox, QuadratureSpec
+from .measures import LebesgueBox, QuadratureSpec, _finite
 from .phases import PhaseMap
 from .spectra import SpectrumSet
 
@@ -35,7 +35,7 @@ class GroupData:
     ell: tuple
 
     def __post_init__(self):
-        mats = np.asarray(self.matrices, dtype=float)
+        mats = _finite(self.matrices, "group matrices")
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise DomainError("matrices must be a stack of square matrices")
         worst = 0.0
@@ -47,7 +47,7 @@ class GroupData:
             raise DomainError(
                 f"generator matrices must pairwise commute (residual {worst:.3e})"
             )
-        ell = np.asarray(self.ell, dtype=float)
+        ell = _finite(self.ell, "group ell")
         if ell.shape != (mats.shape[1],):
             raise DomainError("ell must match the matrix dimension")
         object.__setattr__(
@@ -148,10 +148,10 @@ class WindowSystem:
     phase: PhaseMap
 
     def __post_init__(self):
-        self.omega_lo = np.atleast_1d(np.asarray(self.omega_lo, dtype=float))
-        self.omega_hi = np.atleast_1d(np.asarray(self.omega_hi, dtype=float))
-        self.gamma_set = np.atleast_2d(np.asarray(self.gamma_set, dtype=float))
-        if self.gamma_set.shape[1] != self.omega_lo.size:
+        omega = LebesgueBox(self.omega_lo, self.omega_hi)  # checks the window
+        self.omega_lo, self.omega_hi = omega.lo, omega.hi
+        self.gamma_set = np.atleast_2d(_finite(self.gamma_set, "gamma translations"))
+        if self.gamma_set.ndim != 2 or self.gamma_set.shape[1] != self.omega_lo.size:
             raise DomainError("gamma translations must match the window dimension")
         if self.phase.in_dim != self.omega_lo.size:
             raise DomainError("phase domain must match the window dimension")
@@ -277,8 +277,10 @@ def verify_system_on_window(
     """
     if quad is None:
         quad = QuadratureSpec("tensor-gauss", order=48)
-    window_lo = np.atleast_1d(np.asarray(window[0], dtype=float))
-    window_hi = np.atleast_1d(np.asarray(window[1], dtype=float))
+    window_lo = np.atleast_1d(_finite(window[0], "verification window lo"))
+    window_hi = np.atleast_1d(_finite(window[1], "verification window hi"))
+    if window_lo.shape != ws.omega_lo.shape or window_hi.shape != ws.omega_lo.shape:
+        raise DomainError("verification window must match the window dimension")
     gammas = _select_gammas(ws, window_lo, window_hi)
     lo, hi = ws.omega
     block_measure = LebesgueBox(lo, hi)

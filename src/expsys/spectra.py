@@ -11,7 +11,7 @@ from .errors import DomainError
 from .measures import _finite
 from .seeding import spawn_rng
 
-# lattice() refuses coordinate boxes with more integer points than this
+# lattice() and window_count() refuse to enumerate more points than this
 MAX_LATTICE_BOX = 1 << 20
 
 
@@ -150,21 +150,27 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
     """Count of spectrum points in the half-open box [lo, hi).
 
     Generator-backed sets (lattice, lambda4) are enumerated lazily inside the
-    window; explicit sets must have a truncation covering the window.
+    window; explicit sets must have a truncation covering the window.  A
+    non-finite window, or one whose enumeration would exceed MAX_LATTICE_BOX
+    points, raises DomainError before anything is enumerated.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float))
-    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    d = spectrum.dim
+    lo = np.atleast_1d(_finite(lo, "window lo"))
+    hi = np.atleast_1d(_finite(hi, "window hi"))
+    if lo.shape != (d,) or hi.shape != (d,):
+        raise DomainError(f"window corners must be {d}-vectors")
     kind = spectrum.generator.get("kind")
     if kind == "lattice":
         A = np.asarray(spectrum.generator["A"], dtype=float)
-        d = A.shape[0]
         corners = np.stack(
             np.meshgrid(*[(lo[i], hi[i]) for i in range(d)], indexing="ij"), axis=-1
         ).reshape(-1, d)
         Kc = corners @ np.linalg.inv(A).T
-        klo = np.floor(Kc.min(axis=0)).astype(int) - 1
-        khi = np.ceil(Kc.max(axis=0)).astype(int) + 1
-        ranges = [np.arange(klo[i], khi[i] + 1) for i in range(d)]
+        klo = np.floor(Kc.min(axis=0)) - 1
+        khi = np.ceil(Kc.max(axis=0)) + 1
+        if not np.prod(khi - klo + 1) <= MAX_LATTICE_BOX:  # also refuses NaN
+            raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lattice points")
+        ranges = [np.arange(int(klo[i]), int(khi[i]) + 1) for i in range(d)]
         K = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
         pts = K @ A.T
         inside = np.all((pts >= lo - 1e-12) & (pts < hi - 1e-12), axis=1)
@@ -172,11 +178,14 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
     if kind == "lambda4":
         # every element with a digit at 4^i >= hi exceeds hi, so enumerating
         # the levels with 4^i < hi is exact for any window below hi
+        levels = 0
+        while levels < 31 and 4**levels < hi[0]:
+            levels += 1
+        if 2**levels > MAX_LATTICE_BOX:
+            raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lambda4 points")
         vals = np.zeros(1, dtype=np.int64)
-        i = 0
-        while i < 31 and 4**i < hi[0]:
+        for i in range(levels):
             vals = np.concatenate([vals, vals + 4**i])
-            i += 1
         vals = vals.astype(float)
         return int(np.count_nonzero((vals >= lo[0] - 1e-12) & (vals < hi[0] - 1e-12)))
     pts = spectrum.points
@@ -201,14 +210,21 @@ def beurling_density(
     For each window side R, reports max/min over centers of
     #(spectrum in x + [-R/2, R/2)^d) / R^d.  Windows are half-open; the
     empirical max is a lower bound on the true sup and the empirical min an
-    upper bound on the true inf.
+    upper bound on the true inf.  Window sides must be finite and positive.
     """
     d = spectrum.dim
+    sides = _finite(windows, "density windows")
+    if sides.ndim != 1 or np.any(sides <= 0):
+        raise DomainError("density windows must be a list of positive numbers")
+    if n_centers < 1:
+        raise DomainError("n_centers must be >= 1")
     rng = spawn_rng(seed, "beurling-centers")
     if centers_box is None:
         centers_box = (np.full(d, -10.0), np.full(d, 10.0))
-    clo = np.atleast_1d(np.asarray(centers_box[0], dtype=float))
-    chi = np.atleast_1d(np.asarray(centers_box[1], dtype=float))
+    clo = np.atleast_1d(_finite(centers_box[0], "centers_box lo"))
+    chi = np.atleast_1d(_finite(centers_box[1], "centers_box hi"))
+    if clo.shape != (d,) or chi.shape != (d,):
+        raise DomainError(f"centers_box corners must be {d}-vectors")
     centers = clo + rng.random((n_centers, d)) * (chi - clo)
     centers = np.vstack([np.zeros(d), centers])
     d_plus = []

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InversionError
-from .measures import LebesgueBox
+from .measures import LebesgueBox, _finite
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
 
@@ -72,10 +72,12 @@ def frac_histogram_test(
 
     lo, hi = _as_box(box)
     d = lo.size
+    if bins < 1:
+        raise DomainError("bins must be >= 1")
     cells = bins**d
     if n < 10 * cells:
         raise DomainError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
-    A = np.atleast_2d(np.asarray(lattice_A, dtype=float))
+    A = _as_lattice(lattice_A, d)
     rng = spawn_rng(seed, "frac-histogram")
     pts = lo + rng.random((n, d)) * (hi - lo)
     img = phi(pts)
@@ -239,7 +241,7 @@ def tiling_verdict(
     """
     lo, hi = _as_box(box)
     d = lo.size
-    A = np.atleast_2d(np.asarray(lattice_A, dtype=float))
+    A = _as_lattice(lattice_A, d)
     vol = float(np.prod(hi - lo))
 
     hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
@@ -293,10 +295,14 @@ def tiling_verdict(
 
 
 def _as_box(box):
-    if isinstance(box, LebesgueBox):
-        return box.support_box()
-    lo, hi = box
-    return (
-        np.atleast_1d(np.asarray(lo, dtype=float)),
-        np.atleast_1d(np.asarray(hi, dtype=float)),
-    )
+    """(lo, hi) of a LebesgueBox or a (lo, hi) pair, checked as LebesgueBox does."""
+    if not isinstance(box, LebesgueBox):
+        box = LebesgueBox(*box)
+    return box.support_box()
+
+
+def _as_lattice(lattice_A, d):
+    A = np.atleast_2d(_finite(lattice_A, "lattice A"))
+    if A.shape != (d, d) or abs(np.linalg.det(A)) < 1e-14:
+        raise DomainError(f"lattice A must be a nonsingular {d}x{d} matrix")
+    return A

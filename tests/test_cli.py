@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -189,6 +190,26 @@ MALFORMED = {
     "lattice-A-nan": ("identity-1d", _set(["spectrum", "A"], [[float("nan")]])),
     "lattice-radius-infinite": ("identity-1d", _set(["spectrum", "radius"], float("inf"))),
     "lattice-box-1e9": ("identity-1d", _set(["spectrum", "radius"], 1e9)),
+    "self-similar-digits-string": ("cantor3", _set(["measure", "digits"], "ab")),
+    "digit-map-in-digits-string": ("cantor4", _set(["phase", "in_digits"], "ab")),
+    "digit-map-not-an-object": ("cantor4", _set(["phase", "digit_map"], "x")),
+    "repdisc-window-lo-string": ("heisenberg", _set(["window", "lo"], "x")),
+    "repdisc-gamma-string": ("heisenberg", _set(["gamma"], "x")),
+    "repdisc-group-A-string": ("heisenberg", _set(["group"], {"A": "x", "ell": [1.0, 0.0]})),
+    "tiling-box-lo-string": ("unipotent-tiling", _set(["box", "lo"], "x")),
+    "tiling-lattice-A-string": ("unipotent-tiling", _set(["lattice", "A"], "x")),
+    "tiling-bins-0": ("unipotent-tiling", _set(["bins"], 0)),
+    "density-centers-lo-string": (
+        "density-z2", _set(["centers_box"], {"lo": "a", "hi": [1.0, 1.0]})
+    ),
+    "density-n-centers-negative": ("density-z2", _set(["n_centers"], -1)),
+    "density-window-nan": ("density-z2", _set(["windows"], [float("nan")])),
+    "density-window-zero": ("density-z2", _set(["windows"], [0])),
+    "density-window-negative": ("density-z2", _set(["windows"], [-5])),
+    "density-window-infinite": ("density-z2", _set(["windows"], [float("inf")])),
+    # 1e10 lattice points / 2^30 lambda4 points: refused before enumeration
+    "density-lattice-window-1e5": ("density-z2", _set(["windows"], [1e5])),
+    "density-lambda4-window-1e18": ("density-lambda4", _set(["windows"], [1e18])),
 }
 
 
@@ -199,9 +220,12 @@ def test_malformed_config_exits_three(tmp_path, capsys, case):
     mutate(cfg)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    assert run([PRESETS[preset]["command"], "--config", str(path)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run([PRESETS[preset]["command"], "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_python_dash_m_lists_presets():
@@ -269,6 +293,20 @@ class TestSpecCliExamples:
         from expsys.cli import serialize_report
 
         assert serialize_report(rep1) == serialize_report(rep2)
+
+    def test_threads_flag_deterministic_on_adaptive_disc(self, tmp_path):
+        # holhos-disc is the one preset whose moments run the threaded
+        # adaptive path
+        reps = [
+            run_to_file(
+                tmp_path,
+                ["verify-onb", "--preset", "holhos-disc", "--threads", t],
+                f"t{t}.json",
+            )
+            for t in ("1", "2")
+        ]
+        assert reps[0][0] == reps[1][0] == 2
+        assert serialize_report(reps[0][1]) == serialize_report(reps[1][1])
 
     def test_gram_csv_artifact(self, tmp_path):
         cfg = json.loads(json.dumps(PRESETS["identity-1d"]["config"]))

@@ -66,6 +66,53 @@ class TestIntegrate:
         with pytest.raises(QuadratureError):
             es.integrate(bad, unit_box(), es.gauss(8))
 
+    @pytest.mark.parametrize(
+        "mu, quad",
+        [
+            (es.LebesgueBox([0.0], [1.0]), es.monte_carlo(1000, seed=2)),
+            (es.middle_fourth_cantor(), es.digit(depth=8)),
+            (es.LebesgueBox([0.0, 0.0], [1.0, 2.0]), es.adaptive(abs_tol=1e-8)),
+            (es.LebesgueDisc([0.0, 0.0], 1.0), es.adaptive(abs_tol=1e-8)),
+        ],
+        ids=["monte-carlo", "self-similar-digit", "adaptive-box", "adaptive-disc"],
+    )
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda x: np.full(x.shape[0], np.nan), lambda x: np.ones((x.shape[0], 2))],
+        ids=["nan", "wrong-shape"],
+    )
+    def test_bad_integrand_raises_under_every_scheme(self, mu, quad, bad):
+        with pytest.raises(QuadratureError):
+            es.integrate(bad, mu, quad)
+
+    def test_digit_error_is_the_slope_bound(self):
+        # max |f(x_{k+1}) - f(x_k)| / max(dx_k, tail) over adjacent nodes, times tail
+        nu4 = es.middle_fourth_cantor()
+        f = lambda x: np.sin(7 * x[:, 0]) + x[:, 0] ** 2
+        for depth in (6, 10):
+            pts, _, tail = digit_nodes(nu4, depth)
+            vals = f(pts)
+            slope = np.max(np.abs(np.diff(vals)) / np.maximum(np.diff(pts[:, 0]), tail))
+            _, err = es.integrate(f, nu4, es.digit(depth=depth))
+            assert err == slope * tail > 0
+
+    @pytest.mark.parametrize(
+        "mu, quad",
+        [
+            (es.LebesgueBox([0.0], [1.0]), es.gauss(16)),
+            (es.LebesgueBox([0.0], [1.0]), es.monte_carlo(1000, seed=2)),
+            (es.middle_third_cantor(), es.digit(depth=8)),
+            (es.LebesgueDisc([0.0, 0.0], 1.0), es.adaptive(abs_tol=1e-8)),
+            (es.LebesgueDisc([0.0, 0.0], 1.0), es.gauss(16)),
+        ],
+        ids=["gauss", "monte-carlo", "digit", "adaptive-disc", "gauss-disc"],
+    )
+    def test_real_integrand_gives_real_value(self, mu, quad):
+        val, err = es.integrate(lambda x: x[:, 0] ** 2 + 1.0, mu, quad)
+        assert not np.iscomplexobj(val) and np.isfinite(val) and err >= 0
+        val, _ = es.integrate(lambda x: np.exp(1j * x[:, 0]), mu, quad)
+        assert np.iscomplexobj(val)
+
     def test_digit_depth_agreement_invariant(self):
         # depth D vs D+5 within 2 pi |xi| * tail width of depth D
         nu4 = es.middle_fourth_cantor()

@@ -135,6 +135,29 @@ class TestBeurlingDensity:
             assert abs(dp - target) <= bound
             assert abs(dm - target) <= bound
 
+    def test_oversized_window_refused_before_enumeration(self):
+        # 10^10 lattice points and 2^30 lambda4 points
+        with pytest.raises(DomainError):
+            es.window_count(es.lattice(np.eye(2), 4), [-5e4, -5e4], [5e4, 5e4])
+        with pytest.raises(DomainError):
+            es.window_count(es.lambda4(8), [0.0], [1e18])
+        # the largest lambda4 window still enumerated: 2^20 points below 4^20
+        assert es.window_count(es.lambda4(8), [0.0], [float(4**20)]) == 2**20
+
+    @pytest.mark.parametrize("side", [np.nan, 0.0, -5.0, np.inf])
+    def test_bad_window_sides_rejected(self, side):
+        with pytest.raises(DomainError):
+            es.beurling_density(es.lattice(np.eye(2), 8), [10.0, side])
+
+    def test_bad_centers_rejected(self):
+        spec = es.lattice(np.eye(2), 8)
+        with pytest.raises(DomainError):
+            es.beurling_density(spec, [4.0], n_centers=0)
+        with pytest.raises(DomainError):
+            es.beurling_density(spec, [4.0], centers_box=("a", [1.0, 1.0]))
+        with pytest.raises(DomainError):
+            es.window_count(spec, [np.nan, 0.0], [1.0, 1.0])
+
     def test_explicit_window_guard(self):
         spec = es.explicit([[-1.0], [0.0], [1.0]])
         object.__setattr__(spec, "truncation", 1.0)
