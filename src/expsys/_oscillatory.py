@@ -1,8 +1,9 @@
 """The integration engine: batched oscillatory moments
 
-    integral of w_j(y) e^{sign 2 pi i lambda . phi(y)} dmu(y)
+    integral of w_j(y) e^{2 pi i lambda . phi(y)} dmu(y)
 
-over m frequencies lambda and a stack of k weights w_j at once, and the one
+over m signed frequencies lambda and a stack of k weights w_j at once (a
+coefficient of f is the f-weighted moment at -lambda), and the one
 place that picks the integration rule for a (measure, phase, scheme).  It is
 the only engine: Gram entries, coefficients, norms, frame matrices and plain
 `measures.integrate` calls (lambda = 0, one weight) all run through it.
@@ -42,6 +43,8 @@ from .measures import (
 from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
+# larger (n, k) weight stacks are refused before they are built: 1 GiB of float64
+_MAX_WEIGHT_ENTRIES = 1 << 27
 
 
 def _chunk_size(n_nodes, n_weights=1):
@@ -135,7 +138,6 @@ def exp_moments(
     phi,
     lambdas,
     quad: QuadratureSpec,
-    sign=1,
     weights=(None,),
     threads=1,
     strict=True,
@@ -147,6 +149,7 @@ def exp_moments(
     the constant 1); `support_box` (lo, hi) restricts the weight to a box.
     Under tensor-gauss the box must be a sub-box of a LebesgueBox measure and
     gets its own rule; other schemes mask nodes or samples outside it.
+    With `strict`, any non-finite value raises QuadratureError.
     """
     base, psi = _unwrap(mu)
     weights = [(None, None) if w is None else tuple(w) for w in weights]
@@ -157,16 +160,18 @@ def exp_moments(
         )
 
     if quad.scheme == "monte-carlo":
-        return _mc_moments(base, psi, phi, lam, quad, sign, weights)
-    if quad.scheme == "self-similar-digit":
+        vals, errs = _mc_moments(base, psi, phi, lam, quad, weights)
+    elif quad.scheme == "self-similar-digit":
         if not isinstance(base, SelfSimilar):
-            raise SchemeMismatchError(
-                "self-similar-digit is only valid for SelfSimilar measures"
-            )
-        return _digit_moments(base, psi, phi, lam, quad, sign, weights)
-    if quad.scheme == "tensor-gauss":
-        return _gauss_moments(base, psi, phi, lam, quad, sign, weights, threads, strict)
-    return _per_integral(base, psi, phi, lam, quad, sign, weights, threads)
+            raise SchemeMismatchError("self-similar-digit is only valid for SelfSimilar measures")
+        vals, errs = _digit_moments(base, psi, phi, lam, quad, weights)
+    elif quad.scheme == "tensor-gauss":
+        vals, errs = _gauss_moments(base, psi, phi, lam, quad, weights, threads)
+    else:
+        vals, errs = _per_integral(base, psi, phi, lam, quad, weights, threads)
+    if strict and not np.all(np.isfinite(vals)):
+        raise QuadratureError(f"non-finite value in {quad.scheme} moments")
+    return vals, errs
 
 
 def _inside(y, box):
@@ -176,7 +181,10 @@ def _inside(y, box):
 
 def _weight_matrix(weights, y, node_weights=None):
     """(n, k) weight values at y, zero outside each support box, times node weights."""
-    W = np.empty((y.shape[0], len(weights)))
+    n, k = y.shape[0], len(weights)
+    if n * k > _MAX_WEIGHT_ENTRIES:
+        raise DomainError(f"{n} x {k} weight stack above {_MAX_WEIGHT_ENTRIES} entries")
+    W = np.empty((n, k))
     for j, (fn, box) in enumerate(weights):
         col = 1.0 if fn is None else np.asarray(fn(y))
         if np.iscomplexobj(col) and not np.iscomplexobj(W):
@@ -189,8 +197,8 @@ def _weight_matrix(weights, y, node_weights=None):
     return W
 
 
-def _contract(img, lam, sign, W):
-    """(m, k) sums over nodes of W[:, j] e^{sign 2 pi i lambda . img}."""
+def _contract(img, lam, W):
+    """(m, k) sums over nodes of W[:, j] e^{2 pi i lambda . img}."""
     n, k = W.shape
     out = np.empty((lam.shape[0], k), dtype=complex)
     step = _chunk_size(n, k)
@@ -198,7 +206,7 @@ def _contract(img, lam, sign, W):
         rows = slice(start, start + step)
         Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
         Z.imag = img @ lam[rows].T
-        Z.imag *= sign * 2 * np.pi
+        Z.imag *= 2 * np.pi
         np.exp(Z, out=Z)
         if np.iscomplexobj(W):
             out[rows] = (W.T @ Z).T
@@ -207,13 +215,13 @@ def _contract(img, lam, sign, W):
     return out
 
 
-def _mc_moments(mu, psi, phi, lam, quad, sign, weights):
+def _mc_moments(mu, psi, phi, lam, quad, weights):
     rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
     pts = mu._sample(quad.n_samples, rng, quad.depth)
     y = pts if psi is None else psi(pts)
     W = _weight_matrix(weights, y)
     n = pts.shape[0]
-    mean = _contract(phi(y), lam, sign, W) / n
+    mean = _contract(phi(y), lam, W) / n
     # per-column sample variance of w e^{i theta}; |e^{i theta}| == 1, so
     # sum |w z - mean|^2 == sum |w|^2 - n |mean|^2
     sq = np.sum(np.abs(W) ** 2, axis=0)
@@ -221,7 +229,7 @@ def _mc_moments(mu, psi, phi, lam, quad, sign, weights):
     return mu.total_mass * mean, mu.total_mass * np.sqrt(var / n)
 
 
-def _digit_moments(mu, psi, phi, lam, quad, sign, weights):
+def _digit_moments(mu, psi, phi, lam, quad, weights):
     pts, w, tail_width = digit_nodes(mu, quad.depth)
     y = pts if psi is None else psi(pts)
     img = phi(y)
@@ -247,7 +255,7 @@ def _digit_moments(mu, psi, phi, lam, quad, sign, weights):
     phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
     errs = slopes * tail_width + peaks * phase[:, None]
     W *= w[:, None]
-    return _contract(img, lam, sign, W), errs
+    return _contract(img, lam, W), errs
 
 
 def _map_pool(fn, items, threads):
@@ -257,7 +265,7 @@ def _map_pool(fn, items, threads):
     return [fn(it) for it in items]
 
 
-def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
+def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     boxes: dict = {}  # support box (lo + hi flattened) -> weight columns
     for j, (_, box) in enumerate(weights):
         key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
@@ -296,7 +304,7 @@ def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
                 if polar:
                     pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
                 y = pts if psi is None else psi(pts)
-                passes.append(_contract(phi(y), lam[idx], sign, _weight_matrix(fns, y, w)))
+                passes.append(_contract(phi(y), lam[idx], _weight_matrix(fns, y, w)))
             total = total + passes[1]
             err = err + np.abs(passes[1] - passes[0])
         return total, err
@@ -306,12 +314,10 @@ def _gauss_moments(mu, psi, phi, lam, quad, sign, weights, threads, strict):
     for (_, _, idx, cols), (total, err) in zip(items, _map_pool(run_group, items, threads)):
         vals[np.ix_(idx, cols)] = total
         errs[np.ix_(idx, cols)] = err
-    if strict and not np.all(np.isfinite(vals)):
-        raise QuadratureError("non-finite value in batched Gauss moments")
     return vals, errs
 
 
-def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads):
+def _per_integral(mu, psi, phi, lam, quad, weights, threads):
     """One adaptive refinement per (frequency, weight) pair.
 
     A box starts from one cell; a disc from its four polar quadrant cells,
@@ -328,17 +334,11 @@ def _per_integral(mu, psi, phi, lam, quad, sign, weights, threads):
 
     def one(pair):
         i, j = divmod(pair, k)
-        fn, box = weights[j]
-        lam_row = lam[i]
 
         def f(pts):
             y = pts if psi is None else psi(pts)
-            vals = np.exp(sign * 2j * np.pi * (phi(y) @ lam_row))
-            if fn is not None:
-                vals = vals * fn(y)
-            if box is not None:
-                vals = np.where(_inside(y, box), vals, 0.0)
-            return vals
+            w = _weight_matrix(weights[j : j + 1], y)[:, 0]
+            return np.exp(2j * np.pi * (phi(y) @ lam[i])) * w
 
         if polar:
             return measures._adaptive_cells(

@@ -19,7 +19,7 @@ import numpy as np
 from . import measures, phases
 from ._oscillatory import _inside, effective_pair, exp_moments, measure_rule, rule_for
 from .errors import DomainError, QuadratureError
-from .measures import QuadratureSpec, integrate
+from .measures import QuadratureSpec
 from .spectra import SpectrumSet, lattice, unique_rows
 
 PASS = "PASS"
@@ -96,7 +96,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
         vals, errs = measures.selfsimilar_moments(reduced, uniq[:, 0], trunc)
         path = "product-formula"
     else:
-        vals, errs = exp_moments(eff_mu, eff_phi, uniq, quad, sign=1, threads=threads)
+        vals, errs = exp_moments(eff_mu, eff_phi, uniq, quad, threads=threads)
         vals, errs = vals[:, 0], errs[:, 0]
         path = "quadrature"
 
@@ -238,14 +238,9 @@ def verify_onb(
     if not battery:
         raise DomainError("test_functions must be nonempty")
     cquad = rule_for(mu, phi, quad)
-    coeffs, _ = exp_moments(
-        mu,
-        phi,
-        spectrum.points,
-        cquad,
-        sign=-1,
-        weights=[(tf.fn, tf.support_box) for tf in battery],
-        threads=threads,
+    coeffs, _ = exp_moments(  # c_lambda is the f-weighted moment at -lambda
+        mu, phi, -spectrum.points, cquad,
+        weights=[(tf.fn, tf.support_box) for tf in battery], threads=threads,
     )
     # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports
     norm_sq = [tf.norm_sq for tf in battery]
@@ -400,14 +395,9 @@ def frame_bounds(
                 f"test basis is not orthonormal: residual {resid:.3e} > 1e-10"
             )
     lam = spectrum.points
-    T, _ = exp_moments(  # (|Lambda|, M)
-        mu,
-        phi,
-        lam,
-        quad,
-        sign=-1,
-        weights=[(tf.fn, tf.support_box) for tf in test_basis.functions],
-        threads=threads,
+    T, _ = exp_moments(  # (|Lambda|, M): <psi_j, e_lambda o phi> at -lambda
+        mu, phi, -lam, quad,
+        weights=[(tf.fn, tf.support_box) for tf in test_basis.functions], threads=threads,
     )
     from scipy.linalg import svd
 
@@ -427,15 +417,24 @@ def frame_bounds(
 
 
 def _basis_orthonormality_residual(mu, test_basis, quad):
+    """max |<psi_i, psi_j> - delta_ij| from one stack of products psi_i conj(psi_j)."""
+
     def masked(tf, x):
         v = np.asarray(tf.fn(x))
         return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
 
     fns = test_basis.functions
+    pairs = list(combinations_with_replacement(range(len(fns)), 2))
+    products = [
+        (lambda x, a=fns[i], b=fns[j]: masked(a, x) * np.conj(masked(b, x)), None)
+        for i, j in pairs
+    ]
+    vals, _ = exp_moments(
+        mu, phases.Identity(mu.dim), np.zeros((1, mu.dim)), measure_rule(mu, quad),
+        weights=products,
+    )
     Gpsi = np.zeros((len(fns), len(fns)), dtype=complex)
-    for i, j in combinations_with_replacement(range(len(fns)), 2):
-        prod = lambda x, a=fns[i], b=fns[j]: masked(a, x) * np.conj(masked(b, x))
-        val, _ = integrate(prod, mu, measure_rule(mu, quad))
+    for (i, j), val in zip(pairs, vals[0]):
         Gpsi[i, j], Gpsi[j, i] = val, np.conj(val)
     return float(np.max(np.abs(Gpsi - np.eye(len(fns)))))
 
@@ -463,6 +462,6 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
         raise DomainError("truncation too small to compare any pair")
     uniq, _ = unique_differences(lam.points)
     conj_phase = phases.compose(phases.Affine(M), phi)
-    g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, sign=1, threads=threads)
-    g_base, _ = exp_moments(mu, phi, uniq @ M, quad, sign=1, threads=threads)
+    g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, threads=threads)
+    g_base, _ = exp_moments(mu, phi, uniq @ M, quad, threads=threads)
     return float(np.max(np.abs(g_conj[:, 0] - g_base[:, 0])))

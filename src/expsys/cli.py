@@ -94,6 +94,15 @@ def _seed(cfg):
     return as_scalar(cfg.get("seed", 0), int, "seed")
 
 
+def _system(cfg):
+    """(mu, phi, spectrum, quad) of a config, built in that order after its seed."""
+    seed = _seed(cfg)
+    mu = build_measure(cfg["measure"])
+    phi = build_phase(cfg["phase"])
+    spectrum = build_spectrum(cfg["spectrum"])
+    return mu, phi, spectrum, _quad_with_seed(cfg["quad"], seed)
+
+
 def _battery(name, mu):
     if name == "default":
         return analysis.default_test_battery(mu)
@@ -114,11 +123,7 @@ def _run_verify_onb(cfg, threads):
         ["seed", "out", "csv", "tol_orth", "tol_complete", "battery"],
         "verify-onb config",
     )
-    seed = _seed(cfg)
-    mu = build_measure(cfg["measure"])
-    phi = build_phase(cfg["phase"])
-    spectrum = build_spectrum(cfg["spectrum"])
-    quad = _quad_with_seed(cfg["quad"], seed)
+    mu, phi, spectrum, quad = _system(cfg)
     battery = _battery(cfg.get("battery", "default"), mu)
     report = analysis.verify_onb(
         mu,
@@ -143,11 +148,7 @@ def _run_frame_bounds(cfg, threads):
         ["seed", "out", "basis", "min_ratio"],
         "frame-bounds config",
     )
-    seed = _seed(cfg)
-    mu = build_measure(cfg["measure"])
-    phi = build_phase(cfg["phase"])
-    spectrum = build_spectrum(cfg["spectrum"])
-    quad = _quad_with_seed(cfg["quad"], seed)
+    mu, phi, spectrum, quad = _system(cfg)
     basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
     check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
     m = as_scalar(basis_cfg["m"], int, "basis.m")
@@ -226,11 +227,7 @@ def _run_reconstruct(cfg, threads):
         ["seed", "out", "csv"],
         "reconstruct config",
     )
-    seed = _seed(cfg)
-    mu = build_measure(cfg["measure"])
-    phi = build_phase(cfg["phase"])
-    spectrum = build_spectrum(cfg["spectrum"])
-    quad = _quad_with_seed(cfg["quad"], seed)
+    mu, phi, spectrum, quad = _system(cfg)
     f = expression_on_points(parse_expression(cfg["f"]))
     coeffs = reconstruct.coefficients(f, mu, phi, spectrum, quad, threads=threads)
     g = reconstruct.synthesize(coeffs.values, phi, spectrum)

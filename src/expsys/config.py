@@ -7,11 +7,13 @@ x1..x8, arithmetic, sin cos exp log sqrt abs sgn, pi, e).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import measures, phases, repdisc, spectra
 from .errors import ConfigError
-from .expr import parse_expression
+from .expr import expression_on_points, parse_expression
 
 
 def check_keys(cfg: dict, required, optional, where):
@@ -27,12 +29,16 @@ def check_keys(cfg: dict, required, optional, where):
 
 
 def as_scalar(value, kind, what):
-    """kind(value) for kind int or float; ConfigError when it does not convert."""
+    """kind(value) for kind int or float; ConfigError when it does not convert,
+    when an int field gets a non-integral number or a float field a non-finite one."""
     try:
-        return kind(value)
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
-        noun = "an integer" if kind is int else "a number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}") from None
+        out = None
+    if out is None or not math.isfinite(out) or (isinstance(value, float) and out != value):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return out
 
 
 def _expr_fn_of(text, allowed_vars, where):
@@ -41,6 +47,17 @@ def _expr_fn_of(text, allowed_vars, where):
     if bad:
         raise ConfigError(f"identifiers {bad} not allowed in {where} ({text!r})")
     return expr
+
+
+def _of_x2(expr):
+    """Adapt an expression in x2 alone to a map on 1-d arrays t."""
+
+    def fn(t):
+        t = np.asarray(t, dtype=float)
+        out = expr.evaluate({"x2": t})
+        return np.broadcast_to(np.asarray(out, dtype=float), t.shape).copy()
+
+    return fn
 
 
 def build_measure(cfg) -> measures.Measure:
@@ -99,32 +116,18 @@ def build_phase(cfg) -> phases.PhaseMap:
         check_keys(cfg, ["kind", "l"], [], "phase.unipotent")
         exprs = list(cfg["l"])
         d = len(exprs) + 1
-        shifts = []
-        for k, text in enumerate(exprs):
-            allowed = {f"x{j}" for j in range(k + 2, d + 1)}
-            expr = _expr_fn_of(text, allowed, f"unipotent l_{k + 1}")
-
-            def shift(pts, expr=expr):
-                env = {f"x{j + 1}": pts[:, j] for j in range(pts.shape[1])}
-                out = expr.evaluate(env)
-                return np.broadcast_to(np.asarray(out, dtype=float), (pts.shape[0],)).copy()
-
-            shifts.append(shift)
+        shifts = [
+            expression_on_points(
+                _expr_fn_of(text, {f"x{j}" for j in range(k + 2, d + 1)}, f"unipotent l_{k + 1}")
+            )
+            for k, text in enumerate(exprs)
+        ]
         return phases.Unipotent(shifts, dim=d, exprs=exprs)
     if kind == "triangular2d":
         check_keys(cfg, ["kind", "z"], ["f", "K"], "phase.triangular2d")
-        z_expr = _expr_fn_of(cfg["z"], {"x2"}, "triangular2d z")
         f_text = cfg.get("f", "0")
-        f_expr = _expr_fn_of(f_text, {"x2"}, "triangular2d f")
-
-        def z(t, e=z_expr):
-            t = np.asarray(t, dtype=float)
-            return np.broadcast_to(np.asarray(e.evaluate({"x2": t}), dtype=float), t.shape).copy()
-
-        def f(t, e=f_expr):
-            t = np.asarray(t, dtype=float)
-            return np.broadcast_to(np.asarray(e.evaluate({"x2": t}), dtype=float), t.shape).copy()
-
+        z = _of_x2(_expr_fn_of(cfg["z"], {"x2"}, "triangular2d z"))
+        f = _of_x2(_expr_fn_of(f_text, {"x2"}, "triangular2d f"))
         return phases.Triangular2D(
             z, f, K=as_scalar(cfg.get("K", 0.0), float, "phase.K"),
             exprs={"z": cfg["z"], "f": f_text},
@@ -132,23 +135,16 @@ def build_phase(cfg) -> phases.PhaseMap:
     if kind == "custom":
         check_keys(cfg, ["kind", "expr", "in_dim"], [], "phase.custom")
         in_dim = as_scalar(cfg["in_dim"], int, "phase.in_dim")
-        comp_exprs = [
-            _expr_fn_of(t, {f"x{j}" for j in range(1, in_dim + 1)}, "custom expr")
+        comps = [
+            expression_on_points(
+                _expr_fn_of(t, {f"x{j}" for j in range(1, in_dim + 1)}, "custom expr")
+            )
             for t in cfg["expr"]
         ]
-
-        def fn(pts, comp_exprs=comp_exprs):
-            env = {f"x{j + 1}": pts[:, j] for j in range(pts.shape[1])}
-            cols = [
-                np.broadcast_to(np.asarray(e.evaluate(env), dtype=float), (pts.shape[0],))
-                for e in comp_exprs
-            ]
-            return np.stack(cols, axis=-1)
-
         return phases.CustomPhase(
-            fn,
+            lambda pts: np.stack([c(pts) for c in comps], axis=-1),
             in_dim=in_dim,
-            out_dim=len(comp_exprs),
+            out_dim=len(comps),
             descriptor={"expr": list(cfg["expr"]), "in_dim": in_dim},
         )
     if kind == "group_exp":

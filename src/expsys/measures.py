@@ -649,10 +649,10 @@ def fourier_transform(mu: Measure, xi, trunc: int = 40):
 
     if isinstance(mu, PushforwardMeasure):
         # lazy: both modules import this one
-        from ._oscillatory import exp_moments, measure_rule
+        from ._oscillatory import effective_pair, exp_moments, measure_rule
         from .phases import Identity, as_selfsimilar
 
-        reduced = as_selfsimilar(mu.base, mu.map)
+        reduced = as_selfsimilar(*effective_pair(mu.base, mu.map))
         if reduced is not None:
             return fourier_transform(reduced, xi, trunc=trunc)
         # gauss(64) sets the box order; discs and digit bases get their own rules

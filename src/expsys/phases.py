@@ -20,7 +20,6 @@ from .errors import DomainError, InversionError
 class PhaseMap:
     in_dim: int
     out_dim: int
-    has_analytic_jacobian = False
     differentiable = True  # False: no Jacobian, so no oscillation-aware quadrature
 
     def _eval(self, pts):
@@ -60,7 +59,6 @@ class PhaseMap:
 
 class Identity(PhaseMap):
     kind = "identity"
-    has_analytic_jacobian = True
 
     def __init__(self, dim=1):
         self.in_dim = self.out_dim = int(dim)
@@ -84,7 +82,6 @@ class Affine(PhaseMap):
     """x -> M x + b with M of shape (out_dim, in_dim)."""
 
     kind = "affine"
-    has_analytic_jacobian = True
 
     def __init__(self, M, b=None):
         M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -246,7 +243,6 @@ class Unipotent(PhaseMap):
             raise DomainError("need d-1 shift functions for dimension d")
         self.grads = tuple(grads) if grads is not None else None
         self.exprs = exprs
-        self.has_analytic_jacobian = grads is not None
 
     def _eval(self, pts):
         out = pts.copy()
@@ -433,7 +429,6 @@ class Triangular2D(PhaseMap):
     """
 
     kind = "triangular2d"
-    has_analytic_jacobian = True
 
     def __init__(self, z, f=None, K=0.0, z_prime=None, f_prime=None, exprs=None):
         self.z = z
@@ -509,7 +504,6 @@ class CustomPhase(PhaseMap):
         self.out_dim = int(out_dim)
         self._jac = jac
         self.descriptor = descriptor
-        self.has_analytic_jacobian = jac is not None
 
     def _eval(self, pts):
         out = np.asarray(self.fn(pts), dtype=float)
@@ -541,9 +535,6 @@ class ComposedPhase(PhaseMap):
         self.inner = inner
         self.in_dim = inner.in_dim
         self.out_dim = outer.out_dim
-        self.has_analytic_jacobian = (
-            outer.has_analytic_jacobian and inner.has_analytic_jacobian
-        )
         self.differentiable = outer.differentiable and inner.differentiable
 
     def _eval(self, pts):
@@ -582,15 +573,12 @@ def compose(outer, inner) -> PhaseMap:
 
 
 def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
-    """Recognize phi_* mu as a self-similar digit measure, else None.
+    """Recognize phi_* mu for a base measure mu as a self-similar digit measure.
 
     Cases: identity on a SelfSimilar; a DigitMap over Lebesgue[0,1] (binary
     digits of a uniform variable are i.i.d. uniform); a DigitMap over a
-    matching equal-ratio SelfSimilar with the same digit set.
+    matching equal-ratio SelfSimilar with the same digit set.  Else None.
     """
-    while isinstance(mu, measures.PushforwardMeasure):
-        phi = compose(phi, mu.map)
-        mu = mu.base
     if isinstance(phi, Identity) and isinstance(mu, measures.SelfSimilar):
         return mu
     if not isinstance(phi, DigitMap):

@@ -35,7 +35,7 @@ def coefficients(
 ) -> CoefficientSet:
     """c_lambda = integral of f(x) e^{-2 pi i lambda . phi(x)} dmu(x) per lambda."""
     vals, errs = exp_moments(
-        mu, phi, spectrum.points, quad, sign=-1, weights=[(f, None)],
+        mu, phi, -spectrum.points, quad, weights=[(f, None)],
         threads=threads, strict=False,
     )
     vals, errs = vals[:, 0], errs[:, 0]

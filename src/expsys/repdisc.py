@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import analysis
 from .errors import DomainError
@@ -77,7 +76,6 @@ class GroupExpPhase(PhaseMap):
     (scipy.linalg.expm), batched over evaluation points."""
 
     kind = "group_exp"
-    has_analytic_jacobian = True
 
     def __init__(self, group: GroupData):
         self.group = group
@@ -87,6 +85,8 @@ class GroupExpPhase(PhaseMap):
         self._ell = group.ell_vector()
 
     def _exp_stack(self, pts):
+        import scipy.linalg  # here, not at module level: slow to import, rarely needed
+
         B = -np.einsum("nk,kij->nij", pts, self._A)
         with np.errstate(over="ignore", invalid="ignore"):
             E = scipy.linalg.expm(B)
@@ -192,11 +192,6 @@ class AtomSystem:
             return out
 
         return a
-
-    def indices(self):
-        for lam in self.window.spectrum.points:
-            for gamma in self.window.gamma_set:
-                yield lam, gamma
 
 
 def build_system(ws: WindowSystem) -> AtomSystem:

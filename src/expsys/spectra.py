@@ -13,6 +13,8 @@ from .seeding import spawn_rng
 
 # lattice() and window_count() refuse to enumerate more points than this
 MAX_LATTICE_BOX = 1 << 20
+# beurling_density() refuses to enumerate more points over all windows and centres
+MAX_DENSITY_WORK = 1 << 26
 
 
 def unique_rows(rows):
@@ -146,6 +148,29 @@ class DensityReport:
         }
 
 
+def _coordinate_box(A, lo, hi):
+    """Integer coordinates (klo, khi) whose box maps under A over [lo, hi)."""
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
+    Kc = corners @ np.linalg.inv(A).T
+    return np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
+
+
+def _lambda4_levels(top):
+    """Levels with 4^i < top: an element with a digit at 4^i >= top exceeds top."""
+    return sum(4**i < top for i in range(31))
+
+
+def _enumeration_size(spectrum, lo, hi):
+    """Points window_count enumerates for [lo, hi)."""
+    kind = spectrum.generator.get("kind")
+    if kind == "lattice":
+        klo, khi = _coordinate_box(np.asarray(spectrum.generator["A"], dtype=float), lo, hi)
+        return float(np.prod(khi - klo + 1))
+    if kind == "lambda4":
+        return 2.0 ** _lambda4_levels(hi[0])
+    return spectrum.points.shape[0]
+
+
 def window_count(spectrum: SpectrumSet, lo, hi) -> int:
     """Count of spectrum points in the half-open box [lo, hi).
 
@@ -162,12 +187,7 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
     kind = spectrum.generator.get("kind")
     if kind == "lattice":
         A = np.asarray(spectrum.generator["A"], dtype=float)
-        corners = np.stack(
-            np.meshgrid(*[(lo[i], hi[i]) for i in range(d)], indexing="ij"), axis=-1
-        ).reshape(-1, d)
-        Kc = corners @ np.linalg.inv(A).T
-        klo = np.floor(Kc.min(axis=0)) - 1
-        khi = np.ceil(Kc.max(axis=0)) + 1
+        klo, khi = _coordinate_box(A, lo, hi)
         if not np.prod(khi - klo + 1) <= MAX_LATTICE_BOX:  # also refuses NaN
             raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lattice points")
         ranges = [np.arange(int(klo[i]), int(khi[i]) + 1) for i in range(d)]
@@ -176,11 +196,7 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
         inside = np.all((pts >= lo - 1e-12) & (pts < hi - 1e-12), axis=1)
         return int(np.count_nonzero(inside))
     if kind == "lambda4":
-        # every element with a digit at 4^i >= hi exceeds hi, so enumerating
-        # the levels with 4^i < hi is exact for any window below hi
-        levels = 0
-        while levels < 31 and 4**levels < hi[0]:
-            levels += 1
+        levels = _lambda4_levels(hi[0])
         if 2**levels > MAX_LATTICE_BOX:
             raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lambda4 points")
         vals = np.zeros(1, dtype=np.int64)
@@ -210,7 +226,9 @@ def beurling_density(
     For each window side R, reports max/min over centers of
     #(spectrum in x + [-R/2, R/2)^d) / R^d.  Windows are half-open; the
     empirical max is a lower bound on the true sup and the empirical min an
-    upper bound on the true inf.  Window sides must be finite and positive.
+    upper bound on the true inf.  Window sides must be finite and positive,
+    and at most MAX_DENSITY_WORK points may be enumerated over all windows
+    and centres (sized at the largest centre); both are checked up front.
     """
     d = spectrum.dim
     sides = _finite(windows, "density windows")
@@ -227,6 +245,11 @@ def beurling_density(
         raise DomainError(f"centers_box corners must be {d}-vectors")
     centers = clo + rng.random((n_centers, d)) * (chi - clo)
     centers = np.vstack([np.zeros(d), centers])
+    top = centers.max(axis=0)
+    per_centre = sum(_enumeration_size(spectrum, top - R / 2, top + R / 2) for R in sides)
+    work = centers.shape[0] * per_centre
+    if not work <= MAX_DENSITY_WORK:
+        raise DomainError(f"density would enumerate {work:.3g} points, above {MAX_DENSITY_WORK}")
     d_plus = []
     d_minus = []
     for R in windows:

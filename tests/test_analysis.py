@@ -340,6 +340,66 @@ class TestFrameBounds:
             )
 
 
+def _pairwise_residual(mu, basis, quad):
+    """The orthonormality residual as one `integrate` per pair of functions."""
+    from expsys._oscillatory import _inside, measure_rule
+
+    def masked(tf, x):
+        v = np.asarray(tf.fn(x))
+        return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
+
+    fns = basis.functions
+    G = np.zeros((len(fns), len(fns)), dtype=complex)
+    for i, a in enumerate(fns):
+        for j, b in enumerate(fns):
+            prod = lambda x, a=a, b=b: masked(a, x) * np.conj(masked(b, x))
+            G[i, j] = es.integrate(prod, mu, measure_rule(mu, quad))[0]
+    return float(np.max(np.abs(G - np.eye(len(fns)))))
+
+
+def _skew_basis_2d():
+    from expsys.analysis import TestBasis
+
+    half = (np.array([0.0, 0.0]), np.array([0.5, 2.0]))
+    return TestBasis(
+        functions=[
+            TFn("one", lambda x: np.full(x.shape[0], np.sqrt(0.5)), norm_sq=1.0),
+            TFn("wave", lambda x: np.exp(2j * np.pi * x[:, 0]) * np.sqrt(0.5), norm_sq=1.0),
+            TFn("tilt", lambda x: (x[:, 0] + x[:, 1] ** 2) * 0.4, norm_sq=1.0),
+            TFn("half", lambda x: np.ones(x.shape[0]), support_box=half, norm_sq=1.0),
+        ],
+        descriptor="skew 2-d",
+        exactly_orthonormal=False,
+    )
+
+
+@pytest.mark.parametrize("case", ["legendre-8", "skew-2d"])
+def test_orthonormality_residual_is_one_stacked_moment_call(monkeypatch, case):
+    from expsys import analysis
+
+    if case == "legendre-8":
+        mu = unit_box()
+        basis = es.legendre_basis(mu, 8)
+    else:
+        mu = es.LebesgueBox([0.0, 0.0], [1.0, 2.0])
+        basis = _skew_basis_2d()
+    quad = es.gauss(16)
+    expected = _pairwise_residual(mu, basis, quad)
+
+    calls = []
+    real = analysis.exp_moments
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "exp_moments", counted)
+    monkeypatch.setattr(es.measures, "integrate", None)  # any integrate call fails
+    resid = analysis._basis_orthonormality_residual(mu, basis, quad)
+    assert len(calls) == 1
+    assert abs(resid - expected) <= 1e-12
+
+
 class TestUnimodularConjugation:
     def test_identity_matrix(self):
         dev = es.unimodular_conjugation_check(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from expsys.cli import run, serialize_report
+from expsys.config import as_scalar
 from expsys.presets import PRESETS
 
 
@@ -210,6 +211,14 @@ MALFORMED = {
     # 1e10 lattice points / 2^30 lambda4 points: refused before enumeration
     "density-lattice-window-1e5": ("density-z2", _set(["windows"], [1e5])),
     "density-lambda4-window-1e18": ("density-lambda4", _set(["windows"], [1e18])),
+    # 1001 centres x ~10^6 points each: refused by the total work bound
+    "density-lattice-window-1000": ("density-z2", _set(["windows"], [1000])),
+    "order-non-integral": ("identity-1d", _set(["quad", "order"], 32.9)),
+    "seed-non-integral": ("identity-1d", _set(["seed"], 1.5)),
+    "tol-orth-nan-string": ("identity-1d", _set(["tol_orth"], "nan")),
+    "tol-orth-nan": ("identity-1d", _set(["tol_orth"], float("nan"))),
+    "tol-complete-infinite-string": ("identity-1d", _set(["tol_complete"], "inf")),
+    "tol-complete-infinite": ("identity-1d", _set(["tol_complete"], float("inf"))),
 }
 
 
@@ -228,13 +237,51 @@ def test_malformed_config_exits_three(tmp_path, capsys, case):
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_python_dash_m_lists_presets():
+def test_as_scalar_keeps_integral_floats_and_finite_strings():
+    assert as_scalar(100000.0, int, "n") == 100000
+    assert as_scalar("32", int, "order") == 32
+    assert as_scalar("2.5", float, "tol") == 2.5
+
+
+def test_non_finite_frame_moments_exit_three(tmp_path, capsys):
+    # log(x1) is NaN on the negative half of the box; the moment engine
+    # refuses the NaN frame matrix before the SVD sees it
+    cfg = {
+        "measure": {"kind": "lebesgue_box", "lo": [-1.0], "hi": [1.0]},
+        "phase": {"kind": "custom", "expr": ["log(x1)"], "in_dim": 1},
+        "spectrum": {"kind": "lattice", "A": [[1.0]], "radius": 4},
+        "quad": {"scheme": "monte-carlo", "n_samples": 1000, "seed": 1},
+        "basis": {"kind": "dyadic", "m": 4},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # log and exp of NaN
+        assert run(["frame-bounds", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: non-finite value in monte-carlo moments")
+
+
+def _src_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    code = "import sys, expsys.cli; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_python_dash_m_lists_presets():
     proc = subprocess.run(
         [sys.executable, "-m", "expsys", "list-presets"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_src_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     listed = [line.split()[0] for line in proc.stdout.splitlines() if line.strip()]

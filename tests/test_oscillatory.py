@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys._oscillatory import exp_moments, measure_rule, rule_for
-from expsys.errors import SchemeMismatchError
+from expsys._oscillatory import _MAX_WEIGHT_ENTRIES, exp_moments, measure_rule, rule_for
+from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
 from expsys.measures import disc_quadrants, polar_xy
 from expsys.reconstruct import coefficients
 
@@ -53,10 +55,11 @@ STACK_CASES = {
 @pytest.mark.parametrize("case", sorted(STACK_CASES))
 def test_weight_stack_matches_single_weight_calls(case):
     mu, phi, lam, quad, weights = STACK_CASES[case]
-    vals, errs = exp_moments(mu, phi, lam, quad, sign=-1, weights=weights)
+    lam = -np.asarray(lam, dtype=float)
+    vals, errs = exp_moments(mu, phi, lam, quad, weights=weights)
     assert vals.shape == errs.shape == (len(lam), len(weights))
     for j, w in enumerate(weights):
-        v1, e1 = exp_moments(mu, phi, lam, quad, sign=-1, weights=[w])
+        v1, e1 = exp_moments(mu, phi, lam, quad, weights=[w])
         assert v1.shape == (len(lam), 1)
         scale = np.max(np.abs(v1))
         assert_allclose(vals[:, j], v1[:, 0], rtol=1e-12, atol=1e-12 * scale)
@@ -176,3 +179,53 @@ def test_tensor_gauss_disc_panels_match_closed_form():
         exact = es.fourier_transform(disc, row)
         assert abs(vals[0, 0] - exact) <= 1e-10
         assert errs[0, 0] <= 1e-8
+
+
+# real weights on each measure: conj of the +lambda moment is the -lambda one
+REAL_WEIGHTS = [None, (lambda x: x[:, 0] ** 2, None), (lambda x: np.cos(3 * x[:, 0]), None)]
+BENT = es.CustomPhase(lambda x: x + 0.1 * np.sin(2 * np.pi * x), 1, 1)
+CONJUGATION_CASES = {
+    "tensor-gauss": (es.LebesgueBox([0.0], [1.0]), es.gauss(16)),
+    "monte-carlo": (es.LebesgueBox([0.0], [1.0]), es.monte_carlo(2_000, seed=11)),
+    "self-similar-digit": (es.middle_third_cantor(), es.digit(depth=8)),
+    "adaptive": (es.LebesgueBox([0.0], [1.0]), es.adaptive(abs_tol=1e-6, max_subdivisions=200)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CONJUGATION_CASES))
+@settings(max_examples=25, deadline=None)
+@given(lam=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=3))
+def test_negated_frequency_conjugates_moments(scheme, lam):
+    mu, quad = CONJUGATION_CASES[scheme]
+    lam = np.asarray(lam)[:, None]
+    vals, errs = exp_moments(mu, BENT, lam, quad, weights=REAL_WEIGHTS)
+    neg_vals, neg_errs = exp_moments(mu, BENT, -lam, quad, weights=REAL_WEIGHTS)
+    scale = max(float(np.max(np.abs(vals))), 1.0)
+    assert_allclose(neg_vals, np.conj(vals), rtol=0, atol=1e-12 * scale)
+    assert_allclose(neg_errs, errs, rtol=1e-12, atol=1e-12 * scale)
+
+
+NAN_PHASE = es.CustomPhase(lambda x: np.where(x < 0.5, np.nan, x), 1, 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scheme", sorted(CONJUGATION_CASES))
+def test_non_finite_moments_raise_under_every_scheme(scheme):
+    # tensor-gauss stops at the Jacobian probe and adaptive at its integrand
+    # check; the sampled and enumerated schemes reach the check on the result
+    mu, quad = CONJUGATION_CASES[scheme]
+    on_result = scheme in ("monte-carlo", "self-similar-digit")
+    with pytest.raises(QuadratureError, match="non-finite value" if on_result else None):
+        exp_moments(mu, NAN_PHASE, [[1.0]], quad)
+    if on_result:
+        vals, _ = exp_moments(mu, NAN_PHASE, [[1.0]], quad, strict=False)
+        assert np.isnan(vals[0, 0])
+
+
+def test_weight_stack_budget_refused_before_building():
+    # 2^20 digit nodes leave room for 128 weight columns
+    mu, quad = es.middle_fourth_cantor(), es.digit(depth=30)
+    n = 1 << 20
+    k = _MAX_WEIGHT_ENTRIES // n
+    with pytest.raises(DomainError, match="weight stack"):
+        exp_moments(mu, es.Identity(1), [[0.0]], quad, weights=[None] * (k + 1))

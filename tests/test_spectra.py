@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import expsys as es
 from expsys.errors import DomainError
+from expsys.spectra import MAX_DENSITY_WORK
 
 
 class TestLattice:
@@ -157,6 +158,19 @@ class TestBeurlingDensity:
             es.beurling_density(spec, [4.0], centers_box=("a", [1.0, 1.0]))
         with pytest.raises(DomainError):
             es.window_count(spec, [np.nan, 0.0], [1.0, 1.0])
+
+    def test_total_work_bound(self):
+        # one 1000-side window is ~10^6 points: 1001 or 101 centres are refused
+        # before any window is counted
+        spec = es.lattice(np.eye(2), 8)
+        with pytest.raises(DomainError, match="enumerate"):
+            es.beurling_density(spec, [1000.0])
+        with pytest.raises(DomainError, match="enumerate"):
+            es.beurling_density(spec, [4.0, 1000.0], n_centers=100)
+        # lambda4 work grows with the window's top end
+        with pytest.raises(DomainError, match="enumerate"):
+            es.beurling_density(es.lambda4(8), [4.0**19], centers_box=([0.0], [4.0**19]))
+        assert MAX_DENSITY_WORK == 1 << 26
 
     def test_explicit_window_guard(self):
         spec = es.explicit([[-1.0], [0.0], [1.0]])
