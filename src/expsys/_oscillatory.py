@@ -23,6 +23,7 @@ mu with the phase and the weights evaluated at y = psi(x).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -43,7 +44,8 @@ from .measures import (
 from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
-# larger (n, k) weight stacks are refused before they are built: 1 GiB of float64
+# larger node sets and (n, k) weight stacks are refused before they are built:
+# 1 GiB of float64
 _MAX_WEIGHT_ENTRIES = 1 << 27
 
 
@@ -179,11 +181,16 @@ def _inside(y, box):
     return np.all((y >= lo) & (y < hi), axis=1)
 
 
+def _check_entries(n, width, what):
+    """Refuse an (n, width) array above the entry budget before it is built."""
+    if n * width > _MAX_WEIGHT_ENTRIES:
+        raise DomainError(f"{n} x {width} {what} above {_MAX_WEIGHT_ENTRIES} entries")
+
+
 def _weight_matrix(weights, y, node_weights=None):
     """(n, k) weight values at y, zero outside each support box, times node weights."""
     n, k = y.shape[0], len(weights)
-    if n * k > _MAX_WEIGHT_ENTRIES:
-        raise DomainError(f"{n} x {k} weight stack above {_MAX_WEIGHT_ENTRIES} entries")
+    _check_entries(n, k, "weight stack")
     W = np.empty((n, k))
     for j, (fn, box) in enumerate(weights):
         col = 1.0 if fn is None else np.asarray(fn(y))
@@ -207,7 +214,8 @@ def _contract(img, lam, W):
         Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
         Z.imag = img @ lam[rows].T
         Z.imag *= 2 * np.pi
-        np.exp(Z, out=Z)
+        with np.errstate(invalid="ignore"):  # a NaN phase is refused by exp_moments
+            np.exp(Z, out=Z)
         if np.iscomplexobj(W):
             out[rows] = (W.T @ Z).T
         else:  # one real matmul over the interleaved (re, im) columns
@@ -216,6 +224,7 @@ def _contract(img, lam, W):
 
 
 def _mc_moments(mu, psi, phi, lam, quad, weights):
+    _check_entries(quad.n_samples, max(mu.dim, len(weights)), "sample set")
     rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
     pts = mu._sample(quad.n_samples, rng, quad.depth)
     y = pts if psi is None else psi(pts)
@@ -291,6 +300,9 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
         groups: dict = {}
         for i, sig in enumerate(panels_from_cycles(cycles, quad.order)):
             groups.setdefault(tuple(sig), []).append(i)
+        for sig in groups:  # the order + 8 pass is the larger one
+            n = math.prod(int(s) * (quad.order + 8) for s in sig)
+            _check_entries(n, max(mu.dim, len(cols)), "node set")
         items += [(cells, sig, np.asarray(idx), cols) for sig, idx in groups.items()]
 
     def run_group(item):

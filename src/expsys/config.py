@@ -122,16 +122,12 @@ def build_phase(cfg) -> phases.PhaseMap:
             )
             for k, text in enumerate(exprs)
         ]
-        return phases.Unipotent(shifts, dim=d, exprs=exprs)
+        return phases.Unipotent(shifts, dim=d)
     if kind == "triangular2d":
         check_keys(cfg, ["kind", "z"], ["f", "K"], "phase.triangular2d")
-        f_text = cfg.get("f", "0")
         z = _of_x2(_expr_fn_of(cfg["z"], {"x2"}, "triangular2d z"))
-        f = _of_x2(_expr_fn_of(f_text, {"x2"}, "triangular2d f"))
-        return phases.Triangular2D(
-            z, f, K=as_scalar(cfg.get("K", 0.0), float, "phase.K"),
-            exprs={"z": cfg["z"], "f": f_text},
-        )
+        f = _of_x2(_expr_fn_of(cfg.get("f", "0"), {"x2"}, "triangular2d f"))
+        return phases.Triangular2D(z, f, K=as_scalar(cfg.get("K", 0.0), float, "phase.K"))
     if kind == "custom":
         check_keys(cfg, ["kind", "expr", "in_dim"], [], "phase.custom")
         in_dim = as_scalar(cfg["in_dim"], int, "phase.in_dim")
@@ -145,7 +141,6 @@ def build_phase(cfg) -> phases.PhaseMap:
             lambda pts: np.stack([c(pts) for c in comps], axis=-1),
             in_dim=in_dim,
             out_dim=len(comps),
-            descriptor={"expr": list(cfg["expr"]), "in_dim": in_dim},
         )
     if kind == "group_exp":
         check_keys(cfg, ["kind", "A", "ell"], [], "phase.group_exp")

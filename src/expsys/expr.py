@@ -80,7 +80,8 @@ class Expression:
             raise ExprError(
                 f"unbound identifier(s) {sorted(missing)} in {self.source!r}", 0
             )
-        return self._root(env)
+        with np.errstate(all="ignore"):  # NaN/inf pass on; consumers check finiteness
+            return self._root(env)
 
     def __call__(self, env):
         return self.evaluate(env)

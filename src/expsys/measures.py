@@ -66,8 +66,10 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise SchemeMismatchError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.order < 2:
-            raise DomainError("order must be >= 2")
+        if not 2 <= self.order <= 512:
+            raise DomainError(f"order must be in [2, 512], got {self.order}")
+        if self.n_samples < 2:
+            raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.depth < 1:
             raise DomainError("depth must be >= 1")
         if self.abs_tol <= 0:
@@ -114,16 +116,13 @@ class Measure:
 
     dim: int
     total_mass: float
-    kind: str
+    kind: str  # tags the RNG streams, so seeded results depend on it
 
     def support_box(self):
         """(lo, hi) arrays bounding the support."""
         raise NotImplementedError
 
     def _sample(self, n, rng, depth):
-        raise NotImplementedError
-
-    def to_json_dict(self):
         raise NotImplementedError
 
 
@@ -158,9 +157,6 @@ class LebesgueBox(Measure):
     def _sample(self, n, rng, depth):
         u = rng.random((n, self.dim))
         return self.lo + u * (self.hi - self.lo)
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
     def __repr__(self):
         return f"LebesgueBox({self.lo.tolist()}, {self.hi.tolist()})"
@@ -198,9 +194,6 @@ class LebesgueDisc(Measure):
             out[filled : filled + take] = cand[:take]
             filled += take
         return out
-
-    def to_json_dict(self):
-        return {"kind": self.kind, "center": self.center.tolist(), "radius": self.radius}
 
     def __repr__(self):
         return f"LebesgueDisc({self.center.tolist()}, {self.radius})"
@@ -256,13 +249,6 @@ class SelfSimilar(Measure):
     def digit_key(self):
         return (self.ratio, self.digits)
 
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "ratio": self.ratio,
-            "digits": [[d, w] for d, w in self.digits],
-        }
-
     def __repr__(self):
         return f"SelfSimilar(ratio={self.ratio}, digits={self.digits})"
 
@@ -293,13 +279,6 @@ class PushforwardMeasure(Measure):
 
     def _sample(self, n, rng, depth):
         return self.map(self.base._sample(n, rng, depth))
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "base": self.base.to_json_dict(),
-            "map": getattr(self.map, "to_json_dict", lambda: {"kind": "custom"})(),
-        }
 
 
 def middle_fourth_cantor() -> SelfSimilar:
@@ -365,7 +344,9 @@ def box_gauss_nodes(lo, hi, order, panels):
 def panels_from_cycles(cycles, order):
     """Panels per dimension for a target of `cycles` oscillations per dim."""
     cycles = np.maximum(np.asarray(cycles, dtype=float), 0.0)
-    return np.maximum(1, np.ceil(_PANEL_FACTOR * cycles / order).astype(int))
+    # clipped below the int64 limit so that huge cycle counts stay huge
+    panels = np.minimum(np.ceil(_PANEL_FACTOR * cycles / order), 2.0**62)
+    return np.maximum(1, panels.astype(int))
 
 
 def _apply(f, pts):

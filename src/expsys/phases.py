@@ -53,13 +53,8 @@ class PhaseMap:
     def invert(self, y):
         raise InversionError(f"{type(self).__name__} has no inverse routine")
 
-    def to_json_dict(self):
-        return {"kind": getattr(self, "kind", "custom")}
-
 
 class Identity(PhaseMap):
-    kind = "identity"
-
     def __init__(self, dim=1):
         self.in_dim = self.out_dim = int(dim)
 
@@ -74,14 +69,9 @@ class Identity(PhaseMap):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return y.copy(), np.ones(y.shape[0], dtype=bool)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "dim": self.in_dim}
-
 
 class Affine(PhaseMap):
     """x -> M x + b with M of shape (out_dim, in_dim)."""
-
-    kind = "affine"
 
     def __init__(self, M, b=None):
         M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -104,9 +94,6 @@ class Affine(PhaseMap):
         x = np.linalg.solve(self.M, (y - self.b).T).T
         return x, np.ones(y.shape[0], dtype=bool)
 
-    def to_json_dict(self):
-        return {"kind": self.kind, "M": self.M.tolist(), "b": self.b.tolist()}
-
 
 class DigitMap(PhaseMap):
     """Base-b digit re-encoding on [0, 1]-type supports.
@@ -119,7 +106,6 @@ class DigitMap(PhaseMap):
     support, or from float noise) are snapped to the nearest allowed digit.
     """
 
-    kind = "digit_map"
     differentiable = False
 
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
@@ -172,16 +158,6 @@ class DigitMap(PhaseMap):
     def jacobian_batch(self, pts, h=1e-5):
         raise DomainError("digit maps are not differentiable")
 
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "in_base": self.in_base,
-            "in_digits": list(self.in_digits),
-            "out_base": self.out_base,
-            "digit_map": {str(k): v for k, v in self.digit_map.items()},
-            "depth": self.depth,
-        }
-
 
 def binary_to_quaternary(depth=30) -> DigitMap:
     """[0,1] -> middle-fourth Cantor set: binary digit e becomes 2e base 4."""
@@ -200,8 +176,6 @@ class Holhos(PhaseMap):
     with continuity of the radial factor.  C^1 off the axes.
     """
 
-    kind = "holhos"
-
     def __init__(self):
         self.in_dim = self.out_dim = 2
 
@@ -219,9 +193,6 @@ class Holhos(PhaseMap):
         Y = np.sign(y) * s * (math.pi / 2 - asn)
         return np.stack([X, Y], axis=-1)
 
-    def to_json_dict(self):
-        return {"kind": self.kind}
-
 
 class Unipotent(PhaseMap):
     """phi(x)_k = x_k + l_k(x_{k+1..d}), last coordinate fixed.
@@ -234,15 +205,12 @@ class Unipotent(PhaseMap):
     entries above the diagonal use central differences.
     """
 
-    kind = "unipotent"
-
-    def __init__(self, shifts, dim, grads=None, exprs=None):
+    def __init__(self, shifts, dim, grads=None):
         self.shifts = tuple(shifts)
         self.in_dim = self.out_dim = int(dim)
         if len(self.shifts) != self.in_dim - 1:
             raise DomainError("need d-1 shift functions for dimension d")
         self.grads = tuple(grads) if grads is not None else None
-        self.exprs = exprs
 
     def _eval(self, pts):
         out = pts.copy()
@@ -274,12 +242,6 @@ class Unipotent(PhaseMap):
         for k in range(self.in_dim - 2, -1, -1):
             x[:, k] = y[:, k] - np.asarray(self.shifts[k](x))
         return x, np.ones(y.shape[0], dtype=bool)
-
-    def to_json_dict(self):
-        out = {"kind": self.kind, "dim": self.in_dim}
-        if self.exprs is not None:
-            out["l"] = list(self.exprs)
-        return out
 
 
 class _MonotoneAntiderivative:
@@ -428,15 +390,12 @@ class Triangular2D(PhaseMap):
     Optional z_prime / f_prime give the analytic Jacobian's corner entry.
     """
 
-    kind = "triangular2d"
-
-    def __init__(self, z, f=None, K=0.0, z_prime=None, f_prime=None, exprs=None):
+    def __init__(self, z, f=None, K=0.0, z_prime=None, f_prime=None):
         self.z = z
         self.f = f if f is not None else (lambda t: np.zeros_like(t))
         self.K = float(K)
         self.z_prime = z_prime
         self.f_prime = f_prime
-        self.exprs = exprs
         self.in_dim = self.out_dim = 2
         self._anti = _MonotoneAntiderivative(lambda t: 1.0 / self._z_checked(t))
 
@@ -488,22 +447,13 @@ class Triangular2D(PhaseMap):
         ok = ok & np.all(np.isfinite(out), axis=1)
         return out, ok
 
-    def to_json_dict(self):
-        out = {"kind": self.kind, "K": self.K}
-        if self.exprs is not None:
-            out.update(self.exprs)
-        return out
-
 
 class CustomPhase(PhaseMap):
-    kind = "custom"
-
-    def __init__(self, fn, in_dim, out_dim, jac=None, descriptor=None):
+    def __init__(self, fn, in_dim, out_dim, jac=None):
         self.fn = fn
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
         self._jac = jac
-        self.descriptor = descriptor
 
     def _eval(self, pts):
         out = np.asarray(self.fn(pts), dtype=float)
@@ -516,17 +466,9 @@ class CustomPhase(PhaseMap):
             return np.asarray(self._jac(pts), dtype=float)
         return super().jacobian_batch(pts, h=h)
 
-    def to_json_dict(self):
-        out = {"kind": self.kind}
-        if self.descriptor:
-            out.update(self.descriptor)
-        return out
-
 
 class ComposedPhase(PhaseMap):
     """outer(inner(x)); Jacobian by the chain rule where both sides have one."""
-
-    kind = "composed"
 
     def __init__(self, outer, inner):
         if inner.out_dim != outer.in_dim:
@@ -550,13 +492,6 @@ class ComposedPhase(PhaseMap):
         mid, ok1 = self.outer.invert(y)
         x, ok2 = self.inner.invert(mid)
         return x, ok1 & ok2
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "outer": self.outer.to_json_dict(),
-            "inner": self.inner.to_json_dict(),
-        }
 
 
 def compose(outer, inner) -> PhaseMap:
@@ -621,15 +556,6 @@ class PreservationReport:
     @property
     def passed(self):
         return self.max_dev <= self.tol
-
-    def to_json_dict(self):
-        return {
-            "max_dev": self.max_dev,
-            "points_checked": self.points_checked,
-            "excluded_fraction": self.excluded_fraction,
-            "tol": self.tol,
-            "passed": bool(self.passed),
-        }
 
 
 def axis_band_exclusion(width):

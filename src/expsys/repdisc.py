@@ -75,8 +75,6 @@ class GroupExpPhase(PhaseMap):
     A_k commute).  The matrix exponential is scaling-and-squaring Pade
     (scipy.linalg.expm), batched over evaluation points."""
 
-    kind = "group_exp"
-
     def __init__(self, group: GroupData):
         self.group = group
         self.in_dim = group.m
@@ -106,13 +104,6 @@ class GroupExpPhase(PhaseMap):
             AkE = np.einsum("ij,njk->nik", self._A[k], E)
             J[:, :, k] = -np.einsum("nji,j->ni", AkE, self._ell)
         return J
-
-    def to_json_dict(self):
-        return {
-            "kind": self.kind,
-            "A": [list(map(list, m)) for m in self.group.matrices],
-            "ell": list(self.group.ell),
-        }
 
 
 def phase_from_group(group: GroupData) -> GroupExpPhase:

@@ -208,7 +208,6 @@ def test_negated_frequency_conjugates_moments(scheme, lam):
 NAN_PHASE = es.CustomPhase(lambda x: np.where(x < 0.5, np.nan, x), 1, 1)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("scheme", sorted(CONJUGATION_CASES))
 def test_non_finite_moments_raise_under_every_scheme(scheme):
     # tensor-gauss stops at the Jacobian probe and adaptive at its integrand
