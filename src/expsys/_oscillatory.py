@@ -36,6 +36,7 @@ from .measures import (
     PushforwardMeasure,
     QuadratureSpec,
     SelfSimilar,
+    _check_entries,
     box_gauss_nodes,
     digit_nodes,
     panels_from_cycles,
@@ -44,9 +45,7 @@ from .measures import (
 from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
-# larger node sets and (n, k) weight stacks are refused before they are built:
-# 1 GiB of float64
-_MAX_WEIGHT_ENTRIES = 1 << 27
+_N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
 
 
 def _chunk_size(n_nodes, n_weights=1):
@@ -107,7 +106,7 @@ def measure_rule(mu, quad: QuadratureSpec) -> QuadratureSpec:
     return measures.adaptive(abs_tol=1e-10, max_subdivisions=4000)
 
 
-def oscillation_cycles(phi, mu, lambdas, n_probe=64):
+def oscillation_cycles(phi, mu, lambdas):
     """Estimated oscillation cycles per input dimension for each frequency.
 
     Bounds |d(lambda . phi)/dx_i| by sampled Jacobian row maxima times the
@@ -122,7 +121,7 @@ def oscillation_cycles(phi, mu, lambdas, n_probe=64):
     if not np.any(lam):
         return np.zeros((lam.shape[0], mu.dim))
     try:
-        J = phi.jacobian_batch(measures.sample(mu, n_probe, seed=0xC3C1E5))
+        J = phi.jacobian_batch(measures.sample(mu, _N_PROBE, seed=0xC3C1E5))
     except Exception:
         J = np.array(np.nan)
     if not np.all(np.isfinite(J)):
@@ -179,12 +178,6 @@ def exp_moments(
 def _inside(y, box):
     lo, hi = box
     return np.all((y >= lo) & (y < hi), axis=1)
-
-
-def _check_entries(n, width, what):
-    """Refuse an (n, width) array above the entry budget before it is built."""
-    if n * width > _MAX_WEIGHT_ENTRIES:
-        raise DomainError(f"{n} x {width} {what} above {_MAX_WEIGHT_ENTRIES} entries")
 
 
 def _weight_matrix(weights, y, node_weights=None):

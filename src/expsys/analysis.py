@@ -73,9 +73,8 @@ class GramReport:
             m = self.entries.shape[0]
             for i in range(m):
                 for j in range(m):
-                    writer.writerow(
-                        [i, j, repr(self.entries[i, j].real), repr(self.entries[i, j].imag)]
-                    )
+                    z = complex(self.entries[i, j])
+                    writer.writerow([i, j, repr(z.real), repr(z.imag)])
 
 
 def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> GramReport:
@@ -290,6 +289,15 @@ def verify_onb(
 # ---------------------------------------------------------------------------
 
 
+# test bases larger than this are refused before any function is built
+MAX_TEST_BASIS = 4096
+
+
+def _check_basis_size(m):
+    if not 1 <= m <= MAX_TEST_BASIS:
+        raise DomainError(f"test basis size must be in [1, {MAX_TEST_BASIS}], got {m}")
+
+
 @dataclass
 class TestBasis:
     functions: list  # of TestFunction with norm_sq == 1
@@ -306,9 +314,10 @@ def dyadic_indicator_basis(mu, m) -> TestBasis:
     """
     if not isinstance(mu, measures.LebesgueBox):
         raise DomainError("the dyadic indicator basis requires a box measure")
+    _check_basis_size(m)
     d = mu.dim
-    per_dim = round(max(m, 0) ** (1.0 / d))
-    if m < 1 or per_dim**d != m:
+    per_dim = round(m ** (1.0 / d))
+    if per_dim**d != m:
         raise DomainError(f"m={m} is not a positive {d}-th power")
     lo, hi = mu.support_box()
     edges = [np.linspace(lo[i], hi[i], per_dim + 1) for i in range(d)]
@@ -336,6 +345,7 @@ def legendre_basis(mu, m) -> TestBasis:
     """Normalized Legendre polynomials on a 1-d box (smooth alternative)."""
     if not isinstance(mu, measures.LebesgueBox) or mu.dim != 1:
         raise DomainError("the Legendre basis is implemented for 1-d boxes")
+    _check_basis_size(m)
     lo, hi = float(mu.lo[0]), float(mu.hi[0])
     width = hi - lo
     functions = []

@@ -25,6 +25,8 @@ from .config import (
     build_quad,
     build_spectrum,
     check_keys,
+    options,
+    pick,
 )
 from .errors import ConfigError, ExpSysError
 from .expr import expression_on_points, parse_expression  # re-exported: CLI surface
@@ -83,170 +85,29 @@ def _write_report(report, out_path):
     return text
 
 
-def _quad_with_seed(cfg_quad, seed):
-    quad = build_quad(cfg_quad)
-    if quad.scheme == "monte-carlo" and "seed" not in cfg_quad:
-        quad = measures.monte_carlo(n_samples=quad.n_samples, seed=seed)
-    return quad
+def _quad(cfg_quad, seed):
+    """The config's rule; a Monte-Carlo rule without a seed of its own takes the run's."""
+    if isinstance(cfg_quad, dict) and cfg_quad.get("scheme") == "monte-carlo":
+        cfg_quad = {"seed": seed, **cfg_quad}
+    return build_quad(cfg_quad)
 
 
-def _seed(cfg):
-    return as_scalar(cfg.get("seed", 0), int, "seed")
-
-
-def _system(cfg):
-    """(mu, phi, spectrum, quad) of a config, built in that order after its seed."""
-    seed = _seed(cfg)
+def _system(cfg, seed):
+    """(mu, phi, spectrum, quad) of a config, built in that order."""
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
     spectrum = build_spectrum(cfg["spectrum"])
-    return mu, phi, spectrum, _quad_with_seed(cfg["quad"], seed)
+    return mu, phi, spectrum, _quad(cfg["quad"], seed)
 
 
-def _battery(name, mu):
-    if name == "default":
-        return analysis.default_test_battery(mu)
-    if name == "periodic":
-        return analysis.periodic_test_battery(mu)
-    raise ConfigError(f"unknown battery {name!r}")
+def _box(cfg, where):
+    """(lo, hi) of a {lo, hi} config object."""
+    check_keys(cfg, ["lo", "hi"], [], where)
+    return cfg["lo"], cfg["hi"]
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers: each returns (result_dict, exit_code, csv_writers)
-# ---------------------------------------------------------------------------
-
-
-def _run_verify_onb(cfg, threads):
-    check_keys(
-        cfg,
-        ["measure", "phase", "spectrum", "quad"],
-        ["seed", "out", "csv", "tol_orth", "tol_complete", "battery"],
-        "verify-onb config",
-    )
-    mu, phi, spectrum, quad = _system(cfg)
-    battery = _battery(cfg.get("battery", "default"), mu)
-    report = analysis.verify_onb(
-        mu,
-        phi,
-        spectrum,
-        quad,
-        tol_orth=as_scalar(cfg.get("tol_orth", 1e-8), float, "tol_orth"),
-        tol_complete=as_scalar(cfg.get("tol_complete", 0.02), float, "tol_complete"),
-        test_functions=battery,
-        threads=threads,
-    )
-    csvs = {}
-    if cfg.get("csv"):
-        csvs[cfg["csv"]] = report.gram_report.write_csv
-    return report.to_json_dict(), _VERDICT_EXIT[report.verdict], csvs
-
-
-def _run_frame_bounds(cfg, threads):
-    check_keys(
-        cfg,
-        ["measure", "phase", "spectrum", "quad"],
-        ["seed", "out", "basis", "min_ratio"],
-        "frame-bounds config",
-    )
-    mu, phi, spectrum, quad = _system(cfg)
-    basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
-    check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
-    m = as_scalar(basis_cfg["m"], int, "basis.m")
-    if basis_cfg["kind"] == "dyadic":
-        basis = analysis.dyadic_indicator_basis(mu, m)
-    elif basis_cfg["kind"] == "legendre":
-        basis = analysis.legendre_basis(mu, m)
-    else:
-        raise ConfigError(f"unknown basis kind {basis_cfg['kind']!r}")
-    report = analysis.frame_bounds(mu, phi, spectrum, basis, quad, threads=threads)
-    min_ratio = as_scalar(cfg.get("min_ratio", 0.01), float, "min_ratio")
-    # report-level verdict only: a_est/b_est below min_ratio at this
-    # truncation is called FAIL; no infinite-spectrum claim either way
-    ok = np.isfinite(report.b_est) and report.a_est >= min_ratio * report.b_est
-    result = report.to_json_dict()
-    result["verdict"] = analysis.PASS if ok else analysis.FAIL
-    result["min_ratio"] = min_ratio
-    return result, _VERDICT_EXIT[result["verdict"]], {}
-
-
-def _run_tiling_check(cfg, threads):
-    check_keys(
-        cfg,
-        ["phase", "box", "lattice"],
-        ["n", "bins", "radius", "seed", "out", "csv"],
-        "tiling-check config",
-    )
-    phi = build_phase(cfg["phase"])
-    check_keys(cfg["box"], ["lo", "hi"], [], "tiling-check box")
-    check_keys(cfg["lattice"], ["A"], [], "tiling-check lattice")
-    box = (cfg["box"]["lo"], cfg["box"]["hi"])
-    A = cfg["lattice"]["A"]
-    report = tiling.tiling_verdict(
-        phi,
-        box,
-        A,
-        n=as_scalar(cfg.get("n", 100_000), int, "n"),
-        bins=as_scalar(cfg.get("bins", 16), int, "bins"),
-        radius=as_scalar(cfg.get("radius", 2), int, "radius"),
-        seed=_seed(cfg),
-    )
-    csvs = {}
-    if cfg.get("csv"):
-        csvs[cfg["csv"]] = lambda path: report.histogram.write_csv(path, A)
-    return report.to_json_dict(), _VERDICT_EXIT[report.tiling], csvs
-
-
-def _run_density(cfg, threads):
-    check_keys(
-        cfg,
-        ["spectrum", "windows"],
-        ["centers_box", "n_centers", "seed", "out"],
-        "density config",
-    )
-    spectrum = build_spectrum(cfg["spectrum"])
-    centers_box = None
-    if "centers_box" in cfg:
-        check_keys(cfg["centers_box"], ["lo", "hi"], [], "density centers_box")
-        centers_box = (cfg["centers_box"]["lo"], cfg["centers_box"]["hi"])
-    if not isinstance(cfg["windows"], list):
-        raise ConfigError("windows must be a list of numbers")
-    report = spectra.beurling_density(
-        spectrum,
-        [as_scalar(r, float, "window") for r in cfg["windows"]],
-        centers_box=centers_box,
-        n_centers=as_scalar(cfg.get("n_centers", 1000), int, "n_centers"),
-        seed=_seed(cfg),
-    )
-    return report.to_json_dict(), _EXIT_OK, {}
-
-
-def _run_reconstruct(cfg, threads):
-    check_keys(
-        cfg,
-        ["measure", "phase", "spectrum", "quad", "f"],
-        ["seed", "out", "csv"],
-        "reconstruct config",
-    )
-    mu, phi, spectrum, quad = _system(cfg)
-    f = expression_on_points(parse_expression(cfg["f"]))
-    coeffs = reconstruct.coefficients(f, mu, phi, spectrum, quad, threads=threads)
-    g = reconstruct.synthesize(coeffs.values, phi, spectrum)
-    err = reconstruct.l2_error(
-        f, g, mu, measures.adaptive(abs_tol=1e-8, max_subdivisions=2000)
-    )
-    result = {
-        "n_coefficients": int(spectrum.size),
-        "flagged_entries": int(np.count_nonzero(coeffs.failed)),
-        "l2_error": float(err),
-        "truncation": spectrum.to_json_dict(),
-        "note": "error is relative to this finite truncation; no infinite-spectrum claim",
-    }
-    csvs = {}
-    if cfg.get("csv"):
-        csvs[cfg["csv"]] = coeffs.write_csv
-    return result, _EXIT_OK, csvs
-
-
+_BATTERIES = {"default": analysis.default_test_battery, "periodic": analysis.periodic_test_battery}
+_BASES = {"dyadic": analysis.dyadic_indicator_basis, "legendre": analysis.legendre_basis}
 _GROUP_PRESETS = {
     "heisenberg": repdisc.heisenberg_group,
     "poly2d": repdisc.poly2d_group,
@@ -255,84 +116,150 @@ _GROUP_PRESETS = {
 }
 
 
-def _run_repdisc(cfg, threads):
-    check_keys(
-        cfg,
-        ["group", "omega", "gamma", "spectrum", "window", "mode"],
-        ["quad", "tol", "basis_size", "exploratory", "seed", "out"],
-        "repdisc config",
+# ---------------------------------------------------------------------------
+# subcommand handlers: handler(cfg, seed, threads, opts) returns (result dict,
+# verdict, CSV writer or None); opts holds the typed options the config sets
+# ---------------------------------------------------------------------------
+
+
+def _run_verify_onb(cfg, seed, threads, opts):
+    mu, phi, spectrum, quad = _system(cfg, seed)
+    battery = pick(_BATTERIES, opts.pop("battery", "default"), "battery")(mu)
+    report = analysis.verify_onb(
+        mu, phi, spectrum, quad, test_functions=battery, threads=threads, **opts
     )
+    return report.to_json_dict(), report.verdict, report.gram_report.write_csv
+
+
+def _run_frame_bounds(cfg, seed, threads, opts):
+    mu, phi, spectrum, quad = _system(cfg, seed)
+    basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
+    check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
+    m = as_scalar(basis_cfg["m"], int, "basis.m")
+    basis = pick(_BASES, basis_cfg["kind"], "basis kind")(mu, m)
+    report = analysis.frame_bounds(mu, phi, spectrum, basis, quad, threads=threads)
+    min_ratio = opts.get("min_ratio", 0.01)
+    # report-level verdict only: a_est/b_est below min_ratio at this
+    # truncation is called FAIL; no infinite-spectrum claim either way
+    ok = np.isfinite(report.b_est) and report.a_est >= min_ratio * report.b_est
+    result = report.to_json_dict()
+    result["verdict"] = analysis.PASS if ok else analysis.FAIL
+    result["min_ratio"] = min_ratio
+    return result, result["verdict"], None
+
+
+def _run_tiling_check(cfg, seed, threads, opts):
+    phi = build_phase(cfg["phase"])
+    check_keys(cfg["lattice"], ["A"], [], "tiling-check lattice")
+    A = cfg["lattice"]["A"]
+    report = tiling.tiling_verdict(
+        phi, _box(cfg["box"], "tiling-check box"), A, seed=seed, **opts
+    )
+    return (
+        report.to_json_dict(),
+        report.tiling,
+        lambda path: report.histogram.write_csv(path, A),
+    )
+
+
+def _run_density(cfg, seed, threads, opts):
+    spectrum = build_spectrum(cfg["spectrum"])
+    if "centers_box" in cfg:
+        opts["centers_box"] = _box(cfg["centers_box"], "density centers_box")
+    if not isinstance(cfg["windows"], list):
+        raise ConfigError("windows must be a list of numbers")
+    windows = [as_scalar(r, float, "window") for r in cfg["windows"]]
+    report = spectra.beurling_density(spectrum, windows, seed=seed, **opts)
+    return report.to_json_dict(), analysis.PASS, None
+
+
+def _run_reconstruct(cfg, seed, threads, opts):
+    mu, phi, spectrum, quad = _system(cfg, seed)
+    f = expression_on_points(parse_expression(cfg["f"]))
+    coeffs = reconstruct.coefficients(f, mu, phi, spectrum, quad, threads=threads)
+    g = reconstruct.synthesize(coeffs.values, phi, spectrum)
+    err = reconstruct.l2_error(f, g, mu, measures.adaptive(abs_tol=1e-8))
+    result = {
+        "n_coefficients": int(spectrum.size),
+        "flagged_entries": int(np.count_nonzero(coeffs.failed)),
+        "l2_error": float(err),
+        "truncation": spectrum.to_json_dict(),
+        "note": "error is relative to this finite truncation; no infinite-spectrum claim",
+    }
+    return result, analysis.PASS, coeffs.write_csv
+
+
+def _run_repdisc(cfg, seed, threads, opts):
     group_cfg = cfg["group"]
     if isinstance(group_cfg, str):
-        if group_cfg not in _GROUP_PRESETS:
-            raise ConfigError(f"unknown group preset {group_cfg!r}")
-        group = _GROUP_PRESETS[group_cfg]()
+        group = pick(_GROUP_PRESETS, group_cfg, "group preset")()
     else:
         check_keys(group_cfg, ["A", "ell"], [], "repdisc group")
         group = repdisc.GroupData(matrices=group_cfg["A"], ell=group_cfg["ell"])
-    phase = repdisc.phase_from_group(group)
-    check_keys(cfg["omega"], ["lo", "hi"], [], "repdisc omega")
+    omega_lo, omega_hi = _box(cfg["omega"], "repdisc omega")
     ws = repdisc.WindowSystem(
-        omega_lo=cfg["omega"]["lo"],
-        omega_hi=cfg["omega"]["hi"],
+        omega_lo=omega_lo,
+        omega_hi=omega_hi,
         gamma_set=cfg["gamma"],
         spectrum=build_spectrum(cfg["spectrum"]),
-        phase=phase,
+        phase=repdisc.phase_from_group(group),
     )
-    check_keys(cfg["window"], ["lo", "hi"], [], "repdisc window")
-    quad = _quad_with_seed(
-        cfg.get("quad", {"scheme": "tensor-gauss", "order": 48}), _seed(cfg)
-    )
+    window = _box(cfg["window"], "repdisc window")
+    if "quad" in cfg:
+        opts["quad"] = _quad(cfg["quad"], seed)
     report = repdisc.verify_system_on_window(
-        ws,
-        (cfg["window"]["lo"], cfg["window"]["hi"]),
-        mode=cfg["mode"],
-        quad=quad,
-        tol=as_scalar(cfg.get("tol", 1e-10), float, "tol"),
-        basis_size=as_scalar(cfg.get("basis_size", 32), int, "basis_size"),
-        threads=threads,
-        exploratory=bool(cfg.get("exploratory", False)),
+        ws, window, mode=cfg["mode"], threads=threads, **opts
     )
-    return report.to_json_dict(), _VERDICT_EXIT[report.verdict], {}
+    return report.to_json_dict(), report.verdict, None
 
 
-def _run_probe(cfg, threads):
-    check_keys(
-        cfg,
-        ["measure", "phase"],
-        ["n", "delta_x", "delta_y", "seed", "out"],
-        "probe-injectivity config",
-    )
+def _run_probe(cfg, seed, threads, opts):
     mu = build_measure(cfg["measure"])
     phi = build_phase(cfg["phase"])
-    delta = {
-        key: as_scalar(cfg[key], float, key)
-        for key in ("delta_x", "delta_y")
-        if cfg.get(key) is not None
-    }
-    report = phases.essential_injectivity_probe(
-        phi,
-        mu,
-        n=as_scalar(cfg.get("n", 10_000), int, "n"),
-        seed=_seed(cfg),
-        **delta,
-    )
+    report = phases.essential_injectivity_probe(phi, mu, seed=seed, **opts)
     result = report.to_json_dict()
     # collisions refute essential injectivity at the probe scales; none found
     # is not a certificate
     result["verdict"] = analysis.FAIL if report.collision_fraction > 0 else analysis.PASS
-    return result, _VERDICT_EXIT[result["verdict"]], {}
+    return result, result["verdict"], None
 
 
-_HANDLERS = {
-    "verify-onb": _run_verify_onb,
-    "frame-bounds": _run_frame_bounds,
-    "tiling-check": _run_tiling_check,
-    "density": _run_density,
-    "reconstruct": _run_reconstruct,
-    "repdisc": _run_repdisc,
-    "probe-injectivity": _run_probe,
+_SYSTEM = ["measure", "phase", "spectrum", "quad"]
+
+# command: (handler, required keys, typed options, other allowed keys); every
+# config may also set seed and out, read by run()
+_COMMANDS = {
+    "verify-onb": (
+        _run_verify_onb,
+        _SYSTEM,
+        {"tol_orth": float, "tol_complete": float, "battery": str},
+        ["csv"],
+    ),
+    "frame-bounds": (_run_frame_bounds, _SYSTEM, {"min_ratio": float}, ["basis"]),
+    "tiling-check": (
+        _run_tiling_check,
+        ["phase", "box", "lattice"],
+        {"n": int, "bins": int, "radius": int},
+        ["csv"],
+    ),
+    "density": (_run_density, ["spectrum", "windows"], {"n_centers": int}, ["centers_box"]),
+    "reconstruct": (_run_reconstruct, _SYSTEM + ["f"], {}, ["csv"]),
+    "repdisc": (
+        _run_repdisc,
+        ["group", "omega", "gamma", "spectrum", "window", "mode"],
+        {"tol": float, "basis_size": int, "exploratory": bool},
+        ["quad"],
+    ),
+    "probe-injectivity": (
+        _run_probe,
+        ["measure", "phase"],
+        {"n": int, "delta_x": float, "delta_y": float},
+        [],
+    ),
 }
+
+# read by run(); csv is allowed only where a command lists it
+_COMMON = {"seed": int, "out": str, "csv": str}
 
 
 def run(argv=None) -> int:
@@ -341,7 +268,7 @@ def run(argv=None) -> int:
         description="Generalized exponential systems: verification experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in list(_HANDLERS) + ["list-presets"]:
+    for name in list(_COMMANDS) + ["list-presets"]:
         p = sub.add_parser(name)
         if name != "list-presets":
             src = p.add_mutually_exclusive_group(required=True)
@@ -372,8 +299,13 @@ def run(argv=None) -> int:
             with open(args.config) as fh:
                 cfg = json.load(fh)
 
+        handler, required, kinds, other = _COMMANDS[args.command]
+        check_keys(cfg, required, ["seed", "out", *kinds, *other], f"{args.command} config")
+        common = options(cfg, _COMMON)
         t0 = time.time()
-        result, code, csvs = _HANDLERS[args.command](cfg, max(1, args.threads))
+        result, verdict, write_csv = handler(
+            cfg, common.get("seed", 0), max(1, args.threads), options(cfg, kinds)
+        )
         runtime = time.time() - t0
 
         report = {
@@ -388,16 +320,16 @@ def run(argv=None) -> int:
                 "package_version": "0.1.0",
             },
         }
-        out_path = args.out or cfg.get("out")
+        out_path = args.out or common.get("out")
         text = _write_report(report, out_path)
         if not out_path:
             print(text)
         else:
             print(f"report written to {out_path}")
-        for path, writer in csvs.items():
-            writer(path)
-            print(f"csv written to {path}")
-        return code
+        if common.get("csv"):
+            write_csv(common["csv"])
+            print(f"csv written to {common['csv']}")
+        return _VERDICT_EXIT[verdict]
     except ExpSysError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_ERROR

@@ -28,17 +28,40 @@ def check_keys(cfg: dict, required, optional, where):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
+_NOUNS = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean"}
+
+
 def as_scalar(value, kind, what):
-    """kind(value) for kind int or float; ConfigError when it does not convert,
-    when an int field gets a non-integral number or a float field a non-finite one."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or not math.isfinite(out) or (isinstance(value, float) and out != value):
-        noun = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    """kind(value) for kind int or float, value itself for kind str or bool.
+
+    ConfigError when it does not convert, when an int field gets a
+    non-integral number or a float field a non-finite one, and when a str or
+    bool field gets anything but a JSON string or boolean."""
+    if kind in (str, bool):
+        out, ok = value, type(value) is kind
+    else:
+        try:
+            out = kind(value)
+            ok = math.isfinite(out) and not (isinstance(value, float) and out != value)
+        except (TypeError, ValueError, OverflowError):
+            ok = False
+    if not ok:
+        raise ConfigError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
     return out
+
+
+def pick(table, name, what):
+    """table[name]; ConfigError when name is not one of its string keys."""
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {what} {name!r}")
+    return table[name]
+
+
+def options(cfg, kinds, prefix=""):
+    """{key: value} of the fields of `kinds` that cfg sets, each read by its kind."""
+    return {
+        key: as_scalar(cfg[key], kind, prefix + key) for key, kind in kinds.items() if key in cfg
+    }
 
 
 def _expr_fn_of(text, allowed_vars, where):
@@ -86,7 +109,7 @@ def build_phase(cfg) -> phases.PhaseMap:
     kind = cfg["kind"]
     if kind == "identity":
         check_keys(cfg, ["kind"], ["dim"], "phase.identity")
-        return phases.Identity(as_scalar(cfg.get("dim", 1), int, "phase.dim"))
+        return phases.Identity(**options(cfg, {"dim": int}, "phase."))
     if kind == "affine":
         check_keys(cfg, ["kind", "M"], ["b"], "phase.affine")
         return phases.Affine(cfg["M"], cfg.get("b"))
@@ -107,14 +130,16 @@ def build_phase(cfg) -> phases.PhaseMap:
                 as_scalar(k, int, "digit_map key"): as_scalar(v, float, "digit_map value")
                 for k, v in cfg["digit_map"].items()
             },
-            depth=as_scalar(cfg.get("depth", 30), int, "phase.depth"),
+            **options(cfg, {"depth": int}, "phase."),
         )
     if kind == "holhos":
         check_keys(cfg, ["kind"], [], "phase.holhos")
         return phases.Holhos()
     if kind == "unipotent":
         check_keys(cfg, ["kind", "l"], [], "phase.unipotent")
-        exprs = list(cfg["l"])
+        exprs = cfg["l"]
+        if not isinstance(exprs, list):
+            raise ConfigError("phase.l must be a list of expressions")
         d = len(exprs) + 1
         shifts = [
             expression_on_points(
@@ -127,10 +152,14 @@ def build_phase(cfg) -> phases.PhaseMap:
         check_keys(cfg, ["kind", "z"], ["f", "K"], "phase.triangular2d")
         z = _of_x2(_expr_fn_of(cfg["z"], {"x2"}, "triangular2d z"))
         f = _of_x2(_expr_fn_of(cfg.get("f", "0"), {"x2"}, "triangular2d f"))
-        return phases.Triangular2D(z, f, K=as_scalar(cfg.get("K", 0.0), float, "phase.K"))
+        return phases.Triangular2D(z, f, **options(cfg, {"K": float}, "phase."))
     if kind == "custom":
         check_keys(cfg, ["kind", "expr", "in_dim"], [], "phase.custom")
         in_dim = as_scalar(cfg["in_dim"], int, "phase.in_dim")
+        if not 1 <= in_dim <= 8:  # the grammar names x1..x8
+            raise ConfigError(f"phase.in_dim must be in [1, 8], got {in_dim}")
+        if not isinstance(cfg["expr"], list) or not cfg["expr"]:
+            raise ConfigError("phase.expr must be a non-empty list of expressions")
         comps = [
             expression_on_points(
                 _expr_fn_of(t, {f"x{j}" for j in range(1, in_dim + 1)}, "custom expr")
@@ -165,31 +194,17 @@ def build_spectrum(cfg) -> spectra.SpectrumSet:
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 
 
+_QUADS = {
+    "tensor-gauss": (measures.gauss, {"order": int}),
+    "monte-carlo": (measures.monte_carlo, {"n_samples": int, "seed": int}),
+    "self-similar-digit": (measures.digit, {"depth": int}),
+    "adaptive": (measures.adaptive, {"abs_tol": float, "max_subdivisions": int, "order": int}),
+}
+
+
 def build_quad(cfg) -> measures.QuadratureSpec:
     if not isinstance(cfg, dict) or "scheme" not in cfg:
         raise ConfigError("quad must be an object with a 'scheme'")
-    scheme = cfg["scheme"]
-    if scheme == "tensor-gauss":
-        check_keys(cfg, ["scheme"], ["order"], "quad.tensor-gauss")
-        return measures.gauss(order=as_scalar(cfg.get("order", 32), int, "quad.order"))
-    if scheme == "monte-carlo":
-        check_keys(cfg, ["scheme"], ["n_samples", "seed"], "quad.monte-carlo")
-        return measures.monte_carlo(
-            n_samples=as_scalar(cfg.get("n_samples", 100_000), int, "quad.n_samples"),
-            seed=as_scalar(cfg.get("seed", 0), int, "quad.seed"),
-        )
-    if scheme == "self-similar-digit":
-        check_keys(cfg, ["scheme"], ["depth"], "quad.self-similar-digit")
-        return measures.digit(depth=as_scalar(cfg.get("depth", 30), int, "quad.depth"))
-    if scheme == "adaptive":
-        check_keys(
-            cfg, ["scheme"], ["abs_tol", "max_subdivisions", "order"], "quad.adaptive"
-        )
-        return measures.adaptive(
-            abs_tol=as_scalar(cfg.get("abs_tol", 1e-9), float, "quad.abs_tol"),
-            max_subdivisions=as_scalar(
-                cfg.get("max_subdivisions", 2000), int, "quad.max_subdivisions"
-            ),
-            order=as_scalar(cfg.get("order", 16), int, "quad.order"),
-        )
-    raise ConfigError(f"unknown quadrature scheme {scheme!r}")
+    make, kinds = pick(_QUADS, cfg["scheme"], "quadrature scheme")
+    check_keys(cfg, ["scheme"], kinds, f"quad.{cfg['scheme']}")
+    return make(**options(cfg, kinds, "quad."))

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 
-from .errors import ExprError
+from .errors import ConfigError, ExprError
 
 _FUNCTIONS = {
     "sin": np.sin,
@@ -186,6 +186,8 @@ class _Parser:
 
 def parse_expression(text: str) -> Expression:
     """Parse `text` into an Expression; raises ExprError with byte offset."""
+    if not isinstance(text, str):
+        raise ConfigError(f"an expression must be a string, got {text!r}")
     parser = _Parser(text)
     root = parser.parse()
     return Expression(text, root, parser.variables)

@@ -52,6 +52,19 @@ _MAX_DIGIT_NODES = 1 << 20
 
 _PANEL_FACTOR = 5.0  # panels = ceil(PANEL_FACTOR * cycles / order)
 
+# larger sample sets, node sets and (n, k) weight stacks are refused before
+# they are built: 1 GiB of float64
+_MAX_ENTRIES = 1 << 27
+
+# digit expansions stop here: 2^-64 is below double precision on a unit width
+_MAX_DEPTH = 64
+
+
+def _check_entries(n, width, what):
+    """Refuse an (n, width) array above the entry budget before it is built."""
+    if n * width > _MAX_ENTRIES:
+        raise DomainError(f"{n} x {width} {what} above {_MAX_ENTRIES} entries")
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -70,8 +83,8 @@ class QuadratureSpec:
             raise DomainError(f"order must be in [2, 512], got {self.order}")
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.depth < 1:
-            raise DomainError("depth must be >= 1")
+        if not 1 <= self.depth <= _MAX_DEPTH:
+            raise DomainError(f"depth must be in [1, {_MAX_DEPTH}], got {self.depth}")
         if self.abs_tol <= 0:
             raise DomainError("abs tol must be > 0")
 
@@ -298,6 +311,7 @@ def sample(mu: Measure, n: int, seed: int = 0, depth: int = 30) -> np.ndarray:
     """n i.i.d. draws from mu as an (n, dim) array, deterministic in seed."""
     if n < 1:
         raise DomainError("n must be >= 1")
+    _check_entries(n, mu.dim, "sample set")
     rng = spawn_rng(seed, "sample", mu.kind)
     return mu._sample(n, rng, depth)
 

@@ -119,6 +119,8 @@ class DigitMap(PhaseMap):
         self.depth = int(depth)
         if self.in_base < 2 or self.out_base < 2:
             raise DomainError("bases must be >= 2")
+        if not 1 <= self.depth <= measures._MAX_DEPTH:
+            raise DomainError(f"depth must be in [1, {measures._MAX_DEPTH}], got {self.depth}")
         if set(self.digit_map) != set(self.in_digits):
             raise DomainError("digit_map must cover exactly the input digit set")
         out_vals = list(self.digit_map.values())
@@ -248,17 +250,18 @@ class _MonotoneAntiderivative:
     """F(t) = integral_1^t w(tau) dtau for strictly positive w.
 
     Composite-Gauss grid refined until every interval's two-order residual is
-    below `tol`; queries add a 16-node panel from the nearest grid knot, so
+    below `_TOL`; queries add a 16-node panel from the nearest grid knot, so
     evaluation is vectorized and the grid is a read-only memo.  Extension on
     out-of-range queries rebuilds the grid (atomic swap; thread-safe reads).
     """
 
     _ORDER_HI = 16
     _ORDER_LO = 8
+    _TOL = 1e-12
+    _NEWTON_STEPS = 4
 
-    def __init__(self, w, tol=1e-12):
+    def __init__(self, w):
         self.w = w
-        self.tol = tol
         self._grid = None  # (knots, F-values)
 
     def _panel(self, a, b, order):
@@ -279,7 +282,7 @@ class _MonotoneAntiderivative:
             hi_int = self._panel(a, b, self._ORDER_HI)
             lo_int = self._panel(a, b, self._ORDER_LO)
             err = np.abs(hi_int - lo_int)
-            bad = err > self.tol / max(len(a), 1)
+            bad = err > self._TOL / max(len(a), 1)
             if not np.any(bad):
                 break
             mids = 0.5 * (a[bad] + b[bad])
@@ -325,7 +328,7 @@ class _MonotoneAntiderivative:
             vals = self.w(nodes.ravel()).reshape(nodes.shape)
         return cum[idx] + half * (vals @ wq)
 
-    def inverse(self, v, newton_steps=4):
+    def inverse(self, v):
         """Solve F(t) = v where reachable; F is strictly increasing since w > 0.
 
         Returns (t, ok): ok is False where v lies outside the attainable range
@@ -374,7 +377,7 @@ class _MonotoneAntiderivative:
         t_hi = knots[j]
         t = np.interp(safe_v, cum, knots)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for _ in range(newton_steps):
+            for _ in range(self._NEWTON_STEPS):
                 step = (self(t) - safe_v) / self.w(t)
                 step = np.where(np.isfinite(step), step, 0.0)
                 t = np.clip(t - step, t_lo, t_hi)

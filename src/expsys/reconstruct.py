@@ -26,7 +26,7 @@ class CoefficientSet:
             writer.writerow([f"lambda_{i+1}" for i in range(d)] + ["re", "im"])
             for lam, c in zip(self.spectrum.points, self.values):
                 writer.writerow(
-                    [repr(v) for v in lam] + [repr(c.real), repr(c.imag)]
+                    [repr(float(v)) for v in lam] + [repr(float(c.real)), repr(float(c.imag))]
                 )
 
 

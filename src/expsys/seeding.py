@@ -10,6 +10,8 @@ import zlib
 
 import numpy as np
 
+from .errors import DomainError
+
 
 def _tag_key(tag) -> int:
     if isinstance(tag, (int, np.integer)):
@@ -19,5 +21,7 @@ def _tag_key(tag) -> int:
 
 def spawn_rng(seed: int, *tags) -> np.random.Generator:
     """Generator for the sub-stream identified by `tags` under `seed`."""
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     key = tuple(_tag_key(t) for t in tags)
     return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))

@@ -21,7 +21,14 @@ def unique_rows(rows):
     """(uniq, inverse) of the rows of a finite (n, d) array, rounded to 12
     digits in place; uniq is sorted lexicographically as by np.unique(axis=0)
     and -0.0 is folded into 0.0."""
-    np.round(rows, 12, out=rows)
+    # doubles from 2^52 up are integers, so rounding them changes nothing;
+    # np.round would overflow on them above ~1.8e296
+    big = 2.0**52
+    if rows.size and (rows.max() >= big or rows.min() <= -big):
+        small = np.abs(rows) < big
+        rows[small] = np.round(rows[small], 12)
+    else:
+        np.round(rows, 12, out=rows)
     rows += 0.0
     order = np.lexsort(rows.T[::-1])
     new = np.zeros(rows.shape[0], dtype=bool)
@@ -234,8 +241,8 @@ def beurling_density(
     sides = _finite(windows, "density windows")
     if sides.ndim != 1 or np.any(sides <= 0):
         raise DomainError("density windows must be a list of positive numbers")
-    if n_centers < 1:
-        raise DomainError("n_centers must be >= 1")
+    if not 1 <= n_centers < MAX_DENSITY_WORK:
+        raise DomainError(f"n_centers must be in [1, {MAX_DENSITY_WORK}), got {n_centers}")
     rng = spawn_rng(seed, "beurling-centers")
     if centers_box is None:
         centers_box = (np.full(d, -10.0), np.full(d, 10.0))

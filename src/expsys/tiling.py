@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InversionError
-from .measures import LebesgueBox, _finite
+from .measures import LebesgueBox, _check_entries, _finite
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
 
@@ -56,7 +56,7 @@ class HistogramReport:
             grid = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1).reshape(-1, d)
             frac_to_pt = np.asarray(lattice_A, dtype=float)
             for frac, cnt in zip(grid, self.counts.ravel()):
-                writer.writerow([repr(v) for v in frac @ frac_to_pt.T] + [int(cnt)])
+                writer.writerow([repr(float(v)) for v in frac @ frac_to_pt.T] + [int(cnt)])
 
 
 def frac_histogram_test(
@@ -109,20 +109,25 @@ def frac_histogram_test(
 class _GridMembership:
     """Occupancy-grid membership test for images of maps without an inverse.
 
-    256^d cells over the image bounding box, marked from a dense forward
-    sweep and dilated by one cell; approximate by construction.
+    _CELLS^d cells over the image bounding box, marked from a dense forward
+    sweep of _SWEEP^d points and dilated by one cell; approximate by
+    construction.
     """
 
-    def __init__(self, phi, lo, hi, cells=256, sweep=1024):
+    _CELLS = 256
+    _SWEEP = 1024
+
+    def __init__(self, phi, lo, hi):
         d = lo.size
-        grids = [np.linspace(lo[i], hi[i], sweep, endpoint=False) for i in range(d)]
+        _check_entries(self._SWEEP**d, d, "membership sweep")
+        cells = self._CELLS
+        grids = [np.linspace(lo[i], hi[i], self._SWEEP, endpoint=False) for i in range(d)]
         mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
         img = phi(mesh)
         self.lo = img.min(axis=0)
         self.hi = img.max(axis=0)
         span = np.where(self.hi > self.lo, self.hi - self.lo, 1.0)
         self.span = span
-        self.cells = cells
         idx = np.clip(((img - self.lo) / span * cells).astype(int), 0, cells - 1)
         occ = np.zeros((cells,) * d, dtype=bool)
         occ[tuple(idx.T)] = True
@@ -133,7 +138,7 @@ class _GridMembership:
     def __call__(self, y):
         inside = np.all((y >= self.lo) & (y <= self.hi), axis=1)
         idx = np.clip(
-            ((y - self.lo) / self.span * self.cells).astype(int), 0, self.cells - 1
+            ((y - self.lo) / self.span * self._CELLS).astype(int), 0, self._CELLS - 1
         )
         hits = self.occ[tuple(idx.T)]
         return hits & inside, np.zeros(y.shape[0], dtype=bool)
@@ -229,8 +234,6 @@ def tiling_verdict(
     bins=16,
     radius=2,
     seed=0,
-    preservation_tol=1e-6,
-    exclusion=None,
 ) -> TilingReport:
     """Packing (zero lattice-translate overlaps) + volume match => tiling.
 
@@ -238,21 +241,17 @@ def tiling_verdict(
     positive above max(3 sigma, a 3/n Poisson floor).  Volume match combines
     a sampled |det J| == 1 check with m(box) == |det A|.  The chi-square
     histogram corroborates; a NONUNIFORM histogram blocks a TILES verdict.
+    The n draws per translate over all (2 radius + 1)^d translates are
+    bounded up front.
     """
     lo, hi = _as_box(box)
     d = lo.size
+    _check_entries(n, (2 * radius + 1) ** d, "tiling samples over translates")
     A = _as_lattice(lattice_A, d)
     vol = float(np.prod(hi - lo))
 
     hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
-    pres = measure_preservation_check(
-        phi,
-        LebesgueBox(lo, hi),
-        n=min(n, 20_000),
-        tol=preservation_tol,
-        seed=seed,
-        exclusion=exclusion,
-    )
+    pres = measure_preservation_check(phi, LebesgueBox(lo, hi), n=min(n, 20_000), seed=seed)
     volume_match = pres.passed and abs(vol - abs(np.linalg.det(A))) <= 1e-9 * max(
         vol, 1.0
     )

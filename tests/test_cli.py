@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expsys.cli import run, serialize_report
 from expsys.config import as_scalar
@@ -69,6 +73,9 @@ class TestPresets:
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "lambda_1,re,im"
+        assert len(lines) == 1 + 33
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
         rep = json.loads(out.read_text())
         # analytic truncation tail for f(x) = x at |k| <= 16
         ks = np.arange(17, 100_000)
@@ -237,6 +244,50 @@ MALFORMED = {
     "monte-carlo-1e10-samples": (
         "identity-1d", _set(["quad"], {"scheme": "monte-carlo", "n_samples": 10**10})
     ),
+    # ill-typed values: expressions must be strings, expression lists lists,
+    # and str/bool fields JSON strings/booleans (null is refused, not "unset")
+    "reconstruct-f-number": ("reconstruct-sawtooth", _set(["f"], 1.5)),
+    "triangular-z-number": ("counterexample-exp", _set(["phase", "z"], 1)),
+    "triangular-f-list": ("counterexample-exp", _set(["phase", "f"], [])),
+    "unipotent-l-entry-number": ("unipotent-sin", _set(["phase", "l", 0], 0)),
+    "unipotent-l-not-a-list": ("unipotent-sin", _set(["phase", "l"], 1)),
+    "custom-expr-entry-object": ("square-phase-1d", _set(["phase", "expr", 0], {})),
+    "custom-expr-not-a-list": ("square-phase-1d", _set(["phase", "expr"], 1)),
+    "custom-expr-empty": ("square-phase-1d", _set(["phase", "expr"], [])),
+    "custom-in-dim-1e15": ("square-phase-1d", _set(["phase", "in_dim"], 10**15)),
+    "density-seed-negative": ("density-lambda4", _set(["seed"], -1)),
+    "exploratory-string": ("shearlet", _set(["exploratory"], "false")),
+    "out-not-a-string": ("identity-1d", _set(["out"], True)),
+    "csv-not-a-string": ("identity-1d", _set(["csv"], 2)),
+    "probe-delta-y-null": ("probe-x2", _set(["delta_y"], None)),
+    "quad-scheme-list": ("identity-1d", _set(["quad", "scheme"], [])),
+    # sizes refused before any work: 2^27 tiling samples over all translates,
+    # 2^27 probe sample entries, 2^26 density centres, 4096 test functions,
+    # digit depth 64
+    "tiling-n-1e15": ("unipotent-tiling", _set(["n"], 10**15)),
+    "tiling-radius-1e6": ("unipotent-tiling", _set(["radius"], 10**6)),
+    "probe-n-1e15": ("probe-x2", _set(["n"], 10**15)),
+    "density-n-centers-1e15": ("density-z2", _set(["n_centers"], 10**15)),
+    "dyadic-basis-m-2^40": ("halfbox-frame", _set(["basis", "m"], 2**40)),
+    "legendre-basis-m-2^40": (
+        "halfbox-frame", _set(["basis"], {"kind": "legendre", "m": 2**40})
+    ),
+    "repdisc-basis-size-2^40": ("axb", _set(["basis_size"], 2**40)),
+    "digit-map-depth-1e9": ("cantor4", _set(["phase", "depth"], 10**9)),
+    "quad-depth-1e9": ("cantor4", _set(["quad", "depth"], 10**9)),
+    # a 3-d phase with no inverse needs a 1024^3-point membership sweep
+    "tiling-3d-membership-sweep": (
+        "unipotent-tiling",
+        lambda cfg: cfg.update(
+            phase={"kind": "custom", "expr": ["x1", "x2", "x3"], "in_dim": 3},
+            box={"lo": [0.0] * 3, "hi": [1.0] * 3},
+            lattice={"A": np.eye(3).tolist()},
+        ),
+    ),
+    # np.round(x, 12) overflows above ~1.8e296
+    "heisenberg-spectrum-point-1e300": (
+        "heisenberg", _set(["spectrum", "points", 0], [0.0, 1e300])
+    ),
 }
 
 
@@ -253,6 +304,49 @@ def test_malformed_config_exits_three(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+def _nodes(node, path=()):
+    """Path of every node below `node`: sub-objects, list items and leaves."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield path + (key,)
+            yield from _nodes(child, path + (key,))
+
+
+# the probe presets are left out: probe-x2 with delta_y 1e300 asks
+# cKDTree.query_pairs for every one of its n^2 / 2 pairs
+MUTATED_PRESETS = [
+    "identity-1d", "square-phase-1d", "reconstruct-sawtooth", "density-lambda4", "heisenberg"
+]
+HOSTILE_VALUES = [None, True, "x", [], {}, -1, 0, 1.5, 1e300, 10**15, [[1e300]]]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(
+    target=st.sampled_from(
+        [(name, path) for name in MUTATED_PRESETS for path in _nodes(PRESETS[name]["config"])]
+    ),
+    value=st.sampled_from(HOSTILE_VALUES),
+)
+def test_mutated_preset_keeps_exit_contract(tmp_path_factory, target, value):
+    # any one node replaced by any hostile JSON value: an exit code in 0..3,
+    # nothing raised (RuntimeWarnings are errors in this suite) and one
+    # "error: " line on exit 3
+    name, path = target
+    cfg = json.loads(json.dumps(PRESETS[name]["config"]))
+    _set(list(path), value)(cfg)
+    tmp = tmp_path_factory.getbasetemp()
+    (tmp / "mutated.json").write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run([
+            PRESETS[name]["command"],
+            "--config", str(tmp / "mutated.json"),
+            "--out", str(tmp / "mutated-report.json"),
+        ])
+    assert code in (0, 1, 2, 3)
+    assert code != 3 or err.getvalue().startswith("error: ")
 
 
 def test_as_scalar_keeps_integral_floats_and_finite_strings():
@@ -392,3 +486,5 @@ class TestSpecCliExamples:
         lines = (tmp_path / "gram.csv").read_text().strip().splitlines()
         assert lines[0] == "row,col,re,im"
         assert len(lines) == 1 + 5 * 5
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]

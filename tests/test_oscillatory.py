@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys._oscillatory import _MAX_WEIGHT_ENTRIES, exp_moments, measure_rule, rule_for
+from expsys._oscillatory import exp_moments, measure_rule, rule_for
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
-from expsys.measures import disc_quadrants, polar_xy
+from expsys.measures import _MAX_ENTRIES, disc_quadrants, polar_xy
 from expsys.reconstruct import coefficients
 
 
@@ -225,6 +225,6 @@ def test_weight_stack_budget_refused_before_building():
     # 2^20 digit nodes leave room for 128 weight columns
     mu, quad = es.middle_fourth_cantor(), es.digit(depth=30)
     n = 1 << 20
-    k = _MAX_WEIGHT_ENTRIES // n
+    k = _MAX_ENTRIES // n
     with pytest.raises(DomainError, match="weight stack"):
         exp_moments(mu, es.Identity(1), [[0.0]], quad, weights=[None] * (k + 1))

@@ -64,6 +64,8 @@ class TestCoefficients:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "lambda_1,re,im"
         assert len(lines) == 1 + spec.size
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
 
 
 class TestSynthesize:

@@ -184,6 +184,11 @@ class TestSpectrumSet:
         with pytest.raises(ValueError):
             es.explicit([[0.0], [0.0]])
 
+    def test_points_beyond_rounding_range_stay_distinct(self):
+        # doubles above 2^52 are integers and skip the 12-digit rounding,
+        # which would overflow to inf above ~1.8e296
+        assert es.explicit([[1e300], [1.5e300]]).size == 2
+
     def test_explicit_shapes(self):
         assert es.explicit([1.0, 2.0, 3.0]).points.shape == (3, 1)
         assert es.explicit(2.0).points.shape == (1, 1)

@@ -48,6 +48,8 @@ class TestFracHistogram:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "center_1,center_2,count"
         assert len(lines) == 1 + 16
+        for line in lines[1:]:
+            [float(cell) for cell in line.split(",")]
 
 
 class TestOverlapVolume:
