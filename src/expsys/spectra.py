@@ -23,12 +23,8 @@ def unique_rows(rows):
     and -0.0 is folded into 0.0."""
     # doubles from 2^52 up are integers, so rounding them changes nothing;
     # np.round would overflow on them above ~1.8e296
-    big = 2.0**52
-    if rows.size and (rows.max() >= big or rows.min() <= -big):
-        small = np.abs(rows) < big
-        rows[small] = np.round(rows[small], 12)
-    else:
-        np.round(rows, 12, out=rows)
+    small = np.abs(rows) < 2.0**52
+    rows[small] = np.round(rows[small], 12)
     rows += 0.0
     order = np.lexsort(rows.T[::-1])
     new = np.zeros(rows.shape[0], dtype=bool)

@@ -26,6 +26,9 @@ INCONCLUSIVE = "INCONCLUSIVE"
 TILES = "TILES"
 NOT_TILING = "NOT-TILING"
 
+# tiling_verdict() refuses more draws than this over all lattice translates
+MAX_TILING_DRAWS = 1 << 27
+
 
 @dataclass
 class HistogramReport:
@@ -241,26 +244,32 @@ def tiling_verdict(
     positive above max(3 sigma, a 3/n Poisson floor).  Volume match combines
     a sampled |det J| == 1 check with m(box) == |det A|.  The chi-square
     histogram corroborates; a NONUNIFORM histogram blocks a TILES verdict.
-    The n draws per translate over all (2 radius + 1)^d translates are
-    bounded up front.
+    The total work, n draws for each of the (2 radius + 1)^d translates, is
+    capped at MAX_TILING_DRAWS before anything is drawn; with the default n
+    this refuses d >= 5 at radius 2.
     """
     lo, hi = _as_box(box)
     d = lo.size
-    _check_entries(n, (2 * radius + 1) ** d, "tiling samples over translates")
+    draws = n * (2 * radius + 1) ** d
+    if draws > MAX_TILING_DRAWS:
+        raise DomainError(
+            f"tiling check draws n x (2 radius + 1)^d = {draws} points in total, "
+            f"above {MAX_TILING_DRAWS}; lower n or radius"
+        )
     A = _as_lattice(lattice_A, d)
     vol = float(np.prod(hi - lo))
-
-    hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
-    pres = measure_preservation_check(phi, LebesgueBox(lo, hi), n=min(n, 20_000), seed=seed)
-    volume_match = pres.passed and abs(vol - abs(np.linalg.det(A))) <= 1e-9 * max(
-        vol, 1.0
-    )
 
     membership = None
     try:
         phi.invert(phi(np.atleast_2d((lo + hi) / 2.0)))
     except InversionError:
         membership = _GridMembership(phi, lo, hi)
+
+    hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
+    pres = measure_preservation_check(phi, LebesgueBox(lo, hi), n=min(n, 20_000), seed=seed)
+    volume_match = pres.passed and abs(vol - abs(np.linalg.det(A))) <= 1e-9 * max(
+        vol, 1.0
+    )
 
     overlaps = {}
     packing = "PASS"

@@ -261,11 +261,20 @@ MALFORMED = {
     "csv-not-a-string": ("identity-1d", _set(["csv"], 2)),
     "probe-delta-y-null": ("probe-x2", _set(["delta_y"], None)),
     "quad-scheme-list": ("identity-1d", _set(["quad", "scheme"], [])),
-    # sizes refused before any work: 2^27 tiling samples over all translates,
+    # sizes refused before any work: 2^27 tiling draws over all translates,
     # 2^27 probe sample entries, 2^26 density centres, 4096 test functions,
     # digit depth 64
     "tiling-n-1e15": ("unipotent-tiling", _set(["n"], 10**15)),
     "tiling-radius-1e6": ("unipotent-tiling", _set(["radius"], 10**6)),
+    # the default n = 100000 at radius 2 is refused from dimension 5 up
+    "tiling-5d-default-n": (
+        "unipotent-tiling",
+        lambda cfg: (cfg.pop("n"), cfg.update(
+            phase={"kind": "custom", "expr": [f"x{i}" for i in range(1, 6)], "in_dim": 5},
+            box={"lo": [0.0] * 5, "hi": [1.0] * 5},
+            lattice={"A": np.eye(5).tolist()},
+        )),
+    ),
     "probe-n-1e15": ("probe-x2", _set(["n"], 10**15)),
     "density-n-centers-1e15": ("density-z2", _set(["n_centers"], 10**15)),
     "dyadic-basis-m-2^40": ("halfbox-frame", _set(["basis", "m"], 2**40)),
