@@ -10,10 +10,11 @@ the only engine: Gram entries, coefficients, norms, frame matrices and plain
 
 Each scheme builds its node set once, evaluates the phase on it once, builds
 an (n, k) weight matrix once and contracts every exp chunk with every column.
-Frequencies sharing a composite-Gauss panel signature share one node set;
-under tensor-gauss a weight with its own support box gets its own sub-box
-rule, so node sets are keyed by (support box, panel signature), and a disc
-is four polar-quadrant node sets whose two-order errors add.
+A support box is a mask on its weight under every scheme.  Tensor-gauss
+breaks its composite rule at every support-box edge, shares each dimension's
+panels out over the segments between them and lets frequencies with one such
+panel layout share one node set; a disc is four polar-quadrant node sets
+whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
 weight's finest-scale slope to the phase term.  Adaptive integrals stay one
@@ -111,7 +112,8 @@ def oscillation_cycles(phi, mu, lambdas):
 
     Bounds |d(lambda . phi)/dx_i| by sampled Jacobian row maxima times the
     support width.  Returns (m, in_dim) cycles; raises QuadratureError when
-    the phase has no usable Jacobian (digit maps) at a nonzero frequency.
+    the phase has no Jacobian (digit maps) or a non-finite one at a nonzero
+    frequency.
     """
     lam = np.atleast_2d(lambdas)
     lo, hi = mu.support_box()
@@ -120,10 +122,8 @@ def oscillation_cycles(phi, mu, lambdas):
         return np.abs(lam) * width[None, :]
     if not np.any(lam):
         return np.zeros((lam.shape[0], mu.dim))
-    try:
-        J = phi.jacobian_batch(measures.sample(mu, _N_PROBE, seed=0xC3C1E5))
-    except Exception:
-        J = np.array(np.nan)
+    pts = measures.sample(mu, _N_PROBE, seed=0xC3C1E5)
+    J = phi.jacobian_batch(pts) if phi.differentiable else np.nan
     if not np.all(np.isfinite(J)):
         raise QuadratureError(
             "tensor-gauss needs a differentiable phase for oscillation "
@@ -147,9 +147,9 @@ def exp_moments(
 
     `weights` is a sequence whose entries are (fn, support_box) pairs or None,
     the unit weight.  `fn` maps (n, dim) points of mu to (n,) values (None is
-    the constant 1); `support_box` (lo, hi) restricts the weight to a box.
-    Under tensor-gauss the box must be a sub-box of a LebesgueBox measure and
-    gets its own rule; other schemes mask nodes or samples outside it.
+    the constant 1); `support_box` (lo, hi) restricts the weight to a box: it
+    masks nodes or samples outside it.  Tensor-gauss takes support boxes on a
+    LebesgueBox only and puts their edges on panel edges.
     With `strict`, any non-finite value raises QuadratureError.
     """
     base, psi = _unwrap(mu)
@@ -202,17 +202,17 @@ def _contract(img, lam, W):
     n, k = W.shape
     out = np.empty((lam.shape[0], k), dtype=complex)
     step = _chunk_size(n, k)
-    for start in range(0, lam.shape[0], step):
-        rows = slice(start, start + step)
-        Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
-        Z.imag = img @ lam[rows].T
-        Z.imag *= 2 * np.pi
-        with np.errstate(invalid="ignore"):  # a NaN phase is refused by exp_moments
+    with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
+        for start in range(0, lam.shape[0], step):
+            rows = slice(start, start + step)
+            Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
+            Z.imag = img @ lam[rows].T
+            Z.imag *= 2 * np.pi
             np.exp(Z, out=Z)
-        if np.iscomplexobj(W):
-            out[rows] = (W.T @ Z).T
-        else:  # one real matmul over the interleaved (re, im) columns
-            out[rows] = (W.T @ Z.view(float)).view(complex).T
+            if np.iscomplexobj(W):
+                out[rows] = (W.T @ Z).T
+            else:  # one real matmul over the interleaved (re, im) columns
+                out[rows] = (W.T @ Z.view(float)).view(complex).T
     return out
 
 
@@ -267,58 +267,69 @@ def _map_pool(fn, items, threads):
     return [fn(it) for it in items]
 
 
+def _panel_edges(cuts, counts):
+    """Edges that split each segment between adjacent cuts into its count of panels."""
+    parts = [np.linspace(a, b, p + 1)[:-1] for a, b, p in zip(cuts[:-1], cuts[1:], counts)]
+    return np.concatenate(parts + [cuts[-1:]])
+
+
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
-    boxes: dict = {}  # support box (lo + hi flattened) -> weight columns
-    for j, (_, box) in enumerate(weights):
-        key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
-        boxes.setdefault(key, []).append(j)
-    if (psi is not None or not isinstance(mu, LebesgueBox)) and set(boxes) != {None}:
+    boxes = [np.asarray(b, dtype=float).reshape(2, -1) for _, b in weights if b is not None]
+    if boxes and (psi is not None or not isinstance(mu, LebesgueBox)):
         raise SchemeMismatchError("support_box with tensor-gauss requires a box measure")
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
-        raise SchemeMismatchError(
-            f"tensor-gauss is not valid for measure kind {mu.kind!r}"
-        )
+        raise SchemeMismatchError(f"tensor-gauss is not valid for measure kind {mu.kind!r}")
     eff_phi = phi if psi is None else phases.compose(phi, psi)
     polar = isinstance(mu, LebesgueDisc)
-
-    items = []  # (cells, panel signature, frequency rows, weight columns)
-    for key, cols in boxes.items():
-        sub = mu if key is None else LebesgueBox(*np.reshape(key, (2, -1)))
-        cycles = oscillation_cycles(eff_phi, sub, lam)
-        if polar:  # quadrant cells put the axes, where maps may kink, on cell edges
-            cells = measures.disc_quadrants(mu)
-            cycles = np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
-        else:
-            cells = [(sub.lo, sub.hi)]
-        groups: dict = {}
-        for i, sig in enumerate(panels_from_cycles(cycles, quad.order)):
-            groups.setdefault(tuple(sig), []).append(i)
-        for sig in groups:  # the order + 8 pass is the larger one
-            n = math.prod(int(s) * (quad.order + 8) for s in sig)
-            _check_entries(n, max(mu.dim, len(cols)), "node set")
-        items += [(cells, sig, np.asarray(idx), cols) for sig, idx in groups.items()]
+    cycles = oscillation_cycles(eff_phi, mu, lam)
+    if polar:  # quadrant cells put the axes, where maps may kink, on cell edges
+        cells = measures.disc_quadrants(mu)
+        cycles = np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
+    else:
+        cells = [(mu.lo, mu.hi)]
+    # per cell and dimension, the panel breakpoints: the cell edges and every
+    # support-box edge inside them (fmin/fmax send a NaN edge to a cell edge)
+    box_edges = np.concatenate(boxes or [np.empty((0, mu.dim))])
+    cuts = [
+        [np.array(sorted({lo[i], hi[i], *np.fmax(lo[i], np.fmin(hi[i], box_edges[:, i]))}))
+         for i in range(mu.dim)]
+        for lo, hi in cells
+    ]
+    # each segment gets its share of the cell's panels, at least one; all
+    # quadrant cells have one shape; the guard keeps 64 * (1/64) at one panel
+    sig = panels_from_cycles(cycles, quad.order)
+    shares = [np.diff(c) / (c[-1] - c[0]) for c in cuts[0]]
+    counts = np.hstack([np.ceil(sig[:, [i]] * f * (1 - 1e-12)) for i, f in enumerate(shares)])
+    counts = np.maximum(1, counts).astype(np.int64)
+    layouts, inverse = np.unique(counts, axis=0, return_inverse=True)
+    items = []  # (frequency rows, per-dimension segment panel counts)
+    for g, layout in enumerate(layouts):
+        per_dim = np.split(layout, np.cumsum([f.size for f in shares])[:-1])
+        n = math.prod(int(p.sum()) * (quad.order + 8) for p in per_dim)  # the larger pass
+        _check_entries(n, max(mu.dim, len(weights)), "node set")
+        items.append((np.flatnonzero(inverse.ravel() == g), per_dim))
 
     def run_group(item):
-        cells, sig, idx, cols = item
-        fns = [(weights[j][0], None) for j in cols]  # the sub-box rule is the support
+        idx, per_dim = item
         total = err = 0.0
-        for lo, hi in cells:
+        for cell_cuts in cuts:
+            edges = [_panel_edges(c, p) for c, p in zip(cell_cuts, per_dim)]
             passes = []
             for order in (quad.order, quad.order + 8):
-                pts, w = box_gauss_nodes(lo, hi, order, np.asarray(sig))
+                pts, w = box_gauss_nodes(edges, order)
                 if polar:
                     pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
                 y = pts if psi is None else psi(pts)
-                passes.append(_contract(phi(y), lam[idx], _weight_matrix(fns, y, w)))
+                passes.append(_contract(phi(y), lam[idx], _weight_matrix(weights, y, w)))
             total = total + passes[1]
             err = err + np.abs(passes[1] - passes[0])
         return total, err
 
     vals = np.empty((lam.shape[0], len(weights)), dtype=complex)
     errs = np.empty(vals.shape)
-    for (_, _, idx, cols), (total, err) in zip(items, _map_pool(run_group, items, threads)):
-        vals[np.ix_(idx, cols)] = total
-        errs[np.ix_(idx, cols)] = err
+    for (idx, _), (total, err) in zip(items, _map_pool(run_group, items, threads)):
+        vals[idx] = total
+        errs[idx] = err
     return vals, errs
 
 

@@ -297,7 +297,10 @@ def run(argv=None) -> int:
             preset_name = args.preset
         else:
             with open(args.config) as fh:
-                cfg = json.load(fh)
+                try:
+                    cfg = json.load(fh)
+                except RecursionError:
+                    raise ConfigError("config nests too deeply to parse") from None
 
         handler, required, kinds, other = _COMMANDS[args.command]
         check_keys(cfg, required, ["seed", "out", *kinds, *other], f"{args.command} config")

@@ -1,13 +1,16 @@
 """Small arithmetic expression grammar for config-described functions.
 
-Grammar: identifiers x1..x8, numeric literals, + - * / ^ (right-assoc),
-unary minus, sin cos exp log sqrt abs sgn, constants pi and e, parentheses.
-Parsed once into a closed AST; evaluation is vectorized over numpy arrays
-bound to the identifiers.
+Grammar: identifiers x1..x8, float64 literals, + - * / ^, unary minus,
+sin cos exp log sqrt abs sgn, constants pi and e, parentheses.  Precedence,
+loosest first: + -, * /, unary minus, ^ (right-assoc): -x1^2 is -(x1^2).
+At most _MAX_TOKENS tokens, which bounds the recursion of parsing and
+evaluation.  Parsed once into a closed AST; evaluation is vectorized over
+numpy arrays bound to the identifiers; inf and nan (1/0) pass on.
 """
 
 import math
 import re
+from collections import namedtuple
 
 import numpy as np
 
@@ -23,7 +26,11 @@ _FUNCTIONS = {
     "sgn": np.sign,
 }
 
-_CONSTANTS = {"pi": math.pi, "e": math.e}
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+
+_CONSTANTS = {"pi": np.float64(math.pi), "e": np.float64(math.e)}
+
+_MAX_TOKENS = 256
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?"
@@ -32,13 +39,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind, text, offset):
-        self.kind = kind
-        self.text = text
-        self.offset = offset
+_Token = namedtuple("_Token", "kind text offset")
 
 
 def _tokenize(text):
@@ -62,6 +63,8 @@ def _tokenize(text):
         else:
             tokens.append(_Token("op", m.group("op"), m.start("op")))
         pos = m.end()
+        if len(tokens) > _MAX_TOKENS:
+            raise ExprError(f"expression longer than {_MAX_TOKENS} tokens", tokens[-1].offset)
     tokens.append(_Token("end", "", n))
     return tokens
 
@@ -116,38 +119,19 @@ class _Parser:
 
     def sum_(self):
         node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                rhs = self.term()
-                node = (lambda l, r: lambda env: l(env) + r(env))(node, rhs) \
-                    if tok.text == "+" else \
-                    (lambda l, r: lambda env: l(env) - r(env))(node, rhs)
-            else:
-                return node
+        while self.peek().kind == "op" and self.peek().text in "+-":
+            f = _BINARY[self.advance().text]
+            rhs = self.term()
+            node = lambda env, f=f, l=node, r=rhs: f(l(env), r(env))
+        return node
 
     def term(self):
-        node = self.power()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                rhs = self.power()
-                node = (lambda l, r: lambda env: l(env) * r(env))(node, rhs) \
-                    if tok.text == "*" else \
-                    (lambda l, r: lambda env: l(env) / r(env))(node, rhs)
-            else:
-                return node
-
-    def power(self):
-        base = self.unary()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            exponent = self.power()  # right associative
-            return lambda env, b=base, e=exponent: np.power(b(env), e(env))
-        return base
+        node = self.unary()
+        while self.peek().kind == "op" and self.peek().text in "*/":
+            f = _BINARY[self.advance().text]
+            rhs = self.unary()
+            node = lambda env, f=f, l=node, r=rhs: f(l(env), r(env))
+        return node
 
     def unary(self):
         tok = self.peek()
@@ -155,12 +139,21 @@ class _Parser:
             self.advance()
             inner = self.unary()
             return lambda env, i=inner: -i(env)
-        return self.atom()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        tok = self.peek()
+        if tok.kind == "op" and tok.text == "^":
+            self.advance()
+            exponent = self.unary()  # right associative; admits 2^-1
+            return lambda env, b=base, e=exponent: np.power(b(env), e(env))
+        return base
 
     def atom(self):
         tok = self.advance()
         if tok.kind == "num":
-            value = float(tok.text)
+            value = np.float64(tok.text)
             return lambda env, v=value: v
         if tok.kind == "name":
             name = tok.text

@@ -15,7 +15,8 @@ tensor-gauss        composite tensor-product Gauss-Legendre; the error estimate
                     is the difference of two orders.  Oscillatory
                     exponentials get ceil(5*cycles/order) panels per dimension
                     (one at lambda = 0), which keeps the rule in its
-                    superexponential-convergence regime.  The disc is
+                    superexponential-convergence regime; support-box edges
+                    are panel edges, so box masks are exact.  The disc is
                     handled in polar coordinates over four quadrant cells.
 monte-carlo         i.i.d. sampling from the measure; error is one standard
                     error (acceptance-style checks should use 3-sigma bands).
@@ -327,10 +328,10 @@ def _leggauss(order):
     return x, w
 
 
-def _panel_nodes_1d(lo, hi, order, panels):
-    """Composite Gauss nodes/weights on [lo, hi] with `panels` equal panels."""
+def _panel_nodes_1d(edges, order):
+    """Composite Gauss nodes/weights with one panel between adjacent `edges`."""
     x, w = _leggauss(order)
-    edges = np.linspace(lo, hi, panels + 1)
+    edges = np.asarray(edges, dtype=float)
     mids = 0.5 * (edges[:-1] + edges[1:])
     halfs = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
@@ -338,21 +339,14 @@ def _panel_nodes_1d(lo, hi, order, panels):
     return nodes, weights
 
 
-def box_gauss_nodes(lo, hi, order, panels):
-    """Tensor-product composite Gauss rule on a box.
+def box_gauss_nodes(edges, order):
+    """Tensor-product composite Gauss rule; `edges[i]` are the panel edges of dim i.
 
-    Returns (pts (n, d), weights (n,)).  `panels` is a per-dimension array.
+    Returns (pts (n, d), weights (n,)).
     """
-    lo = np.atleast_1d(lo)
-    hi = np.atleast_1d(hi)
-    per_dim = [
-        _panel_nodes_1d(lo[i], hi[i], order, int(panels[i])) for i in range(lo.size)
-    ]
-    grids = np.meshgrid(*[nd for nd, _ in per_dim], indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[wd for _, wd in per_dim], indexing="ij")
-    weights = np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
-    return pts, weights
+    nodes, weights = zip(*[_panel_nodes_1d(e, order) for e in edges])
+    pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
+    return pts, np.prod([g.ravel() for g in np.meshgrid(*weights, indexing="ij")], axis=0)
 
 
 def panels_from_cycles(cycles, order):
@@ -396,10 +390,9 @@ def _adaptive_cells(f, cells, quad):
     heap = []
 
     def eval_cell(lo, hi):
-        ones = np.ones(len(lo), dtype=int)
-        pts, w = box_gauss_nodes(lo, hi, order, ones)
+        pts, w = box_gauss_nodes(np.stack([lo, hi], axis=1), order)
         hi_val = w @ _apply(f, pts)
-        pts2, w2 = box_gauss_nodes(lo, hi, order_lo, ones)
+        pts2, w2 = box_gauss_nodes(np.stack([lo, hi], axis=1), order_lo)
         lo_val = w2 @ _apply(f, pts2)
         return hi_val, abs(hi_val - lo_val)
 
@@ -418,14 +411,9 @@ def _adaptive_cells(f, cells, quad):
         neg_err, _, lo, hi, _, _ = heapq.heappop(heap)
         widths = hi - lo
         split = int(np.argmax(widths))
-        mid = 0.5 * (lo[split] + hi[split])
-        for piece in (0, 1):
-            plo = lo.copy()
-            phi_ = hi.copy()
-            if piece == 0:
-                phi_[split] = mid
-            else:
-                plo[split] = mid
+        left_hi, right_lo = hi.copy(), lo.copy()
+        left_hi[split] = right_lo[split] = 0.5 * (lo[split] + hi[split])
+        for plo, phi_ in ((lo, left_hi), (right_lo, hi)):
             val, err = eval_cell(plo, phi_)
             heapq.heappush(heap, (-err, counter, plo, phi_, val, err))
             counter += 1

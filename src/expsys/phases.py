@@ -33,7 +33,8 @@ class PhaseMap:
             raise DomainError(
                 f"expected points of dim {self.in_dim}, got {pts.shape[1]}"
             )
-        out = self._eval(pts)
+        with np.errstate(all="ignore"):  # inf and nan pass on; consumers check finiteness
+            out = self._eval(pts)
         return out[0] if single else out
 
     def jacobian(self, x, h=1e-5):
@@ -47,7 +48,8 @@ class PhaseMap:
         for j in range(self.in_dim):
             step = np.zeros(self.in_dim)
             step[j] = h
-            J[:, :, j] = (self._eval(pts + step) - self._eval(pts - step)) / (2 * h)
+            with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
+                J[:, :, j] = (self._eval(pts + step) - self._eval(pts - step)) / (2 * h)
         return J
 
     def invert(self, y):
@@ -452,22 +454,16 @@ class Triangular2D(PhaseMap):
 
 
 class CustomPhase(PhaseMap):
-    def __init__(self, fn, in_dim, out_dim, jac=None):
+    def __init__(self, fn, in_dim, out_dim):
         self.fn = fn
         self.in_dim = int(in_dim)
         self.out_dim = int(out_dim)
-        self._jac = jac
 
     def _eval(self, pts):
         out = np.asarray(self.fn(pts), dtype=float)
         if out.ndim == 1:
             out = out[:, None]
         return out
-
-    def jacobian_batch(self, pts, h=1e-5):
-        if self._jac is not None:
-            return np.asarray(self._jac(pts), dtype=float)
-        return super().jacobian_batch(pts, h=h)
 
 
 class ComposedPhase(PhaseMap):
@@ -638,6 +634,9 @@ def essential_injectivity_probe(
         raise DomainError("n must be >= 100")
     pts = measures.sample(mu, n, seed=seed)
     img = phi(pts)
+    # squared distances must stay below the float64 maximum (NaN fails too)
+    if not (np.all(np.abs(pts) < 1e150) and np.all(np.abs(img) < 1e150)):
+        raise DomainError("the injectivity probe needs points and images below 1e150")
     if delta_x is None:
         lo, hi = mu.support_box()
         delta_x = 0.05 * float(np.linalg.norm(hi - lo))
@@ -647,7 +646,12 @@ def essential_injectivity_probe(
     if delta_y <= 0:
         delta_y = 1e-12
 
-    i, j = cKDTree(img).query_pairs(delta_y, output_type="ndarray").T
+    tree = cKDTree(img)
+    # pairs within delta_y are counted (self-pairs and both orders) before they
+    # are listed; the index pairs and their two distance rows must fit the budget
+    pairs = (int(tree.count_neighbors(tree, delta_y)) - n) // 2
+    measures._check_entries(pairs, 2 + img.shape[1] + pts.shape[1], "collision pair list")
+    i, j = tree.query_pairs(delta_y, output_type="ndarray").T
     hit = (np.linalg.norm(img[i] - img[j], axis=1) < delta_y) & (
         np.linalg.norm(pts[i] - pts[j], axis=1) > delta_x
     )

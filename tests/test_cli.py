@@ -297,6 +297,32 @@ MALFORMED = {
     "heisenberg-spectrum-point-1e300": (
         "heisenberg", _set(["spectrum", "points", 0], [0.0, 1e300])
     ),
+    # expressions past the token bound would recurse past Python's limit
+    # when parsed or evaluated
+    "expr-3000-unary-minus": ("square-phase-1d", _set(["phase", "expr", 0], "-" * 3000 + "x1")),
+    "expr-3000-parentheses": (
+        "square-phase-1d", _set(["phase", "expr", 0], "(" * 3000 + "x1" + ")" * 3000)
+    ),
+    "expr-3000-terms-monte-carlo": (
+        "square-phase-1d",
+        lambda cfg: cfg.update(
+            phase={"kind": "custom", "expr": ["+".join(["x1"] * 3000)], "in_dim": 1},
+            quad={"scheme": "monte-carlo", "n_samples": 1000},
+        ),
+    ),
+    # float64 literals: 1/0 is inf, and the phase is refused as non-finite
+    "expr-one-over-zero-monte-carlo": (
+        "square-phase-1d",
+        lambda cfg: cfg.update(
+            phase={"kind": "custom", "expr": ["x1 + 1/0"], "in_dim": 1},
+            quad={"scheme": "monte-carlo", "n_samples": 1000},
+        ),
+    ),
+    "expr-one-over-zero-tensor-gauss": (
+        "square-phase-1d", _set(["phase", "expr", 0], "x1 + 1/0")
+    ),
+    # 1e300 puts all n^2 / 2 sample pairs within delta_y
+    "probe-delta-y-1e300": ("probe-x2", _set(["delta_y"], 1e300)),
 }
 
 
@@ -311,7 +337,18 @@ def test_malformed_config_exits_three(tmp_path, capsys, case):
         warnings.simplefilter("always")
         assert run([PRESETS[preset]["command"], "--config", str(path)]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_deeply_nested_config_exits_three(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["verify-onb", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
 
 
@@ -323,10 +360,9 @@ def _nodes(node, path=()):
             yield from _nodes(child, path + (key,))
 
 
-# the probe presets are left out: probe-x2 with delta_y 1e300 asks
-# cKDTree.query_pairs for every one of its n^2 / 2 pairs
 MUTATED_PRESETS = [
-    "identity-1d", "square-phase-1d", "reconstruct-sawtooth", "density-lambda4", "heisenberg"
+    "identity-1d", "square-phase-1d", "reconstruct-sawtooth", "density-lambda4", "heisenberg",
+    "probe-x2", "probe-digitmap",
 ]
 HOSTILE_VALUES = [None, True, "x", [], {}, -1, 0, 1.5, 1e300, 10**15, [[1e300]]]
 

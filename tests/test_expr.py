@@ -27,6 +27,16 @@ class TestParse:
     def test_right_assoc_power(self):
         assert parse_expression("2^3^2").evaluate({}) == 512.0
 
+    @pytest.mark.parametrize(
+        "text, value", [("-x1^2", -9.0), ("-2^2", -4.0), ("2^-1", 0.5)]
+    )
+    def test_unary_minus_binds_looser_than_power(self, text, value):
+        assert parse_expression(text).evaluate({"x1": 3.0}) == value
+
+    def test_constant_division_by_zero_is_inf(self):
+        # float64 literals: no ZeroDivisionError and no warning
+        assert parse_expression("x1 + 1/0").evaluate({"x1": 1.0}) == np.inf
+
     def test_unary_minus_and_constants(self):
         assert_allclose(parse_expression("-x1 + e").evaluate({"x1": 1.0}), math.e - 1)
         assert_allclose(parse_expression("sgn(-3.5)").evaluate({}), -1.0)
@@ -71,3 +81,23 @@ class TestErrors:
         e = parse_expression("x1 + x2")
         with pytest.raises(ExprError):
             e.evaluate({"x1": 1.0})
+
+    @pytest.mark.parametrize(
+        "text",
+        ["-" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "+".join(["x1"] * 3000)],
+    )
+    def test_oversized_expression_refused_at_parse(self, text):
+        with pytest.raises(ExprError, match="tokens"):
+            parse_expression(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * 127 + "x1" + ")" * 127,
+            "-" * 255 + "x1",
+            "^".join(["x1"] * 128),
+            "-(" * 85 + "x1" + ")" * 85,
+        ],
+    )
+    def test_deepest_expressions_under_the_bound_evaluate(self, text):
+        assert abs(parse_expression(text).evaluate({"x1": 1.0})) == 1.0

@@ -95,6 +95,52 @@ def test_pushforward_weights_use_image_coordinates(scheme):
         assert abs(v[0, 0] - 0.5) <= 5 * e[0, 0] + 1e-12
 
 
+def test_tensor_gauss_support_box_is_clipped_to_the_measure():
+    # [-1, 0.5) reaches outside Lebesgue[0, 1]: its indicator has mass 0.5
+    mu, box = es.LebesgueBox([0.0], [1.0]), [(None, _half([-1.0], [0.5]))]
+    for quad in (es.gauss(32), es.adaptive()):
+        v, e = exp_moments(mu, es.Identity(1), [[0.0], [3.0]], quad, weights=box)
+        assert_allclose(v[:, 0], [0.5, 1j / (3 * np.pi)], atol=1e-12)
+
+
+def test_tensor_gauss_frame_matrix_is_one_node_set(monkeypatch):
+    # 64 indicator cells over Lebesgue[0, 1/2] at |lambda| <= 256: one cycle
+    # estimate and one refined layout, so one contraction per Gauss order
+    from expsys import _oscillatory
+
+    calls = {"contract": 0, "cycles": 0, "nodes": 0}
+
+    def counted(name, fn, amount=lambda r: 1):
+        def wrapper(*args):
+            out = fn(*args)
+            calls[name] += amount(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(_oscillatory, "_contract", counted("contract", _oscillatory._contract))
+    monkeypatch.setattr(
+        _oscillatory, "oscillation_cycles", counted("cycles", _oscillatory.oscillation_cycles)
+    )
+    monkeypatch.setattr(
+        _oscillatory,
+        "box_gauss_nodes",
+        counted("nodes", _oscillatory.box_gauss_nodes, lambda r: r[0].shape[0]),
+    )
+    mu = es.LebesgueBox([0.0], [0.5])
+    basis = es.dyadic_indicator_basis(mu, 64)
+    report = es.frame_bounds(mu, es.Identity(1), es.integer_lattice(1, 256), basis, es.gauss(24))
+    assert calls == {"contract": 2, "cycles": 1, "nodes": 64 * (24 + 32)}
+    # a restricted Parseval frame: b <= 1, and a < 1 from the spectrum truncation
+    assert 0.5 < report.a_est <= report.b_est <= 1.0 + 1e-12
+
+
+def test_tensor_gauss_reports_the_phase_domain_error():
+    # the Jacobian probe samples the radius-2 disc, outside Holhos' domain
+    with pytest.raises(DomainError, match="closed unit disc"):
+        exp_moments(es.LebesgueDisc([0.0, 0.0], 2.0), es.Holhos(), [[1.0, 0.0]], es.gauss(16))
+
+
 B2Q = es.binary_to_quaternary(depth=30)
 T2Q = es.ternary_to_quaternary(depth=30)
 MC400K = es.monte_carlo(400_000, seed=0)
