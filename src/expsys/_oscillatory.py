@@ -13,7 +13,8 @@ an (n, k) weight matrix once and contracts every exp chunk with every column.
 A support box is a mask on its weight under every scheme.  Tensor-gauss
 breaks its composite rule at every support-box edge, shares each dimension's
 panels out over the segments between them and lets frequencies with one such
-panel layout share one node set; a disc is four polar-quadrant node sets
+panel layout share one node set; a box's weight columns are contracted over
+its own tensor sub-grid of rows.  A disc is four polar-quadrant node sets
 whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
@@ -49,7 +50,7 @@ _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
 
 
-def _chunk_size(n_nodes, n_weights=1):
+def _chunk_size(n_nodes, n_weights):
     # keep the complex exp chunk plus the real (n, k) weight matrix around 64 MB
     cols = 8_000_000 // max(n_nodes, 1) - n_weights
     return max(1, min(_CHUNK, cols // 2))
@@ -197,22 +198,34 @@ def _weight_matrix(weights, y, node_weights=None):
     return W
 
 
-def _contract(img, lam, W):
-    """(m, k) sums over nodes of W[:, j] e^{2 pi i lambda . img}."""
-    n, k = W.shape
-    out = np.empty((lam.shape[0], k), dtype=complex)
-    step = _chunk_size(n, k)
-    with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
-        for start in range(0, lam.shape[0], step):
-            rows = slice(start, start + step)
-            Z = np.zeros((n, lam[rows].shape[0]), dtype=complex)  # exp chunk, in place
-            Z.imag = img @ lam[rows].T
-            Z.imag *= 2 * np.pi
-            np.exp(Z, out=Z)
-            if np.iscomplexobj(W):
-                out[rows] = (W.T @ Z).T
-            else:  # one real matmul over the interleaved (re, im) columns
-                out[rows] = (W.T @ Z.view(float)).view(complex).T
+def _contract(img, lam, blocks, threads=1):
+    """(m, k) sums over nodes of w_j e^{2 pi i lambda . img}.
+
+    `blocks` lists (rows, cols, W) and partitions the k weight columns:
+    columns `cols` vanish off the node `rows` (an index array or a slice) and
+    W holds their node-weighted values on those rows.  Exp chunks span only
+    a block's rows, so disjoint blocks evaluate each node's exponentials
+    once; blocks run on `threads` workers.
+    """
+    out = np.empty((lam.shape[0], sum(W.shape[1] for _, _, W in blocks)), dtype=complex)
+
+    def run_block(block):
+        rows, cols, W = block
+        sub = img[rows]
+        step = _chunk_size(*W.shape)
+        with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
+            for start in range(0, lam.shape[0], step):
+                freqs = slice(start, start + step)
+                Z = np.zeros((sub.shape[0], lam[freqs].shape[0]), dtype=complex)  # in place
+                Z.imag = sub @ lam[freqs].T
+                Z.imag *= 2 * np.pi
+                np.exp(Z, out=Z)
+                if np.iscomplexobj(W):
+                    out[freqs, cols] = (W.T @ Z).T
+                else:  # one real matmul over the interleaved (re, im) columns
+                    out[freqs, cols] = (W.T @ Z.view(float)).view(complex).T
+
+    _map_pool(run_block, blocks, threads)
     return out
 
 
@@ -223,7 +236,7 @@ def _mc_moments(mu, psi, phi, lam, quad, weights):
     y = pts if psi is None else psi(pts)
     W = _weight_matrix(weights, y)
     n = pts.shape[0]
-    mean = _contract(phi(y), lam, W) / n
+    mean = _contract(phi(y), lam, [(slice(None), slice(None), W)]) / n
     # per-column sample variance of w e^{i theta}; |e^{i theta}| == 1, so
     # sum |w z - mean|^2 == sum |w|^2 - n |mean|^2
     sq = np.sum(np.abs(W) ** 2, axis=0)
@@ -257,7 +270,7 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
     errs = slopes * tail_width + peaks * phase[:, None]
     W *= w[:, None]
-    return _contract(img, lam, W), errs
+    return _contract(img, lam, [(slice(None), slice(None), W)]), errs
 
 
 def _map_pool(fn, items, threads):
@@ -273,12 +286,34 @@ def _panel_edges(cuts, counts):
     return np.concatenate(parts + [cuts[-1:]])
 
 
+def _box_rows(edges, order, key):
+    """(rows, count): the rows of a tensor node set inside a support box.
+
+    Box edges inside the rule are panel edges, so the box covers whole panels
+    in each dimension; key None, no box, is every row.
+    """
+    shape = [(len(e) - 1) * order for e in edges]
+    if key is None:
+        return slice(None), math.prod(shape)
+    spans = [
+        np.arange(*np.minimum(np.searchsorted(e, ends), len(e) - 1) * order)
+        for e, ends in zip(edges, np.reshape(key, (2, -1)).T)
+    ]
+    return np.ravel_multi_index(np.ix_(*spans), shape).ravel(), math.prod(map(len, spans))
+
+
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
-    boxes = [np.asarray(b, dtype=float).reshape(2, -1) for _, b in weights if b is not None]
-    if boxes and (psi is not None or not isinstance(mu, LebesgueBox)):
+    groups: dict = {}  # support box (lo + hi flattened, None unboxed) -> weight columns
+    for j, (_, box) in enumerate(weights):
+        key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
+        groups.setdefault(key, []).append(j)
+    box_edges = np.reshape([key for key in groups if key is not None], (-1, mu.dim))
+    if box_edges.size and (psi is not None or not isinstance(mu, LebesgueBox)):
         raise SchemeMismatchError("support_box with tensor-gauss requires a box measure")
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
-        raise SchemeMismatchError(f"tensor-gauss is not valid for measure kind {mu.kind!r}")
+        raise SchemeMismatchError(
+            f"tensor-gauss is not valid for measure kind {mu.kind!r}"
+        )
     eff_phi = phi if psi is None else phases.compose(phi, psi)
     polar = isinstance(mu, LebesgueDisc)
     cycles = oscillation_cycles(eff_phi, mu, lam)
@@ -289,7 +324,6 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
         cells = [(mu.lo, mu.hi)]
     # per cell and dimension, the panel breakpoints: the cell edges and every
     # support-box edge inside them (fmin/fmax send a NaN edge to a cell edge)
-    box_edges = np.concatenate(boxes or [np.empty((0, mu.dim))])
     cuts = [
         [np.array(sorted({lo[i], hi[i], *np.fmax(lo[i], np.fmin(hi[i], box_edges[:, i]))}))
          for i in range(mu.dim)]
@@ -302,34 +336,42 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     counts = np.hstack([np.ceil(sig[:, [i]] * f * (1 - 1e-12)) for i, f in enumerate(shares)])
     counts = np.maximum(1, counts).astype(np.int64)
     layouts, inverse = np.unique(counts, axis=0, return_inverse=True)
-    items = []  # (frequency rows, per-dimension segment panel counts)
+    items = []  # one pass: (frequency rows, panel edges, order, (node rows, columns) per box)
     for g, layout in enumerate(layouts):
         per_dim = np.split(layout, np.cumsum([f.size for f in shares])[:-1])
+        idx = np.flatnonzero(inverse.ravel() == g)
         n = math.prod(int(p.sum()) * (quad.order + 8) for p in per_dim)  # the larger pass
-        _check_entries(n, max(mu.dim, len(weights)), "node set")
-        items.append((np.flatnonzero(inverse.ravel() == g), per_dim))
-
-    def run_group(item):
-        idx, per_dim = item
-        total = err = 0.0
+        _check_entries(n, mu.dim, "node set")
         for cell_cuts in cuts:
             edges = [_panel_edges(c, p) for c, p in zip(cell_cuts, per_dim)]
-            passes = []
             for order in (quad.order, quad.order + 8):
-                pts, w = box_gauss_nodes(edges, order)
-                if polar:
-                    pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
-                y = pts if psi is None else psi(pts)
-                passes.append(_contract(phi(y), lam[idx], _weight_matrix(weights, y, w)))
-            total = total + passes[1]
-            err = err + np.abs(passes[1] - passes[0])
-        return total, err
+                blocks = []
+                for key, cols in groups.items():  # a box's columns span only its rows
+                    rows, count = _box_rows(edges, order, key)
+                    _check_entries(count, len(cols), "weight block")
+                    blocks.append((rows, cols))
+                items.append((idx, edges, order, blocks))
 
-    vals = np.empty((lam.shape[0], len(weights)), dtype=complex)
-    errs = np.empty(vals.shape)
-    for (idx, _), (total, err) in zip(items, _map_pool(run_group, items, threads)):
-        vals[idx] = total
-        errs[idx] = err
+    def run_pass(item):
+        idx, edges, order, blocks = item
+        pts, w = box_gauss_nodes(edges, order)
+        if polar:
+            pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
+        y = pts if psi is None else psi(pts)
+        stack = [
+            (rows, cols, _weight_matrix([weights[j] for j in cols], y[rows], w[rows]))
+            for rows, cols in blocks
+        ]
+        return _contract(phi(y), lam[idx], stack, inner)
+
+    # several weight blocks share the pool inside each pass; one block leaves it to the passes
+    inner = threads if len(groups) > 1 else 1
+    vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
+    errs = np.zeros(vals.shape)
+    passes = _map_pool(run_pass, items, threads if inner == 1 else 1)
+    for (idx, *_), low, high in zip(items[::2], passes[::2], passes[1::2]):
+        vals[idx] += high
+        errs[idx] += np.abs(high - low)
     return vals, errs
 
 

@@ -10,7 +10,6 @@ numpy arrays bound to the identifiers; inf and nan (1/0) pass on.
 
 import math
 import re
-from collections import namedtuple
 
 import numpy as np
 
@@ -39,7 +38,13 @@ _TOKEN_RE = re.compile(
 )
 
 
-_Token = namedtuple("_Token", "kind text offset")
+class _Token:
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind, text, offset):
+        self.kind = kind
+        self.text = text
+        self.offset = offset
 
 
 def _tokenize(text):

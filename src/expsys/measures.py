@@ -344,9 +344,12 @@ def box_gauss_nodes(edges, order):
 
     Returns (pts (n, d), weights (n,)).
     """
-    nodes, weights = zip(*[_panel_nodes_1d(e, order) for e in edges])
-    pts = np.stack([g.ravel() for g in np.meshgrid(*nodes, indexing="ij")], axis=-1)
-    return pts, np.prod([g.ravel() for g in np.meshgrid(*weights, indexing="ij")], axis=0)
+    per_dim = [_panel_nodes_1d(e, order) for e in edges]
+    grids = np.meshgrid(*[nd for nd, _ in per_dim], indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*[wd for _, wd in per_dim], indexing="ij")
+    weights = np.prod(np.stack([wg.ravel() for wg in wgrids]), axis=0)
+    return pts, weights
 
 
 def panels_from_cycles(cycles, order):
@@ -411,9 +414,14 @@ def _adaptive_cells(f, cells, quad):
         neg_err, _, lo, hi, _, _ = heapq.heappop(heap)
         widths = hi - lo
         split = int(np.argmax(widths))
-        left_hi, right_lo = hi.copy(), lo.copy()
-        left_hi[split] = right_lo[split] = 0.5 * (lo[split] + hi[split])
-        for plo, phi_ in ((lo, left_hi), (right_lo, hi)):
+        mid = 0.5 * (lo[split] + hi[split])
+        for piece in (0, 1):
+            plo = lo.copy()
+            phi_ = hi.copy()
+            if piece == 0:
+                phi_[split] = mid
+            else:
+                plo[split] = mid
             val, err = eval_cell(plo, phi_)
             heapq.heappush(heap, (-err, counter, plo, phi_, val, err))
             counter += 1

@@ -135,6 +135,25 @@ def test_tensor_gauss_frame_matrix_is_one_node_set(monkeypatch):
     assert 0.5 < report.a_est <= report.b_est <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("dim, m", [(1, 2048), (2, 256)])
+def test_tensor_gauss_indicator_frame_matrix_matches_closed_form(dim, m):
+    # each indicator column is contracted over its own cell's nodes only, so
+    # bases that per-cell rules ran stay inside the entry budget (an (n, k)
+    # stack over every node needs 56 m^2 entries in 1-d at gauss(48))
+    mu = es.LebesgueBox([0.0] * dim, [1.0] * dim)
+    basis = es.dyadic_indicator_basis(mu, m)
+    lam = es.integer_lattice(dim, 2).points
+    weights = [(f.fn, f.support_box) for f in basis.functions]
+    T, _ = exp_moments(mu, es.Identity(dim), -lam, es.gauss(48), weights=weights)
+    lo = np.array([f.support_box[0] for f in basis.functions])  # (m, dim)
+    hi = np.array([f.support_box[1] for f in basis.functions])
+    t = -2j * np.pi * lam[:, None, :]  # (freqs, 1, dim)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sides = np.where(t == 0, hi - lo, (np.exp(t * hi) - np.exp(t * lo)) / t)
+    scale = basis.functions[0].fn(np.zeros((1, dim)))[0]
+    assert_allclose(T, scale * sides.prod(axis=2), atol=1e-12)
+
+
 def test_tensor_gauss_reports_the_phase_domain_error():
     # the Jacobian probe samples the radius-2 disc, outside Holhos' domain
     with pytest.raises(DomainError, match="closed unit disc"):
