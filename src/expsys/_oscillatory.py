@@ -156,6 +156,7 @@ def exp_moments(
     base, psi = _unwrap(mu)
     weights = [(None, None) if w is None else tuple(w) for w in weights]
     lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
+    _check_entries(lam.shape[0], len(weights), "moment matrix")
     if lam.shape[1] != phi.out_dim:
         raise DomainError(
             f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}"

@@ -3,9 +3,9 @@
 The Gram of a generalized exponential system E(Lambda, phi) over mu is
 G[i, j] = integral of e^{2 pi i (lambda_i - lambda_j) . phi(x)} dmu(x).
 Entries depend only on the frequency difference, so one integral is computed
-per distinct difference and broadcast across the matrix.  When the pair
-(mu, phi) reduces to a recognized self-similar pushforward, entries come from
-the validated Fourier product formula instead of quadrature.
+per distinct difference and every report scalar is read off that table.  When
+the pair (mu, phi) reduces to a recognized self-similar pushforward, entries
+come from the validated Fourier product formula instead of quadrature.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .spectra import SpectrumSet, lattice, unique_rows
 PASS = "PASS"
 FAIL = "FAIL"
 INCONCLUSIVE = "INCONCLUSIVE"
+# spectra above this many points are refused before any difference is formed
+MAX_GRAM_POINTS = 4096
 
 
 def unique_differences(points):
@@ -38,20 +40,25 @@ def unique_differences(points):
 @dataclass
 class GramReport:
     spectrum: SpectrumSet
-    entries: np.ndarray
-    entry_errors: np.ndarray
+    values: np.ndarray  # (n,) one moment per unique difference
+    errors: np.ndarray  # (n,) its quadrature error estimate
+    inverse: np.ndarray  # (m, m): G[i, j] = values[inverse[i, j]]
     max_offdiag: float
     diag_dev: float
     hermiticity_residual: float
+    quad_error: float
     quad: QuadratureSpec
     path: str
     n_pairs: int
     n_unique_differences: int
-    total_mass: float
 
     @property
-    def quad_error(self):
-        return float(np.max(self.entry_errors)) if self.entry_errors.size else 0.0
+    def entries(self):
+        return self.values[self.inverse]
+
+    def is_orthogonal(self, tol):
+        """The one orthogonality rule of the Gram verdicts: both deviations within tol."""
+        return self.max_offdiag <= tol and self.diag_dev <= tol
 
     def to_json_dict(self):
         return {
@@ -70,19 +77,17 @@ class GramReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "re", "im"])
-            m = self.entries.shape[0]
-            for i in range(m):
-                for j in range(m):
-                    z = complex(self.entries[i, j])
+            for i, row in enumerate(self.inverse):
+                for j, z in enumerate(self.values[row].tolist()):
                     writer.writerow([i, j, repr(z.real), repr(z.imag)])
 
 
 def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> GramReport:
-    """Gram matrix report of E(spectrum, phi) over mu."""
+    """Gram report of E(spectrum, phi) over mu, read off its difference table."""
     pts = spectrum.points
     m = pts.shape[0]
-    if m > 4096:
-        raise DomainError("spectrum truncation above the 4096-entry cap")
+    if m > MAX_GRAM_POINTS:
+        raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     uniq, inverse = unique_differences(pts)
 
     eff_mu, eff_phi = effective_pair(mu, phi)
@@ -99,23 +104,25 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
         vals, errs = vals[:, 0], errs[:, 0]
         path = "quadrature"
 
-    G = vals[inverse]
-    E = errs[inverse]
-    mass = mu.total_mass
-    off = np.abs(G)
-    np.fill_diagonal(off, 0.0)
+    z = inverse[0, 0]  # the zero difference, on every diagonal entry
+    off = np.abs(vals)
+    if np.count_nonzero(inverse == z) == m:  # no off-diagonal pair rounds to zero
+        off[z] = 0.0
+    # G[j, i] = vals[n - 1 - inverse[i, j]]: fl(b - a) = -fl(a - b), rounding is odd and
+    # -0 is folded into 0, so -uniq[u] = uniq[n - 1 - u] (negation reverses lex order)
     return GramReport(
         spectrum=spectrum,
-        entries=G,
-        entry_errors=E,
+        values=vals,
+        errors=errs,
+        inverse=inverse,
         max_offdiag=float(off.max()) if m > 1 else 0.0,
-        diag_dev=float(np.max(np.abs(np.diagonal(G) - mass))),
-        hermiticity_residual=float(np.max(np.abs(G - G.conj().T))),
+        diag_dev=float(np.abs(vals[z] - mu.total_mass)),
+        hermiticity_residual=float(np.max(np.abs(vals - vals[::-1].conj()))),
+        quad_error=float(np.max(errs)),
         quad=quad,
         path=path,
         n_pairs=m * m,
         n_unique_differences=int(uniq.shape[0]),
-        total_mass=mass,
     )
 
 
@@ -231,7 +238,7 @@ def verify_onb(
     ratio raises QuadratureError.
     """
     report = gram(mu, phi, spectrum, quad, threads=threads)
-    orthogonal = report.max_offdiag <= tol_orth and report.diag_dev <= tol_orth
+    orthogonal = report.is_orthogonal(tol_orth)
 
     battery = test_functions if test_functions is not None else default_test_battery(mu)
     if not battery:
@@ -470,6 +477,8 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     lam = lattice(np.eye(d), radius)
     if lam.size < 2:
         raise DomainError("truncation too small to compare any pair")
+    if lam.size > MAX_GRAM_POINTS:
+        raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     uniq, _ = unique_differences(lam.points)
     conj_phase = phases.compose(phases.Affine(M), phi)
     g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, threads=threads)

@@ -276,7 +276,7 @@ def verify_system_on_window(
     )
     if mode == "onb":
         rep = analysis.gram(block_measure, ws.phase, ws.spectrum, quad, threads=threads)
-        ok = rep.max_offdiag <= tol and rep.diag_dev <= tol
+        ok = rep.is_orthogonal(tol)
         return WindowReport(
             mode=mode,
             verdict=analysis.PASS if ok else analysis.FAIL,

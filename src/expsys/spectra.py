@@ -121,15 +121,19 @@ def dual_lattice(A) -> np.ndarray:
     return np.linalg.inv(A).T
 
 
+def _lambda4_values(n):
+    """The 2^n values sum_{i<n} 4^i a_i, a_i in {0, 1}, unsorted."""
+    vals = np.zeros(1, dtype=np.int64)
+    for i in range(n):
+        vals = np.concatenate([vals, vals + 4**i])
+    return vals
+
+
 def lambda4(n: int) -> SpectrumSet:
     """Level-n four-adic binary spectrum {sum_{i<n} 4^i a_i : a_i in {0,1}}."""
     if not 1 <= n <= 16:
         raise DomainError("level must satisfy 1 <= n <= 16")
-    vals = np.zeros(1, dtype=np.int64)
-    for i in range(n):
-        vals = np.concatenate([vals, vals + 4**i])
-    vals = np.sort(vals)
-    pts = vals.astype(float)[:, None]
+    pts = np.sort(_lambda4_values(n)).astype(float)[:, None]
     return SpectrumSet(pts, generator={"kind": "lambda4", "n": n}, truncation=n)
 
 
@@ -202,10 +206,7 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
         levels = _lambda4_levels(hi[0])
         if 2**levels > MAX_LATTICE_BOX:
             raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lambda4 points")
-        vals = np.zeros(1, dtype=np.int64)
-        for i in range(levels):
-            vals = np.concatenate([vals, vals + 4**i])
-        vals = vals.astype(float)
+        vals = _lambda4_values(levels).astype(float)
         return int(np.count_nonzero((vals >= lo[0] - 1e-12) & (vals < hi[0] - 1e-12)))
     pts = spectrum.points
     if spectrum.truncation is not None:

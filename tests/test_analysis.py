@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import expsys as es
@@ -169,6 +169,74 @@ class TestUniqueDifferences:
         assert np.array_equal(uniq, ref_uniq)
         assert np.array_equal(np.signbit(uniq), np.signbit(ref_uniq))
         assert np.array_equal(inverse, ref_inverse)
+
+
+@st.composite
+def random_lattice_points(draw):
+    """A lattice A Z^d with A = diag(s) (I + 0.3 R), R in [-1, 1]^(d x d): well conditioned."""
+    d = draw(st.integers(1, 3))
+    unit = st.floats(-1.0, 1.0)
+    R = np.array(draw(st.lists(unit, min_size=d * d, max_size=d * d))).reshape(d, d)
+    s = np.array(draw(st.lists(st.floats(0.8, 1.5), min_size=d, max_size=d)))
+    radius = draw(st.floats(*[(2.0, 20.0), (1.0, 2.5), (0.8, 1.2)][d - 1]))
+    points = es.lattice(s[:, None] * (np.eye(d) + 0.3 * R), radius).points
+    assume(points.shape[0] <= 60)
+    return points
+
+
+def dense_scalars(rep, mass):
+    """The report scalars as the m x m Gram gives them: the oracle for the table."""
+    G = rep.entries
+    off = np.abs(G)
+    np.fill_diagonal(off, 0.0)
+    return (
+        float(off.max()) if G.shape[0] > 1 else 0.0,
+        float(np.max(np.abs(np.diagonal(G) - mass))),
+        float(np.max(np.abs(G - G.conj().T))),
+        float(np.max(rep.errors[rep.inverse])),
+    )
+
+
+def table_scalars(rep):
+    return rep.max_offdiag, rep.diag_dev, rep.hermiticity_residual, rep.quad_error
+
+
+class TestDifferenceTable:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            random_lattice_points(),
+            explicit_points(),
+            st.integers(1, 5).map(lambda n: es.lambda4(n).points),
+        )
+    )
+    def test_scalars_match_dense_gram(self, points):
+        uniq, _ = unique_differences(points.copy())
+        assert np.array_equal(uniq, -uniq[::-1])
+        mu = unit_box(points.shape[1])
+        spectrum = es.SpectrumSet(points, {"kind": "explicit"})
+        rep = es.gram(mu, es.Identity(mu.dim), spectrum, es.monte_carlo(64, seed=2))
+        assert table_scalars(rep) == dense_scalars(rep, mu.total_mass)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_lambda4_product_formula(self, n):
+        mu = es.middle_fourth_cantor()
+        rep = es.gram(mu, es.Identity(1), es.lambda4(n), es.digit(40))
+        assert rep.path == "product-formula"
+        assert table_scalars(rep) == dense_scalars(rep, mu.total_mass)
+
+    def test_single_point(self):
+        rep = es.gram(unit_box(), es.Identity(1), es.explicit([[0.3]]), es.gauss(16))
+        assert rep.max_offdiag == 0.0 and rep.hermiticity_residual == 0.0
+        assert table_scalars(rep) == dense_scalars(rep, 1.0)
+
+    def test_difference_rounding_to_zero_counts_off_diagonal(self):
+        # distinct points whose only nonzero difference rounds to 0 at 12 digits
+        spectrum = es.explicit([[0.49e-12], [0.51e-12]])
+        rep = es.gram(unit_box(), es.Identity(1), spectrum, es.gauss(16))
+        assert rep.n_unique_differences == 1
+        assert rep.max_offdiag == pytest.approx(1.0)
+        assert table_scalars(rep) == dense_scalars(rep, 1.0)
 
 
 class TestVerifyOnb:
@@ -423,6 +491,13 @@ class TestUnimodularConjugation:
             unit_box(2), sin_unipotent(), M, 4, es.gauss(64)
         )
         assert dev <= 2 * max(rep.quad_error, 1e-13)
+
+    def test_spectrum_above_gram_cap_rejected(self):
+        # 4097 points: refused before the m^2 difference rows are formed
+        with pytest.raises(es.DomainError):
+            es.unimodular_conjugation_check(
+                unit_box(), es.Identity(1), [[1.0]], 2048, es.gauss(16)
+            )
 
     def test_nonunimodular_rejected(self):
         with pytest.raises(ValueError):

@@ -321,6 +321,15 @@ MALFORMED = {
     "expr-one-over-zero-tensor-gauss": (
         "square-phase-1d", _set(["phase", "expr", 0], "x1 + 1/0")
     ),
+    # a 32,769 x 4096 frame matrix (2^27 + 4096 entries): refused before any node set
+    "frame-matrix-above-entry-budget": (
+        "halfbox-frame",
+        lambda cfg: cfg.update(
+            quad={"scheme": "monte-carlo", "n_samples": 100},
+            spectrum={"kind": "lattice", "A": [[1.0]], "radius": 16384},
+            basis={"kind": "dyadic", "m": 4096},
+        ),
+    ),
     # 1e300 puts all n^2 / 2 sample pairs within delta_y
     "probe-delta-y-1e300": ("probe-x2", _set(["delta_y"], 1e300)),
 }
