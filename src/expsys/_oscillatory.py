@@ -8,14 +8,15 @@ place that picks the integration rule for a (measure, phase, scheme).  It is
 the only engine: Gram entries, coefficients, norms, frame matrices and plain
 `measures.integrate` calls (lambda = 0, one weight) all run through it.
 
-Each scheme builds its node set once, evaluates the phase on it once, builds
-an (n, k) weight matrix once and contracts every exp chunk with every column.
-A support box is a mask on its weight under every scheme.  Tensor-gauss
-breaks its composite rule at every support-box edge, shares each dimension's
-panels out over the segments between them and lets frequencies with one such
-panel layout share one node set; a box's weight columns are contracted over
-its own tensor sub-grid of rows.  A disc is four polar-quadrant node sets
-whose two-order errors add.
+Every scheme ends in one kernel, `_contract`: a phase image, its
+frequencies and an (n, k) node-weighted weight matrix.  A support box is a
+mask on its weight under every scheme.  Tensor-gauss breaks its composite
+rule at every support-box edge and shares each dimension's panels out over
+the segments between them; frequencies with one such panel layout share a
+rule.  Its work items are (layout, cell, support box, order) sub-rules: each
+builds its box's tensor sub-grid, weights and phase image when it runs and
+frees them when it returns.  A disc is four polar-quadrant cells whose
+two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
 weight's finest-scale slope to the phase term.  Adaptive integrals stay one
@@ -119,8 +120,6 @@ def oscillation_cycles(phi, mu, lambdas):
     lam = np.atleast_2d(lambdas)
     lo, hi = mu.support_box()
     width = hi - lo
-    if isinstance(phi, phases.Identity):
-        return np.abs(lam) * width[None, :]
     if not np.any(lam):
         return np.zeros((lam.shape[0], mu.dim))
     pts = measures.sample(mu, _N_PROBE, seed=0xC3C1E5)
@@ -199,34 +198,25 @@ def _weight_matrix(weights, y, node_weights=None):
     return W
 
 
-def _contract(img, lam, blocks, threads=1):
-    """(m, k) sums over nodes of w_j e^{2 pi i lambda . img}.
+def _contract(img, lam, W):
+    """(m, k) sums over nodes of W[:, j] e^{2 pi i lambda . img}.
 
-    `blocks` lists (rows, cols, W) and partitions the k weight columns:
-    columns `cols` vanish off the node `rows` (an index array or a slice) and
-    W holds their node-weighted values on those rows.  Exp chunks span only
-    a block's rows, so disjoint blocks evaluate each node's exponentials
-    once; blocks run on `threads` workers.
+    `img` is the (n, out_dim) phase image of the nodes and W their (n, k)
+    node-weighted weight values; frequencies run in exp chunks sized to W.
     """
-    out = np.empty((lam.shape[0], sum(W.shape[1] for _, _, W in blocks)), dtype=complex)
-
-    def run_block(block):
-        rows, cols, W = block
-        sub = img[rows]
-        step = _chunk_size(*W.shape)
-        with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
-            for start in range(0, lam.shape[0], step):
-                freqs = slice(start, start + step)
-                Z = np.zeros((sub.shape[0], lam[freqs].shape[0]), dtype=complex)  # in place
-                Z.imag = sub @ lam[freqs].T
-                Z.imag *= 2 * np.pi
-                np.exp(Z, out=Z)
-                if np.iscomplexobj(W):
-                    out[freqs, cols] = (W.T @ Z).T
-                else:  # one real matmul over the interleaved (re, im) columns
-                    out[freqs, cols] = (W.T @ Z.view(float)).view(complex).T
-
-    _map_pool(run_block, blocks, threads)
+    out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
+    step = _chunk_size(*W.shape)
+    with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
+        for start in range(0, lam.shape[0], step):
+            freqs = slice(start, start + step)
+            Z = np.zeros((img.shape[0], lam[freqs].shape[0]), dtype=complex)  # in place
+            Z.imag = img @ lam[freqs].T
+            Z.imag *= 2 * np.pi
+            np.exp(Z, out=Z)
+            if np.iscomplexobj(W):
+                out[freqs] = (W.T @ Z).T
+            else:  # one real matmul over the interleaved (re, im) columns
+                out[freqs] = (W.T @ Z.view(float)).view(complex).T
     return out
 
 
@@ -237,7 +227,7 @@ def _mc_moments(mu, psi, phi, lam, quad, weights):
     y = pts if psi is None else psi(pts)
     W = _weight_matrix(weights, y)
     n = pts.shape[0]
-    mean = _contract(phi(y), lam, [(slice(None), slice(None), W)]) / n
+    mean = _contract(phi(y), lam, W) / n
     # per-column sample variance of w e^{i theta}; |e^{i theta}| == 1, so
     # sum |w z - mean|^2 == sum |w|^2 - n |mean|^2
     sq = np.sum(np.abs(W) ** 2, axis=0)
@@ -271,7 +261,7 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
     errs = slopes * tail_width + peaks * phase[:, None]
     W *= w[:, None]
-    return _contract(img, lam, [(slice(None), slice(None), W)]), errs
+    return _contract(img, lam, W), errs
 
 
 def _map_pool(fn, items, threads):
@@ -287,20 +277,18 @@ def _panel_edges(cuts, counts):
     return np.concatenate(parts + [cuts[-1:]])
 
 
-def _box_rows(edges, order, key):
-    """(rows, count): the rows of a tensor node set inside a support box.
+def _box_edges(edges, key):
+    """Each dimension's panel edges inside a support box (key lo + hi, None no box).
 
-    Box edges inside the rule are panel edges, so the box covers whole panels
-    in each dimension; key None, no box, is every row.
+    Box edges inside the rule are panel edges, so the box covers whole panels.
     """
-    shape = [(len(e) - 1) * order for e in edges]
     if key is None:
-        return slice(None), math.prod(shape)
-    spans = [
-        np.arange(*np.minimum(np.searchsorted(e, ends), len(e) - 1) * order)
-        for e, ends in zip(edges, np.reshape(key, (2, -1)).T)
-    ]
-    return np.ravel_multi_index(np.ix_(*spans), shape).ravel(), math.prod(map(len, spans))
+        return edges
+    sub = []
+    for e, ends in zip(edges, np.reshape(key, (2, -1)).T):
+        a, b = np.minimum(np.searchsorted(e, ends), len(e) - 1)
+        sub.append(e[a : max(a, b) + 1])
+    return sub
 
 
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
@@ -337,42 +325,41 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     counts = np.hstack([np.ceil(sig[:, [i]] * f * (1 - 1e-12)) for i, f in enumerate(shares)])
     counts = np.maximum(1, counts).astype(np.int64)
     layouts, inverse = np.unique(counts, axis=0, return_inverse=True)
-    items = []  # one pass: (frequency rows, panel edges, order, (node rows, columns) per box)
+    orders = (quad.order, quad.order + 8)
+    # work items, the two orders of a (layout, cell, box) side by side:
+    # (frequency rows, the box's panel edges, order, weight columns)
+    items = []
     for g, layout in enumerate(layouts):
         per_dim = np.split(layout, np.cumsum([f.size for f in shares])[:-1])
         idx = np.flatnonzero(inverse.ravel() == g)
-        n = math.prod(int(p.sum()) * (quad.order + 8) for p in per_dim)  # the larger pass
+        n = math.prod(int(p.sum()) * orders[1] for p in per_dim)  # the larger order
         _check_entries(n, mu.dim, "node set")
         for cell_cuts in cuts:
             edges = [_panel_edges(c, p) for c, p in zip(cell_cuts, per_dim)]
-            for order in (quad.order, quad.order + 8):
-                blocks = []
-                for key, cols in groups.items():  # a box's columns span only its rows
-                    rows, count = _box_rows(edges, order, key)
+            boxes = [(_box_edges(edges, key), cols) for key, cols in groups.items()]
+            for order in orders:
+                for sub, cols in boxes:
+                    count = math.prod((len(e) - 1) * order for e in sub)
                     _check_entries(count, len(cols), "weight block")
-                    blocks.append((rows, cols))
-                items.append((idx, edges, order, blocks))
+            items += [(idx, sub, order, cols) for sub, cols in boxes for order in orders]
 
-    def run_pass(item):
-        idx, edges, order, blocks = item
+    def run_item(item):
+        # the box's own tensor sub-grid, weights and phase image, freed on return
+        idx, edges, order, cols = item
         pts, w = box_gauss_nodes(edges, order)
         if polar:
             pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
         y = pts if psi is None else psi(pts)
-        stack = [
-            (rows, cols, _weight_matrix([weights[j] for j in cols], y[rows], w[rows]))
-            for rows, cols in blocks
-        ]
-        return _contract(phi(y), lam[idx], stack, inner)
+        W = _weight_matrix([weights[j] for j in cols], y, w)
+        return _contract(phi(y), lam[idx], W)
 
-    # several weight blocks share the pool inside each pass; one block leaves it to the passes
-    inner = threads if len(groups) > 1 else 1
     vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
     errs = np.zeros(vals.shape)
-    passes = _map_pool(run_pass, items, threads if inner == 1 else 1)
-    for (idx, *_), low, high in zip(items[::2], passes[::2], passes[1::2]):
-        vals[idx] += high
-        errs[idx] += np.abs(high - low)
+    sums = _map_pool(run_item, items, threads)
+    for (idx, _, _, cols), low, high in zip(items[::2], sums[::2], sums[1::2]):
+        rows = np.ix_(idx, cols)
+        vals[rows] += high
+        errs[rows] += np.abs(high - low)
     return vals, errs
 
 

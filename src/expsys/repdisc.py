@@ -25,6 +25,9 @@ from .measures import LebesgueBox, QuadratureSpec, _finite
 from .phases import PhaseMap
 from .spectra import SpectrumSet
 
+MAX_GAMMAS = 4096  # translations per window system
+_PAIR_BLOCK = 1 << 20  # gamma differences compared at once
+
 
 @dataclass(frozen=True)
 class GroupData:
@@ -146,15 +149,17 @@ class WindowSystem:
             raise DomainError("gamma translations must match the window dimension")
         if self.phase.in_dim != self.omega_lo.size:
             raise DomainError("phase domain must match the window dimension")
-        width = self.omega_hi - self.omega_lo
-        k = self.gamma_set.shape[0]
-        for i in range(k):
-            for j in range(i + 1, k):
-                gap = np.abs(self.gamma_set[i] - self.gamma_set[j])
-                if np.all(gap < width - 1e-12):
-                    raise DomainError(
-                        "window translates overlap beyond a common boundary"
-                    )
+        k, d = self.gamma_set.shape
+        if k > MAX_GAMMAS:
+            raise DomainError(f"{k} gamma translations above the {MAX_GAMMAS} cap")
+        reach = self.omega_hi - self.omega_lo - 1e-12
+        step = max(1, _PAIR_BLOCK // (k * d))
+        for start in range(0, k, step):  # every pair (i, j > i), one row block at a time
+            block = self.gamma_set[start : start + step]
+            inside = np.all(np.abs(block[:, None, :] - self.gamma_set) < reach, axis=2)
+            later = np.arange(k) > np.arange(start, start + len(block))[:, None]
+            if np.any(inside & later):
+                raise DomainError("window translates overlap beyond a common boundary")
 
     @property
     def omega(self):

@@ -203,6 +203,7 @@ MALFORMED = {
     "digit-map-not-an-object": ("cantor4", _set(["phase", "digit_map"], "x")),
     "repdisc-window-lo-string": ("heisenberg", _set(["window", "lo"], "x")),
     "repdisc-gamma-string": ("heisenberg", _set(["gamma"], "x")),
+    "repdisc-gamma-above-cap": ("heisenberg", _set(["gamma"], [[float(k)] for k in range(4097)])),
     "repdisc-group-A-string": ("heisenberg", _set(["group"], {"A": "x", "ell": [1.0, 0.0]})),
     "tiling-box-lo-string": ("unipotent-tiling", _set(["box", "lo"], "x")),
     "tiling-lattice-A-string": ("unipotent-tiling", _set(["lattice", "A"], "x")),

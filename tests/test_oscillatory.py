@@ -103,12 +103,14 @@ def test_tensor_gauss_support_box_is_clipped_to_the_measure():
         assert_allclose(v[:, 0], [0.5, 1j / (3 * np.pi)], atol=1e-12)
 
 
-def test_tensor_gauss_frame_matrix_is_one_node_set(monkeypatch):
+def test_tensor_gauss_frame_matrix_runs_one_sub_rule_per_cell(monkeypatch):
     # 64 indicator cells over Lebesgue[0, 1/2] at |lambda| <= 256: one cycle
-    # estimate and one refined layout, so one contraction per Gauss order
+    # estimate and one refined layout; each (cell, order) sub-rule builds
+    # only its own cell's nodes, one panel of 24 or 32
     from expsys import _oscillatory
 
     calls = {"contract": 0, "cycles": 0, "nodes": 0}
+    largest = []
 
     def counted(name, fn, amount=lambda r: 1):
         def wrapper(*args):
@@ -118,21 +120,59 @@ def test_tensor_gauss_frame_matrix_is_one_node_set(monkeypatch):
 
         return wrapper
 
+    def nodes(r):
+        largest.append(r[0].shape[0])
+        return r[0].shape[0]
+
     monkeypatch.setattr(_oscillatory, "_contract", counted("contract", _oscillatory._contract))
     monkeypatch.setattr(
         _oscillatory, "oscillation_cycles", counted("cycles", _oscillatory.oscillation_cycles)
     )
     monkeypatch.setattr(
-        _oscillatory,
-        "box_gauss_nodes",
-        counted("nodes", _oscillatory.box_gauss_nodes, lambda r: r[0].shape[0]),
+        _oscillatory, "box_gauss_nodes", counted("nodes", _oscillatory.box_gauss_nodes, nodes)
     )
     mu = es.LebesgueBox([0.0], [0.5])
     basis = es.dyadic_indicator_basis(mu, 64)
     report = es.frame_bounds(mu, es.Identity(1), es.integer_lattice(1, 256), basis, es.gauss(24))
-    assert calls == {"contract": 2, "cycles": 1, "nodes": 64 * (24 + 32)}
+    assert calls == {"contract": 64 * 2, "cycles": 1, "nodes": 64 * (24 + 32)}
+    assert max(largest) == 32
     # a restricted Parseval frame: b <= 1, and a < 1 from the spectrum truncation
     assert 0.5 < report.a_est <= report.b_est <= 1.0 + 1e-12
+
+
+def test_tensor_gauss_frame_matrix_holds_one_box_at_a_time():
+    # an 8 x 8 dyadic basis: each box's sub-grid, weights and phase image
+    # live only while its sub-rule runs (a node set over all 64 boxes,
+    # with its image and weight blocks, peaks near 17 MB)
+    import tracemalloc
+
+    mu = es.LebesgueBox([0.0, 0.0], [1.0, 1.0])
+    basis = es.dyadic_indicator_basis(mu, 64)
+    lam = es.integer_lattice(2, 2).points
+    weights = [(f.fn, f.support_box) for f in basis.functions]
+    tracemalloc.start()
+    try:
+        exp_moments(mu, es.Identity(2), -lam, es.gauss(48), weights=weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_boxed_blocks_are_thread_deterministic():
+    # boxed and unboxed columns under a nonlinear phase give the same bytes
+    # on any number of workers
+    mu = es.LebesgueBox([0.0, 0.0], [1.0, 1.0])
+    shear = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
+    basis = es.dyadic_indicator_basis(mu, 16)
+    weights = [(f.fn, f.support_box) for f in basis.functions] + [(lambda x: x[:, 0], None)]
+    lam = es.integer_lattice(2, 3).points
+    runs = [
+        exp_moments(mu, shear, lam, es.gauss(32), weights=weights, threads=t) for t in (1, 2, 4)
+    ]
+    for T, E in runs[1:]:
+        assert np.array_equal(T, runs[0][0])
+        assert np.array_equal(E, runs[0][1])
 
 
 @pytest.mark.parametrize("dim, m", [(1, 2048), (2, 256)])

@@ -103,6 +103,32 @@ class TestAtoms:
                 phase=es.phase_from_group(es.heisenberg_group()),
             )
 
+    def test_gamma_set_above_cap_rejected(self):
+        # refused before any pair is compared, however far apart the translates
+        with pytest.raises(DomainError, match="4097 gamma translations"):
+            WindowSystem(
+                omega_lo=[0.0],
+                omega_hi=[1.0],
+                gamma_set=np.arange(4097.0)[:, None],
+                spectrum=es.explicit([[0.0, 0.0]]),
+                phase=es.phase_from_group(es.heisenberg_group()),
+            )
+
+    def test_overlap_found_in_any_row_block(self):
+        # 4096 unit-spaced translates pass; moving row 300 (past the first
+        # row block) half a window from the last translate makes them overlap
+        gammas = np.arange(4096.0)[:, None]
+        kwargs = dict(
+            omega_lo=[0.0],
+            omega_hi=[1.0],
+            spectrum=es.explicit([[0.0, 0.0]]),
+            phase=es.phase_from_group(es.heisenberg_group()),
+        )
+        WindowSystem(gamma_set=gammas, **kwargs)
+        gammas[300] = 4095.5
+        with pytest.raises(DomainError, match="overlap"):
+            WindowSystem(gamma_set=gammas, **kwargs)
+
 
 class TestVerifyOnWindow:
     def test_heisenberg_blocks_are_identity(self):
