@@ -223,7 +223,7 @@ def _contract(img, lam, W):
 def _mc_moments(mu, psi, phi, lam, quad, weights):
     _check_entries(quad.n_samples, max(mu.dim, len(weights)), "sample set")
     rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
-    pts = mu._sample(quad.n_samples, rng, quad.depth)
+    pts = mu._sample(quad.n_samples, rng)
     y = pts if psi is None else psi(pts)
     W = _weight_matrix(weights, y)
     n = pts.shape[0]
@@ -332,15 +332,14 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     for g, layout in enumerate(layouts):
         per_dim = np.split(layout, np.cumsum([f.size for f in shares])[:-1])
         idx = np.flatnonzero(inverse.ravel() == g)
-        n = math.prod(int(p.sum()) * orders[1] for p in per_dim)  # the larger order
-        _check_entries(n, mu.dim, "node set")
+        for p in per_dim:  # before its panel edges are built
+            _check_entries(int(p.sum()) * orders[1], mu.dim, "node row")
         for cell_cuts in cuts:
             edges = [_panel_edges(c, p) for c, p in zip(cell_cuts, per_dim)]
             boxes = [(_box_edges(edges, key), cols) for key, cols in groups.items()]
-            for order in orders:
-                for sub, cols in boxes:
-                    count = math.prod((len(e) - 1) * order for e in sub)
-                    _check_entries(count, len(cols), "weight block")
+            for sub, cols in boxes:  # its nodes, image and weights at the larger order
+                count = math.prod((len(e) - 1) * orders[1] for e in sub)
+                _check_entries(count, max(mu.dim, len(cols)), "sub-rule")
             items += [(idx, sub, order, cols) for sub, cols in boxes for order in orders]
 
     def run_item(item):

@@ -60,6 +60,9 @@ _MAX_ENTRIES = 1 << 27
 # digit expansions stop here: 2^-64 is below double precision on a unit width
 _MAX_DEPTH = 64
 
+_SAMPLE_DEPTH = 30  # digits per self-similar sample
+_FT_TRUNC = 40  # product levels of a self-similar Fourier transform
+
 
 def _check_entries(n, width, what):
     """Refuse an (n, width) array above the entry budget before it is built."""
@@ -136,7 +139,7 @@ class Measure:
         """(lo, hi) arrays bounding the support."""
         raise NotImplementedError
 
-    def _sample(self, n, rng, depth):
+    def _sample(self, n, rng):
         raise NotImplementedError
 
 
@@ -168,7 +171,7 @@ class LebesgueBox(Measure):
     def support_box(self):
         return self.lo.copy(), self.hi.copy()
 
-    def _sample(self, n, rng, depth):
+    def _sample(self, n, rng):
         u = rng.random((n, self.dim))
         return self.lo + u * (self.hi - self.lo)
 
@@ -195,7 +198,7 @@ class LebesgueDisc(Measure):
         r = self.radius
         return self.center - r, self.center + r
 
-    def _sample(self, n, rng, depth):
+    def _sample(self, n, rng):
         # rejection from the bounding box keeps the sampler uniform-exact
         out = np.empty((n, 2))
         filled = 0
@@ -250,10 +253,10 @@ class SelfSimilar(Measure):
         hi = self._offsets.max() / (self.ratio - 1)
         return np.array([lo]), np.array([hi])
 
-    def _sample(self, n, rng, depth):
+    def _sample(self, n, rng):
         x = np.zeros(n)
         scale = 1.0
-        for _ in range(depth):
+        for _ in range(_SAMPLE_DEPTH):
             scale /= self.ratio
             idx = np.searchsorted(self._cumw, rng.random(n), side="right")
             idx = np.minimum(idx, len(self.digits) - 1)
@@ -291,8 +294,8 @@ class PushforwardMeasure(Measure):
         pad = 1e-9 * (1.0 + np.abs(hi - lo))
         return lo - pad, hi + pad
 
-    def _sample(self, n, rng, depth):
-        return self.map(self.base._sample(n, rng, depth))
+    def _sample(self, n, rng):
+        return self.map(self.base._sample(n, rng))
 
 
 def middle_fourth_cantor() -> SelfSimilar:
@@ -308,13 +311,13 @@ def pushforward(mu: Measure, phi) -> PushforwardMeasure:
     return PushforwardMeasure(mu, phi)
 
 
-def sample(mu: Measure, n: int, seed: int = 0, depth: int = 30) -> np.ndarray:
+def sample(mu: Measure, n: int, seed: int = 0) -> np.ndarray:
     """n i.i.d. draws from mu as an (n, dim) array, deterministic in seed."""
     if n < 1:
         raise DomainError("n must be >= 1")
     _check_entries(n, mu.dim, "sample set")
     rng = spawn_rng(seed, "sample", mu.kind)
-    return mu._sample(n, rng, depth)
+    return mu._sample(n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +584,7 @@ def validate_product_formula(ss: SelfSimilar, trunc: int = 40) -> float:
             )
 
     rng = spawn_rng(_GATE_SEED, "product-gate", key)
-    pts = ss._sample(_GATE_MC_SAMPLES, rng, 30)[:, 0]
+    pts = ss._sample(_GATE_MC_SAMPLES, rng)[:, 0]
     for x, p in zip(xi, prod):
         mc = np.exp(2j * np.pi * x * pts).mean()
         resid = abs(p - mc)
@@ -618,19 +621,19 @@ def _disc_ft(mu: LebesgueDisc, xi):
     return phase * mu.radius * j1(2 * math.pi * mu.radius * norm) / norm
 
 
-def fourier_transform(mu: Measure, xi, trunc: int = 40):
+def fourier_transform(mu: Measure, xi):
     """mu-hat(xi) = integral of e^{2 pi i xi.x} dmu(x).
 
-    SelfSimilar uses `selfsimilar_moments`.  Boxes and discs use closed forms.
-    Pushforwards reduce to a recognized self-similar image when possible and
-    otherwise integrate under `_oscillatory.measure_rule`.
+    SelfSimilar uses `selfsimilar_moments` at 40 levels.  Boxes and discs use
+    closed forms.  Pushforwards reduce to a recognized self-similar image when
+    possible and otherwise integrate under `_oscillatory.measure_rule`.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (mu.dim,):
         raise DomainError(f"xi must have shape ({mu.dim},), got {xi.shape}")
 
     if isinstance(mu, SelfSimilar):
-        return complex(selfsimilar_moments(mu, xi[:1], trunc)[0][0])
+        return complex(selfsimilar_moments(mu, xi[:1], _FT_TRUNC)[0][0])
 
     if isinstance(mu, LebesgueBox):
         return complex(_box_ft(mu, xi))
@@ -645,7 +648,7 @@ def fourier_transform(mu: Measure, xi, trunc: int = 40):
 
         reduced = as_selfsimilar(*effective_pair(mu.base, mu.map))
         if reduced is not None:
-            return fourier_transform(reduced, xi, trunc=trunc)
+            return fourier_transform(reduced, xi)
         # gauss(64) sets the box order; discs and digit bases get their own rules
         quad = measure_rule(mu, gauss(order=64))
         vals, _ = exp_moments(mu, Identity(mu.dim), xi[None, :], quad)

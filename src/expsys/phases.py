@@ -16,6 +16,14 @@ import numpy as np
 from . import measures
 from .errors import DomainError, InversionError
 
+_STEP = 1e-5  # central-difference step of numerical Jacobian entries
+
+
+def _central(fn, x, step):
+    """Central difference of fn at x; `step` is _STEP or a vector holding it once."""
+    fwd, back = np.asarray(fn(x + step), dtype=float), np.asarray(fn(x - step), dtype=float)
+    return (fwd - back) / (2 * _STEP)
+
 
 class PhaseMap:
     in_dim: int
@@ -37,19 +45,21 @@ class PhaseMap:
             out = self._eval(pts)
         return out[0] if single else out
 
-    def jacobian(self, x, h=1e-5):
-        """(out_dim, in_dim) Jacobian at one point; central differences by default."""
-        return self.jacobian_batch(np.asarray(x, dtype=float)[None, :], h=h)[0]
+    def jacobian_batch(self, pts):
+        """(n, out_dim, in_dim) Jacobians at n points.
 
-    def jacobian_batch(self, pts, h=1e-5):
+        Central differences with step `_STEP` unless a subclass knows better:
+        exact for identity, affine and group-exponential phases; exact
+        diagonal and zeros, differenced upper entries for the triangular ones.
+        """
         pts = np.asarray(pts, dtype=float)
         n = pts.shape[0]
         J = np.empty((n, self.out_dim, self.in_dim))
         for j in range(self.in_dim):
             step = np.zeros(self.in_dim)
-            step[j] = h
+            step[j] = _STEP
             with np.errstate(invalid="ignore", over="ignore"):  # callers check finiteness
-                J[:, :, j] = (self._eval(pts + step) - self._eval(pts - step)) / (2 * h)
+                J[:, :, j] = _central(self._eval, pts, step)
         return J
 
     def invert(self, y):
@@ -63,7 +73,7 @@ class Identity(PhaseMap):
     def _eval(self, pts):
         return pts.copy()
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         n = pts.shape[0]
         return np.broadcast_to(np.eye(self.in_dim), (n, self.in_dim, self.in_dim)).copy()
 
@@ -86,7 +96,7 @@ class Affine(PhaseMap):
     def _eval(self, pts):
         return pts @ self.M.T + self.b
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         return np.broadcast_to(self.M, (pts.shape[0],) + self.M.shape).copy()
 
     def invert(self, y):
@@ -129,10 +139,18 @@ class DigitMap(PhaseMap):
         if len(set(out_vals)) != len(out_vals):
             raise DomainError("digit_map must be injective on the input digit set")
         self.in_dim = self.out_dim = 1
-        self._allowed = np.array(sorted(self.in_digits), dtype=float)
-        self._out_for = np.array(
-            [self.digit_map[int(d)] for d in self._allowed], dtype=float
-        )
+        allowed = np.array(sorted(self.in_digits), dtype=float)
+        out_for = np.array([self.digit_map[int(d)] for d in allowed], dtype=float)
+        # each base digit's nearest allowed digit, ties to the larger; digits
+        # above the largest allowed one snap to it, so the table stops there
+        self._top = int(np.clip(allowed[-1], 0, self.in_base - 1))
+        measures._check_entries(self._top + 1, 1, "digit snap table")
+        d = np.arange(self._top + 1, dtype=float)
+        idx = np.minimum(np.searchsorted(allowed, d), len(allowed) - 1)
+        left = np.maximum(idx - 1, 0)
+        idx = np.where(np.abs(allowed[left] - d) < np.abs(allowed[idx] - d), left, idx)
+        self._snapped = allowed[idx]
+        self._snapped_out = out_for[idx]
 
     def _eval(self, pts):
         x = pts[:, 0]
@@ -146,20 +164,12 @@ class DigitMap(PhaseMap):
             scale /= self.out_base
             t = r * self.in_base
             d = np.where(nonzero, np.ceil(t) - 1.0, 0.0)
-            d = np.clip(d, 0, self.in_base - 1)
-            idx = np.searchsorted(self._allowed, d)
-            idx = np.clip(idx, 0, len(self._allowed) - 1)
-            left = np.clip(idx - 1, 0, len(self._allowed) - 1)
-            pick_left = np.abs(self._allowed[left] - d) < np.abs(
-                self._allowed[idx] - d
-            )
-            idx = np.where(pick_left, left, idx)
-            snapped = self._allowed[idx]
-            out += np.where(nonzero, self._out_for[idx], 0.0) * scale
-            r = t - snapped
+            k = np.clip(d, 0, self._top).astype(np.intp)
+            out += np.where(nonzero, self._snapped_out[k], 0.0) * scale
+            r = t - self._snapped[k]
         return out[:, None]
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         raise DomainError("digit maps are not differentiable")
 
 
@@ -203,18 +213,17 @@ class Unipotent(PhaseMap):
 
     `shifts` holds the l_k as callables on full (n, d) point arrays; l_k must
     depend only on columns k+1..d-1 (0-based).  The Jacobian is unit upper
-    triangular by construction: the diagonal is exactly 1 and entries at or
-    below it are exactly 0, so det == 1 identically.  Optional `grads[k]`
-    returns the (n, d-1-k) array of dl_k/dx_j for j = k+1..d-1; otherwise
-    entries above the diagonal use central differences.
+    triangular by construction: the diagonal is exactly 1 and entries
+    below it are exactly 0, so det == 1 identically.  Entries above the
+    diagonal are central differences of the l_k; no consumer reads them
+    beyond a cycle estimate that rounds to whole panels.
     """
 
-    def __init__(self, shifts, dim, grads=None):
+    def __init__(self, shifts, dim):
         self.shifts = tuple(shifts)
         self.in_dim = self.out_dim = int(dim)
         if len(self.shifts) != self.in_dim - 1:
             raise DomainError("need d-1 shift functions for dimension d")
-        self.grads = tuple(grads) if grads is not None else None
 
     def _eval(self, pts):
         out = pts.copy()
@@ -222,22 +231,14 @@ class Unipotent(PhaseMap):
             out[:, k] += np.asarray(l_k(pts))
         return out
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         n, d = pts.shape
         J = np.broadcast_to(np.eye(d), (n, d, d)).copy()
         for k, l_k in enumerate(self.shifts):
-            if self.grads is not None:
-                g = np.asarray(self.grads[k](pts))
-                if g.ndim == 1:
-                    g = g[:, None]
-                J[:, k, k + 1 :] = g
-            else:
-                for j in range(k + 1, d):
-                    step = np.zeros(d)
-                    step[j] = h
-                    J[:, k, j] = (
-                        np.asarray(l_k(pts + step)) - np.asarray(l_k(pts - step))
-                    ) / (2 * h)
+            for j in range(k + 1, d):
+                step = np.zeros(d)
+                step[j] = _STEP
+                J[:, k, j] = _central(l_k, pts, step)
         return J
 
     def invert(self, y):
@@ -392,15 +393,14 @@ class Triangular2D(PhaseMap):
     The family with upper-triangular unit-determinant Jacobian.  z must be
     positive C^1 (checked at call time on queried points); the inner integral
     uses an adaptive composite-Gauss antiderivative memo with abs tol 1e-12.
-    Optional z_prime / f_prime give the analytic Jacobian's corner entry.
+    The Jacobian's diagonal is z and 1/z, so det == z (1/z); its corner entry
+    f' + x1 z' is a central difference of z and f.
     """
 
-    def __init__(self, z, f=None, K=0.0, z_prime=None, f_prime=None):
+    def __init__(self, z, f=None, K=0.0):
         self.z = z
         self.f = f if f is not None else (lambda t: np.zeros_like(t))
         self.K = float(K)
-        self.z_prime = z_prime
-        self.f_prime = f_prime
         self.in_dim = self.out_dim = 2
         self._anti = _MonotoneAntiderivative(lambda t: 1.0 / self._z_checked(t))
 
@@ -421,25 +421,14 @@ class Triangular2D(PhaseMap):
         out2 = self.second_component(x2)
         return np.stack([out1, out2], axis=-1)
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         x1 = pts[:, 0]
         x2 = pts[:, 1]
         z = self._z_checked(x2)
-        if self.z_prime is not None:
-            zp = np.asarray(self.z_prime(x2), dtype=float)
-        else:
-            zp = (self._z_checked(x2 + h) - self._z_checked(x2 - h)) / (2 * h)
-        if self.f_prime is not None:
-            fp = np.asarray(self.f_prime(x2), dtype=float)
-        else:
-            fp = (
-                np.asarray(self.f(x2 + h), dtype=float)
-                - np.asarray(self.f(x2 - h), dtype=float)
-            ) / (2 * h)
         n = pts.shape[0]
         J = np.zeros((n, 2, 2))
         J[:, 0, 0] = z
-        J[:, 0, 1] = fp + x1 * zp
+        J[:, 0, 1] = _central(self.f, x2, _STEP) + x1 * _central(self._z_checked, x2, _STEP)
         J[:, 1, 1] = 1.0 / z
         return J
 
@@ -481,10 +470,10 @@ class ComposedPhase(PhaseMap):
     def _eval(self, pts):
         return self.outer._eval(self.inner._eval(pts))
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         inner_pts = self.inner._eval(pts)
-        Jo = self.outer.jacobian_batch(inner_pts, h=h)
-        Ji = self.inner.jacobian_batch(pts, h=h)
+        Jo = self.outer.jacobian_batch(inner_pts)
+        Ji = self.inner.jacobian_batch(pts)
         return np.einsum("nij,njk->nik", Jo, Ji)
 
     def invert(self, y):
@@ -567,7 +556,7 @@ def axis_band_exclusion(width):
 
 
 def measure_preservation_check(
-    phi, domain, n=10_000, tol=1e-6, seed=0, exclusion=None, h=1e-5
+    phi, domain, n=10_000, tol=1e-6, seed=0, exclusion=None
 ) -> PreservationReport:
     """Sampled check of |det J(phi)| == 1 over the domain measure.
 
@@ -583,7 +572,7 @@ def measure_preservation_check(
     kept = pts[mask]
     if kept.shape[0] == 0:
         raise DomainError("exclusion region removed every sample point")
-    J = phi.jacobian_batch(kept, h=h)
+    J = phi.jacobian_batch(kept)
     dets = np.abs(np.linalg.det(J))
     max_dev = float(np.max(np.abs(dets - 1.0)))
     return PreservationReport(

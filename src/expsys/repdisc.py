@@ -99,7 +99,7 @@ class GroupExpPhase(PhaseMap):
         E = self._exp_stack(pts)
         return np.einsum("nji,j->ni", E, self._ell)
 
-    def jacobian_batch(self, pts, h=1e-5):
+    def jacobian_batch(self, pts):
         # d/dt_k exp(-B)^T ell = -(A_k exp(-B))^T ell since the A_k commute
         E = self._exp_stack(pts)
         J = np.empty((pts.shape[0], self.out_dim, self.in_dim))

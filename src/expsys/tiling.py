@@ -147,14 +147,23 @@ class _GridMembership:
         return hits & inside, np.zeros(y.shape[0], dtype=bool)
 
 
-def _invert_into_box(phi, y, lo, hi):
-    """(inside_mask, failure_mask) for membership y in phi([lo, hi))."""
+def _membership(phi, lo, hi):
+    """y -> (inside mask, failure mask) for y in phi([lo, hi)).
+
+    Inversion into the box where phi has an inverse (probed at the box
+    centre), else an occupancy grid.
+    """
     try:
-        x, ok = phi.invert(y)
+        phi.invert(phi(np.atleast_2d((lo + hi) / 2.0)))
     except InversionError:
-        return None
-    inside = ok & np.all((x >= lo - 1e-12) & (x < hi - 1e-12), axis=1)
-    return inside, ~ok
+        return _GridMembership(phi, lo, hi)
+
+    def invert_into_box(y):
+        x, ok = phi.invert(y)
+        inside = ok & np.all((x >= lo - 1e-12) & (x < hi - 1e-12), axis=1)
+        return inside, ~ok
+
+    return invert_into_box
 
 
 @dataclass
@@ -190,11 +199,7 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     rng = spawn_rng(seed, "overlap", tuple(np.round(k, 9).tolist()))
     pts = lo + rng.random((n, lo.size)) * (hi - lo)
     y = phi(pts) + k
-    result = _invert_into_box(phi, y, lo, hi) if membership is None else membership(y)
-    if result is None:
-        member = _GridMembership(phi, lo, hi)
-        result = member(y)
-    inside, failed = result
+    inside, failed = (membership or _membership(phi, lo, hi))(y)
     failures = int(np.count_nonzero(failed))
     p = float(np.count_nonzero(inside)) / n
     se = vol * math.sqrt(max(p * (1 - p), 0.0) / n)
@@ -259,11 +264,7 @@ def tiling_verdict(
     A = _as_lattice(lattice_A, d)
     vol = float(np.prod(hi - lo))
 
-    membership = None
-    try:
-        phi.invert(phi(np.atleast_2d((lo + hi) / 2.0)))
-    except InversionError:
-        membership = _GridMembership(phi, lo, hi)
+    membership = _membership(phi, lo, hi)
 
     hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
     pres = measure_preservation_check(phi, LebesgueBox(lo, hi), n=min(n, 20_000), seed=seed)

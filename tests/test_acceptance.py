@@ -36,7 +36,6 @@ def sin_unipotent():
     return es.Unipotent(
         shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),),
         dim=2,
-        grads=(lambda p: 2 * np.pi * np.cos(2 * np.pi * p[:, 1]),),
     )
 
 
@@ -45,8 +44,6 @@ def exp_triangular():
         z=lambda t: np.exp(t),
         f=lambda t: np.zeros_like(t),
         K=1.0 - np.exp(-1.0),  # second component vanishes at x2 = 0
-        z_prime=lambda t: np.exp(t),
-        f_prime=lambda t: np.zeros_like(t),
     )
 
 

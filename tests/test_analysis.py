@@ -22,7 +22,6 @@ def sin_unipotent():
     return es.Unipotent(
         shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),),
         dim=2,
-        grads=(lambda p: 2 * np.pi * np.cos(2 * np.pi * p[:, 1]),),
     )
 
 
@@ -32,8 +31,6 @@ def exp_triangular():
         z=lambda t: np.exp(t),
         f=lambda t: np.zeros_like(t),
         K=K,
-        z_prime=lambda t: np.exp(t),
-        f_prime=lambda t: np.zeros_like(t),
     )
 
 

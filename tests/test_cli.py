@@ -104,6 +104,35 @@ class TestPresets:
             assert name in out
 
 
+def _load_workloads():
+    """perfbench/workloads.py as a module, read without writing its bytecode."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    flag, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = flag
+    return module
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("name", WORKLOADS.LIGHT)
+def test_light_preset_matches_benchmark_reference(name):
+    # the body each light preset writes at its shipped seed 1 is the one the
+    # benchmark recorded, so a changed report fails here and not only there
+    reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"][name]
+    code, text = WORKLOADS.run_preset(name)
+    assert code == WORKLOADS.EXPECTED_EXIT.get(name, 0)
+    body = WORKLOADS.without_meta(json.loads(text))
+    assert WORKLOADS.compare_body(body, reference["body"]) == []
+
+
 class TestStrictSchema:
     def test_unknown_top_level_key_rejected(self, tmp_path):
         cfg = dict(PRESETS["identity-1d"]["config"])

@@ -5,7 +5,7 @@ from scipy.stats import ks_2samp
 
 import expsys as es
 from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
-from expsys.measures import digit_nodes
+from expsys.measures import digit_nodes, selfsimilar_moments
 
 
 def unit_box():
@@ -131,7 +131,7 @@ class TestSample:
 
     def test_middle_third_gap(self):
         nu3 = es.middle_third_cantor()
-        pts = es.sample(nu3, 20_000, seed=3, depth=30)[:, 0]
+        pts = es.sample(nu3, 20_000, seed=3)[:, 0]
         assert np.all(pts >= 0.0) and np.all(pts <= 1.0)
         slack = 3.0**-30
         in_gap = (pts > 1.0 / 3 + slack) & (pts < 2.0 / 3 - slack)
@@ -178,8 +178,8 @@ class TestPushforward:
         pf = es.pushforward(mu, es.binary_to_quaternary(depth=30))
         nu4 = es.middle_fourth_cantor()
         for lam in (1.0, 2.0, 3.0):
-            v = es.fourier_transform(pf, [lam], trunc=40)
-            w = es.fourier_transform(nu4, [lam], trunc=40)
+            v = es.fourier_transform(pf, [lam])
+            w = es.fourier_transform(nu4, [lam])
             assert abs(v - w) <= 1e-6
 
     def test_exponential_pushforward_reciprocal_law(self):
@@ -224,7 +224,7 @@ class TestFourierTransform:
         disc = es.LebesgueDisc([0.3, 0.0], 2.0)
         assert_allclose(es.fourier_transform(disc, [0.0, 0.0]), np.pi * 4.0)
         assert_allclose(
-            es.fourier_transform(es.middle_fourth_cantor(), [0.0], trunc=40), 1.0
+            es.fourier_transform(es.middle_fourth_cantor(), [0.0]), 1.0
         )
 
     def test_spectrum_orthogonality_of_quarter_cantor(self):
@@ -234,12 +234,12 @@ class TestFourierTransform:
             for j in range(pts.size):
                 if i == j:
                     continue
-                v = es.fourier_transform(nu4, [pts[i] - pts[j]], trunc=40)
+                v = es.fourier_transform(nu4, [pts[i] - pts[j]])
                 assert abs(v) <= 1e-10
 
     def test_product_formula_vs_sampling_oracle(self):
         nu4 = es.middle_fourth_cantor()
-        val = es.fourier_transform(nu4, [1.0], trunc=40)
+        val = es.fourier_transform(nu4, [1.0])
         pts = es.sample(nu4, 10**6, seed=21)[:, 0]
         mc = np.exp(2j * np.pi * pts)
         assert abs(val.real - mc.real.mean()) <= 3 * mc.real.std(ddof=1) / 1000
@@ -286,7 +286,7 @@ class TestFourierTransform:
 
     def test_selfsimilar_needs_positive_trunc(self):
         with pytest.raises(ValueError):
-            es.fourier_transform(es.middle_fourth_cantor(), [1.0], trunc=0)
+            selfsimilar_moments(es.middle_fourth_cantor(), [1.0], 0)
 
 
 class TestConstruction:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import expsys as es
 from expsys._oscillatory import exp_moments, measure_rule, rule_for
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
-from expsys.measures import _MAX_ENTRIES, disc_quadrants, polar_xy
+from expsys.measures import _MAX_ENTRIES, _box_ft, disc_quadrants, polar_xy
 from expsys.reconstruct import coefficients
 
 
@@ -324,6 +324,16 @@ def test_non_finite_moments_raise_under_every_scheme(scheme):
     if on_result:
         vals, _ = exp_moments(mu, NAN_PHASE, [[1.0]], quad, strict=False)
         assert np.isnan(vals[0, 0])
+
+
+def test_tensor_gauss_sizes_each_sub_rule_by_its_own_box():
+    # 64 panels a dimension at gauss(128): a node set over every panel would
+    # hold 75,759,616 x 2 entries, the one box's sub-rule holds 136^2 nodes
+    mu, box = es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), _half([0.0, 0.0], [1 / 64, 1 / 64])
+    lam = np.array([1601.3, 1600.7])
+    v, e = exp_moments(mu, es.Identity(2), [lam], es.gauss(128), weights=[(None, box)])
+    exact = _box_ft(es.LebesgueBox(*box), lam)
+    assert abs(v[0, 0] - exact) <= e[0, 0] + 1e-14
 
 
 def test_weight_stack_budget_refused_before_building():

@@ -51,16 +51,14 @@ class TestEval:
 
 
 class TestJacobian:
-    def test_unipotent_analytic(self):
-        phi = es.Unipotent(
-            shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),),
-            dim=2,
-            grads=(lambda p: 2 * np.pi * np.cos(2 * np.pi * p[:, 1]),),
-        )
-        x = np.array([0.3, 0.64])
-        J = phi.jacobian(x)
-        expected = np.array([[1.0, 2 * np.pi * np.cos(2 * np.pi * 0.64)], [0.0, 1.0]])
-        assert_allclose(J, expected, rtol=0, atol=0)
+    def test_unipotent_sin_shear_entries(self):
+        # exact unit diagonal and zero below it; the upper entry is a central
+        # difference with step 1e-5, whose truncation error is at most
+        # (2 pi)^3 (1e-5)^2 / 6 = 4.1e-9 for sin 2 pi x2
+        phi = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
+        J = phi.jacobian_batch(np.array([[0.3, 0.64]]))[0]
+        assert J[0, 0] == 1.0 and J[1, 1] == 1.0 and J[1, 0] == 0.0
+        assert abs(J[0, 1] - 2 * np.pi * np.cos(2 * np.pi * 0.64)) <= 5e-9
 
     def test_unipotent_unit_upper_triangular_structure(self):
         # diagonal exactly 1, below exactly 0, at every point: det == 1 identically
@@ -83,8 +81,6 @@ class TestJacobian:
         phi = es.Triangular2D(
             z=lambda t: np.exp(t),
             f=lambda t: np.zeros_like(t),
-            z_prime=lambda t: np.exp(t),
-            f_prime=lambda t: np.zeros_like(t),
         )
         rng = np.random.default_rng(1)
         J = phi.jacobian_batch(rng.random((200, 2)))
@@ -100,13 +96,13 @@ class TestJacobian:
             & (np.hypot(pts[:, 0], pts[:, 1]) <= 0.95)
         )
         pts = pts[keep][:10_000]
-        J = es.Holhos().jacobian_batch(pts, h=1e-5)
+        J = es.Holhos().jacobian_batch(pts)
         dets = np.abs(np.linalg.det(J))
         assert np.max(np.abs(dets - 1.0)) <= 1e-6
 
     def test_digit_map_not_differentiable(self):
         with pytest.raises(DomainError):
-            es.binary_to_quaternary().jacobian(np.array([0.3]))
+            es.binary_to_quaternary().jacobian_batch(np.array([[0.3]]))
 
     def test_group_exp_jacobian_matches_fd(self):
         from expsys.repdisc import phase_from_group, shearlet_group
@@ -114,7 +110,7 @@ class TestJacobian:
         phi = phase_from_group(shearlet_group())
         pts = np.array([[0.2, -0.4], [1.1, 0.3]])
         J = phi.jacobian_batch(pts)
-        Jfd = es.PhaseMap.jacobian_batch(phi, pts, h=1e-6)
+        Jfd = es.PhaseMap.jacobian_batch(phi, pts)
         assert_allclose(J, Jfd, atol=1e-8)
 
 
@@ -244,6 +240,54 @@ class TestDigitMonotonicity:
         pts = np.sort(es.sample(es.LebesgueBox([0.0], [1.0]), 10**5, seed=12)[:, 0])
         img = es.binary_to_quaternary(depth=30)(pts[:, None])[:, 0]
         assert np.all(np.diff(img) >= 0.0)
+
+
+def _searchsorted_digit_map(phi, x):
+    """The digit snapping DigitMap used before its lookup table: a
+    searchsorted and a nearer-neighbour comparison at every level."""
+    allowed = np.array(sorted(phi.in_digits), dtype=float)
+    out_for = np.array([phi.digit_map[int(d)] for d in allowed])
+    r = np.clip(x, 0.0, 1.0)
+    out = np.zeros_like(r)
+    scale = 1.0
+    nonzero = r > 0
+    for _ in range(phi.depth):
+        scale /= phi.out_base
+        t = r * phi.in_base
+        d = np.clip(np.where(nonzero, np.ceil(t) - 1.0, 0.0), 0, phi.in_base - 1)
+        idx = np.clip(np.searchsorted(allowed, d), 0, len(allowed) - 1)
+        left = np.clip(idx - 1, 0, len(allowed) - 1)
+        idx = np.where(np.abs(allowed[left] - d) < np.abs(allowed[idx] - d), left, idx)
+        out += np.where(nonzero, out_for[idx], 0.0) * scale
+        r = t - allowed[idx]
+    return out
+
+
+class TestDigitSnapTable:
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            es.ternary_to_quaternary(depth=30),  # off-support 1s tie between 0 and 2
+            es.binary_to_quaternary(depth=64),
+            es.DigitMap(5, (1, 3), 7, {1: 4.0, 3: 1.0}, depth=20),  # 0 and 4 outside
+            es.DigitMap(2, (0, 3), 4, {0: 0.0, 3: 3.0}),  # a digit above the base
+            es.DigitMap(10**15, (0, 1), 4, {0: 0.0, 1: 2.0}),  # a base past any table
+        ],
+    )
+    def test_lookup_matches_searchsorted_snapping(self, phi):
+        rng = np.random.default_rng(31)
+        x = np.concatenate([
+            rng.random(20_000),
+            [0.0, 5e-324, 1e-300, 1e-12, 0.5, 1 / 3, 2 / 3, 1 - 1e-16, 1.0],
+            [np.nextafter(1.0, 0.0), -1e-13, 1 + 1e-13],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):  # as PhaseMap.__call__
+            want = _searchsorted_digit_map(phi, x)
+        assert np.array_equal(phi(x[:, None])[:, 0], want)
+
+    def test_table_past_the_entry_budget_is_refused(self):
+        with pytest.raises(DomainError, match="digit snap table"):
+            es.DigitMap(2**40, (0, 2**30), 4, {0: 0.0, 2**30: 2.0})
 
 
 class TestCompose:

@@ -17,10 +17,7 @@ def sin_unipotent():
 
 
 def exp_triangular():
-    return es.Triangular2D(
-        z=lambda t: np.exp(t), f=lambda t: np.zeros_like(t), K=0.0,
-        z_prime=lambda t: np.exp(t), f_prime=lambda t: np.zeros_like(t),
-    )
+    return es.Triangular2D(z=lambda t: np.exp(t), f=lambda t: np.zeros_like(t), K=0.0)
 
 
 class TestFracHistogram:
