@@ -249,34 +249,65 @@ class Unipotent(PhaseMap):
         return x, np.ones(y.shape[0], dtype=bool)
 
 
+def _cheb_rule(n):
+    """First-kind Chebyshev nodes on [-1, 1] and the cosine matrix taking
+    samples there to Chebyshev coefficients (row j: coefficient of T_j)."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    cosines = (2.0 / n) * np.cos(np.outer(np.arange(n), theta))
+    cosines[0] *= 0.5
+    return np.cos(theta), cosines
+
+
+_BLOCK = 4096  # points per block: a block's gathered panel series stay in cache
+
+
+def _blocks(n):
+    return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
+
+
 class _MonotoneAntiderivative:
     """F(t) = integral_1^t w(tau) dtau for strictly positive w.
 
     Composite-Gauss grid refined until every interval's two-order residual is
-    below `_TOL`; queries add a 16-node panel from the nearest grid knot, so
-    evaluation is vectorized and the grid is a read-only memo.  Extension on
-    out-of-range queries rebuilds the grid (atomic swap; thread-safe reads).
+    below `_TOL`.  Each panel [a, b] also stores the Chebyshev series of
+    integral_a^t w (degree `_ORDER_HI`, from w at `_ORDER_HI` Chebyshev
+    nodes), refined until its end value matches the panel's Gauss integral
+    to the same tolerance, or to that integral's rounding where coarser.  A
+    query is one `searchsorted` and a Clenshaw sum, so the grid is a
+    read-only memo.  Extension on out-of-range queries rebuilds the grid
+    (atomic swap; thread-safe reads).
     """
 
     _ORDER_HI = 16
     _ORDER_LO = 8
     _TOL = 1e-12
     _NEWTON_STEPS = 4
+    _ROUNDING_ULPS = 16  # series-end rounding measured at up to 4 ulps of the panel integral
+    _CHEB_NODES, _CHEB_COSINES = _cheb_rule(_ORDER_HI)
 
     def __init__(self, w):
         self.w = w
-        self._grid = None  # (knots, F-values)
+        self._grid = None  # (knots, F at the knots, (degree + 1, panels) series)
 
-    def _panel(self, a, b, order):
-        x, wq = measures._leggauss(order)
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
+    def _samples(self, mid, half, x):
         nodes = mid[:, None] + half[:, None] * x[None, :]
         with np.errstate(over="ignore"):
             vals = self.w(nodes.ravel()).reshape(nodes.shape)
         if np.any(vals < 0):
             raise DomainError("z must stay positive on the queried range")
-        return half * (vals @ wq)
+        return vals
+
+    def _panel(self, a, b, order):
+        x, wq = measures._leggauss(order)
+        half = 0.5 * (b - a)
+        return half * (self._samples(0.5 * (a + b), half, x) @ wq)
+
+    def _series(self, a, b):
+        """Chebyshev coefficients of integral_a^t w on each panel [a, b]."""
+        half = 0.5 * (b - a)
+        vals = self._samples(0.5 * (a + b), half, self._CHEB_NODES)
+        coef = np.polynomial.chebyshev.chebint(self._CHEB_COSINES @ vals.T, lbnd=-1)
+        return coef * half
 
     def _build(self, lo, hi):
         knots = np.unique(np.concatenate([np.linspace(lo, hi, 257), [1.0]]))
@@ -284,8 +315,13 @@ class _MonotoneAntiderivative:
             a, b = knots[:-1], knots[1:]
             hi_int = self._panel(a, b, self._ORDER_HI)
             lo_int = self._panel(a, b, self._ORDER_LO)
-            err = np.abs(hi_int - lo_int)
-            bad = err > self._TOL / max(len(a), 1)
+            tol = self._TOL / max(len(a), 1)
+            # T_j(1) = 1, so the series' end value is its coefficient sum; it
+            # must match hi_int to tol, or to the rounding of hi_int itself
+            # where that is coarser (large w), else no grid would ever pass
+            mismatch = np.abs(self._series(a, b).sum(axis=0) - hi_int)
+            floor = self._ROUNDING_ULPS * np.finfo(float).eps * np.abs(hi_int)
+            bad = (np.abs(hi_int - lo_int) > tol) | (mismatch > np.maximum(tol, floor))
             if not np.any(bad):
                 break
             mids = 0.5 * (a[bad] + b[bad])
@@ -297,14 +333,14 @@ class _MonotoneAntiderivative:
         cum = cum - cum[anchor]  # F(1) = 0
         if not np.all(np.isfinite(cum)):
             raise DomainError("antiderivative overflows on the requested range")
-        self._grid = (knots, cum)
+        self._grid = (knots, cum, self._series(a, b))
 
     def _ensure(self, lo, hi):
         pad = 0.5 * (hi - lo + 1.0)
         if self._grid is None:
             self._build(lo - pad, hi + pad)
             return
-        knots, _ = self._grid
+        knots = self._grid[0]
         if lo < knots[0] or hi > knots[-1]:
             self._build(min(lo, knots[0]) - pad, max(hi, knots[-1]) + pad)
 
@@ -317,19 +353,34 @@ class _MonotoneAntiderivative:
         except DomainError:
             return np.inf
 
+    @staticmethod
+    def _panels(grid, idx):
+        """(a, b, F(a), series) of the panels idx, for `_at`."""
+        knots, cum, coef = grid
+        return knots[idx], knots[idx + 1], cum[idx], coef[:, idx]
+
+    @staticmethod
+    def _at(t, a, b, base, coef):
+        """F(t) for t in [a, b]: base plus a Clenshaw sum of the panel's series."""
+        s = (2.0 * t - a - b) / (b - a)
+        b1 = b2 = 0.0
+        for row in coef[:0:-1]:
+            b1, b2 = row + 2.0 * s * b1 - b2, b1
+        return base + (coef[0] + s * b1 - b2)
+
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
+        if t.size == 0:
+            return np.zeros(t.shape)
         self._ensure(float(t.min()), float(t.max()))
-        knots, cum = self._grid
-        idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
-        base = knots[idx]
-        x, wq = measures._leggauss(self._ORDER_HI)
-        mid = 0.5 * (base + t)
-        half = 0.5 * (t - base)
-        nodes = mid[..., None] + half[..., None] * x
-        with np.errstate(over="ignore"):
-            vals = self.w(nodes.ravel()).reshape(nodes.shape)
-        return cum[idx] + half * (vals @ wq)
+        grid = self._grid
+        knots = grid[0]
+        flat = t.ravel()
+        idx = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
+        out = np.empty_like(flat)
+        for blk in _blocks(flat.size):
+            out[blk] = self._at(flat[blk], *self._panels(grid, idx[blk]))
+        return out.reshape(t.shape)
 
     def inverse(self, v):
         """Solve F(t) = v where reachable; F is strictly increasing since w > 0.
@@ -340,10 +391,12 @@ class _MonotoneAntiderivative:
         requested values, so those become definitive no-preimage answers.
         """
         v = np.asarray(v, dtype=float)
+        if v.size == 0:
+            return np.zeros(v.shape), np.zeros(v.shape, dtype=bool)
         if self._grid is None:
             self._ensure(0.0, 2.0)
         for _ in range(8):
-            knots, cum = self._grid
+            knots, cum, _ = self._grid
             hi_ok = v.max() <= cum[-1]
             lo_ok = v.min() >= cum[0]
             if hi_ok and lo_ok:
@@ -369,22 +422,25 @@ class _MonotoneAntiderivative:
                 )
             except (DomainError, FloatingPointError):
                 break
-        knots, cum = self._grid
+        grid = self._grid
+        knots, cum, _ = grid
         eps_lo = 1e-9 * (1.0 + abs(cum[0]))
         eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
         ok = (v >= cum[0] - eps_lo) & (v <= cum[-1] + eps_hi)
-        safe_v = np.clip(v, cum[0], cum[-1])
+        safe_v = np.clip(v, cum[0], cum[-1]).ravel()
         # exact bracket per point, then clipped Newton inside it
         j = np.clip(np.searchsorted(cum, safe_v), 1, len(knots) - 1)
-        t_lo = knots[j - 1]
-        t_hi = knots[j]
         t = np.interp(safe_v, cum, knots)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for _ in range(self._NEWTON_STEPS):
-                step = (self(t) - safe_v) / self.w(t)
-                step = np.where(np.isfinite(step), step, 0.0)
-                t = np.clip(t - step, t_lo, t_hi)
-        return t, ok
+            for blk in _blocks(t.size):
+                t_lo, t_hi, base, coef = self._panels(grid, j[blk] - 1)
+                tb, vb = t[blk], safe_v[blk]
+                for _ in range(self._NEWTON_STEPS):
+                    step = (self._at(tb, t_lo, t_hi, base, coef) - vb) / self.w(tb)
+                    step = np.where(np.isfinite(step), step, 0.0)
+                    tb = np.clip(tb - step, t_lo, t_hi)
+                t[blk] = tb
+        return t.reshape(v.shape), ok
 
 
 class Triangular2D(PhaseMap):
@@ -392,7 +448,7 @@ class Triangular2D(PhaseMap):
 
     The family with upper-triangular unit-determinant Jacobian.  z must be
     positive C^1 (checked at call time on queried points); the inner integral
-    uses an adaptive composite-Gauss antiderivative memo with abs tol 1e-12.
+    is a piecewise-Chebyshev antiderivative memo with abs tol 1e-12.
     The Jacobian's diagonal is z and 1/z, so det == z (1/z); its corner entry
     f' + x1 z' is a central difference of z and f.
     """

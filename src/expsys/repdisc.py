@@ -75,8 +75,14 @@ class GroupData:
 class GroupExpPhase(PhaseMap):
     """phase(t) = exp(-sum_k t_k A_k)^T ell, with the analytic Jacobian
     column d(phase)/dt_k = -exp(-sum t_j A_j)^T A_k^T ell (valid because the
-    A_k commute).  The matrix exponential is scaling-and-squaring Pade
-    (scipy.linalg.expm), batched over evaluation points."""
+    A_k commute).
+
+    When every A_k is c_k I plus a strictly upper-triangular N_k (all shipped
+    groups are), the exponential is the closed form
+    e^{-sum t_k c_k} sum_{j<d} (-sum t_k N_k)^j / j!: exact, because the N_k
+    commute and their sum is nilpotent of order d.  Any other stack goes
+    through scaling-and-squaring Pade (scipy.linalg.expm), batched over
+    evaluation points."""
 
     def __init__(self, group: GroupData):
         self.group = group
@@ -84,13 +90,25 @@ class GroupExpPhase(PhaseMap):
         self.out_dim = group.d
         self._A = group.matrix_stack()
         self._ell = group.ell_vector()
+        scalars = self._A[:, 0, 0]
+        nilpotent = self._A - scalars[:, None, None] * np.eye(self.out_dim)
+        exact = not np.any(np.tril(nilpotent))  # diagonal c_k I, zeros below it
+        self._split = (scalars, nilpotent) if exact else None
 
     def _exp_stack(self, pts):
-        import scipy.linalg  # here, not at module level: slow to import, rarely needed
-
-        B = -np.einsum("nk,kij->nij", pts, self._A)
         with np.errstate(over="ignore", invalid="ignore"):
-            E = scipy.linalg.expm(B)
+            if self._split is None:
+                import scipy.linalg  # here, not at module level: slow to import, rarely needed
+
+                E = scipy.linalg.expm(-np.einsum("nk,kij->nij", pts, self._A))
+            else:
+                scalars, nilpotent = self._split
+                step = -np.einsum("nk,kij->nij", pts, nilpotent)
+                E = term = np.broadcast_to(np.eye(self.out_dim), step.shape)
+                for j in range(1, self.out_dim):
+                    term = term @ step / j
+                    E = E + term
+                E = np.exp(-(pts @ scalars))[:, None, None] * E
         if not np.all(np.isfinite(E)):
             raise DomainError("matrix exponential overflow for extreme t")
         return E

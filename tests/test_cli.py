@@ -522,8 +522,8 @@ class TestSpecCliExamples:
         assert code == 1
         assert rep["result"]["tiling"] == "NOT-TILING"
 
-    # unipotent-sin (about 4 s) and shearlet (about 3 s) are left out for
-    # time; the cantor presets never reach the thread pool
+    # unipotent-sin (about 4 s) is left out for time; the cantor presets
+    # never reach the thread pool
     @pytest.mark.parametrize(
         "preset",
         [
@@ -533,6 +533,7 @@ class TestSpecCliExamples:
             "heisenberg",
             "poly2d",
             "axb",
+            "shearlet",
             "reconstruct-sawtooth",
         ],
     )

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
 from expsys.errors import DomainError
+from expsys.phases import _MonotoneAntiderivative
 
 
 class TestEval:
@@ -153,6 +156,106 @@ class TestTriangularStructure:
         back, ok = phi.invert(phi(pts))
         assert np.all(ok)
         assert_allclose(back, pts, atol=1e-12)
+
+
+def _gauss_from_knot(anti, t):
+    """Per-point oracle: F at the knot below t plus a 16-node Gauss panel up to t."""
+    knots, cum, _ = anti._grid
+    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    base = knots[idx]
+    x, wq = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * (t - base)
+    nodes = (0.5 * (base + t))[..., None] + half[..., None] * x
+    return cum[idx] + half * (anti.w(nodes) @ wq)
+
+
+def _gauss_inverse(anti, v):
+    """Per-point oracle of `inverse` on the grid the last call left behind."""
+    knots, cum, _ = anti._grid
+    eps_lo = 1e-9 * (1.0 + abs(cum[0]))
+    eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
+    ok = (v >= cum[0] - eps_lo) & (v <= cum[-1] + eps_hi)
+    safe_v = np.clip(v, cum[0], cum[-1])
+    j = np.clip(np.searchsorted(cum, safe_v), 1, len(knots) - 1)
+    t = np.interp(safe_v, cum, knots)
+    for _ in range(anti._NEWTON_STEPS):
+        step = (_gauss_from_knot(anti, t) - safe_v) / anti.w(t)
+        t = np.clip(t - np.where(np.isfinite(step), step, 0.0), knots[j - 1], knots[j])
+    return t, ok
+
+
+def _gauss_only_knots(anti, lo, hi):
+    """The knot refinement with the two-order Gauss residual alone."""
+    knots = np.unique(np.concatenate([np.linspace(lo, hi, 257), [1.0]]))
+    for _ in range(40):
+        a, b = knots[:-1], knots[1:]
+        bad = np.abs(anti._panel(a, b, 16) - anti._panel(a, b, 8)) > 1e-12 / len(a)
+        if not np.any(bad):
+            break
+        knots = np.unique(np.concatenate([knots, 0.5 * (a[bad] + b[bad])]))
+    return knots
+
+
+_WEIGHTS = {
+    "exp": lambda t: np.exp(-t),
+    "oscillating": lambda t: 1.0 / (1.5 + np.sin(20 * t)),
+    "saturating": lambda t: 1.0 / (1.0 + t**2),
+}
+
+
+class TestMonotoneAntiderivative:
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    def test_matches_per_point_gauss(self, name):
+        anti = _MonotoneAntiderivative(_WEIGHTS[name])
+        first = np.linspace(0.0, 2.0, 101)
+        assert_allclose(anti(first), _gauss_from_knot(anti, first), rtol=0, atol=1e-12)
+        wide = np.linspace(-3.0, 6.0, 401)  # beyond the first grid: rebuilt
+        assert anti._grid[0][0] > -3.0
+        F = anti(wide)
+        assert anti._grid[0][0] <= -3.0
+        assert_allclose(F, _gauss_from_knot(anti, wide), rtol=0, atol=1e-12)
+        # 50 past either end: reachable by growing the grid unless F saturates
+        v = np.concatenate([F, [F[0] - 50.0, F[-1] + 50.0]])
+        t, ok = anti.inverse(v)
+        t_ref, ok_ref = _gauss_inverse(anti, v)
+        np.testing.assert_array_equal(ok, ok_ref)
+        assert_allclose(t, t_ref, rtol=0, atol=1e-12)
+        assert_allclose(t[:-2], wide, rtol=0, atol=1e-9)
+
+    def test_series_check_does_not_chase_rounding(self):
+        # w = e^{-t} down to t = -8.5: panel integrals reach ~100, whose
+        # rounding is above 1e-12 / n; the series' end values match the Gauss
+        # integrals to that rounding, so no knot is added for them
+        anti = _MonotoneAntiderivative(_WEIGHTS["exp"])
+        anti._build(-8.5, 4.5)
+        np.testing.assert_array_equal(anti._grid[0], _gauss_only_knots(anti, -8.5, 4.5))
+
+    def test_nonpositive_weight_raises(self):
+        with pytest.raises(DomainError):
+            _MonotoneAntiderivative(np.cos)(np.array([0.0, 5.0]))
+        with pytest.raises(DomainError):
+            _MonotoneAntiderivative(np.cos).inverse(np.array([0.0]))
+        # z > 0 at both queried points, z < 0 between them
+        phi = es.Triangular2D(z=lambda t: np.abs(t - 1.0) - 0.1)
+        with pytest.raises(DomainError):
+            phi(np.array([[0.0, 0.0], [0.0, 2.0]]))
+
+    def test_empty_input(self):
+        phi = es.Triangular2D(z=lambda t: np.exp(t))
+        assert phi(np.empty((0, 2))).shape == (0, 2)
+        back, ok = phi.invert(np.empty((0, 2)))
+        assert back.shape == (0, 2) and ok.shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16))
+    def test_inverse_roundtrip_property(self, name, fractions):
+        anti = _MonotoneAntiderivative(_WEIGHTS[name])
+        lo, hi = anti(np.array([-4.0, 4.0]))
+        v = lo + (hi - lo) * np.array(fractions)
+        t, ok = anti.inverse(v)
+        assert np.all(ok)
+        assert_allclose(anti(t), v, rtol=0, atol=1e-12)
 
 
 class TestMeasurePreservation:

@@ -63,6 +63,82 @@ class TestPhaseFromGroup:
             assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
 
+def _expm_oracle(A, ell, pts):
+    """phase and Jacobian through scipy.linalg.expm, point by point."""
+    import scipy.linalg
+
+    E = np.stack([scipy.linalg.expm(-np.einsum("k,kij->ij", t, A)) for t in pts])
+    phase = np.einsum("nji,j->ni", E, ell)
+    J = np.stack([-np.einsum("ij,njk->nki", a, E) @ ell for a in A], axis=-1)
+    return E, phase, J
+
+
+def _commuting_unipotent_stack(rng, d=4, m=3):
+    """c_k I + N_k with every N_k a polynomial in one strictly upper N.
+
+    |c_k| <= 1/2 keeps |sum t_k c_k| near the shipped groups' range: expm's
+    own relative error grows past 1e-14 once that exponent passes about 2."""
+    N = np.triu(rng.normal(size=(d, d)), 1)
+    powers = [np.linalg.matrix_power(N, j) for j in range(1, d)]
+    mats = [
+        rng.uniform(-0.5, 0.5) * np.eye(d) + sum(rng.normal() * P for P in powers)
+        for _ in range(m)
+    ]
+    return es.GroupData(matrices=tuple(map(tuple, (map(tuple, a) for a in mats))), ell=tuple(rng.normal(size=d)))
+
+
+class TestGroupExponential:
+    @pytest.mark.parametrize("name", ["heisenberg", "poly2d", "axb", "shearlet", "random-d4"])
+    def test_closed_form_matches_expm(self, name):
+        rng = np.random.default_rng(7)
+        if name == "random-d4":
+            group = _commuting_unipotent_stack(rng)
+        else:
+            group = getattr(es, f"{name}_group")()
+        phi = es.phase_from_group(group)
+        # |t| <= 1: further out expm itself drifts (next test)
+        pts = rng.uniform(-1.0, 1.0, size=(64, group.m))
+        E, phase, J = _expm_oracle(phi.group.matrix_stack(), phi.group.ell_vector(), pts)
+        scale = 1.0 + np.max(np.abs(E), axis=(1, 2))
+        assert np.all(np.max(np.abs(phi(pts) - phase), axis=1) <= 1e-14 * scale)
+        err = np.max(np.abs(phi.jacobian_batch(pts) - J), axis=(1, 2))
+        assert np.all(err <= 1e-14 * scale)
+
+    def test_closed_form_is_exact_where_expm_drifts(self):
+        # at t1 = -2.1 expm's shearlet entries are off by 5e-14 relative;
+        # the closed form is the exact (e^{-t1}, -t2 e^{-t1}) to round-off
+        phi = es.phase_from_group(es.shearlet_group())
+        t = np.random.default_rng(7).normal(scale=3.0, size=(256, 2))
+        exact = np.stack([np.exp(-t[:, 0]), -t[:, 1] * np.exp(-t[:, 0])], axis=-1)
+        assert_allclose(phi(t), exact, rtol=4e-16, atol=0)
+
+    @pytest.mark.parametrize(
+        "matrix", [((1.0, 0.0), (0.0, 2.0)), ((0.0, 1.0), (-1.0, 0.0))]
+    )
+    def test_other_stacks_run_through_expm(self, matrix):
+        group = es.GroupData(matrices=(matrix,), ell=(1.0, 0.5))
+        phi = es.phase_from_group(group)
+        pts = np.linspace(-2.0, 2.0, 9)[:, None]
+        import scipy.linalg
+
+        E = scipy.linalg.expm(-np.einsum("nk,kij->nij", pts, group.matrix_stack()))
+        np.testing.assert_array_equal(phi(pts), np.einsum("nji,j->ni", E, group.ell_vector()))
+        _, phase, J = _expm_oracle(group.matrix_stack(), group.ell_vector(), pts)
+        assert_allclose(phi(pts), phase, rtol=0, atol=1e-13)
+        assert_allclose(phi.jacobian_batch(pts), J, rtol=0, atol=1e-13)
+
+    def test_shearlet_overflow_refused(self):
+        phi = es.phase_from_group(es.shearlet_group())
+        with pytest.raises(DomainError):
+            phi(np.array([[-1000.0, 0.5]]))
+        with pytest.raises(DomainError):
+            phi.jacobian_batch(np.array([[-1000.0, 0.0]]))
+
+    def test_empty_points(self):
+        phi = es.phase_from_group(es.poly2d_group())
+        assert phi(np.empty((0, 2))).shape == (0, 3)
+
+
 def heisenberg_system(radius=8):
     phi = es.phase_from_group(es.heisenberg_group())
     points = [[0.0, float(k)] for k in range(-radius, radius + 1)]
