@@ -2,8 +2,9 @@
 
 All maps are vectorized: calling a map with an (n, in_dim) array returns an
 (n, out_dim) array; a single point of shape (in_dim,) returns (out_dim,).
-Evaluation is pure and thread-safe (the triangular family's antiderivative
-memo is swapped atomically).
+Evaluation is pure and thread-safe: the triangular family's antiderivative
+memo is swapped atomically, and its values do not depend on which queries
+built it.
 """
 
 from __future__ import annotations
@@ -268,90 +269,89 @@ def _blocks(n):
 class _MonotoneAntiderivative:
     """F(t) = integral_1^t w(tau) dtau for strictly positive w.
 
-    Composite-Gauss grid refined until every interval's two-order residual is
-    below `_TOL`.  Each panel [a, b] also stores the Chebyshev series of
-    integral_a^t w (degree `_ORDER_HI`, from w at `_ORDER_HI` Chebyshev
-    nodes), refined until its end value matches the panel's Gauss integral
-    to the same tolerance, or to that integral's rounding where coarser.  A
-    query is one `searchsorted` and a Clenshaw sum, so the grid is a
-    read-only memo.  Extension on out-of-range queries rebuilds the grid
-    (atomic swap; thread-safe reads).
+    Each knot panel [a, b] holds the Chebyshev series of integral_a^t w
+    (degree `_ORDER`, from w at `_ORDER` Chebyshev nodes).  A panel is split
+    while w's last two coefficients, scaled to the panel, exceed `_TOL` of
+    the panel's own integral.  F at the knots is the running sum of the
+    panels' end values, outward from t = 1.  The knots start from one fixed
+    partition anchored at 1 (`_offsets`), so grids built for different
+    ranges share their panels and F is bitwise independent of query
+    history.  A query is one `searchsorted` and a Clenshaw sum, so the grid
+    is a read-only memo.  Extension on out-of-range queries rebuilds the
+    grid (atomic swap; thread-safe reads).
     """
 
-    _ORDER_HI = 16
-    _ORDER_LO = 8
+    _ORDER = 16
     _TOL = 1e-12
     _NEWTON_STEPS = 4
-    _ROUNDING_ULPS = 16  # series-end rounding measured at up to 4 ulps of the panel integral
-    _CHEB_NODES, _CHEB_COSINES = _cheb_rule(_ORDER_HI)
+    _CHEB_NODES, _CHEB_COSINES = _cheb_rule(_ORDER)
 
     def __init__(self, w):
         self.w = w
         self._grid = None  # (knots, F at the knots, (degree + 1, panels) series)
 
-    def _samples(self, mid, half, x):
-        nodes = mid[:, None] + half[:, None] * x[None, :]
-        with np.errstate(over="ignore"):
-            vals = self.w(nodes.ravel()).reshape(nodes.shape)
-        if np.any(vals < 0):
-            raise DomainError("z must stay positive on the queried range")
-        return vals
-
-    def _panel(self, a, b, order):
-        x, wq = measures._leggauss(order)
-        half = 0.5 * (b - a)
-        return half * (self._samples(0.5 * (a + b), half, x) @ wq)
+    @staticmethod
+    def _offsets(reach):
+        """Offsets 2^{j/64} - 1 of the fixed partition, j = 0, 1, ..., up to
+        the first one at or past `reach` >= 0 (at least up to j = 1)."""
+        j = np.arange(int(64 * np.log2(1.0 + reach)) + 2)
+        offs = np.exp2(j / 64.0) - 1.0
+        return offs[: max(np.searchsorted(offs, reach), 1) + 1]
 
     def _series(self, a, b):
-        """Chebyshev coefficients of integral_a^t w on each panel [a, b]."""
+        """Chebyshev coefficients of integral_a^t w on each panel [a, b], and
+        the panels' truncation estimate (w's last two coefficients, scaled)."""
         half = 0.5 * (b - a)
-        vals = self._samples(0.5 * (a + b), half, self._CHEB_NODES)
-        coef = np.polynomial.chebyshev.chebint(self._CHEB_COSINES @ vals.T, lbnd=-1)
-        return coef * half
+        nodes = (0.5 * (a + b))[:, None] + half[:, None] * self._CHEB_NODES
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.w(nodes.ravel()).reshape(nodes.shape)
+            if np.any(vals < 0):
+                raise DomainError("z must stay positive on the queried range")
+            # einsum, not a BLAS matmul, whose sums depend on the batch: a
+            # panel's series must not depend on the panels built beside it
+            cw = np.einsum("jk,nk->jn", self._CHEB_COSINES, vals)
+            tail = half * (np.abs(cw[-2]) + np.abs(cw[-1]))
+            return np.polynomial.chebyshev.chebint(cw, lbnd=-1) * half, tail
 
     def _build(self, lo, hi):
-        knots = np.unique(np.concatenate([np.linspace(lo, hi, 257), [1.0]]))
-        for _ in range(40):
-            a, b = knots[:-1], knots[1:]
-            hi_int = self._panel(a, b, self._ORDER_HI)
-            lo_int = self._panel(a, b, self._ORDER_LO)
-            tol = self._TOL / max(len(a), 1)
-            # T_j(1) = 1, so the series' end value is its coefficient sum; it
-            # must match hi_int to tol, or to the rounding of hi_int itself
-            # where that is coarser (large w), else no grid would ever pass
-            mismatch = np.abs(self._series(a, b).sum(axis=0) - hi_int)
-            floor = self._ROUNDING_ULPS * np.finfo(float).eps * np.abs(hi_int)
-            bad = (np.abs(hi_int - lo_int) > tol) | (mismatch > np.maximum(tol, floor))
-            if not np.any(bad):
-                break
-            mids = 0.5 * (a[bad] + b[bad])
-            knots = np.unique(np.concatenate([knots, mids]))
-        a, b = knots[:-1], knots[1:]
-        seg = self._panel(a, b, self._ORDER_HI)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        anchor = np.searchsorted(knots, 1.0)
-        cum = cum - cum[anchor]  # F(1) = 0
-        if not np.all(np.isfinite(cum)):
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise DomainError("antiderivative overflows on the requested range")
-        self._grid = (knots, cum, self._series(a, b))
+        left = self._offsets(1.0 - min(lo, 1.0))
+        knots = np.concatenate([1.0 - left[:0:-1], 1.0 + self._offsets(max(hi, 1.0) - 1.0)])
+        for depth in range(41):  # a panel is bisected at most 40 times
+            a, b = knots[:-1], knots[1:]
+            coef, tail = self._series(a, b)
+            # T_j(1) = 1, so a panel's integral is its series' coefficient sum
+            ends = coef.sum(axis=0)
+            bad = tail > self._TOL * ends
+            if depth == 40 or not np.any(bad):
+                break
+            knots = np.unique(np.concatenate([knots, 0.5 * (a[bad] + b[bad])]))
+        k = int(np.searchsorted(knots, 1.0))
+        F = np.concatenate([-np.cumsum(ends[:k][::-1])[::-1], [0.0], np.cumsum(ends[k:])])
+        if not np.all(np.isfinite(F)):
+            raise DomainError("antiderivative overflows on the requested range")
+        self._grid = grid = (knots, F, coef)
+        return grid
 
     def _ensure(self, lo, hi):
-        pad = 0.5 * (hi - lo + 1.0)
-        if self._grid is None:
-            self._build(lo - pad, hi + pad)
-            return
-        knots = self._grid[0]
-        if lo < knots[0] or hi > knots[-1]:
-            self._build(min(lo, knots[0]) - pad, max(hi, knots[-1]) + pad)
+        """A grid covering [lo, hi]; callers read the one returned, since
+        another thread may swap in a grid for a different range meanwhile."""
+        grid = self._grid
+        if grid is not None:
+            knots = grid[0]
+            if knots[0] <= lo and hi <= knots[-1]:
+                return grid
+            lo, hi = min(lo, knots[0]), max(hi, knots[-1])
+        return self._build(lo, hi)
 
     def _edge_gain(self, a, b):
         """Attainable |F| growth over [a, b]; inf signals overflow (worth trying)."""
         try:
-            with np.errstate(over="ignore"):
-                seg = self._panel(np.array([a]), np.array([b]), self._ORDER_LO)
-            return float(seg[0]) if np.isfinite(seg[0]) else np.inf
+            gain = float(self._series(np.array([a]), np.array([b]))[0].sum())
         except DomainError:
             return np.inf
+        return gain if np.isfinite(gain) else np.inf
 
     @staticmethod
     def _panels(grid, idx):
@@ -372,8 +372,7 @@ class _MonotoneAntiderivative:
         t = np.asarray(t, dtype=float)
         if t.size == 0:
             return np.zeros(t.shape)
-        self._ensure(float(t.min()), float(t.max()))
-        grid = self._grid
+        grid = self._ensure(float(t.min()), float(t.max()))
         knots = grid[0]
         flat = t.ravel()
         idx = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
@@ -386,25 +385,24 @@ class _MonotoneAntiderivative:
         """Solve F(t) = v where reachable; F is strictly increasing since w > 0.
 
         Returns (t, ok): ok is False where v lies outside the attainable range
-        of F.  F may saturate (integrable tails of w); expansion of the grid
-        stops once the attainable boundary no longer makes progress toward the
-        requested values, so those become definitive no-preimage answers.
+        of F.  F may saturate (integrable tails of w): the grid grows on a side
+        only while the series over one more span gains a share of the gap, so
+        values past a saturated side become definitive no-preimage answers.
+        Each point starts from the knot interpolant and takes clipped Newton
+        steps on the series of its bracketing panel.
         """
         v = np.asarray(v, dtype=float)
         if v.size == 0:
             return np.zeros(v.shape), np.zeros(v.shape, dtype=bool)
-        if self._grid is None:
-            self._ensure(0.0, 2.0)
+        grid = self._grid or self._ensure(0.0, 2.0)
         for _ in range(8):
-            knots, cum, _ = self._grid
+            knots, cum, _ = grid
             hi_ok = v.max() <= cum[-1]
             lo_ok = v.min() >= cum[0]
             if hi_ok and lo_ok:
                 break
             # extend only sides that are both needed and can still make
-            # progress (F may saturate); symmetric growth would let
-            # unreachable targets inflate the grid until its dynamic range
-            # destroys the anchored cumulative sums by cancellation
+            # progress: a saturated side would be rebuilt on every call
             span = knots[-1] - knots[0]
             grow_hi = grow_lo = False
             if not hi_ok:
@@ -416,13 +414,12 @@ class _MonotoneAntiderivative:
             if not (grow_hi or grow_lo):
                 break
             try:
-                self._build(
+                grid = self._build(
                     knots[0] - (span if grow_lo else 0.0),
                     knots[-1] + (span if grow_hi else 0.0),
                 )
             except (DomainError, FloatingPointError):
                 break
-        grid = self._grid
         knots, cum, _ = grid
         eps_lo = 1e-9 * (1.0 + abs(cum[0]))
         eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
@@ -447,8 +444,9 @@ class Triangular2D(PhaseMap):
     """(x1, x2) -> (z(x2) x1 + f(x2), integral_1^{x2} dt/z(t) + K).
 
     The family with upper-triangular unit-determinant Jacobian.  z must be
-    positive C^1 (checked at call time on queried points); the inner integral
-    is a piecewise-Chebyshev antiderivative memo with abs tol 1e-12.
+    positive C^1 between 1 and the queried x2 (checked where it is evaluated,
+    which reaches about 1% past them); the inner integral is a
+    piecewise-Chebyshev memo, each panel's series within a relative 1e-12.
     The Jacobian's diagonal is z and 1/z, so det == z (1/z); its corner entry
     f' + x1 z' is a central difference of z and f.
     """

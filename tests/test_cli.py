@@ -516,11 +516,16 @@ class TestSpecCliExamples:
         assert rep["result"]["gram"]["path"] == "product-formula"
 
     def test_counterexample_exp_exits_one(self, tmp_path):
+        # the one preset that reaches the triangular antiderivative; it is
+        # not light, so its body is checked against the benchmark here
         code, rep = run_to_file(
             tmp_path, ["tiling-check", "--preset", "counterexample-exp"]
         )
         assert code == 1
         assert rep["result"]["tiling"] == "NOT-TILING"
+        reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"]
+        body = WORKLOADS.without_meta(rep)
+        assert WORKLOADS.compare_body(body, reference["counterexample-exp"]["body"]) == []
 
     # unipotent-sin (about 4 s) is left out for time; the cantor presets
     # never reach the thread pool

@@ -159,16 +159,25 @@ def test_tensor_gauss_frame_matrix_holds_one_box_at_a_time():
     assert peak < 8 * 2**20
 
 
-def test_boxed_blocks_are_thread_deterministic():
+@pytest.mark.parametrize(
+    "make_phase",
+    [
+        lambda: es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2),
+        lambda: es.Triangular2D(z=np.exp),
+    ],
+    ids=["shear", "triangular"],
+)
+def test_boxed_blocks_are_thread_deterministic(make_phase):
     # boxed and unboxed columns under a nonlinear phase give the same bytes
-    # on any number of workers
+    # on any number of workers; each run starts the triangular memo afresh,
+    # so the workers race to build it
     mu = es.LebesgueBox([0.0, 0.0], [1.0, 1.0])
-    shear = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
     basis = es.dyadic_indicator_basis(mu, 16)
     weights = [(f.fn, f.support_box) for f in basis.functions] + [(lambda x: x[:, 0], None)]
     lam = es.integer_lattice(2, 3).points
     runs = [
-        exp_moments(mu, shear, lam, es.gauss(32), weights=weights, threads=t) for t in (1, 2, 4)
+        exp_moments(mu, make_phase(), lam, es.gauss(32), weights=weights, threads=t)
+        for t in (1, 2, 4)
     ]
     for T, E in runs[1:]:
         assert np.array_equal(T, runs[0][0])

@@ -147,6 +147,28 @@ class TestTriangularStructure:
         assert np.all(ok)
         assert_allclose(back, pts, atol=1e-9)
 
+    def test_inverse_roundtrip_over_wide_dynamic_range(self):
+        # F reaches about -4.9e8 at x2 = -20; summed from the left end, the
+        # knot values near t = 1 lost about eps e^{32} to cancellation
+        phi = es.Triangular2D(z=np.exp)
+        rng = np.random.default_rng(11)
+        pts = np.stack([rng.random(2000), rng.uniform(-20.0, 4.0, 2000)], axis=-1)
+        back, ok = phi.invert(phi(pts))
+        assert np.all(ok)
+        assert_allclose(back, pts, rtol=0, atol=1e-12)
+
+    def test_z_needs_positivity_only_where_queried(self):
+        # z = t + 0.5 and sqrt t are positive on [0.3, 1] but not everywhere
+        x2 = np.array([0.3, 0.99])
+        shifted = es.Triangular2D(z=lambda t: t + 0.5)
+        assert_allclose(
+            shifted.second_component(x2), np.log((x2 + 0.5) / 1.5), rtol=1e-13, atol=0
+        )
+        root = es.Triangular2D(z=np.sqrt)
+        assert_allclose(
+            root.second_component(np.array([0.3])), [2 * (np.sqrt(0.3) - 1)], rtol=1e-13
+        )
+
     def test_unipotent_inverse_roundtrip(self):
         phi = es.Unipotent(
             shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2
@@ -184,18 +206,6 @@ def _gauss_inverse(anti, v):
     return t, ok
 
 
-def _gauss_only_knots(anti, lo, hi):
-    """The knot refinement with the two-order Gauss residual alone."""
-    knots = np.unique(np.concatenate([np.linspace(lo, hi, 257), [1.0]]))
-    for _ in range(40):
-        a, b = knots[:-1], knots[1:]
-        bad = np.abs(anti._panel(a, b, 16) - anti._panel(a, b, 8)) > 1e-12 / len(a)
-        if not np.any(bad):
-            break
-        knots = np.unique(np.concatenate([knots, 0.5 * (a[bad] + b[bad])]))
-    return knots
-
-
 _WEIGHTS = {
     "exp": lambda t: np.exp(-t),
     "oscillating": lambda t: 1.0 / (1.5 + np.sin(20 * t)),
@@ -222,13 +232,26 @@ class TestMonotoneAntiderivative:
         assert_allclose(t, t_ref, rtol=0, atol=1e-12)
         assert_allclose(t[:-2], wide, rtol=0, atol=1e-9)
 
-    def test_series_check_does_not_chase_rounding(self):
-        # w = e^{-t} down to t = -8.5: panel integrals reach ~100, whose
-        # rounding is above 1e-12 / n; the series' end values match the Gauss
-        # integrals to that rounding, so no knot is added for them
+    @pytest.mark.parametrize("lo", [-20.0, -30.0, -60.0])
+    def test_refinement_is_relative_to_each_panel(self, lo):
+        # w = e^{-t} spans e^{60}: an absolute panel tolerance bisects
+        # rounding there (176,043 knots at -60), a relative one does not
         anti = _MonotoneAntiderivative(_WEIGHTS["exp"])
-        anti._build(-8.5, 4.5)
-        np.testing.assert_array_equal(anti._grid[0], _gauss_only_knots(anti, -8.5, 4.5))
+        t = np.linspace(lo, 4.0, 2001)
+        F = anti(t)
+        assert len(anti._grid[0]) <= 1000
+        exact = np.exp(-1.0) - np.exp(-t)
+        assert np.all(np.abs(F - exact) <= 1e-12 * (1.0 + np.abs(exact)))
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    def test_values_do_not_depend_on_query_history(self, name):
+        t = np.linspace(0.0, 1.0, 101)
+        grown = _MonotoneAntiderivative(_WEIGHTS[name])
+        grown(np.linspace(0.5, 1.0, 11))
+        fresh = _MonotoneAntiderivative(_WEIGHTS[name])
+        F = grown(t)
+        np.testing.assert_array_equal(F, fresh(t))
+        np.testing.assert_array_equal(grown.inverse(F)[0], fresh.inverse(F)[0])
 
     def test_nonpositive_weight_raises(self):
         with pytest.raises(DomainError):
@@ -239,6 +262,12 @@ class TestMonotoneAntiderivative:
         phi = es.Triangular2D(z=lambda t: np.abs(t - 1.0) - 0.1)
         with pytest.raises(DomainError):
             phi(np.array([[0.0, 0.0], [0.0, 2.0]]))
+
+    def test_nonfinite_query_raises(self):
+        with pytest.raises(DomainError):
+            _MonotoneAntiderivative(_WEIGHTS["exp"])(np.array([0.0, np.inf]))
+        with pytest.raises(DomainError):
+            _MonotoneAntiderivative(_WEIGHTS["exp"])(np.array([np.nan]))
 
     def test_empty_input(self):
         phi = es.Triangular2D(z=lambda t: np.exp(t))
