@@ -10,13 +10,13 @@ the only engine: Gram entries, coefficients, norms, frame matrices and plain
 
 Every scheme ends in one kernel, `_contract`: a phase image, its
 frequencies and an (n, k) node-weighted weight matrix.  A support box is a
-mask on its weight under every scheme.  Tensor-gauss breaks its composite
-rule at every support-box edge and shares each dimension's panels out over
-the segments between them; frequencies with one such panel layout share a
-rule.  Its work items are (layout, cell, support box, order) sub-rules: each
-builds its box's tensor sub-grid, weights and phase image when it runs and
-frees them when it returns.  A disc is four polar-quadrant cells whose
-two-order errors add.
+mask on its weight under every scheme.  Tensor-gauss gives each support box
+one rule over the box clipped to the measure, with the measure's panel count
+scaled by the box's share of each width, and unboxed weights one rule over
+the measure's cells; frequencies with one panel layout share a rule.  Its
+work items are (box, layout, cell, order) rules: each builds its tensor
+grid, weights and phase image when it runs and frees them when it returns.
+A disc is four polar-quadrant cells whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
 weight's finest-scale slope to the phase term.  Adaptive integrals stay one
@@ -149,7 +149,7 @@ def exp_moments(
     the unit weight.  `fn` maps (n, dim) points of mu to (n,) values (None is
     the constant 1); `support_box` (lo, hi) restricts the weight to a box: it
     masks nodes or samples outside it.  Tensor-gauss takes support boxes on a
-    LebesgueBox only and puts their edges on panel edges.
+    LebesgueBox only and integrates each over its own panels in the box.
     With `strict`, any non-finite value raises QuadratureError.
     """
     base, psi = _unwrap(mu)
@@ -271,33 +271,14 @@ def _map_pool(fn, items, threads):
     return [fn(it) for it in items]
 
 
-def _panel_edges(cuts, counts):
-    """Edges that split each segment between adjacent cuts into its count of panels."""
-    parts = [np.linspace(a, b, p + 1)[:-1] for a, b, p in zip(cuts[:-1], cuts[1:], counts)]
-    return np.concatenate(parts + [cuts[-1:]])
-
-
-def _box_edges(edges, key):
-    """Each dimension's panel edges inside a support box (key lo + hi, None no box).
-
-    Box edges inside the rule are panel edges, so the box covers whole panels.
-    """
-    if key is None:
-        return edges
-    sub = []
-    for e, ends in zip(edges, np.reshape(key, (2, -1)).T):
-        a, b = np.minimum(np.searchsorted(e, ends), len(e) - 1)
-        sub.append(e[a : max(a, b) + 1])
-    return sub
-
-
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     groups: dict = {}  # support box (lo + hi flattened, None unboxed) -> weight columns
     for j, (_, box) in enumerate(weights):
         key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
         groups.setdefault(key, []).append(j)
-    box_edges = np.reshape([key for key in groups if key is not None], (-1, mu.dim))
-    if box_edges.size and (psi is not None or not isinstance(mu, LebesgueBox)):
+    if any(key is not None for key in groups) and (
+        psi is not None or not isinstance(mu, LebesgueBox)
+    ):
         raise SchemeMismatchError("support_box with tensor-gauss requires a box measure")
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
         raise SchemeMismatchError(
@@ -311,39 +292,35 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
         cycles = np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
     else:
         cells = [(mu.lo, mu.hi)]
-    # per cell and dimension, the panel breakpoints: the cell edges and every
-    # support-box edge inside them (fmin/fmax send a NaN edge to a cell edge)
-    cuts = [
-        [np.array(sorted({lo[i], hi[i], *np.fmax(lo[i], np.fmin(hi[i], box_edges[:, i]))}))
-         for i in range(mu.dim)]
-        for lo, hi in cells
-    ]
-    # each segment gets its share of the cell's panels, at least one; all
-    # quadrant cells have one shape; the guard keeps 64 * (1/64) at one panel
     sig = panels_from_cycles(cycles, quad.order)
-    shares = [np.diff(c) / (c[-1] - c[0]) for c in cuts[0]]
-    counts = np.hstack([np.ceil(sig[:, [i]] * f * (1 - 1e-12)) for i, f in enumerate(shares)])
-    counts = np.maximum(1, counts).astype(np.int64)
-    layouts, inverse = np.unique(counts, axis=0, return_inverse=True)
     orders = (quad.order, quad.order + 8)
-    # work items, the two orders of a (layout, cell, box) side by side:
-    # (frequency rows, the box's panel edges, order, weight columns)
+    layouts: dict = {}  # box width / measure width -> (panel layouts, their frequencies)
+    # work items, the two orders of a (group, layout, cell) side by side:
+    # (frequency rows, the rule's panel edges, order, weight columns)
     items = []
-    for g, layout in enumerate(layouts):
-        per_dim = np.split(layout, np.cumsum([f.size for f in shares])[:-1])
-        idx = np.flatnonzero(inverse.ravel() == g)
-        for p in per_dim:  # before its panel edges are built
-            _check_entries(int(p.sum()) * orders[1], mu.dim, "node row")
-        for cell_cuts in cuts:
-            edges = [_panel_edges(c, p) for c, p in zip(cell_cuts, per_dim)]
-            boxes = [(_box_edges(edges, key), cols) for key, cols in groups.items()]
-            for sub, cols in boxes:  # its nodes, image and weights at the larger order
-                count = math.prod((len(e) - 1) * orders[1] for e in sub)
-                _check_entries(count, max(mu.dim, len(cols)), "sub-rule")
-            items += [(idx, sub, order, cols) for sub, cols in boxes for order in orders]
+    for key, cols in groups.items():
+        if key is None:  # the measure's own cells
+            rule_cells, share = cells, np.ones(mu.dim)
+        else:  # one rule over the box clipped to the measure
+            lo, hi = np.maximum(key[: mu.dim], mu.lo), np.minimum(key[mu.dim :], mu.hi)
+            if not np.all(hi > lo):  # empty, inverted or outside: integrates to 0
+                continue
+            rule_cells, share = [(lo, hi)], (hi - lo) / (mu.hi - mu.lo)
+        if tuple(share) not in layouts:  # the guard keeps 64 * (1/64) at one panel
+            counts = np.maximum(1, np.ceil(sig * share * (1 - 1e-12))).astype(np.int64)
+            layouts[tuple(share)] = np.unique(counts, axis=0, return_inverse=True)
+        layout_set, inverse = layouts[tuple(share)]
+        for g, layout in enumerate(layout_set):
+            idx = np.flatnonzero(inverse.ravel() == g)
+            # its nodes, image and weights at the larger order, before any edge
+            count = math.prod(int(p) * orders[1] for p in layout)
+            _check_entries(count, max(mu.dim, len(cols)), "sub-rule")
+            for lo, hi in rule_cells:
+                edges = [np.linspace(a, b, p + 1) for a, b, p in zip(lo, hi, layout)]
+                items += [(idx, edges, order, cols) for order in orders]
 
     def run_item(item):
-        # the box's own tensor sub-grid, weights and phase image, freed on return
+        # the rule's own tensor grid, weights and phase image, freed on return
         idx, edges, order, cols = item
         pts, w = box_gauss_nodes(edges, order)
         if polar:

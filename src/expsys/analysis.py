@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import measures, phases
-from ._oscillatory import _inside, effective_pair, exp_moments, measure_rule, rule_for
+from ._oscillatory import effective_pair, exp_moments, measure_rule, rule_for
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec
 from .spectra import SpectrumSet, lattice, unique_rows
@@ -401,8 +401,9 @@ def frame_bounds(
 
     For f = sum c_j psi_j the frame sum over the truncated spectrum is
     ||T c||^2, so min/max squared singular values estimate the frame bounds
-    restricted to the test subspace.  The test basis must be orthonormal in
-    L^2(mu) within 1e-10 (exact-by-construction bases skip the numeric check).
+    restricted to the test subspace.  T runs under `rule_for(mu, phi, quad)`.
+    The test basis must be orthonormal in L^2(mu) within 1e-10
+    (exact-by-construction bases skip the numeric check).
     """
     resid = 0.0
     if not test_basis.exactly_orthonormal:
@@ -413,7 +414,7 @@ def frame_bounds(
             )
     lam = spectrum.points
     T, _ = exp_moments(  # (|Lambda|, M): <psi_j, e_lambda o phi> at -lambda
-        mu, phi, -lam, quad,
+        mu, phi, -lam, rule_for(mu, phi, quad),
         weights=[(tf.fn, tf.support_box) for tf in test_basis.functions], threads=threads,
     )
     from scipy.linalg import svd
@@ -433,17 +434,21 @@ def frame_bounds(
     )
 
 
+def _box_intersection(a, b):
+    """The support box of a product of two weights (None: unboxed)."""
+    if a is None or b is None:
+        return b if a is None else a
+    return np.maximum(a[0], b[0]), np.minimum(a[1], b[1])
+
+
 def _basis_orthonormality_residual(mu, test_basis, quad):
-    """max |<psi_i, psi_j> - delta_ij| from one stack of products psi_i conj(psi_j)."""
-
-    def masked(tf, x):
-        v = np.asarray(tf.fn(x))
-        return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
-
+    """max |<psi_i, psi_j> - delta_ij| from one stack of products psi_i conj(psi_j),
+    each on the intersection of the two support boxes."""
     fns = test_basis.functions
     pairs = list(combinations_with_replacement(range(len(fns)), 2))
     products = [
-        (lambda x, a=fns[i], b=fns[j]: masked(a, x) * np.conj(masked(b, x)), None)
+        (lambda x, a=fns[i].fn, b=fns[j].fn: a(x) * np.conj(b(x)),
+         _box_intersection(fns[i].support_box, fns[j].support_box))
         for i, j in pairs
     ]
     vals, _ = exp_moments(

@@ -60,6 +60,9 @@ _MAX_ENTRIES = 1 << 27
 # digit expansions stop here: 2^-64 is below double precision on a unit width
 _MAX_DEPTH = 64
 
+# ratio^-64, the deepest digit scale, stays a normal double up to 2^15
+_MAX_RATIO = 1 << 15
+
 _SAMPLE_DEPTH = 30  # digits per self-similar sample
 _FT_TRUNC = 40  # product levels of a self-similar Fourier transform
 
@@ -153,6 +156,12 @@ def _finite(values, what):
     return arr
 
 
+def _finite_mass(mass, what):
+    if not np.isfinite(mass):
+        raise DomainError(f"{what} mass overflows a double")
+    return float(mass)
+
+
 class LebesgueBox(Measure):
     kind = "lebesgue_box"
 
@@ -166,7 +175,8 @@ class LebesgueBox(Measure):
         self.lo = lo
         self.hi = hi
         self.dim = lo.size
-        self.total_mass = float(np.prod(hi - lo))
+        with np.errstate(over="ignore"):
+            self.total_mass = _finite_mass(np.prod(hi - lo), "box")
 
     def support_box(self):
         return self.lo.copy(), self.hi.copy()
@@ -192,7 +202,11 @@ class LebesgueDisc(Measure):
         self.center = center
         self.radius = float(radius)
         self.dim = 2
-        self.total_mass = math.pi * self.radius**2
+        try:
+            mass = math.pi * self.radius**2
+        except OverflowError:
+            mass = math.inf
+        self.total_mass = _finite_mass(mass, "disc")
 
     def support_box(self):
         r = self.radius
@@ -229,8 +243,8 @@ class SelfSimilar(Measure):
 
     def __init__(self, ratio, digits):
         ratio = int(ratio)
-        if ratio < 2:
-            raise DomainError("ratio must be an integer >= 2")
+        if not 2 <= ratio <= _MAX_RATIO:
+            raise DomainError(f"ratio must be an integer in [2, {_MAX_RATIO}]")
         pairs = _finite(digits, "self-similar digits")
         if pairs.ndim != 2 or pairs.shape[1:] != (2,) or pairs.shape[0] == 0:
             raise DomainError("digits must be a non-empty list of (offset, weight) pairs")
@@ -240,6 +254,8 @@ class SelfSimilar(Measure):
             raise DomainError(f"digit weights must sum to 1 (got {wsum!r})")
         if any(w < 0 for _, w in digits):
             raise DomainError("digit weights must be nonnegative")
+        if len({d for d, w in digits if w > 0}) < 2:
+            raise DomainError("the digits must support more than one point")
         self.ratio = ratio
         self.digits = digits
         self.dim = 1

@@ -385,9 +385,10 @@ class _MonotoneAntiderivative:
         """Solve F(t) = v where reachable; F is strictly increasing since w > 0.
 
         Returns (t, ok): ok is False where v lies outside the attainable range
-        of F.  F may saturate (integrable tails of w): the grid grows on a side
-        only while the series over one more span gains a share of the gap, so
-        values past a saturated side become definitive no-preimage answers.
+        of F.  F may saturate (integrable tails of w): the grid grows on a
+        needed side only while the series over one more span gains more than
+        `_TOL` (1 + |F|) at that edge, so values past a saturated side become
+        definitive no-preimage answers.
         Each point starts from the knot interpolant and takes clipped Newton
         steps on the series of its bracketing panel.
         """
@@ -395,7 +396,7 @@ class _MonotoneAntiderivative:
         if v.size == 0:
             return np.zeros(v.shape), np.zeros(v.shape, dtype=bool)
         grid = self._grid or self._ensure(0.0, 2.0)
-        for _ in range(8):
+        for _ in range(64):
             knots, cum, _ = grid
             hi_ok = v.max() <= cum[-1]
             lo_ok = v.min() >= cum[0]
@@ -407,10 +408,10 @@ class _MonotoneAntiderivative:
             grow_hi = grow_lo = False
             if not hi_ok:
                 gain = self._edge_gain(knots[-1], knots[-1] + span)
-                grow_hi = gain > 0.01 * (v.max() - cum[-1])
+                grow_hi = gain > self._TOL * (1.0 + abs(cum[-1]))
             if not lo_ok:
                 gain = self._edge_gain(knots[0] - span, knots[0])
-                grow_lo = gain > 0.01 * (cum[0] - v.min())
+                grow_lo = gain > self._TOL * (1.0 + abs(cum[0]))
             if not (grow_hi or grow_lo):
                 break
             try:

@@ -3,6 +3,7 @@ and empirical Beurling densities."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +18,22 @@ MAX_LATTICE_BOX = 1 << 20
 MAX_DENSITY_WORK = 1 << 26
 
 
+def round_in_place(a, decimals):
+    """Round a finite array to `decimals` digits in place and return it.
+
+    Doubles from 2^52 up are integers, so rounding them changes nothing;
+    np.round would overflow on them above ~1.8e296.
+    """
+    small = np.abs(a) < 2.0**52
+    a[small] = np.round(a[small], decimals)
+    return a
+
+
 def unique_rows(rows):
     """(uniq, inverse) of the rows of a finite (n, d) array, rounded to 12
     digits in place; uniq is sorted lexicographically as by np.unique(axis=0)
     and -0.0 is folded into 0.0."""
-    # doubles from 2^52 up are integers, so rounding them changes nothing;
-    # np.round would overflow on them above ~1.8e296
-    small = np.abs(rows) < 2.0**52
-    rows[small] = np.round(rows[small], 12)
+    round_in_place(rows, 12)
     rows += 0.0
     order = np.lexsort(rows.T[::-1])
     new = np.zeros(rows.shape[0], dtype=bool)
@@ -172,7 +181,8 @@ def _enumeration_size(spectrum, lo, hi):
     kind = spectrum.generator.get("kind")
     if kind == "lattice":
         klo, khi = _coordinate_box(np.asarray(spectrum.generator["A"], dtype=float), lo, hi)
-        return float(np.prod(khi - klo + 1))
+        # Python floats: inf past the double range, without a numpy overflow warning
+        return math.prod((khi - klo + 1).tolist())
     if kind == "lambda4":
         return 2.0 ** _lambda4_levels(hi[0])
     return spectrum.points.shape[0]

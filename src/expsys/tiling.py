@@ -19,6 +19,7 @@ from .errors import DomainError, InversionError
 from .measures import LebesgueBox, _check_entries, _finite
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
+from .spectra import round_in_place
 
 UNIFORM = "UNIFORM"
 NONUNIFORM = "NONUNIFORM"
@@ -62,6 +63,14 @@ class HistogramReport:
                 writer.writerow([repr(float(v)) for v in frac @ frac_to_pt.T] + [int(cnt)])
 
 
+def _finite_image(phi, pts):
+    """phi(pts), refused when not finite: binning it would count NaNs."""
+    img = phi(pts)
+    if not np.all(np.isfinite(img)):
+        raise DomainError("the phase image of the box is not finite")
+    return img
+
+
 def frac_histogram_test(
     phi, box, lattice_A, n=100_000, bins=16, seed=0
 ) -> HistogramReport:
@@ -83,8 +92,7 @@ def frac_histogram_test(
     A = _as_lattice(lattice_A, d)
     rng = spawn_rng(seed, "frac-histogram")
     pts = lo + rng.random((n, d)) * (hi - lo)
-    img = phi(pts)
-    t = img @ np.linalg.inv(A).T
+    t = _finite_image(phi, pts) @ np.linalg.inv(A).T
     frac = t - np.floor(t)
     idx = np.clip((frac * bins).astype(int), 0, bins - 1)
     flat = np.ravel_multi_index(idx.T, (bins,) * d)
@@ -126,7 +134,7 @@ class _GridMembership:
         cells = self._CELLS
         grids = [np.linspace(lo[i], hi[i], self._SWEEP, endpoint=False) for i in range(d)]
         mesh = np.stack(np.meshgrid(*grids, indexing="ij"), axis=-1).reshape(-1, d)
-        img = phi(mesh)
+        img = _finite_image(phi, mesh)
         self.lo = img.min(axis=0)
         self.hi = img.max(axis=0)
         span = np.where(self.hi > self.lo, self.hi - self.lo, 1.0)
@@ -196,7 +204,7 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     lo, hi = _as_box(box)
     k = np.asarray(k, dtype=float)
     vol = float(np.prod(hi - lo))
-    rng = spawn_rng(seed, "overlap", tuple(np.round(k, 9).tolist()))
+    rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
     pts = lo + rng.random((n, lo.size)) * (hi - lo)
     y = phi(pts) + k
     inside, failed = (membership or _membership(phi, lo, hi))(y)

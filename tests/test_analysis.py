@@ -388,6 +388,32 @@ class TestFrameBounds:
         assert 0.85 <= rep.a_est <= 1.0 + 1e-9
         assert 0.99 <= rep.b_est <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("dim, m", [(1, 2), (1, 3), (1, 5), (1, 7), (2, 9)])
+    def test_indicator_residual_integrates_each_product_on_its_box(self, dim, m):
+        # each product psi_i conj(psi_j) runs on the intersection of the two
+        # cells, so Gauss never integrates a step across a panel
+        from expsys.analysis import TestBasis, _basis_orthonormality_residual
+
+        mu = unit_box(dim)
+        exact = es.dyadic_indicator_basis(mu, m)
+        basis = TestBasis(exact.functions, exact.descriptor, exactly_orthonormal=False)
+        assert _basis_orthonormality_residual(mu, basis, es.gauss(32)) <= 1e-15
+        lam = es.integer_lattice(dim, 2)
+        checked = es.frame_bounds(mu, es.Identity(dim), lam, basis, es.gauss(32))
+        trusted = es.frame_bounds(mu, es.Identity(dim), lam, exact, es.gauss(32))
+        assert checked.a_est == trusted.a_est and checked.b_est == trusted.b_est
+
+    @pytest.mark.parametrize("quad", [es.gauss(32), es.digit(40)], ids=["gauss", "digit"])
+    def test_frame_matrix_rule_comes_from_rule_for(self, quad):
+        # the binary-to-quaternary digit map on Lebesgue[0, 1] has no
+        # Jacobian for tensor-Gauss and no self-similar base for digit
+        # enumeration: both fall back to the seeded 400k-sample rule
+        phi = es.DigitMap(2, [0, 1], 4, {0: 0.0, 1: 2.0})
+        basis = es.dyadic_indicator_basis(unit_box(), 8)
+        rep = es.frame_bounds(unit_box(), phi, es.lambda4(3), basis, quad)
+        assert rep.a_est == pytest.approx(0.7435388531, abs=1e-9)
+        assert rep.b_est == pytest.approx(1.0047243811, abs=1e-9)
+
     def test_non_orthonormal_basis_rejected(self):
         from expsys.analysis import TestBasis
 

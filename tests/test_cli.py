@@ -362,6 +362,25 @@ MALFORMED = {
     ),
     # 1e300 puts all n^2 / 2 sample pairs within delta_y
     "probe-delta-y-1e300": ("probe-x2", _set(["delta_y"], 1e300)),
+    # finite bounds whose mass overflows a double: pi r^2 raised
+    # OverflowError, the box product warned
+    "disc-radius-1e300": ("holhos-disc", _set(["measure", "radius"], 1e300)),
+    "box-mass-overflow": (
+        "unipotent-sin",
+        _set(["measure"], {"kind": "lebesgue_box", "lo": [0.0, 0.0], "hi": [1e300, 1e300]}),
+    ),
+    # refused without a warning: an infinite enumeration size, an infinite
+    # phase image (e^{1e15}), a ratio whose ratio^-64 underflows, and a
+    # one-point support
+    "density-window-1e300": ("density-z2", _set(["windows", 0], 1e300)),
+    "triangular-box-hi-1e15": ("counterexample-exp", _set(["box", "hi", 1], 1e15)),
+    "self-similar-ratio-1e300": ("cantor3", _set(["measure", "ratio"], 1e300)),
+    "self-similar-one-point": ("cantor3", _set(["measure", "digits", 1, 0], 0.0)),
+    # a phase with no inverse: its membership sweep meets the infinite image first
+    "tiling-custom-image-overflows": (
+        "unipotent-tiling",
+        _set(["phase"], {"kind": "custom", "expr": ["x1", "x2 + exp(1000*x2)"], "in_dim": 2}),
+    ),
 }
 
 
@@ -388,6 +407,20 @@ def test_deeply_nested_config_exits_three(tmp_path, capsys):
         assert run(["verify-onb", "--config", str(path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
+def test_huge_lattice_entry_keeps_exit_contract(tmp_path, capsys):
+    # the overlap seed tags round only entries below 2^52: no overflow
+    cfg = json.loads(json.dumps(PRESETS["unipotent-tiling"]["config"]))
+    cfg["lattice"]["A"][0][0] = 1e300
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(["tiling-check", "--config", str(path), "--out", str(tmp_path / "r.json")])
+    assert code == 1  # the volume no longer matches |det A|
+    assert capsys.readouterr().err == ""
     assert not caught, [str(w.message) for w in caught]
 
 

@@ -300,11 +300,33 @@ class TestConstruction:
             lambda: es.LebesgueDisc([np.inf, 0.0], 1.0),
             lambda: es.LebesgueDisc([0.0, 0.0], np.nan),
             lambda: es.LebesgueDisc([0.0, 0.0], 0.0),
+            # finite bounds whose mass overflows a double
+            lambda: es.LebesgueBox([0.0, 0.0], [1e300, 1e300]),
+            lambda: es.LebesgueBox([-1e308], [1e308]),
+            lambda: es.LebesgueDisc([0.0, 0.0], 1e300),
+            lambda: es.LebesgueDisc([0.0, 0.0], 1e154),
         ],
     )
     def test_bad_bounds_are_domain_errors(self, build):
         with pytest.raises(es.DomainError):
             build()
+
+    @pytest.mark.parametrize(
+        "ratio, digits",
+        [
+            (1e300, ((0.0, 0.5), (2.0, 0.5))),  # ratio^-64 underflows
+            (2**15 + 1, ((0.0, 0.5), (2.0, 0.5))),
+            (3, ((0.0, 0.5), (0.0, 0.5))),  # one point: zero support width
+            (3, ((0.0, 1.0), (2.0, 0.0))),
+        ],
+    )
+    def test_degenerate_self_similar_refused(self, ratio, digits):
+        with pytest.raises(es.DomainError):
+            es.SelfSimilar(ratio, digits)
+
+    def test_largest_self_similar_ratio_is_accepted(self):
+        mu = es.SelfSimilar(2**15, ((0.0, 0.5), (2.0, 0.5)))
+        assert mu.ratio == 2**15
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):

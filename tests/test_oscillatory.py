@@ -103,6 +103,48 @@ def test_tensor_gauss_support_box_is_clipped_to_the_measure():
         assert_allclose(v[:, 0], [0.5, 1j / (3 * np.pi)], atol=1e-12)
 
 
+def _record_rule_edges(monkeypatch):
+    """The panel edges of every rule `_gauss_moments` builds, as tuples."""
+    from expsys import _oscillatory
+
+    seen = []
+    real = _oscillatory.box_gauss_nodes
+
+    def recorded(edges, order):
+        seen.append(tuple(tuple(e.tolist()) for e in edges))
+        return real(edges, order)
+
+    monkeypatch.setattr(_oscillatory, "box_gauss_nodes", recorded)
+    return seen
+
+
+def test_tensor_gauss_unboxed_rule_has_no_edge_at_another_columns_box(monkeypatch):
+    # |lambda| = 15 at gauss(32) gives ceil(5 * 15 / 32) = 3 panels on
+    # [0, 1]: the unboxed column keeps thirds, with no edge at the other
+    # column's box edge 1/2; the box [0, 1/2) gets its half share, 2 panels
+    seen = _record_rule_edges(monkeypatch)
+    box = _half([0.0], [0.5])
+    v, e = exp_moments(
+        es.LebesgueBox([0.0], [1.0]), es.Identity(1), [[15.0]], es.gauss(32),
+        weights=[None, (None, box)],
+    )
+    thirds = (tuple(np.linspace(0.0, 1.0, 4).tolist()),)
+    assert seen == [thirds, thirds, ((0.0, 0.25, 0.5),), ((0.0, 0.25, 0.5),)]
+    assert_allclose(v[0], [0.0, 1j / (15 * np.pi)], atol=1e-14)
+
+
+def test_tensor_gauss_empty_boxes_integrate_to_zero(monkeypatch):
+    # outside, empty and inverted boxes build no rule and give exact zeros
+    seen = _record_rule_edges(monkeypatch)
+    boxes = [_half([2.0], [3.0]), _half([0.5], [0.5]), _half([0.7], [0.2])]
+    v, e = exp_moments(
+        es.LebesgueBox([0.0], [1.0]), es.Identity(1), [[0.0], [3.0]], es.gauss(16),
+        weights=[(None, box) for box in boxes],
+    )
+    assert seen == []
+    assert np.array_equal(v, np.zeros((2, 3))) and np.array_equal(e, np.zeros((2, 3)))
+
+
 def test_tensor_gauss_frame_matrix_runs_one_sub_rule_per_cell(monkeypatch):
     # 64 indicator cells over Lebesgue[0, 1/2] at |lambda| <= 256: one cycle
     # estimate and one refined layout; each (cell, order) sub-rule builds

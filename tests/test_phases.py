@@ -253,6 +253,26 @@ class TestMonotoneAntiderivative:
         np.testing.assert_array_equal(F, fresh(t))
         np.testing.assert_array_equal(grown.inverse(F)[0], fresh.inverse(F)[0])
 
+    def test_inverse_grows_past_slow_early_growth(self):
+        # F(t) = e^{-1} - e^{-t}: the first spans gain little of the gap to
+        # -1e6, but F has not saturated, so the grid keeps growing
+        anti = _MonotoneAntiderivative(_WEIGHTS["exp"])
+        t, ok = anti.inverse(np.array([-1e6]))
+        assert ok[0]
+        assert abs(t[0] + np.log(1e6 + np.exp(-1.0))) <= 1e-12
+
+    def test_saturated_side_is_final_and_not_rebuilt(self):
+        # F saturates at e^{-1} < 0.5 on the right: no preimage, and once the
+        # grid has grown to saturation a repeat query builds nothing
+        anti = _MonotoneAntiderivative(_WEIGHTS["exp"])
+        builds = []
+        real = anti._build
+        anti._build = lambda lo, hi: builds.append((lo, hi)) or real(lo, hi)
+        assert not anti.inverse(np.array([0.5]))[1][0]
+        first = len(builds)
+        assert not anti.inverse(np.array([0.5]))[1][0]
+        assert len(builds) == first
+
     def test_nonpositive_weight_raises(self):
         with pytest.raises(DomainError):
             _MonotoneAntiderivative(np.cos)(np.array([0.0, 5.0]))

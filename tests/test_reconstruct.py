@@ -42,6 +42,19 @@ class TestCoefficients:
         others = np.delete(c.values, zero)
         assert np.max(np.abs(others)) <= 1e-6
 
+    def test_rule_comes_from_rule_for(self):
+        # a digit map on a box has no Jacobian for tensor-Gauss: the
+        # coefficients take the seeded 400k-sample rule that rule_for picks
+        phi = es.DigitMap(2, [0, 1], 4, {0: 0.0, 1: 2.0})
+        spec = es.lambda4(3)
+        one = lambda x: np.ones(x.shape[0])  # noqa: E731
+        c = coefficients(one, unit_box(), phi, spec, es.gauss(32))
+        sampled = coefficients(one, unit_box(), phi, spec, es.monte_carlo(400_000, seed=0))
+        np.testing.assert_array_equal(c.values, sampled.values)
+        zero = int(np.where(spec.points[:, 0] == 0.0)[0][0])
+        assert abs(c.values[zero] - 1.0) <= 1e-12
+        assert np.max(np.abs(np.delete(c.values, zero))) <= 1e-2
+
     def test_linearity(self):
         spec = es.integer_lattice(1, 8)
         quad = es.gauss(48)

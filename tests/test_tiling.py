@@ -38,6 +38,12 @@ class TestFracHistogram:
         with pytest.raises(ValueError):
             es.frac_histogram_test(es.Identity(2), BOX, EYE, n=100, bins=16)
 
+    def test_non_finite_image_refused(self):
+        # reduced modulo the lattice, an infinite image would bin NaNs
+        phi = es.CustomPhase(lambda p: p + np.inf, 2, 2)
+        with pytest.raises(es.DomainError, match="not finite"):
+            es.frac_histogram_test(phi, BOX, EYE, n=10_000, bins=4)
+
     def test_csv_dump(self, tmp_path):
         rep = es.frac_histogram_test(es.Identity(2), BOX, EYE, n=20_000, bins=4, seed=0)
         out = tmp_path / "hist.csv"
@@ -72,6 +78,11 @@ class TestOverlapVolume:
             )
             sigma = np.hypot(max(plus.std_err, 1e-6), max(minus.std_err, 1e-6))
             assert abs(plus.volume_est - minus.volume_est) <= 3 * sigma
+
+    def test_huge_translate_seeds_without_overflow(self):
+        # the seed tag rounds only entries below 2^52, as unique_rows does
+        rep = es.overlap_volume(es.Identity(2), BOX, [1e300, 0.0], n=1000, seed=0)
+        assert rep.volume_est == 0.0
 
     def test_grid_membership_fallback(self):
         # custom map without an inverse goes through the occupancy grid
