@@ -235,8 +235,13 @@ def verify_onb(
     reported distinctly as FAIL); ratios below 1 - tol with clean
     orthogonality yield INCONCLUSIVE, since spectrum truncation alone can
     explain them.  No finite battery certifies completeness.  A non-finite
-    ratio raises QuadratureError.
+    ratio raises QuadratureError.  tol_orth must be >= 0 and tol_complete
+    in [0, 1); outside those ranges a verdict would not depend on the system.
     """
+    if not (tol_orth >= 0 and 0 <= tol_complete < 1):
+        raise DomainError(
+            f"need tol_orth >= 0 and 0 <= tol_complete < 1, got {tol_orth} and {tol_complete}"
+        )
     report = gram(mu, phi, spectrum, quad, threads=threads)
     orthogonal = report.is_orthogonal(tol_orth)
 

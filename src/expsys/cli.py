@@ -132,13 +132,16 @@ def _run_verify_onb(cfg, seed, threads, opts):
 
 
 def _run_frame_bounds(cfg, seed, threads, opts):
+    min_ratio = opts.get("min_ratio", 0.01)
+    # a_est <= b_est, so outside (0, 1] the verdict would not depend on them
+    if not 0 < min_ratio <= 1:
+        raise ConfigError(f"min_ratio must be in (0, 1], got {min_ratio}")
     mu, phi, spectrum, quad = _system(cfg, seed)
     basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
     check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
     m = as_scalar(basis_cfg["m"], int, "basis.m")
     basis = pick(_BASES, basis_cfg["kind"], "basis kind")(mu, m)
     report = analysis.frame_bounds(mu, phi, spectrum, basis, quad, threads=threads)
-    min_ratio = opts.get("min_ratio", 0.01)
     # report-level verdict only: a_est/b_est below min_ratio at this
     # truncation is called FAIL; no infinite-spectrum claim either way
     ok = np.isfinite(report.b_est) and report.a_est >= min_ratio * report.b_est

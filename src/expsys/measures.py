@@ -559,7 +559,7 @@ def selfsimilar_moments(ss: SelfSimilar, xi, trunc):
     """
     if trunc < 1:
         raise DomainError("trunc must be >= 1 for self-similar measures")
-    validate_product_formula(ss, trunc=max(trunc, 40))
+    validate_product_formula(ss)
     xi = np.asarray(xi, dtype=float)
     values = _selfsimilar_product(ss, xi, trunc)
     max_d = max(abs(d) for d, _ in ss.digits)
@@ -569,8 +569,8 @@ def selfsimilar_moments(ss: SelfSimilar, xi, trunc):
     return values, errors
 
 
-def validate_product_formula(ss: SelfSimilar, trunc: int = 40) -> float:
-    """Cross-validate the truncated product against independent oracles.
+def validate_product_formula(ss: SelfSimilar) -> float:
+    """Cross-validate the _FT_TRUNC-level product against independent oracles.
 
     Oracle 1: exact digit-string enumeration of the truncated measure.
     Oracle 2: Monte-Carlo digit sampling (tolerance 1e-3, fixed internal
@@ -582,7 +582,7 @@ def validate_product_formula(ss: SelfSimilar, trunc: int = 40) -> float:
     if key in _PRODUCT_GATE:
         return _PRODUCT_GATE[key]
     xi = np.array(_GATE_XI)
-    prod = _selfsimilar_product(ss, xi, trunc)
+    prod = _selfsimilar_product(ss, xi, _FT_TRUNC)
 
     # one depth-30 node set, all three frequencies in one product
     nodes, w, _ = digit_nodes(ss, 30)

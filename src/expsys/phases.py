@@ -676,6 +676,9 @@ def essential_injectivity_probe(
 
     if n < 100:
         raise DomainError("n must be >= 100")
+    for name, scale in (("delta_x", delta_x), ("delta_y", delta_y)):
+        if scale is not None and not scale > 0:
+            raise DomainError(f"{name} must be > 0, got {scale}")
     pts = measures.sample(mu, n, seed=seed)
     img = phi(pts)
     # squared distances must stay below the float64 maximum (NaN fails too)
@@ -686,9 +689,8 @@ def essential_injectivity_probe(
         delta_x = 0.05 * float(np.linalg.norm(hi - lo))
     if delta_y is None:
         span = img.max(axis=0) - img.min(axis=0)
-        delta_y = 1e-4 * float(np.linalg.norm(span))
-    if delta_y <= 0:
-        delta_y = 1e-12
+        # a constant image has no span to scale by
+        delta_y = 1e-4 * float(np.linalg.norm(span)) or 1e-12
 
     tree = cKDTree(img)
     # pairs within delta_y are counted (self-pairs and both orders) before they

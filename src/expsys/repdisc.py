@@ -284,6 +284,8 @@ def verify_system_on_window(
     Blocks coincide by translation covariance, so a single block is computed
     (see module docstring); reports always state the spectrum truncation.
     """
+    if not tol >= 0:
+        raise DomainError(f"tol must be >= 0, got {tol}")
     if quad is None:
         quad = QuadratureSpec("tensor-gauss", order=48)
     window_lo = np.atleast_1d(_finite(window[0], "verification window lo"))

@@ -12,9 +12,10 @@ from .errors import DomainError
 from .measures import _finite
 from .seeding import spawn_rng
 
-# lattice() and window_count() refuse to enumerate more points than this
+# lattice(), window_count() and each beurling_density() window refuse to
+# enumerate more points than this
 MAX_LATTICE_BOX = 1 << 20
-# beurling_density() refuses to enumerate more points over all windows and centres
+# beurling_density() refuses more centre-point comparisons over all its windows
 MAX_DENSITY_WORK = 1 << 26
 
 
@@ -164,28 +165,43 @@ class DensityReport:
         }
 
 
-def _coordinate_box(A, lo, hi):
-    """Integer coordinates (klo, khi) whose box maps under A over [lo, hi)."""
-    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
-    Kc = corners @ np.linalg.inv(A).T
-    return np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
-
-
-def _lambda4_levels(top):
-    """Levels with 4^i < top: an element with a digit at 4^i >= top exceeds top."""
-    return sum(4**i < top for i in range(31))
-
-
-def _enumeration_size(spectrum, lo, hi):
-    """Points window_count enumerates for [lo, hi)."""
+def _candidates(spectrum, lo, hi):
+    """(size, build) of the spectrum points that may lie in [lo, hi); size, a
+    Python float (inf past the double range), is known before build() allocates."""
     kind = spectrum.generator.get("kind")
     if kind == "lattice":
-        klo, khi = _coordinate_box(np.asarray(spectrum.generator["A"], dtype=float), lo, hi)
-        # Python floats: inf past the double range, without a numpy overflow warning
-        return math.prod((khi - klo + 1).tolist())
+        A = np.asarray(spectrum.generator["A"], dtype=float)
+        # integer coordinates whose box maps under A over [lo, hi)
+        corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
+        Kc = corners @ np.linalg.inv(A).T
+        klo, khi = np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
+
+        def build():
+            K = np.meshgrid(*map(np.arange, klo.astype(int), khi.astype(int) + 1), indexing="ij")
+            return np.stack(K, axis=-1).reshape(-1, len(lo)) @ A.T
+
+        return math.prod(b - a + 1 for a, b in zip(klo.tolist(), khi.tolist())), build
     if kind == "lambda4":
-        return 2.0 ** _lambda4_levels(hi[0])
-    return spectrum.points.shape[0]
+        # an element with a digit at 4^i >= hi exceeds hi
+        levels = sum(4**i < hi[0] for i in range(31))
+        return 2.0**levels, lambda: _lambda4_values(levels).astype(float)[:, None]
+    t = spectrum.truncation
+    if t is not None and (np.any(np.abs(lo) > t + 1e-9) or np.any(np.abs(hi) > t + 1e-9)):
+        raise DomainError("window exceeds the enumerable range of this spectrum")
+    return float(spectrum.size), lambda: spectrum.points
+
+
+def _counts(pts, lo, hi):
+    """Points of pts in each half-open box [lo[i], hi[i]), a block of boxes at a time."""
+    step = max(1, (1 << 22) // pts.size)
+    counts = []
+    for i in range(0, len(lo), step):
+        inside = True
+        for j, col in enumerate(pts.T):
+            inside = inside & (col >= lo[i : i + step, j, None] - 1e-12)
+            inside &= col < hi[i : i + step, j, None] - 1e-12
+        counts.append(np.count_nonzero(inside, axis=1))
+    return np.concatenate(counts)
 
 
 def window_count(spectrum: SpectrumSet, lo, hi) -> int:
@@ -201,31 +217,10 @@ def window_count(spectrum: SpectrumSet, lo, hi) -> int:
     hi = np.atleast_1d(_finite(hi, "window hi"))
     if lo.shape != (d,) or hi.shape != (d,):
         raise DomainError(f"window corners must be {d}-vectors")
-    kind = spectrum.generator.get("kind")
-    if kind == "lattice":
-        A = np.asarray(spectrum.generator["A"], dtype=float)
-        klo, khi = _coordinate_box(A, lo, hi)
-        if not np.prod(khi - klo + 1) <= MAX_LATTICE_BOX:  # also refuses NaN
-            raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lattice points")
-        ranges = [np.arange(int(klo[i]), int(khi[i]) + 1) for i in range(d)]
-        K = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-        pts = K @ A.T
-        inside = np.all((pts >= lo - 1e-12) & (pts < hi - 1e-12), axis=1)
-        return int(np.count_nonzero(inside))
-    if kind == "lambda4":
-        levels = _lambda4_levels(hi[0])
-        if 2**levels > MAX_LATTICE_BOX:
-            raise DomainError(f"density window holds above {MAX_LATTICE_BOX} lambda4 points")
-        vals = _lambda4_values(levels).astype(float)
-        return int(np.count_nonzero((vals >= lo[0] - 1e-12) & (vals < hi[0] - 1e-12)))
-    pts = spectrum.points
-    if spectrum.truncation is not None:
-        if np.any(np.abs(lo) > spectrum.truncation + 1e-9) or np.any(
-            np.abs(hi) > spectrum.truncation + 1e-9
-        ):
-            raise DomainError("window exceeds the enumerable range of this spectrum")
-    inside = np.all((pts >= lo - 1e-12) & (pts < hi - 1e-12), axis=1)
-    return int(np.count_nonzero(inside))
+    size, build = _candidates(spectrum, lo, hi)
+    if not size <= MAX_LATTICE_BOX:  # also refuses NaN
+        raise DomainError(f"density window holds above {MAX_LATTICE_BOX} points")
+    return int(_counts(build(), lo[None], hi[None])[0])
 
 
 def beurling_density(
@@ -240,14 +235,16 @@ def beurling_density(
     For each window side R, reports max/min over centers of
     #(spectrum in x + [-R/2, R/2)^d) / R^d.  Windows are half-open; the
     empirical max is a lower bound on the true sup and the empirical min an
-    upper bound on the true inf.  Window sides must be finite and positive,
-    and at most MAX_DENSITY_WORK points may be enumerated over all windows
-    and centres (sized at the largest centre); both are checked up front.
+    upper bound on the true inf.  Window sides must be finite and positive.
+    Each window is enumerated once, over the union of its boxes at all
+    centres, and every centre is counted against that one enumeration.  At
+    most MAX_LATTICE_BOX points per window and MAX_DENSITY_WORK centre-point
+    pairs over all windows are checked before anything is enumerated.
     """
     d = spectrum.dim
     sides = _finite(windows, "density windows")
-    if sides.ndim != 1 or np.any(sides <= 0):
-        raise DomainError("density windows must be a list of positive numbers")
+    if sides.ndim != 1 or sides.size == 0 or np.any(sides <= 0):
+        raise DomainError("density windows must be a non-empty list of positive numbers")
     if not 1 <= n_centers < MAX_DENSITY_WORK:
         raise DomainError(f"n_centers must be in [1, {MAX_DENSITY_WORK}), got {n_centers}")
     rng = spawn_rng(seed, "beurling-centers")
@@ -259,22 +256,22 @@ def beurling_density(
         raise DomainError(f"centers_box corners must be {d}-vectors")
     centers = clo + rng.random((n_centers, d)) * (chi - clo)
     centers = np.vstack([np.zeros(d), centers])
-    top = centers.max(axis=0)
-    per_centre = sum(_enumeration_size(spectrum, top - R / 2, top + R / 2) for R in sides)
-    work = centers.shape[0] * per_centre
-    if not work <= MAX_DENSITY_WORK:
-        raise DomainError(f"density would enumerate {work:.3g} points, above {MAX_DENSITY_WORK}")
+    low, top = centers.min(axis=0), centers.max(axis=0)
+    with np.errstate(over="ignore"):  # a box past the double range is refused below
+        boxes = [(low - R / 2, top + R / 2) for R in sides]
+    if not np.all(np.isfinite(boxes)):
+        raise DomainError("density windows around these centres leave the double range")
+    sizes, builds = zip(*(_candidates(spectrum, lo, hi) for lo, hi in boxes))
+    work = centers.shape[0] * sum(sizes)
+    if not (work <= MAX_DENSITY_WORK and all(s <= MAX_LATTICE_BOX for s in sizes)):
+        raise DomainError(
+            f"density would enumerate {max(sizes):.3g} points in one window and "
+            f"{work:.3g} centre-point pairs, above {MAX_LATTICE_BOX} or {MAX_DENSITY_WORK}"
+        )
     d_plus = []
     d_minus = []
-    for R in windows:
-        counts = np.array(
-            [
-                window_count(spectrum, x - R / 2.0, x + R / 2.0)
-                for x in centers
-            ],
-            dtype=float,
-        )
-        dens = counts / R**d
+    for R, build in zip(windows, builds):
+        dens = _counts(build(), centers - R / 2.0, centers + R / 2.0) / R**d
         d_plus.append(float(dens.max()))
         d_minus.append(float(dens.min()))
     if len(windows) >= 2 and d_plus[-1] < 0.5 * d_plus[0]:

@@ -261,6 +261,8 @@ def tiling_verdict(
     capped at MAX_TILING_DRAWS before anything is drawn; with the default n
     this refuses d >= 5 at radius 2.
     """
+    if radius < 1:
+        raise DomainError(f"radius must be >= 1 for any translate to be checked, got {radius}")
     lo, hi = _as_box(box)
     d = lo.size
     draws = n * (2 * radius + 1) ** d

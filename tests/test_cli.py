@@ -381,6 +381,26 @@ MALFORMED = {
         "unipotent-tiling",
         _set(["phase"], {"kind": "custom", "expr": ["x1", "x2 + exp(1000*x2)"], "in_dim": 2}),
     ),
+    # scales and thresholds outside their range would fix or void a verdict:
+    # a given probe scale <= 0, a tiling radius with no translate, a negative
+    # tolerance, tol_complete >= 1, min_ratio outside (0, 1], no windows
+    "probe-delta-y-zero": ("probe-x2", _set(["delta_y"], 0)),
+    "probe-delta-y-negative": ("probe-x2", _set(["delta_y"], -1)),
+    "probe-delta-x-negative": ("probe-x2", _set(["delta_x"], -1)),
+    "tiling-radius-0": ("unipotent-tiling", _set(["radius"], 0)),
+    "tiling-radius-negative": ("unipotent-tiling", _set(["radius"], -1)),
+    "tol-orth-negative": ("identity-1d", _set(["tol_orth"], -1e-3)),
+    "tol-complete-negative": ("identity-1d", _set(["tol_complete"], -1e-3)),
+    "tol-complete-5": ("identity-1d", _set(["tol_complete"], 5.0)),
+    "frame-min-ratio-negative": ("halfbox-frame", _set(["min_ratio"], -1)),
+    "frame-min-ratio-2": ("halfbox-frame", _set(["min_ratio"], 2)),
+    "repdisc-tol-negative": ("heisenberg", _set(["tol"], -1e-3)),
+    "density-windows-empty": ("density-z2", _set(["windows"], [])),
+    # centres near the double limit: the window box overflowed with a warning
+    "density-box-past-double-range": (
+        "density-z2",
+        lambda cfg: cfg.update(windows=[1e308], centers_box={"lo": [0.0, 0.0], "hi": [1.7e308] * 2}),
+    ),
 }
 
 
@@ -433,8 +453,8 @@ def _nodes(node, path=()):
 
 
 MUTATED_PRESETS = [
-    "identity-1d", "square-phase-1d", "reconstruct-sawtooth", "density-lambda4", "heisenberg",
-    "probe-x2", "probe-digitmap",
+    "identity-1d", "square-phase-1d", "reconstruct-sawtooth", "density-z2", "density-lambda4",
+    "heisenberg", "probe-x2", "probe-digitmap",
 ]
 HOSTILE_VALUES = [None, True, "x", [], {}, -1, 0, 1.5, 1e300, 10**15, [[1e300]]]
 

@@ -284,6 +284,23 @@ class TestFourierTransform:
             m.validate_product_formula(weird)
         m._PRODUCT_GATE.pop(weird.digit_key(), None)
 
+    def test_gate_checks_its_own_depth(self, monkeypatch):
+        # a caller's deeper product is gated at the gate's own _FT_TRUNC levels,
+        # so the cached verdict cannot depend on which caller came first
+        import expsys.measures as m
+
+        truncs = []
+
+        def product(ss, xi, trunc):
+            truncs.append(trunc)
+            return np.full(np.shape(np.asarray(xi)), 0.123 + 0.0j)
+
+        monkeypatch.setattr(m, "_selfsimilar_product", product)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        with pytest.raises(ProductFormulaError):
+            selfsimilar_moments(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5))), [1.0], 60)
+        assert truncs == [m._FT_TRUNC]
+
     def test_selfsimilar_needs_positive_trunc(self):
         with pytest.raises(ValueError):
             selfsimilar_moments(es.middle_fourth_cantor(), [1.0], 0)

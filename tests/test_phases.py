@@ -377,6 +377,19 @@ class TestInjectivityProbe:
                 es.Identity(1), es.LebesgueBox([0.0], [1.0]), n=50
             )
 
+    @pytest.mark.parametrize("scales", [{"delta_y": 0.0}, {"delta_y": -1.0}, {"delta_x": -1.0}])
+    def test_given_scales_must_be_positive(self, scales):
+        with pytest.raises(DomainError):
+            es.essential_injectivity_probe(
+                es.Identity(1), es.LebesgueBox([0.0], [1.0]), n=1000, **scales
+            )
+
+    def test_constant_image_takes_the_scale_floor(self):
+        # a zero-span image has no delta_y to derive: the probe floors it at 1e-12
+        phi = es.CustomPhase(lambda p: np.zeros(p.shape[0]), 1, 1)
+        rep = es.essential_injectivity_probe(phi, es.LebesgueBox([0.0], [1.0]), n=1000)
+        assert rep.delta_y == 1e-12 and rep.collision_fraction == 1.0
+
 
 class TestHolhosBoundary:
     def test_l1_norm_on_circle(self):

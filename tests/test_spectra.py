@@ -1,9 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
+import expsys.spectra as spectra
 from expsys.errors import DomainError
+from expsys.seeding import spawn_rng
 from expsys.spectra import MAX_DENSITY_WORK
 
 
@@ -177,6 +183,82 @@ class TestBeurlingDensity:
         object.__setattr__(spec, "truncation", 1.0)
         with pytest.raises(DomainError):
             es.window_count(spec, [-50.0], [50.0])
+
+    def test_windows_enumerated_once_not_per_centre(self, monkeypatch):
+        def per_centre(*args):
+            raise AssertionError("beurling_density counted a centre through window_count")
+
+        monkeypatch.setattr(spectra, "window_count", per_centre)
+        rep = es.beurling_density(es.lattice(np.eye(2), 8), [10.0, 20.0, 40.0], seed=1)
+        assert rep.n_centers == 1001
+        assert rep.d_minus[-1] <= 1.0 <= rep.d_plus[-1]
+
+    def test_infinite_enumeration_refused_without_warning(self):
+        # (2e300)^2 coordinates: sized in Python floats, so inf and no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                es.window_count(es.lattice(np.eye(2), 4), [-1e300] * 2, [1e300] * 2)
+
+
+_CENTRES_EXTENT = 10.0
+_MAX_SIDE = 20.0
+
+
+def _oracle_counts(points, centres, R):
+    """Points in each centre's half-open window x + [-R/2, R/2)^d, one centre at a time."""
+    return np.array([
+        np.count_nonzero(np.all(
+            (points >= x - R / 2.0 - 1e-12) & (points < x + R / 2.0 - 1e-12), axis=1
+        ))
+        for x in centres
+    ])
+
+
+@st.composite
+def _density_case(draw):
+    """(spectrum, oracle points covering every window, centres_box, n_centers, seed, windows)."""
+    kind = draw(st.sampled_from(["lattice-1d", "lattice-2d", "lambda4"]))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    reach = _CENTRES_EXTENT + _MAX_SIDE / 2
+    if kind == "lambda4":
+        spec = es.lambda4(8)
+        # the full four-adic set below 4^11 > reach
+        vals = np.array([sum(4**i for i in range(11) if k >> i & 1) for k in range(2**11)])
+        points = vals.astype(float)[:, None]
+    else:
+        d = 1 if kind == "lattice-1d" else 2
+        A = 2.0 * np.eye(d) + np.array([[draw(unit) for _ in range(d)] for _ in range(d)])
+        assume(np.linalg.cond(A) < 20.0)
+        spec = es.lattice(A, 2.0)
+        # a generous integer box: |k|_inf <= ||A^-1||_inf * reach, plus a margin
+        b = int(np.ceil(np.abs(np.linalg.inv(A)).sum(axis=1).max() * reach)) + 2
+        K = np.stack(np.meshgrid(*[np.arange(-b, b + 1)] * d, indexing="ij"), -1).reshape(-1, d)
+        points = K @ A.T
+    d = spec.dim
+    corner = st.floats(-_CENTRES_EXTENT, _CENTRES_EXTENT, allow_nan=False)
+    lo = np.array([draw(corner) for _ in range(d)])
+    hi = np.array([draw(corner) for _ in range(d)])
+    windows = draw(st.lists(st.floats(0.5, _MAX_SIDE), min_size=1, max_size=3))
+    n_centers = draw(st.integers(1, 49))
+    seed = draw(st.integers(0, 2**16))
+    return spec, points, (np.minimum(lo, hi), np.maximum(lo, hi)), n_centers, seed, windows
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_density_case())
+def test_density_counts_match_brute_force_oracle(case):
+    spec, points, (clo, chi), n_centers, seed, windows = case
+    d = spec.dim
+    rep = es.beurling_density(spec, windows, centers_box=(clo, chi), n_centers=n_centers, seed=seed)
+    # the documented centres: the origin, then n_centers uniform draws from the box
+    rng = spawn_rng(seed, "beurling-centers")
+    centres = np.vstack([np.zeros(d), clo + rng.random((n_centers, d)) * (chi - clo)])
+    assert rep.n_centers == centres.shape[0]
+    for R, dp, dm in zip(windows, rep.d_plus, rep.d_minus):
+        counts = _oracle_counts(points, centres, R)
+        assert [es.window_count(spec, x - R / 2.0, x + R / 2.0) for x in centres] == counts.tolist()
+        assert (dp, dm) == (float((counts / R**d).max()), float((counts / R**d).min()))
 
 
 class TestSpectrumSet:
