@@ -3,10 +3,10 @@
     integral of w_j(y) e^{2 pi i lambda . phi(y)} dmu(y)
 
 over m signed frequencies lambda and a stack of k weights w_j at once (a
-coefficient of f is the f-weighted moment at -lambda), and the one
-place that picks the integration rule for a (measure, phase, scheme).  It is
-the only engine: Gram entries, coefficients, norms, frame matrices and plain
-`measures.integrate` calls (lambda = 0, one weight) all run through it.
+coefficient of f is the f-weighted moment at -lambda), and `plan`, the one
+place that decides how a (measure, phase, scheme, purpose) runs: product
+formula or which rule.  It is the only engine: Gram entries, coefficients,
+norms, frame matrices, transforms and `measures.integrate` calls run on it.
 
 Every scheme ends in one kernel, `_contract`: a phase image, its
 frequencies and an (n, k) node-weighted weight matrix.  A support box is a
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .measures import (
     PushforwardMeasure,
     QuadratureSpec,
     SelfSimilar,
+    _FT_TRUNC,
     _check_entries,
     box_gauss_nodes,
     digit_nodes,
@@ -66,47 +68,68 @@ def _unwrap(mu):
     return mu, psi
 
 
-def effective_pair(mu, phi):
-    """Collapse pushforward layers: Gram over psi_*mu == Gram of phi o psi over mu."""
+@dataclass(frozen=True)
+class Plan:
+    """How one moment call runs: the product formula over the reduced
+    self-similar `mu` to `trunc` levels, or quadrature under `rule` over (mu, phi)."""
+
+    path: str  # "product-formula" or "quadrature"
+    mu: object
+    phi: object
+    rule: QuadratureSpec | None = None
+    trunc: int | None = None
+
+    def moments(self, lambdas, weights=(None,), threads=1, strict=True):
+        """(values, errors), each (m, k), as `exp_moments` returns them; the
+        product formula takes the unit weight only."""
+        if self.rule is not None:
+            return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
+        lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
+        if lam.shape[1] != 1:
+            raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim 1")
+        vals, errs = measures.selfsimilar_moments(self.mu, lam[:, 0], self.trunc)
+        return vals[:, None], errs[:, None]
+
+
+def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
+    """How moments over (mu, phi) run for `purpose`, given the caller's quad.
+
+    "gram" and "transform" take the product formula when quad is not
+    monte-carlo and the pushforward-collapsed pair reduces to a self-similar
+    measure (max(depth, 40) levels under digit, else 40); otherwise gram runs
+    quad over the collapsed pair and transform the "measure" rule.
+    "weights" (coefficients, frame matrices) takes quad when exp_moments can
+    run it, else digit enumeration on a self-similar base, else 400k samples
+    seeded with quad.seed.  "measure" (norms, residuals; phi is the identity)
+    takes depth-30 digits on self-similar bases, the "weights" rule on
+    digit-map chains, Gauss of order >= 48 on boxes and tight adaptive on discs.
+    """
+    if purpose not in ("gram", "transform", "weights", "measure"):
+        raise ValueError(f"unknown moment purpose {purpose!r}")
     base, psi = _unwrap(mu)
-    return base, phi if psi is None else phases.compose(phi, psi)
-
-
-def rule_for(mu, phi, quad: QuadratureSpec) -> QuadratureSpec:
-    """The rule for moments of arbitrary weights against phi over mu.
-
-    `quad` itself when exp_moments can run it; otherwise digit enumeration on
-    a self-similar base, else 400k samples seeded with quad.seed.  The Gram
-    may ride the product formula where quad cannot run (a digit map on a box).
-    """
-    base, eff_phi = effective_pair(mu, phi)
-    if quad.scheme == "monte-carlo":
-        return quad
-    if isinstance(base, SelfSimilar):
-        if quad.scheme == "self-similar-digit":
-            return quad
-        return measures.digit(depth=quad.depth)
-    if quad.scheme != "self-similar-digit" and eff_phi.differentiable:
-        return quad
-    return measures.monte_carlo(n_samples=400_000, seed=quad.seed)
-
-
-def measure_rule(mu, quad: QuadratureSpec) -> QuadratureSpec:
-    """The rule for non-oscillatory integrals over mu alone.
-
-    Used for norms, basis-orthonormality residuals and pushforward Fourier
-    transforms: Gauss of order >= 48 on boxes, tight adaptive on discs, digit
-    enumeration on self-similar bases; digit-map chains go through `rule_for`.
-    """
-    identity = phases.Identity(mu.dim)
-    base, chain = effective_pair(mu, identity)
-    if isinstance(base, SelfSimilar):
-        return measures.digit(depth=30)
-    if not chain.differentiable:
-        return rule_for(mu, identity, quad)
-    if isinstance(base, LebesgueBox):
-        return measures.gauss(order=max(48, quad.order))
-    return measures.adaptive(abs_tol=1e-10, max_subdivisions=4000)
+    eff_phi = phi if psi is None else phases.compose(phi, psi)
+    digit = quad.scheme == "self-similar-digit"
+    if purpose in ("gram", "transform") and quad.scheme != "monte-carlo":
+        reduced = phases.as_selfsimilar(base, eff_phi)
+        if reduced is not None:
+            trunc = max(quad.depth, _FT_TRUNC) if digit else _FT_TRUNC
+            return Plan("product-formula", reduced, phases.Identity(1), trunc=trunc)
+    if purpose == "gram":
+        return Plan("quadrature", base, eff_phi, rule=quad)
+    smooth = purpose != "weights" and eff_phi.differentiable
+    if isinstance(base, SelfSimilar) and purpose != "weights":
+        rule = measures.digit(depth=30)
+    elif isinstance(base, SelfSimilar):
+        rule = quad if digit or quad.scheme == "monte-carlo" else measures.digit(quad.depth)
+    elif smooth and isinstance(base, LebesgueBox):
+        rule = measures.gauss(order=max(48, quad.order))
+    elif smooth:
+        rule = measures.adaptive(abs_tol=1e-10, max_subdivisions=4000)
+    elif quad.scheme == "monte-carlo" or (not digit and eff_phi.differentiable):
+        rule = quad
+    else:
+        rule = measures.monte_carlo(n_samples=400_000, seed=quad.seed)
+    return Plan("quadrature", mu, phi, rule=rule)
 
 
 def oscillation_cycles(phi, mu, lambdas):

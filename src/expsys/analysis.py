@@ -3,9 +3,10 @@
 The Gram of a generalized exponential system E(Lambda, phi) over mu is
 G[i, j] = integral of e^{2 pi i (lambda_i - lambda_j) . phi(x)} dmu(x).
 Entries depend only on the frequency difference, so one integral is computed
-per distinct difference and every report scalar is read off that table.  When
-the pair (mu, phi) reduces to a recognized self-similar pushforward, entries
-come from the validated Fourier product formula instead of quadrature.
+per distinct difference and every report scalar is read off that table.
+`_oscillatory.plan` picks how every moment call here runs: Gram entries come
+from the validated Fourier product formula when the pair (mu, phi) reduces to
+a recognized self-similar pushforward, and from quadrature otherwise.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import measures, phases
-from ._oscillatory import effective_pair, exp_moments, measure_rule, rule_for
+from ._oscillatory import exp_moments, plan
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec
 from .spectra import SpectrumSet, lattice, unique_rows
@@ -89,20 +90,9 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     if m > MAX_GRAM_POINTS:
         raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     uniq, inverse = unique_differences(pts)
-
-    eff_mu, eff_phi = effective_pair(mu, phi)
-    reduced = None
-    if quad.scheme != "monte-carlo" and pts.shape[1] == 1:
-        reduced = phases.as_selfsimilar(eff_mu, eff_phi)
-
-    if reduced is not None:
-        trunc = max(quad.depth, 40) if quad.scheme == "self-similar-digit" else 40
-        vals, errs = measures.selfsimilar_moments(reduced, uniq[:, 0], trunc)
-        path = "product-formula"
-    else:
-        vals, errs = exp_moments(eff_mu, eff_phi, uniq, quad, threads=threads)
-        vals, errs = vals[:, 0], errs[:, 0]
-        path = "quadrature"
+    how = plan(mu, phi, quad, "gram")
+    vals, errs = how.moments(uniq, threads=threads)
+    vals, errs = vals[:, 0], errs[:, 0]
 
     z = inverse[0, 0]  # the zero difference, on every diagonal entry
     off = np.abs(vals)
@@ -120,7 +110,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
         hermiticity_residual=float(np.max(np.abs(vals - vals[::-1].conj()))),
         quad_error=float(np.max(errs)),
         quad=quad,
-        path=path,
+        path=how.path,
         n_pairs=m * m,
         n_unique_differences=int(uniq.shape[0]),
     )
@@ -248,26 +238,19 @@ def verify_onb(
     battery = test_functions if test_functions is not None else default_test_battery(mu)
     if not battery:
         raise DomainError("test_functions must be nonempty")
-    cquad = rule_for(mu, phi, quad)
-    coeffs, _ = exp_moments(  # c_lambda is the f-weighted moment at -lambda
-        mu, phi, -spectrum.points, cquad,
-        weights=[(tf.fn, tf.support_box) for tf in battery], threads=threads,
+    cplan = plan(mu, phi, quad, "weights")
+    coeffs, _ = cplan.moments(  # c_lambda is the f-weighted moment at -lambda
+        -spectrum.points, [(tf.fn, tf.support_box) for tf in battery], threads=threads
     )
-    # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports
+    # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports, under the
+    # measure rule planned from the coefficient rule (not from quad)
     norm_sq = [tf.norm_sq for tf in battery]
     unknown = [j for j, tf in enumerate(battery) if tf.norm_sq is None]
     if unknown:
-        norms, _ = exp_moments(
-            mu,
-            phases.Identity(mu.dim),
-            np.zeros((1, mu.dim)),
-            measure_rule(mu, cquad),
-            weights=[
-                (lambda x, fn=battery[j].fn: np.abs(fn(x)) ** 2, battery[j].support_box)
-                for j in unknown
-            ],
-            threads=threads,
-        )
+        boxed = [(battery[j].fn, battery[j].support_box) for j in unknown]
+        squares = [(lambda x, f=f: np.abs(f(x)) ** 2, box) for f, box in boxed]
+        nplan = plan(mu, phases.Identity(mu.dim), cplan.rule, "measure")
+        norms, _ = nplan.moments(np.zeros((1, mu.dim)), squares, threads=threads)
         for j, value in zip(unknown, np.real(norms[0])):
             norm_sq[j] = float(value)
     ratios = {
@@ -406,7 +389,7 @@ def frame_bounds(
 
     For f = sum c_j psi_j the frame sum over the truncated spectrum is
     ||T c||^2, so min/max squared singular values estimate the frame bounds
-    restricted to the test subspace.  T runs under `rule_for(mu, phi, quad)`.
+    restricted to the test subspace.  T runs under `plan(mu, phi, quad, "weights")`.
     The test basis must be orthonormal in L^2(mu) within 1e-10
     (exact-by-construction bases skip the numeric check).
     """
@@ -418,9 +401,8 @@ def frame_bounds(
                 f"test basis is not orthonormal: residual {resid:.3e} > 1e-10"
             )
     lam = spectrum.points
-    T, _ = exp_moments(  # (|Lambda|, M): <psi_j, e_lambda o phi> at -lambda
-        mu, phi, -lam, rule_for(mu, phi, quad),
-        weights=[(tf.fn, tf.support_box) for tf in test_basis.functions], threads=threads,
+    T, _ = plan(mu, phi, quad, "weights").moments(  # <psi_j, e_lambda o phi> at -lambda
+        -lam, [(tf.fn, tf.support_box) for tf in test_basis.functions], threads=threads
     )
     from scipy.linalg import svd
 
@@ -456,9 +438,8 @@ def _basis_orthonormality_residual(mu, test_basis, quad):
          _box_intersection(fns[i].support_box, fns[j].support_box))
         for i, j in pairs
     ]
-    vals, _ = exp_moments(
-        mu, phases.Identity(mu.dim), np.zeros((1, mu.dim)), measure_rule(mu, quad),
-        weights=products,
+    vals, _ = plan(mu, phases.Identity(mu.dim), quad, "measure").moments(
+        np.zeros((1, mu.dim)), products
     )
     Gpsi = np.zeros((len(fns), len(fns)), dtype=complex)
     for (i, j), val in zip(pairs, vals[0]):

@@ -92,8 +92,10 @@ class QuadratureSpec:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
         if not 1 <= self.depth <= _MAX_DEPTH:
             raise DomainError(f"depth must be in [1, {_MAX_DEPTH}], got {self.depth}")
-        if self.abs_tol <= 0:
-            raise DomainError("abs tol must be > 0")
+        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
+            raise DomainError(f"abs tol must be finite and > 0, got {self.abs_tol}")
+        if self.max_subdivisions < 0:
+            raise DomainError(f"max_subdivisions must be >= 0, got {self.max_subdivisions}")
 
     def to_json_dict(self):
         out = {"scheme": self.scheme}
@@ -154,6 +156,16 @@ def _finite(values, what):
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr
+
+
+def _integer(value, what):
+    """int(value) for an integral number; DomainError for 2.5, inf, nan or "3"."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def _finite_mass(mass, what):
@@ -242,7 +254,7 @@ class SelfSimilar(Measure):
     kind = "self_similar"
 
     def __init__(self, ratio, digits):
-        ratio = int(ratio)
+        ratio = _integer(ratio, "ratio")
         if not 2 <= ratio <= _MAX_RATIO:
             raise DomainError(f"ratio must be an integer in [2, {_MAX_RATIO}]")
         pairs = _finite(digits, "self-similar digits")
@@ -640,16 +652,14 @@ def _disc_ft(mu: LebesgueDisc, xi):
 def fourier_transform(mu: Measure, xi):
     """mu-hat(xi) = integral of e^{2 pi i xi.x} dmu(x).
 
-    SelfSimilar uses `selfsimilar_moments` at 40 levels.  Boxes and discs use
-    closed forms.  Pushforwards reduce to a recognized self-similar image when
-    possible and otherwise integrate under `_oscillatory.measure_rule`.
+    Boxes and discs use closed forms.  Self-similar measures and pushforwards
+    run as `_oscillatory.plan` says for a transform: the 40-level product
+    formula when the measure reduces to a self-similar one, else quadrature
+    under the plan's `measure` rule.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     if xi.shape != (mu.dim,):
         raise DomainError(f"xi must have shape ({mu.dim},), got {xi.shape}")
-
-    if isinstance(mu, SelfSimilar):
-        return complex(selfsimilar_moments(mu, xi[:1], _FT_TRUNC)[0][0])
 
     if isinstance(mu, LebesgueBox):
         return complex(_box_ft(mu, xi))
@@ -657,17 +667,13 @@ def fourier_transform(mu: Measure, xi):
     if isinstance(mu, LebesgueDisc):
         return complex(_disc_ft(mu, xi))
 
-    if isinstance(mu, PushforwardMeasure):
+    if isinstance(mu, (SelfSimilar, PushforwardMeasure)):
         # lazy: both modules import this one
-        from ._oscillatory import effective_pair, exp_moments, measure_rule
-        from .phases import Identity, as_selfsimilar
+        from ._oscillatory import plan
+        from .phases import Identity
 
-        reduced = as_selfsimilar(*effective_pair(mu.base, mu.map))
-        if reduced is not None:
-            return fourier_transform(reduced, xi)
         # gauss(64) sets the box order; discs and digit bases get their own rules
-        quad = measure_rule(mu, gauss(order=64))
-        vals, _ = exp_moments(mu, Identity(mu.dim), xi[None, :], quad)
+        vals, _ = plan(mu, Identity(mu.dim), gauss(order=64), "transform").moments(xi[None, :])
         return complex(vals[0, 0])
 
     raise SchemeMismatchError(f"unsupported measure kind {mu.kind!r}")

@@ -122,14 +122,17 @@ class DigitMap(PhaseMap):
     differentiable = False
 
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
-        self.in_base = int(in_base)
-        self.out_base = int(out_base)
+        self.in_base = measures._integer(in_base, "in_base")
+        self.out_base = measures._integer(out_base, "out_base")
         digits = measures._finite(in_digits, "digit map in_digits")
         if digits.ndim != 1 or np.any(digits != np.round(digits)):
             raise DomainError("in_digits must be a list of integers")
         self.in_digits = tuple(int(d) for d in digits)
-        self.digit_map = {int(k): float(v) for k, v in dict(digit_map).items()}
-        self.depth = int(depth)
+        self.digit_map = {
+            measures._integer(k, "digit_map key"): float(measures._finite(v, "digit_map value"))
+            for k, v in dict(digit_map).items()
+        }
+        self.depth = measures._integer(depth, "depth")
         if self.in_base < 2 or self.out_base < 2:
             raise DomainError("bases must be >= 2")
         if not 1 <= self.depth <= measures._MAX_DEPTH:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._oscillatory import exp_moments, rule_for
+from ._oscillatory import plan
 from .measures import QuadratureSpec, integrate
 from .spectra import SpectrumSet
 
@@ -34,10 +34,9 @@ def coefficients(
     f, mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1
 ) -> CoefficientSet:
     """c_lambda = integral of f(x) e^{-2 pi i lambda . phi(x)} dmu(x) per lambda,
-    under `rule_for(mu, phi, quad)`."""
-    vals, errs = exp_moments(
-        mu, phi, -spectrum.points, rule_for(mu, phi, quad), weights=[(f, None)],
-        threads=threads, strict=False,
+    under `plan(mu, phi, quad, "weights")`."""
+    vals, errs = plan(mu, phi, quad, "weights").moments(
+        -spectrum.points, [(f, None)], threads=threads, strict=False
     )
     vals, errs = vals[:, 0], errs[:, 0]
     return CoefficientSet(spectrum, vals, errs, failed=~np.isfinite(vals))

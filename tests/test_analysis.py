@@ -404,7 +404,7 @@ class TestFrameBounds:
         assert checked.a_est == trusted.a_est and checked.b_est == trusted.b_est
 
     @pytest.mark.parametrize("quad", [es.gauss(32), es.digit(40)], ids=["gauss", "digit"])
-    def test_frame_matrix_rule_comes_from_rule_for(self, quad):
+    def test_frame_matrix_rule_comes_from_plan(self, quad):
         # the binary-to-quaternary digit map on Lebesgue[0, 1] has no
         # Jacobian for tensor-Gauss and no self-similar base for digit
         # enumeration: both fall back to the seeded 400k-sample rule
@@ -433,18 +433,19 @@ class TestFrameBounds:
 
 def _pairwise_residual(mu, basis, quad):
     """The orthonormality residual as one `integrate` per pair of functions."""
-    from expsys._oscillatory import _inside, measure_rule
+    from expsys._oscillatory import _inside, plan
 
     def masked(tf, x):
         v = np.asarray(tf.fn(x))
         return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
 
     fns = basis.functions
+    rule = plan(mu, es.Identity(mu.dim), quad, "measure").rule
     G = np.zeros((len(fns), len(fns)), dtype=complex)
     for i, a in enumerate(fns):
         for j, b in enumerate(fns):
             prod = lambda x, a=a, b=b: masked(a, x) * np.conj(masked(b, x))
-            G[i, j] = es.integrate(prod, mu, measure_rule(mu, quad))[0]
+            G[i, j] = es.integrate(prod, mu, rule)[0]
     return float(np.max(np.abs(G - np.eye(len(fns)))))
 
 
@@ -466,7 +467,7 @@ def _skew_basis_2d():
 
 @pytest.mark.parametrize("case", ["legendre-8", "skew-2d"])
 def test_orthonormality_residual_is_one_stacked_moment_call(monkeypatch, case):
-    from expsys import analysis
+    from expsys import _oscillatory, analysis
 
     if case == "legendre-8":
         mu = unit_box()
@@ -478,13 +479,13 @@ def test_orthonormality_residual_is_one_stacked_moment_call(monkeypatch, case):
     expected = _pairwise_residual(mu, basis, quad)
 
     calls = []
-    real = analysis.exp_moments
+    real = _oscillatory.exp_moments
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "exp_moments", counted)
+    monkeypatch.setattr(_oscillatory, "exp_moments", counted)
     monkeypatch.setattr(es.measures, "integrate", None)  # any integrate call fails
     resid = analysis._basis_orthonormality_residual(mu, basis, quad)
     assert len(calls) == 1

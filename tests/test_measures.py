@@ -341,6 +341,16 @@ class TestConstruction:
         with pytest.raises(es.DomainError):
             es.SelfSimilar(ratio, digits)
 
+    @pytest.mark.parametrize("ratio", [2.5, 3.999, np.inf, np.nan, "3"])
+    def test_non_integer_ratio_refused(self, ratio):
+        # int() would truncate 2.5 to a ratio-2 measure
+        with pytest.raises(es.DomainError, match="ratio must be an integer"):
+            es.SelfSimilar(ratio, ((0.0, 0.5), (2.0, 0.5)))
+
+    def test_integral_ratio_of_any_number_type_is_accepted(self):
+        assert es.SelfSimilar(4.0, ((0.0, 0.5), (2.0, 0.5))).ratio == 4
+        assert es.SelfSimilar(np.int64(3), ((0.0, 0.5), (2.0, 0.5))).ratio == 3
+
     def test_largest_self_similar_ratio_is_accepted(self):
         mu = es.SelfSimilar(2**15, ((0.0, 0.5), (2.0, 0.5)))
         assert mu.ratio == 2**15
@@ -366,6 +376,24 @@ class TestConstruction:
             es.QuadratureSpec("self-similar-digit", depth=0)
         with pytest.raises(ValueError):
             es.QuadratureSpec("adaptive", abs_tol=0.0)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"abs_tol": np.nan}, {"abs_tol": np.inf}, {"abs_tol": -1e-9}, {"max_subdivisions": -5}],
+    )
+    def test_quadspec_refuses_bad_adaptive_fields(self, fields):
+        with pytest.raises(es.DomainError):
+            es.QuadratureSpec("adaptive", **fields)
+
+    def test_nan_tolerance_cannot_skip_the_adaptive_refusal(self):
+        # NaN made `err > 10 * abs_tol` false: this integral came back with a 3.6e-5 error
+        rough = lambda x: np.abs(x[:, 0] - 1 / 3) ** 0.5  # noqa: E731
+        unit = es.LebesgueBox([0.0], [1.0])
+        with pytest.raises(es.QuadratureError):
+            es.integrate(rough, unit, es.adaptive(abs_tol=1e-9, max_subdivisions=5))
+        with pytest.raises(es.DomainError):
+            es.adaptive(abs_tol=np.nan, max_subdivisions=5)
+        assert es.adaptive(max_subdivisions=0).max_subdivisions == 0
 
     def test_support_boxes(self):
         lo, hi = es.middle_fourth_cantor().support_box()

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys._oscillatory import exp_moments, measure_rule, rule_for
+from expsys._oscillatory import exp_moments, plan
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
 from expsys.measures import _MAX_ENTRIES, _box_ft, disc_quadrants, polar_xy
 from expsys.reconstruct import coefficients
@@ -255,51 +255,170 @@ B2Q = es.binary_to_quaternary(depth=30)
 T2Q = es.ternary_to_quaternary(depth=30)
 MC400K = es.monte_carlo(400_000, seed=0)
 
-# (mu, phi, quad) -> (coefficient rule, norm rule); the norm rule is taken
-# from the coefficient rule, as verify_onb does
+ADAPTIVE_DISC = es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16)
+TIGHT_ADAPTIVE = es.adaptive(abs_tol=1e-10, max_subdivisions=4000)
+CANTOR4 = (4, ((0.0, 0.5), (2.0, 0.5)))  # digit key of the middle-fourth Cantor measure
+UNIT = es.LebesgueBox([0.0], [1.0])
+
+
+def _pinned(p):
+    """(path, rule or the reduced measure's digit key, trunc) of a plan."""
+    return p.path, p.mu.digit_key() if p.rule is None else p.rule, p.trunc
+
+
+def _plans(mu, phi, quad):
+    """Every plan the library asks for with this (mu, phi, quad), by purpose:
+    gram, coefficients and frame matrices (weights), norms (the measure rule
+    planned from the coefficient rule, as verify_onb does), the basis residual
+    (measure, from quad) and fourier_transform (gauss(64), identity phase)."""
+    ident = es.Identity(mu.dim)
+    weights = plan(mu, phi, quad, "weights")
+    return {
+        "gram": plan(mu, phi, quad, "gram"),
+        "weights": weights,
+        "norms": plan(mu, ident, weights.rule, "measure"),
+        "measure": plan(mu, ident, quad, "measure"),
+        "transform": plan(mu, ident, es.gauss(64), "transform"),
+    }
+
+
+def _pf(trunc, key=CANTOR4):
+    return ("product-formula", key, trunc)
+
+
+def _q(rule):
+    return ("quadrature", rule, None)
+
+
+# (mu, phi, quad) -> {purpose: (path, rule or reduced digit key, trunc)}; one
+# entry per (measure kind, phase kind, scheme, purpose) the library reaches.
+# Boxes and discs have closed-form transforms, so they carry no transform entry.
 RULE_CASES = {
-    "cantor4": (es.LebesgueBox([0.0], [1.0]), B2Q, es.digit(40), MC400K, es.gauss(48)),
-    "cantor3": (es.middle_third_cantor(), T2Q, es.digit(40), es.digit(40), es.digit(30)),
-    "holhos-disc": (
-        es.LebesgueDisc([0.0, 0.0], 1.0),
-        es.Holhos(),
-        es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16),
-        es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16),
-        es.adaptive(abs_tol=1e-10, max_subdivisions=4000),
+    "cantor4": (UNIT, B2Q, es.digit(40), {
+        "gram": _pf(40), "weights": _q(MC400K), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(48)),
+    }),
+    "cantor3": (es.middle_third_cantor(), T2Q, es.digit(40), {
+        "gram": _pf(40), "weights": _q(es.digit(40)), "norms": _q(es.digit(30)),
+        "measure": _q(es.digit(30)), "transform": _pf(40, (3, ((0.0, 0.5), (2.0, 0.5)))),
+    }),
+    "cantor4-monte-carlo": (UNIT, B2Q, es.monte_carlo(1000, seed=3), {
+        "gram": _q(es.monte_carlo(1000, seed=3)),
+        "weights": _q(es.monte_carlo(1000, seed=3)), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(48)),
+    }),
+    "cantor3-digit50": (es.middle_third_cantor(), T2Q, es.digit(50), {
+        "gram": _pf(50), "weights": _q(es.digit(50)), "norms": _q(es.digit(30)),
+        "measure": _q(es.digit(30)),
+    }),
+    # the coefficient rule is 400k samples, so the norms run under gauss(48),
+    # while the residual, planned from quad itself, runs under gauss(64)
+    "digit-map-box-gauss64": (UNIT, B2Q, es.gauss(64), {
+        "gram": _pf(40), "weights": _q(MC400K), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(64)),
+    }),
+    "box-digit": (UNIT, es.Identity(1), es.digit(40), {
+        "gram": _q(es.digit(40)), "weights": _q(MC400K), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(48)),
+    }),
+    "holhos-disc": (es.LebesgueDisc([0.0, 0.0], 1.0), es.Holhos(), ADAPTIVE_DISC, {
+        "gram": _q(ADAPTIVE_DISC), "weights": _q(ADAPTIVE_DISC),
+        "norms": _q(TIGHT_ADAPTIVE), "measure": _q(TIGHT_ADAPTIVE),
+    }),
+    "disc-pushforward": (
+        es.pushforward(es.LebesgueDisc([0.0, 0.0], 1.0), es.Holhos()), es.Identity(2),
+        es.gauss(16), {
+            "gram": _q(es.gauss(16)), "weights": _q(es.gauss(16)),
+            "norms": _q(TIGHT_ADAPTIVE), "measure": _q(TIGHT_ADAPTIVE),
+            "transform": _q(TIGHT_ADAPTIVE),
+        },
     ),
-    "box-gauss": (
-        es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), es.Identity(2), es.gauss(64),
-        es.gauss(64), es.gauss(64),
-    ),
-    "box-gauss-low-order": (
-        es.LebesgueBox([0.0], [0.5]), es.Identity(1), es.gauss(24), es.gauss(24), es.gauss(48),
-    ),
-    "user-monte-carlo": (
-        es.LebesgueBox([0.0], [1.0]), es.Identity(1), es.monte_carlo(50_000, seed=7),
-        es.monte_carlo(50_000, seed=7), es.gauss(48),
-    ),
-    "digit-map-pushforward": (
-        es.pushforward(es.LebesgueBox([0.0], [1.0]), B2Q), es.Identity(1), es.gauss(64),
-        MC400K, MC400K,
-    ),
-    "gauss-on-cantor": (
-        es.middle_fourth_cantor(), es.Identity(1), es.gauss(32), es.digit(30), es.digit(30),
+    "box-gauss": (es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), es.Identity(2), es.gauss(64), {
+        "gram": _q(es.gauss(64)), "weights": _q(es.gauss(64)), "norms": _q(es.gauss(64)),
+        "measure": _q(es.gauss(64)),
+    }),
+    "box-gauss-low-order": (es.LebesgueBox([0.0], [0.5]), es.Identity(1), es.gauss(24), {
+        "gram": _q(es.gauss(24)), "weights": _q(es.gauss(24)), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(48)),
+    }),
+    "user-monte-carlo": (UNIT, es.Identity(1), es.monte_carlo(50_000, seed=7), {
+        "gram": _q(es.monte_carlo(50_000, seed=7)),
+        "weights": _q(es.monte_carlo(50_000, seed=7)), "norms": _q(es.gauss(48)),
+        "measure": _q(es.gauss(48)),
+    }),
+    "digit-map-pushforward": (es.pushforward(UNIT, B2Q), es.Identity(1), es.gauss(64), {
+        "gram": _pf(40), "weights": _q(MC400K), "norms": _q(MC400K),
+        "measure": _q(MC400K), "transform": _pf(40),
+    }),
+    "gauss-on-cantor": (es.middle_fourth_cantor(), es.Identity(1), es.gauss(32), {
+        "gram": _pf(40), "weights": _q(es.digit(30)), "norms": _q(es.digit(30)),
+        "measure": _q(es.digit(30)), "transform": _pf(40),
+    }),
+    "affine-on-cantor": (
+        es.pushforward(es.middle_fourth_cantor(), es.Affine([[2.0]])), es.Identity(1),
+        es.gauss(32), {
+            "gram": _q(es.gauss(32)), "weights": _q(es.digit(30)),
+            "norms": _q(es.digit(30)), "measure": _q(es.digit(30)),
+            "transform": _q(es.digit(30)),
+        },
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(RULE_CASES))
 def test_rule_table(case):
-    mu, phi, quad, coefficient_rule, norm_rule = RULE_CASES[case]
-    assert rule_for(mu, phi, quad) == coefficient_rule
-    assert measure_rule(mu, coefficient_rule) == norm_rule
+    mu, phi, quad, expected = RULE_CASES[case]
+    plans = _plans(mu, phi, quad)
+    assert {purpose: _pinned(plans[purpose]) for purpose in expected} == expected
+
+
+def test_gram_plan_runs_on_the_collapsed_pair():
+    p = plan(es.pushforward(UNIT, es.Affine([[2.0]])), es.Identity(1), es.gauss(32), "gram")
+    assert p.mu.kind == "lebesgue_box" and isinstance(p.phi, es.Affine)
+    with pytest.raises(ValueError, match="unknown moment purpose"):
+        plan(UNIT, es.Identity(1), es.gauss(32), "norms")
+
+
+def _names(path):
+    """(every name a module binds, reads or imports, the names it calls or imports)."""
+    import ast
+
+    bound, called = set(), set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            bound.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            bound.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.alias):
+            bound |= {node.name, node.asname}
+            called.add(node.name)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            called.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return bound, called
+
+
+def test_plan_is_the_one_decision_point():
+    from pathlib import Path
+
+    library = sorted(Path(es.__file__).parent.glob("*.py"))
+    for path in library + sorted(Path(__file__).parent.glob("*.py")):
+        bound, called = _names(path)
+        assert not bound & {"rule_for", "measure_rule"}, path.name
+        if path in library and path.stem not in ("_oscillatory", "measures"):
+            assert not called & {"as_selfsimilar", "selfsimilar_moments"}, path.name
 
 
 def test_pushforward_transform_rule_samples_digit_maps():
-    pf = es.pushforward(es.LebesgueBox([0.0], [1.0]), B2Q)
-    assert measure_rule(pf, es.gauss(64)) == MC400K
-    scaled = es.pushforward(es.LebesgueBox([0.0], [1.0]), es.Affine([[2.0]]))
-    assert measure_rule(scaled, es.gauss(64)) == es.gauss(64)
+    pf = es.pushforward(UNIT, B2Q)
+    assert plan(pf, es.Identity(1), es.gauss(64), "measure").rule == MC400K
+    # a digit map off Lebesgue[0, 1] does not reduce, so its transform samples
+    half = es.pushforward(es.LebesgueBox([0.0], [0.5]), B2Q)
+    assert plan(half, es.Identity(1), es.gauss(64), "transform").rule == MC400K
+    scaled = es.pushforward(UNIT, es.Affine([[2.0]]))
+    assert plan(scaled, es.Identity(1), es.gauss(64), "transform").rule == es.gauss(64)
 
 
 def test_tensor_gauss_disc_matches_per_quadrant_integrate():

@@ -455,6 +455,31 @@ class TestDigitSnapTable:
             es.DigitMap(2**40, (0, 2**30), 4, {0: 0.0, 2**30: 2.0})
 
 
+class TestDigitMapConstruction:
+    # int() truncated these to bases 2 and 4 and depth 30; inf was stored
+    @pytest.mark.parametrize(
+        "args, kwargs",
+        [
+            ((2.5, (0, 1), 4, {0: 0.0, 1: 2.0}), {}),
+            ((2, (0, 1), 4.7, {0: 0.0, 1: 2.0}), {}),
+            ((2, (0, 1), 4, {0: 0.0, 1: 2.0}), {"depth": 30.7}),
+            ((2, (0, 1), 4, {0: 0.0, 1: np.inf}), {}),
+            ((2, (0, 1), 4, {0: 0.0, 1: np.nan}), {}),
+            ((2, (0, 1), 4, {0: 0.0, 1.5: 2.0}), {}),
+        ],
+        ids=["in-base", "out-base", "depth", "inf-value", "nan-value", "fractional-key"],
+    )
+    def test_non_integer_or_non_finite_parameters_refused(self, args, kwargs):
+        with pytest.raises(DomainError):
+            es.DigitMap(*args, **kwargs)
+
+    def test_integral_parameters_of_any_number_type_are_accepted(self):
+        digits = {0.0: 0.0, np.int64(1): 2.0}
+        phi = es.DigitMap(np.float64(2.0), (0, 1), 4.0, digits, depth=np.int32(12))
+        assert (phi.in_base, phi.out_base, phi.depth) == (2, 4, 12)
+        assert phi.digit_map == {0: 0.0, 1: 2.0}
+
+
 class TestCompose:
     def test_compose_identity_collapses(self):
         phi = es.Holhos()

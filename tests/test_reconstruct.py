@@ -42,9 +42,9 @@ class TestCoefficients:
         others = np.delete(c.values, zero)
         assert np.max(np.abs(others)) <= 1e-6
 
-    def test_rule_comes_from_rule_for(self):
+    def test_rule_comes_from_plan(self):
         # a digit map on a box has no Jacobian for tensor-Gauss: the
-        # coefficients take the seeded 400k-sample rule that rule_for picks
+        # coefficients take the seeded 400k-sample rule that plan picks
         phi = es.DigitMap(2, [0, 1], 4, {0: 0.0, 1: 2.0})
         spec = es.lambda4(3)
         one = lambda x: np.ones(x.shape[0])  # noqa: E731
