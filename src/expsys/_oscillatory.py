@@ -84,6 +84,9 @@ class Plan:
         product formula takes the unit weight only."""
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
+        weights = list(weights)
+        if len(weights) != 1 or any(part is not None for part in weights[0] or ()):
+            raise DomainError("the product formula takes the unit weight only")
         lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
         if lam.shape[1] != 1:
             raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim 1")

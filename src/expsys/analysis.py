@@ -242,16 +242,13 @@ def verify_onb(
     coeffs, _ = cplan.moments(  # c_lambda is the f-weighted moment at -lambda
         -spectrum.points, [(tf.fn, tf.support_box) for tf in battery], threads=threads
     )
-    # ||f||^2 as the lambda = 0 moment of |f|^2 on the same supports, under the
-    # measure rule planned from the coefficient rule (not from quad)
+    # ||f||^2 on the same supports, under the measure rule planned from the
+    # coefficient rule (not from quad)
     norm_sq = [tf.norm_sq for tf in battery]
     unknown = [j for j, tf in enumerate(battery) if tf.norm_sq is None]
     if unknown:
-        boxed = [(battery[j].fn, battery[j].support_box) for j in unknown]
-        squares = [(lambda x, f=f: np.abs(f(x)) ** 2, box) for f, box in boxed]
-        nplan = plan(mu, phases.Identity(mu.dim), cplan.rule, "measure")
-        norms, _ = nplan.moments(np.zeros((1, mu.dim)), squares, threads=threads)
-        for j, value in zip(unknown, np.real(norms[0])):
+        norms = _inner_products(mu, battery, [(j, j) for j in unknown], cplan.rule, threads)
+        for j, value in zip(unknown, np.real(norms)):
             norm_sq[j] = float(value)
     ratios = {
         tf.name: float(np.sum(np.abs(coeffs[:, j]) ** 2) / (mu.total_mass * norm_sq[j]))
@@ -395,7 +392,7 @@ def frame_bounds(
     """
     resid = 0.0
     if not test_basis.exactly_orthonormal:
-        resid = _basis_orthonormality_residual(mu, test_basis, quad)
+        resid = _basis_orthonormality_residual(mu, test_basis, quad, threads)
         if resid > 1e-10:
             raise DomainError(
                 f"test basis is not orthonormal: residual {resid:.3e} > 1e-10"
@@ -428,23 +425,30 @@ def _box_intersection(a, b):
     return np.maximum(a[0], b[0]), np.minimum(a[1], b[1])
 
 
-def _basis_orthonormality_residual(mu, test_basis, quad):
-    """max |<psi_i, psi_j> - delta_ij| from one stack of products psi_i conj(psi_j),
-    each on the intersection of the two support boxes."""
-    fns = test_basis.functions
-    pairs = list(combinations_with_replacement(range(len(fns)), 2))
+def _inner_products(mu, functions, pairs, rule, threads=1):
+    """<f_i, f_j> for each (i, j) in pairs: the lambda = 0 moments of the products
+    f_i conj(f_j), each on the intersection of the two support boxes, in one
+    stack under the "measure" plan made from `rule`."""
     products = [
-        (lambda x, a=fns[i].fn, b=fns[j].fn: a(x) * np.conj(b(x)),
-         _box_intersection(fns[i].support_box, fns[j].support_box))
+        (lambda x, a=functions[i].fn, b=functions[j].fn: a(x) * np.conj(b(x)),
+         _box_intersection(functions[i].support_box, functions[j].support_box))
         for i, j in pairs
     ]
-    vals, _ = plan(mu, phases.Identity(mu.dim), quad, "measure").moments(
-        np.zeros((1, mu.dim)), products
+    vals, _ = plan(mu, phases.Identity(mu.dim), rule, "measure").moments(
+        np.zeros((1, mu.dim)), products, threads=threads
     )
-    Gpsi = np.zeros((len(fns), len(fns)), dtype=complex)
-    for (i, j), val in zip(pairs, vals[0]):
+    return vals[0]
+
+
+def _basis_orthonormality_residual(mu, test_basis, quad, threads=1):
+    """max |<psi_i, psi_j> - delta_ij| over every pair of the basis."""
+    n = len(test_basis.functions)
+    pairs = list(combinations_with_replacement(range(n), 2))
+    vals = _inner_products(mu, test_basis.functions, pairs, quad, threads)
+    Gpsi = np.zeros((n, n), dtype=complex)
+    for (i, j), val in zip(pairs, vals):
         Gpsi[i, j], Gpsi[j, i] = val, np.conj(val)
-    return float(np.max(np.abs(Gpsi - np.eye(len(fns)))))
+    return float(np.max(np.abs(Gpsi - np.eye(n))))
 
 
 # ---------------------------------------------------------------------------

@@ -308,10 +308,11 @@ def run(argv=None) -> int:
         handler, required, kinds, other = _COMMANDS[args.command]
         check_keys(cfg, required, ["seed", "out", *kinds, *other], f"{args.command} config")
         common = options(cfg, _COMMON)
+        seed = common.get("seed", 0)
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         t0 = time.time()
-        result, verdict, write_csv = handler(
-            cfg, common.get("seed", 0), max(1, args.threads), options(cfg, kinds)
-        )
+        result, verdict, write_csv = handler(cfg, seed, max(1, args.threads), options(cfg, kinds))
         runtime = time.time() - t0
 
         report = {

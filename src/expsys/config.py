@@ -34,15 +34,17 @@ _NOUNS = {int: "an integer", float: "a finite number", str: "a string", bool: "a
 def as_scalar(value, kind, what):
     """kind(value) for kind int or float, value itself for kind str or bool.
 
-    ConfigError when it does not convert, when an int field gets a
-    non-integral number or a float field a non-finite one, and when a str or
-    bool field gets anything but a JSON string or boolean."""
+    ConfigError when it does not convert, when an int or float field gets a
+    JSON boolean, an int field a non-integral number or a float field a
+    non-finite one, and when a str or bool field gets anything but a JSON
+    string or boolean."""
     if kind in (str, bool):
         out, ok = value, type(value) is kind
     else:
         try:
             out = kind(value)
-            ok = math.isfinite(out) and not (isinstance(value, float) and out != value)
+            ok = not isinstance(value, bool) and math.isfinite(out)
+            ok = ok and not (isinstance(value, float) and out != value)
         except (TypeError, ValueError, OverflowError):
             ok = False
     if not ok:

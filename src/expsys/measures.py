@@ -86,10 +86,14 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise SchemeMismatchError(f"unknown quadrature scheme {self.scheme!r}")
+        for name in ("order", "n_samples", "seed", "depth", "max_subdivisions"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 2 <= self.order <= 512:
             raise DomainError(f"order must be in [2, 512], got {self.order}")
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 1 <= self.depth <= _MAX_DEPTH:
             raise DomainError(f"depth must be in [1, {_MAX_DEPTH}], got {self.depth}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
@@ -159,9 +163,9 @@ def _finite(values, what):
 
 
 def _integer(value, what):
-    """int(value) for an integral number; DomainError for 2.5, inf, nan or "3"."""
+    """int(value) for an integral number; DomainError for 2.5, inf, nan, "3" or True."""
     try:
-        if int(value) == value:
+        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass

@@ -69,7 +69,9 @@ class PhaseMap:
 
 class Identity(PhaseMap):
     def __init__(self, dim=1):
-        self.in_dim = self.out_dim = int(dim)
+        self.in_dim = self.out_dim = measures._integer(dim, "identity dim")
+        if self.in_dim < 1:
+            raise DomainError(f"identity dim must be >= 1, got {dim}")
 
     def _eval(self, pts):
         return pts.copy()
@@ -87,10 +89,12 @@ class Affine(PhaseMap):
     """x -> M x + b with M of shape (out_dim, in_dim)."""
 
     def __init__(self, M, b=None):
-        M = np.atleast_2d(np.asarray(M, dtype=float))
+        M = np.atleast_2d(measures._finite(M, "affine M"))
+        if M.ndim != 2 or M.size == 0:
+            raise DomainError("affine M must be a non-empty 2-d matrix")
         self.M = M
         self.out_dim, self.in_dim = M.shape
-        self.b = np.zeros(self.out_dim) if b is None else np.asarray(b, dtype=float)
+        self.b = np.zeros(self.out_dim) if b is None else measures._finite(b, "affine b")
         if self.b.shape != (self.out_dim,):
             raise DomainError("b must match the output dimension")
 
@@ -104,7 +108,10 @@ class Affine(PhaseMap):
         if self.in_dim != self.out_dim:
             raise InversionError("affine map is not square")
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        x = np.linalg.solve(self.M, (y - self.b).T).T
+        try:
+            x = np.linalg.solve(self.M, (y - self.b).T).T
+        except np.linalg.LinAlgError:
+            raise InversionError("affine map is singular") from None
         return x, np.ones(y.shape[0], dtype=bool)
 
 

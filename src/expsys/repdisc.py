@@ -218,12 +218,7 @@ class WindowReport:
     mode: str
     verdict: str
     gammas_used: np.ndarray
-    block: object  # GramReport or FrameBoundsReport
-    blocks_equal_by_translation: bool = True
-    max_offdiag: float | None = None
-    diag_dev: float | None = None
-    a_est: float | None = None
-    b_est: float | None = None
+    block: object  # GramReport (onb) or FrameBoundsReport (frame), shared by every translate
     exploratory: bool = False
     notes: tuple = ()
 
@@ -232,33 +227,24 @@ class WindowReport:
             "mode": self.mode,
             "verdict": self.verdict,
             "n_blocks": int(self.gammas_used.shape[0]),
-            "blocks_equal_by_translation": self.blocks_equal_by_translation,
+            "blocks_equal_by_translation": True,
             "exploratory": self.exploratory,
             "notes": list(self.notes),
         }
-        if self.max_offdiag is not None:
-            out["max_offdiag"] = self.max_offdiag
-            out["diag_dev"] = self.diag_dev
-        if self.a_est is not None:
-            out["a_est"] = self.a_est
-            out["b_est"] = self.b_est
+        keys = ("max_offdiag", "diag_dev") if self.mode == "onb" else ("a_est", "b_est")
+        out.update((key, getattr(self.block, key)) for key in keys)
         return out
 
 
 def _select_gammas(ws: WindowSystem, window_lo, window_hi):
     lo, hi = ws.omega
-    width = hi - lo
-    inside = []
-    for gamma in ws.gamma_set:
-        if np.all(lo + gamma >= window_lo - 1e-9) and np.all(
-            hi + gamma <= window_hi + 1e-9
-        ):
-            inside.append(gamma)
-    if not inside:
+    g = ws.gamma_set
+    fits = np.all(lo + g >= window_lo - 1e-9, axis=1) & np.all(hi + g <= window_hi + 1e-9, axis=1)
+    if not np.any(fits):
         raise DomainError("no window translate fits inside the verification window")
-    gammas = np.asarray(inside)
-    covered = gammas.shape[0] * float(np.prod(width))
-    target = float(np.prod(np.asarray(window_hi) - np.asarray(window_lo)))
+    gammas = g[fits]
+    covered = gammas.shape[0] * float(np.prod(hi - lo))
+    target = float(np.prod(window_hi - window_lo))
     if abs(covered - target) > 1e-9 * max(target, 1.0):
         raise DomainError(
             "verification window is not a union of disjoint translates "
@@ -300,32 +286,21 @@ def verify_system_on_window(
         f"spectrum truncation: {ws.spectrum.size} points",
     )
     if mode == "onb":
-        rep = analysis.gram(block_measure, ws.phase, ws.spectrum, quad, threads=threads)
-        ok = rep.is_orthogonal(tol)
-        return WindowReport(
-            mode=mode,
-            verdict=analysis.PASS if ok else analysis.FAIL,
-            gammas_used=gammas,
-            block=rep,
-            max_offdiag=rep.max_offdiag,
-            diag_dev=rep.diag_dev,
-            exploratory=exploratory,
-            notes=notes,
-        )
-    if mode == "frame":
+        block = analysis.gram(block_measure, ws.phase, ws.spectrum, quad, threads=threads)
+        ok = block.is_orthogonal(tol)
+    elif mode == "frame":
         basis = analysis.dyadic_indicator_basis(block_measure, basis_size)
-        rep = analysis.frame_bounds(
+        block = analysis.frame_bounds(
             block_measure, ws.phase, ws.spectrum, basis, quad, threads=threads
         )
-        ok = rep.a_est > 0 and np.isfinite(rep.b_est)
-        return WindowReport(
-            mode=mode,
-            verdict=analysis.PASS if ok else analysis.FAIL,
-            gammas_used=gammas,
-            block=rep,
-            a_est=rep.a_est,
-            b_est=rep.b_est,
-            exploratory=exploratory,
-            notes=notes,
-        )
-    raise DomainError(f"unknown mode {mode!r}")
+        ok = block.a_est > 0 and np.isfinite(block.b_est)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return WindowReport(
+        mode=mode,
+        verdict=analysis.PASS if ok else analysis.FAIL,
+        gammas_used=gammas,
+        block=block,
+        exploratory=exploratory,
+        notes=notes,
+    )

@@ -248,14 +248,14 @@ def test_criterion_09_group_discretizations():
     )
     ok = (
         heis_rep.verdict == PASS
-        and heis_rep.max_offdiag <= 1e-10
+        and heis_rep.block.max_offdiag <= 1e-10
         and poly_rep.verdict == PASS
         and ks <= 0.01
     )
     _report(
         9,
         ok,
-        f"nilpotent blocks offdiag {heis_rep.max_offdiag:.2e}; polynomial ONB "
+        f"nilpotent blocks offdiag {heis_rep.block.max_offdiag:.2e}; polynomial ONB "
         f"{poly_rep.verdict}; affine pushforward KS {ks:.4f}",
     )
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from expsys.cli import run, serialize_report
 from expsys.config import as_scalar
+from expsys.errors import ConfigError
 from expsys.presets import PRESETS
 
 
@@ -206,6 +207,20 @@ MALFORMED = {
     "affine-b-wrong-length": (
         "identity-1d", _set(["phase"], {"kind": "affine", "M": [[1.0]], "b": [0.0, 1.0]})
     ),
+    "affine-M-string": ("identity-1d", _set(["phase"], {"kind": "affine", "M": "abc"})),
+    "affine-M-ragged": (
+        "identity-1d", _set(["phase"], {"kind": "affine", "M": [[1.0, 2.0], [3.0]]})
+    ),
+    "affine-M-3d": ("identity-1d", _set(["phase"], {"kind": "affine", "M": [[[1.0]]]})),
+    "affine-M-nan": (
+        "unipotent-tiling",
+        _set(["phase"], {"kind": "affine", "M": [[float("nan"), 0.0], [0.0, 1.0]]}),
+    ),
+    "affine-b-string": (
+        "identity-1d", _set(["phase"], {"kind": "affine", "M": [[1.0]], "b": "x"})
+    ),
+    "seed-true": ("identity-1d", _set(["seed"], True)),
+    "seed-negative": ("identity-1d", _set(["seed"], -1)),
     "digit-map-base-1": ("cantor4", _set(["phase", "in_base"], 1)),
     "tiling-n-10": ("unipotent-tiling", _set(["n"], 10)),
     "density-windows-string": ("density-z2", _set(["windows"], "ab")),
@@ -492,6 +507,13 @@ def test_as_scalar_keeps_integral_floats_and_finite_strings():
     assert as_scalar("2.5", float, "tol") == 2.5
 
 
+@pytest.mark.parametrize("kind", [int, float])
+def test_as_scalar_refuses_json_booleans_in_number_fields(kind):
+    for value in (True, False):
+        with pytest.raises(ConfigError, match="got " + repr(value)):
+            as_scalar(value, kind, "field")
+
+
 def test_non_finite_frame_moments_exit_three(tmp_path, capsys):
     # log(x1) is NaN on the negative half of the box; the moment engine
     # refuses the NaN frame matrix before the SVD sees it
@@ -560,6 +582,78 @@ class TestDeterminism:
         )
         assert code1 == code2 == 0
         assert serialize_report(rep1) == serialize_report(rep2)
+
+
+class TestConfigPathsOffThePresets:
+    """Config branches no preset reaches: pushforward measures, group_exp
+    phases and the inversion of an affine phase."""
+
+    def _run(self, tmp_path, command, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return run_to_file(tmp_path, [command, "--config", str(path)])
+
+    def test_pushforward_of_a_cantor_measure_passes(self, tmp_path):
+        # Lambda4 / 2 is a spectrum of the Cantor-4 measure dilated by 2
+        cantor = {"kind": "self_similar", "ratio": 4, "digits": [[0, 0.5], [2, 0.5]]}
+        cfg = {
+            "measure": {
+                "kind": "pushforward", "base": cantor, "map": {"kind": "affine", "M": [[2.0]]}
+            },
+            "phase": {"kind": "identity", "dim": 1},
+            "spectrum": {
+                "kind": "explicit", "points": [[x] for x in (0, 0.5, 2, 2.5, 8, 8.5, 10, 10.5)]
+            },
+            "quad": {"scheme": "self-similar-digit", "depth": 30},
+            "tol_orth": 1e-6,
+            "tol_complete": 0.05,
+        }
+        code, rep = self._run(tmp_path, "verify-onb", cfg)
+        assert (code, rep["result"]["verdict"]) == (0, "PASS")
+        assert rep["result"]["gram"]["max_offdiag"] <= 1e-12
+
+    def test_group_exp_phase_on_the_unit_interval(self, tmp_path):
+        cfg = {
+            "measure": {"kind": "lebesgue_box", "lo": [0.0], "hi": [1.0]},
+            "phase": {"kind": "group_exp", "A": [[[0.0, 1.0], [0.0, 0.0]]], "ell": [1.0, 0.0]},
+            "spectrum": {"kind": "explicit", "points": [[0.0, float(k)] for k in range(-2, 3)]},
+            "quad": {"scheme": "tensor-gauss", "order": 48},
+        }
+        code, rep = self._run(tmp_path, "verify-onb", cfg)
+        # orthogonal, but five frequencies leave the Parseval ratios short
+        assert (code, rep["result"]["verdict"]) == (2, "INCONCLUSIVE")
+        assert rep["result"]["orthogonal"]
+
+    def test_affine_shear_tiles_the_unit_box(self, tmp_path, monkeypatch):
+        from expsys import phases
+
+        inverted = []
+        invert = phases.Affine.invert
+        monkeypatch.setattr(
+            phases.Affine, "invert", lambda self, y: inverted.append(len(y)) or invert(self, y)
+        )
+        cfg = {
+            "phase": {"kind": "affine", "M": [[1.0, 1.0], [0.0, 1.0]]},
+            "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            "lattice": {"A": [[1.0, 0.0], [0.0, 1.0]]},
+            "n": 20000,
+            "bins": 8,
+        }
+        code, rep = self._run(tmp_path, "tiling-check", cfg)
+        assert (code, rep["result"]["tiling"]) == (0, "TILES")
+        assert inverted
+
+    def test_singular_affine_map_does_not_tile(self, tmp_path):
+        # no inverse: membership falls back to the occupancy grid
+        cfg = {
+            "phase": {"kind": "affine", "M": [[1.0, 1.0], [1.0, 1.0]]},
+            "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+            "lattice": {"A": [[1.0, 0.0], [0.0, 1.0]]},
+            "n": 20000,
+            "bins": 8,
+        }
+        code, rep = self._run(tmp_path, "tiling-check", cfg)
+        assert (code, rep["result"]["tiling"]) == (1, "NOT-TILING")
 
 
 class TestSpecCliExamples:

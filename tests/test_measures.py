@@ -385,6 +385,30 @@ class TestConstruction:
         with pytest.raises(es.DomainError):
             es.QuadratureSpec("adaptive", **fields)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"order": 32.5},
+            {"n_samples": 1000.5},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"seed": True},
+            {"depth": 30.5},
+            {"max_subdivisions": 10.5},
+            {"order": "32"},
+        ],
+        ids=["order", "n-samples", "seed", "negative-seed", "bool-seed", "depth", "subdivisions",
+             "string-order"],
+    )
+    def test_quadspec_refuses_non_integer_fields(self, fields):
+        with pytest.raises(es.DomainError):
+            es.QuadratureSpec("monte-carlo", **fields)
+
+    def test_quadspec_stores_integral_fields_as_int(self):
+        q = es.QuadratureSpec("tensor-gauss", order=np.float64(32.0), depth=np.int32(12))
+        assert type(q.order) is int and type(q.depth) is int
+        assert q == es.QuadratureSpec("tensor-gauss", order=32, depth=12)
+
     def test_nan_tolerance_cannot_skip_the_adaptive_refusal(self):
         # NaN made `err > 10 * abs_tol` false: this integral came back with a 3.6e-5 error
         rough = lambda x: np.abs(x[:, 0] - 1 / 3) ** 0.5  # noqa: E731

@@ -411,6 +411,19 @@ def test_plan_is_the_one_decision_point():
             assert not called & {"as_selfsimilar", "selfsimilar_moments"}, path.name
 
 
+def test_product_formula_plan_takes_the_unit_weight_only():
+    how = plan(es.middle_fourth_cantor(), es.Identity(1), es.digit(40), "gram")
+    assert how.path == "product-formula"
+    lam = np.array([[0.0], [1.0], [4.0]])
+    vals, _ = how.moments(lam)
+    assert_allclose(how.moments(lam, [(None, None)])[0], vals)
+    f = (lambda y: y[:, 0], None)
+    g = (None, (np.array([0.0]), np.array([0.5])))
+    for weights in ([f, g], [f], [g], [None, None]):
+        with pytest.raises(DomainError, match="unit weight"):
+            how.moments(lam, weights)
+
+
 def test_pushforward_transform_rule_samples_digit_maps():
     pf = es.pushforward(UNIT, B2Q)
     assert plan(pf, es.Identity(1), es.gauss(64), "measure").rule == MC400K

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys.errors import DomainError
+from expsys.errors import DomainError, InversionError
 from expsys.phases import _MonotoneAntiderivative
 
 
@@ -478,6 +478,38 @@ class TestDigitMapConstruction:
         phi = es.DigitMap(np.float64(2.0), (0, 1), 4.0, digits, depth=np.int32(12))
         assert (phi.in_base, phi.out_base, phi.depth) == (2, 4, 12)
         assert phi.digit_map == {0: 0.0, 1: 2.0}
+
+
+class TestLinearConstruction:
+    @pytest.mark.parametrize("dim", [0, -1, 2.7, True, "x"])
+    def test_identity_needs_an_integer_dim_of_at_least_one(self, dim):
+        with pytest.raises(DomainError):
+            es.Identity(dim)
+
+    def test_identity_accepts_integral_dims_of_any_number_type(self):
+        assert es.Identity(np.float64(3.0)).in_dim == 3
+
+    @pytest.mark.parametrize(
+        "M, b",
+        [
+            ("abc", None),
+            ([[1.0, 2.0], [3.0]], None),
+            ([[[1.0]]], None),
+            ([[np.nan]], None),
+            ([[np.inf, 0.0], [0.0, 1.0]], None),
+            ([], None),
+            ([[1.0]], "x"),
+            ([[1.0]], [np.nan]),
+        ],
+        ids=["string", "ragged", "3-d", "nan", "inf", "empty", "b-string", "b-nan"],
+    )
+    def test_affine_refuses_bad_matrix_or_offset(self, M, b):
+        with pytest.raises(DomainError):
+            es.Affine(M, b)
+
+    def test_singular_affine_map_has_no_inverse(self):
+        with pytest.raises(InversionError, match="singular"):
+            es.Affine([[1.0, 1.0], [1.0, 1.0]]).invert([[0.5, 0.5]])
 
 
 class TestCompose:

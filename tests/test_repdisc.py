@@ -213,8 +213,8 @@ class TestVerifyOnWindow:
             ws, ([-2.0], [3.0]), mode="onb", quad=es.gauss(48), tol=1e-10
         )
         assert rep.verdict == PASS
-        assert rep.max_offdiag <= 1e-10
-        assert rep.diag_dev <= 1e-10
+        assert rep.block.max_offdiag <= 1e-10
+        assert rep.block.diag_dev <= 1e-10
         assert rep.gammas_used.shape[0] == 5
 
     def test_heisenberg_agrees_with_direct_gram_bitwise(self):
@@ -262,10 +262,10 @@ class TestVerifyOnWindow:
             ws, ([-1.5], [1.5]), mode="frame", quad=es.gauss(48), basis_size=32
         )
         assert rep.verdict == PASS
-        assert 0.0 < rep.a_est <= rep.b_est < np.inf
+        assert 0.0 < rep.block.a_est <= rep.block.b_est < np.inf
         # the pushforward density 1/x on [e^-1/2, e^1/2] is pinched between
         # its extremes, so the bounds land within those weights roughly
-        assert rep.b_est <= np.exp(0.5) * 1.2
+        assert rep.block.b_est <= np.exp(0.5) * 1.2
 
     def test_window_misalignment_rejected(self):
         ws = heisenberg_system()
