@@ -16,7 +16,8 @@ scaled by the box's share of each width, and unboxed weights one rule over
 the measure's cells; frequencies with one panel layout share a rule.  Its
 work items are (box, layout, cell, order) rules: each builds its tensor
 grid, weights and phase image when it runs and frees them when it returns.
-A disc is four polar-quadrant cells whose two-order errors add.
+The measure gives its cells and their node map: a box is one cell, a disc
+four polar quadrants whose two-order errors add.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
 weight's finest-scale slope to the phase term.  Adaptive integrals stay one
@@ -45,7 +46,6 @@ from .measures import (
     box_gauss_nodes,
     digit_nodes,
     panels_from_cycles,
-    polar_xy,
 )
 from .seeding import spawn_rng
 
@@ -311,14 +311,8 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
             f"tensor-gauss is not valid for measure kind {mu.kind!r}"
         )
     eff_phi = phi if psi is None else phases.compose(phi, psi)
-    polar = isinstance(mu, LebesgueDisc)
-    cycles = oscillation_cycles(eff_phi, mu, lam)
-    if polar:  # quadrant cells put the axes, where maps may kink, on cell edges
-        cells = measures.disc_quadrants(mu)
-        cycles = np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
-    else:
-        cells = [(mu.lo, mu.hi)]
-    sig = panels_from_cycles(cycles, quad.order)
+    cells = mu.cells()
+    sig = panels_from_cycles(mu.cell_cycles(oscillation_cycles(eff_phi, mu, lam)), quad.order)
     orders = (quad.order, quad.order + 8)
     layouts: dict = {}  # box width / measure width -> (panel layouts, their frequencies)
     # work items, the two orders of a (group, layout, cell) side by side:
@@ -348,9 +342,7 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     def run_item(item):
         # the rule's own tensor grid, weights and phase image, freed on return
         idx, edges, order, cols = item
-        pts, w = box_gauss_nodes(edges, order)
-        if polar:
-            pts, w = polar_xy(mu.center, pts), w * pts[:, 0]
+        pts, w = mu.cell_nodes(*box_gauss_nodes(edges, order))
         y = pts if psi is None else psi(pts)
         W = _weight_matrix([weights[j] for j in cols], y, w)
         return _contract(phi(y), lam[idx], W)
@@ -366,33 +358,22 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
 
 
 def _per_integral(mu, psi, phi, lam, quad, weights, threads):
-    """One adaptive refinement per (frequency, weight) pair.
-
-    A box starts from one cell; a disc from its four polar quadrant cells,
-    with the integrand carrying the r Jacobian.
-    """
-    polar = isinstance(mu, LebesgueDisc)
-    if polar:
-        cells = measures.disc_quadrants(mu)
-    elif isinstance(mu, LebesgueBox):
-        cells = [(mu.lo, mu.hi)]
-    else:
+    """One adaptive refinement per (frequency, weight) pair, from the
+    measure's cells; the integrand carries the cells' node weight factor."""
+    if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
         raise SchemeMismatchError(f"adaptive is not valid for measure kind {mu.kind!r}")
     k = len(weights)
 
     def one(pair):
         i, j = divmod(pair, k)
 
-        def f(pts):
+        def f(cell_pts):
+            pts, jac = mu.cell_nodes(cell_pts, 1.0)
             y = pts if psi is None else psi(pts)
             w = _weight_matrix(weights[j : j + 1], y)[:, 0]
-            return np.exp(2j * np.pi * (phi(y) @ lam[i])) * w
+            return np.exp(2j * np.pi * (phi(y) @ lam[i])) * w * jac
 
-        if polar:
-            return measures._adaptive_cells(
-                lambda rt: f(polar_xy(mu.center, rt)) * rt[:, 0], cells, quad
-            )
-        return measures._adaptive_cells(f, cells, quad)
+        return measures._adaptive_cells(f, mu.cells(), quad)
 
     results = _map_pool(one, range(lam.shape[0] * k), threads)
     vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)

@@ -18,7 +18,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from . import measures, phases
-from ._oscillatory import exp_moments, plan
+from ._oscillatory import plan
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec
 from .spectra import SpectrumSet, lattice, unique_rows
@@ -31,8 +31,11 @@ MAX_GRAM_POINTS = 4096
 
 
 def unique_differences(points):
-    """(unique_diffs, inverse) with inverse indexing the (m, m) difference grid."""
+    """(unique_diffs, inverse) with inverse indexing the (m, m) difference grid;
+    above MAX_GRAM_POINTS points it raises before any difference is formed."""
     m = points.shape[0]
+    if m > MAX_GRAM_POINTS:
+        raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     diffs = points[:, None, :] - points[None, :, :]
     uniq, inverse = unique_rows(diffs.reshape(m * m, -1))
     return uniq, inverse.reshape(m, m)
@@ -87,8 +90,6 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     """Gram report of E(spectrum, phi) over mu, read off its difference table."""
     pts = spectrum.points
     m = pts.shape[0]
-    if m > MAX_GRAM_POINTS:
-        raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     uniq, inverse = unique_differences(pts)
     how = plan(mu, phi, quad, "gram")
     vals, errs = how.moments(uniq, threads=threads)
@@ -387,6 +388,8 @@ def frame_bounds(
     For f = sum c_j psi_j the frame sum over the truncated spectrum is
     ||T c||^2, so min/max squared singular values estimate the frame bounds
     restricted to the test subspace.  T runs under `plan(mu, phi, quad, "weights")`.
+    With fewer frequencies than test functions T has a null space on the test
+    subspace, so a_est is 0.
     The test basis must be orthonormal in L^2(mu) within 1e-10
     (exact-by-construction bases skip the numeric check).
     """
@@ -408,7 +411,7 @@ def frame_bounds(
     except Exception as exc:  # pragma: no cover - LAPACK non-convergence
         raise QuadratureError(f"SVD failed to converge: {exc}") from exc
     return FrameBoundsReport(
-        a_est=float(s.min() ** 2),
+        a_est=float(s.min() ** 2) if T.shape[0] >= T.shape[1] else 0.0,
         b_est=float(s.max() ** 2),
         singular_values=s,
         spectrum_size=int(lam.shape[0]),
@@ -462,6 +465,7 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     For integer unimodular M, e^{2 pi i k . (M phi)} == e^{2 pi i (M^T k) . phi},
     so the Gram of the conjugated system is the reindexing of the original:
     G^{M phi}_{k,k'} = G^{phi}_{M^T k, M^T k'} for every pair in the truncation.
+    Both difference tables run as `gram` runs them.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if not np.allclose(M, np.round(M), atol=1e-12):
@@ -472,10 +476,8 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     lam = lattice(np.eye(d), radius)
     if lam.size < 2:
         raise DomainError("truncation too small to compare any pair")
-    if lam.size > MAX_GRAM_POINTS:
-        raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     uniq, _ = unique_differences(lam.points)
     conj_phase = phases.compose(phases.Affine(M), phi)
-    g_conj, _ = exp_moments(mu, conj_phase, uniq, quad, threads=threads)
-    g_base, _ = exp_moments(mu, phi, uniq @ M, quad, threads=threads)
+    g_conj, _ = plan(mu, conj_phase, quad, "gram").moments(uniq, threads=threads)
+    g_base, _ = plan(mu, phi, quad, "gram").moments(uniq @ M, threads=threads)
     return float(np.max(np.abs(g_conj[:, 0] - g_base[:, 0])))

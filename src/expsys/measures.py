@@ -153,10 +153,16 @@ class Measure:
 
 
 def _finite(values, what):
+    """A float array of finite numbers; numeric strings are read, booleans refused."""
     try:
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be numeric") from None
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.dtype == bool or raw.dtype == object and any(
+        isinstance(v, (bool, np.bool_)) for v in raw.flat
+    ):
+        raise DomainError(f"{what} must be numbers, not booleans")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr
@@ -201,6 +207,18 @@ class LebesgueBox(Measure):
         u = rng.random((n, self.dim))
         return self.lo + u * (self.hi - self.lo)
 
+    def cells(self):
+        """The cells tensor-gauss and adaptive rules start from: the box itself."""
+        return [(self.lo, self.hi)]
+
+    def cell_nodes(self, pts, w):
+        """Points and weights on the measure of rule nodes and weights on a cell."""
+        return pts, w
+
+    def cell_cycles(self, cycles):
+        """Oscillation cycles per cell coordinate from (m, dim) cycles per axis."""
+        return cycles
+
     def __repr__(self):
         return f"LebesgueBox({self.lo.tolist()}, {self.hi.tolist()})"
 
@@ -241,6 +259,23 @@ class LebesgueDisc(Measure):
             out[filled : filled + take] = cand[:take]
             filled += take
         return out
+
+    def cells(self):
+        """The four polar (r, theta) quadrants: the axes, where maps may kink, are edges."""
+        return [
+            (np.array([0.0, t0]), np.array([self.radius, t0 + math.pi / 2]))
+            for t0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+        ]
+
+    def cell_nodes(self, rt, w):
+        """Cartesian points of (r, theta) rows, and the weights times r."""
+        r, th = rt[:, 0], rt[:, 1]
+        c = self.center
+        return np.stack([c[0] + r * np.cos(th), c[1] + r * np.sin(th)], axis=-1), w * r
+
+    def cell_cycles(self, cycles):
+        """r and theta each take the larger of the two Cartesian cycle counts."""
+        return np.repeat(cycles.max(axis=1, keepdims=True), 2, axis=1)
 
     def __repr__(self):
         return f"LebesgueDisc({self.center.tolist()}, {self.radius})"
@@ -406,22 +441,8 @@ def _apply(f, pts):
     return vals
 
 
-def disc_quadrants(mu: LebesgueDisc):
-    """The four polar (r, theta) quadrant cells of a disc, as (lo, hi) boxes."""
-    return [
-        (np.array([0.0, t0]), np.array([mu.radius, t0 + math.pi / 2]))
-        for t0 in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
-    ]
-
-
-def polar_xy(center, rt):
-    """Cartesian points of (r, theta) rows around `center`."""
-    r, th = rt[:, 0], rt[:, 1]
-    return np.stack([center[0] + r * np.cos(th), center[1] + r * np.sin(th)], axis=-1)
-
-
 def _adaptive_cells(f, cells, quad):
-    """Global adaptive refinement over a list of boxes (lo, hi): (value, err)."""
+    """Global adaptive refinement over a list of float-array boxes (lo, hi): (value, err)."""
     abs_tol, max_subdivisions, order = quad.abs_tol, quad.max_subdivisions, quad.order
     order_lo = max(2, order // 2)
     counter = 0
@@ -435,8 +456,6 @@ def _adaptive_cells(f, cells, quad):
         return hi_val, abs(hi_val - lo_val)
 
     for lo, hi in cells:
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
         val, err = eval_cell(lo, hi)
         heapq.heappush(heap, (-err, counter, lo, hi, val, err))
         counter += 1

@@ -563,12 +563,19 @@ def compose(outer, inner) -> PhaseMap:
 def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
     """Recognize phi_* mu for a base measure mu as a self-similar digit measure.
 
-    Cases: identity on a SelfSimilar; a DigitMap over Lebesgue[0,1] (binary
+    Cases: identity on a SelfSimilar; a 1-d x -> a x + b (a != 0) on a
+    SelfSimilar(r, {(d, w)}), which is SelfSimilar(r, {(a d + b (r - 1), w)})
+    since b = sum_i b (r - 1) r^-i; a DigitMap over Lebesgue[0,1] (binary
     digits of a uniform variable are i.i.d. uniform); a DigitMap over a
     matching equal-ratio SelfSimilar with the same digit set.  Else None.
     """
     if isinstance(phi, Identity) and isinstance(mu, measures.SelfSimilar):
         return mu
+    if isinstance(phi, Affine) and isinstance(mu, measures.SelfSimilar):
+        if phi.M.shape != (1, 1) or phi.M[0, 0] == 0:
+            return None
+        a, b, r = float(phi.M[0, 0]), float(phi.b[0]), mu.ratio
+        return measures.SelfSimilar(r, tuple((a * d + b * (r - 1), w) for d, w in mu.digits))
     if not isinstance(phi, DigitMap):
         return None
     if isinstance(mu, measures.LebesgueBox):

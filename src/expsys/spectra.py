@@ -88,35 +88,45 @@ def explicit(points) -> SpectrumSet:
     return SpectrumSet(pts, generator={"kind": "explicit"})
 
 
+def generator(A, d=None):
+    """(A, A^-1) of a lattice generator: finite, square (d x d when d is given)
+    and nonsingular."""
+    A = np.atleast_2d(_finite(A, "lattice A"))
+    n = len(A) if d is None else d
+    if A.shape != (n, n):
+        raise DomainError(f"lattice A must be a square {n}x{n} matrix")
+    if abs(np.linalg.det(A)) < 1e-14:
+        raise DomainError("lattice generator matrix is singular")
+    return A, np.linalg.inv(A)
+
+
+def _lattice_box(A, A_inv, lo, hi):
+    """(size, build) of the points A k with k in the integer box spanned by the
+    preimages of the corners of [lo, hi], widened by one."""
+    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
+    Kc = corners @ A_inv.T
+    klo, khi = np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
+
+    def build():
+        K = np.meshgrid(*map(np.arange, klo.astype(int), khi.astype(int) + 1), indexing="ij")
+        return np.stack(K, axis=-1).reshape(-1, len(lo)) @ A.T
+
+    return math.prod(b - a + 1 for a, b in zip(klo.tolist(), khi.tolist())), build
+
+
 def lattice(A, radius) -> SpectrumSet:
     """All points of A Z^d with sup-norm <= radius, sorted lexicographically."""
-    A = np.atleast_2d(_finite(A, "lattice A"))
-    d = A.shape[0]
-    if A.shape != (d, d):
-        raise DomainError("A must be square")
+    A, A_inv = generator(A)
     radius = _finite(radius, "lattice radius")
     if radius.shape != ():
         raise DomainError("lattice radius must be a number")
-    det = np.linalg.det(A)
-    if abs(det) < 1e-14:
-        raise DomainError("lattice generator matrix is singular")
-    Ainv = np.linalg.inv(A)
-    # |k|_inf <= ||A^-1||_inf * radius on the preimage of the sup-ball
-    bound = np.ceil(np.max(np.sum(np.abs(Ainv), axis=1)) * radius + 1e-9)
-    # "not <=" also refuses an infinite bound before int() sees it
-    if not bound <= MAX_LATTICE_BOX or (2 * int(bound) + 1) ** d > MAX_LATTICE_BOX:
+    size, build = _lattice_box(A, A_inv, np.full(len(A), -radius), np.full(len(A), radius))
+    if not size <= MAX_LATTICE_BOX:  # also refuses NaN
         raise DomainError(f"lattice coordinate box above {MAX_LATTICE_BOX} points")
-    bound = int(bound)
-    ranges = [np.arange(-bound, bound + 1)] * d
-    K = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, d)
-    pts = K @ A.T
-    keep = np.max(np.abs(pts), axis=1) <= radius + 1e-9
-    pts = pts[keep]
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    return SpectrumSet(
-        pts, generator={"kind": "lattice", "A": A.tolist()}, truncation=float(radius)
-    )
+    pts = build()
+    pts = pts[np.max(np.abs(pts), axis=1) <= radius + 1e-9]
+    pts = pts[np.lexsort(pts.T[::-1])]
+    return SpectrumSet(pts, {"kind": "lattice", "A": A.tolist()}, truncation=float(radius))
 
 
 def integer_lattice(d, radius) -> SpectrumSet:
@@ -125,10 +135,7 @@ def integer_lattice(d, radius) -> SpectrumSet:
 
 def dual_lattice(A) -> np.ndarray:
     """Generator of the dual lattice: A^{-T}."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    if abs(np.linalg.det(A)) < 1e-14:
-        raise DomainError("lattice generator matrix is singular")
-    return np.linalg.inv(A).T
+    return generator(A)[1].T
 
 
 def _lambda4_values(n):
@@ -170,17 +177,7 @@ def _candidates(spectrum, lo, hi):
     Python float (inf past the double range), is known before build() allocates."""
     kind = spectrum.generator.get("kind")
     if kind == "lattice":
-        A = np.asarray(spectrum.generator["A"], dtype=float)
-        # integer coordinates whose box maps under A over [lo, hi)
-        corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
-        Kc = corners @ np.linalg.inv(A).T
-        klo, khi = np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
-
-        def build():
-            K = np.meshgrid(*map(np.arange, klo.astype(int), khi.astype(int) + 1), indexing="ij")
-            return np.stack(K, axis=-1).reshape(-1, len(lo)) @ A.T
-
-        return math.prod(b - a + 1 for a, b in zip(klo.tolist(), khi.tolist())), build
+        return _lattice_box(*generator(spectrum.generator["A"]), lo, hi)
     if kind == "lambda4":
         # an element with a digit at 4^i >= hi exceeds hi
         levels = sum(4**i < hi[0] for i in range(31))

@@ -16,10 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InversionError
-from .measures import LebesgueBox, _check_entries, _finite
+from .measures import LebesgueBox, _check_entries
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
-from .spectra import round_in_place
+from .spectra import generator, round_in_place
 
 UNIFORM = "UNIFORM"
 NONUNIFORM = "NONUNIFORM"
@@ -82,17 +82,17 @@ def frac_histogram_test(
     """
     from scipy.special import chdtri  # chdtri(dof, 1 - q) == chi2.ppf(q, dof)
 
-    lo, hi = _as_box(box)
+    lo, hi = _as_box(box, phi)
     d = lo.size
     if bins < 1:
         raise DomainError("bins must be >= 1")
     cells = bins**d
     if n < 10 * cells:
         raise DomainError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
-    A = _as_lattice(lattice_A, d)
+    _, A_inv = generator(lattice_A, d)
     rng = spawn_rng(seed, "frac-histogram")
     pts = lo + rng.random((n, d)) * (hi - lo)
-    t = _finite_image(phi, pts) @ np.linalg.inv(A).T
+    t = _finite_image(phi, pts) @ A_inv.T
     frac = t - np.floor(t)
     idx = np.clip((frac * bins).astype(int), 0, bins - 1)
     flat = np.ravel_multi_index(idx.T, (bins,) * d)
@@ -201,7 +201,7 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     (probe available in the phases module).  More than 1% inversion failures
     invalidates the estimate.
     """
-    lo, hi = _as_box(box)
+    lo, hi = _as_box(box, phi)
     k = np.asarray(k, dtype=float)
     vol = float(np.prod(hi - lo))
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
@@ -263,7 +263,7 @@ def tiling_verdict(
     """
     if radius < 1:
         raise DomainError(f"radius must be >= 1 for any translate to be checked, got {radius}")
-    lo, hi = _as_box(box)
+    lo, hi = _as_box(box, phi)
     d = lo.size
     draws = n * (2 * radius + 1) ** d
     if draws > MAX_TILING_DRAWS:
@@ -271,7 +271,7 @@ def tiling_verdict(
             f"tiling check draws n x (2 radius + 1)^d = {draws} points in total, "
             f"above {MAX_TILING_DRAWS}; lower n or radius"
         )
-    A = _as_lattice(lattice_A, d)
+    A, _ = generator(lattice_A, d)
     vol = float(np.prod(hi - lo))
 
     membership = _membership(phi, lo, hi)
@@ -313,15 +313,14 @@ def tiling_verdict(
     )
 
 
-def _as_box(box):
-    """(lo, hi) of a LebesgueBox or a (lo, hi) pair, checked as LebesgueBox does."""
+def _as_box(box, phi):
+    """(lo, hi) of a LebesgueBox or a (lo, hi) pair, checked as LebesgueBox does,
+    for a phase that maps the box's dimension to itself."""
     if not isinstance(box, LebesgueBox):
         box = LebesgueBox(*box)
+    if (phi.in_dim, phi.out_dim) != (box.dim, box.dim):
+        raise DomainError(
+            f"the phase maps dimension {phi.in_dim} to {phi.out_dim}; "
+            f"tiling needs the box's dimension {box.dim} to itself"
+        )
     return box.support_box()
-
-
-def _as_lattice(lattice_A, d):
-    A = np.atleast_2d(_finite(lattice_A, "lattice A"))
-    if A.shape != (d, d) or abs(np.linalg.det(A)) < 1e-14:
-        raise DomainError(f"lattice A must be a nonsingular {d}x{d} matrix")
-    return A

@@ -167,6 +167,18 @@ class TestUniqueDifferences:
         assert np.array_equal(np.signbit(uniq), np.signbit(ref_uniq))
         assert np.array_equal(inverse, ref_inverse)
 
+    def test_refuses_above_the_gram_cap_before_any_difference(self):
+        from expsys.analysis import MAX_GRAM_POINTS
+
+        class Points:  # fails if a difference row is ever formed
+            shape = (MAX_GRAM_POINTS + 1, 1)
+
+            def __getitem__(self, key):
+                raise AssertionError("a difference row was formed")
+
+        with pytest.raises(es.DomainError, match="cap"):
+            unique_differences(Points())
+
 
 @st.composite
 def random_lattice_points(draw):
@@ -414,6 +426,16 @@ class TestFrameBounds:
         assert rep.a_est == pytest.approx(0.7435388531, abs=1e-9)
         assert rep.b_est == pytest.approx(1.0047243811, abs=1e-9)
 
+    def test_fewer_frequencies_than_test_functions_has_no_lower_bound(self):
+        # three frequencies against eight cells: T has a null space on the
+        # test subspace, so the lower frame bound there is 0
+        basis = es.dyadic_indicator_basis(unit_box(), 8)
+        rep = es.frame_bounds(
+            unit_box(), es.Identity(1), es.explicit([0, 1, 2]), basis, es.gauss(32)
+        )
+        assert rep.singular_values.size == 3 and rep.singular_values.min() > 0.5
+        assert rep.a_est == 0.0 and rep.b_est == pytest.approx(rep.singular_values.max() ** 2)
+
     def test_non_orthonormal_basis_rejected(self):
         from expsys.analysis import TestBasis
 
@@ -522,6 +544,19 @@ class TestUnimodularConjugation:
             es.unimodular_conjugation_check(
                 unit_box(), es.Identity(1), [[1.0]], 2048, es.gauss(16)
             )
+
+    def test_self_similar_tables_take_the_product_formula(self, monkeypatch):
+        # both tables run as gram runs them: -x on the Cantor measure is
+        # self-similar too, so each takes the gated product formula
+        calls = []
+        real = es.measures.selfsimilar_moments
+        monkeypatch.setattr(
+            es.measures, "selfsimilar_moments", lambda *args: calls.append(args) or real(*args)
+        )
+        dev = es.unimodular_conjugation_check(
+            es.middle_fourth_cantor(), es.Identity(1), [[-1.0]], 8, es.digit(40)
+        )
+        assert len(calls) == 2 and dev <= 1e-14
 
     def test_nonunimodular_rejected(self):
         with pytest.raises(ValueError):

@@ -411,6 +411,25 @@ MALFORMED = {
     "frame-min-ratio-2": ("halfbox-frame", _set(["min_ratio"], 2)),
     "repdisc-tol-negative": ("heisenberg", _set(["tol"], -1e-3)),
     "density-windows-empty": ("density-z2", _set(["windows"], [])),
+    # a tiling phase must map the box's dimension to itself: 2 -> 3 raised an
+    # IndexError in the occupancy grid, 2 -> 1 a matmul ValueError
+    "tiling-phase-2-to-3": (
+        "unipotent-tiling",
+        _set(["phase"], {"kind": "custom", "expr": ["x1", "x2", "x1"], "in_dim": 2}),
+    ),
+    "tiling-phase-2-to-1": (
+        "unipotent-tiling", _set(["phase"], {"kind": "custom", "expr": ["x1"], "in_dim": 2})
+    ),
+    # JSON booleans are not numbers in array fields either (true read as 1.0)
+    "disc-radius-true": ("holhos-disc", _set(["measure", "radius"], True)),
+    "box-bounds-booleans": (
+        "identity-1d", _set(["measure"], {"kind": "lebesgue_box", "lo": [False], "hi": [True]})
+    ),
+    "self-similar-digit-true": ("cantor3", _set(["measure", "digits", 0], [True, 0.5])),
+    "affine-M-true": ("identity-1d", _set(["phase"], {"kind": "affine", "M": [[True]]})),
+    "explicit-points-booleans": (
+        "identity-1d", _set(["spectrum"], {"kind": "explicit", "points": [[True], [False]]})
+    ),
     # centres near the double limit: the window box overflowed with a warning
     "density-box-past-double-range": (
         "density-z2",
@@ -610,7 +629,31 @@ class TestConfigPathsOffThePresets:
         }
         code, rep = self._run(tmp_path, "verify-onb", cfg)
         assert (code, rep["result"]["verdict"]) == (0, "PASS")
-        assert rep["result"]["gram"]["max_offdiag"] <= 1e-12
+        # 2 x on the Cantor-4 measure is the digit system {0, 4}: product formula
+        assert rep["result"]["gram"]["path"] == "product-formula"
+        assert rep["result"]["gram"]["max_offdiag"] <= 1e-14
+        # tensor-gauss has no rule for a self-similar base, but the Gram needs
+        # none, and the coefficients fall back to digit enumeration
+        cfg["quad"] = {"scheme": "tensor-gauss", "order": 32}
+        code, rep = self._run(tmp_path, "verify-onb", cfg)
+        assert (code, rep["result"]["verdict"]) == (0, "PASS")
+        assert rep["result"]["gram"]["path"] == "product-formula"
+
+    def test_fewer_frequencies_than_test_functions_fail_the_frame_check(self, tmp_path):
+        # three frequencies cannot bound eight cells from below
+        cfg = {
+            "measure": {"kind": "lebesgue_box", "lo": [0.0], "hi": [1.0]},
+            "phase": {"kind": "identity", "dim": 1},
+            "spectrum": {"kind": "explicit", "points": [[0.0], [1.0], [2.0]]},
+            "quad": {"scheme": "tensor-gauss", "order": 32},
+            "basis": {"kind": "dyadic", "m": 8},
+        }
+        code, rep = self._run(tmp_path, "frame-bounds", cfg)
+        assert (code, rep["result"]["verdict"], rep["result"]["a_est"]) == (1, "FAIL", 0.0)
+        cfg = json.loads(json.dumps(PRESETS["axb"]["config"]))
+        cfg.update(spectrum={"kind": "explicit", "points": [[0.0], [1.0]]}, basis_size=8)
+        code, rep = self._run(tmp_path, "repdisc", cfg)
+        assert (code, rep["result"]["verdict"], rep["result"]["a_est"]) == (1, "FAIL", 0.0)
 
     def test_group_exp_phase_on_the_unit_interval(self, tmp_path):
         cfg = {

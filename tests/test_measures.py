@@ -419,8 +419,57 @@ class TestConstruction:
             es.adaptive(abs_tol=np.nan, max_subdivisions=5)
         assert es.adaptive(max_subdivisions=0).max_subdivisions == 0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: es.LebesgueDisc([0.0, 0.0], True),
+            lambda: es.LebesgueDisc([False, 0.0], 1.0),
+            lambda: es.LebesgueBox([False], [True]),
+            lambda: es.LebesgueBox(np.array([0.0]), np.array([True])),
+            lambda: es.SelfSimilar(4, [[True, 0.5], [2.0, 0.5]]),
+            lambda: es.SelfSimilar(4, [[0.0, 0.5], [2.0, np.True_]]),
+        ],
+        ids=["disc-radius", "disc-center", "box-lists", "box-bool-array", "digit", "weight"],
+    )
+    def test_booleans_are_not_numbers(self, build):
+        with pytest.raises(es.DomainError, match="booleans"):
+            build()
+
+    def test_numeric_strings_are_numbers(self):
+        assert es.LebesgueBox(["0"], ["1.5"]).total_mass == 1.5
+
     def test_support_boxes(self):
         lo, hi = es.middle_fourth_cantor().support_box()
         assert_allclose([lo[0], hi[0]], [0.0, 2.0 / 3.0])
         lo, hi = es.middle_third_cantor().support_box()
         assert_allclose([lo[0], hi[0]], [0.0, 1.0])
+
+
+class TestCells:
+    def test_box_is_its_own_cell(self):
+        box = es.LebesgueBox([0.0, -1.0], [1.0, 2.0])
+        [(lo, hi)] = box.cells()
+        assert_allclose(lo, [0.0, -1.0])
+        assert_allclose(hi, [1.0, 2.0])
+        pts, w = np.ones((3, 2)), np.arange(3.0)
+        mapped_pts, mapped_w = box.cell_nodes(pts, w)
+        assert mapped_pts is pts and mapped_w is w
+        cycles = np.array([[1.0, 5.0]])
+        assert box.cell_cycles(cycles) is cycles
+
+    def test_disc_cells_are_polar_quadrants(self):
+        disc = es.LebesgueDisc([0.2, -0.1], 1.5)
+        cells = disc.cells()
+        assert_allclose([lo for lo, _ in cells], [[0.0, k * np.pi / 2] for k in range(4)])
+        assert_allclose([hi for _, hi in cells], [[1.5, (k + 1) * np.pi / 2] for k in range(4)])
+        rt = np.array([[0.5, 0.0], [1.0, np.pi / 2], [1.5, np.pi]])
+        xy, w = disc.cell_nodes(rt, np.array([1.0, 2.0, 3.0]))
+        assert_allclose(xy, [[0.7, -0.1], [0.2, 0.9], [-1.3, -0.1]], atol=1e-15)
+        assert_allclose(w, [0.5, 2.0, 4.5])
+        # r and theta each take the larger Cartesian cycle count
+        assert_allclose(disc.cell_cycles(np.array([[1.0, 5.0], [3.0, 2.0]])), [[5, 5], [3, 3]])
+        # the polar rule integrates the disc's area
+        assert es.integrate(lambda y: np.ones(y.shape[0]), disc, es.gauss(16))[0] == (
+            pytest.approx(np.pi * 1.5**2, rel=1e-14)
+        )
+

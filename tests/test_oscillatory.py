@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import expsys as es
 from expsys._oscillatory import exp_moments, plan
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
-from expsys.measures import _MAX_ENTRIES, _box_ft, disc_quadrants, polar_xy
+from expsys.measures import _MAX_ENTRIES, _box_ft
 from expsys.reconstruct import coefficients
 
 
@@ -258,6 +258,7 @@ MC400K = es.monte_carlo(400_000, seed=0)
 ADAPTIVE_DISC = es.adaptive(abs_tol=2e-5, max_subdivisions=600, order=16)
 TIGHT_ADAPTIVE = es.adaptive(abs_tol=1e-10, max_subdivisions=4000)
 CANTOR4 = (4, ((0.0, 0.5), (2.0, 0.5)))  # digit key of the middle-fourth Cantor measure
+CANTOR4_X2 = (4, ((0.0, 0.5), (4.0, 0.5)))
 UNIT = es.LebesgueBox([0.0], [1.0])
 
 
@@ -354,12 +355,13 @@ RULE_CASES = {
         "gram": _pf(40), "weights": _q(es.digit(30)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)), "transform": _pf(40),
     }),
+    # 2 x on the middle-fourth Cantor measure is the digit system {0, 4}
     "affine-on-cantor": (
         es.pushforward(es.middle_fourth_cantor(), es.Affine([[2.0]])), es.Identity(1),
         es.gauss(32), {
-            "gram": _q(es.gauss(32)), "weights": _q(es.digit(30)),
+            "gram": _pf(40, CANTOR4_X2), "weights": _q(es.digit(30)),
             "norms": _q(es.digit(30)), "measure": _q(es.digit(30)),
-            "transform": _q(es.digit(30)),
+            "transform": _pf(40, CANTOR4_X2),
         },
     ),
 }
@@ -400,6 +402,22 @@ def _names(path):
     return bound, called
 
 
+def _users(path, name):
+    """The top-level definitions of a module ("<module>" for other statements)
+    that call or import `name`."""
+    import ast
+
+    users = set()
+    for stmt in ast.parse(path.read_text()).body:
+        for node in ast.walk(stmt):
+            func = getattr(node, "func", None)
+            if getattr(node, "name", None) == name or name in (
+                getattr(func, "id", None), getattr(func, "attr", None)
+            ):
+                users.add(getattr(stmt, "name", "<module>"))
+    return users
+
+
 def test_plan_is_the_one_decision_point():
     from pathlib import Path
 
@@ -409,6 +427,11 @@ def test_plan_is_the_one_decision_point():
         assert not bound & {"rule_for", "measure_rule"}, path.name
         if path in library and path.stem not in ("_oscillatory", "measures"):
             assert not called & {"as_selfsimilar", "selfsimilar_moments"}, path.name
+        # every other moment call goes through a plan; integrate is the engine's
+        # lambda = 0 moment under the caller's own rule
+        if path in library and path.stem != "_oscillatory":
+            expected = {"integrate"} if path.stem == "measures" else set()
+            assert _users(path, "exp_moments") == expected, path.name
 
 
 def test_product_formula_plan_takes_the_unit_weight_only():
@@ -435,8 +458,8 @@ def test_pushforward_transform_rule_samples_digit_maps():
 
 
 def test_tensor_gauss_disc_matches_per_quadrant_integrate():
-    # frequencies low enough for one panel per quadrant, so each quadrant is
-    # one plain tensor-Gauss `integrate` call in polar coordinates
+    # frequencies low enough for one panel per quadrant, so each of the disc's
+    # cells is one plain tensor-Gauss `integrate` call through its node map
     disc = es.LebesgueDisc([0.2, -0.1], 1.5)
     lam = np.array([[0.0, 0.0], [1.0, -0.5], [-1.5, 1.25]])
     weights = [None, (lambda y: y[:, 0] ** 2 + y[:, 1], None)]
@@ -447,13 +470,10 @@ def test_tensor_gauss_disc_matches_per_quadrant_integrate():
             fn = (lambda y: np.ones(y.shape[0])) if w is None else w[0]
 
             def f(rt, row=row, fn=fn):
-                y = polar_xy(disc.center, rt)
-                return np.exp(2j * np.pi * (y @ row)) * fn(y) * rt[:, 0]
+                y, r = disc.cell_nodes(rt, 1.0)
+                return np.exp(2j * np.pi * (y @ row)) * fn(y) * r
 
-            parts = [
-                es.integrate(f, es.LebesgueBox(lo, hi), quad)
-                for lo, hi in disc_quadrants(disc)
-            ]
+            parts = [es.integrate(f, es.LebesgueBox(lo, hi), quad) for lo, hi in disc.cells()]
             value = sum(v for v, _ in parts)
             scale = abs(value)
             assert abs(vals[i, j] - value) <= 1e-12 * scale

@@ -542,3 +542,42 @@ class TestCompose:
         assert ss2 is not None and ss2.digits == ((0.0, 0.5), (2.0, 0.5))
         assert as_selfsimilar(mu, es.Identity(1)) is None
         assert as_selfsimilar(es.LebesgueBox([0.0], [2.0]), es.binary_to_quaternary()) is None
+
+    @pytest.mark.parametrize(
+        "mu, phi",
+        [
+            (es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), es.binary_to_quaternary()),
+            (es.LebesgueBox([0.5], [1.0]), es.binary_to_quaternary()),
+            # digits {0, 2} are not the full base 3
+            (es.LebesgueBox([0.0], [1.0]), es.ternary_to_quaternary()),
+            # ratio 4 against input base 3
+            (es.middle_fourth_cantor(), es.ternary_to_quaternary()),
+            # digits {0, 1} against the input digits {0, 2}
+            (es.SelfSimilar(3, ((0.0, 0.5), (1.0, 0.5))), es.ternary_to_quaternary()),
+            (es.middle_fourth_cantor(), es.Affine([[0.0]], [1.0])),
+            (es.middle_fourth_cantor(), es.Affine([[1.0], [2.0]])),
+            (es.LebesgueBox([0.0], [1.0]), es.Affine([[2.0]])),
+        ],
+        ids=[
+            "2-d-box", "box-lo", "digits-not-full-base", "ratio-mismatch",
+            "digit-set-mismatch", "affine-a-0", "affine-1-to-2", "affine-on-box",
+        ],
+    )
+    def test_as_selfsimilar_refusals(self, mu, phi):
+        from expsys.phases import as_selfsimilar
+
+        assert as_selfsimilar(mu, phi) is None
+
+    def test_affine_image_of_a_self_similar_measure(self):
+        # a x + b of sum d_i 4^-i is sum (a d_i + 3 b) 4^-i
+        from expsys.phases import as_selfsimilar
+
+        ss = as_selfsimilar(es.middle_fourth_cantor(), es.Affine([[-3.0]], [0.25]))
+        assert ss.ratio == 4 and ss.digits == ((0.75, 0.5), (-5.25, 0.5))
+        product = es.measures._selfsimilar_product  # ungated: no 6M-sample oracle run
+        xi = np.array([0.3, 1.7, -2.2])
+        assert_allclose(
+            product(ss, xi, 40),
+            np.exp(2j * np.pi * 0.25 * xi) * product(es.middle_fourth_cantor(), -3.0 * xi, 40),
+            atol=1e-13,
+        )

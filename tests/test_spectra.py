@@ -61,7 +61,54 @@ class TestLattice:
         assert es.lattice(np.eye(2), 64).size == 129**2  # the density-z2 preset
 
 
+class TestGenerator:
+    @pytest.mark.parametrize(
+        "A, d",
+        [
+            ("x", None),
+            ([[np.nan]], None),
+            ([[True]], None),
+            ([[1.0, 2.0]], None),
+            ([[[1.0]]], None),
+            ([], None),
+            ([[1.0]], 2),
+            ([[1e-8, 0.0], [0.0, 1e-8]], None),
+        ],
+        ids=["string", "nan", "bool", "not-square", "3-d", "empty", "wrong-d", "singular"],
+    )
+    def test_refuses_a_bad_generator(self, A, d):
+        with pytest.raises(DomainError):
+            spectra.generator(A, d)
+
+    def test_returns_the_matrix_and_its_inverse(self):
+        A, A_inv = spectra.generator([[2.0, 1.0], [0.0, 1.0]], 2)
+        assert A.dtype == float and A.shape == (2, 2)
+        assert_allclose(A @ A_inv, np.eye(2), atol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(-0.4, 0.4), min_size=4, max_size=4),
+        st.floats(0.5, 2.0),
+        st.floats(0.0, 4.0),
+    )
+    def test_lattice_matches_a_brute_force_box(self, entries, scale, radius):
+        A = scale * (np.eye(2) + np.reshape(entries, (2, 2)))
+        assume(abs(np.linalg.det(A)) > 0.05)
+        # every point with sup-norm <= radius has coordinates inside the brute-force box
+        assume(np.abs(np.linalg.inv(A)).sum(axis=1).max() * (radius + 1) < 200)
+        k = np.stack(np.meshgrid(*[np.arange(-200, 201)] * 2, indexing="ij"), -1).reshape(-1, 2)
+        pts = k @ A.T
+        expected = pts[np.max(np.abs(pts), axis=1) <= radius + 1e-9]
+        got = es.lattice(A, radius).points
+        assert got.shape == expected.shape
+        assert_allclose(got, expected[np.lexsort(expected.T[::-1])])
+
+
 class TestDualLattice:
+    def test_non_finite_generator_refused(self):
+        with pytest.raises(DomainError, match="finite"):
+            es.dual_lattice([[np.nan]])
+
     def test_identity(self):
         assert_allclose(es.dual_lattice(np.eye(2)), np.eye(2))
 

@@ -118,3 +118,36 @@ class TestTilingVerdict:
                 es.LebesgueBox(*BOX), phi, spectrum, es.gauss(48)
             )
             assert rep.max_offdiag <= 1e-10
+
+
+# a 2-d box mapped to three dimensions, to one, and a 3-d phase on a 2-d box
+WRONG_DIM_PHASES = [
+    es.CustomPhase(lambda p: np.column_stack([p, p[:, 0]]), 2, 3),
+    es.CustomPhase(lambda p: p[:, :1], 2, 1),
+    es.Identity(3),
+]
+
+
+@pytest.mark.parametrize("phi", WRONG_DIM_PHASES, ids=["2-to-3", "2-to-1", "3-to-3"])
+def test_phase_must_map_the_box_dimension_to_itself(phi):
+    calls = [
+        lambda: es.frac_histogram_test(phi, BOX, EYE, n=10_000, bins=4),
+        lambda: es.overlap_volume(phi, BOX, [1.0, 0.0], n=1000),
+        lambda: es.tiling_verdict(phi, BOX, EYE, n=1000, bins=4),
+    ]
+    for call in calls:
+        with pytest.raises(es.DomainError, match="dimension"):
+            call()
+
+
+class TestLatticeGenerator:
+    @pytest.mark.parametrize(
+        "A", [[[1.0, 0.0]], [[1.0]], [[1.0, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
+        ids=["not-square", "1x1", "singular", "nan"],
+    )
+    def test_histogram_and_verdict_refuse_a_bad_generator(self, A):
+        with pytest.raises(es.DomainError):
+            es.frac_histogram_test(es.Identity(2), BOX, A, n=10_000, bins=4)
+        with pytest.raises(es.DomainError):
+            es.tiling_verdict(es.Identity(2), BOX, A, n=1000, bins=4)
+
