@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -163,6 +165,36 @@ class TestSample:
         with pytest.raises(ValueError):
             es.sample(unit_box(), 0)
 
+    @staticmethod
+    def _level_loop(ss, n, rng):
+        # the one-pass-per-level sampler that the blocked one replaced
+        x = np.zeros(n)
+        scale = 1.0
+        for _ in range(30):
+            scale /= ss.ratio
+            idx = np.searchsorted(ss._cumw, rng.random(n), side="right")
+            idx = np.minimum(idx, len(ss.digits) - 1)
+            x += ss._offsets[idx] * scale
+        return x[:, None]
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize(
+        "ss",
+        [
+            es.middle_third_cantor(),
+            es.SelfSimilar(5, ((0.0, 0.25), (1.0, 0.0), (3.0, 0.25), (4.0, 0.5))),
+            es.SelfSimilar(13, tuple((d, 0.0 if d == 4 else 1 / 11) for d in range(12))),
+        ],
+        ids=["2-digits", "4-digits-zero-weight", "12-digits"],
+    )
+    def test_blocked_sampler_draws_the_level_loop_stream(self, ss, seed):
+        # 2^18 is the block length; 12 digits take the searchsorted kernel
+        for n in (1, 2**18 - 1, 2**18 + 3, 3 * 2**18 + 5):
+            got = ss._sample(n, np.random.default_rng(seed))
+            want = self._level_loop(ss, n, np.random.default_rng(seed))
+            assert got.shape == (n, 1)
+            assert np.array_equal(got, want)
+
 
 class TestPushforward:
     def test_identity_pushforward_integrates_same(self):
@@ -300,6 +332,41 @@ class TestFourierTransform:
         with pytest.raises(ProductFormulaError):
             selfsimilar_moments(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5))), [1.0], 60)
         assert truncs == [m._FT_TRUNC]
+
+    def test_gate_sums_the_sampling_oracle_in_blocks(self, monkeypatch):
+        # three blocks, the last one short: the residual is the one-shot mean's
+        import expsys.measures as m
+
+        monkeypatch.setattr(m, "_GATE_MC_SAMPLES", 3 * 2**18 + 5)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        ss = es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5)))
+        worst = m.validate_product_formula(ss)
+        xi = np.array(m._GATE_XI)
+        prod = m._selfsimilar_product(ss, xi, m._FT_TRUNC)
+        rng = m.spawn_rng(m._GATE_SEED, "product-gate", ss.digit_key())
+        pts = ss._sample(m._GATE_MC_SAMPLES, rng)[:, 0]
+        one_shot = max(
+            abs(p - np.exp(2j * np.pi * x * pts).mean()) for x, p in zip(xi, prod)
+        )
+        assert abs(worst - one_shot) <= 1e-15
+
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        monkeypatch.setattr(m, "_GATE_MC_TOL", 1e-12)
+        with pytest.raises(ProductFormulaError, match="sampling oracle"):
+            m.validate_product_formula(ss)
+
+    def test_gate_memory_stays_below_its_full_length_temporaries(self, monkeypatch):
+        # 6M samples are 48 MB; one (3, 2^18) complex block is 12.6 MB
+        import expsys.measures as m
+
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        tracemalloc.start()
+        try:
+            m.validate_product_formula(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5))))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2**20
 
     def test_selfsimilar_needs_positive_trunc(self):
         with pytest.raises(ValueError):
