@@ -65,7 +65,6 @@ _MAX_RATIO = 1 << 15
 
 _SAMPLE_DEPTH = 30  # digits per self-similar sample
 _SAMPLE_CHUNK = 1 << 18  # samples per block of the digit sampler and the gate
-_COMPARE_CUTS = 8  # digit cuts up to which comparisons beat searchsorted
 _FT_TRUNC = 40  # product levels of a self-similar Fourier transform
 
 
@@ -328,13 +327,12 @@ class SelfSimilar(Measure):
         Each level draws its n uniforms in order, so the stream is that of
         one `rng.random(n)` per level.  A uniform u picks the digit counted
         by the first k - 1 cumulative weights that are <= u (a zero-weight
-        digit is never picked).  The blocks reuse preallocated buffers.
+        digit is never picked).  The uniforms and the gathered step reuse
+        preallocated block buffers.
         """
         x = np.zeros(n)
         m = min(n, _SAMPLE_CHUNK)
         u = np.empty(m)
-        idx = np.empty(m, dtype=np.intp)
-        hit = np.empty(m, dtype=bool)
         step = np.empty(m)
         cuts = self._cumw[:-1]
         scale = 1.0
@@ -343,14 +341,8 @@ class SelfSimilar(Measure):
             table = self._offsets * scale
             for lo in range(0, n, m):
                 c = min(m, n - lo)
-                uc, ic = rng.random(out=u[:c]), idx[:c]
-                if cuts.size <= _COMPARE_CUTS:
-                    np.greater_equal(uc, cuts[0], out=ic)
-                    for cut in cuts[1:]:
-                        np.add(ic, np.greater_equal(uc, cut, out=hit[:c]), out=ic)
-                else:
-                    ic = np.searchsorted(cuts, uc, side="right")
-                x[lo:lo + c] += np.take(table, ic, out=step[:c], mode="clip")
+                idx = np.searchsorted(cuts, rng.random(out=u[:c]), side="right")
+                x[lo:lo + c] += np.take(table, idx, out=step[:c], mode="clip")
         return x[:, None]
 
     def digit_key(self):

@@ -188,7 +188,7 @@ class TestSample:
         ids=["2-digits", "4-digits-zero-weight", "12-digits"],
     )
     def test_blocked_sampler_draws_the_level_loop_stream(self, ss, seed):
-        # 2^18 is the block length; 12 digits take the searchsorted kernel
+        # 2^18 is the block length; 12 digits put 11 cuts in the index search
         for n in (1, 2**18 - 1, 2**18 + 3, 3 * 2**18 + 5):
             got = ss._sample(n, np.random.default_rng(seed))
             want = self._level_loop(ss, n, np.random.default_rng(seed))
