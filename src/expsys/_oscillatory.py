@@ -17,7 +17,14 @@ the measure's cells; frequencies with one panel layout share a rule.  Its
 work items are (box, layout, cell, order) rules: each builds its tensor
 grid, weights and phase image when it runs and frees them when it returns.
 The measure gives its cells and their node map: a box is one cell, a disc
-four polar quadrants whose two-order errors add.
+four polar quadrants whose two-order errors add.  Unit-weight columns on a
+box (no pushforward) take the linear split when phi names a linear part
+(`PhaseMap.linear_part`, coordinates x_cols with constant coefficients C):
+the 1-d box factors at C^T lambda times the full rule's moment of the
+remaining box under x' -> phi(x_cols = 0, x'), closed form when none
+remains.  It guards itself: 16 seeded frequencies (the largest-norm one
+always) also run the full rule and must agree within both errors + 1e-12,
+or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights by construction; the digit error adds the
 weight's finest-scale slope to the phase term.  Adaptive integrals stay one
@@ -51,6 +58,7 @@ from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
+_GUARD_ROWS = 16  # frequencies of each linear-split call also run by the full rule
 
 
 def _chunk_size(n_nodes, n_weights):
@@ -298,6 +306,86 @@ def _map_pool(fn, items, threads):
 
 
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
+    """Tensor-gauss moments.  Unit-weight columns on a box take the linear
+    split when phi names a linear part, more than _GUARD_ROWS frequencies ask
+    and the guard rows agree with the full rule; everything else runs it."""
+    unit = [j for j, (fn, _) in enumerate(weights) if fn is None]
+    linear = phi.linear_part() if psi is None and isinstance(mu, LebesgueBox) else None
+    if linear is None or not unit or lam.shape[0] <= _GUARD_ROWS:
+        return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
+    boxes = [weights[j] for j in unit]
+    split_vals, split_errs = _split_moments(mu, phi, linear, lam, quad, boxes, threads)
+    rows = _guard_rows(lam)
+    full_vals, full_errs = _tensor_gauss(mu, None, phi, lam[rows], quad, boxes, threads)
+    if not np.all(np.abs(split_vals[rows] - full_vals) <= split_errs[rows] + full_errs + 1e-12):
+        return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
+    vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
+    errs = np.zeros(vals.shape)
+    vals[:, unit], errs[:, unit] = split_vals, split_errs
+    rest = [j for j, (fn, _) in enumerate(weights) if fn is not None]
+    if rest:
+        rest_weights = [weights[j] for j in rest]
+        vals[:, rest], errs[:, rest] = _tensor_gauss(mu, psi, phi, lam, quad, rest_weights, threads)
+    return vals, errs
+
+
+def _guard_rows(lam):
+    """_GUARD_ROWS seeded frequency rows, the one of largest norm among them."""
+    top = int(np.argmax(np.linalg.norm(lam, axis=1)))
+    others = np.delete(np.arange(lam.shape[0]), top)
+    picked = spawn_rng(0, "linear-split-guard").choice(others, _GUARD_ROWS - 1, replace=False)
+    return np.sort(np.append(picked, top))
+
+
+def _split_moments(mu, phi, linear, lam, quad, boxes, threads):
+    """(values, errors), each (m, k), of unit weights on the box mu (each
+    clipped to its support box) when phi is affine in the coordinates `cols`
+    with the coefficient block C, linear = (cols, C): the 1-d box factors at
+    (C^T lambda)_j times the moment of the remaining box under
+    x' -> phi(x_cols = 0, x'), which the full rule integrates (e^{2 pi i
+    lambda . phi(0)} when no coordinate remains).  The error is |factors|
+    times that rule's two-order error (8 eps pi sum_k |lambda_k phi(0)_k|
+    for the closed form) plus the factors' round-off, 8 eps vol (len(cols) +
+    sum_j min(pi |(C^T lambda)_j|, 1 / w_j) (|lo_j| + |hi_j|)): each factor
+    w sinc(xi w) e^{pi i xi (lo + hi)} errs by a few eps w in its sinc and by
+    its own size, at most min(w, 1 / (pi |xi|)), times the phase's
+    3 eps pi |xi| (|lo| + |hi|)."""
+    cols, C = linear
+    cols = list(cols)
+    rest = [i for i in range(mu.dim) if i not in cols]
+    coef = lam @ C  # row i: (C^T lambda_i)
+    eps = np.finfo(float).eps
+    vals = np.zeros((lam.shape[0], len(boxes)), dtype=complex)
+    errs = np.zeros(vals.shape)
+    for j, (_, box) in enumerate(boxes):
+        lo, hi = mu.lo, mu.hi
+        if box is not None:
+            box = np.asarray(box, dtype=float)
+            lo, hi = np.maximum(box[0], lo), np.minimum(box[1], hi)
+            if not np.all(hi > lo):  # empty, inverted or outside: integrates to 0
+                continue
+        factor = measures._box_ft(LebesgueBox(lo[cols], hi[cols]), coef)
+        reach = np.minimum(np.pi * np.abs(coef), 1 / (hi[cols] - lo[cols]))
+        reach = reach @ (np.abs(lo[cols]) + np.abs(hi[cols]))
+        roundoff = 8 * eps * np.prod(hi - lo) * (len(cols) + reach)
+        if rest:
+            embed = phases.Affine(np.eye(mu.dim)[:, rest])
+            sub, sub_err = _tensor_gauss(
+                LebesgueBox(lo[rest], hi[rest]), None, phases.compose(phi, embed),
+                lam, quad, [(None, None)], threads,
+            )
+            sub, sub_err = sub[:, 0], sub_err[:, 0]
+        else:
+            origin = phi(np.zeros(mu.dim))
+            sub = np.exp(2j * np.pi * (lam @ origin))
+            sub_err = 8 * eps * np.pi * (np.abs(lam) @ np.abs(origin))
+        vals[:, j] = factor * sub
+        errs[:, j] = np.abs(factor) * sub_err + roundoff
+    return vals, errs
+
+
+def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):
+    """The full tensor-gauss rule over the measure's cells or support boxes."""
     groups: dict = {}  # support box (lo + hi flattened, None unboxed) -> weight columns
     for j, (_, box) in enumerate(weights):
         key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())

@@ -66,6 +66,12 @@ class PhaseMap:
     def invert(self, y):
         raise InversionError(f"{type(self).__name__} has no inverse routine")
 
+    def linear_part(self):
+        """(cols, C) when phi is affine in the input coordinates `cols` with the
+        constant coefficient block C = d phi / d x_cols of shape
+        (out_dim, len(cols)), so lambda . phi is too; None when none is known."""
+        return None
+
 
 class Identity(PhaseMap):
     def __init__(self, dim=1):
@@ -83,6 +89,9 @@ class Identity(PhaseMap):
     def invert(self, y):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return y.copy(), np.ones(y.shape[0], dtype=bool)
+
+    def linear_part(self):
+        return tuple(range(self.in_dim)), np.eye(self.in_dim)
 
 
 class Affine(PhaseMap):
@@ -113,6 +122,9 @@ class Affine(PhaseMap):
         except np.linalg.LinAlgError:
             raise InversionError("affine map is singular") from None
         return x, np.ones(y.shape[0], dtype=bool)
+
+    def linear_part(self):
+        return tuple(range(self.in_dim)), self.M
 
 
 class DigitMap(PhaseMap):
@@ -227,12 +239,15 @@ class Unipotent(PhaseMap):
     triangular by construction: the diagonal is exactly 1 and entries
     below it are exactly 0, so det == 1 identically.  Entries above the
     diagonal are central differences of the l_k; no consumer reads them
-    beyond a cycle estimate that rounds to whole panels.
+    beyond a cycle estimate that rounds to whole panels.  No l_k reads x1,
+    so phi is affine in x1 with the constant coefficient e_1.
     """
 
     def __init__(self, shifts, dim):
         self.shifts = tuple(shifts)
-        self.in_dim = self.out_dim = int(dim)
+        self.in_dim = self.out_dim = measures._integer(dim, "unipotent dim")
+        if self.in_dim < 1:
+            raise DomainError(f"unipotent dim must be >= 1, got {dim}")
         if len(self.shifts) != self.in_dim - 1:
             raise DomainError("need d-1 shift functions for dimension d")
 
@@ -258,6 +273,9 @@ class Unipotent(PhaseMap):
         for k in range(self.in_dim - 2, -1, -1):
             x[:, k] = y[:, k] - np.asarray(self.shifts[k](x))
         return x, np.ones(y.shape[0], dtype=bool)
+
+    def linear_part(self):
+        return (0,), np.eye(self.out_dim)[:, :1]
 
 
 def _cheb_rule(n):
@@ -510,13 +528,19 @@ class Triangular2D(PhaseMap):
 class CustomPhase(PhaseMap):
     def __init__(self, fn, in_dim, out_dim):
         self.fn = fn
-        self.in_dim = int(in_dim)
-        self.out_dim = int(out_dim)
+        self.in_dim = measures._integer(in_dim, "custom in_dim")
+        self.out_dim = measures._integer(out_dim, "custom out_dim")
+        if min(self.in_dim, self.out_dim) < 1:
+            raise DomainError(f"custom dims must be >= 1, got {in_dim} -> {out_dim}")
 
     def _eval(self, pts):
         out = np.asarray(self.fn(pts), dtype=float)
         if out.ndim == 1:
             out = out[:, None]
+        if out.shape != (pts.shape[0], self.out_dim):
+            raise DomainError(
+                f"custom phase returned shape {out.shape}, expected ({pts.shape[0]}, {self.out_dim})"
+            )
         return out
 
 

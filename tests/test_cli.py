@@ -717,12 +717,21 @@ class TestSpecCliExamples:
         body = WORKLOADS.without_meta(rep)
         assert WORKLOADS.compare_body(body, reference["counterexample-exp"]["body"]) == []
 
-    # unipotent-sin (about 4 s) is left out for time; the cantor presets
-    # never reach the thread pool
+    def test_unipotent_sin_matches_the_benchmark_reference(self, tmp_path):
+        # not light, so its body is checked against the benchmark here
+        code, rep = run_to_file(tmp_path, ["verify-onb", "--preset", "unipotent-sin"])
+        assert code == 0
+        assert rep["result"]["gram"]["path"] == "quadrature"
+        reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"]
+        body = WORKLOADS.without_meta(rep)
+        assert WORKLOADS.compare_body(body, reference["unipotent-sin"]["body"]) == []
+
+    # the cantor presets never reach the thread pool
     @pytest.mark.parametrize(
         "preset",
         [
             "identity-1d",
+            "unipotent-sin",
             "square-phase-1d",
             "halfbox-frame",
             "heisenberg",

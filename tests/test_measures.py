@@ -7,7 +7,7 @@ from scipy.stats import ks_2samp
 
 import expsys as es
 from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
-from expsys.measures import digit_nodes, selfsimilar_moments
+from expsys.measures import _box_ft, digit_nodes, selfsimilar_moments
 
 
 def unit_box():
@@ -294,6 +294,21 @@ class TestFourierTransform:
         f = lambda x: np.exp(2j * np.pi * (x @ xi))
         quad_val, _ = es.integrate(f, box, es.gauss(48))
         assert abs(closed - quad_val) <= 1e-12
+
+    def test_box_transform_keeps_its_digits_at_small_frequencies(self):
+        # the Taylor series of integral_lo^hi e^{2 pi i x t} dt, summed to
+        # round-off at |x| <= 1e-5; an exp-difference form loses about
+        # log10(1 / |x|) digits to cancellation there
+        box = es.LebesgueBox([0.25, -1.0], [1.5, 0.5])
+        xi = np.array([[1e-9, 0.0], [3e-7, -2e-8], [-1e-5, 4e-6], [0.0, 0.0]])
+        n = np.arange(8)
+        t = 2j * np.pi * xi[:, :, None]  # (m, dim, 1)
+        coef = (box.hi[:, None] ** (n + 1) - box.lo[:, None] ** (n + 1)) / (
+            (n + 1) * np.cumprod(np.maximum(n, 1))
+        )
+        series = np.sum(t**n * coef, axis=2).prod(axis=1)
+        assert_allclose(_box_ft(box, xi), series, rtol=1e-15, atol=0)
+        assert _box_ft(box, xi)[-1] == box.total_mass
 
     def test_non_reducible_pushforward_transform(self):
         # the shear (x1 + sin 2 pi x2, x2) keeps an integer x1-frequency, so

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys._oscillatory import exp_moments, plan
+from expsys._oscillatory import _guard_rows, _split_moments, _tensor_gauss, exp_moments, plan
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
 from expsys.measures import _MAX_ENTRIES, _box_ft
 from expsys.reconstruct import coefficients
@@ -535,7 +535,7 @@ def test_tensor_gauss_sizes_each_sub_rule_by_its_own_box():
     mu, box = es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), _half([0.0, 0.0], [1 / 64, 1 / 64])
     lam = np.array([1601.3, 1600.7])
     v, e = exp_moments(mu, es.Identity(2), [lam], es.gauss(128), weights=[(None, box)])
-    exact = _box_ft(es.LebesgueBox(*box), lam)
+    exact = _box_ft(es.LebesgueBox(*box), lam[None, :])[0]
     assert abs(v[0, 0] - exact) <= e[0, 0] + 1e-14
 
 
@@ -546,3 +546,122 @@ def test_weight_stack_budget_refused_before_building():
     k = _MAX_ENTRIES // n
     with pytest.raises(DomainError, match="weight stack"):
         exp_moments(mu, es.Identity(1), [[0.0]], quad, weights=[None] * (k + 1))
+
+
+# ---------------------------------------------------------------------------
+# the linear split of unit-weight columns on boxes
+# ---------------------------------------------------------------------------
+
+
+def _trig_shift(terms):
+    """l_k(p) = sum of a sin(2 pi f p_j + c) over (j, a, f, c), each j > k."""
+    return lambda p: sum(a * np.sin(2 * np.pi * f * p[:, j] + c) for j, a, f, c in terms)
+
+
+@st.composite
+def _linear_cases(draw):
+    """(box measure, phase with a linear part, frequencies, unit weights)."""
+    small, unit = st.floats(-1.0, 1.0), st.floats(0.25, 1.5)
+    affine = draw(st.booleans())
+    d = draw(st.integers(1, 3) if affine else st.integers(2, 3))
+    lo = np.array(draw(st.lists(small, min_size=d, max_size=d)))
+    mu = es.LebesgueBox(lo, lo + draw(st.lists(unit, min_size=d, max_size=d)))
+    if affine:
+        out = draw(st.integers(1, 3))
+        M = draw(st.lists(st.floats(-2.0, 2.0), min_size=out * d, max_size=out * d))
+        b = draw(st.lists(st.floats(-3.0, 3.0), min_size=out, max_size=out))
+        phi = es.Affine(np.reshape(M, (out, d)), b)
+    else:
+        out = d
+        shifts = []
+        for k in range(d - 1):
+            terms = [
+                (j, draw(small), draw(st.integers(0, 2)), draw(st.floats(0.0, 6.3)))
+                for j in range(k + 1, d)
+            ]
+            shifts.append(_trig_shift(terms))
+        phi = es.Unipotent(shifts, d)
+    m = draw(st.integers(17, 24))
+    lam = draw(st.lists(st.floats(-3.0, 3.0), min_size=m * out, max_size=m * out))
+    lam = np.reshape(lam, (m, out))
+    corner = draw(st.lists(st.floats(-1.5, 2.5), min_size=2 * d, max_size=2 * d))
+    box = _half(np.minimum(corner[:d], corner[d:]), np.maximum(corner[:d], corner[d:]))
+    return mu, phi, lam, [None, (None, box)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=_linear_cases())
+def test_linear_split_matches_the_full_rule(case):
+    mu, phi, lam, weights = case
+    quad = es.gauss(24)
+    boxes = [(None, None), weights[1]]
+    split, split_err = _split_moments(mu, phi, phi.linear_part(), lam, quad, boxes, 1)
+    full, full_err = _tensor_gauss(mu, None, phi, lam, quad, boxes, 1)
+    assert np.all(np.abs(split - full) <= split_err + full_err + 1e-12)
+    # the guard accepts it, and every row takes the split
+    vals, errs = exp_moments(mu, phi, lam, quad, weights=weights)
+    assert np.array_equal(vals, split) and np.array_equal(errs, split_err)
+
+
+class _FalselyLinear(es.PhaseMap):
+    """x -> x^2, claiming to be affine in x."""
+
+    in_dim = out_dim = 1
+
+    def _eval(self, pts):
+        return pts**2
+
+    def jacobian_batch(self, pts):
+        return 2 * pts[:, :, None]
+
+    def linear_part(self):
+        return (0,), np.eye(1)
+
+
+def test_guard_refuses_a_false_linear_part():
+    lam = np.arange(-16.0, 17.0)[:, None]
+    weights = [None, (None, _half([0.25], [0.75])), (lambda x: x[:, 0], None)]
+    phi, quad = _FalselyLinear(), es.gauss(32)
+    split, _ = _split_moments(UNIT, phi, phi.linear_part(), lam, quad, [(None, None)], 1)
+    full, _ = _tensor_gauss(UNIT, None, phi, lam, quad, [(None, None)], 1)
+    assert np.max(np.abs(split - full)) > 0.1  # the claim is false
+    vals, errs = exp_moments(UNIT, phi, lam, quad, weights=weights)
+    full_weights = [(None, None) if w is None else w for w in weights]
+    expected, expected_err = _tensor_gauss(UNIT, None, phi, lam, quad, full_weights, 1)
+    assert np.array_equal(vals, expected) and np.array_equal(errs, expected_err)
+
+
+@pytest.mark.parametrize(
+    "mu, phi",
+    [
+        (UNIT, es.Identity(1)),
+        (
+            es.LebesgueBox([0.0, 0.0], [1.0, 1.0]),
+            es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2),
+        ),
+    ],
+    ids=["identity", "shear"],
+)
+def test_sixteen_frequencies_run_the_full_rule(mu, phi):
+    lam = np.random.default_rng(5).uniform(-9.0, 9.0, (16, mu.dim))
+    weights = [(None, None), (None, _half([0.25] * mu.dim, [0.75] * mu.dim))]
+    vals, errs = exp_moments(mu, phi, lam, es.gauss(32), weights=weights)
+    full, full_err = _tensor_gauss(mu, None, phi, lam, es.gauss(32), weights, 1)
+    assert np.array_equal(vals, full) and np.array_equal(errs, full_err)
+
+
+def test_linear_split_is_closed_form_on_affine_boxes(monkeypatch):
+    # no coordinate remains, so every value is the box transform times
+    # e^{2 pi i lambda . b}, and the only rules built are the guard rows'
+    seen = _record_rule_edges(monkeypatch)
+    mu = es.LebesgueBox([0.0, -0.5], [1.0, 1.5])
+    phi = es.Affine([[1.0, 2.0], [0.0, 1.0]], [0.25, -1.0])
+    lam = es.integer_lattice(2, 3).points  # 49 frequencies
+    vals, errs = exp_moments(mu, phi, lam, es.gauss(32))
+    exact = _box_ft(mu, lam @ phi.M) * np.exp(2j * np.pi * (lam @ phi.b))
+    assert_allclose(vals[:, 0], exact, rtol=0, atol=1e-14)
+    assert np.all(errs < 1e-13)  # the stated round-off term only
+    built = list(seen)
+    seen.clear()
+    _tensor_gauss(mu, None, phi, lam[_guard_rows(lam)], es.gauss(32), [(None, None)], 1)
+    assert built == seen

@@ -52,6 +52,50 @@ class TestEval:
         with pytest.raises(DomainError):
             phi(np.array([[0.5, -1.0]]))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: es.Unipotent((lambda p: p[:, 1],), dim=2.5),
+            lambda: es.Unipotent((), dim=0),
+            lambda: es.Unipotent((), dim="1"),
+            lambda: es.CustomPhase(lambda p: p, 1.7, 1.2),
+            lambda: es.CustomPhase(lambda p: p, 0, 0),
+            lambda: es.CustomPhase(lambda p: p, 2, True),
+        ],
+        ids=[
+            "unipotent-2.5", "unipotent-0", "unipotent-str", "custom-1.7", "custom-0", "custom-bool",
+        ],
+    )
+    def test_phase_dims_must_be_positive_integers(self, build):
+        with pytest.raises(DomainError):
+            build()
+
+    def test_custom_phase_output_must_match_its_dim(self):
+        phi = es.CustomPhase(lambda p: p[:, 0] ** 2, 1, 2)
+        with pytest.raises(DomainError, match="expected"):
+            phi(np.zeros((3, 1)))
+
+    def test_linear_parts(self):
+        M = np.array([[2.0, 1.0], [0.5, -1.0], [0.0, 3.0]])
+        cols, C = es.Affine(M, [1.0, 2.0, 3.0]).linear_part()
+        assert cols == (0, 1) and np.array_equal(C, M)
+        cols, C = es.Identity(3).linear_part()
+        assert cols == (0, 1, 2) and np.array_equal(C, np.eye(3))
+        shear = es.Unipotent((lambda p: np.sin(p[:, 1]), lambda p: p[:, 2] ** 2), dim=3)
+        cols, C = shear.linear_part()
+        assert cols == (0,) and np.array_equal(C, [[1.0], [0.0], [0.0]])
+        # phi(x + t e_1) = phi(x) + t C[:, 0]
+        x = np.array([[0.3, -0.7, 1.1]])
+        assert_allclose(shear(x + [[0.25, 0.0, 0.0]]) - shear(x), 0.25 * C.T, atol=1e-15)
+        for phi in (
+            es.Triangular2D(z=np.exp),
+            es.Holhos(),
+            es.binary_to_quaternary(),
+            es.CustomPhase(lambda p: p, 1, 1),
+            es.compose(shear, es.Affine(np.eye(3), [1.0, 0.0, 0.0])),
+        ):
+            assert phi.linear_part() is None
+
 
 class TestJacobian:
     def test_unipotent_sin_shear_entries(self):
