@@ -26,10 +26,11 @@ remains.  It guards itself: 16 seeded frequencies (the largest-norm one
 always) also run the full rule and must agree within both errors + 1e-12,
 or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
-frequencies and weights by construction; the digit error adds the
-weight's finest-scale slope to the phase term.  Adaptive integrals stay one
-refinement per (frequency, weight).  A pushforward psi_*mu is integrated over
-mu with the phase and the weights evaluated at y = psi(x).
+frequencies and weights; samples are summed in 2^14-row blocks, and the
+digit error adds the weight's finest-scale slope to the phase term.
+Adaptive integrals stay one refinement per (frequency, weight).  A
+pushforward psi_*mu is integrated over mu with the phase and the weights
+evaluated at y = psi(x).
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ from .seeding import spawn_rng
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
 _GUARD_ROWS = 16  # frequencies of each linear-split call also run by the full rule
+MAX_THREADS = 64  # worker threads of one moment call; `--threads` has the same range
+# rows per Monte-Carlo block: a longer BLAS contraction adds round-off in sequence
+# (a 786,437-sample gate mean: 9e-15 off its pairwise sum at 2^18 rows, 4e-16 at 2^14)
+_MC_ROWS = 1 << 14
 
 
 def _chunk_size(n_nodes, n_weights):
@@ -255,18 +260,29 @@ def _contract(img, lam, W):
 
 
 def _mc_moments(mu, psi, phi, lam, quad, weights):
-    _check_entries(quad.n_samples, max(mu.dim, len(weights)), "sample set")
-    rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
-    pts = mu._sample(quad.n_samples, rng)
-    y = pts if psi is None else psi(pts)
-    W = _weight_matrix(weights, y)
-    n = pts.shape[0]
-    mean = _contract(phi(y), lam, W) / n
+    n = quad.n_samples
+    _check_entries(n, max(mu.dim, len(weights)), "sample set")
+    pts = mu._sample(n, spawn_rng(quad.seed, "mc-moments", mu.kind))
+    sums, sq = _mc_sums(pts, psi, phi, lam, weights)
+    mean = sums / n
     # per-column sample variance of w e^{i theta}; |e^{i theta}| == 1, so
     # sum |w z - mean|^2 == sum |w|^2 - n |mean|^2
-    sq = np.sum(np.abs(W) ** 2, axis=0)
     var = np.maximum(sq[None, :] - n * np.abs(mean) ** 2, 0.0) / (n - 1)
     return mu.total_mass * mean, mu.total_mass * np.sqrt(var / n)
+
+
+def _mc_sums(pts, psi, phi, lam, weights):
+    """(sums (m, k), sums of |w_j|^2 (k,)) of w_j(y) e^{2 pi i lambda . phi(y)},
+    y = psi(pts), with psi, the weights and phi run one _MC_ROWS block at a time."""
+    sums = np.zeros((lam.shape[0], len(weights)), dtype=complex)
+    sq = np.zeros(len(weights))
+    for lo in range(0, pts.shape[0], _MC_ROWS):
+        x = pts[lo:lo + _MC_ROWS]
+        y = x if psi is None else psi(x)
+        W = _weight_matrix(weights, y)
+        sums += _contract(phi(y), lam, W)
+        sq += np.sum(np.abs(W) ** 2, axis=0)
+    return sums, sq
 
 
 def _digit_moments(mu, psi, phi, lam, quad, weights):
@@ -277,28 +293,26 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     # Lipschitz tail bound: the dropped tail moves a node by at most
     # tail_width, and |d(w e^{i theta})| <= |dw| + |w| |d e^{i theta}|; the
     # weight's slope and the image span are read off adjacent finest-scale
-    # enumeration nodes (ascending order); column by column, so no (n, k)
-    # temporaries are made.
+    # enumeration nodes (k >= 2 digits, so some are adjacent), column by
+    # column; the nodes and each (n,) temporary are freed before the exp chunks.
     peaks = np.array([np.max(np.abs(col)) for col in W.T])
-    slopes = np.zeros(len(weights))
-    fine_span = 0.0
     dx = np.diff(pts[:, 0])
-    if dx.size:
-        gap = np.maximum(dx, tail_width)
-        slopes = np.array([np.max(np.abs(np.diff(col)) / gap) for col in W.T])
-        fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
-        if np.any(fine):
-            dimg = np.linalg.norm(np.diff(img, axis=0), axis=1)
-            fine_span = float(np.max(dimg[fine]))
-        else:
-            fine_span = float(tail_width)
+    del pts, y
+    gap = np.maximum(dx, tail_width)
+    slopes = np.array([np.max(np.abs(np.diff(col)) / gap) for col in W.T])
+    fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
+    fine_span = float(np.max(np.linalg.norm(np.diff(img, axis=0), axis=1)[fine]))
+    del dx, gap, fine
     phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
     errs = slopes * tail_width + peaks * phase[:, None]
     W *= w[:, None]
+    del w
     return _contract(img, lam, W), errs
 
 
 def _map_pool(fn, items, threads):
+    if not 1 <= threads <= MAX_THREADS:  # refused before any pool exists
+        raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
     if threads > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, items))

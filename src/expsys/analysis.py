@@ -31,14 +31,19 @@ MAX_GRAM_POINTS = 4096
 
 
 def unique_differences(points):
-    """(unique_diffs, inverse) with inverse indexing the (m, m) difference grid;
-    above MAX_GRAM_POINTS points it raises before any difference is formed."""
+    """(keys, inverse, freqs): the difference rows rounded to 12 digits, inverse
+    indexing the (m, m) difference grid, and each class's frequency, the
+    unrounded points[i] - points[j] of its first pair, mirrored so that
+    freqs[n - 1 - u] == -freqs[u] as for the keys (-0.0 folded into 0.0).
+    Above MAX_GRAM_POINTS points it raises before any difference is formed."""
     m = points.shape[0]
     if m > MAX_GRAM_POINTS:
         raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     diffs = points[:, None, :] - points[None, :, :]
-    uniq, inverse = unique_rows(diffs.reshape(m * m, -1))
-    return uniq, inverse.reshape(m, m)
+    keys, inverse, first = unique_rows(diffs.reshape(m * m, -1))
+    i, j = np.divmod(first[: first.size // 2 + 1], m)  # the zero class is the middle row
+    low = points[i] - points[j]
+    return keys, inverse.reshape(m, m), np.concatenate([low, -low[-2::-1]]) + 0.0
 
 
 @dataclass
@@ -90,9 +95,9 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     """Gram report of E(spectrum, phi) over mu, read off its difference table."""
     pts = spectrum.points
     m = pts.shape[0]
-    uniq, inverse = unique_differences(pts)
+    keys, inverse, freqs = unique_differences(pts)
     how = plan(mu, phi, quad, "gram")
-    vals, errs = how.moments(uniq, threads=threads)
+    vals, errs = how.moments(freqs, threads=threads)
     vals, errs = vals[:, 0], errs[:, 0]
 
     z = inverse[0, 0]  # the zero difference, on every diagonal entry
@@ -100,7 +105,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     if np.count_nonzero(inverse == z) == m:  # no off-diagonal pair rounds to zero
         off[z] = 0.0
     # G[j, i] = vals[n - 1 - inverse[i, j]]: fl(b - a) = -fl(a - b), rounding is odd and
-    # -0 is folded into 0, so -uniq[u] = uniq[n - 1 - u] (negation reverses lex order)
+    # -0 is folded into 0, so -keys[u] = keys[n - 1 - u] (negation reverses lex order)
     return GramReport(
         spectrum=spectrum,
         values=vals,
@@ -113,7 +118,7 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
         quad=quad,
         path=how.path,
         n_pairs=m * m,
-        n_unique_differences=int(uniq.shape[0]),
+        n_unique_differences=int(keys.shape[0]),
     )
 
 
@@ -476,8 +481,8 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     lam = lattice(np.eye(d), radius)
     if lam.size < 2:
         raise DomainError("truncation too small to compare any pair")
-    uniq, _ = unique_differences(lam.points)
+    _, _, freqs = unique_differences(lam.points)
     conj_phase = phases.compose(phases.Affine(M), phi)
-    g_conj, _ = plan(mu, conj_phase, quad, "gram").moments(uniq, threads=threads)
-    g_base, _ = plan(mu, phi, quad, "gram").moments(uniq @ M, threads=threads)
+    g_conj, _ = plan(mu, conj_phase, quad, "gram").moments(freqs, threads=threads)
+    g_base, _ = plan(mu, phi, quad, "gram").moments(freqs @ M, threads=threads)
     return float(np.max(np.abs(g_conj[:, 0] - g_base[:, 0])))

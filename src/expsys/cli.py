@@ -18,6 +18,7 @@ import time
 import numpy as np
 
 from . import analysis, measures, phases, reconstruct, repdisc, spectra, tiling
+from ._oscillatory import MAX_THREADS
 from .config import (
     as_scalar,
     build_measure,
@@ -278,7 +279,7 @@ def run(argv=None) -> int:
             src.add_argument("--config", help="path to a JSON config")
             src.add_argument("--preset", help="named preset")
             p.add_argument("--out", help="report path (overrides config 'out')")
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1, help=f"1 to {MAX_THREADS}")
     args = parser.parse_args(argv)
 
     if args.command == "list-presets":
@@ -287,6 +288,8 @@ def run(argv=None) -> int:
         return _EXIT_OK
 
     try:
+        if not 1 <= args.threads <= MAX_THREADS:
+            raise ConfigError(f"--threads must be in [1, {MAX_THREADS}], got {args.threads}")
         preset_name = None
         if args.preset is not None:
             if args.preset not in PRESETS:
@@ -312,7 +315,7 @@ def run(argv=None) -> int:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
         t0 = time.time()
-        result, verdict, write_csv = handler(cfg, seed, max(1, args.threads), options(cfg, kinds))
+        result, verdict, write_csv = handler(cfg, seed, args.threads, options(cfg, kinds))
         runtime = time.time() - t0
 
         report = {

@@ -64,7 +64,7 @@ _MAX_DEPTH = 64
 _MAX_RATIO = 1 << 15
 
 _SAMPLE_DEPTH = 30  # digits per self-similar sample
-_SAMPLE_CHUNK = 1 << 18  # samples per block of the digit sampler and the gate
+_SAMPLE_CHUNK = 1 << 18  # samples per block of the digit sampler
 _FT_TRUNC = 40  # product levels of a self-similar Fourier transform
 
 
@@ -622,54 +622,41 @@ def selfsimilar_moments(ss: SelfSimilar, xi, trunc):
 def validate_product_formula(ss: SelfSimilar) -> float:
     """Cross-validate the _FT_TRUNC-level product against independent oracles.
 
-    Oracle 1: exact digit-string enumeration of the truncated measure.
-    Oracle 2: Monte-Carlo digit sampling (6M points, tolerance 1e-3, fixed
-    internal seed), summed in _SAMPLE_CHUNK blocks so that no 6M-long
-    complex array is formed.  Returns the worst residual; raises
-    ProductFormulaError on failure.  Results are cached per digit system,
-    and the product-formula path refuses to run without a pass.
+    Oracle 1: exact digit-string enumeration of the truncated measure, the
+    engine's depth-30 digit rule.  Oracle 2: Monte-Carlo digit sampling (6M
+    points, tolerance 1e-3, fixed internal seed), summed in blocks by the
+    engine's Monte-Carlo sum.  Neither runs the product formula.  Returns
+    the worst residual; raises ProductFormulaError on failure.  Results are
+    cached per digit system, and the product-formula path refuses to run
+    without a pass.
     """
     key = ss.digit_key()
     if key in _PRODUCT_GATE:
         return _PRODUCT_GATE[key]
+    from ._oscillatory import _mc_sums, exp_moments  # lazy: both import this module
+    from .phases import Identity
     xi = np.array(_GATE_XI)
+    lam = xi[:, None]
     prod = _selfsimilar_product(ss, xi, _FT_TRUNC)
 
-    # one depth-30 node set, all three frequencies in one product
-    nodes, w, _ = digit_nodes(ss, 30)
-    Z = 2j * np.pi * xi * nodes
-    enum = w @ np.exp(Z, out=Z)
-    del nodes, w, Z  # free the 2^20-node arrays before the 6M-sample oracle
-    worst = 0.0
-    for x, p, enum_val in zip(xi, prod, enum):
-        resid = abs(p - enum_val)
-        worst = max(worst, resid)
-        if resid > _GATE_ENUM_TOL:
-            raise ProductFormulaError(
-                f"product formula disagrees with digit enumeration at xi={x}: "
-                f"|delta|={resid:.3e} > {_GATE_ENUM_TOL}"
-            )
+    def oracles():
+        # one at a time: the enumeration's 2^20 nodes are freed before the 6M samples
+        enum, _ = exp_moments(ss, Identity(1), lam, digit(30))
+        yield "digit enumeration", _GATE_ENUM_TOL, enum[:, 0]
+        pts = ss._sample(_GATE_MC_SAMPLES, spawn_rng(_GATE_SEED, "product-gate", key))
+        sums, _ = _mc_sums(pts, None, Identity(1), lam, [(None, None)])
+        yield "the sampling oracle", _GATE_MC_TOL, sums[:, 0] / _GATE_MC_SAMPLES
 
-    rng = spawn_rng(_GATE_SEED, "product-gate", key)
-    pts = ss._sample(_GATE_MC_SAMPLES, rng)[:, 0]
-    # sum e^{2 pi i xi x} for all three xi one sample block at a time
-    n = pts.size
-    m = min(n, _SAMPLE_CHUNK)
-    block = np.empty((xi.size, m), dtype=complex)
-    freq = (2j * np.pi * xi)[:, None]
-    total = np.zeros(xi.size, dtype=complex)
-    for lo in range(0, n, m):
-        z = block[:, : min(m, n - lo)]
-        np.multiply(freq, pts[lo:lo + m], out=z)
-        total += np.exp(z, out=z).sum(axis=1)
-    for x, p, mc in zip(xi, prod, total / n):
-        resid = abs(p - mc)
-        worst = max(worst, resid)
-        if resid > _GATE_MC_TOL:
-            raise ProductFormulaError(
-                f"product formula disagrees with the sampling oracle at xi={x}: "
-                f"|delta|={resid:.3e} > {_GATE_MC_TOL}"
-            )
+    worst = 0.0
+    for oracle, tol, values in oracles():
+        for x, p, v in zip(xi, prod, values):
+            resid = abs(p - v)
+            worst = max(worst, resid)
+            if resid > tol:
+                raise ProductFormulaError(
+                    f"product formula disagrees with {oracle} at xi={x}: "
+                    f"|delta|={resid:.3e} > {tol}"
+                )
     _PRODUCT_GATE[key] = worst
     return worst
 

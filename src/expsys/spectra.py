@@ -31,9 +31,9 @@ def round_in_place(a, decimals):
 
 
 def unique_rows(rows):
-    """(uniq, inverse) of the rows of a finite (n, d) array, rounded to 12
-    digits in place; uniq is sorted lexicographically as by np.unique(axis=0)
-    and -0.0 is folded into 0.0."""
+    """(uniq, inverse, first) of the rows of a finite (n, d) array, rounded to
+    12 digits in place; uniq is sorted lexicographically as by np.unique(axis=0),
+    -0.0 is folded into 0.0, and first[u] is the first row index of uniq[u]."""
     round_in_place(rows, 12)
     rows += 0.0
     order = np.lexsort(rows.T[::-1])
@@ -44,7 +44,8 @@ def unique_rows(rows):
         new[1:] |= col[1:] != col[:-1]
     inverse = np.empty(rows.shape[0], dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
-    return rows[order[new]], inverse
+    first = order[new]  # lexsort is stable
+    return rows[first], inverse, first
 
 
 @dataclass(frozen=True)

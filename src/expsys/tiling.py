@@ -82,16 +82,15 @@ def frac_histogram_test(
     """
     from scipy.special import chdtri  # chdtri(dof, 1 - q) == chi2.ppf(q, dof)
 
-    lo, hi = _as_box(box, phi)
-    d = lo.size
+    box = _as_box(box, phi)
+    d = box.dim
     if bins < 1:
         raise DomainError("bins must be >= 1")
     cells = bins**d
     if n < 10 * cells:
         raise DomainError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
     _, A_inv = generator(lattice_A, d)
-    rng = spawn_rng(seed, "frac-histogram")
-    pts = lo + rng.random((n, d)) * (hi - lo)
+    pts = box._sample(n, spawn_rng(seed, "frac-histogram"))
     t = _finite_image(phi, pts) @ A_inv.T
     frac = t - np.floor(t)
     idx = np.clip((frac * bins).astype(int), 0, bins - 1)
@@ -201,13 +200,12 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     (probe available in the phases module).  More than 1% inversion failures
     invalidates the estimate.
     """
-    lo, hi = _as_box(box, phi)
+    box = _as_box(box, phi)
     k = np.asarray(k, dtype=float)
-    vol = float(np.prod(hi - lo))
+    vol = box.total_mass
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
-    pts = lo + rng.random((n, lo.size)) * (hi - lo)
-    y = phi(pts) + k
-    inside, failed = (membership or _membership(phi, lo, hi))(y)
+    y = phi(box._sample(n, rng)) + k
+    inside, failed = (membership or _membership(phi, box.lo, box.hi))(y)
     failures = int(np.count_nonzero(failed))
     p = float(np.count_nonzero(inside)) / n
     se = vol * math.sqrt(max(p * (1 - p), 0.0) / n)
@@ -263,8 +261,8 @@ def tiling_verdict(
     """
     if radius < 1:
         raise DomainError(f"radius must be >= 1 for any translate to be checked, got {radius}")
-    lo, hi = _as_box(box, phi)
-    d = lo.size
+    box = _as_box(box, phi)
+    d = box.dim
     draws = n * (2 * radius + 1) ** d
     if draws > MAX_TILING_DRAWS:
         raise DomainError(
@@ -272,12 +270,12 @@ def tiling_verdict(
             f"above {MAX_TILING_DRAWS}; lower n or radius"
         )
     A, _ = generator(lattice_A, d)
-    vol = float(np.prod(hi - lo))
+    vol = box.total_mass
 
-    membership = _membership(phi, lo, hi)
+    membership = _membership(phi, box.lo, box.hi)
 
     hist = frac_histogram_test(phi, box, A, n=n, bins=bins, seed=seed)
-    pres = measure_preservation_check(phi, LebesgueBox(lo, hi), n=min(n, 20_000), seed=seed)
+    pres = measure_preservation_check(phi, box, n=min(n, 20_000), seed=seed)
     volume_match = pres.passed and abs(vol - abs(np.linalg.det(A))) <= 1e-9 * max(
         vol, 1.0
     )
@@ -314,8 +312,8 @@ def tiling_verdict(
 
 
 def _as_box(box, phi):
-    """(lo, hi) of a LebesgueBox or a (lo, hi) pair, checked as LebesgueBox does,
-    for a phase that maps the box's dimension to itself."""
+    """A LebesgueBox, or one built from a (lo, hi) pair, for a phase that maps
+    the box's dimension to itself."""
     if not isinstance(box, LebesgueBox):
         box = LebesgueBox(*box)
     if (phi.in_dim, phi.out_dim) != (box.dim, box.dim):
@@ -323,4 +321,4 @@ def _as_box(box, phi):
             f"the phase maps dimension {phi.in_dim} to {phi.out_dim}; "
             f"tiling needs the box's dimension {box.dim} to itself"
         )
-    return box.support_box()
+    return box

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import expsys as es
 from expsys.analysis import FAIL, INCONCLUSIVE, PASS, unique_differences
 from expsys.analysis import TestFunction as TFn
+from expsys.measures import _box_ft
 
 # Frozen oracle values (scripts: high-order Gauss-Legendre, 400 nodes; the
 # z = e^{x2} entry cross-checked against a 1e7-sample Monte-Carlo run).
@@ -74,6 +75,20 @@ class TestGram:
                         if pts[i] - pts[j] == pts[k] - pts[l]:
                             assert rep.entries[i, j] == rep.entries[k, l]
 
+    def test_irrational_lattice_entries_sit_at_exact_differences(self):
+        # the 12-digit class keys move these frequencies by up to 5e-13, which
+        # moves a key-integrated entry by 1.4e-12; each class is integrated at
+        # the unrounded difference of its first pair instead
+        A = np.array([[np.sqrt(2.0), 1.0 / 3.0], [0.0, np.pi / 4.0]])
+        spectrum = es.lattice(A, 4.0)
+        mu = es.LebesgueBox([0.0, 0.0], [1.0, 2.0])
+        rep = es.gram(mu, es.Identity(2), spectrum, es.gauss(32))
+        k = np.round(spectrum.points @ np.linalg.inv(A).T)
+        at_exact = _box_ft(mu, ((k[:, None, :] - k[None, :, :]) @ A.T).reshape(-1, 2))
+        assert np.max(np.abs(rep.entries.ravel() - at_exact)) <= 1e-14
+        keys, inverse, _ = unique_differences(spectrum.points)
+        assert np.max(np.abs(_box_ft(mu, keys)[inverse].ravel() - at_exact)) > 1e-13
+
     def test_hermiticity_invariant(self):
         for rep in (
             es.gram(unit_box(), es.Identity(1), es.integer_lattice(1, 8), es.gauss(48)),
@@ -123,8 +138,8 @@ def reference_unique_differences(points):
     0.0 first: np.unique keeps whichever sign its unstable sort puts first."""
     m = points.shape[0]
     keys = np.round((points[:, None, :] - points[None, :, :]).reshape(m * m, -1), 12)
-    uniq, inverse = np.unique(keys + 0.0, axis=0, return_inverse=True)
-    return uniq, inverse.reshape(m, m)
+    uniq, first, inverse = np.unique(keys + 0.0, axis=0, return_index=True, return_inverse=True)
+    return uniq, inverse.reshape(m, m), first
 
 
 # coordinates on a coarse grid, nudged to within 1e-12 of the grid value (and
@@ -161,11 +176,19 @@ class TestUniqueDifferences:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(explicit_points(), structured_points))
     def test_matches_np_unique(self, points):
-        uniq, inverse = unique_differences(points.copy())
-        ref_uniq, ref_inverse = reference_unique_differences(points)
+        uniq, inverse, freqs = unique_differences(points.copy())
+        ref_uniq, ref_inverse, ref_first = reference_unique_differences(points)
         assert np.array_equal(uniq, ref_uniq)
         assert np.array_equal(np.signbit(uniq), np.signbit(ref_uniq))
         assert np.array_equal(inverse, ref_inverse)
+        # each class at the unrounded difference of its first pair, the upper
+        # half at the negated lower half
+        i, j = np.divmod(ref_first, points.shape[0])
+        low = slice(0, uniq.shape[0] // 2 + 1)
+        assert np.array_equal(freqs[low], (points[i] - points[j])[low])
+        assert np.array_equal(freqs, -freqs[::-1])
+        assert not np.any(np.signbit(freqs) & (freqs == 0))
+        assert np.array_equal(np.round(freqs, 12) + 0.0, uniq)
 
     def test_refuses_above_the_gram_cap_before_any_difference(self):
         from expsys.analysis import MAX_GRAM_POINTS
@@ -220,7 +243,7 @@ class TestDifferenceTable:
         )
     )
     def test_scalars_match_dense_gram(self, points):
-        uniq, _ = unique_differences(points.copy())
+        uniq, _, _ = unique_differences(points.copy())
         assert np.array_equal(uniq, -uniq[::-1])
         mu = unit_box(points.shape[1])
         spectrum = es.SpectrumSet(points, {"kind": "explicit"})

@@ -764,6 +764,22 @@ class TestSpecCliExamples:
         assert reps[0][0] == reps[1][0] == 2
         assert serialize_report(reps[0][1]) == serialize_report(reps[1][1])
 
+    @pytest.mark.parametrize("threads", ["0", "-2", "65", "1000000"])
+    def test_threads_outside_their_range_refused_before_any_work(
+        self, monkeypatch, capsys, threads
+    ):
+        import expsys._oscillatory
+        import expsys.cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("work started")
+
+        monkeypatch.setattr(expsys._oscillatory, "ThreadPoolExecutor", never)
+        monkeypatch.setattr(expsys.cli, "build_measure", never)
+        code = run(["verify-onb", "--preset", "identity-1d", "--threads", threads])
+        assert code == 3
+        assert "--threads must be in [1, 64]" in capsys.readouterr().err
+
     def test_gram_csv_artifact(self, tmp_path):
         cfg = json.loads(json.dumps(PRESETS["identity-1d"]["config"]))
         cfg["spectrum"]["radius"] = 2

@@ -5,10 +5,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
+from expsys import _oscillatory
 from expsys._oscillatory import _guard_rows, _split_moments, _tensor_gauss, exp_moments, plan
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
 from expsys.measures import _MAX_ENTRIES, _box_ft
 from expsys.reconstruct import coefficients
+from expsys.seeding import spawn_rng
 
 
 def _half(lo, hi):
@@ -430,8 +432,18 @@ def test_plan_is_the_one_decision_point():
         # every other moment call goes through a plan; integrate is the engine's
         # lambda = 0 moment under the caller's own rule
         if path in library and path.stem != "_oscillatory":
-            expected = {"integrate"} if path.stem == "measures" else set()
+            expected = set()
+            if path.stem == "measures":  # the gate's enumeration oracle is the digit rule
+                expected = {"integrate", "validate_product_formula"}
             assert _users(path, "exp_moments") == expected, path.name
+
+
+def test_measures_exponentiates_only_in_its_closed_forms():
+    # the product-formula gate's oracles run on the engine, not on an exp of their own
+    from pathlib import Path
+
+    path = Path(es.__file__).parent / "measures.py"
+    assert _users(path, "exp") == {"_mask_value", "_box_ft", "_disc_ft"}
 
 
 def test_product_formula_plan_takes_the_unit_weight_only():
@@ -665,3 +677,66 @@ def test_linear_split_is_closed_form_on_affine_boxes(monkeypatch):
     seen.clear()
     _tensor_gauss(mu, None, phi, lam[_guard_rows(lam)], es.gauss(32), [(None, None)], 1)
     assert built == seen
+
+
+# ---------------------------------------------------------------------------
+# the blocked Monte-Carlo sum
+# ---------------------------------------------------------------------------
+
+
+def _one_shot_mc_moments(mu, psi, phi, lam, quad, weights):
+    """The Monte-Carlo rule as one contraction over every sample."""
+    rng = spawn_rng(quad.seed, "mc-moments", mu.kind)
+    pts = mu._sample(quad.n_samples, rng)
+    y = pts if psi is None else psi(pts)
+    W = _oscillatory._weight_matrix(weights, y)
+    n = pts.shape[0]
+    mean = _oscillatory._contract(phi(y), lam, W) / n
+    sq = np.sum(np.abs(W) ** 2, axis=0)
+    var = np.maximum(sq[None, :] - n * np.abs(mean) ** 2, 0.0) / (n - 1)
+    return mu.total_mass * mean, mu.total_mass * np.sqrt(var / n)
+
+
+MC_BOX = es.LebesgueBox([0.0, -1.0], [1.0, 2.0])
+MC_SHEAR = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
+# a unit, a boxed and a complex weight, |w| <= 2 on the box and its image
+MC_WEIGHTS = [
+    (None, None),
+    (None, _half([0.2, 0.0], [0.7, 1.5])),
+    (lambda y: np.exp(1j * y[:, 0]) * y[:, 1], None),
+]
+MC_LAM = np.array([[0.0, 0.0], [1.0, -2.0], [3.5, 0.25], [-7.0, 4.0]])
+
+
+@pytest.mark.parametrize(
+    "n, pushed",
+    [(1, False), (2**18 - 1, False), (2**18 + 3, False), (3 * 2**18 + 5, False), (2**18 + 3, True)],
+)
+def test_blocked_mc_moments_match_one_contraction(n, pushed):
+    psi = es.Affine([[1.0, 0.5], [0.0, 1.0]], [0.1, 0.0]) if pushed else None
+    pts = MC_BOX._sample(n, np.random.default_rng(n))
+    sums, sq = _oscillatory._mc_sums(pts, psi, MC_SHEAR, MC_LAM, MC_WEIGHTS)
+    y = pts if psi is None else psi(pts)
+    W = _oscillatory._weight_matrix(MC_WEIGHTS, y)
+    one_shot = _oscillatory._contract(MC_SHEAR(y), MC_LAM, W)
+    assert_allclose(sums, one_shot, rtol=0, atol=1e-15 * 2 * n)
+    assert_allclose(sq, np.sum(np.abs(W) ** 2, axis=0), rtol=1e-12, atol=0)
+    if n > 1:  # a sample variance needs two samples
+        quad = es.monte_carlo(n, seed=3)
+        vals, errs = _oscillatory._mc_moments(MC_BOX, psi, MC_SHEAR, MC_LAM, quad, MC_WEIGHTS)
+        ref, ref_errs = _one_shot_mc_moments(MC_BOX, psi, MC_SHEAR, MC_LAM, quad, MC_WEIGHTS)
+        assert_allclose(vals, ref, rtol=0, atol=1e-15 * 2 * MC_BOX.total_mass)
+        assert_allclose(errs, ref_errs, rtol=1e-12, atol=0)
+
+
+def test_thread_count_refused_before_any_pool(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a thread pool was built")
+
+    monkeypatch.setattr(_oscillatory, "ThreadPoolExecutor", never)
+    box = es.LebesgueBox([0.0], [1.0])
+    for threads in (0, _oscillatory.MAX_THREADS + 1, 10**6):
+        with pytest.raises(DomainError, match="threads must be in"):
+            _oscillatory._map_pool(abs, list(range(8192)), threads)
+        with pytest.raises(DomainError, match="threads must be in"):
+            exp_moments(box, es.Identity(1), [[1.0]], es.gauss(16), threads=threads)
