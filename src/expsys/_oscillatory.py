@@ -379,7 +379,8 @@ def _split_moments(mu, phi, linear, lam, quad, boxes, threads):
             if not np.all(hi > lo):  # empty, inverted or outside: integrates to 0
                 continue
         factor = measures._box_ft(LebesgueBox(lo[cols], hi[cols]), coef)
-        reach = np.minimum(np.pi * np.abs(coef), 1 / (hi[cols] - lo[cols]))
+        with np.errstate(over="ignore"):  # 1 / w is inf for a subnormal width w
+            reach = np.minimum(np.pi * np.abs(coef), 1 / (hi[cols] - lo[cols]))
         reach = reach @ (np.abs(lo[cols]) + np.abs(hi[cols]))
         roundoff = 8 * eps * np.prod(hi - lo) * (len(cols) + reach)
         if rest:

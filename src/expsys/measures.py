@@ -65,6 +65,7 @@ _MAX_RATIO = 1 << 15
 
 _SAMPLE_DEPTH = 30  # digits per self-similar sample
 _SAMPLE_CHUNK = 1 << 18  # samples per block of the digit sampler
+_GUIDE_BITS = 12  # a digit sampler's guide table has at most 2^12 bins
 _FT_TRUNC = 40  # product levels of a self-similar Fourier transform
 
 
@@ -282,6 +283,33 @@ class LebesgueDisc(Measure):
         return f"LebesgueDisc({self.center.tolist()}, {self.radius})"
 
 
+def _guide_table(cuts):
+    """(K, passes, guide, cuts_k, digit): an exact guide table for the sorted cuts.
+
+    The digit of a uniform u in [0, 1) is the number of cuts <= u, which is
+    C[j] with j the number of distinct cuts v <= u (duplicate cuts come from
+    zero-weight digits).  With K = 2^p bins, guide[b] counts the v <= b / K,
+    and at most `passes` distinct cuts lie strictly inside one bin, so from
+    j = guide[floor(u K)] that many steps of j += (u K >= cuts_k[j]) reach
+    it; cuts_k is v K with +inf appended.  Scaling by a power of two and
+    the floor are exact, so ties at a cut fall as in searchsorted(cuts, u,
+    side="right").  K is the smallest power of two up to 2^_GUIDE_BITS with
+    the fewest passes.  `digit` maps the final index to the digit: C[j], or
+    C[guide[b]] straight from the bin when there are no passes.
+    """
+    v, counts = np.unique(cuts, return_counts=True)
+    C = np.concatenate([[0], np.cumsum(counts)])
+    inside = []  # the most distinct cuts strictly inside one of 2^p bins
+    for p in range(_GUIDE_BITS + 1):
+        vk = v * (1 << p)
+        bins = np.floor(vk[(vk < 1 << p) & (vk != np.floor(vk))])
+        inside.append(int(np.unique(bins, return_counts=True)[1].max(initial=0)))
+    passes = min(inside)
+    K = 1 << inside.index(passes)
+    guide = np.searchsorted(v, np.arange(K) / K, side="right")
+    return K, passes, guide, np.append(v * K, np.inf), C if passes else C[guide]
+
+
 class SelfSimilar(Measure):
     """Equal-contraction digit measure: law of sum_i d_{J_i} ratio^-i, J_i iid.
 
@@ -315,6 +343,7 @@ class SelfSimilar(Measure):
         self._offsets = np.array([d for d, _ in digits])
         self._weights = np.array([w for _, w in digits])
         self._cumw = np.cumsum(self._weights)
+        self._guide = _guide_table(self._cumw[:-1])
 
     def support_box(self):
         lo = self._offsets.min() / (self.ratio - 1)
@@ -327,22 +356,34 @@ class SelfSimilar(Measure):
         Each level draws its n uniforms in order, so the stream is that of
         one `rng.random(n)` per level.  A uniform u picks the digit counted
         by the first k - 1 cumulative weights that are <= u (a zero-weight
-        digit is never picked).  The uniforms and the gathered step reuse
-        preallocated block buffers.
+        digit is never picked), read from the guide table of `_guide_table`:
+        the bin floor(u K), then one step per pass over the distinct cuts
+        inside that bin; with no passes the bin indexes the digit table
+        directly.  Every step is exact, so the draws are those of
+        `searchsorted(cumw[:-1], u, side="right")` bit for bit.  The
+        uniforms, the index and the gathered step reuse preallocated block
+        buffers.
         """
+        K, passes, guide, cuts_k, digit = self._guide
         x = np.zeros(n)
         m = min(n, _SAMPLE_CHUNK)
         u = np.empty(m)
+        idx = np.empty(m, dtype=np.intp)
         step = np.empty(m)
-        cuts = self._cumw[:-1]
         scale = 1.0
         for _ in range(_SAMPLE_DEPTH):
             scale /= self.ratio
-            table = self._offsets * scale
+            table = self._offsets[digit] * scale
             for lo in range(0, n, m):
                 c = min(m, n - lo)
-                idx = np.searchsorted(cuts, rng.random(out=u[:c]), side="right")
-                x[lo:lo + c] += np.take(table, idx, out=step[:c], mode="clip")
+                uk = np.multiply(rng.random(out=u[:c]), K, out=u[:c])
+                j = idx[:c]
+                np.copyto(j, uk, casting="unsafe")  # floor(u K), as u K >= 0
+                if passes:
+                    np.take(guide, j, out=j, mode="clip")
+                    for _ in range(passes):
+                        j += uk >= np.take(cuts_k, j, out=step[:c], mode="clip")
+                x[lo:lo + c] += np.take(table, j, out=step[:c], mode="clip")
         return x[:, None]
 
     def digit_key(self):
@@ -516,20 +557,24 @@ def digit_nodes(ss: SelfSimilar, depth: int):
 
     The effective depth is min(depth, cap) keeping the node count below
     ~2^20; each node is shifted by the mean of the dropped tail so the
-    truncation is centered.  Returns (pts (n,1), weights (n,), tail_width).
+    truncation is centered.  Digits are enumerated in ascending offset order
+    (stable for equal offsets), so the nodes do not depend on the order the
+    digits are listed in.  Returns (pts (n,1), weights (n,), tail_width).
     """
     k = len(ss.digits)
     cap = max(1, int(math.log(_MAX_DIGIT_NODES) / math.log(max(k, 2))))
     d_eff = min(depth, cap) if k > 1 else depth
+    order = np.argsort(ss._offsets, kind="stable")
+    offsets, digit_weights = ss._offsets[order], ss._weights[order]
     pts = np.zeros(1)
     weights = np.ones(1)
     scale = 1.0
     for _ in range(d_eff):
         scale /= ss.ratio
-        pts = (pts[:, None] + ss._offsets[None, :] * scale).ravel()
-        weights = (weights[:, None] * ss._weights[None, :]).ravel()
-    mean_digit = float(ss._offsets @ ss._weights)
-    span = float(ss._offsets.max() - ss._offsets.min())
+        pts = (pts[:, None] + offsets[None, :] * scale).ravel()
+        weights = (weights[:, None] * digit_weights[None, :]).ravel()
+    mean_digit = float(offsets @ digit_weights)
+    span = float(offsets.max() - offsets.min())
     geo = scale / (ss.ratio - 1)  # sum of ratio^-i for i > d_eff
     pts = pts + mean_digit * geo
     tail_width = span * geo

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
@@ -194,6 +196,60 @@ class TestSample:
             want = self._level_loop(ss, n, np.random.default_rng(seed))
             assert got.shape == (n, 1)
             assert np.array_equal(got, want)
+
+    class _Uniforms:
+        """A generator stub whose every `random` call writes the chosen u."""
+
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, out):
+            out[:] = self.u[: out.size]
+            return out
+
+    @pytest.mark.parametrize(
+        "ss, guide",
+        [
+            (es.SelfSimilar(4, tuple((float(d), 0.25) for d in range(4))), (4, 0)),
+            (
+                es.SelfSimilar(8, tuple((float(d), 0.5 * (d in (1, 4))) for d in range(6))),
+                (2, 0),
+            ),
+            (es.SelfSimilar(4, ((0.0, 0.5), (1.0, 1e-13), (2.0, 0.5 - 1e-13))), (2, 1)),
+            (es.SelfSimilar(2, tuple((float(d), 1 / 4097) for d in range(4097))), (4096, 1)),
+        ],
+        ids=["cuts-on-bin-edges", "duplicate-cuts", "1e-13-weight", "4097-digits"],
+    )
+    def test_ties_fall_as_in_searchsorted(self, ss, guide, monkeypatch):
+        # random draws never hit a cut, so a stub writes each cut, the double
+        # below it, 0 and the largest uniform; (K, passes) is the guide table
+        # size: 4097 digits need a pass per bin at the 2^12-bin cap
+        import expsys.measures as m
+
+        assert ss._guide[:2] == guide
+        cuts = ss._cumw[:-1]
+        u = np.concatenate([cuts, np.nextafter(cuts, -1.0), [0.0, 1.0 - 2.0**-53]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        # one level at a power-of-two ratio: x * ratio is the digit index
+        monkeypatch.setattr(m, "_SAMPLE_DEPTH", 1)
+        got = ss._sample(u.size, self._Uniforms(u))[:, 0] * ss.ratio
+        assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
+
+    @settings(derandomize=True, max_examples=5, deadline=None)
+    @given(
+        k=st.integers(2, 1000),
+        seed=st.integers(0, 2**32 - 1),
+        zero_share=st.floats(0.0, 0.9),
+        n=st.integers(2**18 - 2, 2**18 + 2),
+    )
+    def test_guide_table_draws_the_level_loop_stream(self, k, seed, zero_share, n):
+        # digit systems with random zero weights; n straddles the 2^18 block
+        gen = np.random.default_rng(seed)
+        w = gen.random(k) * (gen.random(k) >= zero_share)
+        w[gen.choice(k, 2, replace=False)] += 1.0
+        ss = es.SelfSimilar(k + 1, tuple(zip(range(k), w / w.sum())))
+        got = ss._sample(n, np.random.default_rng(seed))
+        assert np.array_equal(got, self._level_loop(ss, n, np.random.default_rng(seed)))
 
 
 class TestPushforward:

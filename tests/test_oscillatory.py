@@ -560,6 +560,19 @@ def test_weight_stack_budget_refused_before_building():
         exp_moments(mu, es.Identity(1), [[0.0]], quad, weights=[None] * (k + 1))
 
 
+def test_digit_rule_does_not_depend_on_the_digit_listing():
+    # the error model reads adjacent enumeration nodes: listed descending,
+    # the digits gave errors up to 35.6 where ascending gave 1.9e-10
+    lam = [[0.0], [1.0], [4.0], [17.0]]
+    (v_up, e_up), (v_down, e_down) = (
+        exp_moments(es.SelfSimilar(4, digits), es.Identity(1), lam, es.digit(30))
+        for digits in (((0.0, 0.5), (2.0, 0.5)), ((2.0, 0.5), (0.0, 0.5)))
+    )
+    assert np.array_equal(v_down, v_up)
+    assert np.array_equal(e_down, e_up)
+    assert np.max(e_down) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # the linear split of unit-weight columns on boxes
 # ---------------------------------------------------------------------------
@@ -613,6 +626,18 @@ def test_linear_split_matches_the_full_rule(case):
     # the guard accepts it, and every row takes the split
     vals, errs = exp_moments(mu, phi, lam, quad, weights=weights)
     assert np.array_equal(vals, split) and np.array_equal(errs, split_err)
+
+
+def test_linear_split_on_a_subnormal_width_box():
+    # the clip box [0, 2.2e-309] x [0, 1] makes the round-off bound's
+    # 1 / w overflow; the bound must stay finite and the split match the rule
+    mu, phi = es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), es.Affine(np.eye(2))
+    lam = np.array([[0.0, 0.0], [1.0, -2.0], [2.5, 0.5]])
+    boxes = [(None, None), (None, _half([0.0, 0.0], [2.22507386e-309, 1.0]))]
+    split, split_err = _split_moments(mu, phi, phi.linear_part(), lam, es.gauss(24), boxes, 1)
+    full, full_err = _tensor_gauss(mu, None, phi, lam, es.gauss(24), boxes, 1)
+    assert np.all(np.isfinite(split_err))
+    assert np.all(np.abs(split - full) <= split_err + full_err + 1e-12)
 
 
 class _FalselyLinear(es.PhaseMap):
