@@ -17,8 +17,9 @@ the measure's cells; frequencies with one panel layout share a rule.  Its
 work items are (box, layout, cell, order) rules: each builds its tensor
 grid, weights and phase image when it runs and frees them when it returns.
 The measure gives its cells and their node map: a box is one cell, a disc
-four polar quadrants whose two-order errors add.  Unit-weight columns on a
-box (no pushforward) take the linear split when phi names a linear part
+four polar quadrants whose two-order errors add.  A call whose weights are
+the one unit column [(None, None)], as every Gram call's are, on a box (no
+pushforward) takes the linear split when phi names a linear part
 (`PhaseMap.linear_part`, coordinates x_cols with constant coefficients C):
 the 1-d box factors at C^T lambda times the full rule's moment of the
 remaining box under x' -> phi(x_cols = 0, x'), closed form when none
@@ -320,26 +321,19 @@ def _map_pool(fn, items, threads):
 
 
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
-    """Tensor-gauss moments.  Unit-weight columns on a box take the linear
-    split when phi names a linear part, more than _GUARD_ROWS frequencies ask
-    and the guard rows agree with the full rule; everything else runs it."""
-    unit = [j for j, (fn, _) in enumerate(weights) if fn is None]
+    """Tensor-gauss moments.  The one unit column [(None, None)] on a box takes
+    the linear split when phi names a linear part, more than _GUARD_ROWS
+    frequencies ask and the guard rows agree with the full rule; every other
+    call runs the full rule."""
     linear = phi.linear_part() if psi is None and isinstance(mu, LebesgueBox) else None
+    unit = len(weights) == 1 and weights[0][0] is None and weights[0][1] is None
     if linear is None or not unit or lam.shape[0] <= _GUARD_ROWS:
         return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
-    boxes = [weights[j] for j in unit]
-    split_vals, split_errs = _split_moments(mu, phi, linear, lam, quad, boxes, threads)
+    vals, errs = _split_moments(mu, phi, linear, lam, quad, threads)
     rows = _guard_rows(lam)
-    full_vals, full_errs = _tensor_gauss(mu, None, phi, lam[rows], quad, boxes, threads)
-    if not np.all(np.abs(split_vals[rows] - full_vals) <= split_errs[rows] + full_errs + 1e-12):
+    full_vals, full_errs = _tensor_gauss(mu, None, phi, lam[rows], quad, weights, threads)
+    if not np.all(np.abs(vals[rows] - full_vals) <= errs[rows] + full_errs + 1e-12):
         return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
-    vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
-    errs = np.zeros(vals.shape)
-    vals[:, unit], errs[:, unit] = split_vals, split_errs
-    rest = [j for j, (fn, _) in enumerate(weights) if fn is not None]
-    if rest:
-        rest_weights = [weights[j] for j in rest]
-        vals[:, rest], errs[:, rest] = _tensor_gauss(mu, psi, phi, lam, quad, rest_weights, threads)
     return vals, errs
 
 
@@ -351,52 +345,40 @@ def _guard_rows(lam):
     return np.sort(np.append(picked, top))
 
 
-def _split_moments(mu, phi, linear, lam, quad, boxes, threads):
-    """(values, errors), each (m, k), of unit weights on the box mu (each
-    clipped to its support box) when phi is affine in the coordinates `cols`
-    with the coefficient block C, linear = (cols, C): the 1-d box factors at
-    (C^T lambda)_j times the moment of the remaining box under
-    x' -> phi(x_cols = 0, x'), which the full rule integrates (e^{2 pi i
-    lambda . phi(0)} when no coordinate remains).  The error is |factors|
-    times that rule's two-order error (8 eps pi sum_k |lambda_k phi(0)_k|
-    for the closed form) plus the factors' round-off, 8 eps vol (len(cols) +
-    sum_j min(pi |(C^T lambda)_j|, 1 / w_j) (|lo_j| + |hi_j|)): each factor
-    w sinc(xi w) e^{pi i xi (lo + hi)} errs by a few eps w in its sinc and by
-    its own size, at most min(w, 1 / (pi |xi|)), times the phase's
-    3 eps pi |xi| (|lo| + |hi|)."""
+def _split_moments(mu, phi, linear, lam, quad, threads):
+    """(values, errors), each (m, 1), of the unit weight on the box mu when phi
+    is affine in the coordinates `cols` with the coefficient block C, linear =
+    (cols, C): the 1-d box factors at (C^T lambda)_j times the moment of the
+    remaining box under x' -> phi(x_cols = 0, x'), which the full rule
+    integrates (e^{2 pi i lambda . phi(0)} when no coordinate remains).  The
+    error is |factors| times that rule's two-order error (8 eps pi sum_k
+    |lambda_k phi(0)_k| for the closed form) plus the factors' round-off,
+    8 eps vol (len(cols) + sum_j min(pi |(C^T lambda)_j|, 1 / w_j) (|lo_j| +
+    |hi_j|)): each factor w sinc(xi w) e^{pi i xi (lo + hi)} errs by a few eps
+    w in its sinc and by its own size, at most min(w, 1 / (pi |xi|)), times
+    the phase's 3 eps pi |xi| (|lo| + |hi|)."""
     cols, C = linear
     cols = list(cols)
     rest = [i for i in range(mu.dim) if i not in cols]
+    lo, hi = mu.lo, mu.hi
     coef = lam @ C  # row i: (C^T lambda_i)
     eps = np.finfo(float).eps
-    vals = np.zeros((lam.shape[0], len(boxes)), dtype=complex)
-    errs = np.zeros(vals.shape)
-    for j, (_, box) in enumerate(boxes):
-        lo, hi = mu.lo, mu.hi
-        if box is not None:
-            box = np.asarray(box, dtype=float)
-            lo, hi = np.maximum(box[0], lo), np.minimum(box[1], hi)
-            if not np.all(hi > lo):  # empty, inverted or outside: integrates to 0
-                continue
-        factor = measures._box_ft(LebesgueBox(lo[cols], hi[cols]), coef)
-        with np.errstate(over="ignore"):  # 1 / w is inf for a subnormal width w
-            reach = np.minimum(np.pi * np.abs(coef), 1 / (hi[cols] - lo[cols]))
-        reach = reach @ (np.abs(lo[cols]) + np.abs(hi[cols]))
-        roundoff = 8 * eps * np.prod(hi - lo) * (len(cols) + reach)
-        if rest:
-            embed = phases.Affine(np.eye(mu.dim)[:, rest])
-            sub, sub_err = _tensor_gauss(
-                LebesgueBox(lo[rest], hi[rest]), None, phases.compose(phi, embed),
-                lam, quad, [(None, None)], threads,
-            )
-            sub, sub_err = sub[:, 0], sub_err[:, 0]
-        else:
-            origin = phi(np.zeros(mu.dim))
-            sub = np.exp(2j * np.pi * (lam @ origin))
-            sub_err = 8 * eps * np.pi * (np.abs(lam) @ np.abs(origin))
-        vals[:, j] = factor * sub
-        errs[:, j] = np.abs(factor) * sub_err + roundoff
-    return vals, errs
+    factor = measures._box_ft(LebesgueBox(lo[cols], hi[cols]), coef)[:, None]
+    with np.errstate(over="ignore"):  # 1 / w is inf for a subnormal width w
+        reach = np.minimum(np.pi * np.abs(coef), 1 / (hi[cols] - lo[cols]))
+    reach = reach @ (np.abs(lo[cols]) + np.abs(hi[cols]))
+    roundoff = 8 * eps * np.prod(hi - lo) * (len(cols) + reach[:, None])
+    if rest:
+        embed = phases.Affine(np.eye(mu.dim)[:, rest])
+        sub, sub_err = _tensor_gauss(
+            LebesgueBox(lo[rest], hi[rest]), None, phases.compose(phi, embed),
+            lam, quad, [(None, None)], threads,
+        )
+    else:
+        origin = phi(np.zeros(mu.dim))
+        sub = np.exp(2j * np.pi * (lam @ origin))[:, None]
+        sub_err = 8 * eps * np.pi * (np.abs(lam) @ np.abs(origin))[:, None]
+    return factor * sub, np.abs(factor) * sub_err + roundoff
 
 
 def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):

@@ -589,9 +589,11 @@ def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
 
     Cases: identity on a SelfSimilar; a 1-d x -> a x + b (a != 0) on a
     SelfSimilar(r, {(d, w)}), which is SelfSimilar(r, {(a d + b (r - 1), w)})
-    since b = sum_i b (r - 1) r^-i; a DigitMap over Lebesgue[0,1] (binary
-    digits of a uniform variable are i.i.d. uniform); a DigitMap over a
-    matching equal-ratio SelfSimilar with the same digit set.  Else None.
+    since b = sum_i b (r - 1) r^-i; a DigitMap over a SelfSimilar of ratio
+    in_base whose digit offsets are its input digits, Lebesgue[0,1] entering
+    as the uniform list of all in_base digits (the base-b digits of a uniform
+    variable are i.i.d. uniform), built only when the DigitMap lists in_base
+    digits.  Else None.
     """
     if isinstance(phi, Identity) and isinstance(mu, measures.SelfSimilar):
         return mu
@@ -602,27 +604,19 @@ def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
         return measures.SelfSimilar(r, tuple((a * d + b * (r - 1), w) for d, w in mu.digits))
     if not isinstance(phi, DigitMap):
         return None
-    if isinstance(mu, measures.LebesgueBox):
-        if mu.dim != 1:
+    if isinstance(mu, measures.LebesgueBox):  # the uniform digit list, built only if it can match
+        on_unit = mu.dim == 1 and abs(mu.lo[0]) <= 1e-12 and abs(mu.hi[0] - 1.0) <= 1e-12
+        if not on_unit or len(phi.in_digits) != phi.in_base:
             return None
-        if abs(mu.lo[0]) > 1e-12 or abs(mu.hi[0] - 1.0) > 1e-12:
-            return None
-        if tuple(sorted(phi.in_digits)) != tuple(range(phi.in_base)):
-            return None
-        w = 1.0 / phi.in_base
-        digits = tuple((phi.digit_map[d], w) for d in sorted(phi.in_digits))
-        return measures.SelfSimilar(phi.out_base, digits)
-    if isinstance(mu, measures.SelfSimilar):
-        if mu.ratio != phi.in_base:
-            return None
-        offsets = tuple(sorted(d for d, _ in mu.digits))
-        if offsets != tuple(sorted(float(d) for d in phi.in_digits)):
-            return None
-        digits = tuple(
-            (phi.digit_map[int(d)], w) for d, w in sorted(mu.digits)
-        )
-        return measures.SelfSimilar(phi.out_base, digits)
-    return None
+        ratio, digits = phi.in_base, [(float(d), 1.0 / phi.in_base) for d in range(phi.in_base)]
+    elif isinstance(mu, measures.SelfSimilar):
+        ratio, digits = mu.ratio, mu.digits
+    else:
+        return None
+    if ratio != phi.in_base or sorted(d for d, _ in digits) != sorted(map(float, phi.in_digits)):
+        return None
+    image = tuple((phi.digit_map[int(d)], w) for d, w in sorted(digits))
+    return measures.SelfSimilar(phi.out_base, image)
 
 
 # ---------------------------------------------------------------------------

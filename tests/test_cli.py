@@ -123,15 +123,20 @@ def _load_workloads():
 WORKLOADS = _load_workloads()
 
 
+def _assert_benchmark_body(report, name):
+    """The report body at the shipped seed 1 is the one the benchmark recorded."""
+    reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"][name]
+    body = WORKLOADS.without_meta(report)
+    assert WORKLOADS.compare_body(body, reference["body"]) == []
+
+
 @pytest.mark.parametrize("name", WORKLOADS.LIGHT)
 def test_light_preset_matches_benchmark_reference(name):
     # the body each light preset writes at its shipped seed 1 is the one the
     # benchmark recorded, so a changed report fails here and not only there
-    reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"][name]
     code, text = WORKLOADS.run_preset(name)
     assert code == WORKLOADS.EXPECTED_EXIT.get(name, 0)
-    body = WORKLOADS.without_meta(json.loads(text))
-    assert WORKLOADS.compare_body(body, reference["body"]) == []
+    _assert_benchmark_body(json.loads(text), name)
 
 
 class TestStrictSchema:
@@ -328,6 +333,9 @@ MALFORMED = {
     ),
     "repdisc-basis-size-2^40": ("axb", _set(["basis_size"], 2**40)),
     "digit-map-depth-1e9": ("cantor4", _set(["phase", "depth"], 10**9)),
+    # Lebesgue[0, 1] is recognized only when the map lists in_base digits,
+    # so no list of 10^15 digits is built
+    "digit-map-base-1e15": ("cantor4", _set(["phase", "in_base"], 10**15)),
     "quad-depth-1e9": ("cantor4", _set(["quad", "depth"], 10**9)),
     # a 3-d phase with no inverse needs a 1024^3-point membership sweep
     "tiling-3d-membership-sweep": (
@@ -569,6 +577,35 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# perfbench's tracer wraps expsys names from outside the package; installing
+# it and running one preset catches a moved or renamed wrapped name here
+TRACED_PRESET = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import tracer
+spans = tracer.Tracer()
+tracer.install(spans)
+from expsys import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(["verify-onb", "--preset", "identity-1d", "--threads", "1"])
+print(json.dumps({"code": code, "counts": spans.summary()[1]}))
+"""
+
+
+def test_benchmark_tracer_installs_and_counts():
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    env = dict(_src_env(), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_PRESET, str(perfbench)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["code"] == 0
+    for key in ("config.build.calls", "oscillatory.exp_moments.calls", "measures.gauss_nodes"):
+        assert out["counts"][key] > 0, key
+
+
 def test_python_dash_m_lists_presets():
     proc = subprocess.run(
         [sys.executable, "-m", "expsys", "list-presets"],
@@ -704,6 +741,7 @@ class TestSpecCliExamples:
         code, rep = run_to_file(tmp_path, ["verify-onb", "--preset", "cantor4"])
         assert code == 0
         assert rep["result"]["gram"]["path"] == "product-formula"
+        _assert_benchmark_body(rep, "cantor4")
 
     def test_counterexample_exp_exits_one(self, tmp_path):
         # the one preset that reaches the triangular antiderivative; it is
@@ -713,18 +751,14 @@ class TestSpecCliExamples:
         )
         assert code == 1
         assert rep["result"]["tiling"] == "NOT-TILING"
-        reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"]
-        body = WORKLOADS.without_meta(rep)
-        assert WORKLOADS.compare_body(body, reference["counterexample-exp"]["body"]) == []
+        _assert_benchmark_body(rep, "counterexample-exp")
 
     def test_unipotent_sin_matches_the_benchmark_reference(self, tmp_path):
         # not light, so its body is checked against the benchmark here
         code, rep = run_to_file(tmp_path, ["verify-onb", "--preset", "unipotent-sin"])
         assert code == 0
         assert rep["result"]["gram"]["path"] == "quadrature"
-        reference = json.loads(WORKLOADS.REFERENCE_PATH.read_text())["presets"]
-        body = WORKLOADS.without_meta(rep)
-        assert WORKLOADS.compare_body(body, reference["unipotent-sin"]["body"]) == []
+        _assert_benchmark_body(rep, "unipotent-sin")
 
     # the cantor presets never reach the thread pool
     @pytest.mark.parametrize(
@@ -749,6 +783,8 @@ class TestSpecCliExamples:
         ]
         assert code1 == code4
         assert serialize_report(rep1) == serialize_report(rep4)
+        if preset == "shearlet":  # not light, so its body is checked here
+            _assert_benchmark_body(rep1, preset)
 
     def test_threads_flag_deterministic_on_adaptive_disc(self, tmp_path):
         # holhos-disc is the one preset whose moments run the threaded
@@ -763,6 +799,7 @@ class TestSpecCliExamples:
         ]
         assert reps[0][0] == reps[1][0] == 2
         assert serialize_report(reps[0][1]) == serialize_report(reps[1][1])
+        _assert_benchmark_body(reps[0][1], "holhos-disc")
 
     @pytest.mark.parametrize("threads", ["0", "-2", "65", "1000000"])
     def test_threads_outside_their_range_refused_before_any_work(

@@ -601,10 +601,13 @@ class TestCompose:
             (es.middle_fourth_cantor(), es.Affine([[0.0]], [1.0])),
             (es.middle_fourth_cantor(), es.Affine([[1.0], [2.0]])),
             (es.LebesgueBox([0.0], [1.0]), es.Affine([[2.0]])),
+            # two digits of base 10^15: refused before any list of 10^15 digits
+            (es.LebesgueBox([0.0], [1.0]), es.DigitMap(10**15, [0, 1], 4, {0: 0.0, 1: 2.0})),
         ],
         ids=[
             "2-d-box", "box-lo", "digits-not-full-base", "ratio-mismatch",
             "digit-set-mismatch", "affine-a-0", "affine-1-to-2", "affine-on-box",
+            "in-base-1e15",
         ],
     )
     def test_as_selfsimilar_refusals(self, mu, phi):
