@@ -28,7 +28,14 @@ always) also run the full rule and must agree within both errors + 1e-12,
 or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
-digit error adds the weight's finest-scale slope to the phase term.
+digit error adds the weight's finest-scale slope to the phase term.  A
+"weights" plan whose digit rule runs on a digit system (x = sum d_j r^-j,
+phi(psi(x)) = sum sigma(d_j) q^-j) takes the digit-transfer path instead:
+degree-8 Chebyshev fits of each weight on the top <= 4096 cylinders,
+contracted against moments from the self-similar transfer recursion.  It
+guards itself as the linear split does, against the digit rule, and leaves
+to that rule calls of at most 16 frequencies, support boxes that cut a
+cylinder's image hull, fits whose tail is too large and non-finite weights.
 Adaptive integrals stay one refinement per (frequency, weight).  A
 pushforward psi_*mu is integrated over mu with the phase and the weights
 evaluated at y = psi(x).
@@ -60,7 +67,10 @@ from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
-_GUARD_ROWS = 16  # frequencies of each linear-split call also run by the full rule
+_GUARD_ROWS = 16  # frequencies of each linear-split or digit-transfer call also run by its oracle
+_TRANSFER_CELLS = 4096  # a digit-transfer fit's top-level cylinders: k^L <= 4096 for k digits
+_FIT_DEGREE = 8  # Chebyshev degree of each cylinder's weight fit
+_FIT_TOL = 1e-9  # largest fit tail, relative to the weight's size, the transfer accepts
 MAX_THREADS = 64  # worker threads of one moment call; `--threads` has the same range
 # rows per Monte-Carlo block: a longer BLAS contraction adds round-off in sequence
 # (a 786,437-sample gate mean: 9e-15 off its pairwise sum at 2^18 rows, 4e-16 at 2^14)
@@ -85,9 +95,10 @@ def _unwrap(mu):
 @dataclass(frozen=True)
 class Plan:
     """How one moment call runs: the product formula over the reduced
-    self-similar `mu` to `trunc` levels, or quadrature under `rule` over (mu, phi)."""
+    self-similar `mu` to `trunc` levels, quadrature under `rule` over (mu,
+    phi), or the digit-transfer path over (mu, phi) guarded by the digit `rule`."""
 
-    path: str  # "product-formula" or "quadrature"
+    path: str  # "product-formula", "quadrature" or "digit-transfer"
     mu: object
     phi: object
     rule: QuadratureSpec | None = None
@@ -96,6 +107,10 @@ class Plan:
     def moments(self, lambdas, weights=(None,), threads=1, strict=True):
         """(values, errors), each (m, k), as `exp_moments` returns them; the
         product formula takes the unit weight only."""
+        if self.path == "digit-transfer":
+            return _transfer_moments(
+                self.mu, self.phi, lambdas, self.rule, weights, threads, strict
+            )
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
         weights = list(weights)
@@ -117,9 +132,16 @@ def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
     quad over the collapsed pair and transform the "measure" rule.
     "weights" (coefficients, frame matrices) takes quad when exp_moments can
     run it, else digit enumeration on a self-similar base, else 400k samples
-    seeded with quad.seed.  "measure" (norms, residuals; phi is the identity)
-    takes depth-30 digits on self-similar bases, the "weights" rule on
-    digit-map chains, Gauss of order >= 48 on boxes and tight adaptive on discs.
+    seeded with quad.seed.  A digit rule on a self-similar base whose pair
+    (base, phi o psi) is a digit system (`phases.as_digit_system`) runs as
+    the digit-transfer path: Chebyshev fits on the top cylinders against the
+    self-similar moment recursion, guarded by 16 seeded frequencies under
+    that digit rule, which also runs the whole call when the guard fails, at
+    most 16 frequencies ask, a support box cuts a cylinder, a fit's tail is
+    too large or a weight is not finite at a fit node.  "measure" (norms,
+    residuals; phi is the identity) takes depth-30 digits on self-similar
+    bases, the "weights" rule on digit-map chains, Gauss of order >= 48 on
+    boxes and tight adaptive on discs.
     """
     if purpose not in ("gram", "transform", "weights", "measure"):
         raise ValueError(f"unknown moment purpose {purpose!r}")
@@ -138,6 +160,9 @@ def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
         rule = measures.digit(depth=30)
     elif isinstance(base, SelfSimilar):
         rule = quad if digit or quad.scheme == "monte-carlo" else measures.digit(quad.depth)
+        system = phases.as_digit_system(base, eff_phi)
+        if rule.scheme == "self-similar-digit" and system is not None:
+            return Plan("digit-transfer", mu, phi, rule=rule)
     elif smooth and isinstance(base, LebesgueBox):
         rule = measures.gauss(order=max(48, quad.order))
     elif smooth:
@@ -311,6 +336,137 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     return _contract(img, lam, W), errs
 
 
+def _transfer_moments(mu, phi, lambdas, rule, weights, threads, strict):
+    """The digit-transfer path: `_digit_transfer` on 1-d frequencies, guarded
+    by the digit rule `rule`, which runs every call the transfer does not take."""
+    weights = [(None, None) if w is None else tuple(w) for w in weights]
+    lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
+
+    def digit_rule(rows):
+        return exp_moments(mu, phi, rows, rule, weights, threads, strict)
+
+    if lam.shape[1] != 1 or not np.all(np.isfinite(lam)):
+        return digit_rule(lam)
+    _check_entries(lam.shape[0], len(weights), "moment matrix")
+    return _guarded(lambda: _digit_transfer(mu, phi, lam, rule.depth, weights), digit_rule, lam)
+
+
+def _digit_transfer(mu, phi, lam, depth, weights):
+    """(values, errors), each (m, k), of the weights over a digit system, or
+    None when the transfer cannot take the call.
+
+    With x = sum_j d_j r^-j and phi(psi(x)) = sum_j sigma(d_j) q^-j, the top L
+    cylinders c (k^L <= _TRANSFER_CELLS for k positive-weight digits) are
+    x = x_c + r^-L y, and on each one w(psi(x)) is fitted by the degree-K
+    Chebyshev interpolant sum_k a_ck T_k(t) in the local coordinate t in
+    [-1, 1] of y over the support's hull.  Each cylinder adds p_c e^{2 pi i
+    lambda phi_c} sum_k a_ck M_k(lambda q^-L), M the moments of
+    `_chebyshev_moments`.  A weight is refused when a support box cuts a
+    cylinder's image hull, a value at a fit node is not finite, or its fit
+    tail (|a_{K-1}| + |a_K| summed over the cylinders' masses) exceeds
+    _FIT_TOL times its size.  The error is that tail, plus the dropped levels
+    2 pi |lambda| q^-(L + depth) max|sigma| / (q - 1) and a round-off bound,
+    each of the latter times the fits' summed coefficient size: the
+    recursion's monomial steps have infinity-norm <= 1, so its round-off is
+    a few eps a level, grown once by the largest row sum of |T_k|'s monomial
+    coefficients; the cylinder sum adds eps per cylinder and the phase its
+    relative eps times 2 pi |lambda| max|phi|.
+    """
+    base, psi = _unwrap(mu)
+    system = phases.as_digit_system(base, phi if psi is None else phases.compose(phi, psi))
+    if system is None:
+        return None
+    r, q, rows = system
+    d, sigma, p = (np.array(col) for col in zip(*(row for row in rows if row[2] > 0)))
+    levels = 0
+    while len(p) ** (levels + 1) <= _TRANSFER_CELLS:
+        levels += 1
+
+    def cylinders(values, ratio):
+        """sum_{j <= L} values[c_j] ratio^-j for every cylinder c."""
+        out = np.zeros(1)
+        for j in range(1, levels + 1):
+            out = np.add.outer(out, values * float(ratio) ** -j).ravel()
+        return out
+
+    mass = np.ones(1)
+    for _ in range(levels):
+        mass = np.multiply.outer(mass, p).ravel()
+    mid = (d.min() + d.max()) / (2 * (r - 1))
+    half = (d.max() - d.min()) / (2 * (r - 1))
+    K = _FIT_DEGREE
+    t = np.polynomial.chebyshev.chebpts1(K + 1)
+    x = (cylinders(d, r)[:, None] + float(r) ** -levels * (mid + half * t)).reshape(-1, 1)
+    W = _weight_matrix([(fn, None) for fn, _ in weights], x if psi is None else psi(x))
+    W = W.reshape(len(mass), K + 1, len(weights))
+    if not np.all(np.isfinite(W)):
+        return None
+    if any(box is not None for _, box in weights):
+        # a box must hold each cylinder's image hull or miss it
+        image = phases.as_digit_system(base, phases.Identity(1) if psi is None else psi)
+        if image is None:
+            return None
+        sigma_of = {a: s for a, s, _ in image[2]}
+        image_sigma = np.array([sigma_of[a] for a in d])
+        qi = float(image[1])
+        start = cylinders(image_sigma, qi)
+        lo = start + qi ** -levels * image_sigma.min() / (qi - 1)
+        hi = start + qi ** -levels * image_sigma.max() / (qi - 1)
+        for j, (_, box) in enumerate(weights):
+            if box is not None:
+                b_lo, b_hi = np.asarray(box, dtype=float).reshape(2, -1)[:, 0]
+                inside = (lo >= b_lo) & (hi < b_hi)
+                if np.any(~inside & (hi >= b_lo) & (lo < b_hi)):
+                    return None
+                W[:, :, j] *= inside[:, None]
+    fit = np.linalg.inv(np.polynomial.chebyshev.chebvander(t, K))
+    A = np.einsum("ki,cij->cjk", fit, W)  # (cylinders, weights, K + 1)
+    tail = mass @ np.abs(A[:, :, -2:]).sum(axis=2)
+    if np.any(tail > _FIT_TOL * (mass @ np.abs(W).max(axis=1))):
+        return None
+
+    e = (d - (r - 1) * mid) / (r * half)  # each digit in the local coordinate
+    cheb, growth = _chebyshev_moments(r, q, e, sigma, p, lam[:, 0] * float(q) ** -levels, depth)
+    W = (mass[:, None, None] * A).reshape(len(mass), -1)
+    sums = _contract(cylinders(sigma, q)[:, None], lam, W).reshape(len(lam), len(weights), K + 1)
+    vals = np.einsum("ijk,ik->ij", sums, cheb)
+    size = mass @ np.abs(A).sum(axis=2)
+    reach = 2 * np.pi * np.abs(lam[:, 0]) * np.max(np.abs(sigma)) / (q - 1)
+    roundoff = 8 * np.finfo(float).eps * ((depth + 1) * growth + len(mass) + reach)
+    errs = tail + (reach * float(q) ** -(levels + depth) + roundoff)[:, None] * size
+    return vals, errs
+
+
+def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
+    """((m, K + 1) moments of T_k(t) e^{2 pi i xi phi(y)} over the digit
+    measure, the largest row sum of |T_k|'s monomial coefficients).
+
+    After a first digit d the local coordinate is t = t' / r + e_d, t' that
+    of the remaining digits, so the moments v_k(xi) of t^k obey
+    v(xi) = sum_d p_d e^{2 pi i xi sigma(d) / q} D_d v(xi / q) with
+    D_d[k, j] = C(k, j) r^-j e_d^{k-j}; `depth` levels run up from the
+    polynomial moments v(0), the fixed point of the xi = 0 system, taken at
+    xi q^-depth.
+    """
+    K = _FIT_DEGREE
+    k, j = np.indices((K + 1, K + 1))
+    binom = np.vectorize(math.comb)(k, j)  # 0 above the diagonal
+    D = binom * float(r) ** -j * e[:, None, None] ** np.maximum(k - j, 0)
+    P = np.einsum("d,dkj->kj", p, D)
+    v0 = np.zeros(K + 1)
+    v0[0] = 1.0
+    for n in range(1, K + 1):
+        v0[n] = P[n, :n] @ v0[:n] / (1 - float(r) ** -n)
+    v = np.tile(v0.astype(complex), (len(xi), 1))
+    for level in range(depth - 1, -1, -1):
+        digit_phase = p * np.exp(2j * np.pi * np.outer(xi * float(q) ** -level, sigma / q))
+        v = np.einsum("id,dkj,ij->ik", digit_phase, D, v)
+    C2P = np.zeros((K + 1, K + 1))  # C2P[k, j]: the t^j coefficient of T_k
+    for n in range(K + 1):
+        C2P[n, : n + 1] = np.polynomial.chebyshev.cheb2poly(np.eye(K + 1)[n])
+    return v @ C2P.T, np.abs(C2P).sum(axis=1).max()
+
+
 def _map_pool(fn, items, threads):
     if not 1 <= threads <= MAX_THREADS:  # refused before any pool exists
         raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
@@ -327,14 +483,28 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     call runs the full rule."""
     linear = phi.linear_part() if psi is None and isinstance(mu, LebesgueBox) else None
     unit = len(weights) == 1 and weights[0][0] is None and weights[0][1] is None
-    if linear is None or not unit or lam.shape[0] <= _GUARD_ROWS:
-        return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
-    vals, errs = _split_moments(mu, phi, linear, lam, quad, threads)
-    rows = _guard_rows(lam)
-    full_vals, full_errs = _tensor_gauss(mu, None, phi, lam[rows], quad, weights, threads)
-    if not np.all(np.abs(vals[rows] - full_vals) <= errs[rows] + full_errs + 1e-12):
-        return _tensor_gauss(mu, psi, phi, lam, quad, weights, threads)
-    return vals, errs
+
+    def full_rule(rows):
+        return _tensor_gauss(mu, psi, phi, rows, quad, weights, threads)
+
+    if linear is None or not unit:
+        return full_rule(lam)
+    return _guarded(lambda: _split_moments(mu, phi, linear, lam, quad, threads), full_rule, lam)
+
+
+def _guarded(fast, oracle, lam):
+    """fast()'s (values, errors) when more than _GUARD_ROWS frequencies ask,
+    it answers (not None) and `oracle` agrees on its _GUARD_ROWS guard rows
+    within both errors + 1e-12; else oracle(lam).  `oracle` maps frequency
+    rows to (values, errors)."""
+    found = fast() if lam.shape[0] > _GUARD_ROWS else None
+    if found is not None:
+        vals, errs = found
+        rows = _guard_rows(lam)
+        oracle_vals, oracle_errs = oracle(lam[rows])
+        if np.all(np.abs(vals[rows] - oracle_vals) <= errs[rows] + oracle_errs + 1e-12):
+            return vals, errs
+    return oracle(lam)
 
 
 def _guard_rows(lam):

@@ -584,24 +584,27 @@ def compose(outer, inner) -> PhaseMap:
 # ---------------------------------------------------------------------------
 
 
-def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
-    """Recognize phi_* mu for a base measure mu as a self-similar digit measure.
+def as_digit_system(mu, phi):
+    """(r, q, rows of (d, sigma(d), p)) when phi on the base measure mu is a
+    digit system: mu is the law of x = sum_j d_{J_j} r^-j with J_j i.i.d. of
+    law p, and phi(x) = sum_j sigma(d_{J_j}) q^-j.  Else None.
 
-    Cases: identity on a SelfSimilar; a 1-d x -> a x + b (a != 0) on a
-    SelfSimilar(r, {(d, w)}), which is SelfSimilar(r, {(a d + b (r - 1), w)})
-    since b = sum_i b (r - 1) r^-i; a DigitMap over a SelfSimilar of ratio
-    in_base whose digit offsets are its input digits, Lebesgue[0,1] entering
-    as the uniform list of all in_base digits (the base-b digits of a uniform
+    Cases: identity on a SelfSimilar (sigma(d) = d, q = r); a 1-d x -> a x + b
+    (a != 0) on a SelfSimilar(r, {(d, p)}), where sigma(d) = a d + b (r - 1)
+    and q = r since b = sum_j b (r - 1) r^-j; a DigitMap over a SelfSimilar of
+    ratio in_base whose digit offsets are its input digits (sigma the digit
+    map, q = out_base, rows in ascending d), Lebesgue[0,1] entering as the
+    uniform list of all in_base digits (the base-b digits of a uniform
     variable are i.i.d. uniform), built only when the DigitMap lists in_base
-    digits.  Else None.
+    digits.
     """
     if isinstance(phi, Identity) and isinstance(mu, measures.SelfSimilar):
-        return mu
+        return mu.ratio, mu.ratio, tuple((d, d, w) for d, w in mu.digits)
     if isinstance(phi, Affine) and isinstance(mu, measures.SelfSimilar):
         if phi.M.shape != (1, 1) or phi.M[0, 0] == 0:
             return None
         a, b, r = float(phi.M[0, 0]), float(phi.b[0]), mu.ratio
-        return measures.SelfSimilar(r, tuple((a * d + b * (r - 1), w) for d, w in mu.digits))
+        return r, r, tuple((d, a * d + b * (r - 1), w) for d, w in mu.digits)
     if not isinstance(phi, DigitMap):
         return None
     if isinstance(mu, measures.LebesgueBox):  # the uniform digit list, built only if it can match
@@ -615,8 +618,18 @@ def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
         return None
     if ratio != phi.in_base or sorted(d for d, _ in digits) != sorted(map(float, phi.in_digits)):
         return None
-    image = tuple((phi.digit_map[int(d)], w) for d, w in sorted(digits))
-    return measures.SelfSimilar(phi.out_base, image)
+    rows = tuple((d, phi.digit_map[int(d)], w) for d, w in sorted(digits))
+    return ratio, phi.out_base, rows
+
+
+def as_selfsimilar(mu, phi) -> measures.SelfSimilar | None:
+    """phi_* mu as a self-similar digit measure when (mu, phi) is a digit
+    system (`as_digit_system`): SelfSimilar(q, {(sigma(d), p)}).  Else None."""
+    system = as_digit_system(mu, phi)
+    if system is None:
+        return None
+    q, rows = system[1:]
+    return measures.SelfSimilar(q, tuple((s, w) for _, s, w in rows))
 
 
 # ---------------------------------------------------------------------------

@@ -743,6 +743,13 @@ class TestSpecCliExamples:
         assert rep["result"]["gram"]["path"] == "product-formula"
         _assert_benchmark_body(rep, "cantor4")
 
+    def test_cantor3_preset_end_to_end(self, tmp_path):
+        # the battery's coefficients take the digit-transfer path
+        code, rep = run_to_file(tmp_path, ["verify-onb", "--preset", "cantor3"])
+        assert code == 0
+        assert rep["result"]["gram"]["path"] == "product-formula"
+        _assert_benchmark_body(rep, "cantor3")
+
     def test_counterexample_exp_exits_one(self, tmp_path):
         # the one preset that reaches the triangular antiderivative; it is
         # not light, so its body is checked against the benchmark here

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +8,14 @@ from numpy.testing import assert_allclose
 
 import expsys as es
 from expsys import _oscillatory
-from expsys._oscillatory import _guard_rows, _split_moments, _tensor_gauss, exp_moments, plan
+from expsys._oscillatory import (
+    _digit_transfer,
+    _guard_rows,
+    _split_moments,
+    _tensor_gauss,
+    exp_moments,
+    plan,
+)
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
 from expsys.measures import _MAX_ENTRIES, _box_ft
 from expsys.reconstruct import coefficients
@@ -262,6 +271,7 @@ TIGHT_ADAPTIVE = es.adaptive(abs_tol=1e-10, max_subdivisions=4000)
 CANTOR4 = (4, ((0.0, 0.5), (2.0, 0.5)))  # digit key of the middle-fourth Cantor measure
 CANTOR4_X2 = (4, ((0.0, 0.5), (4.0, 0.5)))
 UNIT = es.LebesgueBox([0.0], [1.0])
+SQUARED = es.CustomPhase(lambda x: x**2, 1, 1)
 
 
 def _pinned(p):
@@ -293,6 +303,10 @@ def _q(rule):
     return ("quadrature", rule, None)
 
 
+def _dt(rule):
+    return ("digit-transfer", rule, None)
+
+
 # (mu, phi, quad) -> {purpose: (path, rule or reduced digit key, trunc)}; one
 # entry per (measure kind, phase kind, scheme, purpose) the library reaches.
 # Boxes and discs have closed-form transforms, so they carry no transform entry.
@@ -302,7 +316,7 @@ RULE_CASES = {
         "measure": _q(es.gauss(48)),
     }),
     "cantor3": (es.middle_third_cantor(), T2Q, es.digit(40), {
-        "gram": _pf(40), "weights": _q(es.digit(40)), "norms": _q(es.digit(30)),
+        "gram": _pf(40), "weights": _dt(es.digit(40)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)), "transform": _pf(40, (3, ((0.0, 0.5), (2.0, 0.5)))),
     }),
     "cantor4-monte-carlo": (UNIT, B2Q, es.monte_carlo(1000, seed=3), {
@@ -310,8 +324,19 @@ RULE_CASES = {
         "weights": _q(es.monte_carlo(1000, seed=3)), "norms": _q(es.gauss(48)),
         "measure": _q(es.gauss(48)),
     }),
+    # the transfer replaces the digit rule only: samples stay samples ...
+    "cantor3-monte-carlo": (es.middle_third_cantor(), T2Q, es.monte_carlo(1000, seed=3), {
+        "gram": _q(es.monte_carlo(1000, seed=3)),
+        "weights": _q(es.monte_carlo(1000, seed=3)), "norms": _q(es.digit(30)),
+        "measure": _q(es.digit(30)),
+    }),
+    # ... and a phase that is no digit system runs the digit rule
+    "cantor3-squared": (es.middle_third_cantor(), SQUARED, es.digit(40), {
+        "gram": _q(es.digit(40)), "weights": _q(es.digit(40)), "norms": _q(es.digit(30)),
+        "measure": _q(es.digit(30)),
+    }),
     "cantor3-digit50": (es.middle_third_cantor(), T2Q, es.digit(50), {
-        "gram": _pf(50), "weights": _q(es.digit(50)), "norms": _q(es.digit(30)),
+        "gram": _pf(50), "weights": _dt(es.digit(50)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)),
     }),
     # the coefficient rule is 400k samples, so the norms run under gauss(48),
@@ -354,14 +379,14 @@ RULE_CASES = {
         "measure": _q(MC400K), "transform": _pf(40),
     }),
     "gauss-on-cantor": (es.middle_fourth_cantor(), es.Identity(1), es.gauss(32), {
-        "gram": _pf(40), "weights": _q(es.digit(30)), "norms": _q(es.digit(30)),
+        "gram": _pf(40), "weights": _dt(es.digit(30)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)), "transform": _pf(40),
     }),
     # 2 x on the middle-fourth Cantor measure is the digit system {0, 4}
     "affine-on-cantor": (
         es.pushforward(es.middle_fourth_cantor(), es.Affine([[2.0]])), es.Identity(1),
         es.gauss(32), {
-            "gram": _pf(40, CANTOR4_X2), "weights": _q(es.digit(30)),
+            "gram": _pf(40, CANTOR4_X2), "weights": _dt(es.digit(30)),
             "norms": _q(es.digit(30)), "measure": _q(es.digit(30)),
             "transform": _pf(40, CANTOR4_X2),
         },
@@ -436,6 +461,18 @@ def test_plan_is_the_one_decision_point():
             if path.stem == "measures":  # the gate's enumeration oracle is the digit rule
                 expected = {"integrate", "validate_product_formula"}
             assert _users(path, "exp_moments") == expected, path.name
+
+
+def test_digit_systems_are_recognized_by_the_engine_only():
+    # phases defines as_digit_system and pushes it forward in as_selfsimilar
+    from pathlib import Path
+
+    library = sorted(Path(es.__file__).parent.glob("*.py"))
+    for path in library:
+        if path.stem not in ("_oscillatory", "measures", "phases"):
+            assert "as_digit_system" not in _names(path)[1], path.name
+    phases_path = Path(es.__file__).parent / "phases.py"
+    assert _users(phases_path, "as_digit_system") == {"as_digit_system", "as_selfsimilar"}
 
 
 def test_measures_exponentiates_only_in_its_closed_forms():
@@ -711,6 +748,200 @@ def test_linear_split_is_closed_form_on_affine_boxes(monkeypatch):
     seen.clear()
     _tensor_gauss(mu, None, phi, lam[_guard_rows(lam)], es.gauss(32), [(None, None)], 1)
     assert built == seen
+
+
+# ---------------------------------------------------------------------------
+# the digit-transfer path of "weights" calls on digit systems
+# ---------------------------------------------------------------------------
+
+
+def _smooth_weight(kind, a, b):
+    """One of five smooth weights on the line, scaled by a and b."""
+    return {
+        "poly": lambda x: a * x[:, 0] ** 3 - b * x[:, 0] + 0.5,
+        "sextic": lambda x: a * (x[:, 0] - 1) ** 6 + b * x[:, 0] ** 2,
+        "cos": lambda x: np.cos(2 * np.pi * a * x[:, 0] + b),
+        "exp": lambda x: np.exp(a * x[:, 0]) * (1j * b + 1),
+        "rational": lambda x: 1 / (2 + b + a * np.sin(x[:, 0])),
+    }[kind]
+
+
+@st.composite
+def _digit_systems(draw):
+    """(SelfSimilar measure, phase making it a digit system, support box in
+    gaps between its cylinders, digit depth): 2-4 digits of unequal weights,
+    one of them possibly zero, r and q in 2..5."""
+    kind = draw(st.sampled_from(["identity", "affine", "digit-map"]))
+    r = draw(st.integers(2, 5))
+    k = draw(st.integers(2, min(4, r) if kind == "digit-map" else 4))
+    top = r - 1 if kind == "digit-map" else 6
+    offsets = draw(st.lists(st.integers(0, top), min_size=k, max_size=k, unique=True))
+    raw = draw(st.lists(st.floats(0.1, 1.0), min_size=k, max_size=k, unique=True))
+    if draw(st.booleans()) and k > 2:
+        raw[draw(st.integers(0, k - 1))] = 0.0
+    p = np.array(raw) / sum(raw)
+    mu = es.SelfSimilar(r, tuple(zip(map(float, offsets), p)))
+    if kind == "identity":
+        phi = es.Identity(1)
+    elif kind == "affine":
+        a = draw(st.sampled_from([-1.5, -0.5, 0.75, 2.0]))
+        phi = es.Affine([[a]], [draw(st.floats(-1.0, 1.0))])
+    else:
+        q = draw(st.integers(2, 5))
+        sigma = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k, unique=True))
+        phi = es.DigitMap(r, offsets, q, dict(zip(offsets, map(float, sigma))))
+    # a box from below the support to the middle of a gap between two
+    # top-level pieces, or around everything where the pieces leave no gap
+    support = sorted(d for d, w in zip(offsets, p) if w > 0)
+    lo, hi = support[0] / (r - 1), support[-1] / (r - 1)
+    gaps = [
+        ((a + hi) / r + (b + lo) / r) / 2
+        for a, b in zip(support, support[1:]) if (b + lo) / r > (a + hi) / r
+    ]
+    end = draw(st.sampled_from(gaps)) if gaps else hi + 1.0
+    box = (np.array([lo - 1.0]), np.array([end]))
+    depth = int(math.log(8192) / math.log(k))  # at most 8192 digit nodes
+    return mu, phi, box, depth
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    case=_digit_systems(),
+    kinds=st.lists(st.sampled_from(["poly", "cos", "exp", "rational"]), min_size=1, max_size=3),
+    a=st.floats(-1.0, 1.0),
+    b=st.floats(-1.0, 1.0),
+    lam=st.lists(st.floats(-6.0, 6.0), min_size=17, max_size=24),
+    whole=st.booleans(),
+)
+def test_digit_transfer_matches_the_digit_rule(case, kinds, a, b, lam, whole):
+    # `whole` fits polynomials on one cylinder, the whole measure, so that
+    # every Chebyshev moment of the recursion carries weight; the top 4096
+    # cylinders leave the higher ones little
+    mu, phi, box, depth = case
+    lam = np.asarray(lam)[:, None]
+    if whole:
+        kinds, box = ["poly", "sextic"], (box[0], np.array([np.inf]))
+    weights = [(_smooth_weight(kind, a, b), None) for kind in kinds] + [(None, box)]
+    how = plan(mu, phi, es.digit(depth), "weights")
+    assert how.path == "digit-transfer"
+    with pytest.MonkeyPatch.context() as patch:
+        if whole:
+            patch.setattr(_oscillatory, "_TRANSFER_CELLS", 1)
+        found = _digit_transfer(mu, phi, lam, depth, weights)
+        assert found is not None
+        vals, errs = found
+        digit_vals, digit_errs = exp_moments(mu, phi, lam, es.digit(depth), weights)
+        assert np.all(np.abs(vals - digit_vals) <= errs + digit_errs + 1e-12)
+        # the guard accepts it, and every row takes the transfer
+        got, got_errs = how.moments(lam, weights)
+    assert np.array_equal(got, vals) and np.array_equal(got_errs, errs)
+
+
+CANTOR3_LAM = -es.lambda4(6).points  # 64 frequencies, as cantor3's battery asks
+
+
+def test_digit_transfer_takes_cantor3_battery_within_the_leaf_check():
+    # the transfer's own error is far below the digit rule's at depth 20
+    battery = es.default_test_battery(es.middle_third_cantor())
+    weights = [(tf.fn, tf.support_box) for tf in battery]
+    vals, errs = _digit_transfer(es.middle_third_cantor(), T2Q, CANTOR3_LAM, 40, weights)
+    digit_vals, digit_errs = exp_moments(
+        es.middle_third_cantor(), T2Q, CANTOR3_LAM[::8], es.digit(40), weights
+    )
+    assert np.all(np.abs(vals[::8] - digit_vals) <= errs[::8] + digit_errs + 1e-12)
+    assert np.max(errs) < 1e-9 < np.max(digit_errs)
+
+
+@pytest.mark.parametrize(
+    "mu, weights",
+    [
+        # 2 x on the middle-fourth Cantor measure: boxes in image coordinates
+        (
+            es.pushforward(es.middle_fourth_cantor(), es.Affine([[2.0]])),
+            [(lambda y: y[:, 0] ** 2, None), (None, _half([0.0], [1.0]))],
+        ),
+        # a digit-map pushforward: the unit weight, boxed in image coordinates
+        (
+            es.pushforward(es.middle_third_cantor(), T2Q),
+            [(None, None), (None, _half([0.0], [0.5]))],
+        ),
+    ],
+    ids=["affine", "digit-map"],
+)
+def test_digit_transfer_on_pushforwards(mu, weights):
+    lam = np.arange(-10.0, 10.0)[:, None]
+    found = _digit_transfer(mu, es.Identity(1), lam, 30, weights)
+    assert found is not None
+    vals, errs = found
+    digit_vals, digit_errs = exp_moments(mu, es.Identity(1), lam, es.digit(12), weights)
+    assert np.all(np.abs(vals - digit_vals) <= errs + digit_errs + 1e-12)
+
+
+def _digit_rule_runs(mu, phi, lam, weights, strict=True):
+    """Plan.moments of a "weights" call that must run the digit rule: the
+    digit-transfer plan returns exp_moments' values bit for bit."""
+    quad = es.digit(12)
+    how = plan(mu, phi, quad, "weights")
+    assert how.path == "digit-transfer"
+    vals, errs = how.moments(lam, weights, strict=strict)
+    ref, ref_errs = exp_moments(mu, phi, lam, quad, weights, strict=strict)
+    assert np.array_equal(vals, ref, equal_nan=True)
+    assert np.array_equal(errs, ref_errs, equal_nan=True)
+    return vals
+
+
+def test_guard_refuses_a_corrupted_transfer(monkeypatch):
+    # the digit system with sigma's sign flipped is a different phase
+    honest = _oscillatory.phases.as_digit_system
+
+    def flipped(mu, phi):
+        system = honest(mu, phi)
+        return system and (system[0], system[1], tuple((d, -s, p) for d, s, p in system[2]))
+
+    mu, lam = es.middle_third_cantor(), CANTOR3_LAM
+    weights = [(lambda x: x[:, 0], None)]
+    monkeypatch.setattr(_oscillatory.phases, "as_digit_system", flipped)
+    wrong, _ = _digit_transfer(mu, T2Q, lam, 12, weights)
+    ref, _ = exp_moments(mu, T2Q, lam, es.digit(12), weights)
+    assert np.max(np.abs(wrong - ref)) > 0.1
+    _digit_rule_runs(mu, T2Q, lam, weights)
+
+
+@pytest.mark.parametrize(
+    "lam, weights",
+    [
+        (CANTOR3_LAM[:16], [None, (lambda x: x[:, 0], None)]),
+        # 0.1 = 0.0022..._3 lies in the Cantor set, so its cylinder is cut
+        (CANTOR3_LAM, [(None, _half([0.0], [0.1]))]),
+        (CANTOR3_LAM, [(lambda x: (x[:, 0] >= 0.1).astype(float), None)]),
+    ],
+    ids=["sixteen-frequencies", "box-cuts-a-cylinder", "jump-inside-a-cylinder"],
+)
+def test_digit_rule_runs_where_the_transfer_cannot(monkeypatch, lam, weights):
+    mu = es.middle_third_cantor()
+    if len(lam) > 16:  # the transfer itself refuses the call
+        assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
+    else:
+        monkeypatch.setattr(_oscillatory, "_digit_transfer", None)  # never reached
+    _digit_rule_runs(mu, T2Q, lam, weights)
+
+
+@pytest.mark.parametrize(
+    "weight, infinite_row",
+    [(lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0), False), (None, True)],
+    ids=["nan-weight", "infinite-frequency"],
+)
+def test_non_finite_values_run_the_digit_rule(weight, infinite_row):
+    # the transfer refuses them; the digit rule raises under strict
+    mu, lam, weights = es.middle_third_cantor(), CANTOR3_LAM.copy(), [(weight, None)]
+    if infinite_row:
+        lam[5] = np.inf
+    else:
+        assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
+    with pytest.raises(QuadratureError, match="non-finite value"):
+        plan(mu, T2Q, es.digit(12), "weights").moments(lam, weights)
+    vals = _digit_rule_runs(mu, T2Q, lam, weights, strict=False)
+    assert np.any(np.isnan(vals))
 
 
 # ---------------------------------------------------------------------------

@@ -611,9 +611,38 @@ class TestCompose:
         ],
     )
     def test_as_selfsimilar_refusals(self, mu, phi):
-        from expsys.phases import as_selfsimilar
+        from expsys.phases import as_digit_system, as_selfsimilar
 
         assert as_selfsimilar(mu, phi) is None
+        assert as_digit_system(mu, phi) is None
+
+    @pytest.mark.parametrize(
+        "mu, phi, system",
+        [
+            (es.middle_third_cantor(), es.Identity(1), (3, 3, ((0.0, 0.0, 0.5), (2.0, 2.0, 0.5)))),
+            # a x + b of sum d_i 4^-i is sum (a d_i + 3 b) 4^-i
+            (
+                es.middle_fourth_cantor(), es.Affine([[-3.0]], [0.25]),
+                (4, 4, ((0.0, 0.75, 0.5), (2.0, -5.25, 0.5))),
+            ),
+            (
+                es.SelfSimilar(3, ((2.0, 0.25), (0.0, 0.75))), es.ternary_to_quaternary(),
+                (3, 4, ((0.0, 0.0, 0.75), (2.0, 2.0, 0.25))),
+            ),
+            (
+                es.LebesgueBox([0.0], [1.0]), es.binary_to_quaternary(),
+                (2, 4, ((0.0, 0.0, 0.5), (1.0, 2.0, 0.5))),
+            ),
+        ],
+        ids=["identity", "affine", "digit-map", "digit-map-on-unit"],
+    )
+    def test_as_selfsimilar_is_the_digit_system_pushed_forward(self, mu, phi, system):
+        from expsys.phases import as_digit_system, as_selfsimilar
+
+        assert as_digit_system(mu, phi) == system
+        q, rows = system[1:]
+        ss = as_selfsimilar(mu, phi)
+        assert (ss.ratio, ss.digits) == (q, tuple((s, p) for _, s, p in rows))
 
     def test_affine_image_of_a_self_similar_measure(self):
         # a x + b of sum d_i 4^-i is sum (a d_i + 3 b) 4^-i
