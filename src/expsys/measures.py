@@ -32,7 +32,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -287,15 +287,16 @@ def _guide_table(cuts):
     """(K, passes, guide, cuts_k, digit): an exact guide table for the sorted cuts.
 
     The digit of a uniform u in [0, 1) is the number of cuts <= u, which is
-    C[j] with j the number of distinct cuts v <= u (duplicate cuts come from
-    zero-weight digits).  With K = 2^p bins, guide[b] counts the v <= b / K,
-    and at most `passes` distinct cuts lie strictly inside one bin, so from
-    j = guide[floor(u K)] that many steps of j += (u K >= cuts_k[j]) reach
-    it; cuts_k is v K with +inf appended.  Scaling by a power of two and
-    the floor are exact, so ties at a cut fall as in searchsorted(cuts, u,
-    side="right").  K is the smallest power of two up to 2^_GUIDE_BITS with
-    the fewest passes.  `digit` maps the final index to the digit: C[j], or
-    C[guide[b]] straight from the bin when there are no passes.
+    C[j] with j the number of distinct cuts v <= u (a mass below the
+    cumulative sum's resolution duplicates a cut).  With K = 2^p bins,
+    guide[b] counts the v <= b / K, and at most `passes` distinct cuts lie
+    strictly inside one bin, so from j = guide[floor(u K)] that many steps
+    of j += (u K >= cuts_k[j]) reach it; cuts_k is v K with +inf appended.
+    Scaling by a power of two and the floor are exact, so ties at a cut
+    fall as in searchsorted(cuts, u, side="right").  K is the smallest power
+    of two up to 2^_GUIDE_BITS with the fewest passes.  `digit` maps the
+    final index to the digit: C[j], or C[guide[b]] straight from the bin
+    when there are no passes.
     """
     v, counts = np.unique(cuts, return_counts=True)
     C = np.concatenate([[0], np.cumsum(counts)])
@@ -342,38 +343,63 @@ class SelfSimilar(Measure):
         self.total_mass = 1.0
         self._offsets = np.array([d for d, _ in digits])
         self._weights = np.array([w for _, w in digits])
-        self._cumw = np.cumsum(self._weights)
-        self._guide = _guide_table(self._cumw[:-1])
 
     def support_box(self):
         lo = self._offsets.min() / (self.ratio - 1)
         hi = self._offsets.max() / (self.ratio - 1)
         return np.array([lo]), np.array([hi])
 
-    def _sample(self, n, rng):
-        """n draws as (n, 1), one digit level at a time in _SAMPLE_CHUNK blocks.
+    @cached_property
+    def _iterate(self):
+        """(L, offsets, guide): the L-fold iterate of the positive-weight digits.
 
-        Each level draws its n uniforms in order, so the stream is that of
-        one `rng.random(n)` per level.  A uniform u picks the digit counted
-        by the first k - 1 cumulative weights that are <= u (a zero-weight
-        digit is never picked), read from the guide table of `_guide_table`:
-        the bin floor(u K), then one step per pass over the distinct cuts
-        inside that bin; with no passes the bin indexes the digit table
-        directly.  Every step is exact, so the draws are those of
-        `searchsorted(cumw[:-1], u, side="right")` bit for bit.  The
-        uniforms, the index and the gathered step reuse preallocated block
-        buffers.
+        The measure is also that of the system (ratio^L, {(sum_j d_j
+        ratio^(L-j), prod_j w_j)}) (Hutchinson 1981), so one uniform can pick
+        L digit levels at once.  `offsets` are the k^L cylinder offsets sum_j
+        d_j ratio^-j and `guide` the `_guide_table` over the cumulative
+        cylinder masses, both in the order of `_cylinders`.  L divides
+        _SAMPLE_DEPTH with k^L <= 2^_GUIDE_BITS (L = 1 always qualifies) and
+        makes the fewest passes over a block, (_SAMPLE_DEPTH / L) (1 +
+        passes), the larger L on a tie: two equal digits take L = 10, 1024
+        bins and no pass.  Built on the first draw.
         """
-        K, passes, guide, cuts_k, digit = self._guide
+        pos = self._weights > 0
+        offsets, weights = self._offsets[pos], self._weights[pos]
+        best = None
+        for L in range(1, _SAMPLE_DEPTH + 1):
+            if L > 1 and offsets.size**L > 1 << _GUIDE_BITS:
+                break
+            if _SAMPLE_DEPTH % L == 0:
+                pts, mass, _ = _cylinders(offsets, weights, self.ratio, L)
+                guide = _guide_table(np.cumsum(mass)[:-1])
+                cost = _SAMPLE_DEPTH // L * (1 + guide[1])
+                if best is None or cost <= best[0]:
+                    best = cost, L, pts, guide
+        return best[1:]
+
+    def _sample(self, n, rng):
+        """n draws as (n, 1), L digit levels per uniform in _SAMPLE_CHUNK blocks.
+
+        Each of the _SAMPLE_DEPTH / L level blocks of `_iterate` draws its n
+        uniforms in order, so the stream is that of one `rng.random(n)` per
+        level block; block b adds the picked cylinder's offset times
+        ratio^(-L b).  A uniform u picks cylinder searchsorted(cuts, u,
+        side="right"), cuts the cumulative masses but the last, bit for bit:
+        the guide table's bin floor(u K), then one exact step per pass over
+        the distinct cuts inside that bin; with no passes the bin indexes
+        the offset table directly.  The uniforms, the index and the gathered
+        step reuse preallocated block buffers.
+        """
+        L, offsets, (K, passes, guide, cuts_k, digit) = self._iterate
         x = np.zeros(n)
         m = min(n, _SAMPLE_CHUNK)
         u = np.empty(m)
         idx = np.empty(m, dtype=np.intp)
         step = np.empty(m)
         scale = 1.0
-        for _ in range(_SAMPLE_DEPTH):
-            scale /= self.ratio
-            table = self._offsets[digit] * scale
+        for _ in range(_SAMPLE_DEPTH // L):
+            table = offsets[digit] * scale
+            scale /= self.ratio**L
             for lo in range(0, n, m):
                 c = min(m, n - lo)
                 uk = np.multiply(rng.random(out=u[:c]), K, out=u[:c])
@@ -552,6 +578,23 @@ def _adaptive_cells(f, cells, quad):
 # ---------------------------------------------------------------------------
 
 
+def _cylinders(offsets, weights, ratio, depth):
+    """(points, masses, ratio^-depth) of the depth-level digit strings.
+
+    A string's point is sum_j d_j ratio^-j and its mass prod_j w_j; the
+    first level varies slowest, so string (i_1, ..., i_depth) is entry
+    sum_j i_j k^(depth - j).
+    """
+    pts = np.zeros(1)
+    mass = np.ones(1)
+    scale = 1.0
+    for _ in range(depth):
+        scale /= ratio
+        pts = (pts[:, None] + offsets[None, :] * scale).ravel()
+        mass = (mass[:, None] * weights[None, :]).ravel()
+    return pts, mass, scale
+
+
 def digit_nodes(ss: SelfSimilar, depth: int):
     """Exact enumeration nodes/weights of the depth-truncated digit measure.
 
@@ -566,13 +609,7 @@ def digit_nodes(ss: SelfSimilar, depth: int):
     d_eff = min(depth, cap) if k > 1 else depth
     order = np.argsort(ss._offsets, kind="stable")
     offsets, digit_weights = ss._offsets[order], ss._weights[order]
-    pts = np.zeros(1)
-    weights = np.ones(1)
-    scale = 1.0
-    for _ in range(d_eff):
-        scale /= ss.ratio
-        pts = (pts[:, None] + offsets[None, :] * scale).ravel()
-        weights = (weights[:, None] * digit_weights[None, :]).ravel()
+    pts, weights, scale = _cylinders(offsets, digit_weights, ss.ratio, d_eff)
     mean_digit = float(offsets @ digit_weights)
     span = float(offsets.max() - offsets.min())
     geo = scale / (ss.ratio - 1)  # sum of ratio^-i for i > d_eff
@@ -669,8 +706,10 @@ def validate_product_formula(ss: SelfSimilar) -> float:
 
     Oracle 1: exact digit-string enumeration of the truncated measure, the
     engine's depth-30 digit rule.  Oracle 2: Monte-Carlo digit sampling (6M
-    points, tolerance 1e-3, fixed internal seed), summed in blocks by the
-    engine's Monte-Carlo sum.  Neither runs the product formula.  Returns
+    points, tolerance 1e-3, fixed internal seed), drawn from the L-fold
+    iterate of the digit system (`SelfSimilar._iterate`: 3 uniforms per
+    sample for two equal digits) and summed in blocks by the engine's
+    Monte-Carlo sum.  Neither runs the product formula.  Returns
     the worst residual; raises ProductFormulaError on failure.  Results are
     cached per digit system, and the product-formula path refuses to run
     without a pass.

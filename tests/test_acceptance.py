@@ -14,6 +14,7 @@ import numpy as np
 
 import expsys as es
 import expsys.cli as cli
+from expsys._oscillatory import exp_moments
 from expsys.analysis import FAIL, PASS, periodic_test_battery
 from expsys.repdisc import WindowSystem, verify_system_on_window
 from expsys.tiling import NOT_TILING
@@ -63,29 +64,25 @@ def test_criterion_02_digit_transport_of_unit_interval():
     )
     ok = rep.path == "product-formula" and rep.max_offdiag <= 1e-6
 
-    # Monte-Carlo digit-sampling oracle, 1e6 samples, on 20 random entries
+    # digit-enumeration oracle on 20 random entries: the depth-30 digit rule
+    # on the Cantor-4 measure, which neither samples nor runs the product
+    # formula; each entry must agree within both error estimates
     rng = np.random.default_rng(1729)
     m = spectrum.size
-    pairs = rng.integers(0, m, size=(20, 2))
-    y = es.sample(es.middle_fourth_cantor(), 10**6, seed=99)[:, 0]
+    i, j = rng.integers(0, m, size=(20, 2)).T
     pts = spectrum.points[:, 0]
-    worst_sigma = 0.0
-    for i, j in pairs:
-        delta = pts[i] - pts[j]
-        vals = np.exp(2j * np.pi * delta * y)
-        se_re = vals.real.std(ddof=1) / 1000.0
-        se_im = vals.imag.std(ddof=1) / 1000.0
-        dre = abs(rep.entries[i, j].real - vals.real.mean())
-        dim_ = abs(rep.entries[i, j].imag - vals.imag.mean())
-        ok = ok and dre <= 3 * se_re + 1e-12 and dim_ <= 3 * se_im + 1e-12
-        worst_sigma = max(
-            worst_sigma, dre / max(se_re, 1e-300), dim_ / max(se_im, 1e-300)
-        )
+    vals, errs = exp_moments(
+        es.middle_fourth_cantor(), es.Identity(1), (pts[i] - pts[j])[:, None], es.digit(30)
+    )
+    k = rep.inverse[i, j]
+    dev = np.abs(rep.values[k] - vals[:, 0])
+    bound = errs[:, 0] + rep.errors[k] + 1e-12
+    ok = ok and bool(np.all(dev <= bound))
     _report(
         2,
         ok,
-        f"product-formula Gram offdiag {rep.max_offdiag:.2e}; "
-        f"worst oracle deviation {worst_sigma:.2f} sigma on 20 entries",
+        f"product-formula Gram offdiag {rep.max_offdiag:.2e}; worst digit-rule "
+        f"deviation {dev.max():.2e} on 20 entries, bounds from {bound.min():.2e}",
     )
 
 

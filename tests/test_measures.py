@@ -168,29 +168,49 @@ class TestSample:
             es.sample(unit_box(), 0)
 
     @staticmethod
-    def _level_loop(ss, n, rng):
-        # the one-pass-per-level sampler that the blocked one replaced
+    def _decoded_iterate(ss, L):
+        # the L-fold iterate's cylinder offsets and cumulative masses, by a
+        # base-k decode of each cylinder that sums the positive-weight digits'
+        # offsets in level order
+        pos = ss._weights > 0
+        d, w = ss._offsets[pos], ss._weights[pos]
+        codes = np.arange(d.size**L)
+        offsets, mass, s = np.zeros(codes.size), np.ones(codes.size), 1.0
+        for j in range(L):
+            i = codes // d.size ** (L - 1 - j) % d.size
+            s /= ss.ratio
+            offsets = offsets + d[i] * s
+            mass = mass * w[i]
+        return offsets, np.cumsum(mass)
+
+    @classmethod
+    def _level_loop(cls, ss, n, rng):
+        # the plain L-level loop: one rng.random(n) per block of L levels and
+        # a binary search over the iterate's cumulative masses
+        L = ss._iterate[0]
+        offsets, cumw = cls._decoded_iterate(ss, L)
         x = np.zeros(n)
         scale = 1.0
-        for _ in range(30):
-            scale /= ss.ratio
-            idx = np.searchsorted(ss._cumw, rng.random(n), side="right")
-            idx = np.minimum(idx, len(ss.digits) - 1)
-            x += ss._offsets[idx] * scale
+        for _ in range(30 // L):
+            idx = np.searchsorted(cumw, rng.random(n), side="right")
+            x += offsets[np.minimum(idx, offsets.size - 1)] * scale
+            scale /= ss.ratio**L
         return x[:, None]
 
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize(
-        "ss",
+        "ss, L",
         [
-            es.middle_third_cantor(),
-            es.SelfSimilar(5, ((0.0, 0.25), (1.0, 0.0), (3.0, 0.25), (4.0, 0.5))),
-            es.SelfSimilar(13, tuple((d, 0.0 if d == 4 else 1 / 11) for d in range(12))),
+            (es.middle_third_cantor(), 10),
+            (es.SelfSimilar(5, ((0.0, 0.25), (1.0, 0.0), (3.0, 0.25), (4.0, 0.5))), 6),
+            (es.SelfSimilar(13, tuple((d, 0.0 if d == 4 else 1 / 11) for d in range(12))), 3),
         ],
         ids=["2-digits", "4-digits-zero-weight", "12-digits"],
     )
-    def test_blocked_sampler_draws_the_level_loop_stream(self, ss, seed):
-        # 2^18 is the block length; 12 digits put 11 cuts in the index search
+    def test_blocked_sampler_draws_the_level_loop_stream(self, ss, L, seed):
+        # 2^18 is the block length; 11 positive digits give 1331 cylinders at
+        # L = 3, whose cuts need a comparison pass
+        assert ss._iterate[0] == L
         for n in (1, 2**18 - 1, 2**18 + 3, 3 * 2**18 + 5):
             got = ss._sample(n, np.random.default_rng(seed))
             want = self._level_loop(ss, n, np.random.default_rng(seed))
@@ -208,32 +228,70 @@ class TestSample:
             return out
 
     @pytest.mark.parametrize(
-        "ss, guide",
+        "ss, L, guide",
         [
-            (es.SelfSimilar(4, tuple((float(d), 0.25) for d in range(4))), (4, 0)),
+            (es.SelfSimilar(4, tuple((float(d), 0.25) for d in range(4))), 1, (4, 0)),
             (
-                es.SelfSimilar(8, tuple((float(d), 0.5 * (d in (1, 4))) for d in range(6))),
+                es.SelfSimilar(8, ((1.0, 0.5), (2.0, 1e-17), (3.0, 0.0), (4.0, 0.5))),
+                1,
                 (2, 0),
             ),
-            (es.SelfSimilar(4, ((0.0, 0.5), (1.0, 1e-13), (2.0, 0.5 - 1e-13))), (2, 1)),
-            (es.SelfSimilar(2, tuple((float(d), 1 / 4097) for d in range(4097))), (4096, 1)),
+            (es.SelfSimilar(4, ((0.0, 0.5), (1.0, 1e-13), (2.0, 0.5 - 1e-13))), 1, (2, 1)),
+            (es.SelfSimilar(2, tuple((float(d), 1 / 4097) for d in range(4097))), 1, (4096, 1)),
+            (es.middle_fourth_cantor(), 10, (1024, 0)),
         ],
-        ids=["cuts-on-bin-edges", "duplicate-cuts", "1e-13-weight", "4097-digits"],
+        ids=["cuts-on-bin-edges", "duplicate-cuts", "1e-13-weight", "4097-digits", "cantor4-L10"],
     )
-    def test_ties_fall_as_in_searchsorted(self, ss, guide, monkeypatch):
+    def test_ties_fall_as_in_searchsorted(self, ss, L, guide, monkeypatch):
         # random draws never hit a cut, so a stub writes each cut, the double
         # below it, 0 and the largest uniform; (K, passes) is the guide table
-        # size: 4097 digits need a pass per bin at the 2^12-bin cap
+        # size: 4097 digits need a pass per bin at the 2^12-bin cap.  The
+        # zero-weight digit is not in the table; the 1e-17 weight is below
+        # the cumulative sum's resolution, so its cut duplicates the one at
+        # 1/2.  The Cantor-4 case is one block of its 1024 cylinders
         import expsys.measures as m
 
-        assert ss._guide[:2] == guide
-        cuts = ss._cumw[:-1]
+        # _SAMPLE_DEPTH = L makes one level block at scale 1
+        monkeypatch.setattr(m, "_SAMPLE_DEPTH", L)
+        assert (ss._iterate[0], ss._iterate[2][:2]) == (L, guide)
+        offsets, cumw = self._decoded_iterate(ss, L)
+        cuts = cumw[:-1]
         u = np.concatenate([cuts, np.nextafter(cuts, -1.0), [0.0, 1.0 - 2.0**-53]])
         u = u[(u >= 0.0) & (u < 1.0)]
-        # one level at a power-of-two ratio: x * ratio is the digit index
-        monkeypatch.setattr(m, "_SAMPLE_DEPTH", 1)
-        got = ss._sample(u.size, self._Uniforms(u))[:, 0] * ss.ratio
-        assert np.array_equal(got, np.searchsorted(cuts, u, side="right"))
+        got = ss._sample(u.size, self._Uniforms(u))[:, 0]
+        assert np.array_equal(got, offsets[np.searchsorted(cuts, u, side="right")])
+
+    class _Counting:
+        """A generator that counts the uniforms asked of it."""
+
+        def __init__(self, seed):
+            self.rng, self.uniforms = np.random.default_rng(seed), 0
+
+        def random(self, out):
+            self.uniforms += out.size
+            return self.rng.random(out=out)
+
+    @pytest.mark.parametrize(
+        "weights, per_sample",
+        [((0.5, 0.5), 3), ((0.25,) * 4, 5), ((0.99, 0.01), None), ((0.7, 0.2, 0.1), None)],
+        ids=["2-equal", "4-equal", "0.99-0.01", "0.7-0.2-0.1"],
+    )
+    def test_uniforms_per_sample(self, weights, per_sample):
+        # 2 equal digits (the product gate's system) take 10 levels per
+        # uniform, 4 equal digits 6; uneven weights never make more passes over
+        # a block, (uniforms per sample) (1 + comparison passes), than L = 1
+        from expsys.measures import _guide_table
+
+        ss = es.SelfSimilar(5, tuple((float(2 * j), w) for j, w in enumerate(weights)))
+        n = 2**18 + 3
+        rng = self._Counting(7)
+        ss._sample(n, rng)
+        L, _, (_, passes, *_) = ss._iterate
+        assert rng.uniforms == n * 30 // L
+        if per_sample is not None:
+            assert (rng.uniforms, passes) == (per_sample * n, 0)
+        one_level = _guide_table(np.cumsum(weights)[:-1])[1]
+        assert 30 // L * (1 + passes) <= 30 * (1 + one_level)
 
     @settings(derandomize=True, max_examples=5, deadline=None)
     @given(
