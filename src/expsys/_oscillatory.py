@@ -28,13 +28,13 @@ always) also run the full rule and must agree within both errors + 1e-12,
 or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
-digit error adds the weight's finest-scale slope to the phase term.  A
-"weights" plan whose digit rule runs on a digit system (x = sum d_j r^-j,
-phi(psi(x)) = sum sigma(d_j) q^-j) takes the digit-transfer path instead:
-degree-8 Chebyshev fits of each weight on the top <= 4096 cylinders,
-contracted against moments from the self-similar transfer recursion.  It
-guards itself as the linear split does, against the digit rule, and leaves
-to that rule calls of at most 16 frequencies, support boxes that cut a
+digit error adds the weight's finest-scale slope to the phase term.  The
+digit rule on a digit system (x = sum d_j r^-j, phi(psi(x)) = sum
+sigma(d_j) q^-j) takes the digit transfer: degree-8 Chebyshev fits of each
+weight on the top <= 4096 cylinders, contracted against moments from the
+self-similar transfer recursion.  It guards itself as the linear split
+does, against the enumeration, and leaves to the enumeration calls of at
+most 16 frequencies or non-finite ones, support boxes that cut a
 cylinder's image hull, fits whose tail is too large and non-finite weights.
 Adaptive integrals stay one refinement per (frequency, weight).  A
 pushforward psi_*mu is integrated over mu with the phase and the weights
@@ -95,10 +95,9 @@ def _unwrap(mu):
 @dataclass(frozen=True)
 class Plan:
     """How one moment call runs: the product formula over the reduced
-    self-similar `mu` to `trunc` levels, quadrature under `rule` over (mu,
-    phi), or the digit-transfer path over (mu, phi) guarded by the digit `rule`."""
+    self-similar `mu` to `trunc` levels, or quadrature under `rule` over (mu, phi)."""
 
-    path: str  # "product-formula", "quadrature" or "digit-transfer"
+    path: str  # "product-formula" or "quadrature"
     mu: object
     phi: object
     rule: QuadratureSpec | None = None
@@ -107,10 +106,6 @@ class Plan:
     def moments(self, lambdas, weights=(None,), threads=1, strict=True):
         """(values, errors), each (m, k), as `exp_moments` returns them; the
         product formula takes the unit weight only."""
-        if self.path == "digit-transfer":
-            return _transfer_moments(
-                self.mu, self.phi, lambdas, self.rule, weights, threads, strict
-            )
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
         weights = list(weights)
@@ -132,16 +127,11 @@ def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
     quad over the collapsed pair and transform the "measure" rule.
     "weights" (coefficients, frame matrices) takes quad when exp_moments can
     run it, else digit enumeration on a self-similar base, else 400k samples
-    seeded with quad.seed.  A digit rule on a self-similar base whose pair
-    (base, phi o psi) is a digit system (`phases.as_digit_system`) runs as
-    the digit-transfer path: Chebyshev fits on the top cylinders against the
-    self-similar moment recursion, guarded by 16 seeded frequencies under
-    that digit rule, which also runs the whole call when the guard fails, at
-    most 16 frequencies ask, a support box cuts a cylinder, a fit's tail is
-    too large or a weight is not finite at a fit node.  "measure" (norms,
-    residuals; phi is the identity) takes depth-30 digits on self-similar
-    bases, the "weights" rule on digit-map chains, Gauss of order >= 48 on
-    boxes and tight adaptive on discs.
+    seeded with quad.seed (the digit rule takes the digit transfer itself,
+    as tensor-gauss takes the linear split).  "measure" (norms, residuals;
+    phi is the identity) takes depth-30 digits on self-similar bases, the
+    "weights" rule on digit-map chains, Gauss of order >= 48 on boxes and
+    tight adaptive on discs.
     """
     if purpose not in ("gram", "transform", "weights", "measure"):
         raise ValueError(f"unknown moment purpose {purpose!r}")
@@ -160,9 +150,6 @@ def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
         rule = measures.digit(depth=30)
     elif isinstance(base, SelfSimilar):
         rule = quad if digit or quad.scheme == "monte-carlo" else measures.digit(quad.depth)
-        system = phases.as_digit_system(base, eff_phi)
-        if rule.scheme == "self-similar-digit" and system is not None:
-            return Plan("digit-transfer", mu, phi, rule=rule)
     elif smooth and isinstance(base, LebesgueBox):
         rule = measures.gauss(order=max(48, quad.order))
     elif smooth:
@@ -231,7 +218,11 @@ def exp_moments(
     elif quad.scheme == "self-similar-digit":
         if not isinstance(base, SelfSimilar):
             raise SchemeMismatchError("self-similar-digit is only valid for SelfSimilar measures")
-        vals, errs = _digit_moments(base, psi, phi, lam, quad, weights)
+        vals, errs = _guarded(
+            lambda: _digit_transfer(mu, phi, lam, quad.depth, weights),
+            lambda rows: _digit_moments(base, psi, phi, rows, quad, weights),
+            lam,
+        )
     elif quad.scheme == "tensor-gauss":
         vals, errs = _gauss_moments(base, psi, phi, lam, quad, weights, threads)
     else:
@@ -336,42 +327,30 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     return _contract(img, lam, W), errs
 
 
-def _transfer_moments(mu, phi, lambdas, rule, weights, threads, strict):
-    """The digit-transfer path: `_digit_transfer` on 1-d frequencies, guarded
-    by the digit rule `rule`, which runs every call the transfer does not take."""
-    weights = [(None, None) if w is None else tuple(w) for w in weights]
-    lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
-
-    def digit_rule(rows):
-        return exp_moments(mu, phi, rows, rule, weights, threads, strict)
-
-    if lam.shape[1] != 1 or not np.all(np.isfinite(lam)):
-        return digit_rule(lam)
-    _check_entries(lam.shape[0], len(weights), "moment matrix")
-    return _guarded(lambda: _digit_transfer(mu, phi, lam, rule.depth, weights), digit_rule, lam)
-
-
 def _digit_transfer(mu, phi, lam, depth, weights):
     """(values, errors), each (m, k), of the weights over a digit system, or
-    None when the transfer cannot take the call.
+    None when the transfer cannot take the call: frequencies that are not
+    1-d and finite, a pair that is no digit system, or a refused weight.
 
     With x = sum_j d_j r^-j and phi(psi(x)) = sum_j sigma(d_j) q^-j, the top L
-    cylinders c (k^L <= _TRANSFER_CELLS for k positive-weight digits) are
-    x = x_c + r^-L y, and on each one w(psi(x)) is fitted by the degree-K
-    Chebyshev interpolant sum_k a_ck T_k(t) in the local coordinate t in
-    [-1, 1] of y over the support's hull.  Each cylinder adds p_c e^{2 pi i
-    lambda phi_c} sum_k a_ck M_k(lambda q^-L), M the moments of
-    `_chebyshev_moments`.  A weight is refused when a support box cuts a
-    cylinder's image hull, a value at a fit node is not finite, or its fit
-    tail (|a_{K-1}| + |a_K| summed over the cylinders' masses) exceeds
-    _FIT_TOL times its size.  The error is that tail, plus the dropped levels
-    2 pi |lambda| q^-(L + depth) max|sigma| / (q - 1) and a round-off bound,
-    each of the latter times the fits' summed coefficient size: the
-    recursion's monomial steps have infinity-norm <= 1, so its round-off is
-    a few eps a level, grown once by the largest row sum of |T_k|'s monomial
-    coefficients; the cylinder sum adds eps per cylinder and the phase its
-    relative eps times 2 pi |lambda| max|phi|.
+    cylinders c of `measures._cylinders` (k^L <= _TRANSFER_CELLS for k
+    positive-weight digits) are x = x_c + r^-L y, and on each one w(psi(x))
+    is fitted by the degree-K Chebyshev interpolant sum_k a_ck T_k(t) in the
+    local coordinate t in [-1, 1] of y over the support's hull.  Each
+    cylinder adds p_c e^{2 pi i lambda phi_c} sum_k a_ck M_k(lambda q^-L),
+    M the moments of `_chebyshev_moments`.  A weight is refused when a
+    support box cuts a cylinder's image hull, a value at a fit node is not
+    finite, or its fit tail (|a_{K-1}| + |a_K| summed over the cylinders'
+    masses) exceeds _FIT_TOL times its size.  The error is that tail, plus
+    the dropped levels 2 pi |lambda| q^-(L + depth) max|sigma| / (q - 1) and
+    a round-off bound, each of the latter times the fits' summed coefficient
+    size: the recursion's monomial steps have infinity-norm <= 1, so its
+    round-off is a few eps a level, grown once by the largest row sum of
+    |T_k|'s monomial coefficients; the cylinder sum adds eps per cylinder
+    and the phase its relative eps times 2 pi |lambda| max|phi|.
     """
+    if lam.shape[1] != 1 or not np.all(np.isfinite(lam)):
+        return None
     base, psi = _unwrap(mu)
     system = phases.as_digit_system(base, phi if psi is None else phases.compose(phi, psi))
     if system is None:
@@ -381,22 +360,12 @@ def _digit_transfer(mu, phi, lam, depth, weights):
     levels = 0
     while len(p) ** (levels + 1) <= _TRANSFER_CELLS:
         levels += 1
-
-    def cylinders(values, ratio):
-        """sum_{j <= L} values[c_j] ratio^-j for every cylinder c."""
-        out = np.zeros(1)
-        for j in range(1, levels + 1):
-            out = np.add.outer(out, values * float(ratio) ** -j).ravel()
-        return out
-
-    mass = np.ones(1)
-    for _ in range(levels):
-        mass = np.multiply.outer(mass, p).ravel()
+    x_c, mass, r_scale = measures._cylinders(d, p, r, levels)
     mid = (d.min() + d.max()) / (2 * (r - 1))
     half = (d.max() - d.min()) / (2 * (r - 1))
     K = _FIT_DEGREE
     t = np.polynomial.chebyshev.chebpts1(K + 1)
-    x = (cylinders(d, r)[:, None] + float(r) ** -levels * (mid + half * t)).reshape(-1, 1)
+    x = (x_c[:, None] + r_scale * (mid + half * t)).reshape(-1, 1)
     W = _weight_matrix([(fn, None) for fn, _ in weights], x if psi is None else psi(x))
     W = W.reshape(len(mass), K + 1, len(weights))
     if not np.all(np.isfinite(W)):
@@ -408,10 +377,10 @@ def _digit_transfer(mu, phi, lam, depth, weights):
             return None
         sigma_of = {a: s for a, s, _ in image[2]}
         image_sigma = np.array([sigma_of[a] for a in d])
-        qi = float(image[1])
-        start = cylinders(image_sigma, qi)
-        lo = start + qi ** -levels * image_sigma.min() / (qi - 1)
-        hi = start + qi ** -levels * image_sigma.max() / (qi - 1)
+        qi = image[1]
+        y_c, _, qi_scale = measures._cylinders(image_sigma, p, qi, levels)
+        lo = y_c + qi_scale * image_sigma.min() / (qi - 1)
+        hi = y_c + qi_scale * image_sigma.max() / (qi - 1)
         for j, (_, box) in enumerate(weights):
             if box is not None:
                 b_lo, b_hi = np.asarray(box, dtype=float).reshape(2, -1)[:, 0]
@@ -426,14 +395,15 @@ def _digit_transfer(mu, phi, lam, depth, weights):
         return None
 
     e = (d - (r - 1) * mid) / (r * half)  # each digit in the local coordinate
-    cheb, growth = _chebyshev_moments(r, q, e, sigma, p, lam[:, 0] * float(q) ** -levels, depth)
+    phi_c, _, q_scale = measures._cylinders(sigma, p, q, levels)
+    cheb, growth = _chebyshev_moments(r, q, e, sigma, p, lam[:, 0] * q_scale, depth)
     W = (mass[:, None, None] * A).reshape(len(mass), -1)
-    sums = _contract(cylinders(sigma, q)[:, None], lam, W).reshape(len(lam), len(weights), K + 1)
+    sums = _contract(phi_c[:, None], lam, W).reshape(len(lam), len(weights), K + 1)
     vals = np.einsum("ijk,ik->ij", sums, cheb)
     size = mass @ np.abs(A).sum(axis=2)
     reach = 2 * np.pi * np.abs(lam[:, 0]) * np.max(np.abs(sigma)) / (q - 1)
     roundoff = 8 * np.finfo(float).eps * ((depth + 1) * growth + len(mass) + reach)
-    errs = tail + (reach * float(q) ** -(levels + depth) + roundoff)[:, None] * size
+    errs = tail + (reach * q_scale * float(q) ** -depth + roundoff)[:, None] * size
     return vals, errs
 
 

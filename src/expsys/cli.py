@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import analysis, measures, phases, reconstruct, repdisc, spectra, tiling
-from ._oscillatory import MAX_THREADS
+from ._oscillatory import MAX_THREADS, _unwrap, plan
 from .config import (
     as_scalar,
     build_measure,
@@ -182,7 +182,12 @@ def _run_reconstruct(cfg, seed, threads, opts):
     f = expression_on_points(parse_expression(cfg["f"]))
     coeffs = reconstruct.coefficients(f, mu, phi, spectrum, quad, threads=threads)
     g = reconstruct.synthesize(coeffs.values, phi, spectrum)
-    err = reconstruct.l2_error(f, g, mu, measures.adaptive(abs_tol=1e-8))
+    # adaptive runs on boxes and discs only; a self-similar base takes its norm rule
+    if isinstance(_unwrap(mu)[0], measures.SelfSimilar):
+        norm_rule = plan(mu, phases.Identity(mu.dim), quad, "measure").rule
+    else:
+        norm_rule = measures.adaptive(abs_tol=1e-8)
+    err = reconstruct.l2_error(f, g, mu, norm_rule)
     result = {
         "n_coefficients": int(spectrum.size),
         "flagged_entries": int(np.count_nonzero(coeffs.failed)),

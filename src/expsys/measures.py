@@ -598,17 +598,19 @@ def _cylinders(offsets, weights, ratio, depth):
 def digit_nodes(ss: SelfSimilar, depth: int):
     """Exact enumeration nodes/weights of the depth-truncated digit measure.
 
-    The effective depth is min(depth, cap) keeping the node count below
-    ~2^20; each node is shifted by the mean of the dropped tail so the
-    truncation is centered.  Digits are enumerated in ascending offset order
-    (stable for equal offsets), so the nodes do not depend on the order the
-    digits are listed in.  Returns (pts (n,1), weights (n,), tail_width).
+    Only the positive-weight digits are enumerated, so a digit listed with
+    weight 0 changes no node, weight or tail width.  The effective depth is
+    min(depth, cap) keeping the node count below ~2^20; each node is shifted
+    by the mean of the dropped tail so the truncation is centered.  Digits
+    are enumerated in ascending offset order (stable for equal offsets), so
+    the nodes do not depend on the order the digits are listed in.  Returns
+    (pts (n,1), weights (n,), tail_width).
     """
-    k = len(ss.digits)
-    cap = max(1, int(math.log(_MAX_DIGIT_NODES) / math.log(max(k, 2))))
-    d_eff = min(depth, cap) if k > 1 else depth
-    order = np.argsort(ss._offsets, kind="stable")
-    offsets, digit_weights = ss._offsets[order], ss._weights[order]
+    pos = ss._weights > 0
+    order = np.argsort(ss._offsets[pos], kind="stable")
+    offsets, digit_weights = ss._offsets[pos][order], ss._weights[pos][order]
+    k = len(offsets)  # >= 2: the measure supports more than one point
+    d_eff = min(depth, max(1, int(math.log(_MAX_DIGIT_NODES) / math.log(k))))
     pts, weights, scale = _cylinders(offsets, digit_weights, ss.ratio, d_eff)
     mean_digit = float(offsets @ digit_weights)
     span = float(offsets.max() - offsets.min())
@@ -705,19 +707,21 @@ def validate_product_formula(ss: SelfSimilar) -> float:
     """Cross-validate the _FT_TRUNC-level product against independent oracles.
 
     Oracle 1: exact digit-string enumeration of the truncated measure, the
-    engine's depth-30 digit rule.  Oracle 2: Monte-Carlo digit sampling (6M
-    points, tolerance 1e-3, fixed internal seed), drawn from the L-fold
-    iterate of the digit system (`SelfSimilar._iterate`: 3 uniforms per
-    sample for two equal digits) and summed in blocks by the engine's
-    Monte-Carlo sum.  Neither runs the product formula.  Returns
-    the worst residual; raises ProductFormulaError on failure.  Results are
-    cached per digit system, and the product-formula path refuses to run
-    without a pass.
+    engine's depth-30 enumeration (`_oscillatory._digit_moments`, never the
+    digit transfer, whose unit-weight recursion is the product formula).
+    Oracle 2: Monte-Carlo digit sampling (6M points, tolerance 1e-3, fixed
+    internal seed), drawn from the L-fold iterate of the digit system
+    (`SelfSimilar._iterate`: 3 uniforms per sample for two equal digits) and
+    summed in blocks by the engine's Monte-Carlo sum.  Neither runs the
+    product formula.  Returns the worst residual; raises ProductFormulaError
+    on failure, a non-finite residual included.  Results are cached per
+    digit system, and the product-formula path refuses to run without a
+    pass.
     """
     key = ss.digit_key()
     if key in _PRODUCT_GATE:
         return _PRODUCT_GATE[key]
-    from ._oscillatory import _mc_sums, exp_moments  # lazy: both import this module
+    from ._oscillatory import _digit_moments, _mc_sums  # lazy: both import this module
     from .phases import Identity
     xi = np.array(_GATE_XI)
     lam = xi[:, None]
@@ -725,7 +729,7 @@ def validate_product_formula(ss: SelfSimilar) -> float:
 
     def oracles():
         # one at a time: the enumeration's 2^20 nodes are freed before the 6M samples
-        enum, _ = exp_moments(ss, Identity(1), lam, digit(30))
+        enum, _ = _digit_moments(ss, None, Identity(1), lam, digit(30), [(None, None)])
         yield "digit enumeration", _GATE_ENUM_TOL, enum[:, 0]
         pts = ss._sample(_GATE_MC_SAMPLES, spawn_rng(_GATE_SEED, "product-gate", key))
         sums, _ = _mc_sums(pts, None, Identity(1), lam, [(None, None)])
@@ -736,7 +740,7 @@ def validate_product_formula(ss: SelfSimilar) -> float:
         for x, p, v in zip(xi, prod, values):
             resid = abs(p - v)
             worst = max(worst, resid)
-            if resid > tol:
+            if not resid <= tol:  # a NaN residual fails too
                 raise ProductFormulaError(
                     f"product formula disagrees with {oracle} at xi={x}: "
                     f"|delta|={resid:.3e} > {tol}"

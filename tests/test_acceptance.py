@@ -14,7 +14,7 @@ import numpy as np
 
 import expsys as es
 import expsys.cli as cli
-from expsys._oscillatory import exp_moments
+from expsys._oscillatory import _digit_moments
 from expsys.analysis import FAIL, PASS, periodic_test_battery
 from expsys.repdisc import WindowSystem, verify_system_on_window
 from expsys.tiling import NOT_TILING
@@ -64,15 +64,18 @@ def test_criterion_02_digit_transport_of_unit_interval():
     )
     ok = rep.path == "product-formula" and rep.max_offdiag <= 1e-6
 
-    # digit-enumeration oracle on 20 random entries: the depth-30 digit rule
-    # on the Cantor-4 measure, which neither samples nor runs the product
-    # formula; each entry must agree within both error estimates
+    # digit-enumeration oracle on 20 random entries: the depth-30 digit
+    # enumeration on the Cantor-4 measure, which neither samples nor runs the
+    # product formula (the digit rule would take the transfer, whose
+    # unit-weight recursion is the product formula, at more than 16
+    # frequencies); each entry must agree within both error estimates
     rng = np.random.default_rng(1729)
     m = spectrum.size
     i, j = rng.integers(0, m, size=(20, 2)).T
     pts = spectrum.points[:, 0]
-    vals, errs = exp_moments(
-        es.middle_fourth_cantor(), es.Identity(1), (pts[i] - pts[j])[:, None], es.digit(30)
+    vals, errs = _digit_moments(
+        es.middle_fourth_cantor(), None, es.Identity(1), (pts[i] - pts[j])[:, None],
+        es.digit(30), [(None, None)],
     )
     k = rep.inverse[i, j]
     dev = np.abs(rep.values[k] - vals[:, 0])

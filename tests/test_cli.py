@@ -83,6 +83,28 @@ class TestPresets:
         tail = float(np.sqrt(np.sum(2.0 / (4 * np.pi**2 * ks**2))))
         assert abs(rep["result"]["l2_error"] - tail) <= 0.1 * tail
 
+    def test_reconstruct_on_a_self_similar_measure(self, tmp_path):
+        # the L2 error runs under the norm rule (depth-30 digits): adaptive is
+        # for boxes and discs only.  E(Lambda4) is an ONB of the middle-fourth
+        # Cantor measure, so ||x - g||^2 = E[x^2] - sum |c|^2 = 8/45 - sum |c|^2
+        csv_path = tmp_path / "coeffs.csv"
+        cfg = {
+            "measure": {"kind": "self_similar", "ratio": 4, "digits": [[0.0, 0.5], [2.0, 0.5]]},
+            "phase": {"kind": "identity", "dim": 1},
+            "spectrum": {"kind": "lambda4", "n": 3},
+            "quad": {"scheme": "self-similar-digit", "depth": 20},
+            "f": "x1",
+            "csv": str(csv_path),
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, rep = run_to_file(tmp_path, ["reconstruct", "--config", str(cfg_path)])
+        assert code == 0
+        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+        assert len(rows) == 8
+        energy = np.sum(rows[:, 1] ** 2 + rows[:, 2] ** 2)
+        assert abs(rep["result"]["l2_error"] ** 2 - (8 / 45 - energy)) <= 1e-10
+
     def test_every_preset_command_matches_handler(self):
         for name, preset in PRESETS.items():
             assert preset["command"] in (
@@ -744,7 +766,7 @@ class TestSpecCliExamples:
         _assert_benchmark_body(rep, "cantor4")
 
     def test_cantor3_preset_end_to_end(self, tmp_path):
-        # the battery's coefficients take the digit-transfer path
+        # the battery's coefficients take the digit transfer inside the digit rule
         code, rep = run_to_file(tmp_path, ["verify-onb", "--preset", "cantor3"])
         assert code == 0
         assert rep["result"]["gram"]["path"] == "product-formula"

@@ -117,6 +117,16 @@ class TestIntegrate:
         val, _ = es.integrate(lambda x: np.exp(1j * x[:, 0]), mu, quad)
         assert np.iscomplexobj(val)
 
+    def test_zero_weight_digits_are_not_enumerated(self):
+        # the middle-fourth Cantor measure listed with a third digit of weight
+        # 0 got 3^12 nodes, 4096 of them weighted, and a tail 1.5 times wider
+        listed = es.SelfSimilar(4, ((0.0, 0.5), (2.0, 0.5), (3.0, 0.0)))
+        for depth in (8, 30):
+            pts, w, tail = digit_nodes(listed, depth)
+            ref_pts, ref_w, ref_tail = digit_nodes(es.middle_fourth_cantor(), depth)
+            assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+            assert tail == ref_tail
+
     def test_digit_depth_agreement_invariant(self):
         # depth D vs D+5 within 2 pi |xi| * tail width of depth D
         nu4 = es.middle_fourth_cantor()
@@ -496,6 +506,33 @@ class TestFourierTransform:
         finally:
             tracemalloc.stop()
         assert peak <= 96 * 2**20
+
+    def test_gate_runs_neither_the_transfer_nor_exp_moments(self, monkeypatch):
+        # the enumeration oracle is the digit enumeration itself, whatever
+        # the digit rule may route through the transfer
+        import expsys._oscillatory as osc
+        import expsys.measures as m
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the gate must not reach this")
+
+        monkeypatch.setattr(osc, "_digit_transfer", refuse)
+        monkeypatch.setattr(osc, "exp_moments", refuse)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        assert m.validate_product_formula(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5)))) < 1e-3
+
+    def test_gate_refuses_a_non_finite_oracle(self, monkeypatch):
+        # a NaN residual compares False against the tolerance: it must fail
+        import expsys._oscillatory as osc
+        import expsys.measures as m
+
+        def nan_moments(mu, psi, phi, lam, quad, weights):
+            return np.full((len(lam), 1), np.nan + 0j), np.zeros((len(lam), 1))
+
+        monkeypatch.setattr(osc, "_digit_moments", nan_moments)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        with pytest.raises(ProductFormulaError, match="digit enumeration"):
+            m.validate_product_formula(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5))))
 
     def test_selfsimilar_needs_positive_trunc(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 import expsys as es
 from expsys import _oscillatory
 from expsys._oscillatory import (
+    _digit_moments,
     _digit_transfer,
     _guard_rows,
     _split_moments,
@@ -303,10 +304,6 @@ def _q(rule):
     return ("quadrature", rule, None)
 
 
-def _dt(rule):
-    return ("digit-transfer", rule, None)
-
-
 # (mu, phi, quad) -> {purpose: (path, rule or reduced digit key, trunc)}; one
 # entry per (measure kind, phase kind, scheme, purpose) the library reaches.
 # Boxes and discs have closed-form transforms, so they carry no transform entry.
@@ -316,7 +313,7 @@ RULE_CASES = {
         "measure": _q(es.gauss(48)),
     }),
     "cantor3": (es.middle_third_cantor(), T2Q, es.digit(40), {
-        "gram": _pf(40), "weights": _dt(es.digit(40)), "norms": _q(es.digit(30)),
+        "gram": _pf(40), "weights": _q(es.digit(40)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)), "transform": _pf(40, (3, ((0.0, 0.5), (2.0, 0.5)))),
     }),
     "cantor4-monte-carlo": (UNIT, B2Q, es.monte_carlo(1000, seed=3), {
@@ -324,7 +321,7 @@ RULE_CASES = {
         "weights": _q(es.monte_carlo(1000, seed=3)), "norms": _q(es.gauss(48)),
         "measure": _q(es.gauss(48)),
     }),
-    # the transfer replaces the digit rule only: samples stay samples ...
+    # the transfer runs inside the digit rule only: samples stay samples ...
     "cantor3-monte-carlo": (es.middle_third_cantor(), T2Q, es.monte_carlo(1000, seed=3), {
         "gram": _q(es.monte_carlo(1000, seed=3)),
         "weights": _q(es.monte_carlo(1000, seed=3)), "norms": _q(es.digit(30)),
@@ -336,7 +333,7 @@ RULE_CASES = {
         "measure": _q(es.digit(30)),
     }),
     "cantor3-digit50": (es.middle_third_cantor(), T2Q, es.digit(50), {
-        "gram": _pf(50), "weights": _dt(es.digit(50)), "norms": _q(es.digit(30)),
+        "gram": _pf(50), "weights": _q(es.digit(50)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)),
     }),
     # the coefficient rule is 400k samples, so the norms run under gauss(48),
@@ -379,14 +376,14 @@ RULE_CASES = {
         "measure": _q(MC400K), "transform": _pf(40),
     }),
     "gauss-on-cantor": (es.middle_fourth_cantor(), es.Identity(1), es.gauss(32), {
-        "gram": _pf(40), "weights": _dt(es.digit(30)), "norms": _q(es.digit(30)),
+        "gram": _pf(40), "weights": _q(es.digit(30)), "norms": _q(es.digit(30)),
         "measure": _q(es.digit(30)), "transform": _pf(40),
     }),
     # 2 x on the middle-fourth Cantor measure is the digit system {0, 4}
     "affine-on-cantor": (
         es.pushforward(es.middle_fourth_cantor(), es.Affine([[2.0]])), es.Identity(1),
         es.gauss(32), {
-            "gram": _pf(40, CANTOR4_X2), "weights": _dt(es.digit(30)),
+            "gram": _pf(40, CANTOR4_X2), "weights": _q(es.digit(30)),
             "norms": _q(es.digit(30)), "measure": _q(es.digit(30)),
             "transform": _pf(40, CANTOR4_X2),
         },
@@ -457,10 +454,11 @@ def test_plan_is_the_one_decision_point():
         # every other moment call goes through a plan; integrate is the engine's
         # lambda = 0 moment under the caller's own rule
         if path in library and path.stem != "_oscillatory":
-            expected = set()
-            if path.stem == "measures":  # the gate's enumeration oracle is the digit rule
-                expected = {"integrate", "validate_product_formula"}
+            expected = {"integrate"} if path.stem == "measures" else set()
             assert _users(path, "exp_moments") == expected, path.name
+    # the gate's enumeration oracle is the digit enumeration, never the transfer
+    measures_path = Path(es.__file__).parent / "measures.py"
+    assert _users(measures_path, "_digit_moments") == {"validate_product_formula"}
 
 
 def test_digit_systems_are_recognized_by_the_engine_only():
@@ -751,7 +749,7 @@ def test_linear_split_is_closed_form_on_affine_boxes(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the digit-transfer path of "weights" calls on digit systems
+# the digit transfer inside the digit rule on digit systems
 # ---------------------------------------------------------------------------
 
 
@@ -823,14 +821,13 @@ def test_digit_transfer_matches_the_digit_rule(case, kinds, a, b, lam, whole):
         kinds, box = ["poly", "sextic"], (box[0], np.array([np.inf]))
     weights = [(_smooth_weight(kind, a, b), None) for kind in kinds] + [(None, box)]
     how = plan(mu, phi, es.digit(depth), "weights")
-    assert how.path == "digit-transfer"
     with pytest.MonkeyPatch.context() as patch:
         if whole:
             patch.setattr(_oscillatory, "_TRANSFER_CELLS", 1)
         found = _digit_transfer(mu, phi, lam, depth, weights)
         assert found is not None
         vals, errs = found
-        digit_vals, digit_errs = exp_moments(mu, phi, lam, es.digit(depth), weights)
+        digit_vals, digit_errs = _digit_moments(mu, None, phi, lam, es.digit(depth), weights)
         assert np.all(np.abs(vals - digit_vals) <= errs + digit_errs + 1e-12)
         # the guard accepts it, and every row takes the transfer
         got, got_errs = how.moments(lam, weights)
@@ -850,6 +847,19 @@ def test_digit_transfer_takes_cantor3_battery_within_the_leaf_check():
     )
     assert np.all(np.abs(vals[::8] - digit_vals) <= errs[::8] + digit_errs + 1e-12)
     assert np.max(errs) < 1e-9 < np.max(digit_errs)
+
+
+def test_digit_rule_takes_the_transfer_above_sixteen_frequencies():
+    # cantor3's pair and battery: 64 rows run the transfer, 16 the enumeration
+    mu, quad = es.middle_third_cantor(), es.digit(12)
+    weights = [(tf.fn, tf.support_box) for tf in es.default_test_battery(mu)]
+    vals, errs = exp_moments(mu, T2Q, CANTOR3_LAM, quad, weights)
+    transfer, transfer_errs = _digit_transfer(mu, T2Q, CANTOR3_LAM, quad.depth, weights)
+    assert np.array_equal(vals, transfer) and np.array_equal(errs, transfer_errs)
+    vals, errs = exp_moments(mu, T2Q, CANTOR3_LAM[:16], quad, weights)
+    enum, enum_errs = _digit_moments(mu, None, T2Q, CANTOR3_LAM[:16], quad, weights)
+    assert np.array_equal(vals, enum) and np.array_equal(errs, enum_errs)
+    assert not np.array_equal(enum, transfer[:16])  # the two rules are told apart
 
 
 @pytest.mark.parametrize(
@@ -873,18 +883,19 @@ def test_digit_transfer_on_pushforwards(mu, weights):
     found = _digit_transfer(mu, es.Identity(1), lam, 30, weights)
     assert found is not None
     vals, errs = found
-    digit_vals, digit_errs = exp_moments(mu, es.Identity(1), lam, es.digit(12), weights)
+    digit_vals, digit_errs = _digit_moments(
+        mu.base, mu.map, es.Identity(1), lam, es.digit(12), weights
+    )
     assert np.all(np.abs(vals - digit_vals) <= errs + digit_errs + 1e-12)
 
 
 def _digit_rule_runs(mu, phi, lam, weights, strict=True):
-    """Plan.moments of a "weights" call that must run the digit rule: the
-    digit-transfer plan returns exp_moments' values bit for bit."""
+    """Plan.moments of a "weights" call that must run the digit enumeration:
+    the plan returns `_digit_moments`' values bit for bit."""
     quad = es.digit(12)
-    how = plan(mu, phi, quad, "weights")
-    assert how.path == "digit-transfer"
-    vals, errs = how.moments(lam, weights, strict=strict)
-    ref, ref_errs = exp_moments(mu, phi, lam, quad, weights, strict=strict)
+    vals, errs = plan(mu, phi, quad, "weights").moments(lam, weights, strict=strict)
+    stack = [w or (None, None) for w in weights]  # None is the unit weight
+    ref, ref_errs = _digit_moments(mu, None, phi, lam, quad, stack)
     assert np.array_equal(vals, ref, equal_nan=True)
     assert np.array_equal(errs, ref_errs, equal_nan=True)
     return vals
@@ -902,7 +913,7 @@ def test_guard_refuses_a_corrupted_transfer(monkeypatch):
     weights = [(lambda x: x[:, 0], None)]
     monkeypatch.setattr(_oscillatory.phases, "as_digit_system", flipped)
     wrong, _ = _digit_transfer(mu, T2Q, lam, 12, weights)
-    ref, _ = exp_moments(mu, T2Q, lam, es.digit(12), weights)
+    ref, _ = _digit_moments(mu, None, T2Q, lam, es.digit(12), weights)
     assert np.max(np.abs(wrong - ref)) > 0.1
     _digit_rule_runs(mu, T2Q, lam, weights)
 
@@ -936,8 +947,7 @@ def test_non_finite_values_run_the_digit_rule(weight, infinite_row):
     mu, lam, weights = es.middle_third_cantor(), CANTOR3_LAM.copy(), [(weight, None)]
     if infinite_row:
         lam[5] = np.inf
-    else:
-        assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
+    assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
     with pytest.raises(QuadratureError, match="non-finite value"):
         plan(mu, T2Q, es.digit(12), "weights").moments(lam, weights)
     vals = _digit_rule_runs(mu, T2Q, lam, weights, strict=False)
