@@ -33,7 +33,9 @@ digit rule on a digit system (x = sum d_j r^-j, phi(psi(x)) = sum
 sigma(d_j) q^-j) takes the digit transfer: degree-8 Chebyshev fits of each
 weight on the top <= 4096 cylinders, contracted against moments from the
 self-similar transfer recursion.  It guards itself as the linear split
-does, against the enumeration, and leaves to the enumeration calls of at
+does, its 16 guard rows under the enumeration on at most 2^16 nodes
+(min(depth, floor(16 / log2 k)) levels of k digits, at least one); a
+refused call runs the enumeration at the caller's depth, as do calls of at
 most 16 frequencies or non-finite ones, support boxes that cut a
 cylinder's image hull, fits whose tail is too large and non-finite weights.
 Adaptive integrals stay one refinement per (frequency, weight).  A
@@ -67,7 +69,12 @@ from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
-_GUARD_ROWS = 16  # frequencies of each linear-split or digit-transfer call also run by its oracle
+# frequencies of each linear-split or digit-transfer call also run by its guard: the
+# full rule, or the digit enumeration on at most _GUARD_NODES nodes (min(depth,
+# floor(16 / log2 k)) levels of k digits, at least one); a refused transfer runs the
+# enumeration at the caller's depth
+_GUARD_ROWS = 16
+_GUARD_NODES = 1 << 16
 _TRANSFER_CELLS = 4096  # a digit-transfer fit's top-level cylinders: k^L <= 4096 for k digits
 _FIT_DEGREE = 8  # Chebyshev degree of each cylinder's weight fit
 _FIT_TOL = 1e-9  # largest fit tail, relative to the weight's size, the transfer accepts
@@ -218,10 +225,13 @@ def exp_moments(
     elif quad.scheme == "self-similar-digit":
         if not isinstance(base, SelfSimilar):
             raise SchemeMismatchError("self-similar-digit is only valid for SelfSimilar measures")
+        k = np.count_nonzero(base._weights > 0)
+        guard_rule = measures.digit(min(quad.depth, max(1, _levels_within(k, _GUARD_NODES))))
         vals, errs = _guarded(
             lambda: _digit_transfer(mu, phi, lam, quad.depth, weights),
             lambda rows: _digit_moments(base, psi, phi, rows, quad, weights),
             lam,
+            guard=lambda rows: _digit_moments(base, psi, phi, rows, guard_rule, weights),
         )
     elif quad.scheme == "tensor-gauss":
         vals, errs = _gauss_moments(base, psi, phi, lam, quad, weights, threads)
@@ -357,9 +367,7 @@ def _digit_transfer(mu, phi, lam, depth, weights):
         return None
     r, q, rows = system
     d, sigma, p = (np.array(col) for col in zip(*(row for row in rows if row[2] > 0)))
-    levels = 0
-    while len(p) ** (levels + 1) <= _TRANSFER_CELLS:
-        levels += 1
+    levels = _levels_within(len(p), _TRANSFER_CELLS)
     x_c, mass, r_scale = measures._cylinders(d, p, r, levels)
     mid = (d.min() + d.max()) / (2 * (r - 1))
     half = (d.max() - d.min()) / (2 * (r - 1))
@@ -405,6 +413,14 @@ def _digit_transfer(mu, phi, lam, depth, weights):
     roundoff = 8 * np.finfo(float).eps * ((depth + 1) * growth + len(mass) + reach)
     errs = tail + (reach * q_scale * float(q) ** -depth + roundoff)[:, None] * size
     return vals, errs
+
+
+def _levels_within(k, cap):
+    """The most digit levels L >= 0 whose k^L strings stay within cap."""
+    levels = 0
+    while k ** (levels + 1) <= cap:
+        levels += 1
+    return levels
 
 
 def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
@@ -462,16 +478,18 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     return _guarded(lambda: _split_moments(mu, phi, linear, lam, quad, threads), full_rule, lam)
 
 
-def _guarded(fast, oracle, lam):
+def _guarded(fast, oracle, lam, guard=None):
     """fast()'s (values, errors) when more than _GUARD_ROWS frequencies ask,
-    it answers (not None) and `oracle` agrees on its _GUARD_ROWS guard rows
-    within both errors + 1e-12; else oracle(lam).  `oracle` maps frequency
-    rows to (values, errors)."""
+    it answers (not None) and `guard` (default `oracle`) agrees on its
+    _GUARD_ROWS guard rows within both errors + 1e-12; else oracle(lam).
+    `oracle` and `guard` map frequency rows to (values, errors); the digit
+    transfer's guard is the enumeration on at most _GUARD_NODES nodes, its
+    oracle the enumeration at the caller's depth."""
     found = fast() if lam.shape[0] > _GUARD_ROWS else None
     if found is not None:
         vals, errs = found
         rows = _guard_rows(lam)
-        oracle_vals, oracle_errs = oracle(lam[rows])
+        oracle_vals, oracle_errs = (guard or oracle)(lam[rows])
         if np.all(np.abs(vals[rows] - oracle_vals) <= errs[rows] + oracle_errs + 1e-12):
             return vals, errs
     return oracle(lam)

@@ -901,21 +901,96 @@ def _digit_rule_runs(mu, phi, lam, weights, strict=True):
     return vals
 
 
-def test_guard_refuses_a_corrupted_transfer(monkeypatch):
-    # the digit system with sigma's sign flipped is a different phase
+def _flipped_sigma(monkeypatch):
+    # the phase's digit system only: the support boxes' image system stays
+    # honest, so the transfer still answers and only the guard can refuse it
     honest = _oscillatory.phases.as_digit_system
 
     def flipped(mu, phi):
         system = honest(mu, phi)
-        return system and (system[0], system[1], tuple((d, -s, p) for d, s, p in system[2]))
+        if system is None or isinstance(phi, es.Identity):
+            return system
+        return system[0], system[1], tuple((d, -s, p) for d, s, p in system[2])
 
+    monkeypatch.setattr(_oscillatory.phases, "as_digit_system", flipped)
+
+
+def test_guard_refuses_a_corrupted_transfer(monkeypatch):
+    # the digit system with sigma's sign flipped is a different phase
     mu, lam = es.middle_third_cantor(), CANTOR3_LAM
     weights = [(lambda x: x[:, 0], None)]
-    monkeypatch.setattr(_oscillatory.phases, "as_digit_system", flipped)
+    _flipped_sigma(monkeypatch)
     wrong, _ = _digit_transfer(mu, T2Q, lam, 12, weights)
     ref, _ = _digit_moments(mu, None, T2Q, lam, es.digit(12), weights)
     assert np.max(np.abs(wrong - ref)) > 0.1
     _digit_rule_runs(mu, T2Q, lam, weights)
+
+
+def _spy_digit_nodes(monkeypatch):
+    """The node count of each `digit_nodes` call the engine makes, in order."""
+    counts = []
+    honest = _oscillatory.digit_nodes
+
+    def spy(mu, depth):
+        nodes = honest(mu, depth)
+        counts.append(len(nodes[1]))
+        return nodes
+
+    monkeypatch.setattr(_oscillatory, "digit_nodes", spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "mu, phi, lam, quad",
+    [
+        # cantor3's pair, battery and depth: 16 levels of 2 digits
+        (es.middle_third_cantor(), T2Q, CANTOR3_LAM, es.digit(40)),
+        # 8 levels of 4 digits; 16 levels would enumerate 2^20 nodes
+        (
+            es.SelfSimilar(5, ((0.0, 0.1), (1.0, 0.2), (3.0, 0.3), (4.0, 0.4))),
+            es.Identity(1),
+            np.arange(-12.0, 12.0)[:, None],
+            es.digit(30),
+        ),
+    ],
+    ids=["cantor3", "four-digits"],
+)
+def test_transfer_guard_enumerates_at_most_2_16_nodes(monkeypatch, mu, phi, lam, quad):
+    weights = [(tf.fn, tf.support_box) for tf in es.default_test_battery(mu)]
+    counts = _spy_digit_nodes(monkeypatch)
+    vals, errs = exp_moments(mu, phi, lam, quad, weights)
+    assert len(counts) == 1 and counts[0] <= 1 << 16  # the guard's one enumeration
+    transfer, transfer_errs = _digit_transfer(mu, phi, lam, quad.depth, weights)
+    assert np.array_equal(vals, transfer) and np.array_equal(errs, transfer_errs)
+
+
+def _scaled_chebyshev(monkeypatch):
+    honest = _oscillatory._chebyshev_moments
+
+    def scaled(*args):
+        cheb, growth = honest(*args)
+        return 1.001 * cheb, growth
+
+    monkeypatch.setattr(_oscillatory, "_chebyshev_moments", scaled)
+
+
+@pytest.mark.parametrize(
+    "fault", [_scaled_chebyshev, _flipped_sigma], ids=["chebyshev-x1.001", "sigma-sign"]
+)
+def test_refused_transfer_runs_the_enumeration_at_the_callers_depth(monkeypatch, fault):
+    # cantor3's pair and battery; depth 18 keeps the fallback at 2^18 nodes,
+    # above the guard's 2^16, as the preset's depth 40 is (at 2^20)
+    mu, lam, quad = es.middle_third_cantor(), CANTOR3_LAM, es.digit(18)
+    weights = [(tf.fn, tf.support_box) for tf in es.default_test_battery(mu)]
+    clean, clean_errs = _digit_transfer(mu, T2Q, lam, quad.depth, weights)
+    fault(monkeypatch)
+    wrong, _ = _digit_transfer(mu, T2Q, lam, quad.depth, weights)
+    assert np.max(np.abs(wrong - clean) - clean_errs) > 1e-6
+    counts = _spy_digit_nodes(monkeypatch)
+    vals, errs = exp_moments(mu, T2Q, lam, quad, weights)
+    assert counts == [1 << 16, 1 << 18]  # the guard refuses; the caller's rule runs
+    ref, ref_errs = _digit_moments(mu, None, T2Q, lam, quad, weights)
+    assert np.array_equal(vals, ref) and np.array_equal(errs, ref_errs)
 
 
 @pytest.mark.parametrize(
