@@ -63,7 +63,14 @@ class PhaseMap:
                 J[:, :, j] = _central(self._eval, pts, step)
         return J
 
-    def invert(self, y):
+    def invert(self, y, box=None):
+        """(x, ok): phi(x) = y where ok, for y of shape (n, out_dim).
+
+        `box` is an optional (lo, hi) pair, the bounds of a membership test
+        lo <= x < hi run on the answer.  With it, a row whose preimage
+        provably lies outside the box may come back unrefined, but still
+        outside the box; `ok` never depends on it.
+        """
         raise InversionError(f"{type(self).__name__} has no inverse routine")
 
     def linear_part(self):
@@ -86,7 +93,7 @@ class Identity(PhaseMap):
         n = pts.shape[0]
         return np.broadcast_to(np.eye(self.in_dim), (n, self.in_dim, self.in_dim)).copy()
 
-    def invert(self, y):
+    def invert(self, y, box=None):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         return y.copy(), np.ones(y.shape[0], dtype=bool)
 
@@ -113,7 +120,7 @@ class Affine(PhaseMap):
     def jacobian_batch(self, pts):
         return np.broadcast_to(self.M, (pts.shape[0],) + self.M.shape).copy()
 
-    def invert(self, y):
+    def invert(self, y, box=None):
         if self.in_dim != self.out_dim:
             raise InversionError("affine map is not square")
         y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -267,7 +274,7 @@ class Unipotent(PhaseMap):
                 J[:, k, j] = _central(l_k, pts, step)
         return J
 
-    def invert(self, y):
+    def invert(self, y, box=None):
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x = y.copy()
         for k in range(self.in_dim - 2, -1, -1):
@@ -409,7 +416,7 @@ class _MonotoneAntiderivative:
             out[blk] = self._at(flat[blk], *self._panels(grid, idx[blk]))
         return out.reshape(t.shape)
 
-    def inverse(self, v):
+    def inverse(self, v, window=None):
         """Solve F(t) = v where reachable; F is strictly increasing since w > 0.
 
         Returns (t, ok): ok is False where v lies outside the attainable range
@@ -419,6 +426,13 @@ class _MonotoneAntiderivative:
         definitive no-preimage answers.
         Each point starts from the knot interpolant and takes clipped Newton
         steps on the series of its bracketing panel.
+
+        `window` is an optional (lo, hi) pair of t bounds.  With it, only ok
+        rows whose bracketing panel meets [lo, hi] are refined, each to the
+        same t as without a window.  Newton stays in the panel, so every
+        other row's answer lies outside [lo, hi] either way; such a row comes
+        back at the knot that bounds its preimage off the window (below lo or
+        above hi).  `ok` does not depend on the window.
         """
         v = np.asarray(v, dtype=float)
         if v.size == 0:
@@ -454,19 +468,37 @@ class _MonotoneAntiderivative:
         eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
         ok = (v >= cum[0] - eps_lo) & (v <= cum[-1] + eps_hi)
         safe_v = np.clip(v, cum[0], cum[-1]).ravel()
-        # exact bracket per point, then clipped Newton inside it
-        j = np.clip(np.searchsorted(cum, safe_v), 1, len(knots) - 1)
-        t = np.interp(safe_v, cum, knots)
+        if window is None:
+            return self._refine(grid, safe_v).reshape(v.shape), ok
+        # the panels [knots[j-1], knots[j]] meeting the window are j_lo..j_hi;
+        # a row's panel j is monotone in v, so two comparisons find its rows
+        last = len(knots) - 1
+        j_lo = max(int(np.searchsorted(knots, window[0])), 1)
+        j_hi = min(int(np.searchsorted(knots, window[1], side="right")), last)
+        v_lo = cum[j_lo - 1] if j_lo > 1 else -np.inf
+        v_hi = cum[j_hi] if j_hi < last else np.inf
+        below = safe_v <= v_lo
+        t = np.where(below, knots[j_lo - 1], knots[j_hi])
+        rows = np.flatnonzero(ok.ravel() & ~below & (safe_v <= v_hi) & (j_lo <= j_hi))
+        t[rows] = self._refine(grid, safe_v[rows])
+        return t.reshape(v.shape), ok
+
+    def _refine(self, grid, v):
+        """t with F(t) = v for flat v in [F(knots[0]), F(knots[-1])]: the exact
+        bracket per point, then clipped Newton inside it."""
+        knots, cum, _ = grid
+        j = np.clip(np.searchsorted(cum, v), 1, len(knots) - 1)
+        t = np.interp(v, cum, knots)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for blk in _blocks(t.size):
                 t_lo, t_hi, base, coef = self._panels(grid, j[blk] - 1)
-                tb, vb = t[blk], safe_v[blk]
+                tb, vb = t[blk], v[blk]
                 for _ in range(self._NEWTON_STEPS):
                     step = (self._at(tb, t_lo, t_hi, base, coef) - vb) / self.w(tb)
                     step = np.where(np.isfinite(step), step, 0.0)
                     tb = np.clip(tb - step, t_lo, t_hi)
                 t[blk] = tb
-        return t.reshape(v.shape), ok
+        return t
 
 
 class Triangular2D(PhaseMap):
@@ -515,9 +547,16 @@ class Triangular2D(PhaseMap):
         J[:, 1, 1] = 1.0 / z
         return J
 
-    def invert(self, y):
+    def invert(self, y, box=None):
+        """Inverse of the second component, then x1 = (y1 - f(x2)) / z(x2).
+
+        With a box, x2 is refined only on rows whose x2 can land in the box's
+        x2 range (`_MonotoneAntiderivative.inverse`'s window); x1 is formed on
+        every row.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        x2, ok = self._anti.inverse(y[:, 1] - self.K)
+        window = None if box is None else (box[0][1], box[1][1])
+        x2, ok = self._anti.inverse(y[:, 1] - self.K, window)
         z = self._z_checked(x2)
         x1 = (y[:, 0] - np.asarray(self.f(x2), dtype=float)) / z
         out = np.stack([x1, x2], axis=-1)
@@ -565,9 +604,10 @@ class ComposedPhase(PhaseMap):
         Ji = self.inner.jacobian_batch(pts)
         return np.einsum("nij,njk->nik", Jo, Ji)
 
-    def invert(self, y):
+    def invert(self, y, box=None):
+        # the box bounds the inner map's preimage, not the middle points
         mid, ok1 = self.outer.invert(y)
-        x, ok2 = self.inner.invert(mid)
+        x, ok2 = self.inner.invert(mid, box)
         return x, ok1 & ok2
 
 

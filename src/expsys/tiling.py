@@ -158,16 +158,20 @@ def _membership(phi, lo, hi):
     """y -> (inside mask, failure mask) for y in phi([lo, hi)).
 
     Inversion into the box where phi has an inverse (probed at the box
-    centre), else an occupancy grid.
+    centre), else an occupancy grid.  The inversion gets the box as a hint,
+    so it may leave unrefined the rows that cannot land in it.
     """
     try:
         phi.invert(phi(np.atleast_2d((lo + hi) / 2.0)))
     except InversionError:
         return _GridMembership(phi, lo, hi)
 
+    # one pair of bounds for the box test and the inversion's hint
+    box = (lo - 1e-12, hi - 1e-12)
+
     def invert_into_box(y):
-        x, ok = phi.invert(y)
-        inside = ok & np.all((x >= lo - 1e-12) & (x < hi - 1e-12), axis=1)
+        x, ok = phi.invert(y, box)
+        inside = ok & np.all((x >= box[0]) & (x < box[1]), axis=1)
         return inside, ~ok
 
     return invert_into_box
@@ -196,7 +200,9 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
 
     Draws x uniform in the box, forms y = phi(x) + k, and tests y in phi(box)
     by analytic inversion (back-substitution for triangular structures) or an
-    occupancy grid for custom maps.  Caller asserts injectivity on the box
+    occupancy grid for custom maps.  The inversion is refined only where a
+    preimage can land in the box: a `Triangular2D` translate whose x2 cannot
+    reach the box runs no Newton steps.  Caller asserts injectivity on the box
     (probe available in the phases module).  More than 1% inversion failures
     invalidates the estimate.
     """

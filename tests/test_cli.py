@@ -732,7 +732,9 @@ class TestConfigPathsOffThePresets:
         inverted = []
         invert = phases.Affine.invert
         monkeypatch.setattr(
-            phases.Affine, "invert", lambda self, y: inverted.append(len(y)) or invert(self, y)
+            phases.Affine,
+            "invert",
+            lambda self, y, box=None: inverted.append(len(y)) or invert(self, y, box),
         )
         cfg = {
             "phase": {"kind": "affine", "M": [[1.0, 1.0], [0.0, 1.0]]},

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
+from expsys.cli import run
 from expsys.errors import DomainError, InversionError
 from expsys.phases import _MonotoneAntiderivative
 
@@ -338,6 +339,64 @@ class TestMonotoneAntiderivative:
         assert phi(np.empty((0, 2))).shape == (0, 2)
         back, ok = phi.invert(np.empty((0, 2)))
         assert back.shape == (0, 2) and ok.shape == (0,)
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    @pytest.mark.parametrize(
+        "window",
+        [(-1e-12, 1.0 - 1e-12), (0.3, 0.3), (-2.5, -2.0), (-1e3, 1e3), (1e3, 2e3), (-2e3, -1e3)],
+        ids=["unit", "point", "left", "all", "past-right", "past-left"],
+    )
+    def test_window_refines_only_rows_that_can_land_in_it(self, name, window):
+        anti = _MonotoneAntiderivative(_WEIGHTS[name])
+        F = anti(np.linspace(-3.0, 4.0, 701))
+        # the knot values themselves, and values with no preimage on a
+        # saturating side
+        v = np.concatenate([F, anti._grid[1], [F[0] - 50.0, F[-1] + 50.0]])
+        t, ok = anti.inverse(v)
+        t_win, ok_win = anti.inverse(v, window)
+        np.testing.assert_array_equal(ok_win, ok)
+        knots, cum, _ = anti._grid
+        lo, hi = window
+        j = np.clip(np.searchsorted(cum, np.clip(v, cum[0], cum[-1])), 1, len(knots) - 1)
+        meets = ok & (knots[j] >= lo) & (knots[j - 1] <= hi)
+        np.testing.assert_array_equal(t_win[meets], t[meets])
+        # every other row with a preimage comes back at a knot between its
+        # answer and the window, so a box test on it fails as on the answer
+        skipped = ok & ~meets
+        assert np.all(np.isin(t_win[skipped], knots))
+        left = skipped & (t_win < lo)
+        assert np.all(t[left] <= t_win[left])
+        right = skipped & ~left
+        assert np.all((hi < t_win[right]) & (t_win[right] <= t[right]))
+
+    def test_counterexample_exp_refines_rows_its_box_can_hold(self, monkeypatch, tmp_path):
+        # 24 translates of 200,000 points and the centre probe: only the
+        # probe and the four k2 = 0 translates can land in the unit box
+        newton_points, building = [], []
+        init, series = _MonotoneAntiderivative.__init__, _MonotoneAntiderivative._series
+
+        def spied_series(self, a, b):
+            building.append(True)
+            try:
+                return series(self, a, b)
+            finally:
+                building.pop()
+
+        def spied_init(self, w):
+            def counted(t):
+                if not building:  # a Newton step, not a grid build
+                    newton_points.append(np.size(t))
+                return w(t)
+
+            init(self, counted)
+
+        monkeypatch.setattr(_MonotoneAntiderivative, "__init__", spied_init)
+        monkeypatch.setattr(_MonotoneAntiderivative, "_series", spied_series)
+        out = tmp_path / "report.json"
+        code = run(["tiling-check", "--preset", "counterexample-exp", "--out", str(out)])
+        assert code == 1
+        steps = _MonotoneAntiderivative._NEWTON_STEPS
+        assert sum(newton_points) == steps * 800_001
 
     @pytest.mark.parametrize("name", sorted(_WEIGHTS))
     @settings(derandomize=True, max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import expsys as es
-from expsys.tiling import NONUNIFORM, NOT_TILING, TILES, UNIFORM
+from expsys.tiling import NONUNIFORM, NOT_TILING, TILES, UNIFORM, _membership
 
 # dense 2000^2 grid oracle for the z = e^{x2} overlap at k = (1, 0);
 # analytic value is 1/e = 0.3678794
@@ -84,11 +86,95 @@ class TestOverlapVolume:
         rep = es.overlap_volume(es.Identity(2), BOX, [1e300, 0.0], n=1000, seed=0)
         assert rep.volume_est == 0.0
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a point with no preimage counts as an inversion failure; the mend "
+        "moves counterexample-exp's overlaps, so it waits for a reference re-record",
+    )
+    def test_translate_with_no_preimage_is_not_a_failure(self):
+        # z = e^{x2}: the second component saturates below 1/e, so no point of
+        # the (0, 1) translate has a preimage; its zero volume is right
+        rep = es.overlap_volume(exp_triangular(), BOX, [0.0, 1.0], n=10_000, seed=1)
+        assert rep.volume_est == 0.0
+        assert rep.failures == 0 and rep.valid
+
     def test_grid_membership_fallback(self):
         # custom map without an inverse goes through the occupancy grid
         phi = es.CustomPhase(lambda p: p + 0.0, 2, 2)
         rep = es.overlap_volume(phi, BOX, [2.0, 0.0], n=50_000, seed=5)
         assert rep.volume_est <= 0.01
+
+
+def _face_points(lo, hi):
+    """Grid of points on, and within 1e-12 of, every face of the box [lo, hi]."""
+    offsets = np.array([-2e-12, -1e-12, 0.0, 1e-12])
+    axes = [np.concatenate([lo[i] + offsets, hi[i] + offsets, [0.5 * (lo[i] + hi[i])]])
+            for i in range(2)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
+def _assert_box_hint_changes_no_answer(phi, lo, hi, seed):
+    """`_membership`'s masks, inverted with the box hint, equal those of an
+    inversion without it, on uniform and near-face points under every
+    translate k in {-2..2}^2."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([lo + (hi - lo) * rng.random((64, 2)), _face_points(lo, hi)])
+    ks = np.stack(np.meshgrid(np.arange(-2, 3), np.arange(-2, 3), indexing="ij"), axis=-1)
+    # the images themselves too, so the near-face points land on the box faces
+    y = np.concatenate([phi(x)] + [phi(x) + k for k in ks.reshape(-1, 2)])
+    inside, failed = _membership(phi, lo, hi)(y)
+    back, ok = phi.invert(y)
+    expected = ok & np.all((back >= lo - 1e-12) & (back < hi - 1e-12), axis=1)
+    np.testing.assert_array_equal(inside, expected)
+    np.testing.assert_array_equal(failed, ~ok)
+
+
+_BOX_CORNER = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_BOX_SIDES = st.tuples(st.floats(0.1, 2.0), st.floats(0.1, 2.0))
+
+
+class TestBoxHint:
+    """The box the membership test hands the inversion changes no answer."""
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(
+        a=st.floats(-2.0, 2.0),
+        b=st.floats(-1.0, 1.0),
+        c=st.floats(-0.2, 0.2),
+        freq=st.integers(1, 4),
+        corner=_BOX_CORNER,
+        sides=_BOX_SIDES,
+    )
+    # a = 2 saturates the second component: the k2 >= 1 translates of the
+    # unit box have no preimage
+    @example(a=2.0, b=0.0, c=0.1, freq=1, corner=(0.0, 0.0), sides=(1.0, 1.0))
+    def test_triangular(self, a, b, c, freq, corner, sides):
+        phi = es.Triangular2D(
+            z=lambda t: np.exp(a * t + b), f=lambda t: c * np.sin(2 * np.pi * freq * t)
+        )
+        lo = np.array(corner)
+        _assert_box_hint_changes_no_answer(phi, lo, lo + np.array(sides), freq)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(
+        M=st.tuples(*[st.floats(-2.0, 2.0)] * 4).filter(
+            lambda m: abs(m[0] * m[3] - m[1] * m[2]) > 0.1
+        ),
+        corner=_BOX_CORNER,
+        sides=_BOX_SIDES,
+    )
+    def test_affine(self, M, corner, sides):
+        phi = es.Affine(np.reshape(M, (2, 2)), [0.25, -0.5])
+        lo = np.array(corner)
+        _assert_box_hint_changes_no_answer(phi, lo, lo + np.array(sides), 0)
+
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(c=st.floats(-1.0, 1.0), freq=st.integers(1, 4), corner=_BOX_CORNER, sides=_BOX_SIDES)
+    def test_unipotent(self, c, freq, corner, sides):
+        phi = es.Unipotent(shifts=(lambda p: c * np.sin(2 * np.pi * freq * p[:, 1]),), dim=2)
+        lo = np.array(corner)
+        _assert_box_hint_changes_no_answer(phi, lo, lo + np.array(sides), freq)
 
 
 class TestTilingVerdict:
