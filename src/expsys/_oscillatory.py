@@ -276,7 +276,7 @@ def _contract(img, lam, W):
         for start in range(0, lam.shape[0], step):
             freqs = slice(start, start + step)
             Z = np.zeros((img.shape[0], lam[freqs].shape[0]), dtype=complex)  # in place
-            Z.imag = img @ lam[freqs].T
+            np.matmul(img, lam[freqs].T, out=Z.imag)
             Z.imag *= 2 * np.pi
             np.exp(Z, out=Z)
             if np.iscomplexobj(W):

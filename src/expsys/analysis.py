@@ -12,6 +12,7 @@ a recognized self-similar pushforward, and from quadrature otherwise.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -21,7 +22,7 @@ from . import measures, phases
 from ._oscillatory import plan
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec
-from .spectra import SpectrumSet, lattice, unique_rows
+from .spectra import SpectrumSet, lattice, round_in_place, unique_rows
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -35,15 +36,51 @@ def unique_differences(points):
     indexing the (m, m) difference grid, and each class's frequency, the
     unrounded points[i] - points[j] of its first pair, mirrored so that
     freqs[n - 1 - u] == -freqs[u] as for the keys (-0.0 folded into 0.0).
-    Above MAX_GRAM_POINTS points it raises before any difference is formed."""
+    Above MAX_GRAM_POINTS points it raises before any difference is formed.
+    Integer-valued points take `_integer_classes`, with the same tables."""
     m = points.shape[0]
     if m > MAX_GRAM_POINTS:
         raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
+    integer = _integer_classes(points)
+    if integer is not None:
+        inverse, freqs = integer
+        return round_in_place(freqs.copy(), 12) + 0.0, inverse, freqs
     diffs = points[:, None, :] - points[None, :, :]
     keys, inverse, first = unique_rows(diffs.reshape(m * m, -1))
     i, j = np.divmod(first[: first.size // 2 + 1], m)  # the zero class is the middle row
     low = points[i] - points[j]
     return keys, inverse.reshape(m, m), np.concatenate([low, -low[-2::-1]]) + 0.0
+
+
+def _integer_classes(points):
+    """(inverse, freqs) of `unique_differences` keyed by exact integers, or None
+    unless the points are integer-valued, below 2^51, and their doubled box
+    (each axis's differences take 2 (max - min) + 1 values) has at most m^2 bins.
+
+    Such differences are exact doubles, and rounding to 12 digits is injective
+    and monotone on them: the classes of the rounded rows are the distinct
+    integer differences in lexicographic order, and every pair of a class,
+    its first included, has the class's value.  A mixed-radix key over the
+    doubled box, first axis most significant, is ordered as the rows; a
+    bincount over the box ranks the classes, and each frequency is read off
+    its class's bin."""
+    m = points.shape[0]
+    if not (np.all(np.abs(points) < 2.0**51) and np.all(points == np.rint(points))):
+        return None
+    lo = points.min(axis=0)
+    span = (points.max(axis=0) - lo).astype(np.int64)
+    radix = tuple(2 * int(s) + 1 for s in span)
+    if math.prod(radix) > m * m:
+        return None
+    lin = np.ravel_multi_index((points - lo).astype(np.int64).T, radix)
+    key = np.subtract.outer(lin, lin - np.ravel_multi_index(span, radix))  # bin of i - j
+    rank = np.bincount(key.ravel(), minlength=math.prod(radix))
+    freqs = np.stack(np.unravel_index(np.flatnonzero(rank), radix), axis=1) - span
+    np.minimum(rank, 1, out=rank)  # 1 on each occurring difference
+    np.cumsum(rank, out=rank)
+    rank -= 1
+    # in range, so "clip": the default "raise" buffers a copy of the m^2 grid
+    return np.take(rank, key, out=key, mode="clip"), freqs.astype(float)
 
 
 @dataclass

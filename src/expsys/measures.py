@@ -665,13 +665,23 @@ _GATE_SEED = 0x5E1F51A1
 
 
 def _mask_value(ss: SelfSimilar, xi):
-    """One-level digit symbol m(xi) = sum_j w_j e^{2 pi i d_j xi}."""
+    """One-level digit symbol m(xi) = sum_j w_j e^{2 pi i d_j xi}.
+
+    A digit at offset 0 contributes its weight exactly, with no exp.  np.sum
+    adds up to 3 complex terms one by one onto +0.0 and 4 or more pairwise, so
+    up to 3 digits are added in listed order onto +0.0 (signed zeros included)
+    and more digits keep the stacked np.sum."""
     xi = np.asarray(xi, dtype=float)
-    return np.sum(
-        ss._weights[None, :]
-        * np.exp(2j * np.pi * ss._offsets[None, :] * xi[..., None]),
-        axis=-1,
-    )
+    terms = [
+        w if d == 0 else w * np.exp((2j * np.pi * d) * xi)
+        for w, d in zip(ss._weights, ss._offsets)
+    ]
+    if len(terms) > 3:
+        return np.sum(np.stack(np.broadcast_arrays(*terms), axis=-1), axis=-1)
+    out = np.zeros(xi.shape, dtype=complex)
+    for term in terms:
+        out += term
+    return out
 
 
 def _selfsimilar_product(ss: SelfSimilar, xi, trunc):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ import expsys as es
 from expsys.analysis import FAIL, INCONCLUSIVE, PASS, unique_differences
 from expsys.analysis import TestFunction as TFn
 from expsys.measures import _box_ft
+from expsys.spectra import unique_rows
 
 # Frozen oracle values (scripts: high-order Gauss-Legendre, 400 nodes; the
 # z = e^{x2} entry cross-checked against a 1e7-sample Monte-Carlo run).
@@ -161,6 +164,26 @@ def explicit_points(draw):
     return es.SpectrumSet(rows[np.sort(first)], {"kind": "explicit"}).points
 
 
+@st.composite
+def integer_points(draw):
+    """Distinct integer-valued points in shuffled order, of either sign: near
+    ones (their doubled box mostly within m^2 bins, keyed by exact integers),
+    sparse ones (the box above m^2 bins) and ones from 2^51 up, which both take
+    the rounded rows."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["near", "sparse", "huge"]))
+    coord = {"near": st.integers(0, 2), "sparse": st.integers(0, 10**6), "huge": st.integers(0, 8)}
+    rows = draw(st.lists(st.lists(coord[kind], min_size=d, max_size=d), min_size=1, max_size=30))
+    shift = {
+        "near": st.integers(-3, 3),
+        "sparse": st.just(0),
+        "huge": st.sampled_from([2**51, 2**52, 2**60]),
+    }
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    rows = np.unique(sign * (np.array(rows, dtype=float) + draw(shift[kind])), axis=0)
+    return rows[draw(st.permutations(range(rows.shape[0])))]
+
+
 structured_points = st.one_of(
     st.integers(0, 12).map(lambda r: es.integer_lattice(1, r).points),
     st.integers(0, 5).map(lambda r: es.integer_lattice(2, r).points),
@@ -174,7 +197,7 @@ structured_points = st.one_of(
 
 class TestUniqueDifferences:
     @settings(derandomize=True, max_examples=80, deadline=None)
-    @given(st.one_of(explicit_points(), structured_points))
+    @given(st.one_of(explicit_points(), integer_points(), structured_points))
     def test_matches_np_unique(self, points):
         uniq, inverse, freqs = unique_differences(points.copy())
         ref_uniq, ref_inverse, ref_first = reference_unique_differences(points)
@@ -189,6 +212,43 @@ class TestUniqueDifferences:
         assert np.array_equal(freqs, -freqs[::-1])
         assert not np.any(np.signbit(freqs) & (freqs == 0))
         assert np.array_equal(np.round(freqs, 12) + 0.0, uniq)
+
+    def test_integer_points_skip_the_rounded_rows(self, monkeypatch):
+        import expsys.analysis as an
+
+        integer = [es.lambda4(11).points, es.integer_lattice(1, 1024).points]
+        rounded = [
+            es.lattice([[np.sqrt(2.0)]], 20).points,  # not integer-valued
+            np.array([[0.0], [1.0], [10.0**6]]),  # doubled box above m^2 bins
+            np.array([[2.0**51], [2.0**51 + 1], [2.0**51 + 2]]),  # not below 2^51
+        ]
+        calls = []
+
+        def spy(rows):
+            calls.append(rows.shape[0])
+            return unique_rows(rows)
+
+        monkeypatch.setattr(an, "unique_rows", spy)
+        for points in integer:
+            unique_differences(points)
+        assert calls == []
+        for points in rounded:
+            unique_differences(points)
+        assert calls == [points.shape[0] ** 2 for points in rounded]
+
+    def test_integer_tables_peak_below_the_rounded_rows(self):
+        # lambda4(11): the key grid of 8 m^2 bytes and the bincount over its
+        # doubled box of about (2/3) m^2 bins peak at 1.7 grids; the rounded
+        # rows (differences, sort order, inverse, ranks) at about 6
+        points = es.lambda4(11).points
+        m = points.shape[0]
+        tracemalloc.start()
+        try:
+            unique_differences(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 8 * m * m
 
     def test_refuses_above_the_gram_cap_before_any_difference(self):
         from expsys.analysis import MAX_GRAM_POINTS

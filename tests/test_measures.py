@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 
 import expsys as es
 from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
-from expsys.measures import _box_ft, digit_nodes, selfsimilar_moments
+from expsys.measures import _box_ft, _selfsimilar_product, digit_nodes, selfsimilar_moments
 
 
 def unit_box():
@@ -374,6 +374,23 @@ class TestPushforward:
             assert abs(v1 - v2) <= 1e-12  # same seed, same nodes
 
 
+@st.composite
+def digit_systems(draw):
+    """Ratio 2 to 6, 2 to 4 distinct digits with offset 0 listed first, last or
+    not at all, and one zero weight once three digits leave two supported."""
+    ratio = draw(st.integers(2, 6))
+    k = draw(st.integers(2, 4))
+    nonzero = st.integers(-3 * ratio, 3 * ratio).filter(bool).map(float)
+    offsets = draw(st.lists(nonzero, min_size=k, max_size=k, unique=True))
+    zero_at = draw(st.sampled_from([0, k - 1, None]))
+    if zero_at is not None:
+        offsets[zero_at] = 0.0
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+    if k > 2:
+        weights[draw(st.integers(0, k - 1))] = 0.0
+    return es.SelfSimilar(ratio, list(zip(offsets, weights / weights.sum())))
+
+
 class TestFourierTransform:
     def test_zero_frequency_gives_mass(self):
         assert_allclose(es.fourier_transform(unit_box(), [0.0]), 1.0)
@@ -440,6 +457,23 @@ class TestFourierTransform:
         shear = es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
         pf = es.pushforward(es.LebesgueBox([0.0, 0.0], [1.0, 1.0]), shear)
         assert abs(es.fourier_transform(pf, [1.0, 2.0])) <= 1e-12
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(digit_systems(), st.lists(st.floats(-1e6, 1e6), max_size=6), st.integers(1, 40))
+    def test_product_matches_the_stacked_exponentials(self, ss, xi, trunc):
+        xi = np.array(xi + [0.0, -0.0])
+        scale, oracle = 1.0, np.ones(xi.shape, dtype=complex)
+        for _ in range(trunc):  # every digit through exp, summed by one stacked np.sum
+            scale /= ss.ratio
+            oracle *= np.sum(
+                ss._weights[None, :]
+                * np.exp(2j * np.pi * ss._offsets[None, :] * (xi * scale)[..., None]),
+                axis=-1,
+            )
+        got = _selfsimilar_product(ss, xi, trunc)
+        for a, b in ((got.real, oracle.real), (got.imag, oracle.imag)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
 
     def test_gate_refuses_corrupted_product(self, monkeypatch):
         import expsys.measures as m
