@@ -22,7 +22,7 @@ from . import measures, phases
 from ._oscillatory import plan
 from .errors import DomainError, QuadratureError
 from .measures import QuadratureSpec
-from .spectra import SpectrumSet, lattice, round_in_place, unique_rows
+from .spectra import SpectrumSet, lattice, unique_rows
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -44,7 +44,7 @@ def unique_differences(points):
     integer = _integer_classes(points)
     if integer is not None:
         inverse, freqs = integer
-        return round_in_place(freqs.copy(), 12) + 0.0, inverse, freqs
+        return freqs.copy(), inverse, freqs
     diffs = points[:, None, :] - points[None, :, :]
     keys, inverse, first = unique_rows(diffs.reshape(m * m, -1))
     i, j = np.divmod(first[: first.size // 2 + 1], m)  # the zero class is the middle row
@@ -57,10 +57,12 @@ def _integer_classes(points):
     unless the points are integer-valued, below 2^51, and their doubled box
     (each axis's differences take 2 (max - min) + 1 values) has at most m^2 bins.
 
-    Such differences are exact doubles, and rounding to 12 digits is injective
-    and monotone on them: the classes of the rounded rows are the distinct
-    integer differences in lexicographic order, and every pair of a class,
-    its first included, has the class's value.  A mixed-radix key over the
+    Such differences are exact doubles below m^2 / 2 <= 2^23 in magnitude, on
+    which rounding to 12 digits is the identity (x * 1e12 is exact), so the
+    keys are the frequencies themselves, with no -0.0 from int64.  The classes
+    of the rounded rows are the distinct integer differences in lexicographic
+    order, and every pair of a class, its first included, has the class's
+    value.  A mixed-radix key over the
     doubled box, first axis most significant, is ordered as the rows; a
     bincount over the box ranks the classes, and each frequency is read off
     its class's bin."""

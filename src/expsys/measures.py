@@ -667,10 +667,13 @@ _GATE_SEED = 0x5E1F51A1
 def _mask_value(ss: SelfSimilar, xi):
     """One-level digit symbol m(xi) = sum_j w_j e^{2 pi i d_j xi}.
 
-    A digit at offset 0 contributes its weight exactly, with no exp.  np.sum
-    adds up to 3 complex terms one by one onto +0.0 and 4 or more pairwise, so
-    up to 3 digits are added in listed order onto +0.0 (signed zeros included)
-    and more digits keep the stacked np.sum."""
+    A digit at offset 0 contributes its weight exactly, with no exp.  The sum
+    must give the bits of np.sum over a stacked digit axis, which adds up to 3
+    complex terms one by one onto +0.0 and 4 or more pairwise (numpy's
+    pairwise sum; test_product_matches_the_stacked_exponentials pins both).
+    Up to 3 digits, every preset's case, are added in place in listed order,
+    skipping the stacked np.sum's length-k reduction, which costs more than the
+    adds; more digits keep the stacked np.sum."""
     xi = np.asarray(xi, dtype=float)
     terms = [
         w if d == 0 else w * np.exp((2j * np.pi * d) * xi)
