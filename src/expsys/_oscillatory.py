@@ -29,6 +29,10 @@ or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
 digit error adds the weight's finest-scale slope to the phase term.  The
+product-formula gate's sampling oracle has its own sum, `_code_sums`: a
+sample drawn as one cylinder code per level block has as phase the product
+of that block's table e^{2 pi i xi t_b} at its code, so the tables are the
+only exponentials and each sample costs gathers and complex products.  The
 digit rule on a digit system (x = sum d_j r^-j, phi(psi(x)) = sum
 sigma(d_j) q^-j) takes the digit transfer: degree-8 Chebyshev fits of each
 weight on the top <= 4096 cylinders, contracted against moments from the
@@ -310,6 +314,29 @@ def _mc_sums(pts, psi, phi, lam, weights):
         sums += _contract(phi(y), lam, W)
         sq += np.sum(np.abs(W) ** 2, axis=0)
     return sums, sq
+
+
+def _code_sums(codes, offsets, xi):
+    """(m,) sums over the rows of the (n, B) `codes` of e^{2 pi i xi x} at
+    the 1-d frequencies xi, x = sum_b offsets[b, codes[:, b]]: each term is
+    the product over b of the phase tables e^{2 pi i xi offsets[b]}, gathered
+    _MC_ROWS rows at a time, so no exponential runs per row."""
+    tables = np.exp(2j * np.pi * xi[:, None, None] * offsets)  # (m, B, k^L)
+    n, blocks = codes.shape
+    rows = min(n, _MC_ROWS)
+    j = np.empty((blocks, rows), dtype=np.intp)
+    prod = np.empty((len(xi), rows), dtype=complex)
+    step = np.empty(rows, dtype=complex)
+    sums = np.zeros(len(xi), dtype=complex)
+    for lo in range(0, n, rows):
+        c = min(rows, n - lo)
+        np.copyto(j[:, :c], codes[lo:lo + c].T)
+        for table, out in zip(tables, prod):
+            np.take(table[0], j[0, :c], out=out[:c])
+            for b in range(1, blocks):
+                out[:c] *= np.take(table[b], j[b, :c], out=step[:c])
+        sums += prod[:, :c].sum(axis=1)
+    return sums
 
 
 def _digit_moments(mu, psi, phi, lam, quad, weights):

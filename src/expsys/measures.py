@@ -377,29 +377,25 @@ class SelfSimilar(Measure):
                     best = cost, L, pts, guide
         return best[1:]
 
-    def _sample(self, n, rng):
-        """n draws as (n, 1), L digit levels per uniform in _SAMPLE_CHUNK blocks.
+    def _picks(self, n, rng):
+        """Yield (block, lo, j): rows lo to lo + j.size of level block `block`
+        pick the cylinders digit[j], `digit` that of `_iterate`'s guide table.
 
-        Each of the _SAMPLE_DEPTH / L level blocks of `_iterate` draws its n
-        uniforms in order, so the stream is that of one `rng.random(n)` per
-        level block; block b adds the picked cylinder's offset times
-        ratio^(-L b).  A uniform u picks cylinder searchsorted(cuts, u,
-        side="right"), cuts the cumulative masses but the last, bit for bit:
-        the guide table's bin floor(u K), then one exact step per pass over
-        the distinct cuts inside that bin; with no passes the bin indexes
-        the offset table directly.  The uniforms, the index and the gathered
-        step reuse preallocated block buffers.
+        Each of the _SAMPLE_DEPTH / L level blocks draws its n uniforms in
+        order, in _SAMPLE_CHUNK blocks, so the stream is that of one
+        `rng.random(n)` per level block.  A uniform u picks cylinder
+        searchsorted(cuts, u, side="right"), cuts the cumulative masses but
+        the last, bit for bit: the guide table's bin floor(u K), then one
+        exact step per pass over the distinct cuts inside that bin; with no
+        passes the bin is the index.  The uniforms and j reuse preallocated
+        block buffers, so j is valid until the next pick.
         """
-        L, offsets, (K, passes, guide, cuts_k, digit) = self._iterate
-        x = np.zeros(n)
+        L, _, (K, passes, guide, cuts_k, _) = self._iterate
         m = min(n, _SAMPLE_CHUNK)
         u = np.empty(m)
         idx = np.empty(m, dtype=np.intp)
         step = np.empty(m)
-        scale = 1.0
-        for _ in range(_SAMPLE_DEPTH // L):
-            table = offsets[digit] * scale
-            scale /= self.ratio**L
+        for block in range(_SAMPLE_DEPTH // L):
             for lo in range(0, n, m):
                 c = min(m, n - lo)
                 uk = np.multiply(rng.random(out=u[:c]), K, out=u[:c])
@@ -409,7 +405,27 @@ class SelfSimilar(Measure):
                     np.take(guide, j, out=j, mode="clip")
                     for _ in range(passes):
                         j += uk >= np.take(cuts_k, j, out=step[:c], mode="clip")
-                x[lo:lo + c] += np.take(table, j, out=step[:c], mode="clip")
+                yield block, lo, j
+
+    def _level_offsets(self):
+        """(_SAMPLE_DEPTH / L, k^L): level block b's cylinder offsets, those of
+        `_iterate` times ratio^(-L b), the floats `_sample` adds."""
+        L, offsets, _ = self._iterate
+        out, scale = [], 1.0
+        for _ in range(_SAMPLE_DEPTH // L):
+            out.append(offsets * scale)
+            scale /= self.ratio**L
+        return np.array(out)
+
+    def _sample(self, n, rng):
+        """n draws as (n, 1): each adds its `_picks` cylinder offsets level
+        block by level block into a zero vector."""
+        digit = self._iterate[2][-1]  # guide-table index -> cylinder
+        tables = self._level_offsets()[:, digit]
+        x = np.zeros(n)
+        step = np.empty(min(n, _SAMPLE_CHUNK))
+        for block, lo, j in self._picks(n, rng):
+            x[lo:lo + j.size] += np.take(tables[block], j, out=step[:j.size], mode="clip")
         return x[:, None]
 
     def digit_key(self):
@@ -417,6 +433,31 @@ class SelfSimilar(Measure):
 
     def __repr__(self):
         return f"SelfSimilar(ratio={self.ratio}, digits={self.digits})"
+
+
+class _IterateCodes(Measure):
+    """The cylinder codes of `ss`'s samples: row i holds, for each level block
+    b of `SelfSimilar._picks`, the cylinder that sample i picks there, so
+    that sample is the sum over b of offsets[b, codes[i, b]] in block order.
+    The uniforms, their order and the picks are `SelfSimilar._sample`'s;
+    each code takes the smallest unsigned dtype that holds k^L - 1.
+    """
+
+    kind = "self_similar_codes"
+
+    def __init__(self, ss: SelfSimilar):
+        self.ss = ss
+        self.offsets = ss._level_offsets()
+        self.dim = self.offsets.shape[0]
+        self.total_mass = 1.0
+        self.dtype = np.min_scalar_type(self.offsets.shape[1] - 1)
+
+    def _sample(self, n, rng):
+        digit = self.ss._iterate[2][-1].astype(self.dtype)  # guide-table index -> cylinder
+        codes = np.empty((self.dim, n), dtype=self.dtype)
+        for block, lo, j in self.ss._picks(n, rng):
+            np.take(digit, j, out=codes[block, lo:lo + j.size], mode="clip")
+        return codes.T
 
 
 class PushforwardMeasure(Measure):
@@ -722,19 +763,24 @@ def validate_product_formula(ss: SelfSimilar) -> float:
     Oracle 1: exact digit-string enumeration of the truncated measure, the
     engine's depth-30 enumeration (`_oscillatory._digit_moments`, never the
     digit transfer, whose unit-weight recursion is the product formula).
-    Oracle 2: Monte-Carlo digit sampling (6M points, tolerance 1e-3, fixed
+    Oracle 2: Monte-Carlo digit sampling (6M samples, tolerance 1e-3, fixed
     internal seed), drawn from the L-fold iterate of the digit system
-    (`SelfSimilar._iterate`: 3 uniforms per sample for two equal digits) and
-    summed in blocks by the engine's Monte-Carlo sum.  Neither runs the
-    product formula.  Returns the worst residual; raises ProductFormulaError
-    on failure, a non-finite residual included.  Results are cached per
-    digit system, and the product-formula path refuses to run without a
-    pass.
+    (`SelfSimilar._iterate`: 3 uniforms per sample for two equal digits).
+    Where a sample's cylinder codes take no more memory than its float64
+    point (two equal digits: 3 uint16 codes), the gate draws the
+    codes (`_IterateCodes`, the same uniforms and picks) and sums products of
+    per-level-block phase tables (`_oscillatory._code_sums`); other systems
+    draw the points and sum them in blocks by the engine's Monte-Carlo sum.
+    Neither oracle runs the product formula.  Returns the worst residual;
+    raises ProductFormulaError on failure, a non-finite residual included.
+    Results are cached per digit system, and the product-formula path
+    refuses to run without a pass.
     """
     key = ss.digit_key()
     if key in _PRODUCT_GATE:
         return _PRODUCT_GATE[key]
-    from ._oscillatory import _digit_moments, _mc_sums  # lazy: both import this module
+    # lazy: _oscillatory imports this module
+    from ._oscillatory import _code_sums, _digit_moments, _mc_sums
     from .phases import Identity
     xi = np.array(_GATE_XI)
     lam = xi[:, None]
@@ -744,9 +790,14 @@ def validate_product_formula(ss: SelfSimilar) -> float:
         # one at a time: the enumeration's 2^20 nodes are freed before the 6M samples
         enum, _ = _digit_moments(ss, None, Identity(1), lam, digit(30), [(None, None)])
         yield "digit enumeration", _GATE_ENUM_TOL, enum[:, 0]
-        pts = ss._sample(_GATE_MC_SAMPLES, spawn_rng(_GATE_SEED, "product-gate", key))
-        sums, _ = _mc_sums(pts, None, Identity(1), lam, [(None, None)])
-        yield "the sampling oracle", _GATE_MC_TOL, sums[:, 0] / _GATE_MC_SAMPLES
+        rng = spawn_rng(_GATE_SEED, "product-gate", key)
+        codes = _IterateCodes(ss)
+        if codes.dim * codes.dtype.itemsize <= 8:  # no larger than the float64 points
+            sums = _code_sums(codes._sample(_GATE_MC_SAMPLES, rng), codes.offsets, xi)
+        else:
+            pts = ss._sample(_GATE_MC_SAMPLES, rng)
+            sums = _mc_sums(pts, None, Identity(1), lam, [(None, None)])[0][:, 0]
+        yield "the sampling oracle", _GATE_MC_TOL, sums / _GATE_MC_SAMPLES
 
     worst = 0.0
     for oracle, tol, values in oracles():

@@ -9,7 +9,13 @@ from scipy.stats import ks_2samp
 
 import expsys as es
 from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
-from expsys.measures import _box_ft, _selfsimilar_product, digit_nodes, selfsimilar_moments
+from expsys.measures import (
+    _box_ft,
+    _IterateCodes,
+    _selfsimilar_product,
+    digit_nodes,
+    selfsimilar_moments,
+)
 
 
 def unit_box():
@@ -207,6 +213,21 @@ class TestSample:
             scale /= ss.ratio**L
         return x[:, None]
 
+    @staticmethod
+    def _decoded_codes(ss, n, rng):
+        # the codes measure's draws, decoded with the sampler's level offsets
+        # added in block order; its dtype holds every cylinder index
+        codes = _IterateCodes(ss)
+        got = codes._sample(n, rng)
+        assert got.shape == (n, codes.dim) and got.dtype == codes.dtype
+        cylinders = ss._iterate[1].size
+        assert codes.offsets.shape[1] == cylinders
+        assert np.iinfo(codes.dtype).max >= cylinders - 1
+        x = np.zeros(n)
+        for b in range(codes.dim):
+            x += codes.offsets[b, got[:, b]]
+        return x[:, None]
+
     @pytest.mark.parametrize("seed", [0, 11])
     @pytest.mark.parametrize(
         "ss, L",
@@ -226,6 +247,7 @@ class TestSample:
             want = self._level_loop(ss, n, np.random.default_rng(seed))
             assert got.shape == (n, 1)
             assert np.array_equal(got, want)
+            assert np.array_equal(self._decoded_codes(ss, n, np.random.default_rng(seed)), got)
 
     class _Uniforms:
         """A generator stub whose every `random` call writes the chosen u."""
@@ -270,6 +292,7 @@ class TestSample:
         u = u[(u >= 0.0) & (u < 1.0)]
         got = ss._sample(u.size, self._Uniforms(u))[:, 0]
         assert np.array_equal(got, offsets[np.searchsorted(cuts, u, side="right")])
+        assert np.array_equal(self._decoded_codes(ss, u.size, self._Uniforms(u))[:, 0], got)
 
     class _Counting:
         """A generator that counts the uniforms asked of it."""
@@ -528,8 +551,68 @@ class TestFourierTransform:
         with pytest.raises(ProductFormulaError, match="sampling oracle"):
             m.validate_product_formula(ss)
 
+    def test_gate_refuses_a_phase_table_one_level_block_off(self, monkeypatch):
+        # tables at ratio^(-L (b + 1)) instead of the sampler's ratio^(-L b)
+        import expsys._oscillatory as osc
+        import expsys.measures as m
+
+        ss = es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5)))
+        code_sums = osc._code_sums
+        shifted = float(ss.ratio) ** -ss._iterate[0]
+        monkeypatch.setattr(
+            osc, "_code_sums", lambda codes, offsets, xi: code_sums(codes, offsets * shifted, xi)
+        )
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        with pytest.raises(ProductFormulaError, match="sampling oracle"):
+            m.validate_product_formula(ss)
+
+    def test_gate_exponentiates_no_sample_row(self, monkeypatch):
+        # the 6M samples reach the engine's exp kernel in no row: _contract
+        # sees only the enumeration oracle's 2^20 nodes
+        import expsys._oscillatory as osc
+        import expsys.measures as m
+
+        rows = []
+        contract = osc._contract
+
+        def spy(img, lam, W):
+            rows.append(img.shape[0])
+            return contract(img, lam, W)
+
+        monkeypatch.setattr(osc, "_contract", spy)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        assert m.validate_product_formula(es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5)))) < 1e-3
+        assert rows and sum(rows) <= 2**20
+
+    def test_three_digits_gate_through_the_point_path(self, monkeypatch):
+        # 5 level blocks of 729 cylinders: 10 bytes of codes per sample, more
+        # than a float64 point, so the points are summed by the Monte-Carlo
+        # rule, and its residual is pinned bit for bit
+        import expsys._oscillatory as osc
+        import expsys.measures as m
+
+        ss = es.SelfSimilar(4, ((0.0, 1 / 3), (1.0, 1 / 3), (3.0, 1 / 3)))
+        codes = _IterateCodes(ss)
+        assert (codes.dim, codes.dtype) == (5, np.uint16)
+        calls = []
+        mc_sums = osc._mc_sums
+
+        def spy(pts, *args):
+            calls.append(pts.shape)
+            return mc_sums(pts, *args)
+
+        def refuse(*args):
+            raise AssertionError("three digits take the point path")
+
+        monkeypatch.setattr(osc, "_mc_sums", spy)
+        monkeypatch.setattr(osc, "_code_sums", refuse)
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        assert m.validate_product_formula(ss) == float.fromhex("0x1.edb661a994801p-13")
+        assert calls == [(m._GATE_MC_SAMPLES, 1)]
+
     def test_gate_memory_stays_below_its_full_length_temporaries(self, monkeypatch):
-        # 6M samples are 48 MB; one (3, 2^18) complex block is 12.6 MB
+        # the 6M samples' codes are 36 MB (3 uint16 each) against 48 MB of
+        # float64 points; the enumeration oracle sets the peak (73 MiB)
         import expsys.measures as m
 
         monkeypatch.setattr(m, "_PRODUCT_GATE", {})
