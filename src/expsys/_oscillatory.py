@@ -28,15 +28,20 @@ always) also run the full rule and must agree within both errors + 1e-12,
 or the call runs the full rule; calls of at most 16 frequencies always do.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
-digit error adds the weight's finest-scale slope to the phase term.  The
-product-formula gate's sampling oracle has its own sum, `_code_sums`: a
-sample drawn as one cylinder code per level block has as phase the product
-of that block's table e^{2 pi i xi t_b} at its code, so the tables are the
-only exponentials and each sample costs gathers and complex products.  The
-digit rule on a digit system (x = sum d_j r^-j, phi(psi(x)) = sum
-sigma(d_j) q^-j) takes the digit transfer: degree-8 Chebyshev fits of each
-weight on the top <= 4096 cylinders, contracted against moments from the
-self-similar transfer recursion.  It guards itself as the linear split
+digit error adds the weight's finest-scale slope to the phase term.  A
+sample known by one code per level block has as phase the product of each
+block's table e^{2 pi i xi t_b} at its code; `_code_sums` sums those
+products against a weight matrix, so the tables are the only exponentials.
+The product-formula gate's sampling oracle draws cylinder codes, and
+Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d frequencies)
+read them off its digit loop (`DigitMap._codes`, K^L <= 2^10 codes a
+block).  These guard themselves: the first block's 16 guard rows also run
+`_contract` on phi's image and must agree within 1e-12 times each weight's
+summed |w|, or the call runs phi at every sample.  The digit rule on a
+digit system (x = sum d_j r^-j, phi(psi(x)) = sum sigma(d_j) q^-j) takes
+the digit transfer: degree-8 Chebyshev fits of each weight on the top
+<= 4096 cylinders, contracted against moments from the self-similar
+transfer recursion.  It guards itself as the linear split
 does, its 16 guard rows under the enumeration on at most 2^16 nodes
 (min(depth, floor(16 / log2 k)) levels of k digits, at least one); a
 refused call runs the enumeration at the caller's depth, as do calls of at
@@ -86,6 +91,9 @@ MAX_THREADS = 64  # worker threads of one moment call; `--threads` has the same 
 # rows per Monte-Carlo block: a longer BLAS contraction adds round-off in sequence
 # (a 786,437-sample gate mean: 9e-15 off its pairwise sum at 2^18 rows, 4e-16 at 2^14)
 _MC_ROWS = 1 << 14
+# codes per level block of a DigitMap's Monte-Carlo phase tables: K^L <= 2^10 for
+# K snapped digits (cantor4: 3 blocks of 10 binary levels); larger K runs phi per point
+_DIGIT_CODES = 1 << 10
 
 
 def _chunk_size(n_nodes, n_weights):
@@ -139,7 +147,8 @@ def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
     "weights" (coefficients, frame matrices) takes quad when exp_moments can
     run it, else digit enumeration on a self-similar base, else 400k samples
     seeded with quad.seed (the digit rule takes the digit transfer itself,
-    as tensor-gauss takes the linear split).  "measure" (norms, residuals;
+    as tensor-gauss takes the linear split, and samples under a DigitMap
+    phase are summed from its level tables).  "measure" (norms, residuals;
     phi is the identity) takes depth-30 digits on self-similar bases, the
     "weights" rule on digit-map chains, Gauss of order >= 48 on boxes and
     tight adaptive on discs.
@@ -304,7 +313,16 @@ def _mc_moments(mu, psi, phi, lam, quad, weights):
 
 def _mc_sums(pts, psi, phi, lam, weights):
     """(sums (m, k), sums of |w_j|^2 (k,)) of w_j(y) e^{2 pi i lambda . phi(y)},
-    y = psi(pts), with psi, the weights and phi run one _MC_ROWS block at a time."""
+    y = psi(pts), with psi, the weights and phi run one _MC_ROWS block at a
+    time.  A DigitMap phi with no psi, 1-d frequencies and at most _DIGIT_CODES
+    codes per level block sums from its level tables instead
+    (`_mc_code_sums`) when the first block's guard rows agree."""
+    if psi is None and isinstance(phi, phases.DigitMap) and lam.shape[1] == 1:
+        K = phi._top + 1  # one snapped digit: a single code at every depth
+        levels = min(phi.depth, _levels_within(K, _DIGIT_CODES)) if K > 1 else phi.depth
+        found = _mc_code_sums(pts, phi, lam, weights, levels) if levels else None
+        if found is not None:
+            return found
     sums = np.zeros((lam.shape[0], len(weights)), dtype=complex)
     sq = np.zeros(len(weights))
     for lo in range(0, pts.shape[0], _MC_ROWS):
@@ -316,26 +334,64 @@ def _mc_sums(pts, psi, phi, lam, weights):
     return sums, sq
 
 
-def _code_sums(codes, offsets, xi):
-    """(m,) sums over the rows of the (n, B) `codes` of e^{2 pi i xi x} at
-    the 1-d frequencies xi, x = sum_b offsets[b, codes[:, b]]: each term is
-    the product over b of the phase tables e^{2 pi i xi offsets[b]}, gathered
+def _mc_code_sums(pts, phi, lam, weights, levels):
+    """`_mc_sums` of the DigitMap phi from `phi._codes` of each _MC_ROWS block
+    in blocks of `levels` levels, through `_code_sums`; None when the first
+    block's guard rows (`_guard_rows`, or every row of at most _GUARD_ROWS)
+    under `_contract` of phi's image miss its table sums by more than 1e-12
+    times the column's summed |w|."""
+    first = pts[:_MC_ROWS]
+    W = _weight_matrix(weights, first)
+    codes, offsets = phi._codes(first, levels)
+    rows = _guard_rows(lam) if lam.shape[0] > _GUARD_ROWS else np.arange(lam.shape[0])
+    found = _code_sums([(codes, W)], offsets, lam[rows, 0])
+    oracle = _contract(phi(first), lam[rows], W)
+    if not np.all(np.abs(found - oracle) <= 1e-12 * np.sum(np.abs(W), axis=0)):
+        return None
+    sq = np.sum(np.abs(W) ** 2, axis=0)
+
+    def chunks():
+        nonlocal sq
+        yield codes, W
+        for lo in range(_MC_ROWS, pts.shape[0], _MC_ROWS):
+            x = pts[lo:lo + _MC_ROWS]
+            block_W = _weight_matrix(weights, x)
+            sq += np.sum(np.abs(block_W) ** 2, axis=0)
+            yield phi._codes(x, levels)[0], block_W
+
+    return _code_sums(chunks(), offsets, lam[:, 0]), sq
+
+
+def _code_sums(chunks, offsets, xi):
+    """(m, k) sums, over the rows of each (codes, W) pair in `chunks`, of
+    W[:, j] e^{2 pi i xi x} at the 1-d frequencies xi, where x is
+    sum_b offsets[b, codes[:, b]] for the (n, B) codes and W is an (n, k)
+    weight matrix, None for the unit column: each term is the product over b
+    of the phase tables e^{2 pi i xi offsets[b]}, built once and gathered
     _MC_ROWS rows at a time, so no exponential runs per row."""
     tables = np.exp(2j * np.pi * xi[:, None, None] * offsets)  # (m, B, k^L)
-    n, blocks = codes.shape
-    rows = min(n, _MC_ROWS)
-    j = np.empty((blocks, rows), dtype=np.intp)
-    prod = np.empty((len(xi), rows), dtype=complex)
-    step = np.empty(rows, dtype=complex)
-    sums = np.zeros(len(xi), dtype=complex)
-    for lo in range(0, n, rows):
-        c = min(rows, n - lo)
-        np.copyto(j[:, :c], codes[lo:lo + c].T)
-        for table, out in zip(tables, prod):
-            np.take(table[0], j[0, :c], out=out[:c])
-            for b in range(1, blocks):
-                out[:c] *= np.take(table[b], j[b, :c], out=step[:c])
-        sums += prod[:, :c].sum(axis=1)
+    sums = prod = None
+    for codes, W in chunks:
+        n, blocks = codes.shape
+        if sums is None:
+            sums = np.zeros((len(xi), 1 if W is None else W.shape[1]), dtype=complex)
+        rows = min(n, _MC_ROWS)
+        if prod is None or prod.shape[1] < rows:  # one set of buffers for like blocks
+            j = np.empty((blocks, rows), dtype=np.intp)
+            prod = np.empty((len(xi), rows), dtype=complex)
+            step = np.empty(rows, dtype=complex)
+        for lo in range(0, n, rows):
+            c = min(rows, n - lo)
+            np.copyto(j[:, :c], codes[lo:lo + c].T)
+            for table, out in zip(tables, prod):
+                # mode "clip" writes straight into out; "raise" buffers a copy
+                np.take(table[0], j[0, :c], out=out[:c], mode="clip")
+                for b in range(1, blocks):
+                    out[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
+            if W is None:
+                sums[:, 0] += prod[:, :c].sum(axis=1)
+            else:
+                sums += prod[:, :c] @ W[lo:lo + c]
     return sums
 
 

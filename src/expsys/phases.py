@@ -182,12 +182,15 @@ class DigitMap(PhaseMap):
         self._snapped = allowed[idx]
         self._snapped_out = out_for[idx]
 
-    def _eval(self, pts):
+    def _levels(self, pts):
+        """The levels of the (n, 1) points' expansions, first to last, each as
+        (out_base^-level, (n,) snapped digit indices k, mask of the points
+        above 0).  Index k is the input digit _snapped[k] with output digit
+        _snapped_out[k]; a point at 0 has no digits and maps to 0."""
         x = pts[:, 0]
         if np.any((x < -1e-12) | (x > 1 + 1e-12)):
             raise DomainError("digit map points must lie in [0, 1]")
         r = np.clip(x, 0.0, 1.0)
-        out = np.zeros_like(r)
         scale = 1.0
         nonzero = r > 0
         for _ in range(self.depth):
@@ -195,9 +198,41 @@ class DigitMap(PhaseMap):
             t = r * self.in_base
             d = np.where(nonzero, np.ceil(t) - 1.0, 0.0)
             k = np.clip(d, 0, self._top).astype(np.intp)
-            out += np.where(nonzero, self._snapped_out[k], 0.0) * scale
+            yield scale, k, nonzero
             r = t - self._snapped[k]
+
+    def _eval(self, pts):
+        out = np.zeros(pts.shape[0])
+        for scale, k, nonzero in self._levels(pts):
+            out += np.where(nonzero, self._snapped_out[k], 0.0) * scale
         return out[:, None]
+
+    def _codes(self, pts, levels):
+        """((n, B) codes, (B, K^L + 1) offsets) of the (n, 1) points: their
+        expansions cut into B blocks of L = `levels` levels (the last one may
+        be shorter), K = _top + 1.  A code packs its block's snapped digit
+        indices in base K, the block's first level most significant, and
+        offsets[b, code] is that block's output digits times out_base^-level,
+        added level by level as `_eval` adds them, so phi(x) is
+        sum_b offsets[b, codes[:, b]] up to rounding.  A point at 0 takes code
+        K^L, whose offset is 0, in every block.  Points off [0, 1] raise as
+        `_eval` does."""
+        K = self._top + 1
+        size = K**levels
+        blocks = -(-self.depth // levels)
+        codes = np.zeros((blocks, pts.shape[0]), dtype=np.intp)
+        offsets = np.zeros((blocks, size + 1))
+        table = np.zeros(1)
+        for level, (scale, k, nonzero) in enumerate(self._levels(pts)):
+            block = codes[level // levels]
+            block *= K
+            block += k
+            table = (table[:, None] + self._snapped_out * scale).ravel()
+            if (level + 1) % levels == 0 or level + 1 == self.depth:
+                offsets[level // levels, : table.size] = table
+                table = np.zeros(1)
+        codes[:, ~nonzero] = size
+        return codes.T, offsets
 
     def jacobian_batch(self, pts):
         raise DomainError("digit maps are not differentiable")

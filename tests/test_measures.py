@@ -566,6 +566,15 @@ class TestFourierTransform:
         with pytest.raises(ProductFormulaError, match="sampling oracle"):
             m.validate_product_formula(ss)
 
+    def test_cantor4_gate_residual_is_pinned(self, monkeypatch):
+        # _code_sums also sums Monte-Carlo moments of digit phases under a
+        # weight matrix; the gate's unit column must not move by a bit
+        import expsys.measures as m
+
+        monkeypatch.setattr(m, "_PRODUCT_GATE", {})
+        worst = m.validate_product_formula(es.middle_fourth_cantor())
+        assert worst == float.fromhex("0x1.2efcec619638bp-11")
+
     def test_gate_exponentiates_no_sample_row(self, monkeypatch):
         # the 6M samples reach the engine's exp kernel in no row: _contract
         # sees only the enumeration oracle's 2^20 nodes

@@ -1079,6 +1079,110 @@ def test_blocked_mc_moments_match_one_contraction(n, pushed):
         assert_allclose(errs, ref_errs, rtol=1e-12, atol=0)
 
 
+# ---------------------------------------------------------------------------
+# Monte-Carlo sums of a digit phase from its level tables
+# ---------------------------------------------------------------------------
+
+# a unit, a boxed and a complex weight on [0, 1], as MC_WEIGHTS on its box
+DIGIT_WEIGHTS = [
+    (None, None),
+    (None, _half([0.2], [0.7])),
+    (lambda x: np.exp(1j * x[:, 0]) * (1 + x[:, 0]), None),
+]
+
+
+def _point_path_sums(pts, phi, lam, weights):
+    """`_mc_sums` with phi run at every sample, one _MC_ROWS block at a time."""
+    sums = np.zeros((lam.shape[0], len(weights)), dtype=complex)
+    sq = np.zeros(len(weights))
+    for lo in range(0, pts.shape[0], _oscillatory._MC_ROWS):
+        x = pts[lo:lo + _oscillatory._MC_ROWS]
+        W = _oscillatory._weight_matrix(weights, x)
+        sums += _oscillatory._contract(phi(x), lam, W)
+        sq += np.sum(np.abs(W) ** 2, axis=0)
+    return sums, sq
+
+
+def _spy_contract(monkeypatch):
+    """(the unpatched _contract, the (rows, frequencies) of each later call)."""
+    contract, calls = _oscillatory._contract, []
+
+    def spy(img, lam, W):
+        calls.append((img.shape[0], lam.shape[0]))
+        return contract(img, lam, W)
+
+    monkeypatch.setattr(_oscillatory, "_contract", spy)
+    return contract, calls
+
+
+@pytest.mark.parametrize(
+    "phi, lam",
+    [
+        (B2Q, CANTOR3_LAM),  # 3 blocks of 10 binary levels
+        (es.DigitMap(3, (0, 2), 4, {0: 0.0, 2: 2.0}), CANTOR3_LAM),  # 5 blocks of 6 levels
+        (es.DigitMap(2, (-2, -1), 4, {-2: 3.0, -1: 1.0}, depth=7), CANTOR3_LAM),  # one code
+        (B2Q, CANTOR3_LAM[:5]),  # every frequency is a guard row
+    ],
+    ids=["binary-digits", "snapped-ternary-digits", "one-snapped-digit", "five-frequencies"],
+)
+@pytest.mark.parametrize("n", [2, 2**14 - 1, 2**14 + 3, 3 * 2**14 + 5])
+def test_digit_phase_mc_sums_from_level_tables_match_one_contraction(monkeypatch, phi, lam, n):
+    # phi runs at no sample past the first block's guard rows
+    contract, calls = _spy_contract(monkeypatch)
+    pts = UNIT._sample(n, np.random.default_rng(n))
+    sums, sq = _oscillatory._mc_sums(pts, None, phi, lam, DIGIT_WEIGHTS)
+    assert calls == [(min(n, _oscillatory._MC_ROWS), min(len(lam), _oscillatory._GUARD_ROWS))]
+    W = _oscillatory._weight_matrix(DIGIT_WEIGHTS, pts)
+    img = phi(pts)
+    one_shot = contract(img, lam, W)
+    # 1e-13 a sample, plus the rounding of each term's phase in either sum, up
+    # to eps 2 pi |lambda| max|phi|: samples that share a code share its table
+    # entry's rounding, so it need not average out (|w| <= 2)
+    reach = 2 * np.pi * np.finfo(float).eps * np.abs(lam[:, 0]) * np.max(np.abs(img))
+    assert np.all(np.abs(sums - one_shot) <= (2 * n * (1e-13 + 2 * reach))[:, None])
+    assert_allclose(sq, np.sum(np.abs(W) ** 2, axis=0), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", ["one-level-block-off", "2000-snapped-digits"])
+def test_digit_phase_mc_sums_refused_by_the_guard_run_phi_per_point(monkeypatch, case):
+    if case == "one-level-block-off":
+        # offsets at out_base^(-L (b + 1)) instead of out_base^(-L b)
+        phi, codes = B2Q, es.DigitMap._codes
+
+        def shifted(self, pts, levels):
+            found, offsets = codes(self, pts, levels)
+            return found, offsets * float(self.out_base) ** -levels
+
+        monkeypatch.setattr(es.DigitMap, "_codes", shifted)
+    else:  # no level block of 2000 digit indices fits the table size
+        phi = es.DigitMap(2000, (0, 1999), 4, {0: 0.0, 1999: 2.0})
+    pts = UNIT._sample(3 * 2**14 + 5, np.random.default_rng(5))
+    sums, sq = _oscillatory._mc_sums(pts, None, phi, CANTOR3_LAM, DIGIT_WEIGHTS)
+    want, want_sq = _point_path_sums(pts, phi, CANTOR3_LAM, DIGIT_WEIGHTS)
+    assert np.array_equal(sums, want) and np.array_equal(sq, want_sq)
+
+
+def test_cantor4_battery_exponentiates_only_its_guard_block(monkeypatch):
+    # cantor4's battery draws its 400k samples and sums them from level tables:
+    # _contract sees the first 2^14-row block at the 16 guard frequencies only
+    cplan = plan(UNIT, B2Q, es.digit(40), "weights")
+    assert cplan.rule == MC400K
+    drawn = []
+    sample = es.LebesgueBox._sample
+
+    def spy_sample(self, n, rng):
+        drawn.append(n)
+        return sample(self, n, rng)
+
+    monkeypatch.setattr(es.LebesgueBox, "_sample", spy_sample)
+    _, calls = _spy_contract(monkeypatch)
+    battery = [(tf.fn, tf.support_box) for tf in es.default_test_battery(UNIT)]
+    vals, _ = cplan.moments(CANTOR3_LAM, battery)
+    assert np.all(np.isfinite(vals))
+    assert drawn == [400_000]
+    assert calls == [(2**14, 16)]
+
+
 def test_thread_count_refused_before_any_pool(monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a thread pool was built")

@@ -558,6 +558,40 @@ class TestDigitSnapTable:
             es.DigitMap(2**40, (0, 2**30), 4, {0: 0.0, 2**30: 2.0})
 
 
+class TestDigitCodes:
+    # the level-block codes that Monte-Carlo moments of a digit phase gather
+    # their phase tables at: summed over the blocks, their offsets are the image
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_block_offsets_sum_to_the_image(self, data):
+        base = data.draw(st.integers(2, 6), label="in_base")
+        # digits below 0 or above the base are snapped into the table
+        digits = data.draw(st.lists(st.integers(-2, base + 2), min_size=1, max_size=4, unique=True))
+        out_base = data.draw(st.integers(2, 6), label="out_base")
+        values = data.draw(st.lists(
+            st.floats(1 - out_base, out_base - 1), min_size=len(digits), max_size=len(digits),
+            unique=True,
+        ))
+        depth = data.draw(st.integers(1, 30), label="depth")
+        levels = data.draw(st.integers(1, 5), label="levels")
+        phi = es.DigitMap(base, digits, out_base, dict(zip(digits, values)), depth=depth)
+        rationals = data.draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 2**40))))
+        x = np.array([0.0, 1.0] + [k % (base**j + 1) / base**j for j, k in rationals])
+
+        codes, offsets = phi._codes(x[:, None], levels)
+        blocks = -(-depth // levels)
+        assert codes.shape == (len(x), blocks)
+        assert offsets.shape == (blocks, (phi._top + 1) ** levels + 1)
+        total = sum(offsets[b, codes[:, b]] for b in range(blocks))
+        assert np.max(np.abs(total - phi(x[:, None])[:, 0])) <= 1e-15
+
+        off = data.draw(st.sampled_from([-0.5, -1e-11, 1 + 1e-11, 2.0]), label="off")
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            phi(np.array([[0.5], [off]]))
+        with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+            phi._codes(np.array([[0.5], [off]]), levels)
+
+
 class TestDigitMapConstruction:
     # int() truncated these to bases 2 and 4 and depth 30; inf was stored
     @pytest.mark.parametrize(
