@@ -30,14 +30,17 @@ Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
 digit error adds the weight's finest-scale slope to the phase term.  A
 sample known by one code per level block has as phase the product of each
-block's table e^{2 pi i xi t_b} at its code; `_code_sums` sums those
-products against a weight matrix, so the tables are the only exponentials.
-The product-formula gate's sampling oracle draws cylinder codes, and
-Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d frequencies)
-read them off its digit loop (`DigitMap._codes`, K^L <= 2^10 codes a
-block).  These guard themselves: the first block's 16 guard rows also run
-`_contract` on phi's image and must agree within 1e-12 times each weight's
-summed |w|, or the call runs phi at every sample.  The digit rule on a
+block's table e^{2 pi i xi t_b} at its code (`_phase_tables`);
+`_code_sums` sums those products over an array of codes against a weight
+matrix or the unit column, so the tables are the only exponentials.  The
+product-formula gate's sampling oracle draws cylinder codes and sums them
+in one call; Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d
+frequencies) read them off its digit loop (`DigitMap._codes`, K^L <= 2^10
+codes a block) in the blocks of their own loop, and guard themselves:
+the first block's 16 guard rows also run `_contract` on phi's image and
+must agree within (1e-12 + 4 eps 2 pi |lambda| max|phi|), the rounding
+either sum carries in each term's phase, times each weight's summed |w|,
+or every block runs phi.  The digit rule on a
 digit system (x = sum d_j r^-j, phi(psi(x)) = sum sigma(d_j) q^-j) takes
 the digit transfer: degree-8 Chebyshev fits of each weight on the top
 <= 4096 cylinders, contracted against moments from the self-similar
@@ -314,84 +317,71 @@ def _mc_moments(mu, psi, phi, lam, quad, weights):
 def _mc_sums(pts, psi, phi, lam, weights):
     """(sums (m, k), sums of |w_j|^2 (k,)) of w_j(y) e^{2 pi i lambda . phi(y)},
     y = psi(pts), with psi, the weights and phi run one _MC_ROWS block at a
-    time.  A DigitMap phi with no psi, 1-d frequencies and at most _DIGIT_CODES
-    codes per level block sums from its level tables instead
-    (`_mc_code_sums`) when the first block's guard rows agree."""
-    if psi is None and isinstance(phi, phases.DigitMap) and lam.shape[1] == 1:
-        K = phi._top + 1  # one snapped digit: a single code at every depth
-        levels = min(phi.depth, _levels_within(K, _DIGIT_CODES)) if K > 1 else phi.depth
-        found = _mc_code_sums(pts, phi, lam, weights, levels) if levels else None
-        if found is not None:
-            return found
+    time.  A DigitMap phi with no psi and 1-d frequencies sums each block
+    from its level tables instead (`_code_sums` of `phi._codes` in blocks of
+    L levels, K^L <= _DIGIT_CODES for K snapped digits), built on the first
+    block and kept when that block's guard rows (`_guard_rows`, or every row
+    of at most _GUARD_ROWS) agree with `_contract` of phi's image within
+    1e-12 plus the rounding of either sum's phase, 4 eps 2 pi |lambda|
+    max|phi|, times each column's summed |w|; else every block runs phi."""
+    digit = psi is None and isinstance(phi, phases.DigitMap) and lam.shape[1] == 1
+    levels = min(phi.depth, _levels_within(phi._top + 1, _DIGIT_CODES)) if digit else 0
     sums = np.zeros((lam.shape[0], len(weights)), dtype=complex)
     sq = np.zeros(len(weights))
+    tables = None
     for lo in range(0, pts.shape[0], _MC_ROWS):
         x = pts[lo:lo + _MC_ROWS]
         y = x if psi is None else psi(x)
         W = _weight_matrix(weights, y)
-        sums += _contract(phi(y), lam, W)
         sq += np.sum(np.abs(W) ** 2, axis=0)
+        if not levels:
+            sums += _contract(phi(y), lam, W)
+            continue
+        codes, offsets = phi._codes(x, levels)
+        if tables is None:  # the first block builds the tables and guards them
+            tables = _phase_tables(offsets, lam[:, 0])
+            img = phi(x)
+            rows = _guard_rows(lam) if lam.shape[0] > _GUARD_ROWS else np.arange(lam.shape[0])
+            miss = np.abs(_code_sums(codes, W, tables[rows]) - _contract(img, lam[rows], W))
+            reach = 8 * np.pi * np.finfo(float).eps * np.abs(lam[rows, 0]) * np.max(np.abs(img))
+            if not np.all(miss <= (1e-12 + reach)[:, None] * np.sum(np.abs(W), axis=0)):
+                levels = 0
+                sums += _contract(img, lam, W)
+                continue
+        sums += _code_sums(codes, W, tables)
     return sums, sq
 
 
-def _mc_code_sums(pts, phi, lam, weights, levels):
-    """`_mc_sums` of the DigitMap phi from `phi._codes` of each _MC_ROWS block
-    in blocks of `levels` levels, through `_code_sums`; None when the first
-    block's guard rows (`_guard_rows`, or every row of at most _GUARD_ROWS)
-    under `_contract` of phi's image miss its table sums by more than 1e-12
-    times the column's summed |w|."""
-    first = pts[:_MC_ROWS]
-    W = _weight_matrix(weights, first)
-    codes, offsets = phi._codes(first, levels)
-    rows = _guard_rows(lam) if lam.shape[0] > _GUARD_ROWS else np.arange(lam.shape[0])
-    found = _code_sums([(codes, W)], offsets, lam[rows, 0])
-    oracle = _contract(phi(first), lam[rows], W)
-    if not np.all(np.abs(found - oracle) <= 1e-12 * np.sum(np.abs(W), axis=0)):
-        return None
-    sq = np.sum(np.abs(W) ** 2, axis=0)
-
-    def chunks():
-        nonlocal sq
-        yield codes, W
-        for lo in range(_MC_ROWS, pts.shape[0], _MC_ROWS):
-            x = pts[lo:lo + _MC_ROWS]
-            block_W = _weight_matrix(weights, x)
-            sq += np.sum(np.abs(block_W) ** 2, axis=0)
-            yield phi._codes(x, levels)[0], block_W
-
-    return _code_sums(chunks(), offsets, lam[:, 0]), sq
+def _phase_tables(offsets, xi):
+    """(m, B, K^L) phase tables e^{2 pi i xi offsets[b]} of the (B, K^L) level
+    block offsets at the 1-d frequencies xi."""
+    return np.exp(2j * np.pi * xi[:, None, None] * offsets)
 
 
-def _code_sums(chunks, offsets, xi):
-    """(m, k) sums, over the rows of each (codes, W) pair in `chunks`, of
-    W[:, j] e^{2 pi i xi x} at the 1-d frequencies xi, where x is
-    sum_b offsets[b, codes[:, b]] for the (n, B) codes and W is an (n, k)
-    weight matrix, None for the unit column: each term is the product over b
-    of the phase tables e^{2 pi i xi offsets[b]}, built once and gathered
-    _MC_ROWS rows at a time, so no exponential runs per row."""
-    tables = np.exp(2j * np.pi * xi[:, None, None] * offsets)  # (m, B, k^L)
-    sums = prod = None
-    for codes, W in chunks:
-        n, blocks = codes.shape
-        if sums is None:
-            sums = np.zeros((len(xi), 1 if W is None else W.shape[1]), dtype=complex)
-        rows = min(n, _MC_ROWS)
-        if prod is None or prod.shape[1] < rows:  # one set of buffers for like blocks
-            j = np.empty((blocks, rows), dtype=np.intp)
-            prod = np.empty((len(xi), rows), dtype=complex)
-            step = np.empty(rows, dtype=complex)
-        for lo in range(0, n, rows):
-            c = min(rows, n - lo)
-            np.copyto(j[:, :c], codes[lo:lo + c].T)
-            for table, out in zip(tables, prod):
-                # mode "clip" writes straight into out; "raise" buffers a copy
-                np.take(table[0], j[0, :c], out=out[:c], mode="clip")
-                for b in range(1, blocks):
-                    out[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
-            if W is None:
-                sums[:, 0] += prod[:, :c].sum(axis=1)
-            else:
-                sums += prod[:, :c] @ W[lo:lo + c]
+def _code_sums(codes, W, tables):
+    """(m, k) sums over the rows of the (n, B) codes of W[:, j] e^{2 pi i xi x},
+    where e^{2 pi i xi x} is the product over b of tables[:, b, codes[:, b]]
+    (`_phase_tables`) and W is an (n, k) weight matrix, None for the unit
+    column.  The tables are gathered _MC_ROWS rows at a time, so no
+    exponential runs per row."""
+    n, blocks = codes.shape
+    sums = np.zeros((tables.shape[0], 1 if W is None else W.shape[1]), dtype=complex)
+    rows = min(n, _MC_ROWS)
+    j = np.empty((blocks, rows), dtype=np.intp)
+    prod = np.empty((tables.shape[0], rows), dtype=complex)
+    step = np.empty(rows, dtype=complex)
+    for lo in range(0, n, rows):
+        c = min(rows, n - lo)
+        np.copyto(j[:, :c], codes[lo:lo + c].T)
+        for table, out in zip(tables, prod):
+            # mode "clip" writes straight into out; "raise" buffers a copy
+            np.take(table[0], j[0, :c], out=out[:c], mode="clip")
+            for b in range(1, blocks):
+                out[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
+        if W is None:
+            sums[:, 0] += prod[:, :c].sum(axis=1)
+        else:
+            sums += prod[:, :c] @ W[lo:lo + c]
     return sums
 
 
@@ -499,7 +489,10 @@ def _digit_transfer(mu, phi, lam, depth, weights):
 
 
 def _levels_within(k, cap):
-    """The most digit levels L >= 0 whose k^L strings stay within cap."""
+    """The most digit levels L >= 0 whose k^L strings stay within cap; one
+    digit has a single string at every depth, so no L is most: math.inf."""
+    if k == 1:
+        return math.inf
     levels = 0
     while k ** (levels + 1) <= cap:
         levels += 1

@@ -769,9 +769,10 @@ def validate_product_formula(ss: SelfSimilar) -> float:
     Where a sample's cylinder codes take no more memory than its float64
     point (two equal digits: 3 uint16 codes), the gate draws the
     codes (`_IterateCodes`, the same uniforms and picks) and sums products of
-    per-level-block phase tables (`_oscillatory._code_sums`, shared with the
-    Monte-Carlo moments of DigitMap phases, which pass a weight matrix where
-    the gate passes the unit column); other systems
+    per-level-block phase tables (`_oscillatory._phase_tables`) over all of
+    them in one `_oscillatory._code_sums` call, the kernel the Monte-Carlo
+    moments of DigitMap phases run per block with a weight matrix where the
+    gate passes None, the unit column; other systems
     draw the points and sum them in blocks by the engine's Monte-Carlo sum.
     Neither oracle runs the product formula.  Returns the worst residual;
     raises ProductFormulaError on failure, a non-finite residual included.
@@ -782,7 +783,7 @@ def validate_product_formula(ss: SelfSimilar) -> float:
     if key in _PRODUCT_GATE:
         return _PRODUCT_GATE[key]
     # lazy: _oscillatory imports this module
-    from ._oscillatory import _code_sums, _digit_moments, _mc_sums
+    from ._oscillatory import _code_sums, _digit_moments, _mc_sums, _phase_tables
     from .phases import Identity
     xi = np.array(_GATE_XI)
     lam = xi[:, None]
@@ -795,8 +796,8 @@ def validate_product_formula(ss: SelfSimilar) -> float:
         rng = spawn_rng(_GATE_SEED, "product-gate", key)
         codes = _IterateCodes(ss)
         if codes.dim * codes.dtype.itemsize <= 8:  # no larger than the float64 points
-            chunks = [(codes._sample(_GATE_MC_SAMPLES, rng), None)]
-            sums = _code_sums(chunks, codes.offsets, xi)[:, 0]
+            tables = _phase_tables(codes.offsets, xi)
+            sums = _code_sums(codes._sample(_GATE_MC_SAMPLES, rng), None, tables)[:, 0]
         else:
             pts = ss._sample(_GATE_MC_SAMPLES, rng)
             sums = _mc_sums(pts, None, Identity(1), lam, [(None, None)])[0][:, 0]

@@ -766,6 +766,20 @@ class TestSpecCliExamples:
         assert code == 0
         assert rep["result"]["gram"]["path"] == "product-formula"
         _assert_benchmark_body(rep, "cantor4")
+        # the benchmark compares at RTOL 1e-6; its Monte-Carlo battery (summed
+        # from DigitMap level tables) and its Gram must not move by a bit
+        ratios = {
+            "indicator_half": "0x1.fe01fdddfaa30p-1",
+            "one": "0x1.000cc739adc1fp+0",
+            "oscillatory": "0x1.fe95216293ac4p-1",
+            "poly4": "0x1.020828d394550p+0",
+            "x1": "0x1.00ca6552ef4b4p+0",
+            "x1_sq": "0x1.014cc1e8281f8p+0",
+        }
+        result = rep["result"]
+        assert result["parseval_ratios"] == {k: float.fromhex(v) for k, v in ratios.items()}
+        assert result["gram"]["max_offdiag"] == float.fromhex("0x1.a037afb67059bp-49")
+        assert result["gram"]["quad_error"] == float.fromhex("0x1.655b2d9629613p-68")
 
     def test_cantor3_preset_end_to_end(self, tmp_path):
         # the battery's coefficients take the digit transfer inside the digit rule

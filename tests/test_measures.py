@@ -557,10 +557,10 @@ class TestFourierTransform:
         import expsys.measures as m
 
         ss = es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5)))
-        code_sums = osc._code_sums
+        phase_tables = osc._phase_tables
         shifted = float(ss.ratio) ** -ss._iterate[0]
         monkeypatch.setattr(
-            osc, "_code_sums", lambda codes, offsets, xi: code_sums(codes, offsets * shifted, xi)
+            osc, "_phase_tables", lambda offsets, xi: phase_tables(offsets * shifted, xi)
         )
         monkeypatch.setattr(m, "_PRODUCT_GATE", {})
         with pytest.raises(ProductFormulaError, match="sampling oracle"):

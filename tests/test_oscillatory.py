@@ -1115,6 +1115,17 @@ def _spy_contract(monkeypatch):
     return contract, calls
 
 
+def _shift_codes_one_level_block(monkeypatch):
+    """Patch DigitMap._codes to offsets at out_base^(-L (b + 1)) instead of out_base^(-L b)."""
+    codes = es.DigitMap._codes
+
+    def shifted(self, pts, levels):
+        found, offsets = codes(self, pts, levels)
+        return found, offsets * float(self.out_base) ** -levels
+
+    monkeypatch.setattr(es.DigitMap, "_codes", shifted)
+
+
 @pytest.mark.parametrize(
     "phi, lam",
     [
@@ -1146,19 +1157,49 @@ def test_digit_phase_mc_sums_from_level_tables_match_one_contraction(monkeypatch
 @pytest.mark.parametrize("case", ["one-level-block-off", "2000-snapped-digits"])
 def test_digit_phase_mc_sums_refused_by_the_guard_run_phi_per_point(monkeypatch, case):
     if case == "one-level-block-off":
-        # offsets at out_base^(-L (b + 1)) instead of out_base^(-L b)
-        phi, codes = B2Q, es.DigitMap._codes
-
-        def shifted(self, pts, levels):
-            found, offsets = codes(self, pts, levels)
-            return found, offsets * float(self.out_base) ** -levels
-
-        monkeypatch.setattr(es.DigitMap, "_codes", shifted)
+        phi = B2Q
+        _shift_codes_one_level_block(monkeypatch)
     else:  # no level block of 2000 digit indices fits the table size
         phi = es.DigitMap(2000, (0, 1999), 4, {0: 0.0, 1999: 2.0})
     pts = UNIT._sample(3 * 2**14 + 5, np.random.default_rng(5))
     sums, sq = _oscillatory._mc_sums(pts, None, phi, CANTOR3_LAM, DIGIT_WEIGHTS)
     want, want_sq = _point_path_sums(pts, phi, CANTOR3_LAM, DIGIT_WEIGHTS)
+    assert np.array_equal(sums, want) and np.array_equal(sq, want_sq)
+
+
+def test_levels_within_one_digit_returns():
+    # one digit has a single string at every depth
+    assert _oscillatory._levels_within(1, _oscillatory._DIGIT_CODES) == math.inf
+    assert _oscillatory._levels_within(2, _oscillatory._DIGIT_CODES) == 10
+    assert _oscillatory._levels_within(3, 8) == 1
+
+
+@pytest.mark.parametrize("level", [9, 11])
+def test_digit_phase_level_tables_pass_the_guard_at_high_lambda4_levels(monkeypatch, level):
+    # the guard's bound carries the rounding of either sum's phase, 4 eps
+    # 2 pi |lambda| max|phi| a unit of |w|, which at these levels exceeds 1e-12:
+    # the battery still takes the tables, and they match the point path within it
+    lam = -es.lambda4(level).points
+    battery = [(tf.fn, tf.support_box) for tf in es.default_test_battery(UNIT)]
+    pts = UNIT._sample(2**14 + 3, np.random.default_rng(level))
+    _, calls = _spy_contract(monkeypatch)
+    sums, sq = _oscillatory._mc_sums(pts, None, B2Q, lam, battery)
+    assert calls == [(2**14, 16)]
+    want, want_sq = _point_path_sums(pts, B2Q, lam, battery)
+    W = _oscillatory._weight_matrix(battery, pts)
+    reach = 8 * np.pi * np.finfo(float).eps * np.abs(lam[:, 0]) * np.max(np.abs(B2Q(pts)))
+    assert np.all(np.abs(sums - want) <= (1e-12 + reach)[:, None] * np.sum(np.abs(W), axis=0))
+    assert np.array_equal(sq, want_sq)
+
+
+def test_digit_phase_level_tables_one_level_block_off_refused_at_lambda4_level_11(monkeypatch):
+    # the guard's rounding term, up to 5.2e-9 a unit of |w| here, still refuses it
+    lam = -es.lambda4(11).points
+    battery = [(tf.fn, tf.support_box) for tf in es.default_test_battery(UNIT)]
+    _shift_codes_one_level_block(monkeypatch)
+    pts = UNIT._sample(2**14 + 3, np.random.default_rng(11))
+    sums, sq = _oscillatory._mc_sums(pts, None, B2Q, lam, battery)
+    want, want_sq = _point_path_sums(pts, B2Q, lam, battery)
     assert np.array_equal(sums, want) and np.array_equal(sq, want_sq)
 
 
