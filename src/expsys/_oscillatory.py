@@ -50,14 +50,19 @@ does, its 16 guard rows under the enumeration on at most 2^16 nodes
 refused call runs the enumeration at the caller's depth, as do calls of at
 most 16 frequencies or non-finite ones, support boxes that cut a
 cylinder's image hull, fits whose tail is too large and non-finite weights.
-Adaptive integrals stay one refinement per (frequency, weight).  A
+Adaptive integrals refine each (frequency, weight) pair; the pairs of one
+call build each (cell, order) rule's nodes, phase image and weight columns
+once, in a table that starts over past 2^19 rule nodes.  A
 pushforward psi_*mu is integrated over mu with the phase and the weights
 evaluated at y = psi(x).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -97,6 +102,7 @@ _MC_ROWS = 1 << 14
 # codes per level block of a DigitMap's Monte-Carlo phase tables: K^L <= 2^10 for
 # K snapped digits (cantor4: 3 blocks of 10 binary levels); larger K runs phi per point
 _DIGIT_CODES = 1 << 10
+_ADAPTIVE_NODES = 1 << 19  # rule nodes (order^dim a rule) an adaptive call's table holds
 
 
 def _chunk_size(n_nodes, n_weights):
@@ -677,22 +683,64 @@ def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):
 
 
 def _per_integral(mu, psi, phi, lam, quad, weights, threads):
-    """One adaptive refinement per (frequency, weight) pair, from the
-    measure's cells; the integrand carries the cells' node weight factor."""
+    """Global adaptive refinement of each (frequency, weight) pair from the
+    measure's cells, two-order Gauss errors per cell.  The pairs share each
+    (cell, order) rule's Gauss weights, node factor and phase image, and a
+    weight's column from its first pair to reach the cell, in a table that
+    starts over past _ADAPTIVE_NODES nodes."""
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
         raise SchemeMismatchError(f"adaptive is not valid for measure kind {mu.kind!r}")
-    k = len(weights)
+    k, abs_tol = len(weights), quad.abs_tol
+    orders = (quad.order, max(2, quad.order // 2))
+    rules: dict = {}  # (cell lo, cell hi, order) -> (w, jac, image, y, {weight: column})
+    lock = threading.Lock()
+
+    def cell_sum(i, j, lo, hi, order):
+        key = (lo.tobytes(), hi.tobytes(), order)
+        with lock:
+            if key not in rules:
+                if len(rules) * quad.order**mu.dim >= _ADAPTIVE_NODES:  # rebuilt on use
+                    rules.clear()
+                pts, w = box_gauss_nodes(np.stack([lo, hi], axis=1), order)
+                pts, jac = mu.cell_nodes(pts, 1.0)
+                y = pts if psi is None else psi(pts)
+                rules[key] = (w, jac, phi(y), y, {})
+            w, jac, img, y, cols = rules[key]
+            if j not in cols:
+                cols[j] = _weight_matrix(weights[j : j + 1], y)[:, 0]
+        vals = np.exp(2j * np.pi * (img @ lam[i])) * cols[j] * jac
+        if not np.all(np.isfinite(vals)):
+            raise QuadratureError("non-finite integrand value during quadrature")
+        return w @ vals
 
     def one(pair):
         i, j = divmod(pair, k)
+        heap, tick = [], itertools.count()
 
-        def f(cell_pts):
-            pts, jac = mu.cell_nodes(cell_pts, 1.0)
-            y = pts if psi is None else psi(pts)
-            w = _weight_matrix(weights[j : j + 1], y)[:, 0]
-            return np.exp(2j * np.pi * (phi(y) @ lam[i])) * w * jac
+        def push(lo, hi):
+            val = cell_sum(i, j, lo, hi, orders[0])
+            err = abs(val - cell_sum(i, j, lo, hi, orders[1]))
+            heapq.heappush(heap, (-err, next(tick), lo, hi, val, err))
 
-        return measures._adaptive_cells(f, mu.cells(), quad)
+        for lo, hi in mu.cells():
+            push(lo, hi)
+        for _ in range(quad.max_subdivisions):
+            if sum(item[5] for item in heap) <= abs_tol:
+                break
+            _, _, lo, hi, _, _ = heapq.heappop(heap)  # split its widest side in half
+            split = int(np.argmax(hi - lo))
+            low_hi, high_lo = hi.copy(), lo.copy()
+            low_hi[split] = high_lo[split] = 0.5 * (lo[split] + hi[split])
+            push(lo, low_hi)
+            push(high_lo, hi)
+        value = sum(item[4] for item in heap)
+        err = sum(item[5] for item in heap)
+        if err > 10 * abs_tol:
+            raise QuadratureError(
+                f"adaptive quadrature error {err:.3e} above tolerance "
+                f"{abs_tol:.3e} after {quad.max_subdivisions} subdivisions"
+            )
+        return value, err
 
     results = _map_pool(one, range(lam.shape[0] * k), threads)
     vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)

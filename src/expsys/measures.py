@@ -25,11 +25,12 @@ self-similar-digit  exact enumeration of digit strings to the effective depth
                     node; the reported error is a Lipschitz-style tail bound.
 adaptive            global adaptive subdivision with per-cell two-order Gauss
                     error estimates; the disc starts from the quadrant cells.
+                    The engine refines each (frequency, weight) pair; the
+                    pairs of a call share each cell's rule.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -562,56 +563,6 @@ def _apply(f, pts):
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("non-finite integrand value during quadrature")
     return vals
-
-
-def _adaptive_cells(f, cells, quad):
-    """Global adaptive refinement over a list of float-array boxes (lo, hi): (value, err)."""
-    abs_tol, max_subdivisions, order = quad.abs_tol, quad.max_subdivisions, quad.order
-    order_lo = max(2, order // 2)
-    counter = 0
-    heap = []
-
-    def eval_cell(lo, hi):
-        pts, w = box_gauss_nodes(np.stack([lo, hi], axis=1), order)
-        hi_val = w @ _apply(f, pts)
-        pts2, w2 = box_gauss_nodes(np.stack([lo, hi], axis=1), order_lo)
-        lo_val = w2 @ _apply(f, pts2)
-        return hi_val, abs(hi_val - lo_val)
-
-    for lo, hi in cells:
-        val, err = eval_cell(lo, hi)
-        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
-        counter += 1
-
-    subdivisions = 0
-    while True:
-        total_err = sum(item[5] for item in heap)
-        if total_err <= abs_tol or subdivisions >= max_subdivisions:
-            break
-        neg_err, _, lo, hi, _, _ = heapq.heappop(heap)
-        widths = hi - lo
-        split = int(np.argmax(widths))
-        mid = 0.5 * (lo[split] + hi[split])
-        for piece in (0, 1):
-            plo = lo.copy()
-            phi_ = hi.copy()
-            if piece == 0:
-                phi_[split] = mid
-            else:
-                plo[split] = mid
-            val, err = eval_cell(plo, phi_)
-            heapq.heappush(heap, (-err, counter, plo, phi_, val, err))
-            counter += 1
-        subdivisions += 1
-
-    value = sum(item[4] for item in heap)
-    err = sum(item[5] for item in heap)
-    if err > 10 * abs_tol:
-        raise QuadratureError(
-            f"adaptive quadrature error {err:.3e} above tolerance "
-            f"{abs_tol:.3e} after {max_subdivisions} subdivisions"
-        )
-    return value, err
 
 
 # ---------------------------------------------------------------------------

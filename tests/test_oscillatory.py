@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -459,6 +460,8 @@ def test_plan_is_the_one_decision_point():
     # the gate's enumeration oracle is the digit enumeration, never the transfer
     measures_path = Path(es.__file__).parent / "measures.py"
     assert _users(measures_path, "_digit_moments") == {"validate_product_formula"}
+    # measures builds the adaptive cells' nodes; the engine refines each pair
+    assert not _names(measures_path)[0] & {"heapq", "_adaptive_cells"}
 
 
 def test_digit_systems_are_recognized_by_the_engine_only():
@@ -574,6 +577,169 @@ def test_non_finite_moments_raise_under_every_scheme(scheme):
     if on_result:
         vals, _ = exp_moments(mu, NAN_PHASE, [[1.0]], quad, strict=False)
         assert np.isnan(vals[0, 0])
+
+
+def _adaptive_cells(f, cells, quad, seen):
+    """The per-pair refinement the engine shares its rules from: every cell
+    builds its own two rules and runs f on them.  Each (cell lo, cell hi,
+    order) it builds is added to `seen`."""
+    import heapq
+
+    abs_tol, max_subdivisions, order = quad.abs_tol, quad.max_subdivisions, quad.order
+    order_lo = max(2, order // 2)
+    counter = 0
+    heap = []
+
+    def eval_cell(lo, hi):
+        seen.update((lo.tobytes(), hi.tobytes(), o) for o in (order, order_lo))
+        pts, w = es.measures.box_gauss_nodes(np.stack([lo, hi], axis=1), order)
+        hi_val = w @ es.measures._apply(f, pts)
+        pts2, w2 = es.measures.box_gauss_nodes(np.stack([lo, hi], axis=1), order_lo)
+        lo_val = w2 @ es.measures._apply(f, pts2)
+        return hi_val, abs(hi_val - lo_val)
+
+    for lo, hi in cells:
+        val, err = eval_cell(lo, hi)
+        heapq.heappush(heap, (-err, counter, lo, hi, val, err))
+        counter += 1
+
+    subdivisions = 0
+    while True:
+        total_err = sum(item[5] for item in heap)
+        if total_err <= abs_tol or subdivisions >= max_subdivisions:
+            break
+        neg_err, _, lo, hi, _, _ = heapq.heappop(heap)
+        widths = hi - lo
+        split = int(np.argmax(widths))
+        mid = 0.5 * (lo[split] + hi[split])
+        for piece in (0, 1):
+            plo = lo.copy()
+            phi_ = hi.copy()
+            if piece == 0:
+                phi_[split] = mid
+            else:
+                plo[split] = mid
+            val, err = eval_cell(plo, phi_)
+            heapq.heappush(heap, (-err, counter, plo, phi_, val, err))
+            counter += 1
+        subdivisions += 1
+
+    value = sum(item[4] for item in heap)
+    err = sum(item[5] for item in heap)
+    assert err <= 10 * abs_tol
+    return value, err
+
+
+def _per_pair_moments(mu, phi, lam, quad, weights):
+    """(values, errors, {weight: the (cell, order) rules its pairs build}) of
+    one refinement per (frequency, weight) pair, each with its own integrand."""
+    vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
+    errs = np.zeros(vals.shape)
+    seen = {j: set() for j in range(len(weights))}
+    for i in range(lam.shape[0]):
+        for j in range(len(weights)):
+
+            def f(cell_pts):
+                pts, jac = mu.cell_nodes(cell_pts, 1.0)
+                w = _oscillatory._weight_matrix(weights[j : j + 1], pts)[:, 0]
+                return np.exp(2j * np.pi * (phi(pts) @ lam[i])) * w * jac
+
+            vals[i, j], errs[i, j] = _adaptive_cells(f, mu.cells(), quad, seen[j])
+    return vals, errs, seen
+
+
+# (mu, phi, quad, 21 frequencies) under adaptive; each is run with a unit, a
+# boxed and a complex weight
+SHARED_RULE_CASES = {
+    "holhos-disc": (
+        es.LebesgueDisc([0.0, 0.0], 1.0), es.Holhos(), ADAPTIVE_DISC,
+        spawn_rng(5, "adaptive-pairs").uniform(-2.0, 2.0, (21, 2)),
+    ),
+    "bent-box": (
+        es.LebesgueBox([0.0, 0.0], [1.0, 2.0]),
+        es.CustomPhase(lambda x: x + 0.1 * np.sin(2 * np.pi * x), 2, 2),
+        es.adaptive(abs_tol=1e-7, max_subdivisions=600, order=16),
+        spawn_rng(6, "adaptive-pairs").uniform(-3.0, 3.0, (21, 2)),
+    ),
+}
+
+
+SHARED_RULE_WEIGHTS = [
+    (None, None),
+    (lambda x: x[:, 0] ** 2, _half([-2.0, 0.0], [0.5, 2.0])),
+    (lambda x: np.exp(1j * x[:, 1]), None),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _per_pair_case(case):
+    mu, phi, quad, lam = SHARED_RULE_CASES[case]
+    return _per_pair_moments(mu, phi, lam, quad, SHARED_RULE_WEIGHTS)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("case", sorted(SHARED_RULE_CASES))
+def test_adaptive_pairs_sharing_rules_match_per_pair_refinement(case, threads):
+    mu, phi, quad, lam = SHARED_RULE_CASES[case]
+    vals, errs = exp_moments(mu, phi, lam, quad, weights=SHARED_RULE_WEIGHTS, threads=threads)
+    ref_vals, ref_errs, _ = _per_pair_case(case)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(errs, ref_errs)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+@pytest.mark.parametrize("case", sorted(SHARED_RULE_CASES))
+def test_adaptive_builds_each_cell_rule_once_a_call(monkeypatch, case, threads):
+    # every (cell, order) rule is built once, and a weight runs once on each
+    # rule of a cell that a pair of that weight refines, on no other
+    from collections import Counter
+
+    mu, phi, quad, lam = SHARED_RULE_CASES[case]
+    weights = SHARED_RULE_WEIGHTS
+    _, _, seen = _per_pair_case(case)
+    node_keys = {}  # the nodes' bytes -> their (cell lo, cell hi, order)
+    for key in set().union(*seen.values()):
+        lo, hi = (np.frombuffer(b) for b in key[:2])
+        pts, _ = es.measures.box_gauss_nodes(np.stack([lo, hi], axis=1), key[2])
+        node_keys[mu.cell_nodes(pts, 1.0)[0].tobytes()] = key
+    built, ran = [], {j: [] for j in range(len(weights))}
+
+    def build(edges, order):
+        built.append((edges[:, 0].tobytes(), edges[:, 1].tobytes(), order))
+        return es.measures.box_gauss_nodes(edges, order)
+
+    def spied(j, fn):
+        def weight(y):
+            ran[j].append(node_keys[y.tobytes()])
+            return fn(y)
+
+        return weight
+
+    monkeypatch.setattr(_oscillatory, "box_gauss_nodes", build)
+    spies = [(None if fn is None else spied(j, fn), box) for j, (fn, box) in enumerate(weights)]
+    exp_moments(mu, phi, lam, quad, weights=spies, threads=threads)
+    assert Counter(built) == Counter(set().union(*seen.values()))
+    assert len(built) < sum(map(len, seen.values()))
+    for j, (fn, _) in enumerate(weights):
+        assert Counter(ran[j]) == (Counter() if fn is None else Counter(seen[j]))
+
+
+def test_adaptive_rule_table_starts_over_past_its_node_bound(monkeypatch):
+    # four order-16 rules of 256 nodes: the table starts over and rebuilds on use
+    mu, phi, quad, lam = SHARED_RULE_CASES["bent-box"]
+    built = []
+
+    def build(edges, order):
+        built.append((edges.tobytes(), order))
+        return es.measures.box_gauss_nodes(edges, order)
+
+    monkeypatch.setattr(_oscillatory, "_ADAPTIVE_NODES", 4 * 256)
+    monkeypatch.setattr(_oscillatory, "box_gauss_nodes", build)
+    vals, errs = exp_moments(mu, phi, lam, quad, weights=SHARED_RULE_WEIGHTS)
+    ref_vals, ref_errs, _ = _per_pair_case("bent-box")
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(errs, ref_errs)
+    assert len(built) > len(set(built))
 
 
 def test_tensor_gauss_sizes_each_sub_rule_by_its_own_box():
