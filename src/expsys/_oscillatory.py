@@ -78,6 +78,7 @@ from .measures import (
     SelfSimilar,
     _FT_TRUNC,
     _check_entries,
+    _in_box,
     box_gauss_nodes,
     digit_nodes,
     panels_from_cycles,
@@ -264,11 +265,6 @@ def exp_moments(
     return vals, errs
 
 
-def _inside(y, box):
-    lo, hi = box
-    return np.all((y >= lo) & (y < hi), axis=1)
-
-
 def _weight_matrix(weights, y, node_weights=None):
     """(n, k) weight values at y, zero outside each support box, times node weights."""
     n, k = y.shape[0], len(weights)
@@ -280,7 +276,7 @@ def _weight_matrix(weights, y, node_weights=None):
             W = W.astype(complex)
         W[:, j] = col
         if box is not None:
-            W[~_inside(y, box), j] = 0.0
+            W[~_in_box(y, *box), j] = 0.0
     if node_weights is not None:
         W *= node_weights[:, None]
     return W
@@ -291,9 +287,14 @@ def _contract(img, lam, W):
 
     `img` is the (n, out_dim) phase image of the nodes and W their (n, k)
     node-weighted weight values; frequencies run in exp chunks sized to W.
+    Each weight part contracts as one real matmul over the interleaved
+    (re, im) columns of the exponentials Z; a complex W = A + iB takes two,
+    A Z + i B Z, rather than a complex matmul (several times slower).
     """
     out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
     step = _chunk_size(*W.shape)
+    imag = np.ascontiguousarray(W.imag.T) if np.iscomplexobj(W) else None
+    real = np.ascontiguousarray(W.real.T) if imag is not None else W.T
     with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
         for start in range(0, lam.shape[0], step):
             freqs = slice(start, start + step)
@@ -301,10 +302,14 @@ def _contract(img, lam, W):
             np.matmul(img, lam[freqs].T, out=Z.imag)
             Z.imag *= 2 * np.pi
             np.exp(Z, out=Z)
-            if np.iscomplexobj(W):
-                out[freqs] = (W.T @ Z).T
-            else:  # one real matmul over the interleaved (re, im) columns
-                out[freqs] = (W.T @ Z.view(float)).view(complex).T
+            AZ = (real @ Z.view(float)).view(complex).T
+            if imag is None:
+                out[freqs] = AZ
+                continue
+            BZ = (imag @ Z.view(float)).view(complex).T
+            block = out[freqs]
+            np.subtract(AZ.real, BZ.imag, out=block.real)
+            np.add(AZ.imag, BZ.real, out=block.imag)
     return out
 
 

@@ -76,6 +76,18 @@ def _check_entries(n, width, what):
         raise DomainError(f"{n} x {width} {what} above {_MAX_ENTRIES} entries")
 
 
+def _in_box(x, lo, hi):
+    """Mask of the rows of the (n, d) x with lo <= x < hi in every column,
+    tested column by column (no (n, d) temporaries)."""
+    lo = np.broadcast_to(np.asarray(lo, dtype=float), x.shape[1:])
+    hi = np.broadcast_to(np.asarray(hi, dtype=float), x.shape[1:])
+    inside = np.ones(x.shape[0], dtype=bool)
+    for j in range(x.shape[1]):
+        inside &= x[:, j] >= lo[j]
+        inside &= x[:, j] < hi[j]
+    return inside
+
+
 @dataclass(frozen=True)
 class QuadratureSpec:
     scheme: str
@@ -93,6 +105,9 @@ class QuadratureSpec:
             object.__setattr__(self, name, _integer(getattr(self, name), name))
         if not 2 <= self.order <= 512:
             raise DomainError(f"order must be in [2, 512], got {self.order}")
+        if self.scheme == "adaptive" and self.order < 3:
+            # its error compares orders `order` and max(2, order // 2), equal at 2
+            raise DomainError(f"adaptive order must be >= 3, got {self.order}")
         if self.n_samples < 2:
             raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.seed < 0:

@@ -310,10 +310,24 @@ class Unipotent(PhaseMap):
         return J
 
     def invert(self, y, box=None):
+        """Back-substitution x_k = y_k - l_k(x), last coordinate first.
+
+        With a box, l_k runs only on the rows whose coordinates after k
+        already lie in it; the other rows keep x_k = y_k, and their later
+        coordinates stay outside the box.
+        """
         y = np.atleast_2d(np.asarray(y, dtype=float))
         x = y.copy()
+        live = None if box is None else np.ones(y.shape[0], dtype=bool)
         for k in range(self.in_dim - 2, -1, -1):
-            x[:, k] = y[:, k] - np.asarray(self.shifts[k](x))
+            if live is None:
+                x[:, k] = y[:, k] - np.asarray(self.shifts[k](x))
+                continue
+            live &= x[:, k + 1] >= box[0][k + 1]
+            live &= x[:, k + 1] < box[1][k + 1]
+            rows = np.flatnonzero(live)
+            if rows.size:
+                x[rows, k] = y[rows, k] - np.asarray(self.shifts[k](x[rows]))
         return x, np.ones(y.shape[0], dtype=bool)
 
     def linear_part(self):
@@ -336,6 +350,54 @@ def _blocks(n):
     return (slice(i, i + _BLOCK) for i in range(0, n, _BLOCK))
 
 
+_GUIDE_CELLS = 4  # guide cells per interval of the sorted array a guide serves
+
+
+def _cells(t, x0, scale, cells):
+    """Guide cells of t: floor((t - x0) scale) held to [0, cells - 1] (NaN to
+    0).  Each float step is monotone in t, so the cells are too."""
+    c = np.subtract(t, x0)
+    c *= scale
+    np.fmin(c, cells - 1, out=c)
+    np.fmax(c, 0, out=c)
+    return c.astype(np.intp)
+
+
+def _guide(x):
+    """The table `_lookup` reads for the sorted array x (length n >= 2):
+    uniform cells over [x[0], x[-1]], and for each cell the number of x in
+    lower cells, minus 1, held to [0, n - 2].  Since `_cells` is monotone, an
+    x[i] in a lower cell than t lies below t, so a cell's entry never
+    exceeds the index of any query in it."""
+    n = x.size
+    cells = _GUIDE_CELLS * (n - 1)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = cells / (x[-1] - x[0])
+    if not (np.isfinite(scale) and scale > 0):
+        cells, scale = 1, 0.0
+    start = np.searchsorted(_cells(x, x[0], scale, cells), np.arange(cells)) - 1
+    nxt = np.append(x[1:-1], np.nan)  # x[i + 1]; NaN never compares, so no step past n - 2
+    return x[0], scale, cells, np.clip(start, 0, n - 2), nxt
+
+
+def _lookup(guide, t):
+    """clip(searchsorted(x, t, side="right") - 1, 0, len(x) - 2), the last
+    x[i] <= t, for the `_guide` of x and t not NaN.  Exact, ties included:
+    each query starts at its cell's entry and steps up while the next x is
+    at or below it."""
+    x0, scale, cells, start, nxt = guide
+    idx = start[_cells(t, x0, scale, cells)]
+    up = nxt[idx] <= t
+    idx += up
+    rows = np.flatnonzero(up)
+    while rows.size:  # only the rows that stepped can step again
+        at = idx[rows]
+        up = nxt[at] <= t[rows]
+        idx[rows] = at + up
+        rows = rows[up]
+    return idx
+
+
 class _MonotoneAntiderivative:
     """F(t) = integral_1^t w(tau) dtau for strictly positive w.
 
@@ -346,9 +408,11 @@ class _MonotoneAntiderivative:
     panels' end values, outward from t = 1.  The knots start from one fixed
     partition anchored at 1 (`_offsets`), so grids built for different
     ranges share their panels and F is bitwise independent of query
-    history.  A query is one `searchsorted` and a Clenshaw sum, so the grid
-    is a read-only memo.  Extension on out-of-range queries rebuilds the
-    grid (atomic swap; thread-safe reads).
+    history.  A query finds its panel in the grid's guide table (`_lookup`,
+    exactly `searchsorted`'s panel) and sums the panel's series by Clenshaw
+    in per-block buffers, so the grid is a read-only memo.  Extension on
+    out-of-range queries rebuilds the grid and its guide (atomic swap;
+    thread-safe reads).
     """
 
     _ORDER = 16
@@ -358,7 +422,7 @@ class _MonotoneAntiderivative:
 
     def __init__(self, w):
         self.w = w
-        self._grid = None  # (knots, F at the knots, (degree + 1, panels) series)
+        self._grid = None  # (knots, F at the knots, (degree + 1, panels) series, knot guide)
 
     @staticmethod
     def _offsets(reach):
@@ -401,7 +465,7 @@ class _MonotoneAntiderivative:
         F = np.concatenate([-np.cumsum(ends[:k][::-1])[::-1], [0.0], np.cumsum(ends[k:])])
         if not np.all(np.isfinite(F)):
             raise DomainError("antiderivative overflows on the requested range")
-        self._grid = grid = (knots, F, coef)
+        self._grid = grid = (knots, F, coef, _guide(knots))
         return grid
 
     def _ensure(self, lo, hi):
@@ -426,29 +490,47 @@ class _MonotoneAntiderivative:
     @staticmethod
     def _panels(grid, idx):
         """(a, b, F(a), series) of the panels idx, for `_at`."""
-        knots, cum, coef = grid
+        knots, cum, coef, _ = grid
         return knots[idx], knots[idx + 1], cum[idx], coef[:, idx]
 
     @staticmethod
-    def _at(t, a, b, base, coef):
-        """F(t) for t in [a, b]: base plus a Clenshaw sum of the panel's series."""
-        s = (2.0 * t - a - b) / (b - a)
-        b1 = b2 = 0.0
+    def _at(t, a, b, base, coef, out, work):
+        """F(t) for t in [a, b] into `out`: base plus a Clenshaw sum of the
+        panel's series, b_k = (c_k + (2 s) b_{k+1}) - b_{k+2} from b = 0,
+        in the (5, len(t)) buffer `work`.  Every value is rounded as in
+        the sum written out term by term: the same operations in the same
+        order, with 2 s formed once."""
+        s, s2, b1, b2, nxt = work
+        np.multiply(t, 2.0, out=s)
+        s -= a
+        s -= b
+        np.subtract(b, a, out=nxt)
+        s /= nxt
+        np.multiply(s, 2.0, out=s2)
+        b1.fill(0.0)
+        b2.fill(0.0)
         for row in coef[:0:-1]:
-            b1, b2 = row + 2.0 * s * b1 - b2, b1
-        return base + (coef[0] + s * b1 - b2)
+            np.multiply(s2, b1, out=nxt)
+            nxt += row
+            nxt -= b2
+            b1, b2, nxt = nxt, b1, b2
+        np.multiply(s, b1, out=nxt)
+        nxt += coef[0]
+        nxt -= b2
+        np.add(base, nxt, out=out)
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
         if t.size == 0:
             return np.zeros(t.shape)
         grid = self._ensure(float(t.min()), float(t.max()))
-        knots = grid[0]
         flat = t.ravel()
-        idx = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
+        idx = _lookup(grid[3], flat)
         out = np.empty_like(flat)
+        work = np.empty((5, min(flat.size, _BLOCK)))
         for blk in _blocks(flat.size):
-            out[blk] = self._at(flat[blk], *self._panels(grid, idx[blk]))
+            tb = flat[blk]
+            self._at(tb, *self._panels(grid, idx[blk]), out[blk], work[:, : tb.size])
         return out.reshape(t.shape)
 
     def inverse(self, v, window=None):
@@ -474,7 +556,7 @@ class _MonotoneAntiderivative:
             return np.zeros(v.shape), np.zeros(v.shape, dtype=bool)
         grid = self._grid or self._ensure(0.0, 2.0)
         for _ in range(64):
-            knots, cum, _ = grid
+            knots, cum = grid[:2]
             hi_ok = v.max() <= cum[-1]
             lo_ok = v.min() >= cum[0]
             if hi_ok and lo_ok:
@@ -498,7 +580,7 @@ class _MonotoneAntiderivative:
                 )
             except (DomainError, FloatingPointError):
                 break
-        knots, cum, _ = grid
+        knots, cum = grid[:2]
         eps_lo = 1e-9 * (1.0 + abs(cum[0]))
         eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
         ok = (v >= cum[0] - eps_lo) & (v <= cum[-1] + eps_hi)
@@ -520,19 +602,23 @@ class _MonotoneAntiderivative:
 
     def _refine(self, grid, v):
         """t with F(t) = v for flat v in [F(knots[0]), F(knots[-1])]: the exact
-        bracket per point, then clipped Newton inside it."""
-        knots, cum, _ = grid
+        bracket per point, then clipped Newton inside it, in place per block."""
+        knots, cum = grid[:2]
         j = np.clip(np.searchsorted(cum, v), 1, len(knots) - 1)
         t = np.interp(v, cum, knots)
+        work = np.empty((6, min(t.size, _BLOCK)))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for blk in _blocks(t.size):
                 t_lo, t_hi, base, coef = self._panels(grid, j[blk] - 1)
                 tb, vb = t[blk], v[blk]
+                step, buf = work[0, : tb.size], work[1:, : tb.size]
                 for _ in range(self._NEWTON_STEPS):
-                    step = (self._at(tb, t_lo, t_hi, base, coef) - vb) / self.w(tb)
-                    step = np.where(np.isfinite(step), step, 0.0)
-                    tb = np.clip(tb - step, t_lo, t_hi)
-                t[blk] = tb
+                    self._at(tb, t_lo, t_hi, base, coef, step, buf)
+                    step -= vb
+                    step /= self.w(tb)
+                    np.copyto(step, 0.0, where=~np.isfinite(step))
+                    tb -= step
+                    np.clip(tb, t_lo, t_hi, out=tb)
         return t
 
 
@@ -594,9 +680,9 @@ class Triangular2D(PhaseMap):
         x2, ok = self._anti.inverse(y[:, 1] - self.K, window)
         z = self._z_checked(x2)
         x1 = (y[:, 0] - np.asarray(self.f(x2), dtype=float)) / z
-        out = np.stack([x1, x2], axis=-1)
-        ok = ok & np.all(np.isfinite(out), axis=1)
-        return out, ok
+        ok &= np.isfinite(x1)
+        ok &= np.isfinite(x2)
+        return np.stack([x1, x2], axis=-1), ok
 
 
 class CustomPhase(PhaseMap):

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import analysis
 from .errors import DomainError
-from .measures import LebesgueBox, QuadratureSpec, _finite
+from .measures import LebesgueBox, QuadratureSpec, _finite, _in_box
 from .phases import PhaseMap
 from .spectra import SpectrumSet
 
@@ -197,7 +197,7 @@ class AtomSystem:
         def a(pts):
             pts = np.atleast_2d(np.asarray(pts, dtype=float))
             shifted = pts - gamma
-            inside = np.all((shifted >= lo) & (shifted < hi), axis=1)
+            inside = _in_box(shifted, lo, hi)
             out = np.zeros(pts.shape[0], dtype=complex)
             if np.any(inside):
                 out[inside] = np.exp(

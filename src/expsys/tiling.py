@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InversionError
-from .measures import LebesgueBox, _check_entries
+from .measures import LebesgueBox, _check_entries, _in_box
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
 from .spectra import generator, round_in_place
@@ -171,7 +171,7 @@ def _membership(phi, lo, hi):
 
     def invert_into_box(y):
         x, ok = phi.invert(y, box)
-        inside = ok & np.all((x >= box[0]) & (x < box[1]), axis=1)
+        inside = ok & _in_box(x, *box)
         return inside, ~ok
 
     return invert_into_box
@@ -202,9 +202,10 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     by analytic inversion (back-substitution for triangular structures) or an
     occupancy grid for custom maps.  The inversion is refined only where a
     preimage can land in the box: a `Triangular2D` translate whose x2 cannot
-    reach the box runs no Newton steps.  Caller asserts injectivity on the box
-    (probe available in the phases module).  More than 1% inversion failures
-    invalidates the estimate.
+    reach the box runs no Newton steps, and a `Unipotent` one evaluates no
+    shift.  Caller asserts injectivity on the box (probe available in the
+    phases module).  More than 1% inversion failures invalidates the
+    estimate.
     """
     box = _as_box(box, phi)
     k = np.asarray(k, dtype=float)

@@ -538,11 +538,12 @@ class TestFrameBounds:
 
 def _pairwise_residual(mu, basis, quad):
     """The orthonormality residual as one `integrate` per pair of functions."""
-    from expsys._oscillatory import _inside, plan
+    from expsys._oscillatory import plan
+    from expsys.measures import _in_box
 
     def masked(tf, x):
         v = np.asarray(tf.fn(x))
-        return v if tf.support_box is None else np.where(_inside(x, tf.support_box), v, 0.0)
+        return v if tf.support_box is None else np.where(_in_box(x, *tf.support_box), v, 0.0)
 
     fns = basis.functions
     rule = plan(mu, es.Identity(mu.dim), quad, "measure").rule

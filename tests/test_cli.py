@@ -220,6 +220,8 @@ NON_COMMUTING = {"A": [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "ell
 MALFORMED = {
     "radius-not-a-number": ("identity-1d", _set(["spectrum", "radius"], "x")),
     "negative-order": ("identity-1d", _set(["quad", "order"], -3)),
+    # its two orders, 2 and max(2, 2 // 2), coincide, so every error would read 0
+    "adaptive-order-2": ("holhos-disc", _set(["quad", "order"], 2)),
     "order-not-a-number": ("identity-1d", _set(["quad", "order"], "x")),
     "spectrum-above-cap": ("identity-1d", _set(["spectrum", "radius"], 5000)),  # 10001 points
     "tol-orth-not-a-number": ("identity-1d", _set(["tol_orth"], "x")),

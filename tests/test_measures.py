@@ -11,6 +11,7 @@ import expsys as es
 from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
 from expsys.measures import (
     _box_ft,
+    _in_box,
     _IterateCodes,
     _selfsimilar_product,
     digit_nodes,
@@ -736,6 +737,17 @@ class TestConstruction:
         with pytest.raises(ValueError):
             es.QuadratureSpec("adaptive", abs_tol=0.0)
 
+    def test_adaptive_order_below_three_refused(self):
+        # at order 2 both orders of a cell's error are 2: exp(5 x) on [0, 1]
+        # came back as (27.2346, 0.0) against the exact 29.4826
+        with pytest.raises(es.DomainError, match="adaptive order"):
+            es.adaptive(order=2, max_subdivisions=0)
+        assert es.gauss(2).order == 2 and es.QuadratureSpec("monte-carlo", order=2).order == 2
+        f = lambda x: np.exp(5 * x[:, 0])  # noqa: E731
+        val, err = es.integrate(f, unit_box(), es.adaptive(abs_tol=1e-9, order=3))
+        assert 0 < err <= 1e-8
+        assert abs(val - (np.exp(5.0) - 1.0) / 5.0) <= 1e-8
+
     @pytest.mark.parametrize(
         "fields",
         [{"abs_tol": np.nan}, {"abs_tol": np.inf}, {"abs_tol": -1e-9}, {"max_subdivisions": -5}],
@@ -832,3 +844,19 @@ class TestCells:
             pytest.approx(np.pi * 1.5**2, rel=1e-14)
         )
 
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    data=st.data(),
+)
+def test_in_box_is_the_half_open_test_of_every_column(d, data):
+    edge = st.sampled_from([-1.0, 0.0, 0.5, 1.0, np.nextafter(1.0, 0.0), np.inf, -np.inf, np.nan])
+    value = st.one_of(edge, st.floats(-2.0, 2.0))
+    x = np.array(data.draw(st.lists(st.lists(value, min_size=d, max_size=d), min_size=1, max_size=40)))
+    lo = np.array(data.draw(st.lists(st.floats(-1.0, 0.5), min_size=d, max_size=d)))
+    hi = lo + np.array(data.draw(st.lists(st.floats(0.0, 1.5), min_size=d, max_size=d)))
+    np.testing.assert_array_equal(_in_box(x, lo, hi), np.all((x >= lo) & (x < hi), axis=1))
+    if d == 1:  # scalar bounds broadcast as they do in the comparison
+        np.testing.assert_array_equal(_in_box(x, lo[0], hi[0]), (x[:, 0] >= lo[0]) & (x[:, 0] < hi[0]))

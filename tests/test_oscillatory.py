@@ -1245,6 +1245,23 @@ def test_blocked_mc_moments_match_one_contraction(n, pushed):
         assert_allclose(errs, ref_errs, rtol=1e-12, atol=0)
 
 
+def test_complex_weights_contract_as_two_real_matmuls():
+    # W = A + iB contracts as A Z + i B Z over the real view of Z: three
+    # exp chunks of 32, 32 and 6 frequencies, against the complex product
+    rng = np.random.default_rng(7)
+    img = rng.random((5000, 2))
+    lam = rng.normal(0.0, 50.0, (70, 2))
+    W = rng.normal(size=(5000, 3)) + 1j * rng.normal(size=(5000, 3))
+    got = _oscillatory._contract(img, lam, W)
+    ref = (W.T @ np.exp(2j * np.pi * (img @ lam.T))).T
+    assert got.shape == (70, 3)
+    assert_allclose(got, ref, rtol=0, atol=1e-12 * np.abs(W).sum())
+    parts = _oscillatory._contract(img, lam, W.real.copy()) + 1j * _oscillatory._contract(
+        img, lam, W.imag.copy()
+    )
+    assert_allclose(got, parts, rtol=0, atol=1e-12 * np.abs(W).sum())
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo sums of a digit phase from its level tables
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 import expsys as es
 from expsys.cli import run
 from expsys.errors import DomainError, InversionError
-from expsys.phases import _MonotoneAntiderivative
+from expsys.phases import _guide, _lookup, _MonotoneAntiderivative
 
 
 class TestEval:
@@ -224,10 +225,35 @@ class TestTriangularStructure:
         assert np.all(ok)
         assert_allclose(back, pts, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unipotent_box_hint_keeps_the_inside_mask(self, d, seed):
+        # random shears; translates by the integer vectors of [-1, 1]^d of
+        # the image of the box, whose rows land in it or not
+        rng = np.random.default_rng(seed)
+        amp, freq, phase = rng.uniform(-1.5, 1.5, (3, d, d))
+        shifts = [
+            (lambda p, k=k: sum(amp[k, j] * np.sin(freq[k, j] * p[:, j] + phase[k, j])
+                                for j in range(k + 1, d)))
+            for k in range(d - 1)
+        ]
+        phi = es.Unipotent(shifts, d)
+        lo, hi = np.zeros(d), np.ones(d)
+        box = (lo - 1e-12, hi - 1e-12)
+        pts = rng.random((2000, d))
+        for k in np.stack(np.meshgrid(*[[-1.0, 0.0, 1.0]] * d), axis=-1).reshape(-1, d):
+            y = phi(pts) + k
+            x, ok = phi.invert(y)
+            x_box, ok_box = phi.invert(y, box)
+            np.testing.assert_array_equal(ok_box, ok)
+            inside = es.measures._in_box(x, *box)
+            np.testing.assert_array_equal(es.measures._in_box(x_box, *box), inside)
+            assert_allclose(x_box[inside], x[inside], rtol=0, atol=1e-15)
+
 
 def _gauss_from_knot(anti, t):
     """Per-point oracle: F at the knot below t plus a 16-node Gauss panel up to t."""
-    knots, cum, _ = anti._grid
+    knots, cum = anti._grid[:2]
     idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
     base = knots[idx]
     x, wq = np.polynomial.legendre.leggauss(16)
@@ -238,7 +264,7 @@ def _gauss_from_knot(anti, t):
 
 def _gauss_inverse(anti, v):
     """Per-point oracle of `inverse` on the grid the last call left behind."""
-    knots, cum, _ = anti._grid
+    knots, cum = anti._grid[:2]
     eps_lo = 1e-9 * (1.0 + abs(cum[0]))
     eps_hi = 1e-9 * (1.0 + abs(cum[-1]))
     ok = (v >= cum[0] - eps_lo) & (v <= cum[-1] + eps_hi)
@@ -355,7 +381,7 @@ class TestMonotoneAntiderivative:
         t, ok = anti.inverse(v)
         t_win, ok_win = anti.inverse(v, window)
         np.testing.assert_array_equal(ok_win, ok)
-        knots, cum, _ = anti._grid
+        knots, cum = anti._grid[:2]
         lo, hi = window
         j = np.clip(np.searchsorted(cum, np.clip(v, cum[0], cum[-1])), 1, len(knots) - 1)
         meets = ok & (knots[j] >= lo) & (knots[j - 1] <= hi)
@@ -408,6 +434,93 @@ class TestMonotoneAntiderivative:
         t, ok = anti.inverse(v)
         assert np.all(ok)
         assert_allclose(anti(t), v, rtol=0, atol=1e-12)
+
+
+def _head_at(t, a, b, base, coef):
+    """The Clenshaw sum as the allocating loop wrote it before its in-place form."""
+    s = (2.0 * t - a - b) / (b - a)
+    b1 = b2 = 0.0
+    for row in coef[:0:-1]:
+        b1, b2 = row + 2.0 * s * b1 - b2, b1
+    return base + (coef[0] + s * b1 - b2)
+
+
+def _head_call(anti, t):
+    """F(t) from `searchsorted` and `_head_at` on the grid `anti` holds."""
+    knots, cum, coef = anti._grid[:3]
+    idx = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+    return _head_at(t, knots[idx], knots[idx + 1], cum[idx], coef[:, idx])
+
+
+def _head_refine(anti, v):
+    """`_refine` as the allocating Newton loop wrote it, on one block."""
+    knots, cum, coef = anti._grid[:3]
+    j = np.clip(np.searchsorted(cum, v), 1, len(knots) - 1)
+    t = np.interp(v, cum, knots)
+    t_lo, t_hi, base, c = knots[j - 1], knots[j], cum[j - 1], coef[:, j - 1]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for _ in range(anti._NEWTON_STEPS):
+            step = (_head_at(t, t_lo, t_hi, base, c) - v) / anti.w(t)
+            step = np.where(np.isfinite(step), step, 0.0)
+            t = np.clip(t - step, t_lo, t_hi)
+    return t
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_for(name, lo, hi):
+    anti = _MonotoneAntiderivative(_WEIGHTS[name])
+    anti(np.array([lo, hi]))
+    return anti
+
+
+_SPANS = [(0.0, 2.0), (-3.0, 4.0), (-60.0, 6.0)]
+
+
+class TestKnotLookupAndInPlaceKernels:
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("span", _SPANS, ids=["first", "wide", "to-60"])
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_lookup_is_clipped_searchsorted(self, name, span, data):
+        knots = _grid_for(name, *span)._grid[0]
+        at_knot = st.tuples(
+            st.integers(0, len(knots) - 1), st.sampled_from([-1, 0, 1])
+        ).map(lambda p: float(np.nextafter(knots[p[0]], p[1] * np.inf) if p[1] else knots[p[0]]))
+        off_range = st.one_of(
+            st.floats(-1e300, float(knots[0])), st.floats(float(knots[-1]), 1e300),
+            st.sampled_from([-np.inf, np.inf]),
+        )
+        t = np.array(data.draw(st.lists(st.one_of(at_knot, off_range), min_size=1, max_size=64)))
+        ref = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, len(knots) - 2)
+        np.testing.assert_array_equal(_lookup(_guide(knots), t), ref)
+
+    def test_lookup_on_ties_and_one_interval(self):
+        for x in (np.array([0.0, 1.0]), np.array([-1.0, 0.0, 0.0, 0.0, 2.0, 2.0, 5.0])):
+            t = np.concatenate([x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf), [-9.0, 9.0]])
+            ref = np.clip(np.searchsorted(x, t, side="right") - 1, 0, len(x) - 2)
+            np.testing.assert_array_equal(_lookup(_guide(x), t), ref)
+
+    @pytest.mark.parametrize("name", sorted(_WEIGHTS))
+    @pytest.mark.parametrize("span", _SPANS, ids=["first", "wide", "to-60"])
+    def test_in_place_kernels_keep_every_bit(self, name, span):
+        anti = _grid_for(name, *span)
+        knots, cum = anti._grid[:2]
+        rng = np.random.default_rng(len(knots))
+        t = np.concatenate([
+            knots, np.nextafter(knots[1:], -np.inf), np.nextafter(knots[:-1], np.inf),
+            0.5 * (knots[:-1] + knots[1:]), rng.uniform(*span, 9000),
+        ])
+        F = anti(t)  # several blocks, the last one short
+        assert _same_bits(F, _head_call(anti, t))
+        v = np.concatenate([F, cum, 0.5 * (cum[:-1] + cum[1:])])
+        assert _same_bits(anti._refine(anti._grid, v), _head_refine(anti, v))
+        t_inv, ok = anti.inverse(v)
+        assert np.all(ok) and anti._grid[0] is knots
+        assert _same_bits(t_inv, _head_refine(anti, np.clip(v, cum[0], cum[-1])))
 
 
 class TestMeasurePreservation:

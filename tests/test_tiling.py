@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expsys as es
+from expsys.cli import run
 from expsys.tiling import NONUNIFORM, NOT_TILING, TILES, UNIFORM, _membership
 
 # dense 2000^2 grid oracle for the z = e^{x2} overlap at k = (1, 0);
@@ -175,6 +176,29 @@ class TestBoxHint:
         phi = es.Unipotent(shifts=(lambda p: c * np.sin(2 * np.pi * freq * p[:, 1]),), dim=2)
         lo = np.array(corner)
         _assert_box_hint_changes_no_answer(phi, lo, lo + np.array(sides), freq)
+
+
+    def test_unipotent_tiling_translates_that_cannot_land_run_no_shift(self, monkeypatch, tmp_path):
+        # x2 = y2 of the 24 translates of [0, 1)^2: only the four k2 = 0 ones
+        # keep rows whose x2 lies in the box, so the other 20 evaluate no shift
+        invert, calls = es.Unipotent.invert, []
+
+        def spied(self, y, box=None):
+            shifts, rows = self.shifts, []
+            self.shifts = tuple((lambda p, l=l: rows.append(len(p)) or l(p)) for l in shifts)
+            try:
+                return invert(self, y, box)
+            finally:
+                self.shifts = shifts
+                calls.append((len(y), rows))
+
+        monkeypatch.setattr(es.Unipotent, "invert", spied)
+        out = tmp_path / "report.json"
+        assert run(["tiling-check", "--preset", "unipotent-tiling", "--out", str(out)]) == 0
+        translates = [rows for n, rows in calls if n == 200_000]
+        assert len(translates) == 24
+        assert sum(not rows for rows in translates) == 20
+        assert all(rows == [200_000] for rows in translates if rows)  # every x2 of k2 = 0 lands
 
 
 class TestTilingVerdict:
