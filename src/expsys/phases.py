@@ -355,7 +355,7 @@ _GUIDE_CELLS = 4  # guide cells per interval of the sorted array a guide serves
 
 def _cells(t, x0, scale, cells):
     """Guide cells of t: floor((t - x0) scale) held to [0, cells - 1] (NaN to
-    0).  Each float step is monotone in t, so the cells are too."""
+    the last).  Each float step is monotone in t, so the cells are too."""
     c = np.subtract(t, x0)
     c *= scale
     np.fmin(c, cells - 1, out=c)
