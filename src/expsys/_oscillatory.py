@@ -50,9 +50,10 @@ does, its 16 guard rows under the enumeration on at most 2^16 nodes
 refused call runs the enumeration at the caller's depth, as do calls of at
 most 16 frequencies or non-finite ones, support boxes that cut a
 cylinder's image hull, fits whose tail is too large and non-finite weights.
-Adaptive integrals refine each (frequency, weight) pair; the pairs of one
-call build each (cell, order) rule's nodes, phase image and weight columns
-once, in a table that starts over past 2^19 rule nodes.  A
+Adaptive integrals refine each (frequency, weight) pair in order; the pairs
+of one call build each (cell, order) rule's nodes, phase image and weight
+columns once, in a table that starts over past 2^19 rule nodes.  Pools run
+only inside tensor-gauss, whose rules run on `threads` workers.  A
 pushforward psi_*mu is integrated over mu with the phase and the weights
 evaluated at y = psi(x).
 """
@@ -62,7 +63,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -79,6 +79,7 @@ from .measures import (
     _FT_TRUNC,
     _check_entries,
     _in_box,
+    _levels_within,
     box_gauss_nodes,
     digit_nodes,
     panels_from_cycles,
@@ -137,6 +138,7 @@ class Plan:
         product formula takes the unit weight only."""
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
+        _check_threads(threads)
         weights = list(weights)
         if len(weights) != 1 or any(part is not None for part in weights[0] or ()):
             raise DomainError("the product formula takes the unit weight only")
@@ -145,6 +147,11 @@ class Plan:
             raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim 1")
         vals, errs = measures.selfsimilar_moments(self.mu, lam[:, 0], self.trunc)
         return vals[:, None], errs[:, None]
+
+
+def _check_threads(threads):
+    if not 1 <= threads <= MAX_THREADS:  # refused before any work or pool
+        raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
 
 
 def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
@@ -232,8 +239,10 @@ def exp_moments(
     the constant 1); `support_box` (lo, hi) restricts the weight to a box: it
     masks nodes or samples outside it.  Tensor-gauss takes support boxes on a
     LebesgueBox only and integrates each over its own panels in the box.
-    With `strict`, any non-finite value raises QuadratureError.
+    With `strict`, any non-finite value raises QuadratureError.  `threads`
+    outside [1, MAX_THREADS] raises DomainError before any work.
     """
+    _check_threads(threads)
     base, psi = _unwrap(mu)
     weights = [(None, None) if w is None else tuple(w) for w in weights]
     lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
@@ -259,7 +268,7 @@ def exp_moments(
     elif quad.scheme == "tensor-gauss":
         vals, errs = _gauss_moments(base, psi, phi, lam, quad, weights, threads)
     else:
-        vals, errs = _per_integral(base, psi, phi, lam, quad, weights, threads)
+        vals, errs = _per_integral(base, psi, phi, lam, quad, weights)
     if strict and not np.all(np.isfinite(vals)):
         raise QuadratureError(f"non-finite value in {quad.scheme} moments")
     return vals, errs
@@ -287,14 +296,16 @@ def _contract(img, lam, W):
 
     `img` is the (n, out_dim) phase image of the nodes and W their (n, k)
     node-weighted weight values; frequencies run in exp chunks sized to W.
-    Each weight part contracts as one real matmul over the interleaved
-    (re, im) columns of the exponentials Z; a complex W = A + iB takes two,
-    A Z + i B Z, rather than a complex matmul (several times slower).
+    The weights contract as one real matmul over the interleaved (re, im)
+    columns of the exponentials Z, rather than a complex matmul (several
+    times slower); a complex W = A + iB runs as the real stack [A, B], whose
+    two halves give A Z + i B Z.
     """
+    k = W.shape[1]
+    if np.iscomplexobj(W):
+        W = np.hstack([W.real, W.imag])
     out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
     step = _chunk_size(*W.shape)
-    imag = np.ascontiguousarray(W.imag.T) if np.iscomplexobj(W) else None
-    real = np.ascontiguousarray(W.real.T) if imag is not None else W.T
     with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
         for start in range(0, lam.shape[0], step):
             freqs = slice(start, start + step)
@@ -302,15 +313,8 @@ def _contract(img, lam, W):
             np.matmul(img, lam[freqs].T, out=Z.imag)
             Z.imag *= 2 * np.pi
             np.exp(Z, out=Z)
-            AZ = (real @ Z.view(float)).view(complex).T
-            if imag is None:
-                out[freqs] = AZ
-                continue
-            BZ = (imag @ Z.view(float)).view(complex).T
-            block = out[freqs]
-            np.subtract(AZ.real, BZ.imag, out=block.real)
-            np.add(AZ.imag, BZ.real, out=block.imag)
-    return out
+            out[freqs] = (W.T @ Z.view(float)).view(complex).T
+    return out if out.shape[1] == k else out[:, :k] + 1j * out[:, k:]
 
 
 def _mc_moments(mu, psi, phi, lam, quad, weights):
@@ -499,17 +503,6 @@ def _digit_transfer(mu, phi, lam, depth, weights):
     return vals, errs
 
 
-def _levels_within(k, cap):
-    """The most digit levels L >= 0 whose k^L strings stay within cap; one
-    digit has a single string at every depth, so no L is most: math.inf."""
-    if k == 1:
-        return math.inf
-    levels = 0
-    while k ** (levels + 1) <= cap:
-        levels += 1
-    return levels
-
-
 def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
     """((m, K + 1) moments of T_k(t) e^{2 pi i xi phi(y)} over the digit
     measure, the largest row sum of |T_k|'s monomial coefficients).
@@ -538,15 +531,6 @@ def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
     for n in range(K + 1):
         C2P[n, : n + 1] = np.polynomial.chebyshev.cheb2poly(np.eye(K + 1)[n])
     return v @ C2P.T, np.abs(C2P).sum(axis=1).max()
-
-
-def _map_pool(fn, items, threads):
-    if not 1 <= threads <= MAX_THREADS:  # refused before any pool exists
-        raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(it) for it in items]
 
 
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
@@ -627,7 +611,8 @@ def _split_moments(mu, phi, linear, lam, quad, threads):
 
 
 def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):
-    """The full tensor-gauss rule over the measure's cells or support boxes."""
+    """The full tensor-gauss rule over the measure's cells or support boxes;
+    its work items run on a pool of `threads` workers, the engine's only pool."""
     groups: dict = {}  # support box (lo + hi flattened, None unboxed) -> weight columns
     for j, (_, box) in enumerate(weights):
         key = None if box is None else tuple(np.asarray(box, dtype=float).ravel())
@@ -679,7 +664,11 @@ def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):
 
     vals = np.zeros((lam.shape[0], len(weights)), dtype=complex)
     errs = np.zeros(vals.shape)
-    sums = _map_pool(run_item, items, threads)
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            sums = list(pool.map(run_item, items))
+    else:
+        sums = [run_item(item) for item in items]
     for (idx, _, _, cols), low, high in zip(items[::2], sums[::2], sums[1::2]):
         rows = np.ix_(idx, cols)
         vals[rows] += high
@@ -687,32 +676,30 @@ def _tensor_gauss(mu, psi, phi, lam, quad, weights, threads):
     return vals, errs
 
 
-def _per_integral(mu, psi, phi, lam, quad, weights, threads):
+def _per_integral(mu, psi, phi, lam, quad, weights):
     """Global adaptive refinement of each (frequency, weight) pair from the
-    measure's cells, two-order Gauss errors per cell.  The pairs share each
-    (cell, order) rule's Gauss weights, node factor and phase image, and a
-    weight's column from its first pair to reach the cell, in a table that
-    starts over past _ADAPTIVE_NODES nodes."""
+    measure's cells, two-order Gauss errors per cell.  The pairs run in order
+    in the calling thread and share each (cell, order) rule's Gauss weights,
+    node factor and phase image, and a weight's column from its first pair to
+    reach the cell, in a table that starts over past _ADAPTIVE_NODES nodes."""
     if not isinstance(mu, (LebesgueBox, LebesgueDisc)):
         raise SchemeMismatchError(f"adaptive is not valid for measure kind {mu.kind!r}")
     k, abs_tol = len(weights), quad.abs_tol
     orders = (quad.order, max(2, quad.order // 2))
     rules: dict = {}  # (cell lo, cell hi, order) -> (w, jac, image, y, {weight: column})
-    lock = threading.Lock()
 
     def cell_sum(i, j, lo, hi, order):
         key = (lo.tobytes(), hi.tobytes(), order)
-        with lock:
-            if key not in rules:
-                if len(rules) * quad.order**mu.dim >= _ADAPTIVE_NODES:  # rebuilt on use
-                    rules.clear()
-                pts, w = box_gauss_nodes(np.stack([lo, hi], axis=1), order)
-                pts, jac = mu.cell_nodes(pts, 1.0)
-                y = pts if psi is None else psi(pts)
-                rules[key] = (w, jac, phi(y), y, {})
-            w, jac, img, y, cols = rules[key]
-            if j not in cols:
-                cols[j] = _weight_matrix(weights[j : j + 1], y)[:, 0]
+        if key not in rules:
+            if len(rules) * quad.order**mu.dim >= _ADAPTIVE_NODES:  # rebuilt on use
+                rules.clear()
+            pts, w = box_gauss_nodes(np.stack([lo, hi], axis=1), order)
+            pts, jac = mu.cell_nodes(pts, 1.0)
+            y = pts if psi is None else psi(pts)
+            rules[key] = (w, jac, phi(y), y, {})
+        w, jac, img, y, cols = rules[key]
+        if j not in cols:
+            cols[j] = _weight_matrix(weights[j : j + 1], y)[:, 0]
         vals = np.exp(2j * np.pi * (img @ lam[i])) * cols[j] * jac
         if not np.all(np.isfinite(vals)):
             raise QuadratureError("non-finite integrand value during quadrature")
@@ -747,7 +734,7 @@ def _per_integral(mu, psi, phi, lam, quad, weights, threads):
             )
         return value, err
 
-    results = _map_pool(one, range(lam.shape[0] * k), threads)
+    results = [one(pair) for pair in range(lam.shape[0] * k)]
     vals = np.array([r[0] for r in results], dtype=complex).reshape(-1, k)
     errs = np.array([r[1] for r in results], dtype=float).reshape(-1, k)
     return vals, errs

@@ -25,8 +25,9 @@ self-similar-digit  exact enumeration of digit strings to the effective depth
                     node; the reported error is a Lipschitz-style tail bound.
 adaptive            global adaptive subdivision with per-cell two-order Gauss
                     error estimates; the disc starts from the quadrant cells.
-                    The engine refines each (frequency, weight) pair; the
-                    pairs of a call share each cell's rule.
+                    The engine refines each (frequency, weight) pair in
+                    order, with no pool (pools run only inside tensor-gauss);
+                    the pairs of a call share each cell's rule.
 """
 
 from __future__ import annotations
@@ -382,9 +383,8 @@ class SelfSimilar(Measure):
         pos = self._weights > 0
         offsets, weights = self._offsets[pos], self._weights[pos]
         best = None
-        for L in range(1, _SAMPLE_DEPTH + 1):
-            if L > 1 and offsets.size**L > 1 << _GUIDE_BITS:
-                break
+        top = min(_SAMPLE_DEPTH, max(1, _levels_within(offsets.size, 1 << _GUIDE_BITS)))
+        for L in range(1, top + 1):
             if _SAMPLE_DEPTH % L == 0:
                 pts, mass, _ = _cylinders(offsets, weights, self.ratio, L)
                 guide = _guide_table(np.cumsum(mass)[:-1])
@@ -602,6 +602,17 @@ def _cylinders(offsets, weights, ratio, depth):
     return pts, mass, scale
 
 
+def _levels_within(k, cap):
+    """The most digit levels L >= 0 whose k^L strings stay within cap; one
+    digit has a single string at every depth, so no L is most: math.inf."""
+    if k == 1:
+        return math.inf
+    levels = 0
+    while k ** (levels + 1) <= cap:
+        levels += 1
+    return levels
+
+
 def digit_nodes(ss: SelfSimilar, depth: int):
     """Exact enumeration nodes/weights of the depth-truncated digit measure.
 
@@ -617,7 +628,7 @@ def digit_nodes(ss: SelfSimilar, depth: int):
     order = np.argsort(ss._offsets[pos], kind="stable")
     offsets, digit_weights = ss._offsets[pos][order], ss._weights[pos][order]
     k = len(offsets)  # >= 2: the measure supports more than one point
-    d_eff = min(depth, max(1, int(math.log(_MAX_DIGIT_NODES) / math.log(k))))
+    d_eff = min(depth, max(1, _levels_within(k, _MAX_DIGIT_NODES)))
     pts, weights, scale = _cylinders(offsets, digit_weights, ss.ratio, d_eff)
     mean_digit = float(offsets @ digit_weights)
     span = float(offsets.max() - offsets.min())

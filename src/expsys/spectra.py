@@ -268,20 +268,20 @@ def beurling_density(
         )
     d_plus = []
     d_minus = []
-    for R, build in zip(windows, builds):
+    for R, build in zip(sides, builds):
         dens = _counts(build(), centers - R / 2.0, centers + R / 2.0) / R**d
         d_plus.append(float(dens.max()))
         d_minus.append(float(dens.min()))
-    if len(windows) >= 2 and d_plus[-1] < 0.5 * d_plus[0]:
+    if sides.size >= 2 and d_plus[-1] < 0.5 * d_plus[0]:
         verdict = "decreasing"
-    elif len(windows) >= 2 and abs(d_plus[-1] - d_minus[-1]) <= max(
-        2.0 * spectrum.dim / windows[-1], 1e-9
+    elif sides.size >= 2 and abs(d_plus[-1] - d_minus[-1]) <= max(
+        2.0 * spectrum.dim / sides[-1], 1e-9
     ) * max(d_plus[-1], 1.0):
         verdict = "converging"
     else:
         verdict = "inconclusive"
     return DensityReport(
-        windows=list(windows),
+        windows=sides.tolist(),
         d_plus=d_plus,
         d_minus=d_minus,
         verdict=verdict,

@@ -1262,6 +1262,42 @@ def test_complex_weights_contract_as_two_real_matmuls():
     assert_allclose(got, parts, rtol=0, atol=1e-12 * np.abs(W).sum())
 
 
+def _two_matmul_contract(img, lam, W):
+    """`_contract` of a complex W = A + iB as two real matmuls A Z and B Z over
+    the interleaved (re, im) columns of Z, joined as A Z + i B Z."""
+    out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
+    step = _oscillatory._chunk_size(*W.shape)
+    real, imag = np.ascontiguousarray(W.real.T), np.ascontiguousarray(W.imag.T)
+    for start in range(0, lam.shape[0], step):
+        freqs = slice(start, start + step)
+        Z = np.zeros((img.shape[0], lam[freqs].shape[0]), dtype=complex)
+        np.matmul(img, lam[freqs].T, out=Z.imag)
+        Z.imag *= 2 * np.pi
+        np.exp(Z, out=Z)
+        AZ = (real @ Z.view(float)).view(complex).T
+        BZ = (imag @ Z.view(float)).view(complex).T
+        block = out[freqs]
+        np.subtract(AZ.real, BZ.imag, out=block.real)
+        np.add(AZ.imag, BZ.real, out=block.imag)
+    return out
+
+
+@pytest.mark.parametrize("n_freqs", [20, 70])  # one exp chunk, and 32 + 32 + 6
+def test_complex_weights_contract_as_the_two_matmul_split(n_freqs):
+    # the real stack [A, B] sums the same products as A Z and B Z; BLAS picks
+    # its kernel by shape, so the sums may differ in order, never by more
+    # than a few eps of each column's summed |w| (a swapped or misplaced
+    # part would be off by the moment itself)
+    rng = np.random.default_rng(11)
+    img = rng.random((5000, 2))
+    lam = rng.normal(0.0, 50.0, (n_freqs, 2))
+    W = rng.normal(size=(5000, 3)) + 1j * rng.normal(size=(5000, 3))
+    got = _oscillatory._contract(img, lam, W)
+    ref = _two_matmul_contract(img, lam, W)
+    assert got.shape == ref.shape == (n_freqs, 3)
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(W).sum(axis=0))
+
+
 # ---------------------------------------------------------------------------
 # Monte-Carlo sums of a digit phase from its level tables
 # ---------------------------------------------------------------------------
@@ -1408,13 +1444,37 @@ def test_cantor4_battery_exponentiates_only_its_guard_block(monkeypatch):
 
 
 def test_thread_count_refused_before_any_pool(monkeypatch):
+    # every scheme and the product formula refuse the count where the call
+    # enters: before the measure is unwrapped or the product formula summed
+    product = plan(es.middle_fourth_cantor(), es.Identity(1), es.digit(40), "gram")
+    assert product.path == "product-formula"
+
     def never(*args, **kwargs):
-        raise AssertionError("a thread pool was built")
+        raise AssertionError("work started")
 
     monkeypatch.setattr(_oscillatory, "ThreadPoolExecutor", never)
+    monkeypatch.setattr(_oscillatory, "_unwrap", never)
+    monkeypatch.setattr(es.measures, "selfsimilar_moments", never)
     box = es.LebesgueBox([0.0], [1.0])
+    calls = {
+        "tensor-gauss": (box, es.gauss(16)),
+        "adaptive": (box, es.adaptive()),
+        "self-similar-digit": (es.middle_third_cantor(), es.digit(12)),
+        "monte-carlo": (box, es.monte_carlo(1000, seed=1)),
+    }
     for threads in (0, _oscillatory.MAX_THREADS + 1, 10**6):
+        for mu, quad in calls.values():
+            with pytest.raises(DomainError, match="threads must be in"):
+                exp_moments(mu, es.Identity(1), [[1.0]], quad, threads=threads)
         with pytest.raises(DomainError, match="threads must be in"):
-            _oscillatory._map_pool(abs, list(range(8192)), threads)
-        with pytest.raises(DomainError, match="threads must be in"):
-            exp_moments(box, es.Identity(1), [[1.0]], es.gauss(16), threads=threads)
+            product.moments([[1.0]], threads=threads)
+
+
+def test_the_tensor_gauss_rule_builds_the_engine_only_pool():
+    from pathlib import Path
+
+    path = Path(_oscillatory.__file__)
+    bound, _ = _names(path)
+    assert not bound & {"threading", "Lock", "_map_pool"}
+    # the module imports ThreadPoolExecutor; one function calls it
+    assert _users(path, "ThreadPoolExecutor") == {"<module>", "_tensor_gauss"}

@@ -198,6 +198,12 @@ class TestBeurlingDensity:
         # the largest lambda4 window still enumerated: 2^20 points below 4^20
         assert es.window_count(es.lambda4(8), [0.0], [float(4**20)]) == 2**20
 
+    def test_numeric_string_sides_are_read_as_numbers(self):
+        spec = es.integer_lattice(1, 50)
+        rep = es.beurling_density(spec, ["2", "4"])
+        assert rep.windows == [2.0, 4.0]
+        assert rep == es.beurling_density(spec, [2.0, 4.0])
+
     @pytest.mark.parametrize("side", [np.nan, 0.0, -5.0, np.inf])
     def test_bad_window_sides_rejected(self, side):
         with pytest.raises(DomainError):
