@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, phases
-from .errors import DomainError, QuadratureError, SchemeMismatchError
+from .errors import DomainError, QuadratureError, SchemeMismatchError, _integer
 from .measures import (
     LebesgueBox,
     LebesgueDisc,
@@ -138,7 +138,7 @@ class Plan:
         product formula takes the unit weight only."""
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
-        _check_threads(threads)
+        _integer(threads, "threads", 1, MAX_THREADS)
         weights = list(weights)
         if len(weights) != 1 or any(part is not None for part in weights[0] or ()):
             raise DomainError("the product formula takes the unit weight only")
@@ -147,11 +147,6 @@ class Plan:
             raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim 1")
         vals, errs = measures.selfsimilar_moments(self.mu, lam[:, 0], self.trunc)
         return vals[:, None], errs[:, None]
-
-
-def _check_threads(threads):
-    if not 1 <= threads <= MAX_THREADS:  # refused before any work or pool
-        raise DomainError(f"threads must be in [1, {MAX_THREADS}], got {threads}")
 
 
 def plan(mu, phi, quad: QuadratureSpec, purpose) -> Plan:
@@ -242,7 +237,7 @@ def exp_moments(
     With `strict`, any non-finite value raises QuadratureError.  `threads`
     outside [1, MAX_THREADS] raises DomainError before any work.
     """
-    _check_threads(threads)
+    threads = _integer(threads, "threads", 1, MAX_THREADS)  # before any work or pool
     base, psi = _unwrap(mu)
     weights = [(None, None) if w is None else tuple(w) for w in weights]
     lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
@@ -416,8 +411,11 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
     gap = np.maximum(dx, tail_width)
     slopes = np.array([np.max(np.abs(np.diff(col)) / gap) for col in W.T])
     fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
-    fine_span = float(np.max(np.linalg.norm(np.diff(img, axis=0), axis=1)[fine]))
-    del dx, gap, fine
+    # the steps' lengths without squaring them, which overflows past 1e154
+    step = np.diff(img, axis=0)
+    step = np.abs(step[:, 0]) if step.shape[1] == 1 else np.hypot.reduce(step, axis=1)
+    fine_span = float(np.max(step[fine]))
+    del dx, gap, fine, step
     phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
     errs = slopes * tail_width + peaks * phase[:, None]
     W *= w[:, None]

@@ -29,7 +29,7 @@ from .config import (
     options,
     pick,
 )
-from .errors import ConfigError, ExpSysError
+from .errors import ConfigError, ExpSysError, _integer
 from .expr import expression_on_points, parse_expression  # re-exported: CLI surface
 from .presets import PRESETS
 
@@ -293,8 +293,7 @@ def run(argv=None) -> int:
         return _EXIT_OK
 
     try:
-        if not 1 <= args.threads <= MAX_THREADS:
-            raise ConfigError(f"--threads must be in [1, {MAX_THREADS}], got {args.threads}")
+        _integer(args.threads, "--threads", 1, MAX_THREADS)
         preset_name = None
         if args.preset is not None:
             if args.preset not in PRESETS:

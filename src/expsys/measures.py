@@ -43,6 +43,7 @@ from .errors import (
     ProductFormulaError,
     QuadratureError,
     SchemeMismatchError,
+    _integer,
 )
 from .seeding import spawn_rng
 
@@ -102,23 +103,19 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.scheme not in _SCHEMES:
             raise SchemeMismatchError(f"unknown quadrature scheme {self.scheme!r}")
-        for name in ("order", "n_samples", "seed", "depth", "max_subdivisions"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
-        if not 2 <= self.order <= 512:
-            raise DomainError(f"order must be in [2, 512], got {self.order}")
+        for name, lo, hi in (
+            ("order", 2, 512),
+            ("n_samples", 2, None),
+            ("seed", 0, None),
+            ("depth", 1, _MAX_DEPTH),
+            ("max_subdivisions", 0, None),
+        ):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, lo, hi))
         if self.scheme == "adaptive" and self.order < 3:
             # its error compares orders `order` and max(2, order // 2), equal at 2
             raise DomainError(f"adaptive order must be >= 3, got {self.order}")
-        if self.n_samples < 2:
-            raise DomainError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
-        if not 1 <= self.depth <= _MAX_DEPTH:
-            raise DomainError(f"depth must be in [1, {_MAX_DEPTH}], got {self.depth}")
         if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
             raise DomainError(f"abs tol must be finite and > 0, got {self.abs_tol}")
-        if self.max_subdivisions < 0:
-            raise DomainError(f"max_subdivisions must be >= 0, got {self.max_subdivisions}")
 
     def to_json_dict(self):
         out = {"scheme": self.scheme}
@@ -185,16 +182,6 @@ def _finite(values, what):
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} must be finite")
     return arr
-
-
-def _integer(value, what):
-    """int(value) for an integral number; DomainError for 2.5, inf, nan, "3" or True."""
-    try:
-        if not isinstance(value, (bool, np.bool_)) and int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 def _finite_mass(mass, what):
@@ -340,9 +327,7 @@ class SelfSimilar(Measure):
     kind = "self_similar"
 
     def __init__(self, ratio, digits):
-        ratio = _integer(ratio, "ratio")
-        if not 2 <= ratio <= _MAX_RATIO:
-            raise DomainError(f"ratio must be an integer in [2, {_MAX_RATIO}]")
+        ratio = _integer(ratio, "ratio", 2, _MAX_RATIO)
         pairs = _finite(digits, "self-similar digits")
         if pairs.ndim != 2 or pairs.shape[1:] != (2,) or pairs.shape[0] == 0:
             raise DomainError("digits must be a non-empty list of (offset, weight) pairs")
@@ -519,8 +504,7 @@ def pushforward(mu: Measure, phi) -> PushforwardMeasure:
 
 def sample(mu: Measure, n: int, seed: int = 0) -> np.ndarray:
     """n i.i.d. draws from mu as an (n, dim) array, deterministic in seed."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    n = _integer(n, "n", 1)
     _check_entries(n, mu.dim, "sample set")
     rng = spawn_rng(seed, "sample", mu.kind)
     return mu._sample(n, rng)
@@ -722,8 +706,7 @@ def selfsimilar_moments(ss: SelfSimilar, xi, trunc):
     `validate_product_formula`.  Errors bound the dropped levels:
     |m(xi) - 1| <= 2 pi max|d| |xi|, summed over every level past `trunc`.
     """
-    if trunc < 1:
-        raise DomainError("trunc must be >= 1 for self-similar measures")
+    trunc = _integer(trunc, "trunc", 1)
     validate_product_formula(ss)
     xi = np.asarray(xi, dtype=float)
     values = _selfsimilar_product(ss, xi, trunc)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, _integer
 
 _STEP = 1e-5  # central-difference step of numerical Jacobian entries
 
@@ -82,9 +82,7 @@ class PhaseMap:
 
 class Identity(PhaseMap):
     def __init__(self, dim=1):
-        self.in_dim = self.out_dim = measures._integer(dim, "identity dim")
-        if self.in_dim < 1:
-            raise DomainError(f"identity dim must be >= 1, got {dim}")
+        self.in_dim = self.out_dim = _integer(dim, "identity dim", 1)
 
     def _eval(self, pts):
         return pts.copy()
@@ -148,21 +146,17 @@ class DigitMap(PhaseMap):
     differentiable = False
 
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
-        self.in_base = measures._integer(in_base, "in_base")
-        self.out_base = measures._integer(out_base, "out_base")
+        self.in_base = _integer(in_base, "in_base", 2)
+        self.out_base = _integer(out_base, "out_base", 2)
         digits = measures._finite(in_digits, "digit map in_digits")
         if digits.ndim != 1 or np.any(digits != np.round(digits)):
             raise DomainError("in_digits must be a list of integers")
         self.in_digits = tuple(int(d) for d in digits)
         self.digit_map = {
-            measures._integer(k, "digit_map key"): float(measures._finite(v, "digit_map value"))
+            _integer(k, "digit_map key"): float(measures._finite(v, "digit_map value"))
             for k, v in dict(digit_map).items()
         }
-        self.depth = measures._integer(depth, "depth")
-        if self.in_base < 2 or self.out_base < 2:
-            raise DomainError("bases must be >= 2")
-        if not 1 <= self.depth <= measures._MAX_DEPTH:
-            raise DomainError(f"depth must be in [1, {measures._MAX_DEPTH}], got {self.depth}")
+        self.depth = _integer(depth, "depth", 1, measures._MAX_DEPTH)
         if set(self.digit_map) != set(self.in_digits):
             raise DomainError("digit_map must cover exactly the input digit set")
         out_vals = list(self.digit_map.values())
@@ -287,9 +281,7 @@ class Unipotent(PhaseMap):
 
     def __init__(self, shifts, dim):
         self.shifts = tuple(shifts)
-        self.in_dim = self.out_dim = measures._integer(dim, "unipotent dim")
-        if self.in_dim < 1:
-            raise DomainError(f"unipotent dim must be >= 1, got {dim}")
+        self.in_dim = self.out_dim = _integer(dim, "unipotent dim", 1)
         if len(self.shifts) != self.in_dim - 1:
             raise DomainError("need d-1 shift functions for dimension d")
 
@@ -688,10 +680,8 @@ class Triangular2D(PhaseMap):
 class CustomPhase(PhaseMap):
     def __init__(self, fn, in_dim, out_dim):
         self.fn = fn
-        self.in_dim = measures._integer(in_dim, "custom in_dim")
-        self.out_dim = measures._integer(out_dim, "custom out_dim")
-        if min(self.in_dim, self.out_dim) < 1:
-            raise DomainError(f"custom dims must be >= 1, got {in_dim} -> {out_dim}")
+        self.in_dim = _integer(in_dim, "custom in_dim", 1)
+        self.out_dim = _integer(out_dim, "custom out_dim", 1)
 
     def _eval(self, pts):
         out = np.asarray(self.fn(pts), dtype=float)
@@ -883,8 +873,7 @@ def essential_injectivity_probe(
     """
     from scipy.spatial import cKDTree
 
-    if n < 100:
-        raise DomainError("n must be >= 100")
+    n = _integer(n, "n", 100)
     for name, scale in (("delta_x", delta_x), ("delta_y", delta_y)):
         if scale is not None and not scale > 0:
             raise DomainError(f"{name} must be > 0, got {scale}")

@@ -10,7 +10,7 @@ import zlib
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import _integer
 
 
 def _tag_key(tag) -> int:
@@ -21,7 +21,6 @@ def _tag_key(tag) -> int:
 
 def spawn_rng(seed: int, *tags) -> np.random.Generator:
     """Generator for the sub-stream identified by `tags` under `seed`."""
-    if seed < 0:
-        raise DomainError(f"seed must be >= 0, got {seed}")
+    seed = _integer(seed, "seed", 0)
     key = tuple(_tag_key(t) for t in tags)
-    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=key))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))

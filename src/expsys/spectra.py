@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _integer
 from .measures import _finite
 from .seeding import spawn_rng
 
@@ -131,7 +131,7 @@ def lattice(A, radius) -> SpectrumSet:
 
 
 def integer_lattice(d, radius) -> SpectrumSet:
-    return lattice(np.eye(d), radius)
+    return lattice(np.eye(_integer(d, "lattice dim", 1)), radius)
 
 
 def dual_lattice(A) -> np.ndarray:
@@ -149,8 +149,7 @@ def _lambda4_values(n):
 
 def lambda4(n: int) -> SpectrumSet:
     """Level-n four-adic binary spectrum {sum_{i<n} 4^i a_i : a_i in {0,1}}."""
-    if not 1 <= n <= 16:
-        raise DomainError("level must satisfy 1 <= n <= 16")
+    n = _integer(n, "lambda4 level", 1, 16)
     pts = np.sort(_lambda4_values(n)).astype(float)[:, None]
     return SpectrumSet(pts, generator={"kind": "lambda4", "n": n}, truncation=n)
 
@@ -243,8 +242,7 @@ def beurling_density(
     sides = _finite(windows, "density windows")
     if sides.ndim != 1 or sides.size == 0 or np.any(sides <= 0):
         raise DomainError("density windows must be a non-empty list of positive numbers")
-    if not 1 <= n_centers < MAX_DENSITY_WORK:
-        raise DomainError(f"n_centers must be in [1, {MAX_DENSITY_WORK}), got {n_centers}")
+    n_centers = _integer(n_centers, "n_centers", 1, MAX_DENSITY_WORK - 1)
     rng = spawn_rng(seed, "beurling-centers")
     if centers_box is None:
         centers_box = (np.full(d, -10.0), np.full(d, 10.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError
+from .errors import DomainError, InversionError, _integer
 from .measures import LebesgueBox, _check_entries, _in_box
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
@@ -84,11 +84,9 @@ def frac_histogram_test(
 
     box = _as_box(box, phi)
     d = box.dim
-    if bins < 1:
-        raise DomainError("bins must be >= 1")
+    bins = _integer(bins, "bins", 1)
     cells = bins**d
-    if n < 10 * cells:
-        raise DomainError(f"n={n} too small for {cells} bins (need >= {10 * cells})")
+    n = _integer(n, f"n for {cells} bins", 10 * cells)
     _, A_inv = generator(lattice_A, d)
     pts = box._sample(n, spawn_rng(seed, "frac-histogram"))
     t = _finite_image(phi, pts) @ A_inv.T
@@ -208,6 +206,7 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     estimate.
     """
     box = _as_box(box, phi)
+    n = _integer(n, "n", 1)
     k = np.asarray(k, dtype=float)
     vol = box.total_mass
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
@@ -266,8 +265,8 @@ def tiling_verdict(
     capped at MAX_TILING_DRAWS before anything is drawn; with the default n
     this refuses d >= 5 at radius 2.
     """
-    if radius < 1:
-        raise DomainError(f"radius must be >= 1 for any translate to be checked, got {radius}")
+    n = _integer(n, "n", 1)
+    radius = _integer(radius, "radius", 1)  # no translate is checked below 1
     box = _as_box(box, phi)
     d = box.dim
     draws = n * (2 * radius + 1) ** d

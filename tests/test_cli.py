@@ -462,6 +462,9 @@ MALFORMED = {
     "explicit-points-booleans": (
         "identity-1d", _set(["spectrum"], {"kind": "explicit", "points": [[True], [False]]})
     ),
+    # a digit image near the double limit: the digit rule's span squared it
+    "cantor3-digit-image-1e300": ("cantor3", _set(["phase", "digit_map", "0"], 1e300)),
+    "cantor4-digit-image-1e300": ("cantor4", _set(["phase", "digit_map", "1"], 1e300)),
     # centres near the double limit: the window box overflowed with a warning
     "density-box-past-double-range": (
         "density-z2",
@@ -599,6 +602,24 @@ def test_import_leaves_scipy_linalg_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_frame_and_window_presets_leave_scipy_linalg_unloaded():
+    # the frame bounds' SVD runs through numpy
+    code = (
+        "import contextlib, io, sys\n"
+        "from expsys.cli import run\n"
+        "from expsys.presets import PRESETS\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [run([PRESETS[n]['command'], '--preset', n])\n"
+        "             for n in ('halfbox-frame', 'axb', 'shearlet')]\n"
+        "print(codes, 'scipy.linalg' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] False"
 
 
 # perfbench's tracer wraps expsys names from outside the package; installing

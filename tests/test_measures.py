@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
 import expsys as es
-from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError
+from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError, _integer
 from expsys.measures import (
     _box_ft,
     _in_box,
@@ -17,6 +17,7 @@ from expsys.measures import (
     digit_nodes,
     selfsimilar_moments,
 )
+from expsys.seeding import spawn_rng
 
 
 def unit_box():
@@ -860,3 +861,65 @@ def test_in_box_is_the_half_open_test_of_every_column(d, data):
     np.testing.assert_array_equal(_in_box(x, lo, hi), np.all((x >= lo) & (x < hi), axis=1))
     if d == 1:  # scalar bounds broadcast as they do in the comparison
         np.testing.assert_array_equal(_in_box(x, lo[0], hi[0]), (x[:, 0] >= lo[0]) & (x[:, 0] < hi[0]))
+
+
+def _histogram(**sizes):
+    return es.frac_histogram_test(es.Identity(1), unit_box(), [[1.0]], **sizes)
+
+
+def _tiling(**sizes):
+    return es.tiling_verdict(es.Identity(1), unit_box(), [[1.0]], **sizes)
+
+
+# every library count, size, level, seed and thread count, as a call of the
+# value under test and an integral float the call accepts
+INTEGER_ARGUMENTS = {
+    "order": (lambda v: es.gauss(order=v), 16.0),
+    "n_samples": (lambda v: es.monte_carlo(n_samples=v), 100.0),
+    "quad seed": (lambda v: es.monte_carlo(seed=v), 2.0),
+    "digit depth": (lambda v: es.digit(depth=v), 12.0),
+    "max_subdivisions": (lambda v: es.adaptive(max_subdivisions=v), 10.0),
+    "ratio": (lambda v: es.SelfSimilar(v, ((0.0, 0.5), (2.0, 0.5))), 4.0),
+    "sample n": (lambda v: es.sample(unit_box(), v), 2.0),
+    "sample seed": (lambda v: es.sample(unit_box(), 2, seed=v), 2.0),
+    "trunc": (lambda v: selfsimilar_moments(es.middle_fourth_cantor(), [0.5], v), 2.0),
+    "identity dim": (lambda v: es.Identity(v), 2.0),
+    "unipotent dim": (lambda v: es.Unipotent((lambda p: p[:, 1],), v), 2.0),
+    "custom in_dim": (lambda v: es.CustomPhase(lambda p: p, v, 1), 1.0),
+    "custom out_dim": (lambda v: es.CustomPhase(lambda p: p, 1, v), 1.0),
+    "in_base": (lambda v: es.DigitMap(v, [0, 1], 4, {0: 0.0, 1: 2.0}), 2.0),
+    "out_base": (lambda v: es.DigitMap(2, [0, 1], v, {0: 0.0, 1: 2.0}), 4.0),
+    "digit map depth": (lambda v: es.DigitMap(2, [0, 1], 4, {0: 0.0, 1: 2.0}, depth=v), 8.0),
+    "probe n": (lambda v: es.essential_injectivity_probe(es.Identity(1), unit_box(), n=v), 100.0),
+    "lambda4 level": (lambda v: es.lambda4(v), 2.0),
+    "lattice dim": (lambda v: es.integer_lattice(v, 1), 2.0),
+    "n_centers": (
+        lambda v: es.beurling_density(es.integer_lattice(1, 4), [2.0], n_centers=v), 2.0
+    ),
+    "dyadic basis size": (lambda v: es.dyadic_indicator_basis(unit_box(), v), 2.0),
+    "legendre basis size": (lambda v: es.legendre_basis(unit_box(), v), 2.0),
+    "histogram n": (lambda v: _histogram(n=v, bins=2), 20.0),
+    "histogram bins": (lambda v: _histogram(n=100, bins=v), 2.0),
+    "overlap n": (lambda v: es.overlap_volume(es.Identity(1), unit_box(), [1.0], n=v), 10.0),
+    "tiling n": (lambda v: _tiling(n=v, bins=2, radius=1), 20.0),
+    "tiling radius": (lambda v: _tiling(n=20, bins=2, radius=v), 1.0),
+    # seeds 2.5 and True were read as 2 and 1
+    "spawn_rng seed": (lambda v: spawn_rng(v, "tag"), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_refuse_non_integers_and_take_integral_floats(name):
+    call, accepted = INTEGER_ARGUMENTS[name]
+    for value in (2.5, True, "2", None):
+        with pytest.raises(es.DomainError, match="must be an integer"):
+            call(value)
+    call(accepted)
+
+
+def test_bounded_integer_messages():
+    with pytest.raises(es.DomainError, match=r"^n must be >= 1, got 0$"):
+        _integer(0.0, "n", 1)
+    with pytest.raises(es.DomainError, match=r"^order must be in \[2, 512\], got 513$"):
+        _integer(513, "order", 2, 512)
+    assert _integer(np.int64(7), "n", 1, 7) == 7 and type(_integer(3.0, "n")) is int

@@ -250,6 +250,15 @@ def test_phase_must_map_the_box_dimension_to_itself(phi):
             call()
 
 
+def test_fractional_radius_and_empty_overlap_sample_refused():
+    # radius 1.5 read translates on a half-integer grid, one of them keyed
+    # (0, 0), and called the shear NOT-TILING; n = 0 divided by zero
+    with pytest.raises(es.DomainError, match="radius must be an integer, got 1.5"):
+        es.tiling_verdict(sin_unipotent(), BOX, EYE, n=2000, bins=4, radius=1.5)
+    with pytest.raises(es.DomainError, match="n must be >= 1, got 0"):
+        es.overlap_volume(sin_unipotent(), BOX, [1.0, 0.0], n=0)
+
+
 class TestLatticeGenerator:
     @pytest.mark.parametrize(
         "A", [[[1.0, 0.0]], [[1.0]], [[1.0, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
