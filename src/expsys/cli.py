@@ -271,8 +271,16 @@ _COMMANDS = {
 _COMMON = {"seed": int, "out": str, "csv": str}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become one `error: ` line and exit 3 in run(), not
+    argparse's exit 2, which is the INCONCLUSIVE code; --help still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def run(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="expsys",
         description="Generalized exponential systems: verification experiments",
     )
@@ -285,14 +293,13 @@ def run(argv=None) -> int:
             src.add_argument("--preset", help="named preset")
             p.add_argument("--out", help="report path (overrides config 'out')")
             p.add_argument("--threads", type=int, default=1, help=f"1 to {MAX_THREADS}")
-    args = parser.parse_args(argv)
-
-    if args.command == "list-presets":
-        for name in sorted(PRESETS):
-            print(f"{name:22s} [{PRESETS[name]['command']}] {PRESETS[name]['description']}")
-        return _EXIT_OK
-
     try:
+        args = parser.parse_args(argv)
+        if args.command == "list-presets":
+            for name in sorted(PRESETS):
+                print(f"{name:22s} [{PRESETS[name]['command']}] {PRESETS[name]['description']}")
+            return _EXIT_OK
+
         _integer(args.threads, "--threads", 1, MAX_THREADS)
         preset_name = None
         if args.preset is not None:

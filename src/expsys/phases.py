@@ -149,8 +149,8 @@ class DigitMap(PhaseMap):
         self.in_base = _integer(in_base, "in_base", 2)
         self.out_base = _integer(out_base, "out_base", 2)
         digits = measures._finite(in_digits, "digit map in_digits")
-        if digits.ndim != 1 or np.any(digits != np.round(digits)):
-            raise DomainError("in_digits must be a list of integers")
+        if digits.ndim != 1 or digits.size == 0 or np.any(digits != np.round(digits)):
+            raise DomainError("in_digits must be a non-empty list of integers")
         self.in_digits = tuple(int(d) for d in digits)
         self.digit_map = {
             _integer(k, "digit_map key"): float(measures._finite(v, "digit_map value"))
@@ -160,6 +160,10 @@ class DigitMap(PhaseMap):
         if set(self.digit_map) != set(self.in_digits):
             raise DomainError("digit_map must cover exactly the input digit set")
         out_vals = list(self.digit_map.values())
+        # squares of the image must stay finite, as in the injectivity probe
+        top = max(map(abs, out_vals), default=0.0)
+        if top >= 1e150:
+            raise DomainError(f"digit_map values must be below 1e150 in magnitude, got {top!r}")
         if len(set(out_vals)) != len(out_vals):
             raise DomainError("digit_map must be injective on the input digit set")
         self.in_dim = self.out_dim = 1
@@ -856,6 +860,94 @@ class CollisionReport:
 
 
 _MAX_STORED_PAIRS = 64
+_PAIR_BLOCK = 1 << 18  # candidate pairs the probe tests at once
+
+
+def _cell_grid(img, delta_y):
+    """Integer cell keys of the (n, d) image points, and the key steps from a
+    cell to its forward neighbours.
+
+    A cell is a little wider than delta_y in every column, and at least 2^-28
+    of the column's span so that each cell index is exact; two points closer
+    than delta_y then lie in one cell or in neighbouring cells.  Columns enter
+    the key while its range fits an int64, and the exact distance test covers
+    any column left out.
+    """
+    lo = img.min(axis=0)
+    side = np.maximum(delta_y * (1 + 2.0**-20), (img.max(axis=0) - lo) * 2.0**-28)
+    keys = np.zeros(img.shape[0], dtype=np.int64)
+    steps, stride = [0], 1
+    for k in range(img.shape[1]):
+        # index + 1, so a neighbour's index is never negative
+        cells = np.floor((img[:, k] - lo[k]) / side[k]).astype(np.int64) + 1
+        radix = int(cells.max()) + 2
+        if stride * radix > 1 << 62:
+            break
+        keys += cells * stride
+        steps = [s + o * stride for s in steps for o in (-1, 0, 1)]
+        stride *= radix
+    return keys, [s for s in steps if s > 0]
+
+
+def _candidate_spans(keys, steps):
+    """For the points sorted by cell key, each row's span (lo, count) of
+    candidate partners: the later rows of its own cell, then per step the
+    rows of that forward neighbour cell."""
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    size = np.diff(np.r_[first, keys.size])
+    rows = np.arange(keys.size)
+    yield rows + 1, np.repeat(first + size, size) - rows - 1
+    cells = keys[first]
+    for step in steps:
+        at = np.minimum(np.searchsorted(cells, cells + step), cells.size - 1)
+        count = np.where(cells[at] == cells + step, size[at], 0)
+        yield np.repeat(first[at], size), np.repeat(count, size)
+
+
+def _candidate_blocks(order, lo, count):
+    """The spans' candidate pairs as sample indices (i, j), i < j, in blocks of
+    whole spans holding about _PAIR_BLOCK pairs."""
+    ends = np.cumsum(count)
+    start = 0
+    while start < count.size:
+        base = ends[start] - count[start]
+        stop = max(int(np.searchsorted(ends, base + _PAIR_BLOCK, side="right")), start + 1)
+        c = count[start:stop]
+        total = int(ends[stop - 1] - base)
+        if total:
+            p = np.repeat(np.arange(start, stop), c)
+            q = np.repeat(lo[start:stop] - (ends[start:stop] - c - base), c) + np.arange(total)
+            a, b = order[p], order[q]
+            yield np.minimum(a, b), np.maximum(a, b)
+        start = stop
+
+
+def _collisions(img, pts, delta_x, delta_y):
+    """The mask of samples in a pair (i, j) with |img_i - img_j| < delta_y and
+    |pts_i - pts_j| > delta_x, and the first _MAX_STORED_PAIRS such pairs in
+    (i, j) order, i < j, found on the cell grid of _cell_grid."""
+    n = img.shape[0]
+    keys, steps = _cell_grid(img, delta_y)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # every candidate is counted before the first block: the budget is that of
+    # a list of all of them with their two distance rows
+    candidates = sum(int(count.sum()) for _, count in _candidate_spans(keys, steps))
+    measures._check_entries(candidates, 2 + img.shape[1] + pts.shape[1], "collision pair list")
+    involved = np.zeros(n, dtype=bool)
+    first = np.zeros(0, dtype=np.int64)  # the smallest pairs so far, as i * n + j
+    for lo, count in _candidate_spans(keys, steps):
+        for i, j in _candidate_blocks(order, lo, count):
+            near = np.linalg.norm(img[i] - img[j], axis=1) < delta_y
+            i, j = i[near], j[near]
+            far = np.linalg.norm(pts[i] - pts[j], axis=1) > delta_x
+            i, j = i[far], j[far]
+            involved[i] = involved[j] = True
+            first = np.concatenate([first, i * n + j])
+            if first.size > _MAX_STORED_PAIRS:
+                first = np.partition(first, _MAX_STORED_PAIRS - 1)[:_MAX_STORED_PAIRS]
+    first = np.sort(first)
+    return involved, np.stack([first // n, first % n], axis=1)
 
 
 def essential_injectivity_probe(
@@ -864,15 +956,16 @@ def essential_injectivity_probe(
     """Sampled falsification probe for injectivity off a null set.
 
     Searches n draws from mu for pairs that are far in x (> delta_x) but
-    close in phi(x) (< delta_y), via a k-d tree on the image values.
-    collision_fraction is the fraction of samples involved in at least one
-    such pair; the first pairs in (i, j) order are stored.  A zero fraction
-    is "no counterexample found", never a certificate; a large fraction
-    refutes essential injectivity at the probe scales.  Caller is
-    responsible for delta_x > delta_y * L when a Lipschitz bound L is known.
+    close in phi(x) (< delta_y).  The image points are sorted into cells of
+    side about delta_y; each cell's pairs and its pairs with the forward
+    neighbour cells are the candidates, tested exactly in blocks, so memory
+    stays bounded and no pair list is built.  collision_fraction is the
+    fraction of samples involved in at least one such pair; the first pairs
+    in (i, j) order are stored.  A zero fraction is "no counterexample
+    found", never a certificate; a large fraction refutes essential
+    injectivity at the probe scales.  Caller is responsible for
+    delta_x > delta_y * L when a Lipschitz bound L is known.
     """
-    from scipy.spatial import cKDTree
-
     n = _integer(n, "n", 100)
     for name, scale in (("delta_x", delta_x), ("delta_y", delta_y)):
         if scale is not None and not scale > 0:
@@ -889,24 +982,13 @@ def essential_injectivity_probe(
         span = img.max(axis=0) - img.min(axis=0)
         # a constant image has no span to scale by
         delta_y = 1e-4 * float(np.linalg.norm(span)) or 1e-12
+    delta_x, delta_y = float(delta_x), float(delta_y)
 
-    tree = cKDTree(img)
-    # pairs within delta_y are counted (self-pairs and both orders) before they
-    # are listed; the index pairs and their two distance rows must fit the budget
-    pairs = (int(tree.count_neighbors(tree, delta_y)) - n) // 2
-    measures._check_entries(pairs, 2 + img.shape[1] + pts.shape[1], "collision pair list")
-    i, j = tree.query_pairs(delta_y, output_type="ndarray").T
-    hit = (np.linalg.norm(img[i] - img[j], axis=1) < delta_y) & (
-        np.linalg.norm(pts[i] - pts[j], axis=1) > delta_x
-    )
-    i, j = i[hit], j[hit]
-    involved = np.zeros(n, dtype=bool)
-    involved[i] = involved[j] = True
-    first = np.lexsort((j, i))[:_MAX_STORED_PAIRS]
+    involved, first = _collisions(img, pts, delta_x, delta_y)
     return CollisionReport(
         n_samples=n,
-        collisions=[(pts[a].tolist(), pts[b].tolist()) for a, b in zip(i[first], j[first])],
+        collisions=[(pts[i].tolist(), pts[j].tolist()) for i, j in first],
         collision_fraction=float(involved.mean()),
-        delta_x=float(delta_x),
-        delta_y=float(delta_y),
+        delta_x=delta_x,
+        delta_y=delta_y,
     )

@@ -462,9 +462,14 @@ MALFORMED = {
     "explicit-points-booleans": (
         "identity-1d", _set(["spectrum"], {"kind": "explicit", "points": [[True], [False]]})
     ),
-    # a digit image near the double limit: the digit rule's span squared it
+    # a digit image near the double limit: refused when the phase is built
     "cantor3-digit-image-1e300": ("cantor3", _set(["phase", "digit_map", "0"], 1e300)),
     "cantor4-digit-image-1e300": ("cantor4", _set(["phase", "digit_map", "1"], 1e300)),
+    # an empty digit set and map pass the coverage check; the snap table had no top digit
+    "digit-map-empty": (
+        "probe-digitmap",
+        lambda cfg: cfg["phase"].update(in_digits=[], digit_map={}),
+    ),
     # centres near the double limit: the window box overflowed with a warning
     "density-box-past-double-range": (
         "density-z2",
@@ -486,6 +491,33 @@ def test_malformed_config_exits_three(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
     assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-onb", "--preset", "identity-1d", "--threads", "2.5"],
+        ["no-such-command"],
+        ["verify-onb"],
+        ["verify-onb", "--preset", "identity-1d", "--config", "cfg.json"],
+        ["verify-onb", "--preset", "identity-1d", "--no-such-option"],
+        [],
+    ],
+)
+def test_usage_error_exits_three(capsys, argv):
+    # argparse's own exit 2 is the INCONCLUSIVE code
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert captured.out == ""
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify-onb", "--help"])
+    assert exc.value.code == 0
+    assert "--preset" in capsys.readouterr().out
 
 
 def test_deeply_nested_config_exits_three(tmp_path, capsys):
@@ -604,22 +636,24 @@ def test_import_leaves_scipy_linalg_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_frame_and_window_presets_leave_scipy_linalg_unloaded():
-    # the frame bounds' SVD runs through numpy
+def test_presets_leave_scipy_unloaded():
+    # the frame bounds' SVD runs through numpy, the chi-square tail through
+    # math and the injectivity probe's pair search on a numpy cell grid
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from expsys.cli import run\n"
         "from expsys.presets import PRESETS\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [run([PRESETS[n]['command'], '--preset', n])\n"
-        "             for n in ('halfbox-frame', 'axb', 'shearlet')]\n"
-        "print(codes, 'scipy.linalg' in sys.modules)\n"
+        "    codes = {n: run([p['command'], '--preset', n]) for n, p in PRESETS.items()}\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_src_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0, 0] False"
+    codes, loaded = json.loads(proc.stdout)
+    assert len(codes) == 18 and set(codes.values()) <= {0, 1, 2}, codes
+    assert loaded == []
 
 
 # perfbench's tracer wraps expsys names from outside the package; installing

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
+from expsys import phases
 from expsys.cli import run
 from expsys.errors import DomainError, InversionError
 from expsys.phases import _guide, _lookup, _MonotoneAntiderivative
@@ -606,6 +607,61 @@ class TestInjectivityProbe:
         rep = es.essential_injectivity_probe(phi, es.LebesgueBox([0.0], [1.0]), n=1000)
         assert rep.delta_y == 1e-12 and rep.collision_fraction == 1.0
 
+    @given(
+        d=st.integers(1, 3),
+        n=st.integers(2, 300),
+        cloud=st.sampled_from(["lattice", "uniform", "folded", "constant", "spread"]),
+        delta_y=st.sampled_from([0.25, 0.1, 0.5, 1e-3]),
+        delta_x=st.sampled_from([0.05, 0.5, 1.5]),
+        block=st.sampled_from([1, 7, 1 << 18]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    def test_grid_pairs_match_a_kd_tree(self, d, n, cloud, delta_y, delta_x, block, seed):
+        # the cell grid against scipy's k-d tree, on clouds with duplicate
+        # points, pairs exactly delta_y apart (the lattice at a power-of-two
+        # delta_y), constant images and columns too wide for a full key
+        from unittest import mock
+
+        from scipy.spatial import cKDTree
+
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-1.0, 1.0, (n, d))
+        img = {
+            "lattice": lambda: rng.integers(0, 4, (n, d)) * delta_y,
+            "uniform": lambda: rng.uniform(-1.0, 1.0, (n, d)),
+            "folded": lambda: np.abs(pts),
+            "constant": lambda: np.full((n, d), 0.5),
+            "spread": lambda: rng.uniform(-1e6, 1e6, (n, d))[rng.integers(0, max(1, n // 3), n)]
+            + rng.uniform(-delta_y, delta_y, (n, d)),
+        }[cloud]()
+        i, j = cKDTree(img).query_pairs(delta_y, output_type="ndarray").reshape(-1, 2).T
+        hit = (np.linalg.norm(img[i] - img[j], axis=1) < delta_y) & (
+            np.linalg.norm(pts[i] - pts[j], axis=1) > delta_x
+        )
+        i, j = i[hit], j[hit]
+        involved = np.zeros(n, dtype=bool)
+        involved[i] = involved[j] = True
+        first = np.lexsort((j, i))[:64]
+        with mock.patch.object(phases, "_PAIR_BLOCK", block):
+            got, got_first = phases._collisions(img, pts, delta_x, delta_y)
+        assert np.array_equal(got, involved)
+        assert got_first.tolist() == np.stack([i[first], j[first]], axis=1).tolist()
+        assert float(got.mean()) == float(involved.mean())
+
+    def test_huge_delta_y_refused_before_any_block(self, monkeypatch):
+        # every pair of the 20,000 samples is a candidate: counted and refused
+        # before the first block of pairs is built
+        blocks = []
+        monkeypatch.setattr(
+            phases, "_candidate_blocks", lambda *args: blocks.append(args) or iter(())
+        )
+        with pytest.raises(DomainError, match="collision pair list"):
+            es.essential_injectivity_probe(
+                es.Identity(1), es.LebesgueBox([0.0], [1.0]), n=20_000, delta_y=1e300
+            )
+        assert blocks == []
+
 
 class TestHolhosBoundary:
     def test_l1_norm_on_circle(self):
@@ -728,6 +784,14 @@ class TestDigitMapConstruction:
         phi = es.DigitMap(np.float64(2.0), (0, 1), 4.0, digits, depth=np.int32(12))
         assert (phi.in_base, phi.out_base, phi.depth) == (2, 4, 12)
         assert phi.digit_map == {0: 0.0, 1: 2.0}
+
+    def test_values_near_the_double_limit_are_refused(self):
+        with pytest.raises(DomainError, match="digit_map values must be below 1e150"):
+            es.DigitMap(3, [0, 2], 3, {0: -1e300, 2: 2.0})
+
+    def test_empty_digit_set_is_refused(self):
+        with pytest.raises(DomainError, match="in_digits must be a non-empty list"):
+            es.DigitMap(2, [], 4, {})
 
 
 class TestLinearConstruction:

@@ -5,7 +5,16 @@ from hypothesis import strategies as st
 
 import expsys as es
 from expsys.cli import run
-from expsys.tiling import NONUNIFORM, NOT_TILING, TILES, UNIFORM, _membership
+from expsys.tiling import (
+    INCONCLUSIVE,
+    NONUNIFORM,
+    NOT_TILING,
+    TILES,
+    UNIFORM,
+    _chi2_tail,
+    _chi2_verdict,
+    _membership,
+)
 
 # dense 2000^2 grid oracle for the z = e^{x2} overlap at k = (1, 0);
 # analytic value is 1/e = 0.3678794
@@ -46,6 +55,33 @@ class TestFracHistogram:
         phi = es.CustomPhase(lambda p: p + np.inf, 2, 2)
         with pytest.raises(es.DomainError, match="not finite"):
             es.frac_histogram_test(phi, BOX, EYE, n=10_000, bins=4)
+
+    @given(dof=st.integers(1, 4095))
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    def test_verdict_matches_chdtri(self, dof):
+        # the tail Q(dof / 2, chi2 / 2) in math against scipy's quantiles:
+        # the same verdict a relative 1e-8 off either threshold and at the
+        # quantiles' spread; at a threshold and one ulp either side only the
+        # verdicts adjacent to it, with the tail within 1e-9 of its level
+        from scipy.special import chdtri
+
+        def scipy_verdict(chi2):
+            if chi2 <= chdtri(dof, 0.01):
+                return UNIFORM
+            return NONUNIFORM if chi2 >= chdtri(dof, 1e-4) else INCONCLUSIVE
+
+        for q, sides in ((0.01, {UNIFORM, INCONCLUSIVE}), (1e-4, {INCONCLUSIVE, NONUNIFORM})):
+            x = float(chdtri(dof, q))
+            for chi2 in (x * (1 - 1e-8), x * (1 + 1e-8), x / 2, x * 2, 0.0):
+                assert _chi2_verdict(chi2, dof) == scipy_verdict(chi2)
+            for chi2 in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
+                assert _chi2_verdict(float(chi2), dof) in sides
+                assert abs(_chi2_tail(dof, float(chi2)) - q) <= 1e-9 * q
+
+    def test_one_bin_is_inconclusive(self):
+        # one bin leaves no degrees of freedom: no tail, no verdict
+        rep = es.frac_histogram_test(es.Identity(2), BOX, EYE, n=100, bins=1)
+        assert (rep.dof, rep.chi2, rep.verdict) == (0, 0.0, INCONCLUSIVE)
 
     def test_csv_dump(self, tmp_path):
         rep = es.frac_histogram_test(es.Identity(2), BOX, EYE, n=20_000, bins=4, seed=0)
