@@ -23,9 +23,9 @@ pushforward) takes the linear split when phi names a linear part
 (`PhaseMap.linear_part`, coordinates x_cols with constant coefficients C):
 the 1-d box factors at C^T lambda times the full rule's moment of the
 remaining box under x' -> phi(x_cols = 0, x'), closed form when none
-remains.  It guards itself: 16 seeded frequencies (the largest-norm one
-always) also run the full rule and must agree within both errors + 1e-12,
-or the call runs the full rule; calls of at most 16 frequencies always do.
+remains.  It guards itself: min(16, m) of its m frequencies, seeded (the
+largest-norm one always), also run the full rule and must agree within
+both errors + 1e-12, or the call runs the full rule.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
 digit error adds the weight's finest-scale slope to the phase term.  A
@@ -37,7 +37,7 @@ product-formula gate's sampling oracle draws cylinder codes and sums them
 in one call; Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d
 frequencies) read them off its digit loop (`DigitMap._codes`, K^L <= 2^10
 codes a block) in the blocks of their own loop, and guard themselves:
-the first block's 16 guard rows also run `_contract` on phi's image and
+the first block's guard rows also run `_contract` on phi's image and
 must agree within (1e-12 + 4 eps 2 pi |lambda| max|phi|), the rounding
 either sum carries in each term's phase, times each weight's summed |w|,
 or every block runs phi.  The digit rule on a
@@ -45,11 +45,11 @@ digit system (x = sum d_j r^-j, phi(psi(x)) = sum sigma(d_j) q^-j) takes
 the digit transfer: degree-8 Chebyshev fits of each weight on the top
 <= 4096 cylinders, contracted against moments from the self-similar
 transfer recursion.  It guards itself as the linear split
-does, its 16 guard rows under the enumeration on at most 2^16 nodes
+does, its guard rows under the enumeration on at most 2^16 nodes
 (min(depth, floor(16 / log2 k)) levels of k digits, at least one); a
-refused call runs the enumeration at the caller's depth, as do calls of at
-most 16 frequencies or non-finite ones, support boxes that cut a
-cylinder's image hull, fits whose tail is too large and non-finite weights.
+refused call runs the enumeration at the caller's depth, as do non-finite
+frequencies, support boxes that cut a cylinder's image hull, fits whose
+tail is too large and non-finite weights.
 Adaptive integrals refine each (frequency, weight) pair in order; the pairs
 of one call build each (cell, order) rule's nodes, phase image and weight
 columns once, in a table that starts over past 2^19 rule nodes.  Pools run
@@ -88,10 +88,9 @@ from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
-# frequencies of each linear-split or digit-transfer call also run by its guard: the
-# full rule, or the digit enumeration on at most _GUARD_NODES nodes (min(depth,
-# floor(16 / log2 k)) levels of k digits, at least one); a refused transfer runs the
-# enumeration at the caller's depth
+# frequencies of each guarded call (all when fewer ask) also run by its guard: the full
+# rule, `_contract` on phi's image, or the digit enumeration on at most _GUARD_NODES
+# nodes (min(depth, floor(16 / log2 k)) levels of k digits, at least one)
 _GUARD_ROWS = 16
 _GUARD_NODES = 1 << 16
 _TRANSFER_CELLS = 4096  # a digit-transfer fit's top-level cylinders: k^L <= 4096 for k digits
@@ -330,10 +329,10 @@ def _mc_sums(pts, psi, phi, lam, weights):
     time.  A DigitMap phi with no psi and 1-d frequencies sums each block
     from its level tables instead (`_code_sums` of `phi._codes` in blocks of
     L levels, K^L <= _DIGIT_CODES for K snapped digits), built on the first
-    block and kept when that block's guard rows (`_guard_rows`, or every row
-    of at most _GUARD_ROWS) agree with `_contract` of phi's image within
-    1e-12 plus the rounding of either sum's phase, 4 eps 2 pi |lambda|
-    max|phi|, times each column's summed |w|; else every block runs phi."""
+    block and kept when that block's guard rows (`_guard_rows`) agree with
+    `_contract` of phi's image within 1e-12 plus the rounding of either sum's
+    phase, 4 eps 2 pi |lambda| max|phi|, times each column's summed |w|; else
+    every block runs phi."""
     digit = psi is None and isinstance(phi, phases.DigitMap) and lam.shape[1] == 1
     levels = min(phi.depth, _levels_within(phi._top + 1, _DIGIT_CODES)) if digit else 0
     sums = np.zeros((lam.shape[0], len(weights)), dtype=complex)
@@ -351,7 +350,7 @@ def _mc_sums(pts, psi, phi, lam, weights):
         if tables is None:  # the first block builds the tables and guards them
             tables = _phase_tables(offsets, lam[:, 0])
             img = phi(x)
-            rows = _guard_rows(lam) if lam.shape[0] > _GUARD_ROWS else np.arange(lam.shape[0])
+            rows = _guard_rows(lam)
             miss = np.abs(_code_sums(codes, W, tables[rows]) - _contract(img, lam[rows], W))
             reach = 8 * np.pi * np.finfo(float).eps * np.abs(lam[rows, 0]) * np.max(np.abs(img))
             if not np.all(miss <= (1e-12 + reach)[:, None] * np.sum(np.abs(W), axis=0)):
@@ -533,9 +532,8 @@ def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
 
 def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
     """Tensor-gauss moments.  The one unit column [(None, None)] on a box takes
-    the linear split when phi names a linear part, more than _GUARD_ROWS
-    frequencies ask and the guard rows agree with the full rule; every other
-    call runs the full rule."""
+    the linear split when phi names a linear part and the guard rows agree
+    with the full rule; every other call runs the full rule."""
     linear = phi.linear_part() if psi is None and isinstance(mu, LebesgueBox) else None
     unit = len(weights) == 1 and weights[0][0] is None and weights[0][1] is None
 
@@ -548,13 +546,12 @@ def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
 
 
 def _guarded(fast, oracle, lam, guard=None):
-    """fast()'s (values, errors) when more than _GUARD_ROWS frequencies ask,
-    it answers (not None) and `guard` (default `oracle`) agrees on its
-    _GUARD_ROWS guard rows within both errors + 1e-12; else oracle(lam).
-    `oracle` and `guard` map frequency rows to (values, errors); the digit
-    transfer's guard is the enumeration on at most _GUARD_NODES nodes, its
-    oracle the enumeration at the caller's depth."""
-    found = fast() if lam.shape[0] > _GUARD_ROWS else None
+    """fast()'s (values, errors) when it answers (not None) and `guard`
+    (default `oracle`) agrees on the `_guard_rows` within both errors +
+    1e-12; else oracle(lam).  `oracle` and `guard` map frequency rows to
+    (values, errors); the digit transfer's guard is the enumeration on at
+    most _GUARD_NODES nodes, its oracle the enumeration at the caller's depth."""
+    found = fast()
     if found is not None:
         vals, errs = found
         rows = _guard_rows(lam)
@@ -565,9 +562,12 @@ def _guarded(fast, oracle, lam, guard=None):
 
 
 def _guard_rows(lam):
-    """_GUARD_ROWS seeded frequency rows, the one of largest norm among them."""
+    """All m rows when m <= _GUARD_ROWS, else _GUARD_ROWS seeded ones with the largest-norm one."""
+    rows = np.arange(lam.shape[0])
+    if rows.size <= _GUARD_ROWS:
+        return rows
     top = int(np.argmax(np.linalg.norm(lam, axis=1)))
-    others = np.delete(np.arange(lam.shape[0]), top)
+    others = np.delete(rows, top)
     picked = spawn_rng(0, "linear-split-guard").choice(others, _GUARD_ROWS - 1, replace=False)
     return np.sort(np.append(picked, top))
 

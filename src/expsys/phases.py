@@ -740,26 +740,24 @@ def compose(outer, inner) -> PhaseMap:
 
 
 def as_digit_system(mu, phi):
-    """(r, q, rows of (d, sigma(d), p)) when phi on the base measure mu is a
-    digit system: mu is the law of x = sum_j d_{J_j} r^-j with J_j i.i.d. of
-    law p, and phi(x) = sum_j sigma(d_{J_j}) q^-j.  Else None.
+    """(r, q, rows of (d, sigma(d), p) in ascending d) when phi on the base
+    measure mu is a digit system: mu is the law of x = sum_j d_{J_j} r^-j with
+    J_j i.i.d. of law p, and phi(x) = sum_j sigma(d_{J_j}) q^-j.  Else None.
 
-    Cases: identity on a SelfSimilar (sigma(d) = d, q = r); a 1-d x -> a x + b
-    (a != 0) on a SelfSimilar(r, {(d, p)}), where sigma(d) = a d + b (r - 1)
+    Cases: a 1-d x -> a x + b (a != 0; the identity is a = 1, b = 0) on a
+    SelfSimilar(r, {(d, p)}), where sigma(d) = a d + b (r - 1)
     and q = r since b = sum_j b (r - 1) r^-j; a DigitMap over a SelfSimilar of
     ratio in_base whose digit offsets are its input digits (sigma the digit
-    map, q = out_base, rows in ascending d), Lebesgue[0,1] entering as the
-    uniform list of all in_base digits (the base-b digits of a uniform
-    variable are i.i.d. uniform), built only when the DigitMap lists in_base
-    digits.
+    map, q = out_base), Lebesgue[0,1] entering as the uniform list of all
+    in_base digits (the base-b digits of a uniform variable are i.i.d.
+    uniform), built only when the DigitMap lists in_base digits.
     """
-    if isinstance(phi, Identity) and isinstance(mu, measures.SelfSimilar):
-        return mu.ratio, mu.ratio, tuple((d, d, w) for d, w in mu.digits)
-    if isinstance(phi, Affine) and isinstance(mu, measures.SelfSimilar):
-        if phi.M.shape != (1, 1) or phi.M[0, 0] == 0:
+    if isinstance(phi, (Identity, Affine)) and isinstance(mu, measures.SelfSimilar):
+        M, b = (phi.M, phi.b) if isinstance(phi, Affine) else (np.eye(phi.in_dim), np.zeros(1))
+        if M.shape != (1, 1) or M[0, 0] == 0:
             return None
-        a, b, r = float(phi.M[0, 0]), float(phi.b[0]), mu.ratio
-        return r, r, tuple((d, a * d + b * (r - 1), w) for d, w in mu.digits)
+        a, b, r = float(M[0, 0]), float(b[0]), mu.ratio
+        return r, r, tuple((d, a * d + b * (r - 1), w) for d, w in sorted(mu.digits))
     if not isinstance(phi, DigitMap):
         return None
     if isinstance(mu, measures.LebesgueBox):  # the uniform digit list, built only if it can match
@@ -968,8 +966,10 @@ def essential_injectivity_probe(
     """
     n = _integer(n, "n", 100)
     for name, scale in (("delta_x", delta_x), ("delta_y", delta_y)):
-        if scale is not None and not scale > 0:
-            raise DomainError(f"{name} must be > 0, got {scale}")
+        real = isinstance(scale, (int, float, np.integer, np.floating)) and not isinstance(scale, bool)
+        if scale is not None and not (real and 0 < scale <= float(np.finfo(float).max)):
+            kind = "> 0" if real and scale <= 0 else "a finite number > 0"
+            raise DomainError(f"{name} must be {kind}, got {scale!r}")
     pts = measures.sample(mu, n, seed=seed)
     img = phi(pts)
     # squared distances must stay below the float64 maximum (NaN fails too)

@@ -845,6 +845,34 @@ class TestSpecCliExamples:
         assert rep["result"]["gram"]["path"] == "product-formula"
         _assert_benchmark_body(rep, "cantor3")
 
+    def test_cantor3_enumerates_at_most_2_16_nodes_outside_the_gate(self, tmp_path, monkeypatch):
+        # the battery and the one-frequency norm call both take the digit
+        # transfer, so the only digit nodes built past the product-formula
+        # gate are their two guards' 2^16, never the caller's 2^20
+        from expsys import _oscillatory, measures
+
+        counts, in_gate = [], []
+        nodes, gate = _oscillatory.digit_nodes, measures.validate_product_formula
+
+        def counted(mu, depth):
+            found = nodes(mu, depth)
+            if not in_gate:
+                counts.append(len(found[1]))
+            return found
+
+        def gated(ss):
+            in_gate.append(ss)
+            try:
+                return gate(ss)
+            finally:
+                in_gate.pop()
+
+        monkeypatch.setattr(_oscillatory, "digit_nodes", counted)
+        monkeypatch.setattr(measures, "validate_product_formula", gated)
+        code, _ = run_to_file(tmp_path, ["verify-onb", "--preset", "cantor3"])
+        assert code == 0
+        assert counts == [1 << 16, 1 << 16]
+
     def test_counterexample_exp_exits_one(self, tmp_path):
         # the one preset that reaches the triangular antiderivative; it is
         # not light, so its body is checked against the benchmark here

@@ -753,25 +753,31 @@ def test_tensor_gauss_sizes_each_sub_rule_by_its_own_box():
 
 
 def test_weight_stack_budget_refused_before_building():
-    # 2^20 digit nodes leave room for 128 weight columns
+    # 2^20 digit nodes leave room for 128 weight columns; x^2 is no digit
+    # system, so the call runs the enumeration at the caller's depth
     mu, quad = es.middle_fourth_cantor(), es.digit(depth=30)
     n = 1 << 20
     k = _MAX_ENTRIES // n
+    assert _digit_transfer(mu, SQUARED, np.zeros((1, 1)), quad.depth, [(None, None)]) is None
     with pytest.raises(DomainError, match="weight stack"):
-        exp_moments(mu, es.Identity(1), [[0.0]], quad, weights=[None] * (k + 1))
+        exp_moments(mu, SQUARED, [[0.0]], quad, weights=[None] * (k + 1))
 
 
 def test_digit_rule_does_not_depend_on_the_digit_listing():
-    # the error model reads adjacent enumeration nodes: listed descending,
-    # the digits gave errors up to 35.6 where ascending gave 1.9e-10
-    lam = [[0.0], [1.0], [4.0], [17.0]]
-    (v_up, e_up), (v_down, e_down) = (
-        exp_moments(es.SelfSimilar(4, digits), es.Identity(1), lam, es.digit(30))
-        for digits in (((0.0, 0.5), (2.0, 0.5)), ((2.0, 0.5), (0.0, 0.5)))
-    )
-    assert np.array_equal(v_down, v_up)
-    assert np.array_equal(e_down, e_up)
-    assert np.max(e_down) <= 1e-9
+    # the enumeration's error model reads adjacent nodes (listed descending,
+    # the digits gave errors up to 35.6 where ascending gave 1.9e-10), and
+    # the transfer's cylinders and recursion follow `as_digit_system`'s rows
+    # (rows in listed order moved these moments of x^2 by up to 1.6e-16)
+    weights = [(lambda x: x[:, 0] ** 2, None)]
+    for m in (4, 40):
+        lam = np.linspace(-17.0, 17.0, m)[:, None]
+        (v_up, e_up), (v_down, e_down) = (
+            exp_moments(es.SelfSimilar(4, digits), es.Identity(1), lam, es.digit(30), weights)
+            for digits in (((0.0, 0.5), (2.0, 0.5)), ((2.0, 0.5), (0.0, 0.5)))
+        )
+        assert np.array_equal(v_down, v_up)
+        assert np.array_equal(e_down, e_up)
+        assert np.max(e_down) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -827,6 +833,62 @@ def test_linear_split_matches_the_full_rule(case):
     assert np.array_equal(vals, split) and np.array_equal(errs, split_err)
 
 
+@st.composite
+def _thread_cases(draw, shape, kind, unit):
+    """(measure, phase, frequencies, weights) for tensor-gauss: the `shape`
+    (an interval, a 2-d box or a disc), the `kind` of phase (the
+    identity, an affine map or a trig shear), 17-24 frequencies, and with
+    `unit` the one unit column (the linear split on a box, guarded by the
+    full rule), else a complex weight beside a boxed one (unboxed on a disc)."""
+    small = st.floats(-1.0, 1.0)
+    disc, d = shape == "disc", 1 if shape == "interval" else 2
+    if disc:
+        center = draw(st.lists(small, min_size=2, max_size=2))
+        mu = es.LebesgueDisc(center, draw(st.floats(0.25, 1.5)))
+    else:
+        corner = draw(st.lists(st.floats(-1.5, 2.5), min_size=2 * d, max_size=2 * d))
+        lo, hi = np.minimum(corner[:d], corner[d:]), np.maximum(corner[:d], corner[d:])
+        assume(np.all(hi - lo > 0.05))
+        mu = es.LebesgueBox(lo, hi)
+    if kind == "identity":
+        phi = es.Identity(d)
+    elif kind == "affine":
+        M = draw(st.lists(st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d))
+        phi = es.Affine(np.reshape(M, (d, d)), draw(st.lists(small, min_size=d, max_size=d)))
+    else:
+        terms = [(1, draw(small), draw(st.integers(0, 2)), draw(st.floats(0.0, 6.3)))]
+        phi = es.Unipotent([_trig_shift(terms)], 2)
+    m = draw(st.integers(17, 24))
+    lam = draw(st.lists(st.floats(-3.0, 3.0), min_size=m * d, max_size=m * d))
+    a = draw(small)
+    weights = [(lambda x: np.exp(1j * a * x[:, 0]) * (1 + x[:, -1] ** 2), None)]
+    if not disc:
+        weights.append((lambda x: x[:, 0] - 0.5, (lo - 1.0, (lo + hi) / 2)))
+    return mu, phi, np.reshape(lam, (m, d)), [None] if unit else weights
+
+
+@pytest.mark.parametrize("unit", [True, False], ids=["unit", "weighted"])
+@pytest.mark.parametrize(
+    "shape, kind",
+    [
+        (shape, kind)
+        for shape in ("interval", "box", "disc")
+        for kind in ("identity", "affine", "shear")
+        if (shape, kind) != ("interval", "shear")  # a shear needs two coordinates
+    ],
+)
+@settings(derandomize=True, max_examples=5, deadline=None)
+@given(data=st.data())
+def test_tensor_gauss_is_thread_deterministic(shape, kind, unit, data):
+    # the same bytes on 1 and 3 workers: the split and its guard's full rule
+    # on the pool, complex and boxed weights, and a disc's four cells
+    mu, phi, lam, weights = data.draw(_thread_cases(shape, kind, unit))
+    (v1, e1), (v3, e3) = (
+        exp_moments(mu, phi, lam, es.gauss(16), weights, threads=t) for t in (1, 3)
+    )
+    assert np.array_equal(v3, v1) and np.array_equal(e3, e1)
+
+
 def test_linear_split_on_a_subnormal_width_box():
     # the box [0, 2.2e-309] x [0, 1] makes the round-off bound's 1 / w
     # overflow; the bound must stay finite and the split match the rule
@@ -879,6 +941,20 @@ def test_guard_refuses_a_false_linear_part():
     assert np.array_equal(vals, full) and np.array_equal(errs, full_err)
 
 
+def _spy_rows(monkeypatch, name):
+    """(mu, frequency rows) of each call to the engine's rule `name`, called
+    as name(mu, psi, phi, lam, ...), in order."""
+    calls = []
+    honest = getattr(_oscillatory, name)
+
+    def spy(mu, psi, phi, lam, *rest):
+        calls.append((mu, lam.copy()))
+        return honest(mu, psi, phi, lam, *rest)
+
+    monkeypatch.setattr(_oscillatory, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "mu, phi",
     [
@@ -890,11 +966,18 @@ def test_guard_refuses_a_false_linear_part():
     ],
     ids=["identity", "shear"],
 )
-def test_sixteen_frequencies_run_the_full_rule(mu, phi):
+def test_sixteen_frequencies_take_the_linear_split(monkeypatch, mu, phi):
+    # a call of at most 16 frequencies is guarded as any other: the full rule
+    # over mu runs every row once, and the split answers
     lam = np.random.default_rng(5).uniform(-9.0, 9.0, (16, mu.dim))
+    split, split_errs = _split_moments(mu, phi, phi.linear_part(), lam, es.gauss(32), 1)
+    full, _ = _tensor_gauss(mu, None, phi, lam, es.gauss(32), [(None, None)], 1)
+    assert not np.array_equal(split, full)  # the two rules are told apart
+    calls = _spy_rows(monkeypatch, "_tensor_gauss")
     vals, errs = exp_moments(mu, phi, lam, es.gauss(32))
-    full, full_err = _tensor_gauss(mu, None, phi, lam, es.gauss(32), [(None, None)], 1)
-    assert np.array_equal(vals, full) and np.array_equal(errs, full_err)
+    assert np.array_equal(vals, split) and np.array_equal(errs, split_errs)
+    rows = [rows for rule_mu, rows in calls if rule_mu is mu]  # not the split's sub-box
+    assert len(rows) == 1 and np.array_equal(rows[0], lam)
 
 
 def test_linear_split_is_closed_form_on_affine_boxes(monkeypatch):
@@ -1008,24 +1091,45 @@ def test_digit_transfer_takes_cantor3_battery_within_the_leaf_check():
     battery = es.default_test_battery(es.middle_third_cantor())
     weights = [(tf.fn, tf.support_box) for tf in battery]
     vals, errs = _digit_transfer(es.middle_third_cantor(), T2Q, CANTOR3_LAM, 40, weights)
-    digit_vals, digit_errs = exp_moments(
-        es.middle_third_cantor(), T2Q, CANTOR3_LAM[::8], es.digit(40), weights
+    digit_vals, digit_errs = _digit_moments(
+        es.middle_third_cantor(), None, T2Q, CANTOR3_LAM[::8], es.digit(40), weights
     )
     assert np.all(np.abs(vals[::8] - digit_vals) <= errs[::8] + digit_errs + 1e-12)
     assert np.max(errs) < 1e-9 < np.max(digit_errs)
 
 
-def test_digit_rule_takes_the_transfer_above_sixteen_frequencies():
-    # cantor3's pair and battery: 64 rows run the transfer, 16 the enumeration
-    mu, quad = es.middle_third_cantor(), es.digit(12)
+def test_sixteen_frequencies_take_the_digit_transfer(monkeypatch):
+    # cantor3's pair, battery and depth: the transfer answers 16 rows as it
+    # does 64, and its guard runs every one of them on 2^16 nodes
+    mu, lam, quad = es.middle_third_cantor(), CANTOR3_LAM[:16], es.digit(40)
     weights = [(tf.fn, tf.support_box) for tf in es.default_test_battery(mu)]
-    vals, errs = exp_moments(mu, T2Q, CANTOR3_LAM, quad, weights)
-    transfer, transfer_errs = _digit_transfer(mu, T2Q, CANTOR3_LAM, quad.depth, weights)
+    transfer, transfer_errs = _digit_transfer(mu, T2Q, lam, quad.depth, weights)
+    enum, _ = _digit_moments(mu, None, T2Q, lam, quad, weights)
+    assert not np.array_equal(enum, transfer)  # the two rules are told apart
+    counts = _spy_digit_nodes(monkeypatch)
+    calls = _spy_rows(monkeypatch, "_digit_moments")
+    vals, errs = exp_moments(mu, T2Q, lam, quad, weights)
     assert np.array_equal(vals, transfer) and np.array_equal(errs, transfer_errs)
-    vals, errs = exp_moments(mu, T2Q, CANTOR3_LAM[:16], quad, weights)
-    enum, enum_errs = _digit_moments(mu, None, T2Q, CANTOR3_LAM[:16], quad, weights)
-    assert np.array_equal(vals, enum) and np.array_equal(errs, enum_errs)
-    assert not np.array_equal(enum, transfer[:16])  # the two rules are told apart
+    assert counts == [1 << 16] and len(calls) == 1 and np.array_equal(calls[0][1], lam)
+
+
+def test_one_frequency_refused_transfer_runs_the_enumeration_at_the_callers_depth(monkeypatch):
+    # cantor3's one-frequency norm call: a transfer 1e-6 off is refused by
+    # its guard, so a small call's guard is no tautology
+    mu, lam, quad = es.middle_third_cantor(), np.zeros((1, 1)), es.digit(30)
+    weights = [(tf.fn, tf.support_box) for tf in es.default_test_battery(mu)]
+    honest = _oscillatory._digit_transfer
+
+    def off(*args):
+        vals, errs = honest(*args)
+        return vals + 1e-6, errs
+
+    monkeypatch.setattr(_oscillatory, "_digit_transfer", off)
+    counts = _spy_digit_nodes(monkeypatch)
+    vals, errs = exp_moments(mu, es.Identity(1), lam, quad, weights)
+    assert counts == [1 << 16, 1 << 20]  # the guard refuses; the caller's rule runs
+    ref, ref_errs = _digit_moments(mu, None, es.Identity(1), lam, quad, weights)
+    assert np.array_equal(vals, ref) and np.array_equal(errs, ref_errs)
 
 
 @pytest.mark.parametrize(
@@ -1160,22 +1264,18 @@ def test_refused_transfer_runs_the_enumeration_at_the_callers_depth(monkeypatch,
 
 
 @pytest.mark.parametrize(
-    "lam, weights",
+    "weights",
     [
-        (CANTOR3_LAM[:16], [None, (lambda x: x[:, 0], None)]),
         # 0.1 = 0.0022..._3 lies in the Cantor set, so its cylinder is cut
-        (CANTOR3_LAM, [(None, _half([0.0], [0.1]))]),
-        (CANTOR3_LAM, [(lambda x: (x[:, 0] >= 0.1).astype(float), None)]),
+        [(None, _half([0.0], [0.1]))],
+        [(lambda x: (x[:, 0] >= 0.1).astype(float), None)],
     ],
-    ids=["sixteen-frequencies", "box-cuts-a-cylinder", "jump-inside-a-cylinder"],
+    ids=["box-cuts-a-cylinder", "jump-inside-a-cylinder"],
 )
-def test_digit_rule_runs_where_the_transfer_cannot(monkeypatch, lam, weights):
+def test_digit_rule_runs_where_the_transfer_cannot(weights):
     mu = es.middle_third_cantor()
-    if len(lam) > 16:  # the transfer itself refuses the call
-        assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
-    else:
-        monkeypatch.setattr(_oscillatory, "_digit_transfer", None)  # never reached
-    _digit_rule_runs(mu, T2Q, lam, weights)
+    assert _digit_transfer(mu, T2Q, CANTOR3_LAM, 12, weights) is None
+    _digit_rule_runs(mu, T2Q, CANTOR3_LAM, weights)
 
 
 @pytest.mark.parametrize(

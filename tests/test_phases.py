@@ -594,7 +594,22 @@ class TestInjectivityProbe:
                 es.Identity(1), es.LebesgueBox([0.0], [1.0]), n=50
             )
 
-    @pytest.mark.parametrize("scales", [{"delta_y": 0.0}, {"delta_y": -1.0}, {"delta_x": -1.0}])
+    @pytest.mark.parametrize(
+        "scales",
+        [
+            {"delta_y": 0.0},
+            {"delta_y": -1.0},
+            {"delta_x": -1.0},
+            # finite positive reals only: inf made every pair a collision,
+            # 10**400 overflowed float(), True read as 1.0, "0.1" a TypeError
+            {"delta_y": np.inf},
+            {"delta_x": np.inf},
+            {"delta_y": np.nan},
+            {"delta_y": 10**400},
+            {"delta_y": True},
+            {"delta_y": "0.1"},
+        ],
+    )
     def test_given_scales_must_be_positive(self, scales):
         with pytest.raises(DomainError):
             es.essential_injectivity_probe(
