@@ -7,6 +7,8 @@ coefficient of f is the f-weighted moment at -lambda), and `plan`, the one
 place that decides how a (measure, phase, scheme, purpose) runs: product
 formula or which rule.  It is the only engine: Gram entries, coefficients,
 norms, frame matrices, transforms and `measures.integrate` calls run on it.
+Every call, the product formula's too, reads its arguments in `_read_call`
+before any work and, with `strict`, refuses a non-finite value.
 
 Every scheme ends in one kernel, `_contract`: a phase image, its
 frequencies and an (n, k) node-weighted weight matrix.  A support box is a
@@ -47,9 +49,9 @@ the digit transfer: degree-8 Chebyshev fits of each weight on the top
 transfer recursion.  It guards itself as the linear split
 does, its guard rows under the enumeration on at most 2^16 nodes
 (min(depth, floor(16 / log2 k)) levels of k digits, at least one); a
-refused call runs the enumeration at the caller's depth, as do non-finite
-frequencies, support boxes that cut a cylinder's image hull, fits whose
-tail is too large and non-finite weights.
+refused call runs the enumeration at the caller's depth, as do support
+boxes that cut a cylinder's image hull, fits whose tail is too large and
+non-finite weights.
 Adaptive integrals refine each (frequency, weight) pair in order; the pairs
 of one call build each (cell, order) rule's nodes, phase image and weight
 columns once, in a table that starts over past 2^19 rule nodes.  Pools run
@@ -133,18 +135,16 @@ class Plan:
     trunc: int | None = None
 
     def moments(self, lambdas, weights=(None,), threads=1, strict=True):
-        """(values, errors), each (m, k), as `exp_moments` returns them; the
-        product formula takes the unit weight only."""
+        """(values, errors), each (m, k), read and returned as by `exp_moments`;
+        the product formula takes the unit weight only."""
         if self.rule is not None:
             return exp_moments(self.mu, self.phi, lambdas, self.rule, weights, threads, strict)
-        _integer(threads, "threads", 1, MAX_THREADS)
-        weights = list(weights)
-        if len(weights) != 1 or any(part is not None for part in weights[0] or ()):
+        lam, weights, _ = _read_call(lambdas, weights, threads, self.phi)
+        if len(weights) != 1 or any(part is not None for part in weights[0]):
             raise DomainError("the product formula takes the unit weight only")
-        lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
-        if lam.shape[1] != 1:
-            raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim 1")
         vals, errs = measures.selfsimilar_moments(self.mu, lam[:, 0], self.trunc)
+        if strict and not np.all(np.isfinite(vals)):
+            raise QuadratureError("non-finite value in product-formula moments")
         return vals[:, None], errs[:, None]
 
 
@@ -233,19 +233,11 @@ def exp_moments(
     the constant 1); `support_box` (lo, hi) restricts the weight to a box: it
     masks nodes or samples outside it.  Tensor-gauss takes support boxes on a
     LebesgueBox only and integrates each over its own panels in the box.
-    With `strict`, any non-finite value raises QuadratureError.  `threads`
-    outside [1, MAX_THREADS] raises DomainError before any work.
+    With `strict`, any non-finite value raises QuadratureError.  Threads,
+    frequencies and sizes are refused before any work, as `_read_call` says.
     """
-    threads = _integer(threads, "threads", 1, MAX_THREADS)  # before any work or pool
+    lam, weights, threads = _read_call(lambdas, weights, threads, phi)
     base, psi = _unwrap(mu)
-    weights = [(None, None) if w is None else tuple(w) for w in weights]
-    lam = np.atleast_2d(np.asarray(lambdas, dtype=float))
-    _check_entries(lam.shape[0], len(weights), "moment matrix")
-    if lam.shape[1] != phi.out_dim:
-        raise DomainError(
-            f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}"
-        )
-
     if quad.scheme == "monte-carlo":
         vals, errs = _mc_moments(base, psi, phi, lam, quad, weights)
     elif quad.scheme == "self-similar-digit":
@@ -260,12 +252,33 @@ def exp_moments(
             guard=lambda rows: _digit_moments(base, psi, phi, rows, guard_rule, weights),
         )
     elif quad.scheme == "tensor-gauss":
-        vals, errs = _gauss_moments(base, psi, phi, lam, quad, weights, threads)
+        # the one unit column on a box takes the linear split where phi names a linear part
+        unit = len(weights) == 1 and weights[0][0] is None and weights[0][1] is None
+        linear = unit and psi is None and isinstance(base, LebesgueBox) and phi.linear_part()
+        vals, errs = _guarded(
+            lambda: _split_moments(base, phi, linear, lam, quad, threads) if linear else None,
+            lambda rows: _tensor_gauss(base, psi, phi, rows, quad, weights, threads),
+            lam,
+        )
     else:
         vals, errs = _per_integral(base, psi, phi, lam, quad, weights)
     if strict and not np.all(np.isfinite(vals)):
         raise QuadratureError(f"non-finite value in {quad.scheme} moments")
     return vals, errs
+
+
+def _read_call(lambdas, weights, threads, phi):
+    """((m, out_dim) frequencies, (fn, support_box) weights, threads) of every moment
+    call, read before any work: DomainError for threads outside [1, MAX_THREADS], a
+    frequency that is not a finite number (inf, nan, a boolean), a frequency dim
+    other than phi's output dim, and (m, k) above the entry budget."""
+    threads = _integer(threads, "threads", 1, MAX_THREADS)
+    weights = [(None, None) if w is None else tuple(w) for w in weights]
+    lam = np.atleast_2d(measures._finite(lambdas, "frequencies"))
+    _check_entries(lam.shape[0], len(weights), "moment matrix")
+    if lam.shape[1] != phi.out_dim:
+        raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}")
+    return lam, weights, threads
 
 
 def _weight_matrix(weights, y, node_weights=None):
@@ -425,7 +438,7 @@ def _digit_moments(mu, psi, phi, lam, quad, weights):
 def _digit_transfer(mu, phi, lam, depth, weights):
     """(values, errors), each (m, k), of the weights over a digit system, or
     None when the transfer cannot take the call: frequencies that are not
-    1-d and finite, a pair that is no digit system, or a refused weight.
+    1-d, a pair that is no digit system, or a refused weight.
 
     With x = sum_j d_j r^-j and phi(psi(x)) = sum_j sigma(d_j) q^-j, the top L
     cylinders c of `measures._cylinders` (k^L <= _TRANSFER_CELLS for k
@@ -444,7 +457,7 @@ def _digit_transfer(mu, phi, lam, depth, weights):
     |T_k|'s monomial coefficients; the cylinder sum adds eps per cylinder
     and the phase its relative eps times 2 pi |lambda| max|phi|.
     """
-    if lam.shape[1] != 1 or not np.all(np.isfinite(lam)):
+    if lam.shape[1] != 1:
         return None
     base, psi = _unwrap(mu)
     system = phases.as_digit_system(base, phi if psi is None else phases.compose(phi, psi))
@@ -528,21 +541,6 @@ def _chebyshev_moments(r, q, e, sigma, p, xi, depth):
     for n in range(K + 1):
         C2P[n, : n + 1] = np.polynomial.chebyshev.cheb2poly(np.eye(K + 1)[n])
     return v @ C2P.T, np.abs(C2P).sum(axis=1).max()
-
-
-def _gauss_moments(mu, psi, phi, lam, quad, weights, threads):
-    """Tensor-gauss moments.  The one unit column [(None, None)] on a box takes
-    the linear split when phi names a linear part and the guard rows agree
-    with the full rule; every other call runs the full rule."""
-    linear = phi.linear_part() if psi is None and isinstance(mu, LebesgueBox) else None
-    unit = len(weights) == 1 and weights[0][0] is None and weights[0][1] is None
-
-    def full_rule(rows):
-        return _tensor_gauss(mu, psi, phi, rows, quad, weights, threads)
-
-    if linear is None or not unit:
-        return full_rule(lam)
-    return _guarded(lambda: _split_moments(mu, phi, linear, lam, quad, threads), full_rule, lam)
 
 
 def _guarded(fast, oracle, lam, guard=None):

@@ -270,8 +270,10 @@ def verify_onb(
     reported distinctly as FAIL); ratios below 1 - tol with clean
     orthogonality yield INCONCLUSIVE, since spectrum truncation alone can
     explain them.  No finite battery certifies completeness.  A non-finite
-    ratio raises QuadratureError.  tol_orth must be >= 0 and tol_complete
-    in [0, 1); outside those ranges a verdict would not depend on the system.
+    ratio raises QuadratureError, as does a tensor-gauss ||f||^2 whose
+    two-order error exceeds 1e-6 of it.  tol_orth must be >= 0 and
+    tol_complete in [0, 1); outside those ranges a verdict would not depend
+    on the system.
     """
     if not (tol_orth >= 0 and 0 <= tol_complete < 1):
         raise DomainError(
@@ -288,12 +290,19 @@ def verify_onb(
         -spectrum.points, [(tf.fn, tf.support_box) for tf in battery], threads=threads
     )
     # ||f||^2 on the same supports, under the measure rule planned from the
-    # coefficient rule (not from quad)
+    # coefficient rule (not from quad); the measure rule sizes its Gauss panels
+    # from the phase alone, so a tensor-gauss norm that f outruns is refused
     norm_sq = [tf.norm_sq for tf in battery]
     unknown = [j for j, tf in enumerate(battery) if tf.norm_sq is None]
     if unknown:
-        norms = _inner_products(mu, battery, [(j, j) for j in unknown], cplan.rule, threads)
-        for j, value in zip(unknown, np.real(norms)):
+        pairs = [(j, j) for j in unknown]
+        norms, errs, rule = _inner_products(mu, battery, pairs, cplan.rule, threads)
+        for j, value, err in zip(unknown, np.real(norms), errs):
+            if rule.scheme == "tensor-gauss" and err > 1e-6 * abs(value):
+                raise QuadratureError(
+                    f"tensor-gauss norm of {battery[j].name!r} unresolved: "
+                    f"{value:.6g} with error {err:.3e}, above 1e-6 of it"
+                )
             norm_sq[j] = float(value)
     ratios = {
         tf.name: float(np.sum(np.abs(coeffs[:, j]) ** 2) / (mu.total_mass * norm_sq[j]))
@@ -466,25 +475,25 @@ def _box_intersection(a, b):
 
 
 def _inner_products(mu, functions, pairs, rule, threads=1):
-    """<f_i, f_j> for each (i, j) in pairs: the lambda = 0 moments of the products
-    f_i conj(f_j), each on the intersection of the two support boxes, in one
-    stack under the "measure" plan made from `rule`."""
+    """(values, errors, the rule they ran under) of <f_i, f_j> for each (i, j)
+    in pairs: the lambda = 0 moments of the products f_i conj(f_j), each on the
+    intersection of the two support boxes, in one stack under the "measure"
+    plan made from `rule`."""
     products = [
         (lambda x, a=functions[i].fn, b=functions[j].fn: a(x) * np.conj(b(x)),
          _box_intersection(functions[i].support_box, functions[j].support_box))
         for i, j in pairs
     ]
-    vals, _ = plan(mu, phases.Identity(mu.dim), rule, "measure").moments(
-        np.zeros((1, mu.dim)), products, threads=threads
-    )
-    return vals[0]
+    mplan = plan(mu, phases.Identity(mu.dim), rule, "measure")
+    vals, errs = mplan.moments(np.zeros((1, mu.dim)), products, threads=threads)
+    return vals[0], errs[0], mplan.rule
 
 
 def _basis_orthonormality_residual(mu, test_basis, quad, threads=1):
     """max |<psi_i, psi_j> - delta_ij| over every pair of the basis."""
     n = len(test_basis.functions)
     pairs = list(combinations_with_replacement(range(n), 2))
-    vals = _inner_products(mu, test_basis.functions, pairs, quad, threads)
+    vals, _, _ = _inner_products(mu, test_basis.functions, pairs, quad, threads)
     Gpsi = np.zeros((n, n), dtype=complex)
     for (i, j), val in zip(pairs, vals):
         Gpsi[i, j], Gpsi[j, i] = val, np.conj(val)

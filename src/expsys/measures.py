@@ -174,6 +174,8 @@ def _finite(values, what):
         arr = np.asarray(values, dtype=float)
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be numeric") from None
+    except OverflowError:  # a Python integer past the double range
+        raise DomainError(f"{what} must be finite") from None
     raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
     if raw.dtype == bool or raw.dtype == object and any(
         isinstance(v, (bool, np.bool_)) for v in raw.flat
@@ -803,9 +805,10 @@ def fourier_transform(mu: Measure, xi):
     Boxes and discs use closed forms.  Self-similar measures and pushforwards
     run as `_oscillatory.plan` says for a transform: the 40-level product
     formula when the measure reduces to a self-similar one, else quadrature
-    under the plan's `measure` rule.
+    under the plan's `measure` rule.  DomainError refuses an xi that is not
+    a finite number (inf, nan, a boolean) or not of shape (dim,).
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    xi = np.atleast_1d(_finite(xi, "xi"))
     if xi.shape != (mu.dim,):
         raise DomainError(f"xi must have shape ({mu.dim},), got {xi.shape}")
 

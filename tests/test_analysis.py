@@ -427,6 +427,19 @@ class TestVerifyOnb:
                 test_functions=[half_nan],
             )
 
+    def test_unresolved_gauss_norm_raises(self):
+        # the measure rule sizes its panels from the phase alone: one panel of
+        # order 64 reads ||cos(2 pi 30 x)||^2 as 0.4159 against 0.5, with a
+        # two-order error of 0.012; at 10 cycles it resolves (error 1.4e-15)
+        def battery(cycles):
+            return [TFn("cos", lambda p: np.cos(2 * np.pi * cycles * p[:, 0]))]
+
+        args = (unit_box(), es.Identity(1), es.integer_lattice(1, 32), es.gauss(64))
+        with pytest.raises(es.QuadratureError, match="tensor-gauss norm of 'cos'"):
+            es.verify_onb(*args, test_functions=battery(30))
+        rep = es.verify_onb(*args, test_functions=battery(10))
+        assert rep.verdict == PASS
+
     def test_nan_ratio_on_cantor_digit_raises(self):
         nan = TFn("nan", lambda p: np.full(p.shape[0], np.nan))
         with pytest.raises(es.QuadratureError):

@@ -1279,15 +1279,11 @@ def test_digit_rule_runs_where_the_transfer_cannot(weights):
 
 
 @pytest.mark.parametrize(
-    "weight, infinite_row",
-    [(lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0), False), (None, True)],
-    ids=["nan-weight", "infinite-frequency"],
+    "weight", [lambda x: np.where(x[:, 0] > 0.5, np.nan, 1.0)], ids=["nan-weight"]
 )
-def test_non_finite_values_run_the_digit_rule(weight, infinite_row):
+def test_non_finite_values_run_the_digit_rule(weight):
     # the transfer refuses them; the digit rule raises under strict
-    mu, lam, weights = es.middle_third_cantor(), CANTOR3_LAM.copy(), [(weight, None)]
-    if infinite_row:
-        lam[5] = np.inf
+    mu, lam, weights = es.middle_third_cantor(), CANTOR3_LAM, [(weight, None)]
     assert _digit_transfer(mu, T2Q, lam, 12, weights) is None
     with pytest.raises(QuadratureError, match="non-finite value"):
         plan(mu, T2Q, es.digit(12), "weights").moments(lam, weights)
@@ -1568,6 +1564,75 @@ def test_thread_count_refused_before_any_pool(monkeypatch):
                 exp_moments(mu, es.Identity(1), [[1.0]], quad, threads=threads)
         with pytest.raises(DomainError, match="threads must be"):
             product.moments([[1.0]], threads=threads)
+
+
+FRONT_DOOR_BOX = es.LebesgueBox([0.0], [1.0])
+FRONT_DOOR_DISC = es.LebesgueDisc([0.0, 0.0], 1.0)
+# (call, frequency dimension, whether it is a transform's one xi)
+FRONT_DOOR_PATHS = {
+    "tensor-gauss-box": (
+        lambda lam: exp_moments(FRONT_DOOR_BOX, es.Identity(1), lam, es.gauss(16)), 1, False
+    ),
+    "tensor-gauss-disc": (
+        lambda lam: exp_moments(FRONT_DOOR_DISC, es.Identity(2), lam, es.gauss(16)), 2, False
+    ),
+    "monte-carlo": (
+        lambda lam: exp_moments(FRONT_DOOR_BOX, es.Identity(1), lam, es.monte_carlo(1000, 1)),
+        1,
+        False,
+    ),
+    "digit": (
+        lambda lam: exp_moments(es.middle_third_cantor(), es.Identity(1), lam, es.digit(12)),
+        1,
+        False,
+    ),
+    "adaptive": (
+        lambda lam: exp_moments(FRONT_DOOR_BOX, es.Identity(1), lam, es.adaptive()), 1, False
+    ),
+    "product-formula": (
+        plan(es.middle_fourth_cantor(), es.Identity(1), es.digit(40), "gram").moments, 1, False
+    ),
+    "transform-box": (lambda xi: es.fourier_transform(FRONT_DOOR_BOX, xi), 1, True),
+    "transform-disc": (lambda xi: es.fourier_transform(FRONT_DOOR_DISC, xi), 2, True),
+    "transform-cantor": (
+        lambda xi: es.fourier_transform(es.middle_fourth_cantor(), xi), 1, True
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, True], ids=["inf", "nan", "boolean"])
+@pytest.mark.parametrize("path", sorted(FRONT_DOOR_PATHS))
+def test_non_finite_frequencies_refused_before_any_work(monkeypatch, path, bad):
+    # every moment call reads its frequencies in one place and refuses one
+    # that is not a finite number before any node, sample or product is built
+    call, dim, transform = FRONT_DOOR_PATHS[path]
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(_oscillatory, "box_gauss_nodes", never)
+    monkeypatch.setattr(_oscillatory, "digit_nodes", never)
+    monkeypatch.setattr(es.measures, "selfsimilar_moments", never)
+    for kind in (es.LebesgueBox, es.LebesgueDisc, es.SelfSimilar):
+        monkeypatch.setattr(kind, "_sample", never)
+    row = [bad] + [0.0] * (dim - 1)
+    if transform:
+        with pytest.raises(DomainError, match="xi must be"):
+            call(row)
+    else:
+        with pytest.raises(DomainError, match="frequencies must be"):
+            call([[0.5] * dim, row])
+
+
+def test_product_formula_values_pass_the_strict_check(monkeypatch):
+    product = plan(es.middle_fourth_cantor(), es.Identity(1), es.digit(40), "gram")
+    monkeypatch.setattr(
+        es.measures, "selfsimilar_moments", lambda *args: (np.array([np.nan]), np.zeros(1))
+    )
+    with pytest.raises(QuadratureError, match="non-finite value in product-formula moments"):
+        product.moments([[1.0]])
+    vals, _ = product.moments([[1.0]], strict=False)
+    assert np.isnan(vals[0, 0])
 
 
 def test_the_tensor_gauss_rule_builds_the_engine_only_pool():

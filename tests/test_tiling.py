@@ -57,26 +57,37 @@ class TestFracHistogram:
             es.frac_histogram_test(phi, BOX, EYE, n=10_000, bins=4)
 
     @given(dof=st.integers(1, 4095))
+    @example(dof=2)  # x * 2 at q = 0.01 is chdtri(2, 1e-4) bit for bit: 2 ln 100 = ln 1e4
     @settings(derandomize=True, max_examples=60, deadline=None)
     def test_verdict_matches_chdtri(self, dof):
         # the tail Q(dof / 2, chi2 / 2) in math against scipy's quantiles:
         # the same verdict a relative 1e-8 off either threshold and at the
-        # quantiles' spread; at a threshold and one ulp either side only the
-        # verdicts adjacent to it, with the tail within 1e-9 of its level
+        # quantiles' spread; on a threshold (either level's quantile) and one
+        # ulp either side only the verdicts adjacent to it, with the tail
+        # within 1e-9 of its level
         from scipy.special import chdtri
 
-        def scipy_verdict(chi2):
-            if chi2 <= chdtri(dof, 0.01):
-                return UNIFORM
-            return NONUNIFORM if chi2 >= chdtri(dof, 1e-4) else INCONCLUSIVE
+        levels = {0.01: {UNIFORM, INCONCLUSIVE}, 1e-4: {INCONCLUSIVE, NONUNIFORM}}
+        quantiles = {q: float(chdtri(dof, q)) for q in levels}
 
-        for q, sides in ((0.01, {UNIFORM, INCONCLUSIVE}), (1e-4, {INCONCLUSIVE, NONUNIFORM})):
-            x = float(chdtri(dof, q))
+        def check_threshold(chi2, q):
+            assert _chi2_verdict(chi2, dof) in levels[q]
+            assert abs(_chi2_tail(dof, chi2) - q) <= 1e-9 * q
+
+        def scipy_verdict(chi2):
+            if chi2 <= quantiles[0.01]:
+                return UNIFORM
+            return NONUNIFORM if chi2 >= quantiles[1e-4] else INCONCLUSIVE
+
+        for q, x in quantiles.items():
             for chi2 in (x * (1 - 1e-8), x * (1 + 1e-8), x / 2, x * 2, 0.0):
-                assert _chi2_verdict(chi2, dof) == scipy_verdict(chi2)
+                on = [level for level, quantile in quantiles.items() if chi2 == quantile]
+                if on:
+                    check_threshold(chi2, on[0])
+                else:
+                    assert _chi2_verdict(chi2, dof) == scipy_verdict(chi2)
             for chi2 in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)):
-                assert _chi2_verdict(float(chi2), dof) in sides
-                assert abs(_chi2_tail(dof, float(chi2)) - q) <= 1e-9 * q
+                check_threshold(float(chi2), q)
 
     def test_one_bin_is_inconclusive(self):
         # one bin leaves no degrees of freedom: no tail, no verdict
