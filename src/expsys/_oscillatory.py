@@ -30,13 +30,17 @@ largest-norm one always), also run the full rule and must agree within
 both errors + 1e-12, or the call runs the full rule.
 Monte-Carlo and digit-enumeration schemes share one node set across all
 frequencies and weights; samples are summed in 2^14-row blocks, and the
-digit error adds the weight's finest-scale slope to the phase term.  A
+digit enumeration runs its nodes in blocks of at most 2^16
+(`measures.digit_nodes`), holding one block at a time; its error adds the
+weight's finest-scale slope to the phase term.  A
 sample known by one code per level block has as phase the product of each
 block's table e^{2 pi i xi t_b} at its code (`_phase_tables`);
 `_code_sums` sums those products over an array of codes against a weight
 matrix or the unit column, so the tables are the only exponentials.  The
-product-formula gate's sampling oracle draws cylinder codes and sums them
-in one call; Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d
+product-formula gate's sampling oracle draws cylinder codes in 2^18-row
+windows and sums each into one accumulator, holding one window at a time
+(systems whose codes outweigh their points draw all 6M points at once);
+Monte-Carlo moments of a DigitMap phase (no pushforward, 1-d
 frequencies) read them off its digit loop (`DigitMap._codes`, K^L <= 2^10
 codes a block) in the blocks of their own loop, and guard themselves:
 the first block's guard rows also run `_contract` on phi's image and
@@ -79,6 +83,7 @@ from .measures import (
     QuadratureSpec,
     SelfSimilar,
     _FT_TRUNC,
+    _NODE_BLOCK,
     _check_entries,
     _in_box,
     _levels_within,
@@ -94,7 +99,7 @@ _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
 # rule, `_contract` on phi's image, or the digit enumeration on at most _GUARD_NODES
 # nodes (min(depth, floor(16 / log2 k)) levels of k digits, at least one)
 _GUARD_ROWS = 16
-_GUARD_NODES = 1 << 16
+_GUARD_NODES = _NODE_BLOCK  # 2^16: a guard's enumeration is one node block
 _TRANSFER_CELLS = 4096  # a digit-transfer fit's top-level cylinders: k^L <= 4096 for k digits
 _FIT_DEGREE = 8  # Chebyshev degree of each cylinder's weight fit
 _FIT_TOL = 1e-9  # largest fit tail, relative to the weight's size, the transfer accepts
@@ -380,14 +385,16 @@ def _phase_tables(offsets, xi):
     return np.exp(2j * np.pi * xi[:, None, None] * offsets)
 
 
-def _code_sums(codes, W, tables):
+def _code_sums(codes, W, tables, out=None):
     """(m, k) sums over the rows of the (n, B) codes of W[:, j] e^{2 pi i xi x},
     where e^{2 pi i xi x} is the product over b of tables[:, b, codes[:, b]]
     (`_phase_tables`) and W is an (n, k) weight matrix, None for the unit
     column.  The tables are gathered _MC_ROWS rows at a time, so no
-    exponential runs per row."""
+    exponential runs per row; each block's sum is added onto `out` when
+    given (and returned), else onto zeros."""
     n, blocks = codes.shape
-    sums = np.zeros((tables.shape[0], 1 if W is None else W.shape[1]), dtype=complex)
+    shape = (tables.shape[0], 1 if W is None else W.shape[1])
+    sums = np.zeros(shape, dtype=complex) if out is None else out
     rows = min(n, _MC_ROWS)
     j = np.empty((blocks, rows), dtype=np.intp)
     prod = np.empty((tables.shape[0], rows), dtype=complex)
@@ -395,11 +402,11 @@ def _code_sums(codes, W, tables):
     for lo in range(0, n, rows):
         c = min(rows, n - lo)
         np.copyto(j[:, :c], codes[lo:lo + c].T)
-        for table, out in zip(tables, prod):
-            # mode "clip" writes straight into out; "raise" buffers a copy
-            np.take(table[0], j[0, :c], out=out[:c], mode="clip")
+        for table, row in zip(tables, prod):
+            # mode "clip" writes straight into row; "raise" buffers a copy
+            np.take(table[0], j[0, :c], out=row[:c], mode="clip")
             for b in range(1, blocks):
-                out[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
+                row[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
         if W is None:
             sums[:, 0] += prod[:, :c].sum(axis=1)
         else:
@@ -408,31 +415,50 @@ def _code_sums(codes, W, tables):
 
 
 def _digit_moments(mu, psi, phi, lam, quad, weights):
-    pts, w, tail_width = digit_nodes(mu, quad.depth)
-    y = pts if psi is None else psi(pts)
-    img = phi(y)
-    W = _weight_matrix(weights, y)
+    """(values, errors), each (m, k), of the digit enumeration at quad.depth,
+    run block by block over `digit_nodes`' blocks: each block's pushforward,
+    phase image, weights and `_contract`, so one block of nodes is held at a
+    time.  An enumeration of at most _NODE_BLOCK nodes is one block."""
+    count, blocks, tail_width = digit_nodes(mu, quad.depth)
+    _check_entries(count, len(weights), "weight stack")
     # Lipschitz tail bound: the dropped tail moves a node by at most
     # tail_width, and |d(w e^{i theta})| <= |dw| + |w| |d e^{i theta}|; the
     # weight's slope and the image span are read off adjacent finest-scale
     # enumeration nodes (k >= 2 digits, so some are adjacent), column by
-    # column; the nodes and each (n,) temporary are freed before the exp chunks.
-    peaks = np.array([np.max(np.abs(col)) for col in W.T])
-    dx = np.diff(pts[:, 0])
-    del pts, y
-    gap = np.maximum(dx, tail_width)
-    slopes = np.array([np.max(np.abs(np.diff(col)) / gap) for col in W.T])
-    fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
-    # the steps' lengths without squaring them, which overflows past 1e154
-    step = np.diff(img, axis=0)
-    step = np.abs(step[:, 0]) if step.shape[1] == 1 else np.hypot.reduce(step, axis=1)
-    fine_span = float(np.max(step[fine]))
-    del dx, gap, fine, step
-    phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * fine_span
+    # column.  Each block's differences start from the last node, image row
+    # and unweighted weight row of the block before, and the maxima run
+    # over the blocks, so the bound is that of one block of all nodes.
+    peaks = slopes = np.zeros(len(weights))
+    fine_span, vals = 0.0, None
+    last = None, None, [None] * len(weights)  # the block before's last node and rows
+    for pts, w in blocks:
+        y = pts if psi is None else psi(pts)
+        img = phi(y)
+        W = _weight_matrix(weights, y)
+        peaks = np.maximum(peaks, [np.max(np.abs(col)) for col in W.T])
+        dx = _diff_after(last[0], pts[:, 0])
+        gap = np.maximum(dx, tail_width)
+        slopes = np.maximum(
+            slopes, [np.max(np.abs(_diff_after(c, col)) / gap) for c, col in zip(last[2], W.T)]
+        )
+        fine = dx <= 2 * tail_width * (mu.ratio - 1) + 1e-300
+        # the steps' lengths without squaring them, which overflows past 1e154
+        step = _diff_after(last[1], img)
+        step = np.abs(step[:, 0]) if step.shape[1] == 1 else np.hypot.reduce(step, axis=1)
+        fine_span = np.maximum(fine_span, np.max(step[fine], initial=0.0))
+        last = pts[-1, 0], img[-1:].copy(), W[-1].copy()  # before W is weighted in place
+        W *= w[:, None]
+        part = _contract(img, lam, W)
+        vals = part if vals is None else vals + part
+    phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * float(fine_span)
     errs = slopes * tail_width + peaks * phase[:, None]
-    W *= w[:, None]
-    del w
-    return _contract(img, lam, W), errs
+    return vals, errs
+
+
+def _diff_after(first, a):
+    """np.diff of a along axis 0 with the row `first` before a's first row
+    (none when first is None)."""
+    return np.diff(a, axis=0) if first is None else np.diff(a, axis=0, prepend=first)
 
 
 def _digit_transfer(mu, phi, lam, depth, weights):

@@ -66,6 +66,10 @@ _MAX_DEPTH = 64
 # ratio^-64, the deepest digit scale, stays a normal double up to 2^15
 _MAX_RATIO = 1 << 15
 
+# nodes per block of a digit enumeration: every enumeration of at most this
+# many nodes is one block
+_NODE_BLOCK = 1 << 16
+
 _SAMPLE_DEPTH = 30  # digits per self-similar sample
 _SAMPLE_CHUNK = 1 << 18  # samples per block of the digit sampler
 _GUIDE_BITS = 12  # a digit sampler's guide table has at most 2^12 bins
@@ -380,28 +384,48 @@ class SelfSimilar(Measure):
                     best = cost, L, pts, guide
         return best[1:]
 
-    def _picks(self, n, rng):
-        """Yield (block, lo, j): rows lo to lo + j.size of level block `block`
-        pick the cylinders digit[j], `digit` that of `_iterate`'s guide table.
+    def _picks(self, n, rng, rows=None):
+        """Yield (block, lo, j): rows lo to lo + j.size of the window `rows`
+        = (start, stop) of the n draws (default all of them) pick, in level
+        block `block`, the cylinders digit[j], `digit` that of `_iterate`'s
+        guide table.
 
-        Each of the _SAMPLE_DEPTH / L level blocks draws its n uniforms in
-        order, in _SAMPLE_CHUNK blocks, so the stream is that of one
-        `rng.random(n)` per level block.  A uniform u picks cylinder
-        searchsorted(cuts, u, side="right"), cuts the cumulative masses but
-        the last, bit for bit: the guide table's bin floor(u K), then one
-        exact step per pass over the distinct cuts inside that bin; with no
-        passes the bin is the index.  The uniforms and j reuse preallocated
-        block buffers, so j is valid until the next pick.
+        The stream is level-major, that of one `rng.random(n)` per level
+        block, read in _SAMPLE_CHUNK blocks.  A whole draw reads it from rng
+        in order.  A window reads level block b from a copy of rng's PCG64
+        advanced by b n + start (`random` spends one 64-bit draw per
+        double); rng stays at the stream's start, and the window that ends
+        at n leaves it at the stream's end, as a whole draw does.  A uniform
+        u picks cylinder searchsorted(cuts, u, side="right"), cuts the
+        cumulative masses but the last, bit for bit: the guide table's bin
+        floor(u K), then one exact step per pass over the distinct cuts
+        inside that bin; with no passes the bin is the index.  The uniforms
+        and j reuse preallocated buffers of one block, so j is valid until
+        the next pick.
         """
         L, _, (K, passes, guide, cuts_k, _) = self._iterate
-        m = min(n, _SAMPLE_CHUNK)
+        start, stop = (0, n) if rows is None else rows
+        levels = _SAMPLE_DEPTH // L
+        draw, window = rng.random, (start, stop) != (0, n)
+        if window:
+            bits = rng.bit_generator
+            state, twin = bits.state, type(bits)(0)
+            if stop == n:  # to the end; advance() drops the buffered 32 bits, kept here
+                bits.advance(levels * n)
+                bits.state = {**bits.state, "has_uint32": state["has_uint32"],
+                              "uinteger": state["uinteger"]}
+        m = min(stop - start, _SAMPLE_CHUNK)
         u = np.empty(m)
         idx = np.empty(m, dtype=np.intp)
         step = np.empty(m)
-        for block in range(_SAMPLE_DEPTH // L):
-            for lo in range(0, n, m):
-                c = min(m, n - lo)
-                uk = np.multiply(rng.random(out=u[:c]), K, out=u[:c])
+        for block in range(levels):
+            if window:
+                twin.state = state
+                twin.advance(block * n + start)
+                draw = np.random.Generator(twin).random
+            for lo in range(0, stop - start, m):
+                c = min(m, stop - start - lo)
+                uk = np.multiply(draw(out=u[:c]), K, out=u[:c])
                 j = idx[:c]
                 np.copyto(j, uk, casting="unsafe")  # floor(u K), as u K >= 0
                 if passes:
@@ -443,7 +467,10 @@ class _IterateCodes(Measure):
     b of `SelfSimilar._picks`, the cylinder that sample i picks there, so
     that sample is the sum over b of offsets[b, codes[i, b]] in block order.
     The uniforms, their order and the picks are `SelfSimilar._sample`'s;
-    each code takes the smallest unsigned dtype that holds k^L - 1.
+    each code takes the smallest unsigned dtype that holds k^L - 1.  A draw
+    of the window `rows` = (start, stop) of the n samples (`_picks`; default
+    all) holds its window's codes and one _SAMPLE_CHUNK block of uniforms
+    and picks.
     """
 
     kind = "self_similar_codes"
@@ -455,10 +482,11 @@ class _IterateCodes(Measure):
         self.total_mass = 1.0
         self.dtype = np.min_scalar_type(self.offsets.shape[1] - 1)
 
-    def _sample(self, n, rng):
+    def _sample(self, n, rng, rows=None):
         digit = self.ss._iterate[2][-1].astype(self.dtype)  # guide-table index -> cylinder
-        codes = np.empty((self.dim, n), dtype=self.dtype)
-        for block, lo, j in self.ss._picks(n, rng):
+        start, stop = (0, n) if rows is None else rows
+        codes = np.empty((self.dim, stop - start), dtype=self.dtype)
+        for block, lo, j in self.ss._picks(n, rng, rows):
             np.take(digit, j, out=codes[block, lo:lo + j.size], mode="clip")
         return codes.T
 
@@ -571,16 +599,16 @@ def _apply(f, pts):
 # ---------------------------------------------------------------------------
 
 
-def _cylinders(offsets, weights, ratio, depth):
+def _cylinders(offsets, weights, ratio, depth, top=None):
     """(points, masses, ratio^-depth) of the depth-level digit strings.
 
     A string's point is sum_j d_j ratio^-j and its mass prod_j w_j; the
     first level varies slowest, so string (i_1, ..., i_depth) is entry
-    sum_j i_j k^(depth - j).
+    sum_j i_j k^(depth - j).  `top`, the (points, masses, scale) of some
+    cylinders that an earlier call returned, continues those cylinders
+    `depth` more levels, to the floats one call would give.
     """
-    pts = np.zeros(1)
-    mass = np.ones(1)
-    scale = 1.0
+    pts, mass, scale = (np.zeros(1), np.ones(1), 1.0) if top is None else top
     for _ in range(depth):
         scale /= ratio
         pts = (pts[:, None] + offsets[None, :] * scale).ravel()
@@ -608,20 +636,34 @@ def digit_nodes(ss: SelfSimilar, depth: int):
     by the mean of the dropped tail so the truncation is centered.  Digits
     are enumerated in ascending offset order (stable for equal offsets), so
     the nodes do not depend on the order the digits are listed in.  Returns
-    (pts (n,1), weights (n,), tail_width).
+    (count, blocks, tail_width): `blocks` yields (pts (b, 1), weights (b,))
+    of at most _NODE_BLOCK nodes each, in node order, so one block is held
+    at a time.  A block continues a run of top cylinders down to the
+    effective depth (`_cylinders`), so its nodes and weights are the floats
+    of one enumeration of all count nodes.
     """
     pos = ss._weights > 0
     order = np.argsort(ss._offsets[pos], kind="stable")
     offsets, digit_weights = ss._offsets[pos][order], ss._weights[pos][order]
     k = len(offsets)  # >= 2: the measure supports more than one point
     d_eff = min(depth, max(1, _levels_within(k, _MAX_DIGIT_NODES)))
-    pts, weights, scale = _cylinders(offsets, digit_weights, ss.ratio, d_eff)
+    inner = min(d_eff, _levels_within(k, _NODE_BLOCK))  # levels enumerated per block
+    top_pts, top_mass, top_scale = _cylinders(offsets, digit_weights, ss.ratio, d_eff - inner)
+    group = _NODE_BLOCK // k**inner  # top cylinders per block
+    scale = top_scale
+    for _ in range(inner):
+        scale /= ss.ratio
     mean_digit = float(offsets @ digit_weights)
     span = float(offsets.max() - offsets.min())
     geo = scale / (ss.ratio - 1)  # sum of ratio^-i for i > d_eff
-    pts = pts + mean_digit * geo
-    tail_width = span * geo
-    return pts[:, None], weights, tail_width
+
+    def blocks():
+        for lo in range(0, top_pts.size, group):
+            top = top_pts[lo:lo + group], top_mass[lo:lo + group], top_scale
+            pts, weights, _ = _cylinders(offsets, digit_weights, ss.ratio, inner, top)
+            yield (pts + mean_digit * geo)[:, None], weights
+
+    return k**d_eff, blocks(), span * geo
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +705,9 @@ _PRODUCT_GATE: dict = {}
 
 _GATE_XI = (0.37, 0.91, 1.7)
 _GATE_MC_SAMPLES = 6_000_000
+# codes per window of the sampling oracle: a multiple of the 2^14-row blocks
+# of `_oscillatory._code_sums`, so its partial sums add in one order
+_GATE_ROWS = _SAMPLE_CHUNK
 _GATE_MC_TOL = 1e-3
 _GATE_ENUM_TOL = 1e-6
 _GATE_SEED = 0x5E1F51A1
@@ -724,18 +769,22 @@ def validate_product_formula(ss: SelfSimilar) -> float:
 
     Oracle 1: exact digit-string enumeration of the truncated measure, the
     engine's depth-30 enumeration (`_oscillatory._digit_moments`, never the
-    digit transfer, whose unit-weight recursion is the product formula).
+    digit transfer, whose unit-weight recursion is the product formula),
+    which holds one _NODE_BLOCK block of its 2^20 nodes at a time.
     Oracle 2: Monte-Carlo digit sampling (6M samples, tolerance 1e-3, fixed
     internal seed), drawn from the L-fold iterate of the digit system
     (`SelfSimilar._iterate`: 3 uniforms per sample for two equal digits).
     Where a sample's cylinder codes take no more memory than its float64
-    point (two equal digits: 3 uint16 codes), the gate draws the
-    codes (`_IterateCodes`, the same uniforms and picks) and sums products of
-    per-level-block phase tables (`_oscillatory._phase_tables`) over all of
-    them in one `_oscillatory._code_sums` call, the kernel the Monte-Carlo
-    moments of DigitMap phases run per block with a weight matrix where the
-    gate passes None, the unit column; other systems
-    draw the points and sum them in blocks by the engine's Monte-Carlo sum.
+    point (two equal digits: 3 uint16 codes), the gate draws the codes
+    (`_IterateCodes`, the same uniforms and picks) in _GATE_ROWS-row windows
+    and sums products of per-level-block phase tables
+    (`_oscillatory._phase_tables`) over each window into one
+    `_oscillatory._code_sums` accumulator, so one window of codes is held
+    at a time and the sums are those of one call over all of them; the
+    Monte-Carlo moments of DigitMap phases run the same kernel per block
+    with a weight matrix where the gate passes None, the unit column.
+    Other systems draw all their points at once (48 MB) and sum them in
+    blocks by the engine's Monte-Carlo sum.
     Neither oracle runs the product formula.  Returns the worst residual;
     raises ProductFormulaError on failure, a non-finite residual included.
     Results are cached per digit system, and the product-formula path
@@ -752,14 +801,18 @@ def validate_product_formula(ss: SelfSimilar) -> float:
     prod = _selfsimilar_product(ss, xi, _FT_TRUNC)
 
     def oracles():
-        # one at a time: the enumeration's 2^20 nodes are freed before the 6M samples
+        # one at a time: the enumeration's last block is freed before the samples
         enum, _ = _digit_moments(ss, None, Identity(1), lam, digit(30), [(None, None)])
         yield "digit enumeration", _GATE_ENUM_TOL, enum[:, 0]
         rng = spawn_rng(_GATE_SEED, "product-gate", key)
         codes = _IterateCodes(ss)
         if codes.dim * codes.dtype.itemsize <= 8:  # no larger than the float64 points
             tables = _phase_tables(codes.offsets, xi)
-            sums = _code_sums(codes._sample(_GATE_MC_SAMPLES, rng), None, tables)[:, 0]
+            sums = np.zeros((xi.size, 1), dtype=complex)
+            for lo in range(0, _GATE_MC_SAMPLES, _GATE_ROWS):
+                rows = lo, min(lo + _GATE_ROWS, _GATE_MC_SAMPLES)
+                _code_sums(codes._sample(_GATE_MC_SAMPLES, rng, rows), None, tables, out=sums)
+            sums = sums[:, 0]
         else:
             pts = ss._sample(_GATE_MC_SAMPLES, rng)
             sums = _mc_sums(pts, None, Identity(1), lam, [(None, None)])[0][:, 0]

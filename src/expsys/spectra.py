@@ -15,6 +15,9 @@ from .seeding import spawn_rng
 # lattice(), window_count() and each beurling_density() window refuse to
 # enumerate more points than this
 MAX_LATTICE_BOX = 1 << 20
+# the largest lattice dimension whose coordinate box, at least 3 points wide
+# per axis, stays within MAX_LATTICE_BOX: 3^12 <= 2^20 < 3^13
+MAX_LATTICE_DIM = 12
 # beurling_density() refuses more centre-point comparisons over all its windows
 MAX_DENSITY_WORK = 1 << 26
 
@@ -131,7 +134,9 @@ def lattice(A, radius) -> SpectrumSet:
 
 
 def integer_lattice(d, radius) -> SpectrumSet:
-    return lattice(np.eye(_integer(d, "lattice dim", 1)), radius)
+    """Z^d with sup-norm <= radius; d is bounded before np.eye(d) is built, at
+    the largest d whose coordinate box (at least 3^d points) `lattice` takes."""
+    return lattice(np.eye(_integer(d, "lattice dim", 1, MAX_LATTICE_DIM)), radius)
 
 
 def dual_lattice(A) -> np.ndarray:

@@ -133,6 +133,7 @@ def frac_histogram_test(
     cells = bins**d
     n = _integer(n, f"n for {cells} bins", 10 * cells)
     _, A_inv = generator(lattice_A, d)
+    _check_entries(n, d, "sample set")
     pts = box._sample(n, spawn_rng(seed, "frac-histogram"))
     t = _finite_image(phi, pts) @ A_inv.T
     frac = t - np.floor(t)
@@ -246,6 +247,7 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     """
     box = _as_box(box, phi)
     n = _integer(n, "n", 1)
+    _check_entries(n, box.dim, "sample set")
     k = np.asarray(k, dtype=float)
     vol = box.total_mass
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))

@@ -880,7 +880,7 @@ class TestSpecCliExamples:
         def counted(mu, depth):
             found = nodes(mu, depth)
             if not in_gate:
-                counts.append(len(found[1]))
+                counts.append(found[0])  # (count, blocks, tail width)
             return found
 
         def gated(ss):

@@ -105,7 +105,8 @@ class TestIntegrate:
         nu4 = es.middle_fourth_cantor()
         f = lambda x: np.sin(7 * x[:, 0]) + x[:, 0] ** 2
         for depth in (6, 10):
-            pts, _, tail = digit_nodes(nu4, depth)
+            _, blocks, tail = digit_nodes(nu4, depth)
+            (pts, _), = blocks  # at most 2^16 nodes: one block
             vals = f(pts)
             slope = np.max(np.abs(np.diff(vals)) / np.maximum(np.diff(pts[:, 0]), tail))
             _, err = _digit_moments(
@@ -135,10 +136,11 @@ class TestIntegrate:
         # 0 got 3^12 nodes, 4096 of them weighted, and a tail 1.5 times wider
         listed = es.SelfSimilar(4, ((0.0, 0.5), (2.0, 0.5), (3.0, 0.0)))
         for depth in (8, 30):
-            pts, w, tail = digit_nodes(listed, depth)
-            ref_pts, ref_w, ref_tail = digit_nodes(es.middle_fourth_cantor(), depth)
-            assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
-            assert tail == ref_tail
+            count, blocks, tail = digit_nodes(listed, depth)
+            ref_count, ref_blocks, ref_tail = digit_nodes(es.middle_fourth_cantor(), depth)
+            assert count == ref_count == 2 ** min(depth, 20) and tail == ref_tail
+            for (pts, w), (ref_pts, ref_w) in zip(blocks, ref_blocks, strict=True):
+                assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
 
     def test_digit_depth_agreement_invariant(self):
         # depth D vs D+5 within 2 pi |xi| * tail width of depth D
@@ -207,18 +209,23 @@ class TestSample:
         return offsets, np.cumsum(mass)
 
     @classmethod
-    def _level_loop(cls, ss, n, rng):
+    def _level_stream(cls, ss, n, rng):
         # the plain L-level loop: one rng.random(n) per block of L levels and
-        # a binary search over the iterate's cumulative masses
+        # a binary search over the iterate's cumulative masses; returns the
+        # (n, 30 / L) cylinder codes and the (n, 1) samples
         L = ss._iterate[0]
         offsets, cumw = cls._decoded_iterate(ss, L)
-        x = np.zeros(n)
-        scale = 1.0
+        codes, x, scale = [], np.zeros(n), 1.0
         for _ in range(30 // L):
-            idx = np.searchsorted(cumw, rng.random(n), side="right")
-            x += offsets[np.minimum(idx, offsets.size - 1)] * scale
+            idx = np.minimum(np.searchsorted(cumw, rng.random(n), side="right"), offsets.size - 1)
+            codes.append(idx)
+            x += offsets[idx] * scale
             scale /= ss.ratio**L
-        return x[:, None]
+        return np.stack(codes, axis=1), x[:, None]
+
+    @classmethod
+    def _level_loop(cls, ss, n, rng):
+        return cls._level_stream(ss, n, rng)[1]
 
     @staticmethod
     def _decoded_codes(ss, n, rng):
@@ -255,6 +262,58 @@ class TestSample:
             assert got.shape == (n, 1)
             assert np.array_equal(got, want)
             assert np.array_equal(self._decoded_codes(ss, n, np.random.default_rng(seed)), got)
+
+    WINDOW_SYSTEMS = {
+        "2-equal": (es.SelfSimilar(5, ((0.0, 0.5), (3.0, 0.5))), 10, np.uint16),
+        "0.7-0.3": (es.SelfSimilar(5, ((0.0, 0.7), (3.0, 0.3))), 6, np.uint8),
+        "3-equal": (es.SelfSimilar(4, ((0.0, 1 / 3), (1.0, 1 / 3), (3.0, 1 / 3))), 6, np.uint16),
+    }
+
+    @settings(derandomize=True, max_examples=12, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(WINDOW_SYSTEMS)),
+        n=st.one_of(st.sampled_from([1, 2**18 - 1, 2**18, 2**18 + 1]), st.integers(1, 2**19)),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
+        data=st.data(),
+    )
+    def test_row_windows_concatenate_to_the_whole_draw(self, name, n, seed, buffered, data):
+        # the product gate draws its codes in row windows; each window reads
+        # the level-major stream from advanced copies of the generator, which
+        # stays at the stream's start until the window that ends at n leaves
+        # it where the whole draw does, a buffered 32-bit draw included
+        ss, L, dtype = self.WINDOW_SYSTEMS[name]
+        codes = _IterateCodes(ss)
+        assert (ss._iterate[0], codes.dtype) == (L, dtype)
+
+        def generator():
+            rng = np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 10, dtype=np.uint32)  # leaves a 32-bit half buffered
+            return rng
+
+        ref = generator()
+        want_codes, want_x = self._level_stream(ss, n, ref)
+        end = ref.bit_generator.state
+        for draw, want in ((codes._sample, want_codes), (ss._sample, want_x)):
+            rng = generator()
+            assert np.array_equal(draw(n, rng), want) and rng.bit_generator.state == end
+        cuts = data.draw(st.sets(st.integers(1, n - 1), max_size=4)) if n > 1 else set()
+        edges = [0, *sorted(cuts), n]
+        rng = generator()
+        start = rng.bit_generator.state
+        windows = []
+        for lo, hi in zip(edges, edges[1:]):
+            windows.append(codes._sample(n, rng, (lo, hi)))
+            assert windows[-1].dtype == dtype and windows[-1].shape == (hi - lo, codes.dim)
+            assert rng.bit_generator.state == (end if hi == n else start)
+        got = np.concatenate(windows)
+        assert np.array_equal(got, want_codes)
+        # decoded in block order, the windows' codes are the whole point draw
+        x = np.zeros(n)
+        for b in range(codes.dim):
+            x += codes.offsets[b, got[:, b]]
+        assert np.array_equal(x[:, None], want_x)
 
     class _Uniforms:
         """A generator stub whose every `random` call writes the chosen u."""
@@ -627,8 +686,9 @@ class TestFourierTransform:
         assert calls == [(m._GATE_MC_SAMPLES, 1)]
 
     def test_gate_memory_stays_below_its_full_length_temporaries(self, monkeypatch):
-        # the 6M samples' codes are 36 MB (3 uint16 each) against 48 MB of
-        # float64 points; the enumeration oracle sets the peak (73 MiB)
+        # both oracles stream: the enumeration holds one 2^16-node block (its
+        # whole 2^20 nodes' exp chunk alone is 48 MiB) and the sampling oracle
+        # one 2^18-row window of codes (all 6M are 36 MB); each peaks near 9 MiB
         import expsys.measures as m
 
         monkeypatch.setattr(m, "_PRODUCT_GATE", {})
@@ -638,7 +698,7 @@ class TestFourierTransform:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 96 * 2**20
+        assert peak <= 16 * 2**20
 
     def test_gate_runs_neither_the_transfer_nor_exp_moments(self, monkeypatch):
         # the enumeration oracle is the digit enumeration itself, whatever

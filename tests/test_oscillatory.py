@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import expsys as es
-from expsys import _oscillatory
+from expsys import _oscillatory, measures
 from expsys._oscillatory import (
     _digit_moments,
     _digit_transfer,
@@ -19,7 +19,7 @@ from expsys._oscillatory import (
     plan,
 )
 from expsys.errors import DomainError, QuadratureError, SchemeMismatchError
-from expsys.measures import _MAX_ENTRIES, _box_ft
+from expsys.measures import _MAX_ENTRIES, _box_ft, digit_nodes
 from expsys.reconstruct import coefficients
 from expsys.seeding import spawn_rng
 
@@ -1203,11 +1203,87 @@ def _spy_digit_nodes(monkeypatch):
 
     def spy(mu, depth):
         nodes = honest(mu, depth)
-        counts.append(len(nodes[1]))
+        counts.append(nodes[0])  # (count, blocks, tail width)
         return nodes
 
     monkeypatch.setattr(_oscillatory, "digit_nodes", spy)
     return counts
+
+
+def _whole_enumeration(mu, phi, lam, depth, weights):
+    """(values, errors, (pts, masses)) of the digit enumeration over all its
+    nodes at once: one `_cylinders` call, its error model over every
+    adjacent pair and one `_contract` (sorted, positive-weight digits)."""
+    d, p = mu._offsets, mu._weights
+    levels = min(depth, measures._levels_within(d.size, measures._MAX_DIGIT_NODES))
+    x, w, scale = measures._cylinders(d, p, mu.ratio, levels)
+    geo = scale / (mu.ratio - 1)
+    pts, tail = (x + float(d @ p) * geo)[:, None], float(d.max() - d.min()) * geo
+    W = _oscillatory._weight_matrix(weights, pts)
+    img = phi(pts)
+    dx = np.diff(pts[:, 0])
+    slopes = np.max(np.abs(np.diff(W, axis=0)) / np.maximum(dx, tail)[:, None], axis=0)
+    fine = dx <= 2 * tail * (mu.ratio - 1) + 1e-300
+    span = np.max(np.abs(np.diff(img[:, 0]))[fine])
+    phase = 2 * np.pi * np.linalg.norm(lam, axis=1) * span
+    errs = slopes * tail + np.max(np.abs(W), axis=0) * phase[:, None]
+    return _oscillatory._contract(img, lam, W * w[:, None]), errs, (pts, w)
+
+
+ENUMERATION_WEIGHTS = [
+    (None, None),
+    (lambda x: np.sin(7 * x[:, 0]) + 1j * x[:, 0] ** 2, None),
+    (lambda x: np.cos(3 * x[:, 0]), _half([0.1], [0.5])),
+]
+
+
+@pytest.mark.parametrize(
+    "mu, phi, depth",
+    [
+        (es.middle_third_cantor(), T2Q, 16),  # 2^16 nodes
+        (es.SelfSimilar(4, ((0.0, 1 / 3), (1.0, 1 / 3), (3.0, 1 / 3))), es.Identity(1), 10),
+        (es.middle_fourth_cantor(), es.Identity(1), 9),
+    ],
+    ids=["cantor3-16", "three-digits-10", "cantor4-9"],
+)
+def test_enumeration_of_at_most_2_16_nodes_is_one_block(mu, phi, depth):
+    # every guard's enumeration and all of cantor3's: one block, whose values
+    # and errors are those of one pass over the whole node set, bit for bit
+    lam = np.array([[0.0], [0.37], [-2.5], [11.0]])
+    count, blocks, _ = digit_nodes(mu, depth)
+    assert count <= measures._NODE_BLOCK and len(list(blocks)) == 1
+    vals, errs = _digit_moments(mu, None, phi, lam, es.digit(depth), ENUMERATION_WEIGHTS)
+    ref_vals, ref_errs, _ = _whole_enumeration(mu, phi, lam, depth, ENUMERATION_WEIGHTS)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(errs, ref_errs)
+
+
+def test_enumeration_streams_its_2_20_nodes_in_blocks():
+    # the gate's depth-30 enumeration: 16 blocks of 2^16 nodes whose floats
+    # are one enumeration's; the error model's differences cross each block
+    # edge, so the errors are bit-identical, and only the values' summation
+    # order moves.  One pass over all nodes holds a 48 MiB exp chunk
+    import tracemalloc
+
+    mu, lam = es.middle_fourth_cantor(), np.array(measures._GATE_XI)[:, None]
+    ref_vals, ref_errs, (ref_pts, ref_w) = _whole_enumeration(
+        mu, es.Identity(1), lam, 30, ENUMERATION_WEIGHTS
+    )
+    count, blocks, _ = digit_nodes(mu, 30)
+    pts, w = (np.concatenate(parts) for parts in zip(*blocks))
+    assert count == pts.shape[0] == 2**20
+    assert np.array_equal(pts, ref_pts) and np.array_equal(w, ref_w)
+    del pts, w, ref_pts, ref_w
+    tracemalloc.start()
+    try:
+        vals, errs = _digit_moments(
+            mu, None, es.Identity(1), lam, es.digit(30), ENUMERATION_WEIGHTS
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(errs, ref_errs)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-13
+    assert peak <= 16 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -342,3 +342,12 @@ class TestSpectrumSet:
 
     def test_lattice_contains_zero(self):
         assert np.any(np.all(es.lattice(np.eye(2), 3).points == 0.0, axis=1))
+
+
+def test_integer_lattice_dimension_is_bounded_before_its_generator_is_built():
+    # np.eye(10^12) made numpy raise MemoryError; every dimension above the
+    # bound has a coordinate box of at least 3^d > MAX_LATTICE_BOX points
+    assert 3**spectra.MAX_LATTICE_DIM <= spectra.MAX_LATTICE_BOX < 3 ** (spectra.MAX_LATTICE_DIM + 1)
+    for d in (spectra.MAX_LATTICE_DIM + 1, 10**12):
+        with pytest.raises(DomainError, match=r"lattice dim must be in \[1, 12\]"):
+            es.integer_lattice(d, 0)

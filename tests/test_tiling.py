@@ -306,6 +306,19 @@ def test_fractional_radius_and_empty_overlap_sample_refused():
         es.overlap_volume(sin_unipotent(), BOX, [1.0, 0.0], n=0)
 
 
+@pytest.mark.parametrize("n", [10**15, 1e300], ids=["1e15", "1e300"])
+def test_sample_sets_above_the_entry_budget_refused_before_any_draw(monkeypatch, n):
+    # 10^15 draws made numpy raise MemoryError (7.11 PiB) and 1e300 ValueError
+    def never(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(es.LebesgueBox, "_sample", never)
+    with pytest.raises(es.DomainError, match="sample set above"):
+        es.overlap_volume(es.Identity(2), BOX, [1.0, 0.0], n=n)
+    with pytest.raises(es.DomainError, match="sample set above"):
+        es.frac_histogram_test(es.Identity(2), BOX, EYE, n=n, bins=4)
+
+
 class TestLatticeGenerator:
     @pytest.mark.parametrize(
         "A", [[[1.0, 0.0]], [[1.0]], [[1.0, 1.0], [1.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]],
