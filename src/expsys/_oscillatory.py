@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures, phases
-from .errors import DomainError, QuadratureError, SchemeMismatchError, _integer
+from .errors import DomainError, QuadratureError, SchemeMismatchError, _finite, _integer
 from .measures import (
     LebesgueBox,
     LebesgueDisc,
@@ -279,7 +279,7 @@ def _read_call(lambdas, weights, threads, phi):
     other than phi's output dim, and (m, k) above the entry budget."""
     threads = _integer(threads, "threads", 1, MAX_THREADS)
     weights = [(None, None) if w is None else tuple(w) for w in weights]
-    lam = np.atleast_2d(measures._finite(lambdas, "frequencies"))
+    lam = np.atleast_2d(_finite(lambdas, "frequencies"))
     _check_entries(lam.shape[0], len(weights), "moment matrix")
     if lam.shape[1] != phi.out_dim:
         raise DomainError(f"frequency dim {lam.shape[1]} != phase output dim {phi.out_dim}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import measures, phases
 from ._oscillatory import plan
-from .errors import DomainError, QuadratureError, _integer
+from .errors import DomainError, QuadratureError, _finite, _integer, _real
 from .measures import QuadratureSpec
 from .spectra import SpectrumSet, lattice, unique_rows
 
@@ -275,10 +275,10 @@ def verify_onb(
     tol_complete in [0, 1); outside those ranges a verdict would not depend
     on the system.
     """
-    if not (tol_orth >= 0 and 0 <= tol_complete < 1):
-        raise DomainError(
-            f"need tol_orth >= 0 and 0 <= tol_complete < 1, got {tol_orth} and {tol_complete}"
-        )
+    tol_orth = _real(tol_orth, "tol_orth", 0)
+    tol_complete = _real(tol_complete, "tol_complete", 0)
+    if not tol_complete < 1:
+        raise DomainError(f"tol_complete must be below 1, got {tol_complete!r}")
     report = gram(mu, phi, spectrum, quad, threads=threads)
     orthogonal = report.is_orthogonal(tol_orth)
 
@@ -513,7 +513,9 @@ def unimodular_conjugation_check(mu, phi, M, radius, quad: QuadratureSpec, threa
     G^{M phi}_{k,k'} = G^{phi}_{M^T k, M^T k'} for every pair in the truncation.
     Both difference tables run as `gram` runs them.
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.atleast_2d(_finite(M, "M"))
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.size == 0:
+        raise DomainError(f"M must be a non-empty square matrix, got shape {M.shape}")
     if not np.allclose(M, np.round(M), atol=1e-12):
         raise DomainError("M must have integer entries")
     if abs(abs(np.linalg.det(M)) - 1.0) > 1e-12:

@@ -20,7 +20,6 @@ import numpy as np
 from . import analysis, measures, phases, reconstruct, repdisc, spectra, tiling
 from ._oscillatory import MAX_THREADS, _unwrap, plan
 from .config import (
-    as_scalar,
     build_measure,
     build_phase,
     build_quad,
@@ -29,7 +28,7 @@ from .config import (
     options,
     pick,
 )
-from .errors import ConfigError, ExpSysError, _integer
+from .errors import ConfigError, DomainError, ExpSysError, _integer, _real
 from .expr import expression_on_points, parse_expression  # re-exported: CLI surface
 from .presets import PRESETS
 
@@ -119,7 +118,7 @@ _GROUP_PRESETS = {
 
 # ---------------------------------------------------------------------------
 # subcommand handlers: handler(cfg, seed, threads, opts) returns (result dict,
-# verdict, CSV writer or None); opts holds the typed options the config sets
+# verdict, CSV writer or None); opts holds the options the config sets, as given
 # ---------------------------------------------------------------------------
 
 
@@ -133,15 +132,14 @@ def _run_verify_onb(cfg, seed, threads, opts):
 
 
 def _run_frame_bounds(cfg, seed, threads, opts):
-    min_ratio = opts.get("min_ratio", 0.01)
+    min_ratio = _real(opts.get("min_ratio", 0.01), "min_ratio")
     # a_est <= b_est, so outside (0, 1] the verdict would not depend on them
     if not 0 < min_ratio <= 1:
-        raise ConfigError(f"min_ratio must be in (0, 1], got {min_ratio}")
+        raise DomainError(f"min_ratio must be in (0, 1], got {min_ratio}")
     mu, phi, spectrum, quad = _system(cfg, seed)
     basis_cfg = cfg.get("basis", {"kind": "dyadic", "m": 64})
     check_keys(basis_cfg, ["kind", "m"], [], "frame-bounds basis")
-    m = as_scalar(basis_cfg["m"], int, "basis.m")
-    basis = pick(_BASES, basis_cfg["kind"], "basis kind")(mu, m)
+    basis = pick(_BASES, basis_cfg["kind"], "basis kind")(mu, basis_cfg["m"])
     report = analysis.frame_bounds(mu, phi, spectrum, basis, quad, threads=threads)
     # report-level verdict only: a_est/b_est below min_ratio at this
     # truncation is called FAIL; no infinite-spectrum claim either way
@@ -170,10 +168,7 @@ def _run_density(cfg, seed, threads, opts):
     spectrum = build_spectrum(cfg["spectrum"])
     if "centers_box" in cfg:
         opts["centers_box"] = _box(cfg["centers_box"], "density centers_box")
-    if not isinstance(cfg["windows"], list):
-        raise ConfigError("windows must be a list of numbers")
-    windows = [as_scalar(r, float, "window") for r in cfg["windows"]]
-    report = spectra.beurling_density(spectrum, windows, seed=seed, **opts)
+    report = spectra.beurling_density(spectrum, cfg["windows"], seed=seed, **opts)
     return report.to_json_dict(), analysis.PASS, None
 
 
@@ -235,40 +230,26 @@ def _run_probe(cfg, seed, threads, opts):
 
 _SYSTEM = ["measure", "phase", "spectrum", "quad"]
 
-# command: (handler, required keys, typed options, other allowed keys); every
-# config may also set seed and out, read by run()
+# command: (handler, required keys, options, other allowed keys).  The options
+# reach the handler as given, and the library function each one reaches reads
+# its value.  Every config may also set seed and out, read by run(), and csv
+# where a command lists it.
 _COMMANDS = {
-    "verify-onb": (
-        _run_verify_onb,
-        _SYSTEM,
-        {"tol_orth": float, "tol_complete": float, "battery": str},
-        ["csv"],
-    ),
-    "frame-bounds": (_run_frame_bounds, _SYSTEM, {"min_ratio": float}, ["basis"]),
+    "verify-onb": (_run_verify_onb, _SYSTEM, ["tol_orth", "tol_complete", "battery"], ["csv"]),
+    "frame-bounds": (_run_frame_bounds, _SYSTEM, ["min_ratio"], ["basis"]),
     "tiling-check": (
-        _run_tiling_check,
-        ["phase", "box", "lattice"],
-        {"n": int, "bins": int, "radius": int},
-        ["csv"],
+        _run_tiling_check, ["phase", "box", "lattice"], ["n", "bins", "radius"], ["csv"]
     ),
-    "density": (_run_density, ["spectrum", "windows"], {"n_centers": int}, ["centers_box"]),
-    "reconstruct": (_run_reconstruct, _SYSTEM + ["f"], {}, ["csv"]),
+    "density": (_run_density, ["spectrum", "windows"], ["n_centers"], ["centers_box"]),
+    "reconstruct": (_run_reconstruct, _SYSTEM + ["f"], [], ["csv"]),
     "repdisc": (
         _run_repdisc,
         ["group", "omega", "gamma", "spectrum", "window", "mode"],
-        {"tol": float, "basis_size": int, "exploratory": bool},
+        ["tol", "basis_size", "exploratory"],
         ["quad"],
     ),
-    "probe-injectivity": (
-        _run_probe,
-        ["measure", "phase"],
-        {"n": int, "delta_x": float, "delta_y": float},
-        [],
-    ),
+    "probe-injectivity": (_run_probe, ["measure", "phase"], ["n", "delta_x", "delta_y"], []),
 }
-
-# read by run(); csv is allowed only where a command lists it
-_COMMON = {"seed": int, "out": str, "csv": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -319,14 +300,15 @@ def run(argv=None) -> int:
                 except RecursionError:
                     raise ConfigError("config nests too deeply to parse") from None
 
-        handler, required, kinds, other = _COMMANDS[args.command]
-        check_keys(cfg, required, ["seed", "out", *kinds, *other], f"{args.command} config")
-        common = options(cfg, _COMMON)
-        seed = common.get("seed", 0)
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        handler, required, keys, other = _COMMANDS[args.command]
+        check_keys(cfg, required, ["seed", "out", *keys, *other], f"{args.command} config")
+        common = options(cfg, ["seed", "out", "csv"])
+        seed = _integer(common.get("seed", 0), "seed", 0)
+        for key in ("out", "csv"):  # paths; an integer would open a file descriptor
+            if not isinstance(common.get(key, ""), str):
+                raise ConfigError(f"{key} must be a string, got {common[key]!r}")
         t0 = time.time()
-        result, verdict, write_csv = handler(cfg, seed, args.threads, options(cfg, kinds))
+        result, verdict, write_csv = handler(cfg, seed, args.threads, options(cfg, keys))
         runtime = time.time() - t0
 
         report = {

@@ -1,18 +1,18 @@
 """Strict JSON config schema: builders for measures, phases, spectra, quads.
 
-Unknown keys are rejected at every level, never silently ignored.  Function
+Unknown keys are rejected at every level, never silently ignored.  Values
+pass through to the library function they reach, whose readers refuse a bad
+one with DomainError; this layer checks keys and JSON kinds only.  Function
 handles are given as expressions in the grammar of `expr` (identifiers
 x1..x8, arithmetic, sin cos exp log sqrt abs sgn, pi, e).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import measures, phases, repdisc, spectra
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 from .expr import expression_on_points, parse_expression
 
 
@@ -28,30 +28,6 @@ def check_keys(cfg: dict, required, optional, where):
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
-_NOUNS = {int: "an integer", float: "a finite number", str: "a string", bool: "a boolean"}
-
-
-def as_scalar(value, kind, what):
-    """kind(value) for kind int or float, value itself for kind str or bool.
-
-    ConfigError when it does not convert, when an int or float field gets a
-    JSON boolean, an int field a non-integral number or a float field a
-    non-finite one, and when a str or bool field gets anything but a JSON
-    string or boolean."""
-    if kind in (str, bool):
-        out, ok = value, type(value) is kind
-    else:
-        try:
-            out = kind(value)
-            ok = not isinstance(value, bool) and math.isfinite(out)
-            ok = ok and not (isinstance(value, float) and out != value)
-        except (TypeError, ValueError, OverflowError):
-            ok = False
-    if not ok:
-        raise ConfigError(f"{what} must be {_NOUNS[kind]}, got {value!r}")
-    return out
-
-
 def pick(table, name, what):
     """table[name]; ConfigError when name is not one of its string keys."""
     if not isinstance(name, str) or name not in table:
@@ -59,11 +35,14 @@ def pick(table, name, what):
     return table[name]
 
 
-def options(cfg, kinds, prefix=""):
-    """{key: value} of the fields of `kinds` that cfg sets, each read by its kind."""
-    return {
-        key: as_scalar(cfg[key], kind, prefix + key) for key, kind in kinds.items() if key in cfg
-    }
+def options(cfg, keys, prefix=""):
+    """{key: value} of the `keys` that cfg sets, as given.  ConfigError for a
+    null value: leaving a key out is how a config takes its default."""
+    out = {key: cfg[key] for key in keys if key in cfg}
+    for key, value in out.items():
+        if value is None:
+            raise ConfigError(f"{prefix}{key} must not be null; leave it out for its default")
+    return out
 
 
 def _expr_fn_of(text, allowed_vars, where):
@@ -96,9 +75,7 @@ def build_measure(cfg) -> measures.Measure:
         return measures.LebesgueDisc(cfg["center"], cfg["radius"])
     if kind == "self_similar":
         check_keys(cfg, ["kind", "ratio", "digits"], [], "measure.self_similar")
-        return measures.SelfSimilar(
-            as_scalar(cfg["ratio"], int, "measure.ratio"), cfg["digits"]
-        )
+        return measures.SelfSimilar(cfg["ratio"], cfg["digits"])
     if kind == "pushforward":
         check_keys(cfg, ["kind", "base", "map"], [], "measure.pushforward")
         return measures.pushforward(build_measure(cfg["base"]), build_phase(cfg["map"]))
@@ -111,7 +88,7 @@ def build_phase(cfg) -> phases.PhaseMap:
     kind = cfg["kind"]
     if kind == "identity":
         check_keys(cfg, ["kind"], ["dim"], "phase.identity")
-        return phases.Identity(**options(cfg, {"dim": int}, "phase."))
+        return phases.Identity(**options(cfg, ["dim"], "phase."))
     if kind == "affine":
         check_keys(cfg, ["kind", "M"], ["b"], "phase.affine")
         return phases.Affine(cfg["M"], cfg.get("b"))
@@ -124,15 +101,16 @@ def build_phase(cfg) -> phases.PhaseMap:
         )
         if not isinstance(cfg["digit_map"], dict):
             raise ConfigError("phase.digit_map must be an object")
+        try:  # JSON object keys are strings
+            table = {int(k): v for k, v in cfg["digit_map"].items()}
+        except ValueError:
+            raise ConfigError("phase.digit_map keys must be integers") from None
         return phases.DigitMap(
-            as_scalar(cfg["in_base"], int, "phase.in_base"),
+            cfg["in_base"],
             cfg["in_digits"],
-            as_scalar(cfg["out_base"], int, "phase.out_base"),
-            {
-                as_scalar(k, int, "digit_map key"): as_scalar(v, float, "digit_map value")
-                for k, v in cfg["digit_map"].items()
-            },
-            **options(cfg, {"depth": int}, "phase."),
+            cfg["out_base"],
+            table,
+            **options(cfg, ["depth"], "phase."),
         )
     if kind == "holhos":
         check_keys(cfg, ["kind"], [], "phase.holhos")
@@ -154,12 +132,10 @@ def build_phase(cfg) -> phases.PhaseMap:
         check_keys(cfg, ["kind", "z"], ["f", "K"], "phase.triangular2d")
         z = _of_x2(_expr_fn_of(cfg["z"], {"x2"}, "triangular2d z"))
         f = _of_x2(_expr_fn_of(cfg.get("f", "0"), {"x2"}, "triangular2d f"))
-        return phases.Triangular2D(z, f, **options(cfg, {"K": float}, "phase."))
+        return phases.Triangular2D(z, f, **options(cfg, ["K"], "phase."))
     if kind == "custom":
         check_keys(cfg, ["kind", "expr", "in_dim"], [], "phase.custom")
-        in_dim = as_scalar(cfg["in_dim"], int, "phase.in_dim")
-        if not 1 <= in_dim <= 8:  # the grammar names x1..x8
-            raise ConfigError(f"phase.in_dim must be in [1, 8], got {in_dim}")
+        in_dim = _integer(cfg["in_dim"], "phase.in_dim", 1, 8)  # the grammar names x1..x8
         if not isinstance(cfg["expr"], list) or not cfg["expr"]:
             raise ConfigError("phase.expr must be a non-empty list of expressions")
         comps = [
@@ -186,10 +162,10 @@ def build_spectrum(cfg) -> spectra.SpectrumSet:
     kind = cfg["kind"]
     if kind == "lattice":
         check_keys(cfg, ["kind", "A", "radius"], [], "spectrum.lattice")
-        return spectra.lattice(cfg["A"], as_scalar(cfg["radius"], float, "spectrum.radius"))
+        return spectra.lattice(cfg["A"], cfg["radius"])
     if kind == "lambda4":
         check_keys(cfg, ["kind", "n"], [], "spectrum.lambda4")
-        return spectra.lambda4(as_scalar(cfg["n"], int, "spectrum.n"))
+        return spectra.lambda4(cfg["n"])
     if kind == "explicit":
         check_keys(cfg, ["kind", "points"], [], "spectrum.explicit")
         return spectra.explicit(cfg["points"])
@@ -197,16 +173,16 @@ def build_spectrum(cfg) -> spectra.SpectrumSet:
 
 
 _QUADS = {
-    "tensor-gauss": (measures.gauss, {"order": int}),
-    "monte-carlo": (measures.monte_carlo, {"n_samples": int, "seed": int}),
-    "self-similar-digit": (measures.digit, {"depth": int}),
-    "adaptive": (measures.adaptive, {"abs_tol": float, "max_subdivisions": int, "order": int}),
+    "tensor-gauss": (measures.gauss, ["order"]),
+    "monte-carlo": (measures.monte_carlo, ["n_samples", "seed"]),
+    "self-similar-digit": (measures.digit, ["depth"]),
+    "adaptive": (measures.adaptive, ["abs_tol", "max_subdivisions", "order"]),
 }
 
 
 def build_quad(cfg) -> measures.QuadratureSpec:
     if not isinstance(cfg, dict) or "scheme" not in cfg:
         raise ConfigError("quad must be an object with a 'scheme'")
-    make, kinds = pick(_QUADS, cfg["scheme"], "quadrature scheme")
-    check_keys(cfg, ["scheme"], kinds, f"quad.{cfg['scheme']}")
-    return make(**options(cfg, kinds, "quad."))
+    make, keys = pick(_QUADS, cfg["scheme"], "quadrature scheme")
+    check_keys(cfg, ["scheme"], keys, f"quad.{cfg['scheme']}")
+    return make(**options(cfg, keys, "quad."))

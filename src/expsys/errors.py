@@ -1,5 +1,8 @@
-"""Exception hierarchy shared across the package, and the one reader of
-integer arguments."""
+"""Exception hierarchy shared across the package, and the readers of every
+value argument: `_integer` for counts, sizes, levels, seeds and thread
+counts, `_real` for scalar numbers, `_finite` for arrays.  Each refuses a
+value outside its type or range with DomainError, so a library caller and
+the CLI see the same refusal."""
 
 import numpy as np
 
@@ -34,6 +37,38 @@ def _integer(value, what, lo=None, hi=None):
         bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{what} must be {bound}, got {v!r}")
     return v
+
+
+def _finite(values, what):
+    """A float array of finite numbers; numeric strings are read, booleans refused."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be numeric") from None
+    except OverflowError:  # a Python integer past the double range
+        raise DomainError(f"{what} must be finite") from None
+    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if raw.dtype == bool or raw.dtype == object and any(
+        isinstance(v, (bool, np.bool_)) for v in raw.flat
+    ):
+        raise DomainError(f"{what} must be numbers, not booleans")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _real(value, what, lo=None):
+    """float(value) for one finite number >= lo (a None bound is open), read
+    as `_finite` reads it: "2.5" is 2.5; None, True, [1.0] and nan are refused."""
+    try:
+        v = _finite(value, what)
+    except DomainError:
+        v = None
+    if v is None or v.shape != ():
+        raise DomainError(f"{what} must be a finite number, got {value!r}")
+    if lo is not None and not v >= lo:
+        raise DomainError(f"{what} must be >= {lo}, got {value!r}")
+    return float(v)
 
 
 class ProductFormulaError(ExpSysError, RuntimeError):

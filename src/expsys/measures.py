@@ -43,7 +43,9 @@ from .errors import (
     ProductFormulaError,
     QuadratureError,
     SchemeMismatchError,
+    _finite,
     _integer,
+    _real,
 )
 from .seeding import spawn_rng
 
@@ -118,8 +120,9 @@ class QuadratureSpec:
         if self.scheme == "adaptive" and self.order < 3:
             # its error compares orders `order` and max(2, order // 2), equal at 2
             raise DomainError(f"adaptive order must be >= 3, got {self.order}")
-        if not (math.isfinite(self.abs_tol) and self.abs_tol > 0):
-            raise DomainError(f"abs tol must be finite and > 0, got {self.abs_tol}")
+        object.__setattr__(self, "abs_tol", _real(self.abs_tol, "abs tol"))
+        if not self.abs_tol > 0:
+            raise DomainError(f"abs tol must be > 0, got {self.abs_tol}")
 
     def to_json_dict(self):
         out = {"scheme": self.scheme}
@@ -170,24 +173,6 @@ class Measure:
 
     def _sample(self, n, rng):
         raise NotImplementedError
-
-
-def _finite(values, what):
-    """A float array of finite numbers; numeric strings are read, booleans refused."""
-    try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"{what} must be numeric") from None
-    except OverflowError:  # a Python integer past the double range
-        raise DomainError(f"{what} must be finite") from None
-    raw = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
-    if raw.dtype == bool or raw.dtype == object and any(
-        isinstance(v, (bool, np.bool_)) for v in raw.flat
-    ):
-        raise DomainError(f"{what} must be numbers, not booleans")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} must be finite")
-    return arr
 
 
 def _finite_mass(mass, what):

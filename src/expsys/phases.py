@@ -15,9 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import measures
-from .errors import DomainError, InversionError, _integer
+from .errors import DomainError, InversionError, _finite, _integer, _real
 
 _STEP = 1e-5  # central-difference step of numerical Jacobian entries
+
+# digit map bases stop here, where float(base) is still exact
+_MAX_BASE = 1 << 53
 
 
 def _central(fn, x, step):
@@ -103,12 +106,12 @@ class Affine(PhaseMap):
     """x -> M x + b with M of shape (out_dim, in_dim)."""
 
     def __init__(self, M, b=None):
-        M = np.atleast_2d(measures._finite(M, "affine M"))
+        M = np.atleast_2d(_finite(M, "affine M"))
         if M.ndim != 2 or M.size == 0:
             raise DomainError("affine M must be a non-empty 2-d matrix")
         self.M = M
         self.out_dim, self.in_dim = M.shape
-        self.b = np.zeros(self.out_dim) if b is None else measures._finite(b, "affine b")
+        self.b = np.zeros(self.out_dim) if b is None else _finite(b, "affine b")
         if self.b.shape != (self.out_dim,):
             raise DomainError("b must match the output dimension")
 
@@ -146,15 +149,17 @@ class DigitMap(PhaseMap):
     differentiable = False
 
     def __init__(self, in_base, in_digits, out_base, digit_map, depth=30):
-        self.in_base = _integer(in_base, "in_base", 2)
-        self.out_base = _integer(out_base, "out_base", 2)
-        digits = measures._finite(in_digits, "digit map in_digits")
+        self.in_base = _integer(in_base, "in_base", 2, _MAX_BASE)
+        self.out_base = _integer(out_base, "out_base", 2, _MAX_BASE)
+        digits = _finite(in_digits, "digit map in_digits")
         if digits.ndim != 1 or digits.size == 0 or np.any(digits != np.round(digits)):
             raise DomainError("in_digits must be a non-empty list of integers")
         self.in_digits = tuple(int(d) for d in digits)
+        if not isinstance(digit_map, dict):
+            raise DomainError(f"digit_map must be a dict of digits to numbers, got {digit_map!r}")
         self.digit_map = {
-            _integer(k, "digit_map key"): float(measures._finite(v, "digit_map value"))
-            for k, v in dict(digit_map).items()
+            _integer(k, "digit_map key"): _real(v, "digit_map value")
+            for k, v in digit_map.items()
         }
         self.depth = _integer(depth, "depth", 1, measures._MAX_DEPTH)
         if set(self.digit_map) != set(self.in_digits):
@@ -284,6 +289,8 @@ class Unipotent(PhaseMap):
     """
 
     def __init__(self, shifts, dim):
+        if not (isinstance(shifts, (list, tuple)) and all(map(callable, shifts))):
+            raise DomainError(f"unipotent shifts must be a list of callables, got {shifts!r}")
         self.shifts = tuple(shifts)
         self.in_dim = self.out_dim = _integer(dim, "unipotent dim", 1)
         if len(self.shifts) != self.in_dim - 1:
@@ -632,7 +639,7 @@ class Triangular2D(PhaseMap):
     def __init__(self, z, f=None, K=0.0):
         self.z = z
         self.f = f if f is not None else (lambda t: np.zeros_like(t))
-        self.K = float(K)
+        self.K = _real(K, "K")
         self.in_dim = self.out_dim = 2
         self._anti = _MonotoneAntiderivative(lambda t: 1.0 / self._z_checked(t))
 
@@ -966,10 +973,9 @@ def essential_injectivity_probe(
     """
     n = _integer(n, "n", 100)
     for name, scale in (("delta_x", delta_x), ("delta_y", delta_y)):
-        real = isinstance(scale, (int, float, np.integer, np.floating)) and not isinstance(scale, bool)
-        if scale is not None and not (real and 0 < scale <= float(np.finfo(float).max)):
-            kind = "> 0" if real and scale <= 0 else "a finite number > 0"
-            raise DomainError(f"{name} must be {kind}, got {scale!r}")
+        # the scales refuse numeric strings ("0.1") as well
+        if scale is not None and (isinstance(scale, str) or _real(scale, name) <= 0):
+            raise DomainError(f"{name} must be a number > 0, got {scale!r}")
     pts = measures.sample(mu, n, seed=seed)
     img = phi(pts)
     # squared distances must stay below the float64 maximum (NaN fails too)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._oscillatory import plan
+from .errors import DomainError
 from .measures import QuadratureSpec, integrate
 from .spectra import SpectrumSet
 
@@ -44,8 +45,13 @@ def coefficients(
 
 def synthesize(values, phi, spectrum: SpectrumSet):
     """Pointwise synthesis x -> sum_lambda c_lambda e^{2 pi i lambda . phi(x)}."""
-    values = np.asarray(values, dtype=complex)
+    try:
+        values = np.asarray(values, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("coefficient values must be complex numbers") from None
     lam = spectrum.points
+    if values.shape != (spectrum.size,):
+        raise DomainError(f"{values.shape} coefficient values for {spectrum.size} frequencies")
 
     def g(pts):
         pts = np.asarray(pts, dtype=float)

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis
-from .errors import DomainError
-from .measures import LebesgueBox, QuadratureSpec, _finite, _in_box
+from .errors import DomainError, _finite, _integer, _real
+from .measures import LebesgueBox, QuadratureSpec, _in_box
 from .phases import PhaseMap
 from .spectra import SpectrumSet
 
@@ -270,8 +270,10 @@ def verify_system_on_window(
     Blocks coincide by translation covariance, so a single block is computed
     (see module docstring); reports always state the spectrum truncation.
     """
-    if not tol >= 0:
-        raise DomainError(f"tol must be >= 0, got {tol}")
+    tol = _real(tol, "tol", 0)
+    basis_size = _integer(basis_size, "basis_size")  # frame mode's test basis bounds it
+    if not isinstance(exploratory, (bool, np.bool_)):
+        raise DomainError(f"exploratory must be a boolean, got {exploratory!r}")
     if quad is None:
         quad = QuadratureSpec("tensor-gauss", order=48)
     window_lo = np.atleast_1d(_finite(window[0], "verification window lo"))
@@ -301,6 +303,6 @@ def verify_system_on_window(
         verdict=analysis.PASS if ok else analysis.FAIL,
         gammas_used=gammas,
         block=block,
-        exploratory=exploratory,
+        exploratory=bool(exploratory),
         notes=notes,
     )

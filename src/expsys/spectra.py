@@ -8,8 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, _integer
-from .measures import _finite
+from .errors import DomainError, _finite, _integer, _real
 from .seeding import spawn_rng
 
 # lattice(), window_count() and each beurling_density() window refuse to
@@ -106,10 +105,10 @@ def generator(A, d=None):
 
 def _lattice_box(A, A_inv, lo, hi):
     """(size, build) of the points A k with k in the integer box spanned by the
-    preimages of the corners of [lo, hi], widened by one."""
-    corners = np.stack(np.meshgrid(*zip(lo, hi), indexing="ij"), axis=-1).reshape(-1, len(lo))
-    Kc = corners @ A_inv.T
-    klo, khi = np.floor(Kc.min(axis=0)) - 1, np.ceil(Kc.max(axis=0)) + 1
+    preimages of the corners of [lo, hi], widened by one.  The box comes from
+    interval arithmetic on A^-1, so no corner is built."""
+    pos, neg = np.maximum(A_inv, 0), np.minimum(A_inv, 0)
+    klo, khi = np.floor(pos @ lo + neg @ hi) - 1, np.ceil(pos @ hi + neg @ lo) + 1
 
     def build():
         K = np.meshgrid(*map(np.arange, klo.astype(int), khi.astype(int) + 1), indexing="ij")
@@ -121,9 +120,7 @@ def _lattice_box(A, A_inv, lo, hi):
 def lattice(A, radius) -> SpectrumSet:
     """All points of A Z^d with sup-norm <= radius, sorted lexicographically."""
     A, A_inv = generator(A)
-    radius = _finite(radius, "lattice radius")
-    if radius.shape != ():
-        raise DomainError("lattice radius must be a number")
+    radius = _real(radius, "lattice radius", 0)
     size, build = _lattice_box(A, A_inv, np.full(len(A), -radius), np.full(len(A), radius))
     if not size <= MAX_LATTICE_BOX:  # also refuses NaN
         raise DomainError(f"lattice coordinate box above {MAX_LATTICE_BOX} points")
@@ -251,10 +248,10 @@ def beurling_density(
     rng = spawn_rng(seed, "beurling-centers")
     if centers_box is None:
         centers_box = (np.full(d, -10.0), np.full(d, 10.0))
-    clo = np.atleast_1d(_finite(centers_box[0], "centers_box lo"))
-    chi = np.atleast_1d(_finite(centers_box[1], "centers_box hi"))
-    if clo.shape != (d,) or chi.shape != (d,):
-        raise DomainError(f"centers_box corners must be {d}-vectors")
+    box = _finite(centers_box, "centers_box")
+    if box.shape[:1] != (2,) or box.size != 2 * d:
+        raise DomainError(f"centers_box must be two corners, {d}-vectors")
+    clo, chi = box.reshape(2, d)
     centers = clo + rng.random((n_centers, d)) * (chi - clo)
     centers = np.vstack([np.zeros(d), centers])
     low, top = centers.min(axis=0), centers.max(axis=0)

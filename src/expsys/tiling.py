@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InversionError, _integer
+from .errors import DomainError, InversionError, _finite, _integer
 from .measures import LebesgueBox, _check_entries, _in_box
 from .phases import measure_preservation_check
 from .seeding import spawn_rng
@@ -248,7 +248,9 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     box = _as_box(box, phi)
     n = _integer(n, "n", 1)
     _check_entries(n, box.dim, "sample set")
-    k = np.asarray(k, dtype=float)
+    k = _finite(k, "translate k")
+    if k.shape != (box.dim,):
+        raise DomainError(f"translate k must be a {box.dim}-vector, got shape {k.shape}")
     vol = box.total_mass
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
     y = phi(box._sample(n, rng)) + k
@@ -362,7 +364,10 @@ def _as_box(box, phi):
     """A LebesgueBox, or one built from a (lo, hi) pair, for a phase that maps
     the box's dimension to itself."""
     if not isinstance(box, LebesgueBox):
-        box = LebesgueBox(*box)
+        pair = _finite(box, "box")
+        if pair.shape[:1] != (2,):
+            raise DomainError(f"box must be a LebesgueBox or a (lo, hi) pair, got {box!r}")
+        box = LebesgueBox(*pair)
     if (phi.in_dim, phi.out_dim) != (box.dim, box.dim):
         raise DomainError(
             f"the phase maps dimension {phi.in_dim} to {phi.out_dim}; "

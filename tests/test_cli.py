@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expsys.cli import run, serialize_report
-from expsys.config import as_scalar
-from expsys.errors import ConfigError
+from expsys.cli import _COMMANDS, run, serialize_report
+from expsys.errors import DomainError, _integer, _real
 from expsys.presets import PRESETS
 
 
@@ -594,17 +593,62 @@ def test_mutated_preset_keeps_exit_contract(tmp_path_factory, target, value):
     assert code != 3 or err.getvalue().startswith("error: ")
 
 
-def test_as_scalar_keeps_integral_floats_and_finite_strings():
-    assert as_scalar(100000.0, int, "n") == 100000
-    assert as_scalar("32", int, "order") == 32
-    assert as_scalar("2.5", float, "tol") == 2.5
-
-
 @pytest.mark.parametrize("kind", [int, float])
-def test_as_scalar_refuses_json_booleans_in_number_fields(kind):
+def test_readers_refuse_json_booleans_in_number_fields(kind):
     for value in (True, False):
-        with pytest.raises(ConfigError, match="got " + repr(value)):
-            as_scalar(value, kind, "field")
+        with pytest.raises(DomainError, match="got " + repr(value)):
+            (_integer if kind is int else _real)(value, kind.__name__ + " field")
+
+
+# nested scalar fields, each read by the library function it reaches; the
+# top-level ones are seed, out, csv and each command's options
+_NESTED_SCALARS = {
+    "measure": ["ratio"],
+    "phase": ["dim", "in_base", "out_base", "depth", "K", "in_dim"],
+    "spectrum": ["radius", "n"],
+    "quad": ["order", "n_samples", "seed", "depth", "abs_tol", "max_subdivisions"],
+    "basis": ["m"],
+}
+
+
+def _scalar_fields(name):
+    """Path of every scalar field of preset `name` that a config may type wrong."""
+    command, cfg = PRESETS[name]["command"], PRESETS[name]["config"]
+    _, _, keys, other = _COMMANDS[command]
+    top = ["seed", "out", *keys, *(["csv"] if "csv" in other else [])]
+    paths = [(key,) for key in top]
+    for parent, children in _NESTED_SCALARS.items():
+        node = cfg.get(parent)
+        if isinstance(node, dict):
+            paths += [(parent, key) for key in children if key in node]
+    paths += [("phase", "digit_map", key) for key in cfg.get("phase", {}).get("digit_map", {})]
+    paths += [("windows", i) for i in range(len(cfg.get("windows", [])))]
+    return paths
+
+
+# values refused before any work, a string or boolean field skipping the kind it takes
+_ILL_TYPED = [None, True, "x", [], {}, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [(name, path) for name in sorted(PRESETS) for path in _scalar_fields(name)],
+    ids=lambda v: v if isinstance(v, str) else ".".join(map(str, v)),
+)
+def test_ill_typed_scalar_field_exits_three(tmp_path, capsys, name, path):
+    for value in _ILL_TYPED:
+        if value is True and path == ("exploratory",) or value == "x" and path[-1] in ("out", "csv"):
+            continue
+        cfg = json.loads(json.dumps(PRESETS[name]["config"]))
+        _set(list(path), value)(cfg)
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run([PRESETS[name]["command"], "--config", str(tmp_path / "cfg.json")])
+        captured = capsys.readouterr()
+        assert code == 3, (value, captured.out[-200:])
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, value
+        assert not caught, (value, [str(w.message) for w in caught])
 
 
 def test_non_finite_frame_moments_exit_three(tmp_path, capsys):

@@ -9,7 +9,13 @@ from scipy.stats import ks_2samp
 
 import expsys as es
 from expsys._oscillatory import _digit_moments
-from expsys.errors import ProductFormulaError, QuadratureError, SchemeMismatchError, _integer
+from expsys.errors import (
+    ProductFormulaError,
+    QuadratureError,
+    SchemeMismatchError,
+    _integer,
+    _real,
+)
 from expsys.measures import (
     _box_ft,
     _in_box,
@@ -988,3 +994,80 @@ def test_bounded_integer_messages():
     with pytest.raises(es.DomainError, match=r"^order must be in \[2, 512\], got 513$"):
         _integer(513, "order", 2, 512)
     assert _integer(np.int64(7), "n", 1, 7) == 7 and type(_integer(3.0, "n")) is int
+
+
+def test_real_reads_one_finite_number():
+    assert _real("2.5", "tol") == 2.5 and type(_real(np.float32(0.5), "tol")) is float
+    assert _real(0, "tol", 0) == 0.0
+    with pytest.raises(es.DomainError, match=r"^tol must be >= 0, got -1e-09$"):
+        _real(-1e-9, "tol", 0)
+    for value in (None, True, "x", [], [1.0], {}, np.nan, np.inf, 10**400):
+        with pytest.raises(es.DomainError, match="^tol must be"):
+            _real(value, "tol")
+
+
+def _onb(**tols):
+    return es.verify_onb(unit_box(), es.Identity(1), es.integer_lattice(1, 1), es.gauss(8), **tols)
+
+
+def _window_check(**kwargs):
+    ws = es.WindowSystem(
+        [0.0], [1.0], [[0.0]], es.integer_lattice(1, 1), es.Affine([[1.0]])
+    )
+    return es.verify_system_on_window(ws, ([0.0], [1.0]), **kwargs)
+
+
+# value arguments that leaked TypeError, ValueError, OverflowError, IndexError,
+# KeyError or LinAlgError past the library's readers
+VALUE_ARGUMENTS = [
+    ("adaptive", "abs_tol", lambda v: es.adaptive(abs_tol=v), [None, "x", []]),
+    ("verify_onb", "tol_orth", lambda v: _onb(tol_orth=v), [None, "x"]),
+    ("verify_onb", "tol_complete", lambda v: _onb(tol_complete=v), [None, "x"]),
+    ("Triangular2D", "K", lambda v: es.Triangular2D(np.exp, K=v), [None, "x", []]),
+    # float(base) is exact up to 2^53; 1e300 overflowed the digit arithmetic
+    (
+        "DigitMap", "in_base",
+        lambda v: es.DigitMap(v, [0, 1], 4, {0: 0.0, 1: 2.0}), [10**400, 1e300, 2**53 + 1],
+    ),
+    ("DigitMap", "digit_map", lambda v: es.DigitMap(2, [0, 1], 4, v), [None, "x"]),
+    ("Unipotent", "shifts", lambda v: es.Unipotent(v, dim=2), [None, True]),
+    (
+        "overlap_volume", "k",
+        lambda v: es.overlap_volume(es.Identity(1), unit_box(), v, n=10), [None, "x"],
+    ),
+    (
+        "synthesize", "values",
+        lambda v: es.synthesize(v, es.Identity(1), es.integer_lattice(1, 1)), [10**400],
+    ),
+    (
+        "unimodular_conjugation_check", "M",
+        lambda v: es.unimodular_conjugation_check(
+            unit_box(), es.Identity(1), v, 1, es.gauss(8)
+        ),
+        [[], "x"],
+    ),
+    (
+        "beurling_density", "centers_box",
+        lambda v: es.beurling_density(es.integer_lattice(1, 4), [2.0], centers_box=v), [[], {}],
+    ),
+    (
+        "tiling_verdict", "box",
+        lambda v: es.tiling_verdict(es.Identity(1), v, [[1.0]], n=10), [None, True, "x"],
+    ),
+    ("verify_system_on_window", "tol", lambda v: _window_check(tol=v), [None, "x"]),
+    ("verify_system_on_window", "exploratory", lambda v: _window_check(exploratory=v), ["false"]),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [(call, value) for _, _, call, values in VALUE_ARGUMENTS for value in values],
+    ids=[
+        f"{name}-{arg}-{'10**400' if value == 10**400 else repr(value)}"
+        for name, arg, _, values in VALUE_ARGUMENTS
+        for value in values
+    ],
+)
+def test_value_arguments_refused_with_domain_error(call, value):
+    with pytest.raises(es.DomainError):
+        call(value)

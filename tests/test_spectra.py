@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -351,3 +352,27 @@ def test_integer_lattice_dimension_is_bounded_before_its_generator_is_built():
     for d in (spectra.MAX_LATTICE_DIM + 1, 10**12):
         with pytest.raises(DomainError, match=r"lattice dim must be in \[1, 12\]"):
             es.integer_lattice(d, 0)
+
+
+def test_lattice_box_size_is_checked_before_anything_the_size_of_the_box_is_built():
+    # the box's 2^18 corners and their preimages (72 MiB) were built before the check
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="lattice coordinate box above"):
+            es.lattice(np.eye(18), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("A", [np.eye(2), [[2.0, 1.0], [-1.0, 3.0]], [[0.3, -1.7], [2.2, 0.4]]])
+def test_lattice_box_covers_the_preimage_of_every_corner(A):
+    A, A_inv = spectra.generator(A)
+    lo, hi = np.array([-2.5, -1.0]), np.array([3.0, 4.5])
+    size, build = spectra._lattice_box(A, A_inv, lo, hi)
+    k = np.rint(build() @ A_inv.T)
+    corners = np.array([[x, y] for x in (lo[0], hi[0]) for y in (lo[1], hi[1])]) @ A_inv.T
+    assert size == len(k)
+    assert np.all(k.min(axis=0) == np.floor(corners.min(axis=0)) - 1)
+    assert np.all(k.max(axis=0) == np.ceil(corners.max(axis=0)) + 1)
