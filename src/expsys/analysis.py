@@ -3,7 +3,10 @@
 The Gram of a generalized exponential system E(Lambda, phi) over mu is
 G[i, j] = integral of e^{2 pi i (lambda_i - lambda_j) . phi(x)} dmu(x).
 Entries depend only on the frequency difference, so one integral is computed
-per distinct difference and every report scalar is read off that table.
+per distinct difference and every report scalar is read off that table.  The
+(m, m) class of each pair is a `DifferenceTable`: integer spectra hold only
+their point and class codes and form a row block of classes when it is read,
+so no m^2 array is held unless `GramReport.entries` or `np.asarray` asks.
 `_oscillatory.plan` picks how every moment call here runs: Gram entries come
 from the validated Fourier product formula when the pair (mu, phi) reduces to
 a recognized self-similar pushforward, and from quadrature otherwise.
@@ -32,40 +35,85 @@ MAX_GRAM_POINTS = 4096
 
 
 def unique_differences(points):
-    """(keys, inverse, freqs): the difference rows rounded to 12 digits, inverse
-    indexing the (m, m) difference grid, and each class's frequency, the
+    """(keys, inverse, freqs): the difference rows rounded to 12 digits, the
+    `DifferenceTable` of each pair's class, and each class's frequency, the
     unrounded points[i] - points[j] of its first pair, mirrored so that
     freqs[n - 1 - u] == -freqs[u] as for the keys (-0.0 folded into 0.0).
     Above MAX_GRAM_POINTS points it raises before any difference is formed.
-    Integer-valued points take `_integer_classes`, with the same tables."""
+    Integer-valued points take `_integer_classes`, with the same tables; their
+    table holds no m^2 array and forms each class only when read.  Other
+    points sort the m^2 difference rows and keep the built (m, m) index
+    behind the table."""
     m = points.shape[0]
     if m > MAX_GRAM_POINTS:
         raise DomainError(f"spectrum truncation above the {MAX_GRAM_POINTS}-entry cap")
     integer = _integer_classes(points)
     if integer is not None:
-        inverse, freqs = integer
-        return freqs.copy(), inverse, freqs
+        return integer
     diffs = points[:, None, :] - points[None, :, :]
     keys, inverse, first = unique_rows(diffs.reshape(m * m, -1))
-    i, j = np.divmod(first[: first.size // 2 + 1], m)  # the zero class is the middle row
+    zero = first.size // 2  # the zero class is the middle row
+    i, j = np.divmod(first[: zero + 1], m)
     low = points[i] - points[j]
-    return keys, inverse.reshape(m, m), np.concatenate([low, -low[-2::-1]]) + 0.0
+    inverse = inverse.reshape(m, m)
+    table = DifferenceTable(
+        m, lambda rows, cols: inverse[rows, cols], np.count_nonzero(inverse == zero) > m
+    )
+    return keys, table, np.concatenate([low, -low[-2::-1]]) + 0.0
+
+
+def _row_slices(m):
+    """Row slices of an (m, m) table, each about 2^16 entries (at least one row)."""
+    step = max(1, (1 << 16) // m)
+    return (slice(start, start + step) for start in range(0, m, step))
+
+
+class DifferenceTable:
+    """The (m, m) class index of `unique_differences`: [i, j] is the class of
+    points[i] - points[j], and `zero_offdiag` says whether an off-diagonal
+    pair falls in the zero class.  Entries are formed only when read, through
+    `blocks()`, `[i, j]` (integers or index arrays, broadcast together) or
+    `np.asarray`, each by the constructor's `index(rows, cols)` at broadcast
+    index arrays.
+    """
+
+    def __init__(self, m, index, zero_offdiag):
+        self.shape = (m, m)
+        self.size = m * m
+        self.zero_offdiag = bool(zero_offdiag)
+        self._index = index
+
+    def __getitem__(self, key):
+        return self._index(*key)
+
+    def blocks(self):
+        """(first row, its block of rows) over the table, about 2^16 entries each."""
+        rows, cols = np.arange(self.shape[0]), np.arange(self.shape[1])
+        for block in _row_slices(self.shape[0]):
+            yield block.start, self._index(rows[block, None], cols)
+
+    def __array__(self, dtype=None, copy=None):
+        rows = np.arange(self.shape[0])
+        return np.asarray(self._index(rows[:, None], rows), dtype=dtype)
 
 
 def _integer_classes(points):
-    """(inverse, freqs) of `unique_differences` keyed by exact integers, or None
-    unless the points are integer-valued, below 2^51, and their doubled box
-    (each axis's differences take 2 (max - min) + 1 values) has at most m^2 bins.
+    """`unique_differences` keyed by exact integers, or None unless the points
+    are integer-valued, below 2^51, and their doubled box (each axis's
+    differences take 2 (max - min) + 1 values) has at most m^2 bins.
 
     Such differences are exact doubles below m^2 / 2 <= 2^23 in magnitude, on
     which rounding to 12 digits is the identity (x * 1e12 is exact), so the
     keys are the frequencies themselves, with no -0.0 from int64.  The classes
     of the rounded rows are the distinct integer differences in lexicographic
     order, and every pair of a class, its first included, has the class's
-    value.  A mixed-radix key over the
-    doubled box, first axis most significant, is ordered as the rows; a
-    bincount over the box ranks the classes, and each frequency is read off
-    its class's bin."""
+    value.  A mixed-radix code over the doubled box, first axis most
+    significant, is ordered as the rows: the code of points[i] - points[j]
+    is lin[i] - shifted[j], with shifted = lin - code(span).  A bool mark over the box, set one row block at
+    a time, gives the occurring codes, `bins`, in order, and each frequency is
+    read off its bin.  The table holds lin and bins only, and ranks a code by
+    searchsorted when read.  Distinct points have distinct codes, so the zero
+    class occurs off the diagonal exactly when lin repeats."""
     m = points.shape[0]
     if not (np.all(np.abs(points) < 2.0**51) and np.all(points == np.rint(points))):
         return None
@@ -75,14 +123,19 @@ def _integer_classes(points):
     if math.prod(radix) > m * m:
         return None
     lin = np.ravel_multi_index((points - lo).astype(np.int64).T, radix)
-    key = np.subtract.outer(lin, lin - np.ravel_multi_index(span, radix))  # bin of i - j
-    rank = np.bincount(key.ravel(), minlength=math.prod(radix))
-    freqs = np.stack(np.unravel_index(np.flatnonzero(rank), radix), axis=1) - span
-    np.minimum(rank, 1, out=rank)  # 1 on each occurring difference
-    np.cumsum(rank, out=rank)
-    rank -= 1
-    # in range, so "clip": the default "raise" buffers a copy of the m^2 grid
-    return np.take(rank, key, out=key, mode="clip"), freqs.astype(float)
+    shifted = lin - np.ravel_multi_index(span, radix)  # code of i - j: lin[i] - shifted[j]
+    occ = np.zeros(math.prod(radix), dtype=bool)
+    for rows in _row_slices(m):
+        occ[np.subtract.outer(lin[rows], shifted)] = True
+    bins = np.flatnonzero(occ)
+    del occ  # up to m^2 bytes, freed before the frequencies are formed
+    freqs = (np.stack(np.unravel_index(bins, radix), axis=1) - span).astype(float)
+    table = DifferenceTable(
+        m,
+        lambda rows, cols: np.searchsorted(bins, lin[rows] - shifted[cols]),
+        np.unique(lin).size < m,
+    )
+    return freqs.copy(), table, freqs
 
 
 @dataclass
@@ -90,7 +143,9 @@ class GramReport:
     spectrum: SpectrumSet
     values: np.ndarray  # (n,) one moment per unique difference
     errors: np.ndarray  # (n,) its quadrature error estimate
-    inverse: np.ndarray  # (m, m): G[i, j] = values[inverse[i, j]]
+    # (m, m): G[i, j] = values[inverse[i, j]]; formed when read, and on integer
+    # spectra never held whole (write_csv reads row blocks; `entries` builds G)
+    inverse: DifferenceTable
     max_offdiag: float
     diag_dev: float
     hermiticity_residual: float
@@ -125,9 +180,10 @@ class GramReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "col", "re", "im"])
-            for i, row in enumerate(self.inverse):
-                for j, z in enumerate(self.values[row].tolist()):
-                    writer.writerow([i, j, repr(z.real), repr(z.imag)])
+            for start, block in self.inverse.blocks():
+                for i, row in enumerate(self.values[block].tolist(), start):
+                    for j, z in enumerate(row):
+                        writer.writerow([i, j, repr(z.real), repr(z.imag)])
 
 
 def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> GramReport:
@@ -139,9 +195,9 @@ def gram(mu, phi, spectrum: SpectrumSet, quad: QuadratureSpec, threads=1) -> Gra
     vals, errs = how.moments(freqs, threads=threads)
     vals, errs = vals[:, 0], errs[:, 0]
 
-    z = inverse[0, 0]  # the zero difference, on every diagonal entry
+    z = keys.shape[0] // 2  # the zero difference, the middle class, on every diagonal entry
     off = np.abs(vals)
-    if np.count_nonzero(inverse == z) == m:  # no off-diagonal pair rounds to zero
+    if not inverse.zero_offdiag:
         off[z] = 0.0
     # G[j, i] = vals[n - 1 - inverse[i, j]]: fl(b - a) = -fl(a - b), rounding is odd and
     # -0 is folded into 0, so -keys[u] = keys[n - 1 - u] (negation reverses lex order)

@@ -203,7 +203,13 @@ class TestUniqueDifferences:
         ref_uniq, ref_inverse, ref_first = reference_unique_differences(points)
         assert np.array_equal(uniq, ref_uniq)
         assert np.array_equal(np.signbit(uniq), np.signbit(ref_uniq))
+        assert inverse.shape == ref_inverse.shape and inverse.size == ref_inverse.size
         assert np.array_equal(inverse, ref_inverse)
+        assert np.array_equal(np.concatenate([b for _, b in inverse.blocks()]), ref_inverse)
+        # row blocks whose edges fall mid-spectrum, read by index
+        m = points.shape[0]
+        for rows in np.array_split(np.arange(m), 3):
+            assert np.array_equal(inverse[rows[:, None], np.arange(m)], ref_inverse[rows])
         # each class at the unrounded difference of its first pair, the upper
         # half at the negated lower half
         i, j = np.divmod(ref_first, points.shape[0])
@@ -237,18 +243,18 @@ class TestUniqueDifferences:
         assert calls == [points.shape[0] ** 2 for points in rounded]
 
     def test_integer_tables_peak_below_the_rounded_rows(self):
-        # lambda4(11): the key grid of 8 m^2 bytes and the bincount over its
-        # doubled box of about (2/3) m^2 bins peak at 1.7 grids; the rounded
-        # rows (differences, sort order, inverse, ranks) at about 6
+        # lambda4(11): the bool mark over its doubled box of about (2/3) m^2
+        # bins (2.8 MB), the class codes and one row block of 2^16 codes
+        # (about 5 MiB in all); the rounded rows (differences, sort order,
+        # inverse, ranks) take about 6 m^2 doubles (200 MiB)
         points = es.lambda4(11).points
-        m = points.shape[0]
         tracemalloc.start()
         try:
             unique_differences(points)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 8 * m * m
+        assert peak <= 16 * 2**20
 
     def test_refuses_above_the_gram_cap_before_any_difference(self):
         from expsys.analysis import MAX_GRAM_POINTS
@@ -321,6 +327,36 @@ class TestDifferenceTable:
         rep = es.gram(unit_box(), es.Identity(1), es.explicit([[0.3]]), es.gauss(16))
         assert rep.max_offdiag == 0.0 and rep.hermiticity_residual == 0.0
         assert table_scalars(rep) == dense_scalars(rep, 1.0)
+
+    @pytest.mark.parametrize(
+        "mu, spectrum, quad, n_unique",
+        [
+            (unit_box(), es.integer_lattice(1, 2047), es.gauss(64), 8189),
+            (es.middle_fourth_cantor(), es.lambda4(12), es.digit(40), 3**12),
+        ],
+        ids=["z-4095", "lambda4-4096"],
+    )
+    def test_gram_at_the_cap(self, mu, spectrum, quad, n_unique):
+        # a Gram at the 4096-point cap never holds the m x m table: the whole
+        # call stays under 48 MiB (about 0.2 and 1.4 m^2 int64s)
+        es.gram(mu, es.Identity(1), es.lambda4(2), quad)  # the gate and node caches, untraced
+        points = spectrum.points
+        m = points.shape[0]
+        tracemalloc.start()
+        try:
+            rep = es.gram(mu, es.Identity(1), spectrum, quad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+        assert rep.n_unique_differences == n_unique
+        assert rep.n_pairs == m * m and rep.max_offdiag <= 1e-12
+        keys, inverse, freqs = unique_differences(points)
+        assert inverse.size == m * m and keys.shape[0] == n_unique
+        # the first two row blocks hold each pair's exact difference
+        for (start, block), _ in zip(inverse.blocks(), range(2)):
+            rows = points[start : start + block.shape[0]]
+            assert np.array_equal(freqs[block], rows[:, None, :] - points[None, :, :])
 
     def test_difference_rounding_to_zero_counts_off_diagonal(self):
         # distinct points whose only nonzero difference rounds to 0 at 12 digits

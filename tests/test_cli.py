@@ -1014,16 +1014,28 @@ class TestSpecCliExamples:
         assert code == 3
         assert "--threads must be in [1, 64]" in capsys.readouterr().err
 
-    def test_gram_csv_artifact(self, tmp_path):
+    def test_gram_csv_artifact(self, tmp_path, monkeypatch):
+        # every pair in row-major order at its class's value, the classes as
+        # np.unique(axis=0) finds them; m = 257 spans two row blocks
+        import expsys.analysis
+        from test_analysis import reference_unique_differences
+
+        gram, reports = expsys.analysis.gram, []
+        monkeypatch.setattr(
+            expsys.analysis, "gram", lambda *a, **k: reports.append(gram(*a, **k)) or reports[-1]
+        )
         cfg = json.loads(json.dumps(PRESETS["identity-1d"]["config"]))
-        cfg["spectrum"]["radius"] = 2
+        cfg["spectrum"]["radius"] = 128
         cfg["csv"] = str(tmp_path / "gram.csv")
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         code = run(["verify-onb", "--config", str(path), "--out", str(tmp_path / "r.json")])
-        assert code in (0, 2)  # tiny truncation is honestly INCONCLUSIVE
-        lines = (tmp_path / "gram.csv").read_text().strip().splitlines()
-        assert lines[0] == "row,col,re,im"
-        assert len(lines) == 1 + 5 * 5
-        for line in lines[1:]:
-            [float(cell) for cell in line.split(",")]
+        assert code == 0
+        [rep] = reports
+        _, inverse, _ = reference_unique_differences(rep.spectrum.points)
+        expected = ["row,col,re,im"] + [
+            f"{i},{j},{z.real!r},{z.imag!r}"
+            for i, row in enumerate(rep.values[inverse].tolist())
+            for j, z in enumerate(row)
+        ]
+        assert (tmp_path / "gram.csv").read_text().splitlines() == expected
