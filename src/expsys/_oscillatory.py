@@ -11,7 +11,9 @@ Every call, the product formula's too, reads its arguments in `_read_call`
 before any work and, with `strict`, refuses a non-finite value.
 
 Every scheme ends in one kernel, `_contract`: a phase image, its
-frequencies and an (n, k) node-weighted weight matrix.  A support box is a
+frequencies and an (n, k) node-weighted weight matrix.  It runs the
+frequencies in exp chunks of 2 to 32, the widest whose (n, width) complex
+block fits in 4 MiB (`_chunks`).  A support box is a
 mask on its weight under every scheme.  Tensor-gauss gives each support box
 one rule over the box clipped to the measure, with the measure's panel count
 scaled by the box's share of each width, and unboxed weights one rule over
@@ -36,7 +38,9 @@ weight's finest-scale slope to the phase term.  A
 sample known by one code per level block has as phase the product of each
 block's table e^{2 pi i xi t_b} at its code (`_phase_tables`);
 `_code_sums` sums those products over an array of codes against a weight
-matrix or the unit column, so the tables are the only exponentials.  The
+matrix or the unit column, so the tables are the only exponentials; it
+forms the products of one frequency group at a time, groups sized as the
+exp chunks.  The
 product-formula gate's sampling oracle draws cylinder codes in 2^18-row
 windows and sums each into one accumulator, holding one window at a time
 (systems whose codes outweigh their points draw all 6M points at once);
@@ -94,6 +98,9 @@ from .measures import (
 from .seeding import spawn_rng
 
 _CHUNK = 32  # max frequencies per exp/matmul chunk
+# bytes of one temporary (rows x columns) work block: an exp chunk, or a
+# frequency group of digit-code products
+_WORK_BYTES = 1 << 22
 _N_PROBE = 64  # sampled Jacobians per oscillation-cycle estimate
 # frequencies of each guarded call (all when fewer ask) also run by its guard: the full
 # rule, `_contract` on phi's image, or the digit enumeration on at most _GUARD_NODES
@@ -113,10 +120,22 @@ _DIGIT_CODES = 1 << 10
 _ADAPTIVE_NODES = 1 << 19  # rule nodes (order^dim a rule) an adaptive call's table holds
 
 
-def _chunk_size(n_nodes, n_weights):
-    # keep the complex exp chunk plus the real (n, k) weight matrix around 64 MB
-    cols = 8_000_000 // max(n_nodes, 1) - n_weights
-    return max(1, min(_CHUNK, cols // 2))
+def _chunks(rows, m):
+    """Slices of m frequencies, one (rows, width) complex work block each.
+
+    The width is the largest power of two from 2 to _CHUNK whose block fits
+    in _WORK_BYTES; a last chunk of one frequency joins the chunk before.  A
+    GEMM split into column pieces of width >= 2 at even offsets sums each
+    column as the whole call does (OpenBLAS 0.3.31), and a one-wide piece
+    runs as a GEMV, whose sums round differently.
+    """
+    width = _CHUNK
+    while width > 2 and rows * width * 16 > _WORK_BYTES:
+        width //= 2
+    starts = list(range(0, m, width))
+    if len(starts) > 1 and m - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [m])]
 
 
 def _unwrap(mu):
@@ -307,7 +326,9 @@ def _contract(img, lam, W):
     """(m, k) sums over nodes of W[:, j] e^{2 pi i lambda . img}.
 
     `img` is the (n, out_dim) phase image of the nodes and W their (n, k)
-    node-weighted weight values; frequencies run in exp chunks sized to W.
+    node-weighted weight values; frequencies run in exp chunks of `_chunks`,
+    so one (n, width) complex block of exponentials, about 4 MiB at most for
+    n <= 2^17 nodes, is held at a time.
     The weights contract as one real matmul over the interleaved (re, im)
     columns of the exponentials Z, rather than a complex matmul (several
     times slower); a complex W = A + iB runs as the real stack [A, B], whose
@@ -317,10 +338,8 @@ def _contract(img, lam, W):
     if np.iscomplexobj(W):
         W = np.hstack([W.real, W.imag])
     out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
-    step = _chunk_size(*W.shape)
     with np.errstate(invalid="ignore"):  # a NaN or infinite phase is refused by exp_moments
-        for start in range(0, lam.shape[0], step):
-            freqs = slice(start, start + step)
+        for freqs in _chunks(img.shape[0], lam.shape[0]):
             Z = np.zeros((img.shape[0], lam[freqs].shape[0]), dtype=complex)  # in place
             np.matmul(img, lam[freqs].T, out=Z.imag)
             Z.imag *= 2 * np.pi
@@ -390,27 +409,32 @@ def _code_sums(codes, W, tables, out=None):
     where e^{2 pi i xi x} is the product over b of tables[:, b, codes[:, b]]
     (`_phase_tables`) and W is an (n, k) weight matrix, None for the unit
     column.  The tables are gathered _MC_ROWS rows at a time, so no
-    exponential runs per row; each block's sum is added onto `out` when
+    exponential runs per row, and the products of one block are formed one
+    frequency group of `_chunks` at a time, so one (group, _MC_ROWS) complex
+    block, about 4 MiB, is held; each group's sum is added onto `out` when
     given (and returned), else onto zeros."""
     n, blocks = codes.shape
     shape = (tables.shape[0], 1 if W is None else W.shape[1])
     sums = np.zeros(shape, dtype=complex) if out is None else out
     rows = min(n, _MC_ROWS)
+    groups = _chunks(rows, tables.shape[0])
     j = np.empty((blocks, rows), dtype=np.intp)
-    prod = np.empty((tables.shape[0], rows), dtype=complex)
+    prod = np.empty((max((g.stop - g.start for g in groups), default=0), rows), dtype=complex)
     step = np.empty(rows, dtype=complex)
     for lo in range(0, n, rows):
         c = min(rows, n - lo)
         np.copyto(j[:, :c], codes[lo:lo + c].T)
-        for table, row in zip(tables, prod):
-            # mode "clip" writes straight into row; "raise" buffers a copy
-            np.take(table[0], j[0, :c], out=row[:c], mode="clip")
-            for b in range(1, blocks):
-                row[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
-        if W is None:
-            sums[:, 0] += prod[:, :c].sum(axis=1)
-        else:
-            sums += prod[:, :c] @ W[lo:lo + c]
+        for g in groups:
+            for table, row in zip(tables[g], prod):
+                # mode "clip" writes straight into row; "raise" buffers a copy
+                np.take(table[0], j[0, :c], out=row[:c], mode="clip")
+                for b in range(1, blocks):
+                    row[:c] *= np.take(table[b], j[b, :c], out=step[:c], mode="clip")
+            part = prod[:g.stop - g.start, :c]
+            if W is None:
+                sums[g, 0] += part.sum(axis=1)
+            else:
+                sums[g] += part @ W[lo:lo + c]
     return sums
 
 

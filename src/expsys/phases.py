@@ -865,7 +865,9 @@ class CollisionReport:
 
 
 _MAX_STORED_PAIRS = 64
-_PAIR_BLOCK = 1 << 18  # candidate pairs the probe tests at once
+# candidate pairs the probe tests at once: in 2-d, a block's index pairs and
+# its gathered, difference and distance rows stay within about 4 MiB
+_PAIR_BLOCK = 1 << 15
 
 
 def _cell_grid(img, delta_y):

@@ -30,6 +30,10 @@ NOT_TILING = "NOT-TILING"
 # tiling_verdict() refuses more draws than this over all lattice translates
 MAX_TILING_DRAWS = 1 << 27
 
+# rows per block of a sample stream: each block is drawn, mapped and counted
+# before the next is drawn from the same generator
+_STREAM_ROWS = 1 << 14
+
 
 @dataclass
 class HistogramReport:
@@ -61,6 +65,11 @@ class HistogramReport:
             frac_to_pt = np.asarray(lattice_A, dtype=float)
             for frac, cnt in zip(grid, self.counts.ravel()):
                 writer.writerow([repr(float(v)) for v in frac @ frac_to_pt.T] + [int(cnt)])
+
+
+def _stream(n):
+    """The row counts of n draws in blocks of _STREAM_ROWS."""
+    return (min(_STREAM_ROWS, n - lo) for lo in range(0, n, _STREAM_ROWS))
 
 
 def _finite_image(phi, pts):
@@ -126,6 +135,8 @@ def frac_histogram_test(
     99th percentile), NONUNIFORM when it is at most 1e-4 (at least the
     99.99th), else INCONCLUSIVE; the band prevents flaky verdicts at large n.
     One bin leaves no degrees of freedom, and the verdict is INCONCLUSIVE.
+    The n draws are binned in blocks of _STREAM_ROWS rows, drawn in turn from
+    one generator, so the counts are those of one whole draw.
     """
     box = _as_box(box, phi)
     d = box.dim
@@ -134,12 +145,14 @@ def frac_histogram_test(
     n = _integer(n, f"n for {cells} bins", 10 * cells)
     _, A_inv = generator(lattice_A, d)
     _check_entries(n, d, "sample set")
-    pts = box._sample(n, spawn_rng(seed, "frac-histogram"))
-    t = _finite_image(phi, pts) @ A_inv.T
-    frac = t - np.floor(t)
-    idx = np.clip((frac * bins).astype(int), 0, bins - 1)
-    flat = np.ravel_multi_index(idx.T, (bins,) * d)
-    counts = np.bincount(flat, minlength=cells).reshape((bins,) * d)
+    rng = spawn_rng(seed, "frac-histogram")
+    counts = np.zeros(cells, dtype=np.int64)
+    for rows in _stream(n):
+        t = _finite_image(phi, box._sample(rows, rng)) @ A_inv.T
+        frac = t - np.floor(t)
+        idx = np.clip((frac * bins).astype(int), 0, bins - 1)
+        counts += np.bincount(np.ravel_multi_index(idx.T, (bins,) * d), minlength=cells)
+    counts = counts.reshape((bins,) * d)
     expected = n / cells
     chi2 = float(np.sum((counts - expected) ** 2) / expected)
     dof = cells - 1
@@ -243,7 +256,9 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
     reach the box runs no Newton steps, and a `Unipotent` one evaluates no
     shift.  Caller asserts injectivity on the box (probe available in the
     phases module).  More than 1% inversion failures invalidates the
-    estimate.
+    estimate.  The n draws are drawn, mapped, shifted, inverted and counted
+    in blocks of _STREAM_ROWS rows from one generator, so the counts are
+    those of one whole draw.
     """
     box = _as_box(box, phi)
     n = _integer(n, "n", 1)
@@ -253,10 +268,13 @@ def overlap_volume(phi, box, k, n=100_000, seed=0, membership=None) -> OverlapRe
         raise DomainError(f"translate k must be a {box.dim}-vector, got shape {k.shape}")
     vol = box.total_mass
     rng = spawn_rng(seed, "overlap", tuple(round_in_place(k.copy(), 9).tolist()))
-    y = phi(box._sample(n, rng)) + k
-    inside, failed = (membership or _membership(phi, box.lo, box.hi))(y)
-    failures = int(np.count_nonzero(failed))
-    p = float(np.count_nonzero(inside)) / n
+    membership = membership or _membership(phi, box.lo, box.hi)
+    hits = failures = 0
+    for rows in _stream(n):
+        inside, failed = membership(phi(box._sample(rows, rng)) + k)
+        hits += int(np.count_nonzero(inside))
+        failures += int(np.count_nonzero(failed))
+    p = hits / n
     se = vol * math.sqrt(max(p * (1 - p), 0.0) / n)
     return OverlapReport(
         volume_est=vol * p,

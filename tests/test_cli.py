@@ -1039,3 +1039,30 @@ class TestSpecCliExamples:
             for j, z in enumerate(row)
         ]
         assert (tmp_path / "gram.csv").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize(
+    "name, mib",
+    [
+        ("counterexample-exp", 6), ("probe-x2", 6), ("unipotent-sin", 12),
+        ("cantor4", 16), ("cantor3", 16),
+    ],
+)
+def test_preset_peaks_stay_within_their_work_blocks(monkeypatch, tmp_path, name, mib):
+    # every temporary (rows x columns) block is about 4 MiB at most: exp
+    # chunks, digit-code products, 2^14-row tiling streams and 2^15-pair
+    # probe blocks.  With 10-22 MB blocks these jobs peaked at 16.6, 22.2,
+    # 22.8, 25.6 and 22.7 MiB under tracemalloc; the product gate runs afresh
+    import tracemalloc
+
+    from expsys import measures
+
+    monkeypatch.setattr(measures, "_PRODUCT_GATE", {})
+    tracemalloc.start()
+    try:
+        code = run([PRESETS[name]["command"], "--preset", name, "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code in (0, 1)
+    assert peak <= mib * 2**20

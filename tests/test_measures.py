@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from numpy.testing import assert_allclose
 from scipy.stats import ks_2samp
 
 import expsys as es
-from expsys._oscillatory import _digit_moments
+from expsys._oscillatory import _digit_moments, exp_moments
 from expsys.errors import (
     ProductFormulaError,
     QuadratureError,
@@ -1071,3 +1072,57 @@ VALUE_ARGUMENTS = [
 def test_value_arguments_refused_with_domain_error(call, value):
     with pytest.raises(es.DomainError):
         call(value)
+
+
+def _unipotent():
+    return es.Unipotent(shifts=(lambda p: np.sin(2 * np.pi * p[:, 1]),), dim=2)
+
+
+# the entry points that stream their work in blocks, each with small working
+# arguments and the value arguments a caller may pass wrong
+_BOX2, _EYE2 = ([0.0, 0.0], [1.0, 1.0]), [[1.0, 0.0], [0.0, 1.0]]
+STREAMING_ENTRY_POINTS = {
+    "overlap_volume": (
+        lambda **kw: es.overlap_volume(_unipotent(), **kw),
+        {"box": _BOX2, "k": [1.0, 0.0], "n": 500, "seed": 0},
+    ),
+    "frac_histogram_test": (
+        lambda **kw: es.frac_histogram_test(_unipotent(), **kw),
+        {"box": _BOX2, "lattice_A": _EYE2, "n": 500, "bins": 4, "seed": 0},
+    ),
+    "tiling_verdict": (
+        lambda **kw: es.tiling_verdict(_unipotent(), **kw),
+        {"box": _BOX2, "lattice_A": _EYE2, "n": 200, "bins": 2, "radius": 1, "seed": 0},
+    ),
+    "essential_injectivity_probe": (
+        lambda **kw: es.essential_injectivity_probe(es.Identity(1), unit_box(), **kw),
+        {"n": 200, "delta_x": None, "delta_y": None, "seed": 0},
+    ),
+    "exp_moments": (
+        lambda **kw: exp_moments(unit_box(), es.Identity(1), quad=es.gauss(8), **kw),
+        {"lambdas": [[1.0], [2.0]], "threads": 1},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STREAMING_ENTRY_POINTS))
+def test_streaming_entry_points_refuse_or_answer_every_hostile_value(name):
+    # the CLI fuzz's hostile values and the non-finite floats, one value
+    # argument at a time: each call raises an ExpSysError or returns, and no
+    # RuntimeWarning escapes
+    from test_cli import HOSTILE_VALUES
+
+    call, args = STREAMING_ENTRY_POINTS[name]
+    leaks = []
+    for arg in args:
+        for value in [*HOSTILE_VALUES, np.nan, np.inf, -np.inf]:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    call(**{**args, arg: value})
+                except es.ExpSysError:
+                    pass
+                except Exception as exc:  # a leak, reported below
+                    leaks.append((arg, value, repr(exc)))
+            leaks += [(arg, value, str(w.message)) for w in caught]
+    assert not leaks

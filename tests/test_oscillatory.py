@@ -1438,10 +1438,8 @@ def _two_matmul_contract(img, lam, W):
     """`_contract` of a complex W = A + iB as two real matmuls A Z and B Z over
     the interleaved (re, im) columns of Z, joined as A Z + i B Z."""
     out = np.empty((lam.shape[0], W.shape[1]), dtype=complex)
-    step = _oscillatory._chunk_size(*W.shape)
     real, imag = np.ascontiguousarray(W.real.T), np.ascontiguousarray(W.imag.T)
-    for start in range(0, lam.shape[0], step):
-        freqs = slice(start, start + step)
+    for freqs in _oscillatory._chunks(img.shape[0], lam.shape[0]):
         Z = np.zeros((img.shape[0], lam[freqs].shape[0]), dtype=complex)
         np.matmul(img, lam[freqs].T, out=Z.imag)
         Z.imag *= 2 * np.pi
@@ -1468,6 +1466,45 @@ def test_complex_weights_contract_as_the_two_matmul_split(n_freqs):
     ref = _two_matmul_contract(img, lam, W)
     assert got.shape == ref.shape == (n_freqs, 3)
     assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(W).sum(axis=0))
+
+
+@pytest.mark.parametrize("rows", [1, 5000, 2**14, 2**16, 2**20])
+@pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 65, 70])
+def test_exp_chunks_fit_the_work_limit_with_no_one_wide_chunk(rows, m):
+    # a one-wide chunk runs its GEMM as a GEMV, whose sums round differently:
+    # only m = 1 has one.  The chunks tile the m frequencies in one width,
+    # the largest power of two up to 32 whose (rows, width) complex block
+    # fits in 4 MiB (2 at least), and a last chunk of one frequency joins
+    # the one before
+    chunks = _oscillatory._chunks(rows, m)
+    assert [c.start for c in chunks] == [0] + [c.stop for c in chunks[:-1]]
+    assert chunks[-1].stop == m
+    fits = [w for w in (32, 16, 8, 4) if rows * w * 16 <= _oscillatory._WORK_BYTES]
+    width = fits[0] if fits else 2
+    *full, last = [c.stop - c.start for c in chunks]
+    assert full == [width] * len(full)
+    assert (last == 1) if m == 1 else (2 <= last <= width + 1)
+
+
+@pytest.mark.parametrize("weighted", [True, False], ids=["weights", "unit"])
+@pytest.mark.parametrize("m", [1, 2, 9, 17, 64])
+def test_grouped_code_sums_match_one_group(monkeypatch, m, weighted):
+    # the products are formed one frequency group at a time; BLAS picks its
+    # kernel by shape, so a group's sums may differ from one group's in
+    # order, never by more than a few eps of each column's summed |w|
+    rng = np.random.default_rng(m)
+    n, blocks, codes_per_block = 2 * 2**14 + 5, 3, 64
+    codes = rng.integers(0, codes_per_block, (n, blocks))
+    offsets = rng.random((blocks, codes_per_block)) * 4.0 ** -np.arange(blocks)[:, None]
+    tables = _oscillatory._phase_tables(offsets, rng.normal(0.0, 30.0, m))
+    W = rng.normal(size=(n, 3)) if weighted else None
+    got = _oscillatory._code_sums(codes, W, tables)
+    assert len(_oscillatory._chunks(2**14, m)) == max(1, m // 16)
+    monkeypatch.setattr(_oscillatory, "_chunks", lambda rows, m: [slice(0, m)])
+    ref = _oscillatory._code_sums(codes, W, tables)
+    summed = np.abs(W).sum(axis=0) if weighted else np.array([n])
+    assert got.shape == ref.shape == (m, summed.size)
+    assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * summed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import expsys as es
+from expsys import tiling
 from expsys.cli import run
+from expsys.seeding import spawn_rng
+from expsys.spectra import round_in_place
 from expsys.tiling import (
     INCONCLUSIVE,
     NONUNIFORM,
@@ -227,8 +230,14 @@ class TestBoxHint:
 
     def test_unipotent_tiling_translates_that_cannot_land_run_no_shift(self, monkeypatch, tmp_path):
         # x2 = y2 of the 24 translates of [0, 1)^2: only the four k2 = 0 ones
-        # keep rows whose x2 lies in the box, so the other 20 evaluate no shift
-        invert, calls = es.Unipotent.invert, []
+        # keep rows whose x2 lies in the box, so the other 20 evaluate no shift.
+        # Each translate's 200,000 rows are inverted in blocks, so its
+        # inverted and shift-evaluated rows are summed over its calls
+        invert, overlap, translates = es.Unipotent.invert, tiling.overlap_volume, []
+
+        def per_translate(*args, **kwargs):
+            translates.append({"inverted": 0, "shifted": 0})
+            return overlap(*args, **kwargs)
 
         def spied(self, y, box=None):
             shifts, rows = self.shifts, []
@@ -237,15 +246,18 @@ class TestBoxHint:
                 return invert(self, y, box)
             finally:
                 self.shifts = shifts
-                calls.append((len(y), rows))
+                if translates:  # not the membership test's centre probe
+                    translates[-1]["inverted"] += len(y)
+                    translates[-1]["shifted"] += sum(rows)
 
+        monkeypatch.setattr(tiling, "overlap_volume", per_translate)
         monkeypatch.setattr(es.Unipotent, "invert", spied)
         out = tmp_path / "report.json"
         assert run(["tiling-check", "--preset", "unipotent-tiling", "--out", str(out)]) == 0
-        translates = [rows for n, rows in calls if n == 200_000]
-        assert len(translates) == 24
-        assert sum(not rows for rows in translates) == 20
-        assert all(rows == [200_000] for rows in translates if rows)  # every x2 of k2 = 0 lands
+        assert [t["inverted"] for t in translates] == [200_000] * 24
+        assert sum(not t["shifted"] for t in translates) == 20
+        # every x2 of k2 = 0 lands
+        assert all(t["shifted"] == 200_000 for t in translates if t["shifted"])
 
 
 class TestTilingVerdict:
@@ -330,3 +342,59 @@ class TestLatticeGenerator:
         with pytest.raises(es.DomainError):
             es.tiling_verdict(es.Identity(2), BOX, A, n=1000, bins=4)
 
+
+# ---------------------------------------------------------------------------
+# Sample streams in blocks
+# ---------------------------------------------------------------------------
+
+STREAM_N = 3 * 2**14 + 5  # three whole blocks and a five-row one
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_blocked_box_draws_equal_one_whole_draw(d):
+    box = es.LebesgueBox(-np.arange(1.0, d + 1), np.arange(1.0, d + 1) ** 2)
+    rng = np.random.default_rng(d)
+    blocks = np.concatenate([box._sample(rows, rng) for rows in tiling._stream(STREAM_N)])
+    assert [*tiling._stream(STREAM_N)] == [2**14] * 3 + [5]
+    assert np.array_equal(blocks, box._sample(STREAM_N, np.random.default_rng(d)))
+
+
+def _whole_overlap(phi, box, k, n, seed):
+    """(hits, failures) of overlap_volume's n draws as one whole draw."""
+    box = es.LebesgueBox(*box)
+    rng = spawn_rng(seed, "overlap", tuple(round_in_place(np.array(k, dtype=float), 9).tolist()))
+    inside, failed = _membership(phi, box.lo, box.hi)(phi(box._sample(n, rng)) + k)
+    return int(np.count_nonzero(inside)), int(np.count_nonzero(failed))
+
+
+def _whole_histogram(phi, box, A, n, bins, seed):
+    """frac_histogram_test's bin counts of its n draws as one whole draw."""
+    box = es.LebesgueBox(*box)
+    t = phi(box._sample(n, spawn_rng(seed, "frac-histogram"))) @ np.linalg.inv(A).T
+    idx = np.clip(((t - np.floor(t)) * bins).astype(int), 0, bins - 1)
+    return np.bincount(np.ravel_multi_index(idx.T, (bins,) * 2), minlength=bins**2)
+
+
+@pytest.mark.parametrize("phi", [sin_unipotent(), exp_triangular()], ids=["unipotent", "exp"])
+@pytest.mark.parametrize("k", [[1.0, 0.0], [0.5, -0.25], [0.0, 1.0]])
+def test_overlap_report_equals_the_whole_stream(phi, k):
+    rep = es.overlap_volume(phi, BOX, k, n=STREAM_N, seed=4)
+    hits, failures = _whole_overlap(phi, BOX, k, STREAM_N, 4)
+    p = hits / STREAM_N
+    assert rep.to_json_dict() == {
+        "volume_est": p,
+        "std_err": float(np.sqrt(p * (1 - p) / STREAM_N)),
+        "n": STREAM_N,
+        "failures": failures,
+        "valid": failures <= 0.01 * STREAM_N,
+    }
+
+
+@pytest.mark.parametrize("phi", [sin_unipotent(), exp_triangular()], ids=["unipotent", "exp"])
+def test_histogram_report_equals_the_whole_stream(phi):
+    A = [[1.0, 0.5], [0.0, 2.0]]
+    rep = es.frac_histogram_test(phi, BOX, A, n=STREAM_N, bins=8, seed=5)
+    counts = _whole_histogram(phi, BOX, np.array(A), STREAM_N, 8, 5)
+    assert np.array_equal(rep.counts.ravel(), counts)
+    expected = STREAM_N / 64
+    assert rep.chi2 == float(np.sum((counts - expected) ** 2) / expected)
